@@ -20,7 +20,7 @@ from math import ceil
 from .factored import integer_roots_univar
 from .gosper import Certificate, gosper_antidifference
 from .linalg import PolyMatrix, _max_assignment
-from .polys import MultiPoly, RationalFunction, _as_fraction
+from .polys import MultiPoly, RationalFunction, _as_fraction, common_denominator
 from .telescope import (
     Recurrence, assemble, creative_telescope, verify_certificate,
 )
@@ -290,23 +290,11 @@ class _GridEvaluator:
 def _integer_cleared(matrix: PolyMatrix) -> PolyMatrix:
     """Row-scale away rational coefficient denominators (positive constants,
     so rank and determinant vanishing are unchanged)."""
-    from math import lcm
-    rows = []
-    changed = False
-    for row in matrix.entries:
-        den = 1
-        for p in row:
-            for c in p.terms.values():
-                if isinstance(c, Fraction):
-                    den = lcm(den, c.denominator)
-        if den != 1:
-            changed = True
-            rows.append([p.scale(den) for p in row])
-        else:
-            rows.append(list(row))
-    if not changed:
+    dens = [common_denominator(row) for row in matrix.entries]
+    if all(d == 1 for d in dens):
         return matrix
-    return PolyMatrix(rows, avoid=matrix.avoid)
+    return PolyMatrix([[p.scale(d) for p in row] if d != 1 else list(row)
+                       for d, row in zip(dens, matrix.entries)], avoid=matrix.avoid)
 
 
 def _grid_chunk_worker(args):
@@ -460,7 +448,7 @@ def leading_coeff_check(nid: NormalizedIdentity, J: int, seed: int,
         except (ZeroDivisionError, TermError) as exc:
             last_error = exc
             continue
-        if g.is_zero() or _degenerate_on_support(nid, g):
+        if g.is_zero() or _degenerate_on_support(nid, g, point):
             continue
         out = creative_telescope(g, max_order, k=nid.k, n=nid.n)
         if out is None:
@@ -473,32 +461,41 @@ def leading_coeff_check(nid: NormalizedIdentity, J: int, seed: int,
     raise Inconclusive(f"no usable parameter specialization found: {last_error}")
 
 
-def _degenerate_on_support(nid, g) -> bool:
-    """Specialized summand unusable for the telescoping run.
+def _degenerate_on_support(nid, g, point) -> bool:
+    """Specialized summand g = nid.delta_term.substituted(point) unusable for
+    the telescoping run.
 
     Structural rejections: identically zero, or a denominator-side rising
-    factorial / factorial whose argument landed on a terminating nonpositive
-    integer.  Sampled evaluation (where the point values are even defined,
-    e.g. at integer parameters) only rejects an all-zero window; points the
-    product formulas cannot evaluate are simply skipped, since the telescoping
-    run itself is formal."""
+    factorial / factorial / binomial whose argument lands on a terminating
+    nonpositive integer: as a constant, or, for an argument that mentions a
+    parameter, as an integer-coefficient form in n at some n >= 0 (the
+    specialized summand is then undefined inside the window for small n).
+    Sampled evaluation (where the point values are even defined, e.g. at
+    integer parameters) only rejects an all-zero window; points the product
+    formulas cannot evaluate are simply skipped, since the telescoping run
+    itself is formal."""
     if g.is_zero():
         return True
 
-    def bad_const(L: LinearForm, strict: bool) -> bool:
-        if not L.is_constant():
+    def bad(L: LinearForm, strict: bool) -> bool:
+        # an integer value at some n >= 0 that is negative, or zero too
+        # when not strict; a form in n counts only if L mentions a parameter
+        S = L.substitute(point)
+        if not _integer_form(S) or any(s != nid.n for s in S.coeffs):
             return False
-        v = _as_fraction(L.const)
-        return v.denominator == 1 and (v < 0 if strict else v <= 0)
+        if S.coeffs and not any(s in point for s in L.coeffs):
+            return False
+        return S.var_coeff(nid.n) < 0 or (S.const < 0 if strict else S.const <= 0)
 
-    for b, c, e in g.risings:
-        if e < 0 and bad_const(b, strict=False):
+    term = nid.delta_term
+    for b, c, e in term.risings:
+        if e < 0 and bad(b, strict=False):
             return True
-    for a_, e in g.factorials:
-        if e < 0 and bad_const(a_, strict=True):
+    for a_, e in term.factorials:
+        if e < 0 and bad(a_, strict=True):
             return True
-    for u, l, e in g.binomials:
-        if e < 0 and (bad_const(l, strict=True) or bad_const(u - l, strict=True)):
+    for u, l, e in term.binomials:
+        if e < 0 and (bad(l, strict=True) or bad(u - l, strict=True)):
             return True
     nonzero = 0
     evaluable = 0
@@ -704,7 +701,7 @@ def _fast_path_feasible(nid: NormalizedIdentity, max_params: int = 4) -> bool:
             g = nid.delta_term.substituted(point)
         except (TermError, ZeroDivisionError):
             continue
-        if g.is_zero() or _degenerate_on_support(nid, g):
+        if g.is_zero() or _degenerate_on_support(nid, g, point):
             continue
         try:
             return gosper_antidifference(g, nid.k) is not None

@@ -6,9 +6,10 @@ permanent-based determinant degree bounds.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import NamedTuple
 
-from .polys import MultiPoly, RationalFunction, poly_gcd, _as_fraction
+from .polys import MultiPoly, RationalFunction, common_denominator, poly_gcd, _as_fraction
 
 
 class PolyMatrix:
@@ -226,25 +227,32 @@ def _int_det(a) -> int:
 
 
 def _interpolate_int(values) -> list:
-    """Coefficients of the polynomial with given values at nodes 0..len-1."""
+    """Coefficients of the polynomial with given values at nodes 0..len-1.
+
+    Newton forward form over the integers, scaled by s = (n-1)!:
+    s*f(x) = sum_m D^m f(0) * (s/m!) * x(x-1)...(x-m+1), with D the forward
+    difference; the coefficients become Fractions only at the end.
+    """
     n = len(values)
-    dd = [Fraction(v) for v in values]  # divided differences, in place
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / level
-    coeffs = [Fraction(0)] * n
-    # Newton form: dd[m] * prod_{t<m} (x - t), accumulated backwards
-    acc = [Fraction(0)] * n
+    if not n:
+        return []
+    heads = []  # D^m f(0)
+    diffs = list(values)
+    while diffs:
+        heads.append(diffs[0])
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    acc = []
+    w = 1  # s/m!
     for mth in range(n - 1, -1, -1):
-        # acc := acc * (x - m) + dd[m]
-        shifted = [Fraction(0)] * n
-        for i in range(n - 1):
-            if acc[i]:
-                shifted[i + 1] += acc[i]
-                shifted[i] -= acc[i] * mth
-        shifted[0] += dd[mth]
+        # acc := acc * (x - m) + w * D^m f(0)
+        shifted = [0] + acc
+        for i, c in enumerate(acc):
+            shifted[i] -= mth * c
+        shifted[0] += w * heads[mth]
         acc = shifted
-    return acc
+        w *= mth
+    s = factorial(n - 1)
+    return [Fraction(c, s) for c in acc]
 
 
 def _nullspace_univar(m: PolyMatrix):
@@ -257,12 +265,7 @@ def _nullspace_univar(m: PolyMatrix):
     var = m.vars[0]
     dense = []
     for row in m.entries:
-        den = 1
-        for p in row:
-            for c in p.terms.values():
-                if isinstance(c, Fraction):
-                    from math import lcm
-                    den = lcm(den, c.denominator)
+        den = common_denominator(row)
         drow = []
         for p in row:
             coeffs = [0] * (p.degree(var) + 1 if not p.is_zero() else 1)

@@ -3,12 +3,24 @@
 Coefficients are arbitrary-precision rationals (`fractions.Fraction`), stored
 as plain ints whenever the denominator is 1.  No floating point anywhere.
 The monomial order is graded lexicographic over a fixed variable tuple.
+
+Products run over the integers: each operand is scaled by the lcm of its
+coefficient denominators (`common_denominator`), and the one common
+denominator is divided out when the product is stored.  Products and exact
+divisions pack each exponent tuple into a single mixed-radix int, so that
+adding packed keys adds exponents (the division's packing also orders keys
+graded-lexicographically, and its remainder is updated in place).  Packed keys
+never leave a kernel: stored terms stay keyed by exponent tuples, with ints
+preferred.  Univariate gcds run a primitive remainder sequence on dense
+integer coefficient lists.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
-from math import gcd as _igcd
+from math import gcd as _igcd, lcm
+from operator import mul
 
 BigRational = Fraction
 
@@ -22,6 +34,34 @@ def _norm_coef(c):
 
 def _as_fraction(c) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
+
+
+def common_denominator(polys) -> int:
+    """Least common multiple of the coefficient denominators of `polys`."""
+    den = 1
+    for p in polys:
+        for c in p.terms.values():
+            if isinstance(c, Fraction) and den % c.denominator:
+                den = lcm(den, c.denominator)
+    return den
+
+
+def _cleared(p):
+    """(den, [(exp, int)]): the common denominator of p and den * p's terms."""
+    den = common_denominator((p,))
+    return den, [(e, c.numerator * (den // c.denominator)
+                  if isinstance(c, Fraction) else c * den)
+                 for e, c in p.terms.items()]
+
+
+def _unpack(key, radices):
+    """Exponent tuple of a packed key; digit i has radix radices[i], the
+    first digit is the least significant."""
+    exp = []
+    for r in radices:
+        key, d = divmod(key, r)
+        exp.append(d)
+    return tuple(exp)
 
 
 class MultiPoly:
@@ -128,23 +168,35 @@ class MultiPoly:
 
     def __mul__(self, other):
         self._check(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
+        a, b = self, other
+        if len(a.terms) > len(b.terms):
             a, b = b, a
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                exp = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(exp, 0) + c1 * c2
-                if s == 0:
-                    out.pop(exp, None)
+        if not a.terms:
+            return MultiPoly(self.vars, {})
+        radices = [x + y + 1 for x, y in zip(map(max, zip(*a.terms)),
+                                             map(max, zip(*b.terms)))]
+        weights = [1]
+        for r in radices[:-1]:
+            weights.append(weights[-1] * r)
+        den_a, ia = _cleared(a)
+        den_b, ib = _cleared(b)
+        ib = [(sum(map(mul, e, weights)), c) for e, c in ib]
+        acc = {}
+        get = acc.get
+        for e1, c1 in ia:
+            k1 = sum(map(mul, e1, weights))
+            for k2, c2 in ib:
+                k = k1 + k2
+                s = get(k, 0) + c1 * c2
+                if s:
+                    acc[k] = s
                 else:
-                    out[exp] = s
-        for exp in [e for e, c in out.items() if isinstance(c, Fraction)]:
-            out[exp] = _norm_coef(out[exp])
-            if out[exp] == 0:
-                del out[exp]
-        return MultiPoly(self.vars, out)
+                    del acc[k]
+        den = den_a * den_b
+        if den == 1:
+            return MultiPoly(self.vars, {_unpack(k, radices): c for k, c in acc.items()})
+        return MultiPoly(self.vars, {_unpack(k, radices): _norm_coef(Fraction(c, den))
+                                     for k, c in acc.items()})
 
     def scale(self, c):
         c = _norm_coef(c)
@@ -342,18 +394,44 @@ class MultiPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if other.is_constant():
             return self.scale(Fraction(1, 1) / _as_fraction(other.as_constant()))
-        rem = self
-        out = {}
+        # graded-lex order as one int: key(e) = sum(e)*R^n + digits e_0..e_{n-1}
+        # most significant first; every exponent met stays below R
+        n = len(self.vars)
+        radix = max(self.total_degree(), other.total_degree()) + 1
+        top = radix ** n
+        weights = [top + radix ** (n - 1 - i) for i in range(n)]
+        divisor = {sum(map(mul, e, weights)): c for e, c in other.terms.items()}
+        dkey = max(divisor)
+        dcoef = divisor.pop(dkey)
         dlead = other.leading_exponent()
-        dcoef = _as_fraction(other.terms[dlead])
-        while rem.terms:
-            rlead = rem.leading_exponent()
+        rem = {sum(map(mul, e, weights)): c for e, c in self.terms.items()}
+        heap = [-k for k in rem]
+        heapq.heapify(heap)
+        out = {}
+        while rem:
+            k = -heapq.heappop(heap)
+            r = rem.pop(k, None)
+            if r is None:
+                continue  # stale heap entry of a cancelled term
+            rlead = _unpack(k % top, [radix] * n)[::-1]
             qexp = tuple(a - b for a, b in zip(rlead, dlead))
             if any(e < 0 for e in qexp):
                 raise ValueError("inexact polynomial division")
-            qcoef = _norm_coef(_as_fraction(rem.terms[rlead]) / dcoef)
-            out[qexp] = qcoef
-            rem = rem - MultiPoly(self.vars, {qexp: qcoef}) * other
+            q = _norm_coef(Fraction(r, dcoef))
+            out[qexp] = q
+            qk = k - dkey
+            for ek, c in divisor.items():
+                kk = qk + ek
+                old = rem.get(kk)
+                if old is None:
+                    rem[kk] = _norm_coef(-q * c)
+                    heapq.heappush(heap, -kk)
+                else:
+                    s = old - q * c
+                    if s:
+                        rem[kk] = _norm_coef(s)
+                    else:
+                        del rem[kk]
         return MultiPoly(self.vars, out)
 
     def to_univar(self, var):
@@ -443,8 +521,10 @@ def _poly_list_gcd(polys):
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Greatest common divisor, normalized to leading coefficient 1.
 
-    Primitive-PRS scheme: recurse on the first variable present, split off
-    contents, run a primitive pseudo-remainder sequence on the primitive parts.
+    Primitive-PRS scheme.  When only one variable occurs, the sequence runs
+    on dense integer coefficient lists (`_univariate_gcd`).  Otherwise recurse
+    on the first variable present, split off contents, and run a primitive
+    pseudo-remainder sequence on the primitive parts.
     """
     if p.vars != q.vars:
         raise ValueError("operands must share one variable list")
@@ -454,6 +534,9 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         return p.monic()
     if p.is_constant() or q.is_constant():
         return MultiPoly.constant(p.vars, 1)
+    occurring = {i for e in (*p.terms, *q.terms) for i, x in enumerate(e) if x}
+    if len(occurring) == 1:
+        return _univariate_gcd(p, q, occurring.pop())
     var = next(v for v in p.vars if p.degree(v) > 0 or q.degree(v) > 0)
     pu, qu = p.to_univar(var), q.to_univar(var)
     if len(pu) == 1 or len(qu) == 1:
@@ -477,6 +560,52 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     a = [c.divexact(cont_a) for c in a]
     g = MultiPoly.from_univar(var, a) * cont
     return g.monic()
+
+
+def _univariate_gcd(p: MultiPoly, q: MultiPoly, i: int) -> MultiPoly:
+    """Monic gcd of two nonconstant polynomials in the variable at index i
+    only: a primitive PRS on dense integer coefficient lists."""
+    def dense(m):
+        _, cleared = _cleared(m)
+        coeffs = [0] * (max(e[i] for e, _ in cleared) + 1)
+        for e, c in cleared:
+            coeffs[e[i]] = c
+        return _primitive_ints(coeffs)
+
+    a, b = dense(p), dense(q)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive_ints(_dense_prem(a, b))
+    zero = (0,) * len(p.vars)
+    return MultiPoly(p.vars, {zero[:i] + (d,) + zero[i + 1:]: _norm_coef(Fraction(c, a[-1]))
+                              for d, c in enumerate(a) if c})
+
+
+def _primitive_ints(coeffs):
+    g = _igcd(*coeffs)
+    return [c // g for c in coeffs] if g > 1 else coeffs
+
+
+def _dense_prem(u, v):
+    """Remainder of u by v, up to a nonzero integer factor; dense integer
+    coefficient lists, lowest degree first, no trailing zeros."""
+    n = len(v) - 1
+    lead = v[n]
+    r = list(u)
+    while len(r) > n:
+        top = r.pop()
+        if top:
+            g = _igcd(top, lead)
+            s, t = lead // g, top // g
+            if s != 1:
+                r = [c * s for c in r]
+            base = len(r) - n
+            for j in range(n):
+                r[base + j] -= t * v[j]
+    while r and not r[-1]:
+        r.pop()
+    return r
 
 
 def poly_lcm(p: MultiPoly, q: MultiPoly) -> MultiPoly:

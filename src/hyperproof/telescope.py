@@ -6,8 +6,6 @@ testing) it.  Includes independent certificate verification."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 from .factored import (
     Factored, factored_lcm, factored_quotient, from_ratio_parts, gosper_normal,
@@ -15,7 +13,7 @@ from .factored import (
 )
 from .gosper import Certificate, gosper_degree_bound
 from .linalg import PolyMatrix, clear_and_primitive, solve_nullspace
-from .polys import MultiPoly, RationalFunction, _as_fraction
+from .polys import MultiPoly, RationalFunction, _as_fraction, common_denominator
 from .terms import TermExpression, TermError
 
 
@@ -105,24 +103,14 @@ def assemble(f: TermExpression, J: int, k=None, n=None):
             entry = cu[d] if d < len(cu) else MultiPoly.zero(vars)
             row.append(entry.restrict(matrix_vars))
         if any(not e.is_zero() for e in row):
-            rows.append(_clear_row_denominators(row))
+            den = common_denominator(row)
+            rows.append([p.scale(den) for p in row] if den != 1 else row)
     labels = tuple([f"a{j}" for j in range(J + 1)] + [f"b{i}" for i in range(K + 1)])
     ansatz = TelescoperAnsatz(J, K, labels)
     avoid = _collect_avoid([Q, q_f, r_f, pbar_f, rho_den], k, matrix_vars)
     matrix = PolyMatrix(rows, avoid=avoid)
     return AssembledSystem(ansatz, matrix, k, n, vars, matrix_vars,
                            u_polys, pbar, q_poly, r_poly, Q)
-
-
-def _clear_row_denominators(row):
-    den = 1
-    for p in row:
-        for c in p.terms.values():
-            if isinstance(c, Fraction):
-                den = lcm(den, c.denominator)
-    if den == 1:
-        return row
-    return [p.scale(den) for p in row]
 
 
 def _collect_avoid(facts, k, matrix_vars):

@@ -1,13 +1,16 @@
 import random
+import signal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hyperproof.gridproof import (
     NormalizedIdentity, Inconclusive, initial_conditions_check,
     leading_coeff_check, normalize_and_delta, prove, vanishing_test,
-    _positive_integer_roots, _rank_deficiency_test,
+    _degenerate_on_support, _positive_integer_roots, _rank_deficiency_test,
 )
+from hyperproof.cli import load_identity
 from hyperproof.linalg import PolyMatrix, det_symbolic
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.terms import LinearForm, eval_summand, parse_sum, parse_term
@@ -192,6 +195,39 @@ def test_leading_coeff_check_chu():
     n0, point = leading_coeff_check(nid, 1, seed=5)
     assert n0 is None
     assert set(point) == {"a"}
+
+
+def mrr_nid():
+    ident = load_identity(Path(__file__).resolve().parent.parent / "corpus" / "mrr.txt")
+    F, rhs_terms, lower, upper = ident.parsed()
+    return normalize_and_delta(F, rhs_terms, ident.params, "k", "n", lower, upper)
+
+
+def test_degenerate_on_support_denominator_form_in_n():
+    # at x=15, z=-4 the denominator factor rf(2z+2n+2, k) becomes rf(2n-6, k),
+    # a nonpositive integer base for n <= 3
+    nid = mrr_nid()
+    point = {"x": Fraction(15), "z": Fraction(-4)}
+    assert _degenerate_on_support(nid, nid.delta_term.substituted(point), point)
+    point = {"x": Fraction(3, 7), "z": Fraction(5, 11)}
+    assert not _degenerate_on_support(nid, nid.delta_term.substituted(point), point)
+
+
+def test_leading_coeff_check_skips_degenerate_first_draw():
+    # prove seed 160630457 first draws x=7/2, z=-11, where rf(2z+2n+2, k)
+    # becomes rf(2n-20, k); telescoping that specialization stalled for minutes
+    def too_slow(signum, frame):
+        raise TimeoutError("leading_coeff_check took more than 60 s")
+
+    nid = mrr_nid()
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(60)
+    try:
+        _, point = leading_coeff_check(nid, 2, 160630457)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert point != {"x": Fraction(7, 2), "z": Fraction(-11)}
 
 
 def test_initial_conditions_chu():

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.linalg import (
-    PolyMatrix, det_at_point, det_symbolic, permanent_degree_bound,
-    solve_nullspace,
+    PolyMatrix, _interpolate_int, det_at_point, det_symbolic,
+    permanent_degree_bound, solve_nullspace,
 )
 
 
@@ -170,3 +171,35 @@ def test_grid_soundness_kernel_small():
             checked_zero += 1
         else:
             checked_nonzero += 1
+
+
+# -- property test of the integer Newton interpolation -------------------------
+
+
+def ref_interpolate(values):
+    """Newton divided differences over Fraction (reference only)."""
+    n = len(values)
+    dd = [Fraction(v) for v in values]
+    for level in range(1, n):
+        for i in range(n - 1, level - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / level
+    acc = [Fraction(0)] * n
+    for m in range(n - 1, -1, -1):
+        shifted = [Fraction(0)] * n
+        for i in range(n - 1):
+            if acc[i]:
+                shifted[i + 1] += acc[i]
+                shifted[i] -= acc[i] * m
+        shifted[0] += dd[m]
+        acc = shifted
+    return acc
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.integers(-10**12, 10**12), max_size=12))
+def test_interpolate_int_matches_fraction_newton(values):
+    coeffs = _interpolate_int(values)
+    assert coeffs == ref_interpolate(values)
+    assert all(type(c) is Fraction for c in coeffs)
+    for t, v in enumerate(values):
+        assert sum(c * t ** d for d, c in enumerate(coeffs)) == v

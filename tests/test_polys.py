@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from hyperproof.polys import MultiPoly, RationalFunction, poly_gcd, poly_lcm
+from hyperproof.polys import (
+    MultiPoly, RationalFunction, _norm_coef, common_denominator, poly_gcd, poly_lcm,
+)
 
 
 V = ("x", "y")
@@ -177,3 +181,157 @@ def test_leading_term_wrt():
     assert lt == MultiPoly.from_terms(vars, [((3, 5), 4)])
     ltz = p.leading_term_wrt("z")
     assert ltz == MultiPoly.from_terms(vars, [((2, 7), 3)])
+
+
+# -- property tests of the integer kernels against the schoolbook versions ---
+
+
+def ref_mul(p, q):
+    """Schoolbook product over the stored coefficients (reference only)."""
+    a, b = p.terms, q.terms
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exp = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(exp, 0) + c1 * c2
+            if s == 0:
+                out.pop(exp, None)
+            else:
+                out[exp] = s
+    return MultiPoly(p.vars, {e: _norm_coef(c) for e, c in out.items()})
+
+
+def ref_divexact(p, q):
+    """Division driven by a full `max` over the remainder (reference only)."""
+    if q.is_constant():
+        return p.scale(Fraction(1) / Fraction(q.as_constant()))
+    rem, out = p, {}
+    dlead = q.leading_exponent()
+    dcoef = Fraction(q.terms[dlead])
+    while rem.terms:
+        rlead = rem.leading_exponent()
+        qexp = tuple(a - b for a, b in zip(rlead, dlead))
+        if any(e < 0 for e in qexp):
+            raise ValueError("inexact polynomial division")
+        qcoef = _norm_coef(Fraction(rem.terms[rlead]) / dcoef)
+        out[qexp] = qcoef
+        rem = rem - ref_mul(MultiPoly(p.vars, {qexp: qcoef}), q)
+    return MultiPoly(p.vars, out)
+
+
+def ref_gcd_univar(p, q, i):
+    """Monic Euclidean gcd over Q of polynomials in variable i only."""
+    def dense(m):
+        d = [Fraction(0)] * (max((e[i] for e in m.terms), default=0) + 1)
+        for e, c in m.terms.items():
+            d[e[i]] = Fraction(c)
+        while d and not d[-1]:
+            d.pop()
+        return d
+
+    a, b = dense(p), dense(q)
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            t = r[-1] / b[-1]
+            for j in range(len(b)):
+                r[len(r) - len(b) + j] -= t * b[j]
+            r.pop()
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, r
+    zero = (0,) * len(p.vars)
+    return MultiPoly.from_terms(
+        p.vars, [(zero[:i] + (d,) + zero[i + 1:], c / a[-1]) for d, c in enumerate(a)])
+
+
+def typed(p):
+    """Terms in stored order, each coefficient with its type."""
+    return [(e, (c, type(c))) for e, c in p.terms.items()]
+
+
+coefs = st.one_of(
+    st.integers(-50, 50),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)))
+
+
+@st.composite
+def polys(draw, nvars=None, max_terms=6, max_exp=3):
+    n = draw(st.integers(1, 4)) if nvars is None else nvars
+    vars = tuple("xyzw"[:n])
+    exps = st.tuples(*[st.integers(0, max_exp)] * n)
+    return MultiPoly.from_terms(
+        vars, draw(st.lists(st.tuples(exps, coefs), max_size=max_terms)))
+
+
+@st.composite
+def poly_pairs(draw):
+    n = draw(st.integers(1, 4))
+    return draw(polys(n)), draw(polys(n))
+
+
+@settings(deadline=None, max_examples=300)
+@example((MultiPoly.zero(("x",)), MultiPoly.constant(("x",), 3)))
+@example((MultiPoly.constant(("x", "y"), Fraction(2, 3)),
+          MultiPoly.constant(("x", "y"), Fraction(3, 2))))
+@given(poly_pairs())
+def test_mul_matches_schoolbook(pq):
+    p, q = pq
+    assert typed(p * q) == typed(ref_mul(p, q))
+
+
+@settings(deadline=None, max_examples=200)
+@given(poly_pairs())
+def test_divexact_matches_reference(pq):
+    p, q = pq
+    if q.is_zero():
+        return
+    prod = p * q
+    assert typed(prod.divexact(q)) == typed(ref_divexact(prod, q))
+    assert prod.divexact(q) == p
+    try:
+        expected = typed(ref_divexact(p, q))
+    except ValueError:
+        with pytest.raises(ValueError):
+            p.divexact(q)
+    else:
+        assert typed(p.divexact(q)) == expected
+
+
+@settings(deadline=None, max_examples=200)
+@given(poly_pairs(), coefs.filter(bool))
+def test_divexact_inexact_raises(pq, c):
+    p, q = pq
+    if q.is_constant():
+        return
+    with pytest.raises(ValueError):
+        (p * q + MultiPoly.constant(p.vars, c)).divexact(q)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 3), st.data())
+def test_univariate_gcd_planted(nvars, data):
+    i = data.draw(st.integers(0, nvars - 1))
+    zero = (0,) * nvars
+
+    def univar(max_terms):
+        items = data.draw(st.lists(st.tuples(st.integers(0, 4), coefs),
+                                   min_size=1, max_size=max_terms))
+        return MultiPoly.from_terms(
+            tuple("xyz"[:nvars]), [(zero[:i] + (d,) + zero[i + 1:], c) for d, c in items])
+
+    a, b, c = univar(4), univar(4), univar(3)
+    p, q = a * c, b * c
+    if p.is_zero() and q.is_zero():
+        return
+    g = poly_gcd(p, q)
+    assert dict(typed(g)) == dict(typed(ref_gcd_univar(p, q, i)))
+    g.divexact(c.monic())  # the planted factor divides the gcd
+
+
+@given(st.lists(polys(2), max_size=3))
+def test_common_denominator(ps):
+    dens = [Fraction(c).denominator for p in ps for c in p.terms.values()]
+    assert common_denominator(ps) == lcm(1, *dens)
