@@ -11,9 +11,8 @@ __version__ = "0.1.0"
 
 from .gosper import Certificate, GosperForm, gosper_antidifference, pqr_decompose
 from .gridproof import (
-    NormalizedIdentity, ProofReport, assemble_delta_system,
-    initial_conditions_check, leading_coeff_check, normalize_and_delta,
-    prove, vanishing_test,
+    NormalizedIdentity, ProofReport, initial_conditions_check,
+    leading_coeff_check, normalize_and_delta, prove, vanishing_test,
 )
 from .linalg import (
     PolyMatrix, det_at_point, det_symbolic, permanent_degree_bound,
@@ -31,8 +30,7 @@ from .terms import (
 __all__ = [
     "BigRational", "Certificate", "GosperForm", "LinearForm", "MultiPoly",
     "NormalizedIdentity", "PolyMatrix", "ProofReport", "RationalFunction",
-    "Recurrence", "TermExpression", "assemble_delta_system", "assemble_gz_system",
-    "creative_telescope",
+    "Recurrence", "TermExpression", "assemble_gz_system", "creative_telescope",
     "det_at_point", "det_symbolic", "eval_term", "evaluate",
     "gosper_antidifference", "initial_conditions_check", "leading_coeff_check",
     "natural_support", "normalize_and_delta", "parse_sum", "parse_term",

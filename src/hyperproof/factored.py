@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _igcd, isqrt
 
+from .linalg import _poly_eliminate
 from .polys import MultiPoly, _as_fraction, _norm_coef
 from .terms import LinearForm, TermError
 
@@ -481,23 +482,10 @@ def _det_bareiss(rows, vars) -> MultiPoly:
     if n == 0:
         return MultiPoly.constant(vars, 1)
     a = [list(r) for r in rows]
-    sign = 1
-    prev = MultiPoly.constant(vars, 1)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return MultiPoly.zero(vars)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]).divexact(prev)
-            a[i][k] = MultiPoly.zero(vars)
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
+    pivots, sign = _poly_eliminate(a)
+    if len(pivots) < n:
+        return MultiPoly.zero(vars)
+    d = a[-1][-1]
     return d if sign > 0 else -d
 
 

@@ -19,7 +19,7 @@ from math import ceil
 
 from .factored import integer_roots_univar
 from .gosper import Certificate, gosper_antidifference
-from .linalg import PolyMatrix, _max_assignment
+from .linalg import PolyMatrix, _int_rank, permanent_degree_bound
 from .polys import MultiPoly, RationalFunction, _as_fraction, common_denominator
 from .telescope import (
     Recurrence, assemble, creative_telescope, verify_certificate,
@@ -119,15 +119,6 @@ def normalize_and_delta(F: TermExpression, rhs_terms, params, k, n,
                               False, rho_n)
 
 
-def assemble_delta_system(nid: NormalizedIdentity, J: int):
-    """System matrix for the differenced summand at order J (the raw summand
-    when the right side is zero); delegates to the telescoping assembly."""
-    sys = assemble(nid.delta_term, J, k=nid.k, n=nid.n)
-    if sys is None:
-        return None
-    return sys
-
-
 # ---------------------------------------------------------------------------
 # grid machinery
 
@@ -177,38 +168,6 @@ def _merge_scaled(acc, sub, w):
         else:
             acc[e] = acc.get(e, 0) + c * w
     return acc
-
-
-def _int_rank(a) -> int:
-    """Rank of an integer matrix by fraction-free elimination (destructive)."""
-    rows = len(a)
-    cols = len(a[0])
-    r = 0
-    prev = 1
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        pv = a[r][c]
-        for i in range(r + 1, rows):
-            f = a[i][c]
-            for j in range(c + 1, cols):
-                q, rem = divmod(a[i][j] * pv - f * a[r][j], prev)
-                if rem:
-                    raise ArithmeticError("inexact fraction-free step")
-                a[i][j] = q
-            a[i][c] = 0
-        prev = pv
-        r += 1
-        if r == rows:
-            break
-    return r
 
 
 class _GridEvaluator:
@@ -321,12 +280,11 @@ def _rank_deficiency_test(matrix: PolyMatrix, certainty, seed: int,
     matrix = _integer_cleared(matrix)
     values = {}
     for v in matrix.vars:
-        per_var = [[e.degree(v) for e in row] for row in matrix.entries]
-        bound = _max_assignment(per_var)
-        if bound is None:
+        bound = permanent_degree_bound(matrix, v)
+        if bound.structurally_zero:
             # no assignment at all: every maximal minor is structurally zero
             return VanishingResult(True, 0, 0, None)
-        values[v] = _grid_values(bound, matrix.avoid.get(v, set()))
+        values[v] = _grid_values(bound.degree, matrix.avoid.get(v, set()))
     total = 1
     for v in matrix.vars:
         total *= len(values[v])
@@ -718,21 +676,20 @@ def _report_failure(checks):
 
 def _compare_small_cases(summand, rhs_terms, params, k, n, lower, upper,
                          certainty, seed, upto=4) -> ProofReport:
-    """Fallback when the right side cannot be normalized: compare both sides
-    exactly for small n (symbolic in the parameters).  A mismatch is a
-    refutation; agreement alone is inconclusive."""
+    """Fallback when the right side cannot be normalized or the termination
+    guard fails: compare both sides exactly for small n (symbolic in the
+    parameters).  A mismatch is a refutation; agreement alone is
+    inconclusive."""
     from .terms import evaluate
     nid = NormalizedIdentity(summand, summand, tuple(params), k, n,
                              lower, upper, True,
                              RationalFunction.constant(summand.symbols, 1))
     checks = []
     for nv in range(0, upto + 1):
-        lhs = _symbolic_sum(nid, summand, nv)
-        rhs = None
+        diff = _symbolic_sum(nid, summand, nv)
         for t in rhs_terms:
-            v = evaluate(t, {n: nv, k: 0})
-            rhs = v if rhs is None else rhs + v
-        ok = (lhs - rhs).is_zero()
+            diff = diff - evaluate(t, {n: nv, k: 0})
+        ok = diff.is_zero()
         checks.append(("identity", nv, ok))
         if not ok:
             return ProofReport(
@@ -759,12 +716,14 @@ def prove(summand: TermExpression, rhs_terms, k, n, lower, upper, params,
           jobs: int = 1, fast_path: bool = True) -> ProofReport:
     """Prove sum_k summand = RHS (RHS zero allowed) for all integers n >= 0.
 
-    Orchestrates: normalize and difference; try the direct Gosper/WZ route;
-    with no parameters run plain creative telescoping; otherwise escalate the
-    recurrence order, replacing the symbolic solve by the grid vanishing test,
-    then close with the leading-coefficient specialization and exact initial
-    conditions.  certainty 1 makes the grid stage exhaustive (rigorous);
-    smaller values test that sampled fraction (semi-rigorous).
+    Orchestrates: normalize and difference; require the summand to vanish
+    outside the declared window (else only compare both sides exactly for
+    small n); try the direct Gosper/WZ route; with no parameters run plain
+    creative telescoping; otherwise escalate the recurrence order, replacing
+    the symbolic solve by the grid vanishing test, then close with the
+    leading-coefficient specialization and exact initial conditions.
+    certainty 1 makes the grid stage exhaustive (rigorous); smaller values
+    test that sampled fraction (semi-rigorous).
     """
     certainty = _as_fraction(certainty)
     if not (0 < certainty <= 1):
@@ -787,6 +746,15 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
     except NotNormalizable:
         return _compare_small_cases(summand, rhs_terms, params, k, n,
                                     lower, upper, certainty, seed)
+
+    # every route below sums a telescoped equation over the declared window
+    reason = _termination_guard(nid)
+    if reason is not None:
+        report = _compare_small_cases(summand, rhs_terms, params, k, n,
+                                      lower, upper, certainty, seed)
+        if report.verdict != "refuted":
+            report.message = reason
+        return report
 
     # ratio identically 1: the normalized sum is constant in n
     if not nid.rhs_is_zero and nid.ftil.is_zero():
@@ -848,7 +816,7 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
     # parameters present: determinant-vanishing on the degree-bounded grid
     last_witness = None
     for J in range(1, max_order + 1):
-        sys = assemble_delta_system(nid, J)
+        sys = assemble(nid.delta_term, J, k=nid.k, n=nid.n)
         if sys is None:
             continue
         m = sys.matrix

@@ -1,12 +1,17 @@
 """Exact linear algebra over polynomials: fraction-free elimination,
 nullspaces over the rational-function field, numeric determinants, and
 permanent-based determinant degree bounds.
+
+Two fraction-free (Bareiss) elimination kernels carry every exact
+elimination in the package: `_int_rank` on integer matrices (grid rank,
+pivot rows, numeric determinants) and `_poly_eliminate` on `MultiPoly`
+matrices (nullspaces, symbolic determinants and resultants).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import NamedTuple
 
 from .polys import MultiPoly, RationalFunction, common_denominator, poly_gcd, _as_fraction
@@ -56,29 +61,23 @@ class PolyMatrix:
 def det_at_point(m: PolyMatrix, point: dict) -> Fraction:
     """Exact determinant of m evaluated at an integer/rational point.
 
-    Bareiss fraction-free elimination over exact rationals; no rounding.
+    Each row of values is scaled to integers by its common denominator, the
+    integer kernel eliminates fraction-free, and the result is divided by the
+    product of the row scales; no rounding.
     """
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    a = [[_as_fraction(m.entries[i][j].eval(point)) for j in range(n)] for i in range(n)]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    a = []
+    scale = 1
+    for row in m.entries:
+        vals = [_as_fraction(e.eval(point)) for e in row]
+        den = lcm(*(v.denominator for v in vals))
+        a.append([v.numerator * (den // v.denominator) for v in vals])
+        scale *= den
+    order = list(range(m.rows))
+    if _int_rank(a, order) < m.rows:
+        return Fraction(0)
+    return Fraction(_permutation_sign(order) * a[-1][-1], scale)
 
 
 def det_symbolic(m: PolyMatrix) -> MultiPoly:
@@ -118,32 +117,8 @@ def solve_nullspace(m: PolyMatrix) -> list:
         if fast is not None:
             return fast
     rows = [list(r) for r in m.entries]
-    nrows, ncols = m.rows, m.cols
-    pivots = []  # (row, col)
-    prev = MultiPoly.constant(m.vars, 1)
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not rows[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nrows):
-            fi = rows[i][c]
-            # transform every row below, even with fi = 0, so that entries stay
-            # minors of the input and the Bareiss division remains exact
-            for j in range(c + 1, ncols):
-                rows[i][j] = (rows[i][j] * piv - fi * rows[r][j]).divexact(prev)
-            rows[i][c] = MultiPoly.zero(m.vars)
-        pivots.append((r, c))
-        prev = piv
-        r += 1
-        if r == nrows:
-            break
+    ncols = m.cols
+    pivots, _ = _poly_eliminate(rows)
     pivot_cols = [c for _, c in pivots]
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis = []
@@ -160,6 +135,93 @@ def solve_nullspace(m: PolyMatrix) -> list:
             vec[pc] = -(s / RationalFunction.from_poly(rows[pr][pc]))
         basis.append(_normalize_vector(vec))
     return basis
+
+
+def _int_rank(a, order=None) -> int:
+    """Rank of an integer matrix by fraction-free elimination (in place).
+
+    Row swaps are applied to `order` too when it is given, so order[:rank]
+    lists the pivot rows.  For a square matrix of full rank, a[-1][-1] ends as
+    the determinant times the sign of the permutation `order`.  Every Bareiss
+    division is checked to be exact.
+    """
+    rows = len(a)
+    cols = len(a[0])
+    r = 0
+    prev = 1
+    for c in range(cols):
+        piv = None
+        for i in range(r, rows):
+            if a[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            if order is not None:
+                order[r], order[piv] = order[piv], order[r]
+        pv = a[r][c]
+        for i in range(r + 1, rows):
+            f = a[i][c]
+            for j in range(c + 1, cols):
+                q, rem = divmod(a[i][j] * pv - f * a[r][j], prev)
+                if rem:
+                    raise ArithmeticError("inexact fraction-free step")
+                a[i][j] = q
+            a[i][c] = 0
+        prev = pv
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def _permutation_sign(order) -> int:
+    """Sign of `order` as a permutation of range(len(order))."""
+    inversions = sum(x > y for i, x in enumerate(order) for y in order[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def _poly_eliminate(rows):
+    """Fraction-free forward elimination of a MultiPoly matrix (in place).
+
+    Returns (pivots, sign): the (row, col) pivot positions in elimination
+    order and the sign of the row permutation.  Every row below a pivot is
+    transformed, even where its entry in the pivot column is zero, so that
+    entries stay minors of the input and each division is exact.  For a
+    square matrix with len(pivots) == size, sign * rows[-1][-1] is the
+    determinant.
+    """
+    nrows, ncols = len(rows), len(rows[0])
+    vars = rows[0][0].vars
+    pivots = []
+    sign = 1
+    prev = MultiPoly.constant(vars, 1)
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if not rows[i][c].is_zero():
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            sign = -sign
+        piv = rows[r][c]
+        for i in range(r + 1, nrows):
+            fi = rows[i][c]
+            for j in range(c + 1, ncols):
+                rows[i][j] = (rows[i][j] * piv - fi * rows[r][j]).divexact(prev)
+            rows[i][c] = MultiPoly.zero(vars)
+        pivots.append((r, c))
+        prev = piv
+        r += 1
+        if r == nrows:
+            break
+    return pivots, sign
 
 
 def clear_and_primitive(polys):
@@ -201,29 +263,6 @@ def _normalize_vector(vec):
              for v in vec]
     polys = clear_and_primitive(polys)
     return [RationalFunction.from_poly(p) for p in polys]
-
-
-def _int_det(a) -> int:
-    """Determinant of a small integer matrix, fraction-free (destructive)."""
-    n = len(a)
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        if a[c][c] == 0:
-            for i in range(c + 1, n):
-                if a[i][c]:
-                    a[c], a[i] = a[i], a[c]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(c + 1, n):
-            f = a[i][c]
-            for j in range(c + 1, n):
-                a[i][j] = (a[i][j] * a[c][c] - f * a[c][j]) // prev
-            a[i][c] = 0
-        prev = a[c][c]
-    return sign * a[n - 1][n - 1]
 
 
 def _interpolate_int(values) -> list:
@@ -293,11 +332,11 @@ def _nullspace_univar(m: PolyMatrix):
     best_rank = -1
     best_pivots = None
     for t in (101, 137, 211):
-        a = value_matrix(t)
-        pivots = _int_row_pivots(a, m.cols)
-        if len(pivots) > best_rank:
-            best_rank = len(pivots)
-            best_pivots = pivots
+        order = list(range(m.rows))
+        rank = _int_rank(value_matrix(t), order)
+        if rank > best_rank:
+            best_rank = rank
+            best_pivots = sorted(order[:rank])
         if best_rank == m.cols:
             return []
     if best_rank < m.cols - 1:
@@ -315,7 +354,10 @@ def _nullspace_univar(m: PolyMatrix):
     comps = [[] for _ in range(m.cols)]
     for t in range(nodes):
         for j in range(m.cols):
-            comps[j].append(_int_det(value_matrix(t, rows_sub, skip_col=j)))
+            a = value_matrix(t, rows_sub, skip_col=j)
+            order = list(range(len(a)))
+            full = _int_rank(a, order) == len(a)
+            comps[j].append(_permutation_sign(order) * a[-1][-1] if full else 0)
     vec = []
     vars = m.vars
     for j in range(m.cols):
@@ -336,38 +378,6 @@ def _nullspace_univar(m: PolyMatrix):
     return [[RationalFunction.from_poly(p) for p in vec]]
 
 
-def _int_row_pivots(a, cols):
-    """Row indices used as pivots by fraction-free elimination on an integer
-    matrix (destructive on a)."""
-    rows = len(a)
-    order = list(range(rows))
-    pivots = []
-    r = 0
-    prev = 1
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            order[r], order[piv] = order[piv], order[r]
-        for i in range(r + 1, rows):
-            f = a[i][c]
-            for j in range(c + 1, cols):
-                a[i][j] = (a[i][j] * a[r][c] - f * a[r][j]) // prev
-            a[i][c] = 0
-        pivots.append(order[r])
-        prev = a[r][c]
-        r += 1
-        if r == rows:
-            break
-    return sorted(pivots)
-
-
 class DegreeBoundResult(NamedTuple):
     degree: int
     structurally_zero: bool
@@ -382,9 +392,11 @@ def permanent_degree_bound(m: PolyMatrix, var) -> DegreeBoundResult:
     per-entry degrees, a max-weight perfect assignment on the degree matrix.
     Zero entries admit no assignment; if no perfect assignment exists the
     determinant is structurally zero and the flag is set.
+
+    A matrix with more rows than columns is accepted: the assignment then
+    ranges over every choice of rows, so the bound holds for every maximal
+    square minor at once.  Fewer rows than columns raise ValueError.
     """
-    if not m.is_square():
-        raise ValueError("degree bound of a non-square matrix")
     degs = [[e.degree(var) for e in row] for row in m.entries]  # -1 marks zero
     best = _max_assignment(degs)
     if best is None:

@@ -214,6 +214,30 @@ def test_refutation_at_n0():
     _passline("false corpus entry refuted at the n=0 exact check")
 
 
+@pytest.mark.parametrize("name,n_fail", [("half-row-binomial-2n.txt", 2),
+                                         ("gauss-window-cut.txt", 1)])
+def test_window_cut_false_identities_refuted(name, n_fail):
+    # the window [0, n] cuts the summand's support, so the termination guard
+    # sends both to the exact small-n comparison, which refutes them
+    path = CORPUS / "extra" / name
+    assert main(["prove", str(path)]) == EXIT_REFUTED
+    report = run_prove(load_identity(path), Fraction(1), 0, 6, 1)
+    assert report.verdict == "refuted"
+    assert tuple(report.initial_checks[-1]) == ("identity", n_fail, False)
+    _passline(f"window-cut false identity {name} refuted at n={n_fail}")
+
+
+def test_termination_guard_inconclusive_on_empty_window(tmp_path):
+    # true but outside the guard's reach: the summand is not forced to vanish
+    # below the window n+1..n, so the verdict is inconclusive, never proved
+    path = tmp_path / "empty-window.txt"
+    path.write_text("name: empty-window\nsummand: binomial(n,k)\nrhs: 0\n"
+                    "sum_var: k\nrec_var: n\nlower: n+1\nupper: n\nparams:\n")
+    report = run_prove(load_identity(path), Fraction(1), 0, 6, 1)
+    assert report.verdict == "inconclusive"
+    assert "not forced to vanish below the lower limit" in report.message
+
+
 def test_deterministic_reports(tmp_path):
     blobs = []
     for i in (0, 1):

@@ -2,12 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hyperproof.factored import integer_roots_univar, integer_roots_in_var
+from hyperproof.factored import (
+    _sylvester_resultant, integer_roots_univar, integer_roots_in_var,
+)
 from hyperproof.gosper import (
     gosper_antidifference, gosper_degree_bound, pqr_decompose,
     solve_b_polynomial,
 )
+from hyperproof.linalg import PolyMatrix, det_symbolic
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.terms import EvalError, eval_summand, eval_term, parse_term, shift_quotient
 
@@ -24,7 +28,6 @@ def check_gosper_form(form, rat, k="k"):
     # independent re-verification of gcd(q(k), r(k+j)) = 1 for all j >= 0:
     # the resultant of q(k) and r(k+j), a polynomial in j, must have no
     # nonnegative integer roots
-    from hyperproof.factored import _sylvester_resultant, integer_roots_in_var
     from hyperproof.polys import poly_gcd
     if form.q.degree(k) > 0 and form.r.degree(k) > 0:
         jvars = form.q.vars + ("_j",)
@@ -196,3 +199,37 @@ def test_gosper_with_parameters():
         rho = shift_quotient(f, "k")
         one = RationalFunction.constant(("k", "a"), 1)
         assert cert.ratio.shift("k", 1) * rho - cert.ratio == one
+
+
+@st.composite
+def coefficient_lists(draw):
+    """Two ascending coefficient lists with MultiPoly coefficients over one
+    or two variables; formal degrees m + n <= 4, leading terms may vanish."""
+    vars = ("a", "b")[:draw(st.integers(1, 2))]
+    exps = st.tuples(*[st.integers(0, 2)] * len(vars))
+    coef = st.lists(st.tuples(exps, st.integers(-3, 3)), max_size=2).map(
+        lambda terms: MultiPoly.from_terms(vars, terms))
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 4 - m))
+    return (draw(st.lists(coef, min_size=m + 1, max_size=m + 1)),
+            draw(st.lists(coef, min_size=n + 1, max_size=n + 1)), vars)
+
+
+@settings(deadline=None, max_examples=150)
+@given(coefficient_lists())
+def test_sylvester_resultant_matches_cofactor_expansion(fgv):
+    f, g, vars = fgv
+    m, n = len(f) - 1, len(g) - 1
+    size = m + n
+    res = _sylvester_resultant(f, g, vars)
+    if size == 0:
+        assert res == MultiPoly.constant(vars, 1)
+        return
+    zero = MultiPoly.zero(vars)
+    # row i < n holds f's coefficients, highest first, from column i; row
+    # n + i holds g's from column i
+    rows = [[f[m - (j - i)] if 0 <= j - i <= m else zero for j in range(size)]
+            for i in range(n)]
+    rows += [[g[n - (j - i)] if 0 <= j - i <= n else zero for j in range(size)]
+             for i in range(m)]
+    assert res == det_symbolic(PolyMatrix(rows))

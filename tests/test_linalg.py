@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.linalg import (
-    PolyMatrix, _interpolate_int, det_at_point, det_symbolic,
-    permanent_degree_bound, solve_nullspace,
+    PolyMatrix, _int_rank, _interpolate_int, _permutation_sign,
+    _poly_eliminate, det_at_point, det_symbolic, permanent_degree_bound,
+    solve_nullspace,
 )
 
 
@@ -142,6 +143,22 @@ def test_permanent_bound_dominates_det_degree():
                 assert r.degree >= d.degree(v)
 
 
+def test_permanent_bound_rectangular_bounds_every_maximal_minor():
+    rng = random.Random(8)
+    vars = ("x", "y")
+    for _ in range(30):
+        rows = _random_matrix(rng, vars, size=3).entries
+        m = PolyMatrix([row[:2] for row in rows])  # 3x2
+        minors = [det_symbolic(PolyMatrix([m.entries[i], m.entries[j]]))
+                  for i, j in ((0, 1), (0, 2), (1, 2))]
+        for v in vars:
+            r = permanent_degree_bound(m, v)
+            if r.structurally_zero:
+                assert all(d.is_zero() for d in minors)
+            else:
+                assert all(r.degree >= d.degree(v) for d in minors)
+
+
 def test_grid_soundness_kernel_small():
     # det vanishes on a full tensor grid with d_v+1 points per variable
     # iff the symbolic determinant is zero
@@ -203,3 +220,114 @@ def test_interpolate_int_matches_fraction_newton(values):
     assert all(type(c) is Fraction for c in coeffs)
     for t, v in enumerate(values):
         assert sum(c * t ** d for d, c in enumerate(coeffs)) == v
+
+
+# -- property tests of the two fraction-free elimination kernels ---------------
+
+# small entries with many zeros, so singular matrices and row swaps are common
+small_ints = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 5, 12])
+
+
+@st.composite
+def int_matrices(draw, square):
+    rows = draw(st.integers(1, 6))
+    cols = rows if square else draw(st.integers(1, 6))
+    a = draw(st.lists(st.lists(small_ints, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    # zero leading columns, and a zero in the first row under the first
+    # pivot column, so the kernel has to skip columns and swap rows
+    lead = draw(st.integers(0, cols - 1))
+    for row in a:
+        row[:lead] = [0] * lead
+    if draw(st.booleans()):
+        a[0][lead] = 0
+    return a
+
+
+def kernel_det(a):
+    """Determinant through the integer kernel, as its callers compute it."""
+    order = list(range(len(a)))
+    if _int_rank(a, order) < len(a):
+        return 0
+    return _permutation_sign(order) * a[-1][-1]
+
+
+def ref_rank_pivots(a):
+    """Gaussian elimination over Fraction with the kernel's pivot rule (first
+    nonzero row at or below the current one); returns (rank, pivot rows)."""
+    a = [[Fraction(x) for x in row] for row in a]
+    order = list(range(len(a)))
+    r = 0
+    for c in range(len(a[0])):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        order[r], order[piv] = order[piv], order[r]
+        for i in range(r + 1, len(a)):
+            f = a[i][c] / a[r][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+        if r == len(a):
+            break
+    return r, sorted(order[:r])
+
+
+@settings(deadline=None, max_examples=300)
+@given(int_matrices(square=True))
+def test_int_kernel_det_matches_cofactor_expansion(a):
+    expected = det_symbolic(PolyMatrix.from_rows((), a)).eval({})
+    assert kernel_det([list(row) for row in a]) == expected
+
+
+@settings(deadline=None, max_examples=300)
+@given(int_matrices(square=False))
+def test_int_kernel_rank_and_pivot_rows_match_fraction_reference(a):
+    rank, pivots = ref_rank_pivots(a)
+    order = list(range(len(a)))
+    assert _int_rank([list(row) for row in a], order) == rank
+    assert sorted(order[:rank]) == pivots
+    assert _int_rank([list(row) for row in a]) == rank
+
+
+def test_int_kernel_rejects_inexact_step():
+    # integer input always divides exactly; a non-integer entry is the only
+    # way to reach a Bareiss step with a remainder
+    with pytest.raises(ArithmeticError, match="inexact fraction-free step"):
+        _int_rank([[1, Fraction(1, 2)], [1, 0]])
+
+
+fraction_entries = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(fraction_entries, min_size=n, max_size=n), min_size=n, max_size=n)),
+    fraction_entries)
+def test_det_at_point_fractions_match_symbolic(rows, x):
+    # entries a + b*x with Fraction a, b, evaluated at a rational point
+    vars = ("x",)
+    xv = MultiPoly.variable(vars, "x")
+    m = PolyMatrix([[MultiPoly.constant(vars, c) + xv.scale(c * c) for c in row]
+                    for row in rows])
+    assert det_at_point(m, {"x": x}) == det_symbolic(m).eval({"x": x})
+
+
+@st.composite
+def poly_matrices(draw):
+    vars = ("x", "y")[:draw(st.integers(1, 2))]
+    size = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 2)] * len(vars))
+    terms = st.lists(st.tuples(exps, st.integers(-3, 3)), max_size=2)
+    return PolyMatrix([[MultiPoly.from_terms(vars, draw(terms))
+                        for _ in range(size)] for _ in range(size)])
+
+
+@settings(deadline=None, max_examples=150)
+@given(poly_matrices())
+def test_poly_kernel_det_matches_cofactor_expansion(m):
+    a = [list(row) for row in m.entries]
+    pivots, sign = _poly_eliminate(a)
+    det = a[-1][-1].scale(sign) if len(pivots) == m.rows else MultiPoly.zero(m.vars)
+    assert det == det_symbolic(m)
+    assert [r for r, _ in pivots] == list(range(len(pivots)))

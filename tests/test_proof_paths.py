@@ -8,12 +8,11 @@ import pytest
 
 from hyperproof.cli import load_identity, run_prove
 from hyperproof.gridproof import (
-    _rank_deficiency_test, assemble_delta_system, normalize_and_delta, prove,
-    vanishing_test,
+    _rank_deficiency_test, normalize_and_delta, prove, vanishing_test,
 )
 from hyperproof.linalg import PolyMatrix, permanent_degree_bound, solve_nullspace
 from hyperproof.polys import MultiPoly
-from hyperproof.telescope import creative_telescope
+from hyperproof.telescope import assemble, creative_telescope
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -35,7 +34,7 @@ def test_chu_determinant_path_matches_symbolic():
                 fast_path=False)
     assert rep.verdict == "rigorous"
     assert rep.method == "determinant-grid"
-    sys = assemble_delta_system(nid, rep.order)
+    sys = assemble(nid.delta_term, rep.order, k=nid.k, n=nid.n)
     m = sys.matrix
     if m.rows >= m.cols:
         basis = solve_nullspace(m)
@@ -97,11 +96,11 @@ def test_mrr_system_shapes():
     # the two-parameter system: unknowns (J+1)+(K+1); square at the accepted
     # order, underdetermined (trivially solvable) one order higher
     nid, _ = _nid("mrr.txt")
-    sys2 = assemble_delta_system(nid, 2)
+    sys2 = assemble(nid.delta_term, 2, k=nid.k, n=nid.n)
     m2 = sys2.matrix
     assert m2.rows == m2.cols == (2 + 1) + (sys2.ansatz.degree + 1) == 9
     assert m2.vars == ("n", "x", "z")
-    sys3 = assemble_delta_system(nid, 3)
+    sys3 = assemble(nid.delta_term, 3, k=nid.k, n=nid.n)
     assert sys3.matrix.rows < sys3.matrix.cols
     # per-variable bounds exist and the grid box sizes are bound+1
     for v in m2.vars:
