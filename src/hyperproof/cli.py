@@ -224,8 +224,14 @@ def cmd_corpus(args) -> int:
             rows.append((path.stem, "parse-error", "-", "-", "-", "-"))
             worst = max(worst, EXIT_USAGE)
             continue
-        report = run_prove(ident, args.certainty, args.seed, args.max_order,
-                           args.jobs)
+        try:
+            report = run_prove(ident, args.certainty, args.seed,
+                               args.max_order, args.jobs)
+        except (RuntimeError, ArithmeticError) as exc:
+            print(f"error: {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            rows.append((ident.name, "error", "-", "-", "-", "-"))
+            worst = max(worst, EXIT_USAGE)
+            continue
         records.append(report_record(ident, report))
         rows.append((
             ident.name, report.verdict,

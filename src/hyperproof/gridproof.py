@@ -8,6 +8,12 @@ bounded degrees, and vanishing on a full tensor grid of integer points is
 conclusive.  Certainty < 1 tests a sampled fraction of that grid.  The
 leading-coefficient specialization check and exact initial conditions close
 the induction.
+
+Grid points are visited in sorted index order, the first of matrix.vars the
+most significant digit.  Each point substitutes one variable per level by
+Horner's rule over flat, ragged coefficient arrays (see _GridEvaluator),
+reusing the levels of the digit prefix it shares with the previous point, and
+ends in one call of the integer rank kernel _int_rank.
 """
 
 from __future__ import annotations
@@ -141,109 +147,98 @@ def _grid_values(degree: int, avoid) -> list:
     return sorted(out)
 
 
-def _nested(entry: MultiPoly, var_order):
-    """Nested dict representation over var_order; int leaves."""
-    def insert(tree, exps, coef, depth):
-        if depth == len(var_order) - 1:
-            tree[exps[depth]] = tree.get(exps[depth], 0) + coef
-            return
-        sub = tree.setdefault(exps[depth], {})
-        insert(sub, exps, coef, depth + 1)
-
-    idx = [entry.vars.index(v) for v in var_order]
-    tree = {}
-    if not var_order:
-        return sum(entry.terms.values()) if entry.terms else 0
-    for exp, c in entry.terms.items():
-        assert not isinstance(c, Fraction), "grid entries must be integer-cleared"
-        insert(tree, [exp[i] for i in idx], c, 0)
-    return tree
+def _grid_digits(index: int, sizes) -> list:
+    """Mixed-radix digits of a grid index, most significant (vars[0]) first."""
+    digits = []
+    for size in reversed(sizes):
+        index, d = divmod(index, size)
+        digits.append(d)
+    digits.reverse()
+    return digits
 
 
-def _merge_scaled(acc, sub, w):
-    for e, c in sub.items():
-        if isinstance(c, dict):
-            slot = acc.setdefault(e, {})
-            _merge_scaled(slot, c, w)
-        else:
-            acc[e] = acc.get(e, 0) + c * w
-    return acc
+def _grid_point(vars, values: dict, index: int) -> dict:
+    """The grid point with the given index, as {var: value} in vars order."""
+    axes = [values[v] for v in vars]
+    digits = _grid_digits(index, [len(axis) for axis in axes])
+    return {v: axis[d] for v, axis, d in zip(vars, axes, digits)}
 
 
 class _GridEvaluator:
-    """Evaluates rank deficiency of a polynomial matrix on sorted grid points
-    with prefix-substitution caching."""
+    """Rank test of an integer polynomial matrix on sorted grid indices.
+
+    Ragged Horner layout.  Before level L, the values are one list over
+    "slots" (entry position, exponents of vars[L:]), followed by a 0 that
+    absent terms index as -1.  Level L substitutes vars[L]: its output slots
+    are (position, exponents of vars[L+1:]), sorted by their degree in
+    vars[L], highest first, so the coefficient block of each exponent is a
+    prefix of them.  A block is a gather list into the level's input and
+    Horner runs down the blocks.  The last level's output is gathered into
+    the rows x cols matrix.  Consecutive sorted indices reuse the levels of
+    their common digit prefix.
+    """
 
     def __init__(self, matrix: PolyMatrix, values: dict):
-        self.vars = matrix.vars
-        self.values = [values[v] for v in self.vars]
-        self.sizes = [len(v) for v in self.values]
-        self.rows = matrix.rows
+        self.values = [values[v] for v in matrix.vars]
+        self.sizes = [len(axis) for axis in self.values]
         self.cols = matrix.cols
-        self.trees = [[_nested(e, self.vars) for e in row]
-                      for row in matrix.entries]
-        # power tables per level and value index
-        self.powtabs = []
-        for level, vals in enumerate(self.values):
-            maxdeg = 0
-            for row in matrix.entries:
-                for e in row:
-                    maxdeg = max(maxdeg, e.degree(self.vars[level]))
-            self.powtabs.append(
-                [[v ** d for d in range(maxdeg + 1)] for v in vals])
-
-    def decode(self, index: int):
-        digits = []
-        for size in reversed(self.sizes):
-            digits.append(index % size)
-            index //= size
-        digits.reverse()
-        return digits
-
-    def point(self, index: int):
-        return {v: self.values[i][d]
-                for i, (v, d) in enumerate(zip(self.vars, self.decode(index)))}
+        coefs = []
+        slots = []
+        for i, row in enumerate(matrix.entries):
+            for j, entry in enumerate(row):
+                for exp, c in entry.terms.items():
+                    assert not isinstance(c, Fraction), \
+                        "grid entries must be integer-cleared"
+                    coefs.append(c)
+                    slots.append((i * self.cols + j,) + exp)
+        self.coefs = coefs + [0]
+        # per level, highest exponent first: (block, its part beyond the
+        # previous block)
+        self.levels = []
+        for _ in matrix.vars:
+            where = {s: k for k, s in enumerate(slots)}
+            degree = {}
+            for s in slots:
+                out = (s[0],) + s[2:]
+                degree[out] = max(degree.get(out, 0), s[1])
+            slots = sorted(degree, key=degree.get, reverse=True)
+            blocks = []
+            for e in range(max(degree.values(), default=0), -1, -1):
+                width = sum(1 for s in slots if degree[s] >= e)
+                blocks.append([where.get((s[0], e) + s[1:], -1)
+                               for s in slots[:width]])
+            self.levels.append([(blk, blk[len(prev):])
+                                for prev, blk in zip([[]] + blocks, blocks)])
+        where = {s[0]: k for k, s in enumerate(slots)}
+        self.scatter = [[where.get(i * self.cols + j, -1)
+                         for j in range(self.cols)]
+                        for i in range(matrix.rows)]
 
     def full_rank_indices(self, indices):
         """Yield (position, index, full_rank) over the sorted index list."""
-        depth = len(self.vars)
+        depth = len(self.levels)
         prev_digits = None
-        stack = [self.trees]  # stack[i] = matrix after substituting i vars
+        stack = [self.coefs]  # stack[L] = values after substituting L vars
         for pos, index in enumerate(indices):
-            digits = self.decode(index)
+            digits = _grid_digits(index, self.sizes)
             common = 0
             if prev_digits is not None:
                 while common < depth and digits[common] == prev_digits[common]:
                     common += 1
             del stack[common + 1:]
             for level in range(common, depth):
-                powers = self.powtabs[level][digits[level]]
-                last = level == depth - 1
-                nxt = []
-                for row in stack[level]:
-                    nrow = []
-                    for tree in row:
-                        if last:
-                            nrow.append(sum(c * powers[e]
-                                            for e, c in tree.items())
-                                        if isinstance(tree, dict) else tree)
-                        else:
-                            acc = {}
-                            for e, sub in tree.items():
-                                w = powers[e]
-                                if not w:
-                                    continue
-                                if isinstance(sub, dict):
-                                    _merge_scaled(acc, sub, w)
-                                else:
-                                    acc[0] = acc.get(0, 0) + sub * w
-                            nrow.append(acc)
-                    nxt.append(nrow)
-                stack.append(nxt)
+                v = self.values[level][digits[level]]
+                src = stack[level]
+                acc = []
+                for blk, tail in self.levels[level]:
+                    acc = [a * v + src[k] for a, k in zip(acc, blk)]
+                    acc += [src[k] for k in tail]
+                acc.append(0)
+                stack.append(acc)
             prev_digits = digits
-            numeric = [list(r) for r in stack[-1]]
-            rank = _int_rank(numeric)
-            yield pos, index, rank == self.cols
+            out = stack[-1]
+            numeric = [[out[k] for k in row] for row in self.scatter]
+            yield pos, index, _int_rank(numeric) == self.cols
 
 
 def _integer_cleared(matrix: PolyMatrix) -> PolyMatrix:
@@ -307,8 +302,8 @@ def _rank_deficiency_test(matrix: PolyMatrix, certainty, seed: int,
                 break
     if hit is not None:
         pos, index = hit
-        ev = _GridEvaluator(matrix, values)
-        return VanishingResult(False, total, pos + 1, ev.point(index))
+        return VanishingResult(False, total, pos + 1,
+                               _grid_point(matrix.vars, values, index))
     return VanishingResult(True, total, count, None)
 
 

@@ -247,6 +247,10 @@ def test_deterministic_reports(tmp_path):
         assert code == EXIT_OK
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
+    # records written by an earlier version of the program: a change to any
+    # record field, verdict, witness or grid count shows here
+    assert blobs[0] == (ROOT / "tests" / "data" /
+                        "corpus-1-10-seed13.jsonl").read_bytes()
     verdicts = {json.loads(l)["verdict"] for l in blobs[0].splitlines()}
     assert verdicts <= {"rigorous", "semi-rigorous"}
     _passline("byte-identical structured reports for identical flags+seed")

@@ -102,6 +102,30 @@ def test_cmd_corpus_with_refuted(tmp_path):
     assert main(["corpus", str(tmp_path)]) == EXIT_REFUTED
 
 
+def test_cmd_corpus_survives_internal_error(tmp_path, monkeypatch, capsys):
+    import hyperproof.cli as cli
+    for name in ("binomial-2n.txt", "central-binomial.txt"):
+        (tmp_path / name).write_text((CORPUS / name).read_text())
+    real = cli.run_prove
+
+    def failing(ident, *args):
+        if ident.name == "binomial-2n":
+            raise ArithmeticError("inexact fraction-free step")
+        return real(ident, *args)
+
+    monkeypatch.setattr(cli, "run_prove", failing)
+    out_json = tmp_path / "records.jsonl"
+    code = main(["corpus", str(tmp_path), "--json", str(out_json)])
+    assert code == EXIT_USAGE
+    lines = out_json.read_text().splitlines()
+    assert [json.loads(l)["name"] for l in lines] == ["central-binomial"]
+    captured = capsys.readouterr()
+    assert "binomial-2n.txt" in captured.err
+    assert "inexact fraction-free step" in captured.err
+    assert any(l.split()[:2] == ["binomial-2n", "error"]
+               for l in captured.out.splitlines())
+
+
 def test_cmd_verify_valid_and_invalid():
     path = str(CORPUS / "binomial-2n.txt")
     assert main(["verify", path, "--recurrence=-2,1",

@@ -1,18 +1,27 @@
 import random
 import signal
 from fractions import Fraction
+from itertools import product
+from math import ceil, prod
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hyperproof import gridproof
 from hyperproof.gridproof import (
     NormalizedIdentity, Inconclusive, initial_conditions_check,
     leading_coeff_check, normalize_and_delta, prove, vanishing_test,
-    _degenerate_on_support, _positive_integer_roots, _rank_deficiency_test,
+    _degenerate_on_support, _GridEvaluator, _grid_point, _grid_values,
+    _integer_cleared, _positive_integer_roots, _rank_deficiency_test,
 )
 from hyperproof.cli import load_identity
-from hyperproof.linalg import PolyMatrix, det_symbolic
+from hyperproof.linalg import (
+    PolyMatrix, _int_rank, det_symbolic, permanent_degree_bound,
+)
 from hyperproof.polys import MultiPoly, RationalFunction
+from hyperproof.telescope import assemble
 from hyperproof.terms import LinearForm, eval_summand, parse_sum, parse_term
 
 
@@ -178,6 +187,148 @@ def test_rank_test_rectangular():
     m2 = PolyMatrix([[n, zero], [zero, one], [n, n]])
     res2 = _rank_deficiency_test(m2, Fraction(1), 0)
     assert not res2.passed
+
+
+def _evaluated(matrix, values, indices):
+    """Run the grid evaluator over indices; return the integer matrices it
+    handed to the rank kernel and the full_rank flags it yielded."""
+    seen = []
+
+    def capture(a):
+        seen.append([list(row) for row in a])
+        return _int_rank(a)
+
+    with mock.patch.object(gridproof, "_int_rank", capture):
+        flags = [full for _, _, full in
+                 _GridEvaluator(matrix, values).full_rank_indices(indices)]
+    return seen, flags
+
+
+def _evaluated_at(matrix, point):
+    return [[e.eval(point) for e in row] for row in matrix.entries]
+
+
+@st.composite
+def grid_matrices(draw):
+    """Small integer polynomial matrices (rows >= cols) over 0-3 variables,
+    with zero, constant and sparse entries, plus grid values per variable."""
+    vars = ("n", "x", "z")[:draw(st.integers(0, 3))]
+    cols = draw(st.integers(1, 3))
+    rows = cols + draw(st.integers(0, 1))
+    coef = st.integers(-9, 9)
+    exps = st.tuples(*[st.integers(0, 4) for _ in vars])
+
+    def entry():
+        kind = draw(st.sampled_from(("zero", "constant", "sparse", "sparse")))
+        if kind == "zero":
+            return MultiPoly.zero(vars)
+        if kind == "constant":
+            return MultiPoly.constant(vars, draw(coef.filter(bool)))
+        # few terms with exponents up to 4, so intermediate powers are missing
+        return MultiPoly.from_terms(
+            vars, draw(st.lists(st.tuples(exps, coef), max_size=4)))
+
+    matrix = PolyMatrix([[entry() for _ in range(cols)] for _ in range(rows)])
+    values = {v: _grid_values(draw(st.integers(0, 3)),
+                              draw(st.sets(st.integers(-2, 2), max_size=2)))
+              for v in vars}
+    return matrix, values
+
+
+@settings(deadline=None, max_examples=200)
+@given(grid_matrices(), st.randoms(use_true_random=False))
+def test_grid_evaluator_matches_eval(case, rng):
+    matrix, values = case
+    points = list(product(*(values[v] for v in matrix.vars)))
+    sample = sorted(rng.sample(range(len(points)), rng.randint(1, len(points))))
+    for indices in (range(len(points)), sample):
+        seen, flags = _evaluated(matrix, values, indices)
+        assert len(seen) == len(flags) == len(indices)
+        for index, numeric, full in zip(indices, seen, flags):
+            point = dict(zip(matrix.vars, points[index]))
+            assert _grid_point(matrix.vars, values, index) == point
+            expected = _evaluated_at(matrix, point)
+            assert numeric == expected
+            assert full == (_int_rank(expected) == matrix.cols)
+
+
+def _reference_rank_test(matrix, certainty, seed):
+    """Brute force: evaluate every tested point with MultiPoly.eval."""
+    values = {}
+    for v in matrix.vars:
+        bound = permanent_degree_bound(matrix, v)
+        if bound.structurally_zero:
+            return True, 0, 0, None
+        values[v] = _grid_values(bound.degree, matrix.avoid.get(v, set()))
+    points = list(product(*(values[v] for v in matrix.vars)))
+    total = len(points)
+    count = max(1, min(ceil(certainty * total), total))
+    indices = range(total)
+    if count < total:
+        indices = sorted(random.Random(seed).sample(range(total), count))
+    for pos, index in enumerate(indices):
+        point = dict(zip(matrix.vars, points[index]))
+        if _int_rank(_evaluated_at(matrix, point)) == matrix.cols:
+            return False, total, pos + 1, point
+    return True, total, count, None
+
+
+def _rank_test_cases():
+    vars = ("n", "a")
+    n = MultiPoly.variable(vars, "n")
+    a = MultiPoly.variable(vars, "a")
+    def c(value):
+        return MultiPoly.constant(vars, value)
+
+    def vanishing_on(var, roots):
+        return prod((var - c(r) for r in roots), start=c(1))
+
+    # degree 24 in n and a: 25 x 25 = 625 points, so both certainty 1 and
+    # 1/2 reach the parallel scan with two jobs
+    # nonzero only at n = 12, a = 0, the 613th grid point
+    late = vanishing_on(n, range(-12, 12)) * vanishing_on(
+        a, [r for r in range(-12, 13) if r])
+    # nonzero only at n = -5 (first chunk) and n = 7 (second chunk)
+    two_blocks = vanishing_on(
+        n, [-12] + [r for r in range(-12, 13) if r not in (-5, 7)]) * (
+        a ** 24 + c(1))
+    p, q, r = n ** 20 + a, a ** 20 - n, n * a + c(1)
+    return {
+        "late": PolyMatrix([[late]]),
+        "two-blocks": PolyMatrix([[two_blocks]]),
+        "singular": PolyMatrix([[p, p * q], [r, r * q]]),
+        "dense": PolyMatrix([[p, q], [r, c(1)]]),
+        "rectangular": PolyMatrix([[p, q], [p * r, q * r], [r, c(1)]]),
+        "avoid": PolyMatrix([[late]], avoid={"n": {0, 12}, "a": {-1}}),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["late", "two-blocks", "singular", "dense", "rectangular",
+             "avoid"])
+def test_rank_deficiency_test_matches_brute_force(name):
+    matrix = _rank_test_cases()[name]
+    for certainty, seed in ((Fraction(1), 0), (Fraction(1, 2), 3)):
+        expected = _reference_rank_test(matrix, certainty, seed)
+        for jobs in (1, 2):
+            res = _rank_deficiency_test(matrix, certainty, seed, jobs=jobs)
+            assert (res.passed, res.grid_total, res.grid_tested,
+                    res.witness) == expected, (certainty, jobs)
+
+
+def test_grid_evaluator_on_mrr_order_two():
+    nid = mrr_nid()
+    matrix = _integer_cleared(assemble(nid.delta_term, 2, k=nid.k, n=nid.n).matrix)
+    values = {v: _grid_values(permanent_degree_bound(matrix, v).degree, set())
+              for v in matrix.vars}
+    total = prod(len(values[v]) for v in matrix.vars)
+    indices = sorted(random.Random(7).sample(range(total), 36))
+    # two consecutive indices share their (n, x) prefix
+    indices = sorted(set(indices) | {indices[0] + 1})
+    seen, _ = _evaluated(matrix, values, indices)
+    for index, numeric in zip(indices, seen):
+        point = _grid_point(matrix.vars, values, index)
+        assert numeric == _evaluated_at(matrix, point), point
 
 
 def test_positive_integer_roots():
