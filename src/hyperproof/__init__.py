@@ -9,7 +9,7 @@ certainty level from sampled (semi-rigorous) to exhaustive (rigorous).
 
 __version__ = "0.1.0"
 
-from .gosper import Certificate, GosperForm, gosper_antidifference, pqr_decompose
+from .gosper import gosper_antidifference
 from .gridproof import (
     NormalizedIdentity, ProofReport, initial_conditions_check,
     leading_coeff_check, normalize_and_delta, prove, vanishing_test,
@@ -20,7 +20,7 @@ from .linalg import (
 )
 from .polys import BigRational, MultiPoly, RationalFunction, poly_gcd
 from .telescope import (
-    Recurrence, assemble_gz_system, creative_telescope, verify_certificate,
+    Certificate, Recurrence, assemble, creative_telescope, verify_certificate,
 )
 from .terms import (
     LinearForm, TermExpression, eval_term, evaluate, natural_support,
@@ -28,12 +28,12 @@ from .terms import (
 )
 
 __all__ = [
-    "BigRational", "Certificate", "GosperForm", "LinearForm", "MultiPoly",
+    "BigRational", "Certificate", "LinearForm", "MultiPoly",
     "NormalizedIdentity", "PolyMatrix", "ProofReport", "RationalFunction",
-    "Recurrence", "TermExpression", "assemble_gz_system", "creative_telescope",
+    "Recurrence", "TermExpression", "assemble", "creative_telescope",
     "det_at_point", "det_symbolic", "eval_term", "evaluate",
     "gosper_antidifference", "initial_conditions_check", "leading_coeff_check",
     "natural_support", "normalize_and_delta", "parse_sum", "parse_term",
-    "permanent_degree_bound", "poly_gcd", "pqr_decompose", "prove", "render",
+    "permanent_degree_bound", "poly_gcd", "prove", "render",
     "shift_quotient", "solve_nullspace", "vanishing_test", "verify_certificate",
 ]

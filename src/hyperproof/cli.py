@@ -13,9 +13,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .gosper import Certificate
 from .gridproof import ProofReport, prove
-from .telescope import Recurrence, verify_certificate
+from .telescope import Certificate, Recurrence, verify_certificate
 from .terms import LinearForm, ParseError, TermError, parse_sum, parse_term
 
 EXIT_OK = 0
@@ -200,8 +199,12 @@ def cmd_prove(args) -> int:
     except IdentityFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = run_prove(ident, args.certainty, args.seed, args.max_order,
-                       args.jobs)
+    try:
+        report = run_prove(ident, args.certainty, args.seed, args.max_order,
+                           args.jobs)
+    except (RuntimeError, ArithmeticError) as exc:
+        print(f"error: {args.file}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     for line in _summary_lines(ident, report):
         print(line)
     if args.json:

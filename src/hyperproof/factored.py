@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd as _igcd, isqrt
 
 from .linalg import _poly_eliminate
-from .polys import MultiPoly, _as_fraction, _norm_coef
+from .polys import MultiPoly, _as_fraction, _norm_coef, poly_gcd
 from .terms import LinearForm, TermError
 
 
@@ -466,6 +466,8 @@ def _sylvester_resultant(f_coeffs, g_coeffs, vars):
     if m < 0 or n < 0:
         return MultiPoly.zero(vars)
     size = m + n
+    if size == 0:
+        return MultiPoly.constant(vars, 1)
     zero = MultiPoly.zero(vars)
     rows = []
     frow = list(reversed(f_coeffs))
@@ -474,19 +476,10 @@ def _sylvester_resultant(f_coeffs, g_coeffs, vars):
         rows.append([zero] * i + frow + [zero] * (size - i - m - 1))
     for i in range(m):
         rows.append([zero] * i + grow + [zero] * (size - i - n - 1))
-    return _det_bareiss(rows, vars)
-
-
-def _det_bareiss(rows, vars) -> MultiPoly:
-    n = len(rows)
-    if n == 0:
-        return MultiPoly.constant(vars, 1)
-    a = [list(r) for r in rows]
-    pivots, sign = _poly_eliminate(a)
-    if len(pivots) < n:
-        return MultiPoly.zero(vars)
-    d = a[-1][-1]
-    return d if sign > 0 else -d
+    pivots, sign = _poly_eliminate(rows)
+    if len(pivots) < size:
+        return zero
+    return rows[-1][-1] if sign > 0 else -rows[-1][-1]
 
 
 _JVAR = "_j"
@@ -575,7 +568,6 @@ def _pairwise_gcd_at(num: Factored, den: Factored, j: int, k):
     Returns (g_poly, (kind_q, key_q), (kind_r, key_r)) or None; g_poly is a
     divisor of the q-side factor, and g_poly(k-j) divides the r-side factor.
     """
-    from .polys import poly_gcd
     qfacts = [("aff", key, f.to_poly(num.vars), f) for key, (f, e) in num.aff.items()
               if e > 0 and f.var_coeff(k) != 0]
     qfacts += [("opq", key, p, None) for key, (p, e) in num.opq.items()
@@ -603,6 +595,8 @@ def gosper_normal(ratio_num: Factored, ratio_den: Factored, k):
     The peeled factors accumulate in pbar; q keeps the constant.  Dispersion
     j = 0 doubles as plain cancellation of common factors.
     """
+    if ratio_num.is_zero():
+        raise ValueError("zero shift quotient")
     q = ratio_num.copy()
     r = ratio_den.copy()
     pbar = Factored.one(q.vars)

@@ -1,146 +1,42 @@
 """Gosper's algorithm: decide whether a hypergeometric term has a
-hypergeometric antidifference and construct the rational certificate."""
+hypergeometric antidifference and construct the rational certificate.
+
+Gosper's algorithm is creative telescoping at order 0, so it runs on the
+order-0 system of telescope.assemble: q(k) b(k+1) - r(k-1) b(k) = a_0 pbar(k)
+with the Gosper normal form pbar, q, r of the shift quotient and the degree
+bound of telescope.gosper_degree_bound.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-from .factored import Factored, from_ratio_parts, gosper_normal
-from .linalg import PolyMatrix, solve_nullspace
-from .polys import MultiPoly, RationalFunction, _as_fraction
+from .linalg import solve_nullspace
+from .polys import MultiPoly, RationalFunction
+from .telescope import Certificate, assemble
 from .terms import TermExpression
-
-
-@dataclass(frozen=True)
-class GosperForm:
-    """t(k+1)/t(k) = (p(k+1)/p(k)) * (q(k)/r(k)), gcd(q(k), r(k+j)) = 1
-    for every integer j >= 0."""
-    p: MultiPoly
-    q: MultiPoly
-    r: MultiPoly
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """R with G = R*F for the antidifference G of F."""
-    ratio: RationalFunction
-
-    def __str__(self):
-        return str(self.ratio)
-
-
-def pqr_decompose(ratio: RationalFunction, k: str) -> GosperForm:
-    """Gosper normal form of a nonzero rational shift quotient.
-
-    The shift-gcd condition is established by locating the nonnegative integer
-    roots j of the resultant of q(k) and r(k+j) and peeling the shared factors
-    into p.
-    """
-    if ratio.is_zero():
-        raise ValueError("zero shift quotient")
-    vars = ratio.vars
-    num = Factored.one(vars)
-    num.mul_poly(ratio.num, 1)
-    den = Factored.one(vars)
-    den.mul_poly(ratio.den, 1)
-    pbar, q, r = gosper_normal(num, den, k)
-    return GosperForm(pbar.expand(), q.expand(), r.expand())
-
-
-def gosper_degree_bound(deg_p: int, q: MultiPoly, r: MultiPoly, k: str):
-    """Largest admissible degree for the polynomial solution b(k) of
-    q(k) b(k+1) - r(k-1) b(k) = p(k), or None when no degree works.
-
-    Two standard cases; when both candidate formulas apply the maximum wins.
-    """
-    rm = r.shift(k, -1)
-    A = q - rm
-    B = q + rm
-    degA = A.degree(k)
-    degB = B.degree(k)
-    if degA >= degB:
-        K = deg_p - degA
-        return K if K >= 0 else None
-    m = degB
-    candidates = [deg_p - m + 1]
-    lcB = B.to_univar(k)[m]
-    coefA = A.to_univar(k)[m - 1] if degA >= m - 1 and m >= 1 else None
-    if coefA is not None and not coefA.is_zero():
-        ratio = RationalFunction(coefA.scale(-2), lcB)
-        if ratio.is_constant():
-            c = _as_fraction(ratio.as_constant())
-            if c.denominator == 1 and c >= 0:
-                candidates.append(int(c))
-    else:
-        candidates.append(0)
-    best = max((c for c in candidates if c >= 0), default=None)
-    return best
-
-
-def solve_b_polynomial(p: MultiPoly, q: MultiPoly, r: MultiPoly, k: str, K: int):
-    """Polynomial b(k) of degree <= K with q(k)b(k+1) - r(k-1)b(k) = p(k),
-    or None.  Coefficients live in the rational-function field of the other
-    variables."""
-    vars = p.vars
-    rm = r.shift(k, -1)
-    kpoly = MultiPoly.variable(vars, k)
-    # columns: contribution of each b_i, then the inhomogeneous side
-    cols = []
-    for i in range(K + 1):
-        ki = kpoly ** i
-        cols.append(q * ki.shift(k, 1) - rm * ki)
-    cols.append(-p)
-    maxdeg = max(c.degree(k) for c in cols)
-    rows = []
-    for d in range(maxdeg + 1):
-        row = []
-        for c in cols:
-            cu = c.to_univar(k)
-            row.append(cu[d] if d < len(cu) else MultiPoly.zero(vars))
-        if any(not e.is_zero() for e in row):
-            rows.append(row)
-    if not rows:
-        return MultiPoly.zero(vars)
-    basis = solve_nullspace(PolyMatrix(rows))
-    for vec in basis:
-        if not vec[-1].is_zero():
-            # b(k) = sum_i (v_i / v_last) k^i, returned over a common denominator
-            from .polys import poly_lcm
-            coefs = [v / vec[-1] for v in vec[:-1]]
-            den = MultiPoly.constant(vars, 1)
-            for c in coefs:
-                if not c.is_zero():
-                    den = poly_lcm(den, c.den)
-            num = MultiPoly.zero(vars)
-            for i, c in enumerate(coefs):
-                if not c.is_zero():
-                    num = num + c.num * den.divexact(c.den) * (kpoly ** i)
-            return RationalFunction(num, den)
-    return None
 
 
 def gosper_antidifference(f: TermExpression, k: str):
     """Certificate R with G = R*f and G(k+1) - G(k) = f, or None.
 
     R satisfies R(k+1)*rho(k) - R(k) = 1 exactly, rho the shift quotient of f.
+    The first nullspace vector (a_0, b_0..b_K) of the order-0 system with
+    a_0 != 0 gives b(k) = sum_i (b_i/a_0) k^i and R = b(k) r(k-1) / pbar(k),
+    returned reduced.
     """
     vars = f.symbols
     if f.is_zero():
         return Certificate(RationalFunction.constant(vars, 0))
-    const, affine, opaque = f.shift_ratio_parts(k)
-    ratio = from_ratio_parts(vars, const, affine, opaque)
-    num, den = ratio.split()
-    pbar, q, r = gosper_normal(num, den, k)
-    p = pbar.expand()
-    q_poly = q.expand()
-    r_poly = r.expand()
-    K = gosper_degree_bound(p.degree(k), q_poly, r_poly, k)
-    if K is None:
+    sys = assemble(f, 0, k=k)
+    if sys is None:
         return None
-    b = solve_b_polynomial(p, q_poly, r_poly, k, K)
-    if b is None or b.is_zero():
-        return None
-    # G = (r(k-1) b(k) / p(k)) * f
-    R = RationalFunction(b.num * r_poly.shift(k, -1), b.den * p)
-    return Certificate(R)
+    kpoly = MultiPoly.variable(vars, k)
+    for vec in solve_nullspace(sys.matrix):
+        if vec[0].is_zero():
+            continue
+        # basis vectors are polynomial, so b = sum_i b_i k^i over a_0
+        b = MultiPoly.zero(vars)
+        for i, c in enumerate(vec[1:]):
+            b = b + c.num.embed(vars) * kpoly ** i
+        return Certificate(RationalFunction(
+            b * sys.r.shift(k, -1), vec[0].num.embed(vars) * sys.pbar))
+    return None

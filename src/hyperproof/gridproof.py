@@ -24,14 +24,14 @@ from fractions import Fraction
 from math import ceil
 
 from .factored import integer_roots_univar
-from .gosper import Certificate, gosper_antidifference
+from .gosper import gosper_antidifference
 from .linalg import PolyMatrix, _int_rank, permanent_degree_bound
 from .polys import MultiPoly, RationalFunction, _as_fraction, common_denominator
 from .telescope import (
-    Recurrence, assemble, creative_telescope, verify_certificate,
+    Certificate, Recurrence, assemble, creative_telescope, verify_certificate,
 )
 from .terms import (
-    EvalError, LinearForm, TermError, TermExpression, eval_summand,
+    EvalError, LinearForm, TermError, TermExpression, eval_summand, evaluate,
     natural_support, shift_quotient,
 )
 
@@ -361,14 +361,17 @@ class Inconclusive(GridProofError):
     pass
 
 
-def _positive_integer_roots(p: MultiPoly, var) -> list:
+def _leading_root_bound(rec: Recurrence, n):
+    """Largest positive integer root in n of the last recurrence coefficient,
+    or None."""
+    p = rec.coefficients[-1].restrict((n,))
     coeffs = [_as_fraction(c.as_constant()) if not c.is_zero() else Fraction(0)
-              for c in p.to_univar(var)]
+              for c in p.to_univar(n)]
     try:
         roots = integer_roots_univar(coeffs)
     except ValueError:
-        return []
-    return [r for r in roots if r > 0]
+        return None
+    return max((r for r in roots if r > 0), default=None)
 
 
 def leading_coeff_check(nid: NormalizedIdentity, J: int, seed: int,
@@ -386,9 +389,7 @@ def leading_coeff_check(nid: NormalizedIdentity, J: int, seed: int,
         if out is None:
             raise Inconclusive("no recurrence found for the summand")
         rec, _ = out
-        roots = _positive_integer_roots(
-            rec.coefficients[-1].restrict((nid.n,)), nid.n)
-        return (max(roots) if roots else None), {}
+        return _leading_root_bound(rec, nid.n), {}
     rng = random.Random(seed * 1000003 + 17)
     last_error = None
     for attempt in range(5):
@@ -408,9 +409,7 @@ def leading_coeff_check(nid: NormalizedIdentity, J: int, seed: int,
             raise Inconclusive(
                 f"specialized run found no recurrence up to order {max_order}")
         rec, _ = out
-        roots = _positive_integer_roots(
-            rec.coefficients[-1].restrict((nid.n,)), nid.n)
-        return (max(roots) if roots else None), point
+        return _leading_root_bound(rec, nid.n), point
     raise Inconclusive(f"no usable parameter specialization found: {last_error}")
 
 
@@ -636,16 +635,18 @@ def _termination_guard(nid: NormalizedIdentity):
 
 
 _PROBE_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+_PROBE_MAX_PARAMS = 4  # more parameters go straight to the symbolic attempt
+_SMALL_CASES_UPTO = 4  # largest n the finite check compares
 
 
-def _fast_path_feasible(nid: NormalizedIdentity, max_params: int = 4) -> bool:
+def _fast_path_feasible(nid: NormalizedIdentity) -> bool:
     """Gate for the symbolic Gosper attempt: probe an integer specialization
     first.  A failed probe means the symbolic run would fail too (a symbolic
     solution specializes to a solution almost everywhere); probes that cannot
     be evaluated are skipped and the symbolic attempt proceeds."""
     if not nid.params:
         return True
-    if len(nid.params) > max_params:
+    if len(nid.params) > _PROBE_MAX_PARAMS:
         return True
     for attempt in range(2):
         point = {p: Fraction(_PROBE_PRIMES[attempt * len(nid.params) + i])
@@ -670,17 +671,16 @@ def _report_failure(checks):
 
 
 def _compare_small_cases(summand, rhs_terms, params, k, n, lower, upper,
-                         certainty, seed, upto=4) -> ProofReport:
+                         certainty, seed) -> ProofReport:
     """Fallback when the right side cannot be normalized or the termination
     guard fails: compare both sides exactly for small n (symbolic in the
     parameters).  A mismatch is a refutation; agreement alone is
     inconclusive."""
-    from .terms import evaluate
     nid = NormalizedIdentity(summand, summand, tuple(params), k, n,
                              lower, upper, True,
                              RationalFunction.constant(summand.symbols, 1))
     checks = []
-    for nv in range(0, upto + 1):
+    for nv in range(0, _SMALL_CASES_UPTO + 1):
         diff = _symbolic_sum(nid, summand, nv)
         for t in rhs_terms:
             diff = diff - evaluate(t, {n: nv, k: 0})
@@ -695,7 +695,7 @@ def _compare_small_cases(summand, rhs_terms, params, k, n, lower, upper,
         verdict="inconclusive", certainty=certainty, seed=seed,
         method="finite-check", initial_checks=checks,
         message=("right side is not a single hypergeometric term; "
-                 f"exact agreement verified for {n}=0..{upto} only"))
+                 f"exact agreement verified for {n}=0..{_SMALL_CASES_UPTO} only"))
 
 
 def _finish(nid, report, checks):
@@ -794,9 +794,7 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
                 method="telescope",
                 message=f"no telescoper found up to order {max_order}")
         rec, cert = out
-        roots = _positive_integer_roots(
-            rec.coefficients[-1].restrict((n,)), n)
-        n0 = max(roots) if roots else None
+        n0 = _leading_root_bound(rec, n)
         checks = initial_conditions_check(nid, rec.order, n0)
         sys = assemble(g, rec.order, k, n)
         report = ProofReport(

@@ -11,10 +11,13 @@ matrices (nullspaces, symbolic determinants and resultants).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import NamedTuple
 
-from .polys import MultiPoly, RationalFunction, common_denominator, poly_gcd, _as_fraction
+from .polys import (
+    MultiPoly, RationalFunction, _as_fraction, common_denominator, poly_gcd,
+    poly_lcm,
+)
 
 
 class PolyMatrix:
@@ -227,7 +230,6 @@ def _poly_eliminate(rows):
 def clear_and_primitive(polys):
     """Strip the common polynomial factor and rational content from a list of
     polynomials; make the first nonzero one positively led.  Returns new list."""
-    from math import gcd, lcm
     content = None
     for p in polys:
         if not p.is_zero():
@@ -253,7 +255,6 @@ def clear_and_primitive(polys):
 
 def _normalize_vector(vec):
     """Clear denominators, strip content, make the first nonzero entry positive."""
-    from .polys import poly_lcm
     vars = vec[0].vars
     den = MultiPoly.constant(vars, 1)
     for v in vec:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import gcd as _igcd, lcm
+from math import comb, gcd as _igcd, lcm
 from operator import mul
 
 BigRational = Fraction
@@ -291,7 +291,6 @@ class MultiPoly:
         i = self.vars.index(var)
         out = MultiPoly.zero(self.vars)
         # group by exponent in `var`, expand (var+delta)^e binomially
-        from math import comb
         acc = {}
         for exp, c in self.terms.items():
             e = exp[i]

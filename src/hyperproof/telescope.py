@@ -1,7 +1,12 @@
 """Creative telescoping: find polynomials a_0..a_J and a certificate G = R*F
 with sum_j a_j(n) F(n+j,k) = G(n,k+1) - G(n,k), by assembling the linear
 system from the expanded telescoping equation and solving (or, downstream,
-testing) it.  Includes independent certificate verification."""
+testing) it.  Includes independent certificate verification.
+
+`assemble` is the one builder of the telescoping system.  Its order-0 case
+q(k) b(k+1) - r(k-1) b(k) = a_0 pbar(k) is Gosper's equation, and
+gosper.gosper_antidifference solves it.
+"""
 
 from __future__ import annotations
 
@@ -11,9 +16,10 @@ from .factored import (
     Factored, factored_lcm, factored_quotient, from_ratio_parts, gosper_normal,
     integer_roots_in_var,
 )
-from .gosper import Certificate, gosper_degree_bound
 from .linalg import PolyMatrix, clear_and_primitive, solve_nullspace
-from .polys import MultiPoly, RationalFunction, _as_fraction, common_denominator
+from .polys import (
+    MultiPoly, RationalFunction, _as_fraction, common_denominator, poly_lcm,
+)
 from .terms import TermExpression, TermError
 
 
@@ -25,6 +31,15 @@ class Recurrence:
 
     def __str__(self):
         return ", ".join(str(c) for c in self.coefficients)
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """R with G = R*F for the antidifference G of F."""
+    ratio: RationalFunction
+
+    def __str__(self):
+        return str(self.ratio)
 
 
 @dataclass(frozen=True)
@@ -53,17 +68,47 @@ def _default_vars(f: TermExpression, k, n):
     if k is None:
         k = f.symbols[0]
     if n is None:
-        n = f.symbols[1]
+        n = next((s for s in f.symbols if s != k), None)
     return k, n
+
+
+def gosper_degree_bound(deg_p: int, q: MultiPoly, r: MultiPoly, k: str):
+    """Largest admissible degree for the polynomial solution b(k) of
+    q(k) b(k+1) - r(k-1) b(k) = p(k), or None when no degree works.
+
+    Two standard cases; when both candidate formulas apply the maximum wins.
+    """
+    rm = r.shift(k, -1)
+    A = q - rm
+    B = q + rm
+    degA = A.degree(k)
+    degB = B.degree(k)
+    if degA >= degB:
+        K = deg_p - degA
+        return K if K >= 0 else None
+    m = degB
+    candidates = [deg_p - m + 1]
+    lcB = B.to_univar(k)[m]
+    coefA = A.to_univar(k)[m - 1] if degA >= m - 1 and m >= 1 else None
+    if coefA is not None and not coefA.is_zero():
+        ratio = RationalFunction(coefA.scale(-2), lcB)
+        if ratio.is_constant():
+            c = _as_fraction(ratio.as_constant())
+            if c.denominator == 1 and c >= 0:
+                candidates.append(int(c))
+    else:
+        candidates.append(0)
+    return max((c for c in candidates if c >= 0), default=None)
 
 
 def assemble(f: TermExpression, J: int, k=None, n=None):
     """Build the telescoping linear system for order J; None if the degree
-    bound rules the order out."""
+    bound rules the order out.  Order 0 does no shift in n, so it also takes
+    a summand whose only symbol is k."""
     k, n = _default_vars(f, k, n)
     vars = f.symbols
-    sigmas = []
-    for j in range(J + 1):
+    sigmas = [(Factored.one(vars), Factored.one(vars))]  # f(n,k)/f(n,k)
+    for j in range(1, J + 1):
         const, affine, opaque = f.shift_ratio_parts(n, step=j)
         sigmas.append(from_ratio_parts(vars, const, affine, opaque).split())
     Q = factored_lcm([den for _, den in sigmas])
@@ -146,15 +191,6 @@ def _collect_avoid(facts, k, matrix_vars):
     return avoid
 
 
-def assemble_gz_system(f: TermExpression, J: int, k=None, n=None):
-    """The ansatz and the homogeneous coefficient matrix acting on
-    (a_0..a_J, b_0..b_K); raises when no polynomial degree is admissible."""
-    sys = assemble(f, J, k, n)
-    if sys is None:
-        raise TermError(f"no admissible polynomial degree at order {J}")
-    return sys.ansatz, sys.matrix
-
-
 def certificate_from_solution(sys: AssembledSystem, b_coeffs, extra_den=None):
     """R = b(k) * r(k-1) / (pbar(k) * Q(k)), the certificate G = R*f.
 
@@ -219,7 +255,6 @@ def creative_telescope(f: TermExpression, max_order: int = 6, k=None, n=None):
 
 
 def _certificate_from_rationals(sys: AssembledSystem, b_coeffs):
-    from .polys import poly_lcm
     vars = sys.vars
     mv = sys.matrix_vars
     den = MultiPoly.constant(mv, 1)

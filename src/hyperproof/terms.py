@@ -8,6 +8,7 @@ symbols.  rf(a,k) denotes a(a+1)...(a+k-1).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -345,8 +346,7 @@ def _int_value(x, what):
 def _factorial(n):
     if n < 0:
         raise EvalError(f"factorial of negative integer {n}")
-    from math import factorial
-    return factorial(n)
+    return math.factorial(n)
 
 
 def evaluate(f: TermExpression, point: dict,
@@ -536,7 +536,6 @@ def natural_support(f: TermExpression, point: dict, k="k"):
         L(k) <= -1 for op '-' or L(k) >= 0 for op '+'.  Returns (lo, hi) of the
         zero region over the integers, or None if empty/not a half-line."""
         lo, hi = None, None  # None = infinite
-        import math
         for L, op in conds:
             a = _as_fraction(L.var_coeff(k))
             b = _as_fraction(L.const)

@@ -15,11 +15,13 @@ from pathlib import Path
 import pytest
 
 from hyperproof.cli import EXIT_OK, EXIT_REFUTED, load_identity, main, run_prove
-from hyperproof.gosper import Certificate, gosper_antidifference
+from hyperproof.gosper import gosper_antidifference
 from hyperproof.gridproof import normalize_and_delta, vanishing_test
 from hyperproof.linalg import PolyMatrix, det_symbolic, permanent_degree_bound
 from hyperproof.polys import MultiPoly, RationalFunction
-from hyperproof.telescope import Recurrence, creative_telescope, verify_certificate
+from hyperproof.telescope import (
+    Certificate, Recurrence, creative_telescope, verify_certificate,
+)
 from hyperproof.terms import eval_summand, parse_term, shift_quotient
 
 ROOT = Path(__file__).resolve().parent.parent

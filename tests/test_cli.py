@@ -126,6 +126,23 @@ def test_cmd_corpus_survives_internal_error(tmp_path, monkeypatch, capsys):
                for l in captured.out.splitlines())
 
 
+def test_cmd_prove_reports_internal_error(tmp_path, monkeypatch, capsys):
+    import hyperproof.cli as cli
+
+    def failing(ident, *args):
+        raise RuntimeError("telescoper failed exact re-verification")
+
+    monkeypatch.setattr(cli, "run_prove", failing)
+    path = str(CORPUS / "binomial-2n.txt")
+    out_json = tmp_path / "record.jsonl"
+    assert main(["prove", path, "--json", str(out_json)]) == EXIT_USAGE
+    assert not out_json.exists()
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {path}: RuntimeError: telescoper failed "
+                            "exact re-verification\n")
+    assert captured.out == ""
+
+
 def test_cmd_verify_valid_and_invalid():
     path = str(CORPUS / "binomial-2n.txt")
     assert main(["verify", path, "--recurrence=-2,1",

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperproof.factored import (
-    _sylvester_resultant, integer_roots_univar, integer_roots_in_var,
+    Factored, _sylvester_resultant, gosper_normal, integer_roots_univar,
+    integer_roots_in_var,
 )
-from hyperproof.gosper import (
-    gosper_antidifference, gosper_degree_bound, pqr_decompose,
-    solve_b_polynomial,
-)
-from hyperproof.linalg import PolyMatrix, det_symbolic
-from hyperproof.polys import MultiPoly, RationalFunction
+from hyperproof.gosper import gosper_antidifference
+from hyperproof.linalg import PolyMatrix, det_symbolic, solve_nullspace
+from hyperproof.polys import MultiPoly, RationalFunction, poly_gcd
+from hyperproof.telescope import assemble
 from hyperproof.terms import EvalError, eval_summand, eval_term, parse_term, shift_quotient
 
 
@@ -21,27 +20,34 @@ def ratio(num_text, den_text, syms=("k",)):
     return t.rational
 
 
+def gosper_form(rat, k="k"):
+    """Expanded Gosper normal form (p, q, r) of a rational shift quotient."""
+    num = Factored.one(rat.vars).mul_poly(rat.num, 1)
+    den = Factored.one(rat.vars).mul_poly(rat.den, 1)
+    return tuple(f.expand() for f in gosper_normal(num, den, k))
+
+
 def check_gosper_form(form, rat, k="k"):
+    p, q, r = form
     # reconstructs the ratio: p(k+1) q(k) / (p(k) r(k)) == rat
-    lhs = RationalFunction(form.p.shift(k, 1) * form.q, form.p * form.r)
+    lhs = RationalFunction(p.shift(k, 1) * q, p * r)
     assert lhs == rat
     # independent re-verification of gcd(q(k), r(k+j)) = 1 for all j >= 0:
     # the resultant of q(k) and r(k+j), a polynomial in j, must have no
     # nonnegative integer roots
-    from hyperproof.polys import poly_gcd
-    if form.q.degree(k) > 0 and form.r.degree(k) > 0:
-        jvars = form.q.vars + ("_j",)
-        qj = form.q.embed(jvars)
+    if q.degree(k) > 0 and r.degree(k) > 0:
+        jvars = q.vars + ("_j",)
+        qj = q.embed(jvars)
         kpoly = MultiPoly.variable(jvars, k)
         jpoly = MultiPoly.variable(jvars, "_j")
-        rj = form.r.embed(jvars).subst_linear(k, kpoly + jpoly)
+        rj = r.embed(jvars).subst_linear(k, kpoly + jpoly)
         res = _sylvester_resultant(qj.to_univar(k), rj.to_univar(k), jvars)
         assert not res.is_zero()
         if not res.is_constant() and res.degree("_j") > 0:
             roots = integer_roots_in_var(res, "_j")
             assert all(j < 0 for j in roots)
     for j in range(0, 13):
-        assert poly_gcd(form.q, form.r.shift(k, j)).is_constant()
+        assert poly_gcd(q, r.shift(k, j)).is_constant()
 
 
 def test_integer_roots_univar():
@@ -62,35 +68,38 @@ def test_integer_roots_in_var():
 
 
 def test_pqr_k_over_k_plus_2():
-    form = pqr_decompose(ratio("k", "k+2"), "k")
+    form = gosper_form(ratio("k", "k+2"))
     check_gosper_form(form, ratio("k", "k+2"))
-    assert form.p.is_constant()
-    assert form.q == MultiPoly.variable(("k",), "k")
+    p, q, r = form
+    assert p.is_constant()
+    assert q == MultiPoly.variable(("k",), "k")
 
 
 def test_pqr_k_plus_3_over_k():
     rat = ratio("k+3", "k")
-    form = pqr_decompose(rat, "k")
+    form = gosper_form(rat)
     check_gosper_form(form, rat)
+    p, q, r = form
     # p = k(k+1)(k+2) up to normalization
     k = MultiPoly.variable(("k",), "k")
     one = MultiPoly.constant(("k",), 1)
     expected = k * (k + one) * (k + one.scale(2))
-    assert form.p.monic() == expected.monic()
-    assert form.q.is_constant() and form.r.is_constant()
+    assert p.monic() == expected.monic()
+    assert q.is_constant() and r.is_constant()
 
 
 def test_pqr_constant_ratio():
     rat = ratio("2", "1")
-    form = pqr_decompose(rat, "k")
+    form = gosper_form(rat)
     check_gosper_form(form, rat)
-    assert form.q.as_constant() == 2
-    assert form.p.is_constant() and form.r.is_constant()
+    p, q, r = form
+    assert q.as_constant() == 2
+    assert p.is_constant() and r.is_constant()
 
 
 def test_pqr_zero_ratio_errors():
     with pytest.raises(ValueError):
-        pqr_decompose(RationalFunction.constant(("k",), 0), "k")
+        gosper_form(RationalFunction.constant(("k",), 0))
 
 
 def test_pqr_random_reconstruction():
@@ -105,8 +114,7 @@ def test_pqr_random_reconstruction():
         rat = RationalFunction(num, den)
         if rat.is_constant() or rat.num.degree("k") <= 0:
             continue
-        form = pqr_decompose(rat, "k")
-        check_gosper_form(form, rat)
+        check_gosper_form(gosper_form(rat), rat)
 
 
 def test_gosper_k_times_k_factorial():
@@ -126,13 +134,21 @@ def test_gosper_reciprocal_k_k_plus_1():
 
 def test_gosper_k_factorial_unsummable():
     f = parse_term("k!", ("k",))
-    # independent oracle: no polynomial ansatz of degree 0..5 solves
-    # (k+1) b(k+1) - b(k) = 1
+    # the degree bound rules out the order-0 system of k!
+    assert assemble(f, 0, k="k") is None
+    # independent oracle: for no degree 0..5 has the order-0 system of k!,
+    # (k+1) b(k+1) - b(k) = a_0, a nullspace vector with a_0 != 0
     vars = ("k",)
     k = MultiPoly.variable(vars, "k")
     one = MultiPoly.constant(vars, 1)
     for deg in range(6):
-        assert solve_b_polynomial(one, k + one, one, "k", deg) is None
+        cols = [-one] + [(k + one) * (k + one) ** i - k ** i
+                         for i in range(deg + 1)]
+        rows = [[(c.to_univar("k")[d] if d <= c.degree("k")
+                  else MultiPoly.zero(vars)).restrict(())
+                 for c in cols] for d in range(deg + 2)]
+        basis = solve_nullspace(PolyMatrix(rows))
+        assert all(vec[0].is_zero() for vec in basis)
     # numeric oracle: no small-height rational R satisfies
     # R(k+1)(k+1) - R(k) = 1 at many points simultaneously
     # (check that the functional would force R to blow up)
@@ -147,6 +163,20 @@ def test_gosper_k_factorial_unsummable():
     # denominators of a rational function of bounded degree cannot keep
     # growing factorially; detect super-polynomial growth
     assert vals[14].denominator > 10 ** 8
+    assert gosper_antidifference(f, "k") is None
+
+
+def test_gosper_skips_homogeneous_solutions():
+    # a rational summand's order-0 system has a nullspace vector with a_0 = 0
+    # (G constant in k); only a vector with a_0 != 0 gives a certificate
+    f = parse_term("k", ("k",))
+    basis = solve_nullspace(assemble(f, 0, k="k").matrix)
+    assert basis[0][0].is_zero() and not basis[1][0].is_zero()
+    assert gosper_antidifference(f, "k").ratio == ratio("k-1", "2")
+    # 1/k (harmonic numbers) has only the homogeneous vector
+    f = parse_term("1/k", ("k",))
+    basis = solve_nullspace(assemble(f, 0, k="k").matrix)
+    assert basis and all(vec[0].is_zero() for vec in basis)
     assert gosper_antidifference(f, "k") is None
 
 
@@ -199,6 +229,49 @@ def test_gosper_with_parameters():
         rho = shift_quotient(f, "k")
         one = RationalFunction.constant(("k", "a"), 1)
         assert cert.ratio.shift("k", 1) * rho - cert.ratio == one
+
+
+@st.composite
+def summable_terms(draw):
+    """(f, base, R0) with f = G(k+1) - G(k) for G = R0(k) * base, base k! or
+    rf(a,k), and R0 a small nonzero rational function of k."""
+    vars = draw(st.sampled_from([("k",), ("k", "a")]))
+    base = parse_term("k!" if len(vars) == 1 else "rf(a,k)", vars)
+    pad = (0,) * (len(vars) - 1)
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3)
+                  .filter(any))
+    num = MultiPoly.from_terms(vars, [((d,) + pad, c)
+                                      for d, c in enumerate(coeffs)])
+    k = MultiPoly.variable(vars, "k")
+    den = MultiPoly.constant(vars, 1)
+    for c in draw(st.lists(st.integers(0, 3), max_size=2)):
+        den = den * (k.scale(draw(st.integers(1, 2))) + MultiPoly.constant(vars, c))
+    R0 = RationalFunction(num, den)
+    # G(k+1) - G(k) = base(k) * (R0(k+1) rho_base(k) - R0(k))
+    S = R0.shift("k", 1) * shift_quotient(base, "k") - R0
+    return base.with_rational(S), base, R0
+
+
+@settings(deadline=None, max_examples=40)
+@given(summable_terms())
+def test_gosper_finds_planted_antidifference(case):
+    f, base, R0 = case
+    vars = f.symbols
+    cert = gosper_antidifference(f, "k")
+    assert cert is not None
+    R = cert.ratio
+    rho = shift_quotient(f, "k")
+    assert R.shift("k", 1) * rho - R == RationalFunction.constant(vars, 1)
+    # R*f and G = R0*base differ by a constant
+    diffs = set()
+    for kv in range(1, 11):
+        point = {"k": kv, "a": Fraction(7, 3)} if len(vars) == 2 else {"k": kv}
+        try:
+            diffs.add(R.eval(point) * eval_term(f, point)
+                      - R0.eval(point) * eval_term(base, point))
+        except (ZeroDivisionError, EvalError):
+            continue
+    assert len(diffs) == 1
 
 
 @st.composite

@@ -14,14 +14,14 @@ from hyperproof.gridproof import (
     NormalizedIdentity, Inconclusive, initial_conditions_check,
     leading_coeff_check, normalize_and_delta, prove, vanishing_test,
     _degenerate_on_support, _GridEvaluator, _grid_point, _grid_values,
-    _integer_cleared, _positive_integer_roots, _rank_deficiency_test,
+    _integer_cleared, _leading_root_bound, _rank_deficiency_test,
 )
 from hyperproof.cli import load_identity
 from hyperproof.linalg import (
     PolyMatrix, _int_rank, det_symbolic, permanent_degree_bound,
 )
 from hyperproof.polys import MultiPoly, RationalFunction
-from hyperproof.telescope import assemble
+from hyperproof.telescope import Recurrence, assemble
 from hyperproof.terms import LinearForm, eval_summand, parse_sum, parse_term
 
 
@@ -336,9 +336,9 @@ def test_positive_integer_roots():
     n = MultiPoly.variable(vars, "n")
     one = MultiPoly.constant(vars, 1)
     p = (n - one.scale(3)) * (n + one)
-    assert _positive_integer_roots(p, "n") == [3]
+    assert _leading_root_bound(Recurrence(1, (one, p)), "n") == 3
     q = (n + one) * (n + one.scale(2))
-    assert _positive_integer_roots(q, "n") == []
+    assert _leading_root_bound(Recurrence(1, (one, q)), "n") is None
 
 
 def test_leading_coeff_check_chu():

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from hyperproof.linalg import solve_nullspace
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.telescope import (
-    Recurrence, assemble_gz_system, creative_telescope, verify_certificate,
+    Certificate, Recurrence, assemble, creative_telescope, verify_certificate,
 )
 from hyperproof.terms import eval_summand, eval_term, parse_term
 
@@ -30,7 +31,8 @@ def brute_sum(f, n_val, lo, hi, extra=None):
 
 def test_assemble_binomial_j1_shape():
     f = parse_term("binomial(n,k)", ("k", "n"))
-    ansatz, matrix = assemble_gz_system(f, 1)
+    sys = assemble(f, 1)
+    ansatz, matrix = sys.ansatz, sys.matrix
     assert ansatz.order == 1
     assert matrix.cols == ansatz.order + 1 + ansatz.degree + 1
     assert matrix.vars == ("n",)
@@ -38,10 +40,8 @@ def test_assemble_binomial_j1_shape():
 
 def test_assemble_nullspace_ratio_binomial():
     # nullspace of the J=1 system gives a1/a0 = -1/2
-    from hyperproof.linalg import solve_nullspace
     f = parse_term("binomial(n,k)", ("k", "n"))
-    _, matrix = assemble_gz_system(f, 1)
-    basis = solve_nullspace(matrix)
+    basis = solve_nullspace(assemble(f, 1).matrix)
     assert basis
     vec = basis[0]
     ratio = vec[1] / vec[0]
@@ -49,10 +49,8 @@ def test_assemble_nullspace_ratio_binomial():
 
 
 def test_assemble_nullspace_ratio_central_binomial():
-    from hyperproof.linalg import solve_nullspace
     f = parse_term("binomial(n,k)^2", ("k", "n"))
-    _, matrix = assemble_gz_system(f, 1)
-    basis = solve_nullspace(matrix)
+    basis = solve_nullspace(assemble(f, 1).matrix)
     assert basis
     vec = basis[0]
     ratio = vec[1] / vec[0]
@@ -169,14 +167,12 @@ def test_verify_certificate_rejects_perturbation():
     n = MultiPoly.variable(vars, "n")
     one = MultiPoly.constant(vars, 1)
     bad = RationalFunction(-k, n + one.scale(2) - k)  # -k/(n+2-k)
-    from hyperproof.gosper import Certificate
     assert not verify_certificate(f, rec, Certificate(bad))
 
 
 def test_verify_certificate_rejects_zero():
     f = parse_term("binomial(n,k)", ("k", "n"))
     rec, _ = creative_telescope(f)
-    from hyperproof.gosper import Certificate
     zero = Certificate(RationalFunction.constant(("k", "n"), 0))
     assert not verify_certificate(f, rec, zero)
 
