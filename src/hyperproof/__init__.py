@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .gosper import gosper_antidifference
 from .gridproof import (
     NormalizedIdentity, ProofReport, initial_conditions_check,
-    leading_coeff_check, normalize_and_delta, prove, vanishing_test,
+    leading_coeff_check, normalize_and_delta, prove,
 )
 from .linalg import (
     PolyMatrix, det_at_point, det_symbolic, permanent_degree_bound,
@@ -35,5 +35,5 @@ __all__ = [
     "gosper_antidifference", "initial_conditions_check", "leading_coeff_check",
     "natural_support", "normalize_and_delta", "parse_sum", "parse_term",
     "permanent_degree_bound", "poly_gcd", "prove", "render",
-    "shift_quotient", "solve_nullspace", "vanishing_test", "verify_certificate",
+    "shift_quotient", "solve_nullspace", "verify_certificate",
 ]

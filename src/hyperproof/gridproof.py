@@ -32,7 +32,7 @@ from .telescope import (
 )
 from .terms import (
     EvalError, LinearForm, TermError, TermExpression, eval_summand, evaluate,
-    natural_support, shift_quotient,
+    integer_form, natural_support, shift_quotient, zero_rules,
 )
 
 
@@ -267,11 +267,22 @@ def _grid_chunk_worker(args):
 
 def _rank_deficiency_test(matrix: PolyMatrix, certainty, seed: int,
                           jobs: int = 1) -> VanishingResult:
-    """Grid test shared by the square and overdetermined cases: passes iff the
-    matrix has rank < cols at every tested point.  For a square matrix that is
-    exactly the vanishing of the determinant; in general it is the vanishing
-    of every maximal square minor, each of which obeys the same per-variable
-    degree bounds (the rectangular assignment maximizes over all of them)."""
+    """Determinant-vanishing test on the degree-bounded integer grid.
+
+    Grid: per variable v, d_v + 1 distinct integers centered at 0 (stepping
+    over degenerate values), d_v the permanent degree bound.  Tests
+    ceil(certainty * total) points, all of them at certainty 1; vanishing on
+    the full grid proves det = 0 identically, since a nonzero polynomial of
+    degree d_v in each v cannot vanish on such a tensor grid.  A nonzero
+    value aborts the scan and is reported as a witness (grid-order-first).
+
+    Square and overdetermined matrices share the test: it passes iff the
+    matrix has rank < cols at every tested point.  For a square matrix that
+    is exactly the vanishing of the determinant; in general it is the
+    vanishing of every maximal square minor, each of which obeys the same
+    per-variable degree bounds (the rectangular assignment maximizes over all
+    of them).
+    """
     matrix = _integer_cleared(matrix)
     values = {}
     for v in matrix.vars:
@@ -335,22 +346,6 @@ def _parallel_scan(matrix, values, indices, jobs):
             if best is None or offset + pos < best[0]:
                 best = (offset + pos, index)
     return best
-
-
-def vanishing_test(matrix: PolyMatrix, certainty, seed: int,
-                   jobs: int = 1) -> VanishingResult:
-    """Determinant-vanishing test on the degree-bounded integer grid.
-
-    Grid: per variable v, d_v + 1 distinct integers centered at 0 (stepping
-    over degenerate values), d_v the permanent degree bound.  Tests
-    ceil(certainty * total) points, all of them at certainty 1; vanishing on
-    the full grid proves det = 0 identically, since a nonzero polynomial of
-    degree d_v in each v cannot vanish on such a tensor grid.  A nonzero
-    value aborts the scan and is reported as a witness (grid-order-first).
-    """
-    if not matrix.is_square():
-        raise ValueError("vanishing test needs a square system matrix")
-    return _rank_deficiency_test(matrix, certainty, seed, jobs=jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +428,7 @@ def _degenerate_on_support(nid, g, point) -> bool:
         # an integer value at some n >= 0 that is negative, or zero too
         # when not strict; a form in n counts only if L mentions a parameter
         S = L.substitute(point)
-        if not _integer_form(S) or any(s != nid.n for s in S.coeffs):
+        if not integer_form(S) or any(s != nid.n for s in S.coeffs):
             return False
         if S.coeffs and not any(s in point for s in L.coeffs):
             return False
@@ -468,20 +463,22 @@ def _degenerate_on_support(nid, g, point) -> bool:
 
 
 def _window(nid: NormalizedIdentity, n_val: int):
-    if nid.lower is not None and nid.upper is not None:
-        lo = nid.lower.eval({nid.n: n_val})
-        hi = nid.upper.eval({nid.n: n_val})
-        if _as_fraction(lo).denominator != 1 or _as_fraction(hi).denominator != 1:
-            raise GridProofError("summation limits are not integers")
-        return int(lo), int(hi)
-    if nid.params:
-        raise GridProofError(
-            "cannot determine a finite support with symbolic parameters; "
-            "declare summation limits")
-    lo, hi = natural_support(nid.fhat, {nid.n: n_val}, k=nid.k)
-    if lo is None or hi is None:
-        raise GridProofError(f"unbounded support at {nid.n} = {n_val}")
-    return lo, hi
+    """Integer summation bounds at n = n_val: the declared limits, with a
+    limit of all taken from that end of the natural support."""
+    ends = [None if L is None else L.eval({nid.n: n_val})
+            for L in (nid.lower, nid.upper)]
+    if None in ends:
+        if nid.params:
+            raise GridProofError(
+                "cannot determine a finite support with symbolic parameters; "
+                "declare summation limits")
+        support = natural_support(nid.fhat, {nid.n: n_val}, k=nid.k)
+        ends = [s if e is None else e for e, s in zip(ends, support)]
+        if None in ends:
+            raise GridProofError(f"unbounded support at {nid.n} = {n_val}")
+    if any(_as_fraction(e).denominator != 1 for e in ends):
+        raise GridProofError("summation limits are not integers")
+    return int(ends[0]), int(ends[1])
 
 
 def _symbolic_sum(nid: NormalizedIdentity, term: TermExpression, n_val: int):
@@ -537,20 +534,26 @@ def _nonpos_on_orthant(L: LinearForm) -> bool:
         all(_as_fraction(c) <= 0 for c in L.coeffs.values())
 
 
-def _integer_form(L: LinearForm) -> bool:
-    return _as_fraction(L.const).denominator == 1 and \
-        all(_as_fraction(c).denominator == 1 for c in L.coeffs.values())
-
-
-def _covers_ray(cond_pairs, k, edge: LinearForm, direction: int) -> bool:
-    """All conditions hold on the integer ray {k = edge + direction*t, t>=0}.
+def _covers_ray(cond_pairs, k, edge: LinearForm | None,
+                direction: int) -> bool:
+    """All conditions hold on the integer ray {k = edge + direction*t, t>=0},
+    or, with edge None, on that ray from some t on for every fixed value of
+    the other symbols.
 
     Each condition (L, op) requires L <= -1 (op '-') or L >= 0 (op '+') on the
     whole ray, given every non-k symbol >= 0."""
     for L, op in cond_pairs:
         alpha = _as_fraction(L.var_coeff(k))
         rest = LinearForm({s: c for s, c in L.coeffs.items() if s != k}, L.const)
-        at_edge = rest + edge.scale(alpha)
+        if edge is None:
+            if alpha != 0:
+                # far enough out, a k-slope pointing the condition's way wins
+                if (alpha * direction < 0) != (op == "-"):
+                    return False
+                continue
+            at_edge = rest
+        else:
+            at_edge = rest + edge.scale(alpha)
         if op == "-":
             # need alpha*direction <= 0 and value at the edge <= -1
             if alpha * direction > 0:
@@ -568,63 +571,19 @@ def _covers_ray(cond_pairs, k, edge: LinearForm, direction: int) -> bool:
 
 def _termination_guard(nid: NormalizedIdentity):
     """None if zero-forcing factors of the summand cover everything outside
-    the declared window; otherwise a reason string.  Without this coverage the
+    the declared window, or beyond a limit of all, everything far enough out
+    on that side; otherwise a reason string.  Without this coverage the
     telescoping argument does not apply to the windowed sum."""
-    f = nid.fhat
-    k = nid.k
-    if nid.lower is None or nid.upper is None:
-        # no declared window: the sum runs over the natural support, which
-        # must at least be bounded on both sides by some forcing rule
-        lo_edge = hi_edge = None
-    else:
-        lo_edge = nid.lower.add_const(-1)   # zero needed for k <= lower - 1
-        hi_edge = nid.upper.add_const(1)    # zero needed for k >= upper + 1
-
-    def covered(direction, edge) -> bool:
-        for u, l, e in f.binomials:
-            if e <= 0:
-                continue
-            if _integer_form(l):
-                if edge is None:
-                    if _as_fraction(l.var_coeff(k)) * direction < 0:
-                        return True
-                elif _covers_ray([(l, "-")], k, edge, direction):
-                    return True
-            if _integer_form(u):
-                conds = [(u, "+"), (u - l, "-")]
-                if edge is None:
-                    au = _as_fraction(u.var_coeff(k))
-                    ad = _as_fraction((u - l).var_coeff(k))
-                    if au * direction >= 0 and ad * direction < 0:
-                        return True
-                elif _covers_ray(conds, k, edge, direction):
-                    return True
-        for b, c, e in f.risings:
-            if e <= 0 or not _integer_form(b):
-                continue
-            conds = [(b.add_const(-1), "-"), ((b + c).add_const(-1), "+")]
-            if edge is None:
-                ab = _as_fraction(b.var_coeff(k))
-                ac = _as_fraction((b + c).var_coeff(k))
-                if ab * direction <= 0 and ac * direction >= 0 and \
-                        not (ab == 0 and ac == 0):
-                    return True
-            elif _covers_ray(conds, k, edge, direction):
-                return True
-        for a_, e in f.factorials:
-            if e >= 0 or not _integer_form(a_):
-                continue
-            if edge is None:
-                if _as_fraction(a_.var_coeff(k)) * direction < 0:
-                    return True
-            elif _covers_ray([(a_, "-")], k, edge, direction):
-                return True
-        return False
-
-    if not covered(-1, lo_edge):
+    # zero needed for k <= lower - 1 and k >= upper + 1; a limit of all
+    # leaves that side to the natural support, which must then be bounded
+    # there for every n >= 0 and parameter >= 0
+    lo_edge = None if nid.lower is None else nid.lower.add_const(-1)
+    hi_edge = None if nid.upper is None else nid.upper.add_const(1)
+    rules = list(zero_rules(nid.fhat))
+    if not any(_covers_ray(conds, nid.k, lo_edge, -1) for conds in rules):
         return ("summand is not forced to vanish below the lower limit; "
                 "the telescoping argument does not apply to this window")
-    if not covered(+1, hi_edge):
+    if not any(_covers_ray(conds, nid.k, hi_edge, +1) for conds in rules):
         return ("summand is not forced to vanish above the upper limit; "
                 "the telescoping argument does not apply to this window")
     return None
@@ -718,7 +677,8 @@ def prove(summand: TermExpression, rhs_terms, k, n, lower, upper, params,
     the symbolic solve by the grid vanishing test, then close with the
     leading-coefficient specialization and exact initial conditions.
     certainty 1 makes the grid stage exhaustive (rigorous); smaller values
-    test that sampled fraction (semi-rigorous).
+    test that sampled fraction (semi-rigorous).  A term the routes cannot
+    shift or evaluate (TermError) makes the verdict inconclusive.
     """
     certainty = _as_fraction(certainty)
     if not (0 < certainty <= 1):
@@ -726,9 +686,7 @@ def prove(summand: TermExpression, rhs_terms, k, n, lower, upper, params,
     try:
         return _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
                             certainty, seed, max_order, jobs, fast_path)
-    except NotNormalizable:
-        raise
-    except GridProofError as exc:
+    except (GridProofError, TermError) as exc:
         return ProofReport(verdict="inconclusive", certainty=certainty,
                            seed=seed, message=str(exc))
 

@@ -15,8 +15,8 @@ from math import factorial, gcd, lcm
 from typing import NamedTuple
 
 from .polys import (
-    MultiPoly, RationalFunction, _as_fraction, common_denominator, poly_gcd,
-    poly_lcm,
+    MultiPoly, RationalFunction, _as_fraction, clear_denominators,
+    common_denominator, poly_gcd,
 )
 
 
@@ -255,13 +255,7 @@ def clear_and_primitive(polys):
 
 def _normalize_vector(vec):
     """Clear denominators, strip content, make the first nonzero entry positive."""
-    vars = vec[0].vars
-    den = MultiPoly.constant(vars, 1)
-    for v in vec:
-        if not v.is_zero():
-            den = poly_lcm(den, v.den)
-    polys = [v.num * den.divexact(v.den) if not v.is_zero() else MultiPoly.zero(vars)
-             for v in vec]
+    _, polys = clear_denominators(vec[0].vars, vec)
     polys = clear_and_primitive(polys)
     return [RationalFunction.from_poly(p) for p in polys]
 

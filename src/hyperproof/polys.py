@@ -46,6 +46,17 @@ def common_denominator(polys) -> int:
     return den
 
 
+def clear_denominators(vars, rfs):
+    """(den, nums): den the monic lcm of the denominators of the rational
+    functions rfs over vars, and nums the polynomials den * r."""
+    den = MultiPoly.constant(vars, 1)
+    for r in rfs:
+        if not r.is_zero():
+            den = poly_lcm(den, r.den)
+    return den, [r.num * den.divexact(r.den) if not r.is_zero()
+                 else MultiPoly.zero(vars) for r in rfs]
+
+
 def _cleared(p):
     """(den, [(exp, int)]): the common denominator of p and den * p's terms."""
     den = common_denominator((p,))

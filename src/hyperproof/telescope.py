@@ -18,7 +18,8 @@ from .factored import (
 )
 from .linalg import PolyMatrix, clear_and_primitive, solve_nullspace
 from .polys import (
-    MultiPoly, RationalFunction, _as_fraction, common_denominator, poly_lcm,
+    MultiPoly, RationalFunction, _as_fraction, clear_denominators,
+    common_denominator,
 )
 from .terms import TermExpression, TermError
 
@@ -247,24 +248,12 @@ def creative_telescope(f: TermExpression, max_order: int = 6, k=None, n=None):
                      for orig, new in zip(a_polys, normed) if not orig.is_zero())
         rec = Recurrence(top, tuple(normed))
         b_scaled = [RationalFunction.from_poly(p) / scale for p in b_polys]
-        cert = _certificate_from_rationals(sys, b_scaled)
+        den, b_nums = clear_denominators(sys.matrix_vars, b_scaled)
+        cert = certificate_from_solution(sys, b_nums, extra_den=den)
         if not verify_certificate(f, rec, cert, k=k, n=n):
             raise RuntimeError("telescoper failed exact re-verification")
         return rec, cert
     return None
-
-
-def _certificate_from_rationals(sys: AssembledSystem, b_coeffs):
-    vars = sys.vars
-    mv = sys.matrix_vars
-    den = MultiPoly.constant(mv, 1)
-    for c in b_coeffs:
-        if not c.is_zero():
-            den = poly_lcm(den, c.den)
-    nums = [c.num * den.divexact(c.den) if not c.is_zero() else MultiPoly.zero(mv)
-            for c in b_coeffs]
-    return certificate_from_solution(
-        sys, nums, extra_den=den)
 
 
 def verify_certificate(f: TermExpression, rec: Recurrence, cert: Certificate,

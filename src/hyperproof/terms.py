@@ -1,5 +1,6 @@
 """Proper hypergeometric terms: symbolic model, text parser, shift quotients,
-exact evaluation (numeric and in the parameter field), and natural support.
+exact evaluation (numeric and in the parameter field), and the zero-forcing
+rules with the natural support they give.
 
 A term is a product of factorials, binomials, rising factorials, constant-base
 powers, and one rational-function factor, each argument affine in the declared
@@ -502,19 +503,58 @@ def eval_summand(f: TermExpression, point: dict) -> RationalFunction:
 
 
 # ---------------------------------------------------------------------------
-# natural support
+# zero-forcing rules and natural support
 
 
-UNBOUNDED = None
+def integer_form(L: LinearForm) -> bool:
+    """Integer constant and coefficients, so L is an integer at every integer
+    point."""
+    return _as_fraction(L.const).denominator == 1 and \
+        all(_as_fraction(c).denominator == 1 for c in L.coeffs.values())
+
+
+def zero_rules(f: TermExpression, point=None):
+    """Yield the rules that force f to zero, one condition list per rule,
+    with point substituted.
+
+    f vanishes wherever every condition (L, op) of one list holds, where
+    op '-' means L <= -1 and op '+' means L >= 0.  The rules: binomial(u, l)
+    with integer l vanishes for l < 0 and, when u is an integer too, for
+    0 <= u < l; rf(b, c) with integer b vanishes for b <= 0 <= b + c - 1; and
+    1/a! with integer a vanishes for a < 0.  These are the zeros evaluate's
+    zero conventions and the integer product formulas produce.
+    """
+    point = point or {}
+    for u, l, e in f.binomials:
+        if e <= 0:
+            continue
+        uv = u.substitute(point)
+        lv = l.substitute(point)
+        if integer_form(lv):
+            yield [(lv, "-")]
+            if integer_form(uv):
+                yield [(uv, "+"), (uv - lv, "-")]
+    for b, c, e in f.risings:
+        if e <= 0:
+            continue
+        bv = b.substitute(point)
+        if integer_form(bv):
+            yield [(bv.add_const(-1), "-"),
+                   ((bv + c.substitute(point)).add_const(-1), "+")]
+    for a, e in f.factorials:
+        if e >= 0:
+            continue
+        av = a.substitute(point)
+        if integer_form(av):
+            yield [(av, "-")]
 
 
 def natural_support(f: TermExpression, point: dict, k="k"):
     """Smallest integer interval outside which f vanishes, or unbounded ends.
 
-    Returns (lo, hi) where either end may be None (unbounded).  Zeros are the
-    ones forced by binomial(., negative) = 0, binomial(m, j) = 0 for j > m with
-    integer m >= 0, terminating rising factorials, and reciprocal factorials of
-    negative integers.  An identically zero term reports (0, -1).
+    Returns (lo, hi) where either end may be None (unbounded).  The zeros are
+    those of zero_rules; a rule whose zero region is a bounded interval does
+    not shrink the support.  An identically zero term reports (0, -1).
     """
     if f.is_zero():
         return (0, -1)
@@ -522,95 +562,30 @@ def natural_support(f: TermExpression, point: dict, k="k"):
     if unassigned:
         raise EvalError(f"natural support needs every symbol but {k} "
                         f"assigned; missing {unassigned}")
-    los = []
-    his = []
-
-    def integer_valued(L: LinearForm):
-        # value is an integer for every integer k
-        a = L.var_coeff(k)
-        return (isinstance(a, int) or a.denominator == 1) and \
-            (isinstance(L.const, int) or _as_fraction(L.const).denominator == 1)
-
-    def halfline(conds):
-        """Intersect affine integer conditions; each cond is (L, op) meaning
-        L(k) <= -1 for op '-' or L(k) >= 0 for op '+'.  Returns (lo, hi) of the
-        zero region over the integers, or None if empty/not a half-line."""
-        lo, hi = None, None  # None = infinite
+    lo, hi = -math.inf, math.inf
+    for conds in zero_rules(f, point):
+        # the rule's zero region: integers k with a*k + b >= 0 for every
+        # condition, each rewritten in that form
+        z_lo, z_hi = -math.inf, math.inf
         for L, op in conds:
             a = _as_fraction(L.var_coeff(k))
             b = _as_fraction(L.const)
             if op == "-":
-                # a*k + b <= -1
-                if a == 0:
-                    if not b <= -1:
-                        return "empty"
-                elif a > 0:
-                    bound = math.floor((-1 - b) / a)
-                    hi = bound if hi is None else min(hi, bound)
-                else:
-                    bound = math.ceil((-1 - b) / a)
-                    lo = bound if lo is None else max(lo, bound)
-            else:
-                # a*k + b >= 0
-                if a == 0:
-                    if not b >= 0:
-                        return "empty"
-                elif a > 0:
-                    bound = math.ceil(-b / a)
-                    lo = bound if lo is None else max(lo, bound)
-                else:
-                    bound = math.floor(-b / a)
-                    hi = bound if hi is None else min(hi, bound)
-        if lo is not None and hi is not None and lo > hi:
-            return "empty"
-        return (lo, hi)
-
-    def add_zero_region(conds):
-        region = halfline(conds)
-        if region == "empty":
-            return
-        lo, hi = region
-        if lo is None and hi is None:
-            # zero everywhere: empty support
-            los.append(("all", None))
-        elif lo is None:
-            # zero for k <= hi: support starts at hi+1
-            los.append(("cut", hi + 1))
-        elif hi is None:
-            his.append(("cut", lo - 1))
-        # a bounded interior zero region does not shrink the support interval
-
-    for u, l, e in f.binomials:
-        if e <= 0:
-            continue
-        uv = u.substitute(point)
-        lv = l.substitute(point)
-        if integer_valued(lv):
-            add_zero_region([(lv, "-")])                    # lower index negative
-            if integer_valued(uv):
-                add_zero_region([(uv, "+"), (uv - lv, "-")])  # 0 <= upper < lower
-    for b, c, e in f.risings:
-        if e <= 0:
-            continue
-        bv = b.substitute(point)
-        cv = c.substitute(point)
-        if integer_valued(bv):
-            # zero iff base <= 0 and base+count-1 >= 0
-            add_zero_region([(bv.add_const(-1), "-"),
-                             ((bv + cv).add_const(-1), "+")])
-    for a, e in f.factorials:
-        if e >= 0:
-            continue
-        av = a.substitute(point)
-        if integer_valued(av):
-            add_zero_region([(av, "-")])                    # 1/(negative)! = 0
-    if any(tag == "all" for tag, _ in los):
+                a, b = -a, -b - 1
+            if a > 0:
+                z_lo = max(z_lo, math.ceil(-b / a))
+            elif a < 0:
+                z_hi = min(z_hi, math.floor(-b / a))
+            elif b < 0:
+                break  # a condition free of k that fails: no zero region
+        else:
+            if z_lo == -math.inf:
+                lo = max(lo, z_hi + 1)
+            if z_hi == math.inf:
+                hi = min(hi, z_lo - 1)
+    if lo > hi:
         return (0, -1)
-    lo = max((v for tag, v in los), default=UNBOUNDED)
-    hi = min((v for tag, v in his), default=UNBOUNDED)
-    if lo is not None and hi is not None and lo > hi:
-        return (0, -1)
-    return (lo, hi)
+    return (None if lo == -math.inf else lo, None if hi == math.inf else hi)
 
 
 # ---------------------------------------------------------------------------

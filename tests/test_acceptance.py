@@ -14,9 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from hyperproof.cli import EXIT_OK, EXIT_REFUTED, load_identity, main, run_prove
+from hyperproof.cli import (
+    EXIT_INCONCLUSIVE, EXIT_OK, EXIT_REFUTED, load_identity, main, run_prove,
+)
 from hyperproof.gosper import gosper_antidifference
-from hyperproof.gridproof import normalize_and_delta, vanishing_test
+from hyperproof.gridproof import _rank_deficiency_test, normalize_and_delta
 from hyperproof.linalg import PolyMatrix, det_symbolic, permanent_degree_bound
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.telescope import (
@@ -192,14 +194,14 @@ def test_grid_kernel_soundness():
             m = PolyMatrix(rows + [[rand_poly() for _ in range(3)]])
             if det_symbolic(m).is_zero():
                 continue
-            res = vanishing_test(m, Fraction(1), seed=0)
+            res = _rank_deficiency_test(m, Fraction(1), seed=0)
             assert not res.passed
             nonsingular += 1
         elif singular < 50:
             p, q = rand_poly(), rand_poly()
             third = [p * rows[0][j] + q * rows[1][j] for j in range(3)]
             m = PolyMatrix(rows + [third])
-            res = vanishing_test(m, Fraction(1), seed=0)
+            res = _rank_deficiency_test(m, Fraction(1), seed=0)
             assert res.passed
             singular += 1
     _passline("grid kernel: exhaustive test passes exactly the singular 50")
@@ -217,10 +219,11 @@ def test_refutation_at_n0():
 
 
 @pytest.mark.parametrize("name,n_fail", [("half-row-binomial-2n.txt", 2),
-                                         ("gauss-window-cut.txt", 1)])
+                                         ("gauss-window-cut.txt", 1),
+                                         ("lower-only-window.txt", 0)])
 def test_window_cut_false_identities_refuted(name, n_fail):
-    # the window [0, n] cuts the summand's support, so the termination guard
-    # sends both to the exact small-n comparison, which refutes them
+    # the declared window cuts the summand's support, so the termination
+    # guard sends each to the exact small-n comparison, which refutes it
     path = CORPUS / "extra" / name
     assert main(["prove", str(path)]) == EXIT_REFUTED
     report = run_prove(load_identity(path), Fraction(1), 0, 6, 1)
@@ -238,6 +241,17 @@ def test_termination_guard_inconclusive_on_empty_window(tmp_path):
     report = run_prove(load_identity(path), Fraction(1), 0, 6, 1)
     assert report.verdict == "inconclusive"
     assert "not forced to vanish below the lower limit" in report.message
+
+
+def test_windowless_negative_row_not_proved():
+    # sum over all k of binomial(4-n,k) diverges for n >= 5: no zero-forcing
+    # rule bounds the support above for every n >= 0, so nothing is proved
+    path = CORPUS / "extra" / "negative-upper-row.txt"
+    assert main(["prove", str(path)]) == EXIT_INCONCLUSIVE
+    report = run_prove(load_identity(path), Fraction(1), 0, 6, 1)
+    assert report.verdict == "inconclusive"
+    assert "not forced to vanish above the upper limit" in report.message
+    _passline("windowless negative-row sum not proved")
 
 
 def test_deterministic_reports(tmp_path):

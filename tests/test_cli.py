@@ -143,6 +143,27 @@ def test_cmd_prove_reports_internal_error(tmp_path, monkeypatch, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("summand,rhs,upper,params", [
+    ("binomial(n,k)*binomial(2*n,k/2)", "0", "n", ""),
+    ("binomial(n,k)*binomial(2*n,k/2)*rf(a,k)", "0", "n", "a"),
+    ("binomial(n,k/2)", "2^n", "2*n", ""),
+    ("binomial(n,k+1/2)/k!", "1", "n", ""),
+])
+def test_cmd_prove_non_hypergeometric_inconclusive(tmp_path, summand, rhs,
+                                                   upper, params):
+    # a shift ratio that is not rational, or a sum term that cannot be
+    # evaluated, gives an inconclusive verdict with the error text
+    path = tmp_path / "id.txt"
+    path.write_text(f"name: x\nsummand: {summand}\nrhs: {rhs}\nsum_var: k\n"
+                    f"rec_var: n\nlower: 0\nupper: {upper}\nparams: {params}\n")
+    out_json = tmp_path / "record.jsonl"
+    assert main(["prove", str(path), "--json", str(out_json)]) == \
+        EXIT_INCONCLUSIVE
+    rec = json.loads(out_json.read_text())
+    assert rec["verdict"] == "inconclusive"
+    assert "integer" in rec["message"]
+
+
 def test_cmd_verify_valid_and_invalid():
     path = str(CORPUS / "binomial-2n.txt")
     assert main(["verify", path, "--recurrence=-2,1",

@@ -7,14 +7,15 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hyperproof import gridproof
 from hyperproof.gridproof import (
     NormalizedIdentity, Inconclusive, initial_conditions_check,
-    leading_coeff_check, normalize_and_delta, prove, vanishing_test,
+    leading_coeff_check, normalize_and_delta, prove,
     _degenerate_on_support, _GridEvaluator, _grid_point, _grid_values,
     _integer_cleared, _leading_root_bound, _rank_deficiency_test,
+    _termination_guard,
 )
 from hyperproof.cli import load_identity
 from hyperproof.linalg import (
@@ -22,7 +23,10 @@ from hyperproof.linalg import (
 )
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.telescope import Recurrence, assemble
-from hyperproof.terms import LinearForm, eval_summand, parse_sum, parse_term
+from hyperproof.terms import (
+    EvalError, LinearForm, TermExpression, eval_summand, natural_support,
+    parse_sum, parse_term,
+)
 
 
 def lf(text, syms):
@@ -95,7 +99,7 @@ def test_vanishing_test_rank_one_passes():
     n = MultiPoly.variable(vars, "n")
     a = MultiPoly.variable(vars, "a")
     m = PolyMatrix([[n, a], [n * n, n * a]])
-    res = vanishing_test(m, Fraction(1), seed=0)
+    res = _rank_deficiency_test(m, Fraction(1), seed=0)
     assert res.passed and res.witness is None
     assert res.grid_tested == res.grid_total
 
@@ -106,7 +110,7 @@ def test_vanishing_test_nonsingular_witness():
     one = MultiPoly.constant(vars, 1)
     zero = MultiPoly.zero(vars)
     m = PolyMatrix([[n, zero], [zero, one]])
-    res = vanishing_test(m, Fraction(1), seed=0)
+    res = _rank_deficiency_test(m, Fraction(1), seed=0)
     assert not res.passed
     assert res.witness is not None and res.witness["n"] != 0
 
@@ -117,12 +121,12 @@ def test_vanishing_test_fraction_of_grid():
     vars = ("n",)
     n = MultiPoly.variable(vars, "n")
     m = PolyMatrix([[n ** 4, n ** 4], [n ** 5, n ** 5]])
-    res = vanishing_test(m, Fraction(1, 2), seed=3)
+    res = _rank_deficiency_test(m, Fraction(1, 2), seed=3)
     assert res.passed
     assert res.grid_total == 10 and res.grid_tested == 5
     # a witness aborts the scan early instead
     m2 = PolyMatrix([[n ** 9]])
-    res2 = vanishing_test(m2, Fraction(1, 2), seed=3)
+    res2 = _rank_deficiency_test(m2, Fraction(1, 2), seed=3)
     assert not res2.passed and res2.witness is not None
 
 
@@ -131,14 +135,14 @@ def test_vanishing_test_non_square_errors():
     n = MultiPoly.variable(vars, "n")
     m = PolyMatrix([[n, n]])
     with pytest.raises(ValueError):
-        vanishing_test(m, Fraction(1), 0)
+        _rank_deficiency_test(m, Fraction(1), 0)
 
 
 def test_vanishing_test_avoid_values():
     vars = ("n",)
     n = MultiPoly.variable(vars, "n")
     m = PolyMatrix([[n ** 2]], avoid={"n": {0}})
-    res = vanishing_test(m, Fraction(1), seed=0)
+    res = _rank_deficiency_test(m, Fraction(1), seed=0)
     # grid would be {-1,0,1}; 0 is stepped over, so no point vanishes
     assert not res.passed
 
@@ -162,7 +166,7 @@ def test_grid_kernel_soundness():
             m = PolyMatrix(rows + [third])
             if det_symbolic(m).is_zero():
                 continue
-            res = vanishing_test(m, Fraction(1), seed=singular + nonsingular)
+            res = _rank_deficiency_test(m, Fraction(1), seed=singular + nonsingular)
             assert not res.passed and res.witness is not None
             nonsingular += 1
         elif singular < 50:
@@ -170,7 +174,7 @@ def test_grid_kernel_soundness():
             q = _random_poly(rng, vars)
             third = [p * rows[0][j] + q * rows[1][j] for j in range(3)]
             m = PolyMatrix(rows + [third])
-            res = vanishing_test(m, Fraction(1), seed=singular + nonsingular)
+            res = _rank_deficiency_test(m, Fraction(1), seed=singular + nonsingular)
             assert res.passed, str(m.entries)
             singular += 1
 
@@ -444,3 +448,69 @@ def test_prove_determinism():
     reps = [prove(F, rhs, "k", "n", lf("0", CHU[2]), lf("n", CHU[2]), ("a",),
                   certainty=Fraction(1, 2), seed=11) for _ in range(2)]
     assert reps[0] == reps[1]
+
+
+def _guard_nid(F, lower, upper):
+    # the guard reads only the summand, k and the window
+    return NormalizedIdentity(F, F, (), "k", "n", lower, upper, True,
+                              RationalFunction.constant(F.symbols, 1))
+
+
+def test_termination_guard_needs_integer_lower_index():
+    # binomial(n, k+1/2) is never zero, so it bounds no window
+    syms = ("k", "n")
+    F = parse_term("binomial(n,k+1/2)/k!", syms)
+    reason = _termination_guard(_guard_nid(F, lf("0", syms), lf("n", syms)))
+    assert reason is not None and "above the upper limit" in reason
+
+
+_AFFINE = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-3, 3))
+_FACTOR = st.one_of(st.tuples(st.just("binomial"), _AFFINE, _AFFINE),
+                    st.tuples(st.just("rf"), _AFFINE, _AFFINE),
+                    st.tuples(st.just("1/factorial"), _AFFINE))
+_LIMIT = st.one_of(st.none(), st.tuples(st.integers(-1, 2), st.integers(-2, 2)))
+
+
+def _affine(a, b, c):
+    return LinearForm({"k": a, "n": b}, c)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_FACTOR, min_size=1, max_size=3), st.tuples(_LIMIT, _LIMIT))
+@example([("binomial", (0, -1, 4), (1, 0, 0))], (None, None))
+@example([("binomial", (0, 1, 0), (1, 0, 2))], ((0, 0), None))
+def test_termination_guard_sound(factors, window):
+    # whenever the guard accepts, the summand vanishes beyond each declared
+    # limit, and the natural support is bounded at each limit of all
+    binomials, risings, factorials = [], [], []
+    for kind, *args in factors:
+        forms = [_affine(*a) for a in args]
+        if kind == "binomial":
+            binomials.append((*forms, 1))
+        elif kind == "rf":
+            risings.append((*forms, 1))
+        else:
+            factorials.append((forms[0], -1))
+    F = TermExpression(("k", "n"), tuple(factorials), tuple(binomials),
+                       tuple(risings))
+    lower, upper = (None if w is None else LinearForm({"n": w[0]}, w[1])
+                    for w in window)
+    if _termination_guard(_guard_nid(F, lower, upper)) is not None:
+        return
+    for nv in range(7):
+        lo, hi = natural_support(F, {"n": nv})
+        assert lower is not None or lo is not None, nv
+        assert upper is not None or hi is not None, nv
+        outside = []
+        if lower is not None:
+            edge = lower.eval({"n": nv})
+            outside += range(edge - 6, edge)
+        if upper is not None:
+            edge = upper.eval({"n": nv})
+            outside += range(edge + 1, edge + 7)
+        for kv in outside:
+            try:
+                value = eval_summand(F, {"k": kv, "n": nv})
+            except EvalError:
+                continue
+            assert value.is_zero(), (nv, kv)

@@ -8,7 +8,7 @@ import pytest
 
 from hyperproof.cli import load_identity, run_prove
 from hyperproof.gridproof import (
-    _rank_deficiency_test, normalize_and_delta, prove, vanishing_test,
+    _rank_deficiency_test, normalize_and_delta, prove,
 )
 from hyperproof.linalg import PolyMatrix, permanent_degree_bound, solve_nullspace
 from hyperproof.polys import MultiPoly
@@ -66,11 +66,11 @@ def test_vanishing_monotone_in_certainty():
     n = MultiPoly.variable(vars, "n")
     a = MultiPoly.variable(vars, "a")
     m = PolyMatrix([[n * a, a], [n * a * n, n * a]])  # singular
-    full = vanishing_test(m, Fraction(1), seed=0)
+    full = _rank_deficiency_test(m, Fraction(1), seed=0)
     assert full.passed
     for certainty in (Fraction(1, 2), Fraction(1, 10)):
         for seed in (0, 1, 99):
-            res = vanishing_test(m, certainty, seed)
+            res = _rank_deficiency_test(m, certainty, seed)
             assert res.passed
             assert res.grid_total == full.grid_total
 
