@@ -62,9 +62,6 @@ class Factored:
                         {k: [f, e] for k, (f, e) in self.aff.items()},
                         {k: [p, e] for k, (p, e) in self.opq.items()})
 
-    def is_one(self):
-        return self.const == 1 and not self.aff and not self.opq
-
     def is_zero(self):
         return self.const == 0
 

@@ -10,10 +10,10 @@ leading-coefficient specialization check and exact initial conditions close
 the induction.
 
 Grid points are visited in sorted index order, the first of matrix.vars the
-most significant digit.  Each point substitutes one variable per level by
-Horner's rule over flat, ragged coefficient arrays (see _GridEvaluator),
-reusing the levels of the digit prefix it shares with the previous point, and
-ends in one call of the integer rank kernel _int_rank.
+most significant digit.  linalg._GridEvaluator substitutes one variable per
+level by Horner's rule, reusing the levels of the digit prefix a point shares
+with the previous one; _first_full_rank, serial or in the pool workers, ends
+each point in one call of the integer rank kernel _int_rank, made here.
 """
 
 from __future__ import annotations
@@ -25,8 +25,11 @@ from math import ceil
 
 from .factored import integer_roots_univar
 from .gosper import gosper_antidifference
-from .linalg import PolyMatrix, _int_rank, permanent_degree_bound
-from .polys import MultiPoly, RationalFunction, _as_fraction, common_denominator
+from .linalg import (
+    PolyMatrix, _GridEvaluator, _grid_digits, _int_rank, _integer_cleared,
+    permanent_degree_bound,
+)
+from .polys import MultiPoly, RationalFunction, _as_fraction
 from .telescope import (
     Certificate, Recurrence, assemble, creative_telescope, verify_certificate,
 )
@@ -147,16 +150,6 @@ def _grid_values(degree: int, avoid) -> list:
     return sorted(out)
 
 
-def _grid_digits(index: int, sizes) -> list:
-    """Mixed-radix digits of a grid index, most significant (vars[0]) first."""
-    digits = []
-    for size in reversed(sizes):
-        index, d = divmod(index, size)
-        digits.append(d)
-    digits.reverse()
-    return digits
-
-
 def _grid_point(vars, values: dict, index: int) -> dict:
     """The grid point with the given index, as {var: value} in vars order."""
     axes = [values[v] for v in vars]
@@ -164,103 +157,12 @@ def _grid_point(vars, values: dict, index: int) -> dict:
     return {v: axis[d] for v, axis, d in zip(vars, axes, digits)}
 
 
-class _GridEvaluator:
-    """Rank test of an integer polynomial matrix on sorted grid indices.
-
-    Ragged Horner layout.  Before level L, the values are one list over
-    "slots" (entry position, exponents of vars[L:]), followed by a 0 that
-    absent terms index as -1.  Level L substitutes vars[L]: its output slots
-    are (position, exponents of vars[L+1:]), sorted by their degree in
-    vars[L], highest first, so the coefficient block of each exponent is a
-    prefix of them.  A block is a gather list into the level's input and
-    Horner runs down the blocks.  The last level's output is gathered into
-    the rows x cols matrix.  Consecutive sorted indices reuse the levels of
-    their common digit prefix.
-    """
-
-    def __init__(self, matrix: PolyMatrix, values: dict):
-        self.values = [values[v] for v in matrix.vars]
-        self.sizes = [len(axis) for axis in self.values]
-        self.cols = matrix.cols
-        coefs = []
-        slots = []
-        for i, row in enumerate(matrix.entries):
-            for j, entry in enumerate(row):
-                for exp, c in entry.terms.items():
-                    assert not isinstance(c, Fraction), \
-                        "grid entries must be integer-cleared"
-                    coefs.append(c)
-                    slots.append((i * self.cols + j,) + exp)
-        self.coefs = coefs + [0]
-        # per level, highest exponent first: (block, its part beyond the
-        # previous block)
-        self.levels = []
-        for _ in matrix.vars:
-            where = {s: k for k, s in enumerate(slots)}
-            degree = {}
-            for s in slots:
-                out = (s[0],) + s[2:]
-                degree[out] = max(degree.get(out, 0), s[1])
-            slots = sorted(degree, key=degree.get, reverse=True)
-            blocks = []
-            for e in range(max(degree.values(), default=0), -1, -1):
-                width = sum(1 for s in slots if degree[s] >= e)
-                blocks.append([where.get((s[0], e) + s[1:], -1)
-                               for s in slots[:width]])
-            self.levels.append([(blk, blk[len(prev):])
-                                for prev, blk in zip([[]] + blocks, blocks)])
-        where = {s[0]: k for k, s in enumerate(slots)}
-        self.scatter = [[where.get(i * self.cols + j, -1)
-                         for j in range(self.cols)]
-                        for i in range(matrix.rows)]
-
-    def full_rank_indices(self, indices):
-        """Yield (position, index, full_rank) over the sorted index list."""
-        depth = len(self.levels)
-        prev_digits = None
-        stack = [self.coefs]  # stack[L] = values after substituting L vars
-        for pos, index in enumerate(indices):
-            digits = _grid_digits(index, self.sizes)
-            common = 0
-            if prev_digits is not None:
-                while common < depth and digits[common] == prev_digits[common]:
-                    common += 1
-            del stack[common + 1:]
-            for level in range(common, depth):
-                v = self.values[level][digits[level]]
-                src = stack[level]
-                acc = []
-                for blk, tail in self.levels[level]:
-                    acc = [a * v + src[k] for a, k in zip(acc, blk)]
-                    acc += [src[k] for k in tail]
-                acc.append(0)
-                stack.append(acc)
-            prev_digits = digits
-            out = stack[-1]
-            numeric = [[out[k] for k in row] for row in self.scatter]
-            yield pos, index, _int_rank(numeric) == self.cols
-
-
-def _integer_cleared(matrix: PolyMatrix) -> PolyMatrix:
-    """Row-scale away rational coefficient denominators (positive constants,
-    so rank and determinant vanishing are unchanged)."""
-    dens = [common_denominator(row) for row in matrix.entries]
-    if all(d == 1 for d in dens):
-        return matrix
-    return PolyMatrix([[p.scale(d) for p in row] if d != 1 else list(row)
-                       for d, row in zip(dens, matrix.entries)], avoid=matrix.avoid)
-
-
-def _grid_chunk_worker(args):
-    """Evaluate one contiguous chunk of sorted grid indices in a subprocess;
-    returns (local position of the first full-rank point, its index) or None."""
-    vars, entry_terms, values, indices, cols = args
-    entries = [[MultiPoly(tuple(vars), dict(t)) for t in row]
-               for row in entry_terms]
-    matrix = PolyMatrix(entries)
-    ev = _GridEvaluator(matrix, values)
-    for pos, index, full_rank in ev.full_rank_indices(indices):
-        if full_rank:
+def _first_full_rank(matrix: PolyMatrix, values: dict, indices):
+    """(position, index) of the first point of the sorted index list where
+    the integer-cleared matrix has full column rank, or None.  Serial scans
+    and the pool workers of _parallel_scan both run it."""
+    for pos, index, a in _GridEvaluator(matrix, values).matrices(indices):
+        if _int_rank(a) == matrix.cols:
             return pos, index
     return None
 
@@ -305,12 +207,7 @@ def _rank_deficiency_test(matrix: PolyMatrix, certainty, seed: int,
     if jobs > 1 and count > 256:
         hit = _parallel_scan(matrix, values, indices, jobs)
     else:
-        ev = _GridEvaluator(matrix, values)
-        hit = None
-        for pos, index, full_rank in ev.full_rank_indices(indices):
-            if full_rank:
-                hit = (pos, index)
-                break
+        hit = _first_full_rank(matrix, values, indices)
     if hit is not None:
         pos, index = hit
         return VanishingResult(False, total, pos + 1,
@@ -319,33 +216,24 @@ def _rank_deficiency_test(matrix: PolyMatrix, certainty, seed: int,
 
 
 def _parallel_scan(matrix, values, indices, jobs):
-    """Chunked multi-process scan; the reported hit is the grid-order-first
-    full-rank point regardless of completion order."""
+    """Multi-process scan over contiguous chunks of equal length; the
+    reported hit is the grid-order-first full-rank point regardless of
+    completion order."""
     from concurrent.futures import ProcessPoolExecutor
-    entry_terms = [[e.terms for e in row] for row in matrix.entries]
     n = len(indices)
     jobs = min(jobs, n)
     bounds = [(i * n) // jobs for i in range(jobs + 1)]
-    chunks = []
-    for i in range(jobs):
-        chunk = indices[bounds[i]:bounds[i + 1]]
-        if chunk:
-            chunks.append((bounds[i],
-                           (list(matrix.vars), entry_terms, values, chunk,
-                            matrix.cols)))
+    chunks = [indices[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    args = ([matrix] * jobs, [values] * jobs, chunks)
     try:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_grid_chunk_worker,
-                                    [args for _, args in chunks]))
+            results = list(pool.map(_first_full_rank, *args))
     except (OSError, ImportError):
-        results = [_grid_chunk_worker(args) for _, args in chunks]
-    best = None
-    for (offset, _), res in zip(chunks, results):
+        results = list(map(_first_full_rank, *args))
+    for offset, res in zip(bounds, results):
         if res is not None:
-            pos, index = res
-            if best is None or offset + pos < best[0]:
-                best = (offset + pos, index)
-    return best
+            return offset + res[0], res[1]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +486,26 @@ _PROBE_MAX_PARAMS = 4  # more parameters go straight to the symbolic attempt
 _SMALL_CASES_UPTO = 4  # largest n the finite check compares
 
 
+def _gosper_columns_independent(sys) -> bool:
+    """The b columns of the system, the Gosper operator
+    b -> q(k) b(k+1) - r(k-1) b(k), have full column rank at one of three
+    integer points off matrix.avoid.  Full rank at one point proves them
+    independent, so every kernel vector has some a_j != 0 and a vanishing
+    determinant does give a telescoper.  False only means no probe showed it.
+    """
+    m = sys.matrix
+    block = PolyMatrix([row[sys.ansatz.order + 1:] for row in m.entries])
+    width = len(m.vars)
+    values = {}
+    for i, v in enumerate(m.vars):
+        usable = [p for p in _PROBE_PRIMES if p not in m.avoid.get(v, ())]
+        values[v] = [usable[(t * width + i) % len(usable)] for t in range(3)]
+    # point t takes the t-th value of every variable
+    diagonal = sorted({t * (3 ** width - 1) // 2 for t in range(3)})
+    return any(_int_rank(a) == block.cols for _, _, a in
+               _GridEvaluator(block, values).matrices(diagonal))
+
+
 def _fast_path_feasible(nid: NormalizedIdentity) -> bool:
     """Gate for the symbolic Gosper attempt: probe an integer specialization
     first.  A failed probe means the symbolic run would fail too (a symbolic
@@ -778,6 +686,14 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
         if not res.passed:
             last_witness = res.witness
             continue
+        if not _gosper_columns_independent(sys):
+            return ProofReport(
+                verdict="inconclusive", certainty=certainty, seed=seed,
+                method="determinant-grid", order=J, degree=sys.ansatz.degree,
+                grid_total=res.grid_total, grid_tested=res.grid_tested,
+                message=(f"order {J}: the Gosper-operator columns were not "
+                         "shown independent, so a vanishing determinant "
+                         "need not give a telescoper"))
         try:
             n0, specialization = leading_coeff_check(nid, J, seed, max_order)
         except Inconclusive as exc:

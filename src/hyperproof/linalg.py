@@ -5,7 +5,9 @@ permanent-based determinant degree bounds.
 Two fraction-free (Bareiss) elimination kernels carry every exact
 elimination in the package: `_int_rank` on integer matrices (grid rank,
 pivot rows, numeric determinants) and `_poly_eliminate` on `MultiPoly`
-matrices (nullspaces, symbolic determinants and resultants).
+matrices (nullspaces, symbolic determinants and resultants).  One evaluator,
+`_GridEvaluator`, computes a polynomial matrix at integer points for the
+determinant grid and for the univariate nullspace shortcut.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from math import factorial, gcd, lcm
 from typing import NamedTuple
 
 from .polys import (
-    MultiPoly, RationalFunction, _as_fraction, clear_denominators,
-    common_denominator, poly_gcd,
+    MultiPoly, RationalFunction, _as_fraction, _poly_list_gcd,
+    clear_denominators, common_denominator,
 )
+from .polys import poly_gcd  # noqa: F401  perfbench/tracer.py wraps it here
 
 
 class PolyMatrix:
@@ -186,6 +189,102 @@ def _permutation_sign(order) -> int:
     return -1 if inversions % 2 else 1
 
 
+def _grid_digits(index: int, sizes) -> list:
+    """Mixed-radix digits of a grid index, most significant (vars[0]) first."""
+    digits = []
+    for size in reversed(sizes):
+        index, d = divmod(index, size)
+        digits.append(d)
+    digits.reverse()
+    return digits
+
+
+class _GridEvaluator:
+    """Integer values of an integer polynomial matrix on sorted grid indices.
+
+    Ragged Horner layout.  Before level L, the values are one list over
+    "slots" (entry position, exponents of vars[L:]), followed by a 0 that
+    absent terms index as -1.  Level L substitutes vars[L]: its output slots
+    are (position, exponents of vars[L+1:]), sorted by their degree in
+    vars[L], highest first, so the coefficient block of each exponent is a
+    prefix of them.  A block is a gather list into the level's input and
+    Horner runs down the blocks.  The last level's output is gathered into
+    the rows x cols matrix.  Consecutive sorted indices reuse the levels of
+    their common digit prefix.
+    """
+
+    def __init__(self, matrix: PolyMatrix, values: dict):
+        self.values = [values[v] for v in matrix.vars]
+        self.sizes = [len(axis) for axis in self.values]
+        self.cols = matrix.cols
+        coefs = []
+        slots = []
+        for i, row in enumerate(matrix.entries):
+            for j, entry in enumerate(row):
+                for exp, c in entry.terms.items():
+                    assert not isinstance(c, Fraction), \
+                        "grid entries must be integer-cleared"
+                    coefs.append(c)
+                    slots.append((i * self.cols + j,) + exp)
+        self.coefs = coefs + [0]
+        # per level, highest exponent first: (block, its part beyond the
+        # previous block)
+        self.levels = []
+        for _ in matrix.vars:
+            where = {s: k for k, s in enumerate(slots)}
+            degree = {}
+            for s in slots:
+                out = (s[0],) + s[2:]
+                degree[out] = max(degree.get(out, 0), s[1])
+            slots = sorted(degree, key=degree.get, reverse=True)
+            blocks = []
+            for e in range(max(degree.values(), default=0), -1, -1):
+                width = sum(1 for s in slots if degree[s] >= e)
+                blocks.append([where.get((s[0], e) + s[1:], -1)
+                               for s in slots[:width]])
+            self.levels.append([(blk, blk[len(prev):])
+                                for prev, blk in zip([[]] + blocks, blocks)])
+        where = {s[0]: k for k, s in enumerate(slots)}
+        self.scatter = [[where.get(i * self.cols + j, -1)
+                         for j in range(self.cols)]
+                        for i in range(matrix.rows)]
+
+    def matrices(self, indices):
+        """Yield (position, index, integer matrix) over the sorted index list."""
+        depth = len(self.levels)
+        prev_digits = None
+        stack = [self.coefs]  # stack[L] = values after substituting L vars
+        for pos, index in enumerate(indices):
+            digits = _grid_digits(index, self.sizes)
+            common = 0
+            if prev_digits is not None:
+                while common < depth and digits[common] == prev_digits[common]:
+                    common += 1
+            del stack[common + 1:]
+            for level in range(common, depth):
+                v = self.values[level][digits[level]]
+                src = stack[level]
+                acc = []
+                for blk, tail in self.levels[level]:
+                    acc = [a * v + src[k] for a, k in zip(acc, blk)]
+                    acc += [src[k] for k in tail]
+                acc.append(0)
+                stack.append(acc)
+            prev_digits = digits
+            out = stack[-1]
+            yield pos, index, [[out[k] for k in row] for row in self.scatter]
+
+
+def _integer_cleared(matrix: PolyMatrix) -> PolyMatrix:
+    """Row-scale away rational coefficient denominators (positive constants,
+    so rank and determinant vanishing are unchanged)."""
+    dens = [common_denominator(row) for row in matrix.entries]
+    if all(d == 1 for d in dens):
+        return matrix
+    return PolyMatrix([[p.scale(d) for p in row] if d != 1 else list(row)
+                       for d, row in zip(dens, matrix.entries)], avoid=matrix.avoid)
+
+
 def _poly_eliminate(rows):
     """Fraction-free forward elimination of a MultiPoly matrix (in place).
 
@@ -230,12 +329,7 @@ def _poly_eliminate(rows):
 def clear_and_primitive(polys):
     """Strip the common polynomial factor and rational content from a list of
     polynomials; make the first nonzero one positively led.  Returns new list."""
-    content = None
-    for p in polys:
-        if not p.is_zero():
-            content = p if content is None else poly_gcd(content, p)
-            if content.is_constant():
-                break
+    content = _poly_list_gcd(polys)
     if content is None:
         return list(polys)
     if not content.is_constant():
@@ -297,38 +391,14 @@ def _nullspace_univar(m: PolyMatrix):
     row subset).  Returns None to fall back to symbolic elimination.
     """
     var = m.vars[0]
-    dense = []
-    for row in m.entries:
-        den = common_denominator(row)
-        drow = []
-        for p in row:
-            coeffs = [0] * (p.degree(var) + 1 if not p.is_zero() else 1)
-            for exp, c in p.terms.items():
-                coeffs[exp[0]] = int(c * den) if den != 1 else c
-            drow.append(coeffs)
-        dense.append(drow)
-
-    def value_matrix(t, rows_idx=None, skip_col=None):
-        rows_idx = range(m.rows) if rows_idx is None else rows_idx
-        out = []
-        for i in rows_idx:
-            r = []
-            for j in range(m.cols):
-                if j == skip_col:
-                    continue
-                total = 0
-                for c in reversed(dense[i][j]):
-                    total = total * t + c
-                r.append(total)
-            out.append(r)
-        return out
-
+    cleared = _integer_cleared(m)
     # probe the rank at a few points clear of small-integer coincidences
     best_rank = -1
     best_pivots = None
-    for t in (101, 137, 211):
+    probes = _GridEvaluator(cleared, {var: [101, 137, 211]})
+    for _, _, a in probes.matrices(range(3)):
         order = list(range(m.rows))
-        rank = _int_rank(value_matrix(t), order)
+        rank = _int_rank(a, order)
         if rank > best_rank:
             best_rank = rank
             best_pivots = sorted(order[:rank])
@@ -336,23 +406,21 @@ def _nullspace_univar(m: PolyMatrix):
             return []
     if best_rank < m.cols - 1:
         return None  # corank >= 2: fall back to the symbolic path
-    rows_sub = best_pivots
-    deg_rows = [[max((d for d, c in enumerate(dense[i][j]) if c), default=-1)
-                 for j in range(m.cols)] for i in rows_sub]
+    sub = PolyMatrix([cleared.entries[i] for i in best_pivots])
+    deg_rows = [[e.degree(var) for e in row] for row in sub.entries]
     bound = 0
     for skip in range(m.cols):
-        sub = [[r[j] for j in range(m.cols) if j != skip] for r in deg_rows]
-        b = _max_assignment(sub)
+        b = _max_assignment([r[:skip] + r[skip + 1:] for r in deg_rows])
         if b is not None:
             bound = max(bound, b)
-    nodes = bound + 1
+    nodes = range(bound + 1)
     comps = [[] for _ in range(m.cols)]
-    for t in range(nodes):
+    for _, _, a in _GridEvaluator(sub, {var: list(nodes)}).matrices(nodes):
         for j in range(m.cols):
-            a = value_matrix(t, rows_sub, skip_col=j)
-            order = list(range(len(a)))
-            full = _int_rank(a, order) == len(a)
-            comps[j].append(_permutation_sign(order) * a[-1][-1] if full else 0)
+            minor = [r[:j] + r[j + 1:] for r in a]
+            order = list(range(len(minor)))
+            full = _int_rank(minor, order) == len(minor)
+            comps[j].append(_permutation_sign(order) * minor[-1][-1] if full else 0)
     vec = []
     vars = m.vars
     for j in range(m.cols):

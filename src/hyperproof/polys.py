@@ -118,9 +118,6 @@ class MultiPoly:
                 terms[exp] = c
         return cls(vars, terms)
 
-    def one_like(self):
-        return MultiPoly.constant(self.vars, 1)
-
     # -- predicates --------------------------------------------------------
 
     def is_zero(self):
@@ -249,15 +246,6 @@ class MultiPoly:
 
     def leading_coeff(self):
         return self.terms[self.leading_exponent()]
-
-    def leading_term_wrt(self, var):
-        """Leading term w.r.t. one variable (ties broken by graded lex)."""
-        if not self.terms:
-            return MultiPoly.zero(self.vars)
-        i = self.vars.index(var)
-        d = max(e[i] for e in self.terms)
-        exp = max((e for e in self.terms if e[i] == d), key=lambda e: (sum(e), e))
-        return MultiPoly(self.vars, {exp: self.terms[exp]})
 
     # -- evaluation and substitution ------------------------------------------
 

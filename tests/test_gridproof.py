@@ -4,7 +4,6 @@ from fractions import Fraction
 from itertools import product
 from math import ceil, prod
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,13 +12,14 @@ from hyperproof import gridproof
 from hyperproof.gridproof import (
     NormalizedIdentity, Inconclusive, initial_conditions_check,
     leading_coeff_check, normalize_and_delta, prove,
-    _degenerate_on_support, _GridEvaluator, _grid_point, _grid_values,
-    _integer_cleared, _leading_root_bound, _rank_deficiency_test,
+    _degenerate_on_support, _gosper_columns_independent, _grid_point,
+    _grid_values, _leading_root_bound, _rank_deficiency_test,
     _termination_guard,
 )
 from hyperproof.cli import load_identity
 from hyperproof.linalg import (
-    PolyMatrix, _int_rank, det_symbolic, permanent_degree_bound,
+    PolyMatrix, _GridEvaluator, _int_rank, _integer_cleared, det_symbolic,
+    permanent_degree_bound,
 )
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.telescope import Recurrence, assemble
@@ -195,16 +195,9 @@ def test_rank_test_rectangular():
 
 def _evaluated(matrix, values, indices):
     """Run the grid evaluator over indices; return the integer matrices it
-    handed to the rank kernel and the full_rank flags it yielded."""
-    seen = []
-
-    def capture(a):
-        seen.append([list(row) for row in a])
-        return _int_rank(a)
-
-    with mock.patch.object(gridproof, "_int_rank", capture):
-        flags = [full for _, _, full in
-                 _GridEvaluator(matrix, values).full_rank_indices(indices)]
+    yielded and whether each has full column rank."""
+    seen = [a for _, _, a in _GridEvaluator(matrix, values).matrices(indices)]
+    flags = [_int_rank([list(row) for row in a]) == matrix.cols for a in seen]
     return seen, flags
 
 
@@ -413,6 +406,28 @@ def test_prove_chu_vandermonde_rigorous():
     assert rep.verdict == "rigorous"
     assert rep.order is not None and rep.order <= 2
     assert all(ok for _, _, ok in rep.initial_checks)
+
+
+def test_gosper_columns_independent():
+    # the order-0 system of f = k has a kernel vector with a_0 = 0
+    # (test_gosper_skips_homogeneous_solutions), so its b columns are dependent
+    f = parse_term("k", ("k",))
+    assert not _gosper_columns_independent(assemble(f, 0, k="k"))
+    nid = mrr_nid()
+    assert _gosper_columns_independent(
+        assemble(nid.delta_term, 2, k=nid.k, n=nid.n))
+
+
+def test_prove_inconclusive_without_independent_gosper_columns(monkeypatch):
+    monkeypatch.setattr(gridproof, "_gosper_columns_independent",
+                        lambda sys: False)
+    F = parse_term(*CHU[:1], CHU[2])
+    rhs = parse_sum(CHU[1], CHU[2])
+    rep = prove(F, rhs, "k", "n", lf("0", CHU[2]), lf("n", CHU[2]), ("a",),
+                fast_path=False)
+    assert (rep.verdict, rep.method, rep.order) == (
+        "inconclusive", "determinant-grid", 1)
+    assert rep.message.startswith("order 1:")
 
 
 def test_prove_binomial_2n():

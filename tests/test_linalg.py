@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperproof import linalg
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.linalg import (
-    PolyMatrix, _int_rank, _interpolate_int, _permutation_sign,
-    _poly_eliminate, det_at_point, det_symbolic, permanent_degree_bound,
-    solve_nullspace,
+    PolyMatrix, _int_rank, _interpolate_int, _nullspace_univar,
+    _permutation_sign, _poly_eliminate, det_at_point, det_symbolic,
+    permanent_degree_bound, solve_nullspace,
 )
 
 
@@ -331,3 +333,47 @@ def test_poly_kernel_det_matches_cofactor_expansion(m):
     det = a[-1][-1].scale(sign) if len(pivots) == m.rows else MultiPoly.zero(m.vars)
     assert det == det_symbolic(m)
     assert [r for r, _ in pivots] == list(range(len(pivots)))
+
+
+@st.composite
+def univariate_systems(draw):
+    """Univariate matrices with 4-5 columns, as solve_nullspace's shortcut
+    takes them: corank 0 (random rows), or corank 1 (one column a polynomial
+    combination of the others, at a random position); some rows are scaled
+    by 1/d so their coefficients are Fractions."""
+    vars = ("x",)
+    x = MultiPoly.variable(vars, "x")
+
+    def poly(degree, bound):
+        coeffs = draw(st.lists(st.integers(-bound, bound),
+                               min_size=degree + 1, max_size=degree + 1))
+        return sum((x ** i * MultiPoly.constant(vars, c)
+                    for i, c in enumerate(coeffs)), MultiPoly.zero(vars))
+
+    cols = draw(st.integers(4, 5))
+    if draw(st.booleans()):
+        rows = [[poly(2, 4) for _ in range(cols)]
+                for _ in range(cols + draw(st.integers(0, 1)))]
+    else:
+        lam = [poly(1, 3) for _ in range(cols - 1)]
+        at = draw(st.integers(0, cols - 1))
+        rows = []
+        for _ in range(cols - 1 + draw(st.integers(0, 2))):
+            row = [poly(2, 4) for _ in range(cols - 1)]
+            dep = sum((c * e for c, e in zip(lam, row)), MultiPoly.zero(vars))
+            rows.append(row[:at] + [dep] + row[at:])
+    dens = st.sampled_from((1, 1, 2, 3, 6))
+    return PolyMatrix([[e.scale(Fraction(1, d)) for e in row]
+                       for row, d in zip(rows, [draw(dens) for _ in rows])])
+
+
+@settings(deadline=None, max_examples=100)
+@given(univariate_systems())
+def test_nullspace_univar_matches_elimination(m):
+    with mock.patch.object(linalg, "_nullspace_univar", lambda m: None):
+        expected = solve_nullspace(m)
+    fast = _nullspace_univar(m)
+    if len(expected) <= 1:
+        assert fast == expected
+    else:
+        assert fast is None

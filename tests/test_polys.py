@@ -173,16 +173,6 @@ def test_subst_linear():
     assert q.eval({"k": 2, "j": 3}) == 30
 
 
-def test_leading_term_wrt():
-    # 4x^3z^5 + 3x^2z^7 + 5xz, leading w.r.t. x is 4x^3z^5
-    vars = ("x", "z")
-    p = MultiPoly.from_terms(vars, [((3, 5), 4), ((2, 7), 3), ((1, 1), 5)])
-    lt = p.leading_term_wrt("x")
-    assert lt == MultiPoly.from_terms(vars, [((3, 5), 4)])
-    ltz = p.leading_term_wrt("z")
-    assert ltz == MultiPoly.from_terms(vars, [((2, 7), 3)])
-
-
 # -- property tests of the integer kernels against the schoolbook versions ---
 
 
