@@ -3,31 +3,40 @@
 Normalizes sum F = RHS to sum Fhat = 1 and differences it (dropping the
 recurrence order by one), then proves existence of a telescoping recurrence
 without solving the symbolic system: the system matrix is square (or handled
-by rank on maximal minors), its determinant is a polynomial with permanent-
-bounded degrees, and vanishing on a full tensor grid of integer points is
-conclusive.  Certainty < 1 tests a sampled fraction of that grid.  The
-leading-coefficient specialization check and exact initial conditions close
-the induction.
+by rank on maximal minors), and its determinant is a polynomial whose
+support lies in a lower (down-closed) set S of exponents.  For every weight
+w in {0,1}^r, w.e is at most the max-weight assignment h(w) on the entry
+weights; the unit weights give the permanent degree bounds, so S lies in
+their box.  A polynomial with support in a lower set that vanishes on the
+matching subgrid of integer points is zero (N. Dyn and M. S. Floater,
+"Multivariate polynomial interpolation on lower sets", J. Approx. Theory
+177, 2014), so vanishing on those |S| points is conclusive.  Certainty < 1
+tests a sampled fraction of them.  The leading-coefficient specialization
+check and exact initial conditions close the induction; parametric verdicts
+hold for generic values of the parameters.
 
-Grid points are visited in sorted index order, the first of matrix.vars the
-most significant digit.  linalg._GridEvaluator substitutes one variable per
-level by Horner's rule, reusing the levels of the digit prefix a point shares
-with the previous one; _first_full_rank, serial or in the pool workers, ends
-each point in one call of the integer rank kernel _int_rank, made here.
+Grid points are visited in sorted box index order, the first of matrix.vars
+the most significant digit.  linalg._GridEvaluator substitutes one variable
+per level by Horner's rule, reusing the levels of the digit prefix a point
+shares with the previous one; _first_full_rank, serial or in the pool
+workers, ends each point in one call of the integer rank kernel _int_rank,
+made here.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, repeat
 from math import ceil
 
 from .factored import integer_roots_univar
 from .gosper import gosper_antidifference
 from .linalg import (
     PolyMatrix, _GridEvaluator, _grid_digits, _int_rank, _integer_cleared,
-    permanent_degree_bound,
+    _max_assignment,
 )
 from .polys import MultiPoly, RationalFunction, _as_fraction
 from .telescope import (
@@ -157,10 +166,66 @@ def _grid_point(vars, values: dict, index: int) -> dict:
     return {v: axis[d] for v, axis, d in zip(vars, axes, digits)}
 
 
+def _support_bounds(matrix: PolyMatrix) -> dict | None:
+    """h(w) for every weight w in {0,1}^r minus 0 over matrix.vars, keyed by
+    the bitmask of w (bit i for vars[i]); None when no assignment exists.
+
+    Each entry weighs max over its support of w.e (-1 for a zero entry), and
+    h(w) is the max-weight assignment on those weights.  Every exponent e of
+    every maximal minor has w.e <= h(w), since its monomials come from
+    assignments; the unit weight of v gives permanent_degree_bound(matrix, v).
+    """
+    r = len(matrix.vars)
+    bounds = {}
+    for mask in range(1, 1 << r):
+        w = tuple(mask >> i & 1 for i in range(r))
+        h = _max_assignment(
+            [[max(map(sum, map(compress, e.terms, repeat(w))), default=-1)
+              for e in row] for row in matrix.entries])
+        if h is None:
+            return None
+        bounds[mask] = h
+    return bounds
+
+
+def _lower_set(sizes, bounds: dict) -> array:
+    """Sorted box indices (mixed radix over sizes, vars[0] most significant)
+    of the lower set {e >= 0 : sum of e_i over w <= h(w) for every (w, h) in
+    bounds}, bounds as from _support_bounds, in an int64 array (a quarter of
+    the memory of a list).  Each digit's range follows from the slack its
+    prefix leaves in every bound; every prefix so reached extends by zeros,
+    so no box point is visited in vain."""
+    out = array("q")
+    if not sizes:
+        out.append(0)
+        return out
+    last = len(sizes) - 1
+    masks = list(bounds)
+
+    def walk(level, index, slack):
+        bit = 1 << level
+        top = min(s for m, s in zip(masks, slack) if m & bit)
+        index *= sizes[level]
+        if level == last:
+            out.extend(range(index, index + top + 1))
+            return
+        for d in range(top + 1):
+            walk(level + 1, index + d,
+                 [s - d if m & bit else s for m, s in zip(masks, slack)])
+
+    walk(0, 0, list(bounds.values()))
+    return out
+
+
+# Points ranked in process before a parallel scan starts its pool: a witness
+# this early (mrr's order 1 has it at position 1) needs no workers.
+_SERIAL_HEAD = 256
+
+
 def _first_full_rank(matrix: PolyMatrix, values: dict, indices):
     """(position, index) of the first point of the sorted index list where
-    the integer-cleared matrix has full column rank, or None.  Serial scans
-    and the pool workers of _parallel_scan both run it."""
+    the integer-cleared matrix has full column rank, or None.  Serial scans,
+    the serial head of _parallel_scan and its pool workers all run it."""
     for pos, index, a in _GridEvaluator(matrix, values).matrices(indices):
         if _int_rank(a) == matrix.cols:
             return pos, index
@@ -169,42 +234,49 @@ def _first_full_rank(matrix: PolyMatrix, values: dict, indices):
 
 def _rank_deficiency_test(matrix: PolyMatrix, certainty, seed: int,
                           jobs: int = 1) -> VanishingResult:
-    """Determinant-vanishing test on the degree-bounded integer grid.
+    """Determinant-vanishing test on the lower-set integer grid.
 
-    Grid: per variable v, d_v + 1 distinct integers centered at 0 (stepping
-    over degenerate values), d_v the permanent degree bound.  Tests
-    ceil(certainty * total) points, all of them at certainty 1; vanishing on
-    the full grid proves det = 0 identically, since a nonzero polynomial of
-    degree d_v in each v cannot vanish on such a tensor grid.  A nonzero
-    value aborts the scan and is reported as a witness (grid-order-first).
+    Support bound: for each weight w in W = {0,1}^r minus 0, every exponent e
+    of every maximal minor satisfies w.e <= h(w) (_support_bounds).  The
+    lattice points obeying all of them form a lower (down-closed) set S
+    inside the box 0 <= e_i <= d_i, d_i the permanent degree bound of the
+    i-th variable x_i.  Grid: per variable, d_i + 1 distinct integers
+    t_{i,0} < t_{i,1} < ... centered at 0 (stepping over degenerate values);
+    the test points are the subgrid {(t_{1,e_1}, ..., t_{r,e_r}) : e in S},
+    visited as sorted box indices.  A polynomial with support in the lower
+    set S that vanishes on that subgrid is zero (N. Dyn and M. S. Floater,
+    "Multivariate polynomial interpolation on lower sets", J. Approx. Theory
+    177, 2014): the Newton products prod_i prod_{j<e_i} (x_i - t_{i,j}), e in
+    S, span the same space as the monomials of S and are triangular on the
+    subgrid.  So vanishing on all |S| points proves det = 0 identically.
+    grid_total is |S|; certainty < 1 tests ceil(certainty * |S|) positions
+    of the sorted list, drawn with random.Random(seed).  A nonzero value
+    aborts the scan and is reported as a witness (grid-order-first).
 
     Square and overdetermined matrices share the test: it passes iff the
     matrix has rank < cols at every tested point.  For a square matrix that
     is exactly the vanishing of the determinant; in general it is the
     vanishing of every maximal square minor, each of which obeys the same
-    per-variable degree bounds (the rectangular assignment maximizes over all
-    of them).
+    bounds h(w) (the rectangular assignment maximizes over all row subsets).
     """
     matrix = _integer_cleared(matrix)
-    values = {}
-    for v in matrix.vars:
-        bound = permanent_degree_bound(matrix, v)
-        if bound.structurally_zero:
-            # no assignment at all: every maximal minor is structurally zero
-            return VanishingResult(True, 0, 0, None)
-        values[v] = _grid_values(bound.degree, matrix.avoid.get(v, set()))
-    total = 1
-    for v in matrix.vars:
-        total *= len(values[v])
+    bounds = _support_bounds(matrix)
+    if bounds is None:
+        # no assignment at all: every maximal minor is structurally zero
+        return VanishingResult(True, 0, 0, None)
+    values = {v: _grid_values(bounds[1 << i], matrix.avoid.get(v, set()))
+              for i, v in enumerate(matrix.vars)}
+    lower = _lower_set([len(values[v]) for v in matrix.vars], bounds)
+    total = len(lower)
     certainty = _as_fraction(certainty)
     count = total if certainty == 1 else ceil(certainty * total)
     count = max(1, min(count, total))
     if count < total:
         rng = random.Random(seed)
-        indices = sorted(rng.sample(range(total), count))
+        indices = [lower[p] for p in sorted(rng.sample(range(total), count))]
     else:
-        indices = list(range(total))
-    if jobs > 1 and count > 256:
+        indices = lower
+    if jobs > 1 and count > _SERIAL_HEAD:
         hit = _parallel_scan(matrix, values, indices, jobs)
     else:
         hit = _first_full_rank(matrix, values, indices)
@@ -216,13 +288,16 @@ def _rank_deficiency_test(matrix: PolyMatrix, certainty, seed: int,
 
 
 def _parallel_scan(matrix, values, indices, jobs):
-    """Multi-process scan over contiguous chunks of equal length; the
-    reported hit is the grid-order-first full-rank point regardless of
-    completion order."""
+    """Rank the first _SERIAL_HEAD indices in process, then the rest over
+    worker processes in contiguous chunks of equal length; the reported hit
+    is the grid-order-first full-rank point regardless of completion order."""
     from concurrent.futures import ProcessPoolExecutor
-    n = len(indices)
+    hit = _first_full_rank(matrix, values, indices[:_SERIAL_HEAD])
+    if hit is not None:
+        return hit
+    n = len(indices) - _SERIAL_HEAD
     jobs = min(jobs, n)
-    bounds = [(i * n) // jobs for i in range(jobs + 1)]
+    bounds = [_SERIAL_HEAD + (i * n) // jobs for i in range(jobs + 1)]
     chunks = [indices[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     args = ([matrix] * jobs, [values] * jobs, chunks)
     try:
@@ -260,11 +335,16 @@ def _leading_root_bound(rec: Recurrence, n):
 def leading_coeff_check(nid: NormalizedIdentity, J: int, seed: int,
                         max_order: int = 6):
     """Largest positive integer root of the leading recurrence coefficient,
-    determined on a random rational specialization of the parameters.
+    taken from the minimal telescoper of one random rational specialization
+    of the parameters.
 
-    Returns (n0 or None, specialization).  If a root (n - n0) existed in the
-    symbolic leading coefficient it survives every specialization, so checking
-    one specialized run suffices; the specialization used is recorded.
+    Returns (n0 or None, specialization); the specialization used is
+    recorded.  This does not bound the roots of the generic leading
+    coefficient a_J of the order-J system the grid proved: the specialized
+    minimal telescoper can have a lower order than J, or a different leading
+    coefficient, so a positive integer root of a_J can be missed.  A
+    parametric verdict therefore holds for generic values of the parameters,
+    not for every value.
     """
     term = nid.delta_term
     if not nid.params:
@@ -583,9 +663,10 @@ def prove(summand: TermExpression, rhs_terms, k, n, lower, upper, params,
     small n); try the direct Gosper/WZ route; with no parameters run plain
     creative telescoping; otherwise escalate the recurrence order, replacing
     the symbolic solve by the grid vanishing test, then close with the
-    leading-coefficient specialization and exact initial conditions.
-    certainty 1 makes the grid stage exhaustive (rigorous); smaller values
-    test that sampled fraction (semi-rigorous).  A term the routes cannot
+    leading-coefficient specialization and exact initial conditions; such a
+    verdict holds for generic values of the parameters.  certainty 1 makes
+    the grid stage exhaustive (rigorous); smaller values test that sampled
+    fraction of the grid's points (semi-rigorous).  A term the routes cannot
     shift or evaluate (TermError) makes the verdict inconclusive.
     """
     certainty = _as_fraction(certainty)
@@ -709,6 +790,7 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
             shape += " (overdetermined: rank tested on the shared minor grid)"
         elif m.rows < m.cols:
             shape += " (underdetermined: nontrivial solution exists trivially)"
+        shape += f"; holds for generic values of {', '.join(nid.params)}"
         report = ProofReport(
             verdict=verdict, certainty=certainty, seed=seed,
             method="determinant-grid", order=J, degree=sys.ansatz.degree,

@@ -220,7 +220,9 @@ def test_refutation_at_n0():
 
 @pytest.mark.parametrize("name,n_fail", [("half-row-binomial-2n.txt", 2),
                                          ("gauss-window-cut.txt", 1),
-                                         ("lower-only-window.txt", 0)])
+                                         ("lower-only-window.txt", 0),
+                                         ("chu-vandermonde-short-window.txt", 0),
+                                         ("vandermonde-lower-cut.txt", 0)])
 def test_window_cut_false_identities_refuted(name, n_fail):
     # the declared window cuts the summand's support, so the termination
     # guard sends each to the exact small-n comparison, which refutes it
@@ -230,6 +232,20 @@ def test_window_cut_false_identities_refuted(name, n_fail):
     assert report.verdict == "refuted"
     assert tuple(report.initial_checks[-1]) == ("identity", n_fail, False)
     _passline(f"window-cut false identity {name} refuted at n={n_fail}")
+
+
+def test_fixed_window_false_identity_not_proved():
+    # sum_{k=0}^{4} C(n,k) C(a,k) = C(a+n,n) holds for n <= 4 and fails from
+    # n = 5: the small-n comparison agrees, so only the termination guard
+    # keeps it from being proved
+    path = CORPUS / "extra" / "chu-vandermonde-fixed-window.txt"
+    assert main(["prove", str(path)]) == EXIT_INCONCLUSIVE
+    report = run_prove(load_identity(path), Fraction(1), 0, 6, 1)
+    assert report.verdict == "inconclusive"
+    assert "not forced to vanish above the upper limit" in report.message
+    assert [tuple(c) for c in report.initial_checks] == [
+        ("identity", nv, True) for nv in range(5)]
+    _passline("fixed-window false identity not proved")
 
 
 def test_termination_guard_inconclusive_on_empty_window(tmp_path):

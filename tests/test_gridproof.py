@@ -1,7 +1,7 @@
 import random
 import signal
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 from math import ceil, prod
 from pathlib import Path
 
@@ -13,13 +13,13 @@ from hyperproof.gridproof import (
     NormalizedIdentity, Inconclusive, initial_conditions_check,
     leading_coeff_check, normalize_and_delta, prove,
     _degenerate_on_support, _gosper_columns_independent, _grid_point,
-    _grid_values, _leading_root_bound, _rank_deficiency_test,
-    _termination_guard,
+    _grid_values, _leading_root_bound, _lower_set, _rank_deficiency_test,
+    _support_bounds, _termination_guard,
 )
 from hyperproof.cli import load_identity
 from hyperproof.linalg import (
-    PolyMatrix, _GridEvaluator, _int_rank, _integer_cleared, det_symbolic,
-    permanent_degree_bound,
+    PolyMatrix, _GridEvaluator, _grid_digits, _int_rank, _integer_cleared,
+    det_symbolic, permanent_degree_bound,
 )
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.telescope import Recurrence, assemble
@@ -206,10 +206,11 @@ def _evaluated_at(matrix, point):
 
 
 @st.composite
-def grid_matrices(draw):
-    """Small integer polynomial matrices (rows >= cols) over 0-3 variables,
-    with zero, constant and sparse entries, plus grid values per variable."""
-    vars = ("n", "x", "z")[:draw(st.integers(0, 3))]
+def grid_matrices(draw, min_vars=0):
+    """Small integer polynomial matrices (rows >= cols) over min_vars-3
+    variables, with zero, constant and sparse entries, plus grid values per
+    variable."""
+    vars = ("n", "x", "z")[:draw(st.integers(min_vars, 3))]
     cols = draw(st.integers(1, 3))
     rows = cols + draw(st.integers(0, 1))
     coef = st.integers(-9, 9)
@@ -249,22 +250,46 @@ def test_grid_evaluator_matches_eval(case, rng):
             assert full == (_int_rank(expected) == matrix.cols)
 
 
+def _brute_support_bound(matrix, w):
+    """h(w) by brute force: the largest sum of entry weights max_{e in supp}
+    w.e over every row subset and column permutation that meets no zero
+    entry, or None when every one meets a zero entry."""
+    best = None
+    for rows in combinations(range(matrix.rows), matrix.cols):
+        for cols in permutations(range(matrix.cols)):
+            picked = [matrix.entries[i][j] for i, j in zip(rows, cols)]
+            if any(p.is_zero() for p in picked):
+                continue
+            weight = sum(max(sum(a * b for a, b in zip(w, exp))
+                             for exp in p.terms) for p in picked)
+            best = weight if best is None else max(best, weight)
+    return best
+
+
 def _reference_rank_test(matrix, certainty, seed):
-    """Brute force: evaluate every tested point with MultiPoly.eval."""
+    """Brute force: filter the lower set S out of the box with h(w) from
+    _brute_support_bound for every w in {0,1}^r minus 0, then evaluate every
+    tested point with MultiPoly.eval."""
+    r = len(matrix.vars)
+    weights = [w for w in product((0, 1), repeat=r) if any(w)]
+    h = {w: _brute_support_bound(matrix, w) for w in weights}
+    if None in h.values():
+        return True, 0, 0, None
     values = {}
-    for v in matrix.vars:
-        bound = permanent_degree_bound(matrix, v)
-        if bound.structurally_zero:
-            return True, 0, 0, None
-        values[v] = _grid_values(bound.degree, matrix.avoid.get(v, set()))
-    points = list(product(*(values[v] for v in matrix.vars)))
+    for i, v in enumerate(matrix.vars):
+        unit = tuple(int(j == i) for j in range(r))
+        values[v] = _grid_values(h[unit], matrix.avoid.get(v, set()))
+    points = [
+        {v: values[v][d] for v, d in zip(matrix.vars, e)}
+        for e in product(*(range(len(values[v])) for v in matrix.vars))
+        if all(sum(a * b for a, b in zip(w, e)) <= h[w] for w in weights)]
     total = len(points)
     count = max(1, min(ceil(certainty * total), total))
     indices = range(total)
     if count < total:
         indices = sorted(random.Random(seed).sample(range(total), count))
     for pos, index in enumerate(indices):
-        point = dict(zip(matrix.vars, points[index]))
+        point = points[index]
         if _int_rank(_evaluated_at(matrix, point)) == matrix.cols:
             return False, total, pos + 1, point
     return True, total, count, None
@@ -285,9 +310,10 @@ def _rank_test_cases():
     # nonzero only at n = 12, a = 0, the 613th grid point
     late = vanishing_on(n, range(-12, 12)) * vanishing_on(
         a, [r for r in range(-12, 13) if r])
-    # nonzero only at n = -5 (first chunk) and n = 7 (second chunk)
+    # nonzero only at n = 2 and n = 7: past the serial head of 256 points at
+    # certainty 1, in the first and in the second chunk of the pool
     two_blocks = vanishing_on(
-        n, [-12] + [r for r in range(-12, 13) if r not in (-5, 7)]) * (
+        n, [-12] + [r for r in range(-12, 13) if r not in (2, 7)]) * (
         a ** 24 + c(1))
     p, q, r = n ** 20 + a, a ** 20 - n, n * a + c(1)
     return {
@@ -311,6 +337,68 @@ def test_rank_deficiency_test_matches_brute_force(name):
             res = _rank_deficiency_test(matrix, certainty, seed, jobs=jobs)
             assert (res.passed, res.grid_total, res.grid_tested,
                     res.witness) == expected, (certainty, jobs)
+
+
+@settings(deadline=None, max_examples=200)
+@given(grid_matrices(min_vars=1))
+def test_lower_set_contains_every_maximal_minor_support(case):
+    matrix, _ = case
+    minors = [det_symbolic(PolyMatrix([matrix.entries[i] for i in rows]))
+              for rows in combinations(range(matrix.rows), matrix.cols)]
+    bounds = _support_bounds(matrix)
+    if bounds is None:
+        assert all(d.is_zero() for d in minors)
+        return
+    sizes = [bounds[1 << i] + 1 for i in range(len(matrix.vars))]
+    lower = _lower_set(sizes, bounds)
+    # exactly the box points within every bound, in sorted order
+    assert list(lower) == [
+        i for i in range(prod(sizes))
+        if all(sum(d for j, d in enumerate(_grid_digits(i, sizes))
+                   if mask >> j & 1) <= h for mask, h in bounds.items())]
+    exponents = {tuple(_grid_digits(i, sizes)) for i in lower}
+    for d in minors:
+        assert set(d.terms) <= exponents
+
+
+def _newton(vars, values, e):
+    """prod over v of prod_{j < e_v} (v - values[v][j]): on the grid it is
+    nonzero exactly at the points whose digits are >= e."""
+    out = MultiPoly.constant(vars, 1)
+    for v, d in zip(vars, e):
+        x = MultiPoly.variable(vars, v)
+        for node in values[v][:d]:
+            out = out * (x - MultiPoly.constant(vars, node))
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=3),
+       st.sets(st.integers(-2, 2), max_size=2))
+def test_scan_reports_the_corner_of_the_lower_set(e, avoid):
+    # the lower set of a 1x1 Newton product is the box below e, whose only
+    # maximal point e is the last one scanned and the only nonzero one
+    vars = ("n", "x", "z")[:len(e)]
+    values = {v: _grid_values(d, avoid) for v, d in zip(vars, e)}
+    matrix = PolyMatrix([[_newton(vars, values, e)]],
+                        avoid={v: avoid for v in vars})
+    res = _rank_deficiency_test(matrix, Fraction(1), 0)
+    assert not res.passed
+    assert res.witness == {v: values[v][d] for v, d in zip(vars, e)}
+    assert res.grid_tested == res.grid_total == prod(d + 1 for d in e)
+
+
+def test_scan_reports_a_corner_of_a_triangular_lower_set():
+    # rows N_(2,0) and N_(0,2): h(w) = 2 for every w, so S is the triangle
+    # e_n + e_a <= 2 of 6 points, and on it the two rows are nonzero only at
+    # its corners (2, 0) and (0, 2); (0, 2) comes first in grid order
+    vars = ("n", "a")
+    values = {v: _grid_values(2, set()) for v in vars}
+    matrix = PolyMatrix([[_newton(vars, values, (2, 0))],
+                         [_newton(vars, values, (0, 2))]])
+    res = _rank_deficiency_test(matrix, Fraction(1), 0)
+    assert (res.passed, res.grid_total, res.grid_tested) == (False, 6, 3)
+    assert res.witness == {"n": values["n"][0], "a": values["a"][2]}
 
 
 def test_grid_evaluator_on_mrr_order_two():

@@ -325,3 +325,31 @@ def test_univariate_gcd_planted(nvars, data):
 def test_common_denominator(ps):
     dens = [Fraction(c).denominator for p in ps for c in p.terms.values()]
     assert common_denominator(ps) == lcm(1, *dens)
+
+
+@st.composite
+def rational_functions(draw, vars):
+    num = draw(polys(len(vars), max_terms=3, max_exp=2))
+    den = draw(polys(len(vars), max_terms=3, max_exp=2).filter(
+        lambda d: not d.is_zero()))
+    return RationalFunction(num, den)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 2).flatmap(
+    lambda n: st.tuples(*[rational_functions(tuple("xyzw"[:n]))] * 3)))
+def test_rational_function_ring_laws(fgh):
+    # the reduced, monic-denominator form is canonical, so the field laws hold
+    # as structural equalities
+    f, g, h = fgh
+    zero = RationalFunction.constant(f.vars, 0)
+    one = RationalFunction.constant(f.vars, 1)
+    assert f + g == g + f and f * g == g * f
+    assert (f + g) + h == f + (g + h)
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    assert f + zero == f and f * one == f and f * zero == zero
+    assert f - f == zero and f + (-g) == f - g
+    if not g.is_zero():
+        assert (f / g) * g == f
+        assert g * g.inverse() == one

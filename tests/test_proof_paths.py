@@ -80,10 +80,11 @@ def test_parallel_scan_matches_sequential():
     n = MultiPoly.variable(vars, "n")
     a = MultiPoly.variable(vars, "a")
     # singular, with degree bounds large enough to trigger the pool path
-    m = PolyMatrix([[(n ** 5) * (a ** 4), n ** 5], [(n ** 5) * (a ** 8), n ** 5 * (a ** 4)]])
+    m = PolyMatrix([[(n ** 9) * (a ** 8), n ** 9], [(n ** 9) * (a ** 16), n ** 9 * (a ** 8)]])
     seq = _rank_deficiency_test(m, Fraction(1), 0, jobs=1)
     par = _rank_deficiency_test(m, Fraction(1), 0, jobs=4)
     assert seq == par and seq.passed
+    assert seq.grid_total > 256  # past the serial head of the parallel scan
     # and a witness case reports the grid-order-first point either way
     one = MultiPoly.constant(vars, 1)
     m2 = PolyMatrix([[(n ** 9) * (a ** 9), one.scale(0)], [one.scale(0), one]])

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.terms import (
@@ -77,6 +78,52 @@ def test_roundtrip_render_parse():
     for text, syms in zip(texts, symtabs):
         t = parse_term(text, syms)
         assert parse_term(render(t), syms) == t
+
+
+_FRAC = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def _affine_text(draw, coef=_FRAC):
+    parts = [f"({draw(coef)})*{s}" for s in SYMS if draw(st.booleans())]
+    return "+".join(parts + [f"({draw(coef)})"])
+
+
+@st.composite
+def _factor_text(draw):
+    kind = draw(st.sampled_from(("binomial", "rf", "factorial", "power",
+                                 "rational")))
+    if kind in ("binomial", "rf"):
+        return f"{kind}({draw(_affine_text())},{draw(_affine_text())})"
+    if kind == "factorial":
+        return f"({draw(_affine_text())})!"
+    if kind == "power":
+        # constant base, exponent affine with integer coefficients
+        base = draw(_FRAC.filter(lambda b: b not in (0, 1)))
+        return f"({base})^({draw(_affine_text(st.integers(-3, 3)))})"
+    # distinct exponents and nonzero coefficients: a nonzero polynomial
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(SYMS)),
+                                 _FRAC.filter(bool), min_size=1, max_size=3))
+    monomials = ["*".join([f"({c})"] + [f"{s}^{d}" for s, d in zip(SYMS, e) if d])
+                 for e, c in terms.items()]
+    return f"({'+'.join(monomials)})"
+
+
+@st.composite
+def _term_text(draw):
+    text = draw(_factor_text())
+    for _ in range(draw(st.integers(0, 3))):
+        text += draw(st.sampled_from("*/")) + draw(_factor_text())
+    return text
+
+
+@settings(deadline=None, max_examples=300)
+@given(_term_text())
+def test_roundtrip_render_parse_property(text):
+    # products of every factor kind, multiplied or divided, with rational
+    # affine arguments and rational function factors
+    t = parse_term(text, SYMS)
+    assert parse_term(render(t), SYMS) == t
 
 
 def test_eval_binomial():
