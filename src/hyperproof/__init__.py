@@ -24,7 +24,8 @@ from .telescope import (
 )
 from .terms import (
     LinearForm, TermExpression, eval_term, evaluate, natural_support,
-    parse_sum, parse_term, render, shift_quotient,
+    parse_affine, parse_rational, parse_sum, parse_term, render,
+    shift_quotient,
 )
 
 __all__ = [
@@ -33,7 +34,8 @@ __all__ = [
     "Recurrence", "TermExpression", "assemble", "creative_telescope",
     "det_at_point", "det_symbolic", "eval_term", "evaluate",
     "gosper_antidifference", "initial_conditions_check", "leading_coeff_check",
-    "natural_support", "normalize_and_delta", "parse_sum", "parse_term",
-    "permanent_degree_bound", "poly_gcd", "prove", "render",
-    "shift_quotient", "solve_nullspace", "verify_certificate",
+    "natural_support", "normalize_and_delta", "parse_affine",
+    "parse_rational", "parse_sum", "parse_term", "permanent_degree_bound",
+    "poly_gcd", "prove", "render", "shift_quotient", "solve_nullspace",
+    "verify_certificate",
 ]

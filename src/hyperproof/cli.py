@@ -15,7 +15,10 @@ from pathlib import Path
 from . import __version__
 from .gridproof import ProofReport, prove
 from .telescope import Certificate, Recurrence, verify_certificate
-from .terms import LinearForm, ParseError, TermError, parse_sum, parse_term
+from .terms import (
+    ParseError, TermError, parse_affine, parse_rational, parse_sum, parse_term,
+)
+from .terms import LinearForm  # noqa: F401  perfbench/test_perfbench.py reads it here
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,31 +49,20 @@ class IdentityFile:
 
     def parsed(self):
         """(summand term, rhs term list, lower form, upper form)."""
-        F = parse_term(self.summand, self.symbols)
-        rhs_terms = [] if self.rhs.strip() == "0" else \
-            parse_sum(self.rhs, self.symbols)
-        lower = self._limit(self.lower)
-        upper = self._limit(self.upper)
-        return F, rhs_terms, lower, upper
+        return (parse_term(self.summand, self.symbols),
+                parse_sum(self.rhs, self.symbols),
+                self._limit(self.lower), self._limit(self.upper))
 
     def _limit(self, text):
         if text.strip().lower() == "all":
             return None
-        t = parse_term(text, self.symbols)
-        r = t.rational
-        if not r.den.is_constant():
-            raise IdentityFileError(f"limit {text!r} is not affine")
-        p = r.num.scale(Fraction(1, 1) / Fraction(r.den.as_constant()))
-        if p.total_degree() > 1:
-            raise IdentityFileError(f"limit {text!r} is not affine")
-        coeffs = {}
-        const = 0
-        for exp, c in p.terms.items():
-            if sum(exp) == 0:
-                const = c
-            else:
-                coeffs[self.symbols[exp.index(1)]] = c
-        return LinearForm(coeffs, const)
+        try:
+            form = parse_affine(text, self.symbols)
+        except ParseError as exc:
+            raise ParseError(f"limit {text!r}: {exc}") from None
+        if form.var_coeff(self.sum_var):
+            raise ParseError(f"limit {text!r} depends on {self.sum_var}")
+        return form
 
 
 _REQUIRED = ("name", "summand", "rhs", "sum_var", "rec_var", "lower", "upper")
@@ -109,9 +101,11 @@ def load_identity(path) -> IdentityFile:
     if set(params) & {ident.sum_var, ident.rec_var}:
         raise IdentityFileError(f"{path}: params must not include "
                                 f"{ident.sum_var}/{ident.rec_var}")
+    if len(set(params)) != len(params):
+        raise IdentityFileError(f"{path}: params must not repeat a name")
     try:
         ident.parsed()
-    except (ParseError, TermError) as exc:
+    except TermError as exc:
         raise IdentityFileError(f"{path}: {exc}")
     return ident
 
@@ -264,19 +258,13 @@ def cmd_verify(args) -> int:
         coeff_vars = tuple(s for s in ident.symbols if s != ident.sum_var)
         coeffs = []
         for part in args.recurrence.split(","):
-            t = parse_term(part.strip(), coeff_vars)
-            r = t.rational
+            r = parse_rational(part, coeff_vars)
             if not r.den.is_constant():
                 raise IdentityFileError(
                     f"recurrence coefficient {part!r} is not a polynomial")
-            coeffs.append(r.num.scale(Fraction(1, 1)
-                                      / Fraction(r.den.as_constant())))
-        cert_term = parse_term(args.certificate, ident.symbols)
-        if cert_term.factorials or cert_term.binomials or cert_term.risings \
-                or cert_term.powers:
-            raise IdentityFileError("certificate must be a rational function")
-        cert = Certificate(cert_term.rational)
-    except (IdentityFileError, ParseError, TermError) as exc:
+            coeffs.append(r.num)  # a constant denominator is 1
+        cert = Certificate(parse_rational(args.certificate, ident.symbols))
+    except (IdentityFileError, TermError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     rec = Recurrence(len(coeffs) - 1, tuple(coeffs))

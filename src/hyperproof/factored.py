@@ -103,14 +103,7 @@ class Factored:
         if p.is_constant():
             return self.mul_const(_as_fraction(p.as_constant()) ** e)
         if p.total_degree() == 1:
-            coeffs = {}
-            const = 0
-            for exp, c in p.terms.items():
-                if sum(exp) == 0:
-                    const = c
-                else:
-                    coeffs[self.vars[exp.index(1)]] = c
-            return self.mul_affine(LinearForm(coeffs, const), e)
+            return self.mul_affine(LinearForm.from_poly(p), e)
         scale, prim = p.primitive()
         self.mul_const(_as_fraction(scale) ** e)
         key = prim.key()
@@ -129,22 +122,6 @@ class Factored:
         for p, e in other.opq.values():
             self.mul_poly(p, e)
         return self
-
-    def inverse(self):
-        out = Factored(self.vars, Fraction(1, 1) / _as_fraction(self.const))
-        for f, e in self.aff.values():
-            out.mul_affine(f, -e)
-        for p, e in self.opq.values():
-            out.mul_poly(p, -e)
-        return out
-
-    def pow(self, n: int):
-        out = Factored(self.vars, _as_fraction(self.const) ** n)
-        for f, e in self.aff.values():
-            out.mul_affine(f, e * n)
-        for p, e in self.opq.values():
-            out.mul_poly(p, e * n)
-        return out
 
     def shift(self, var, delta) -> "Factored":
         out = Factored(self.vars, self.const)
@@ -174,15 +151,6 @@ class Factored:
         for p, e in self.opq.values():
             out.append((p, e, False, None))
         return out
-
-    def degree(self, var) -> int:
-        d = 0
-        for f, e in self.aff.values():
-            if f.var_coeff(var) != 0:
-                d += e
-        for p, e in self.opq.values():
-            d += p.degree(var) * e
-        return d
 
     def expand(self) -> MultiPoly:
         out = MultiPoly.constant(self.vars, self.const)

@@ -645,7 +645,7 @@ def _compare_small_cases(summand, rhs_terms, params, k, n, lower, upper,
                  f"exact agreement verified for {n}=0..{_SMALL_CASES_UPTO} only"))
 
 
-def _finish(nid, report, checks):
+def _finish(report, checks):
     report.initial_checks = [[label, nv, ok] for label, nv, ok in checks]
     if not all(ok for _, _, ok in checks):
         report.verdict = "refuted"
@@ -703,7 +703,7 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
         checks = initial_conditions_check(nid, 0, None)
         report = ProofReport(verdict="rigorous", certainty=certainty,
                              seed=seed, method="constant-ratio", order=0)
-        return _finish(nid, report, checks)
+        return _finish(report, checks)
 
     g = nid.delta_term
 
@@ -730,7 +730,7 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
                     method="gosper-wz", order=rec.order, degree=None,
                     recurrence=[str(c) for c in rec.coefficients],
                     certificate=str(R))
-                return _finish(nid, report, checks)
+                return _finish(report, checks)
 
     # no parameters: plain creative telescoping on the differenced summand
     if not nid.params:
@@ -751,7 +751,7 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
             leading_root_bound=n0,
             recurrence=[str(c) for c in rec.coefficients],
             certificate=str(cert.ratio))
-        return _finish(nid, report, checks)
+        return _finish(report, checks)
 
     # parameters present: determinant-vanishing on the degree-bounded grid
     last_witness = None
@@ -798,7 +798,7 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
             leading_root_bound=n0,
             specialization={p: str(v) for p, v in specialization.items()},
             message=shape)
-        return _finish(nid, report, checks)
+        return _finish(report, checks)
     return ProofReport(
         verdict="inconclusive", certainty=certainty, seed=seed,
         method="determinant-grid", nonzero_point=last_witness,

@@ -47,10 +47,6 @@ class PolyMatrix:
     def is_square(self):
         return self.rows == self.cols
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
     @classmethod
     def from_rows(cls, vars, rows, avoid=None):
         """Build from nested lists of polynomials/ints/Fractions."""
@@ -80,10 +76,7 @@ def det_at_point(m: PolyMatrix, point: dict) -> Fraction:
         den = lcm(*(v.denominator for v in vals))
         a.append([v.numerator * (den // v.denominator) for v in vals])
         scale *= den
-    order = list(range(m.rows))
-    if _int_rank(a, order) < m.rows:
-        return Fraction(0)
-    return Fraction(_permutation_sign(order) * a[-1][-1], scale)
+    return Fraction(_int_det(a), scale)
 
 
 def det_symbolic(m: PolyMatrix) -> MultiPoly:
@@ -181,6 +174,14 @@ def _int_rank(a, order=None) -> int:
         if r == rows:
             break
     return r
+
+
+def _int_det(a) -> int:
+    """Determinant of a square integer matrix (eliminated in place)."""
+    order = list(range(len(a)))
+    if _int_rank(a, order) < len(a):
+        return 0
+    return _permutation_sign(order) * a[-1][-1]
 
 
 def _permutation_sign(order) -> int:
@@ -417,10 +418,7 @@ def _nullspace_univar(m: PolyMatrix):
     comps = [[] for _ in range(m.cols)]
     for _, _, a in _GridEvaluator(sub, {var: list(nodes)}).matrices(nodes):
         for j in range(m.cols):
-            minor = [r[:j] + r[j + 1:] for r in a]
-            order = list(range(len(minor)))
-            full = _int_rank(minor, order) == len(minor)
-            comps[j].append(_permutation_sign(order) * minor[-1][-1] if full else 0)
+            comps[j].append(_int_det([r[:j] + r[j + 1:] for r in a]))
     vec = []
     vars = m.vars
     for j in range(m.cols):

@@ -62,6 +62,20 @@ class LinearForm:
     def number(cls, c):
         return cls({}, c)
 
+    @classmethod
+    def from_poly(cls, p: MultiPoly) -> "LinearForm":
+        """The affine form of a polynomial of total degree at most 1."""
+        if p.total_degree() > 1:
+            raise ParseError(f"not affine: {p}")
+        coeffs = {}
+        const = 0
+        for exp, c in p.terms.items():
+            if any(exp):
+                coeffs[p.vars[exp.index(1)]] = c
+            else:
+                const = c
+        return cls(coeffs, const)
+
     def __add__(self, other):
         cs = dict(self.coeffs)
         for s, c in other.coeffs.items():
@@ -181,10 +195,6 @@ class TermExpression:
         if self.rational is None:
             object.__setattr__(self, "rational", RationalFunction.constant(self.symbols, 1))
 
-    @classmethod
-    def one(cls, symbols):
-        return cls(tuple(symbols))
-
     def is_zero(self):
         return self.rational.is_zero()
 
@@ -214,17 +224,6 @@ class TermExpression:
 
     def divided_by(self, other: "TermExpression") -> "TermExpression":
         return self.times(other.inverted())
-
-    def shifted(self, var, delta) -> "TermExpression":
-        return TermExpression(
-            self.symbols,
-            tuple((a.shift(var, delta), e) for a, e in self.factorials),
-            tuple((u.shift(var, delta), l.shift(var, delta), e)
-                  for u, l, e in self.binomials),
-            tuple((b.shift(var, delta), c.shift(var, delta), e)
-                  for b, c, e in self.risings),
-            tuple((b, e.shift(var, delta)) for b, e in self.powers),
-            self.rational.shift(var, delta))
 
     def substituted(self, point: dict) -> "TermExpression":
         """Specialize some symbols to rational constants."""
@@ -741,6 +740,8 @@ def _ast_to_rational(node, symbols) -> RationalFunction:
     if tag == "num":
         return RationalFunction.constant(symbols, node[1])
     if tag == "sym":
+        if node[1] not in symbols:
+            raise ParseError(f"undeclared symbol {node[1]!r}")
         return RationalFunction.variable(symbols, node[1])
     if tag == "+":
         return _ast_to_rational(node[1], symbols) + _ast_to_rational(node[2], symbols)
@@ -766,6 +767,8 @@ def _ast_to_rational(node, symbols) -> RationalFunction:
         n = ev.numerator
         if n >= 0:
             return RationalFunction(base.num ** n, base.den ** n)
+        if base.is_zero():
+            raise ParseError("division by zero")
         return RationalFunction(base.den ** (-n), base.num ** (-n))
     raise ParseError(f"factorial/binomial/rf not allowed inside a rational factor")
 
@@ -773,19 +776,8 @@ def _ast_to_rational(node, symbols) -> RationalFunction:
 def _ast_to_linear(node, symbols) -> LinearForm:
     r = _ast_to_rational(node, symbols)
     if not r.den.is_constant():
-        raise ParseError(f"argument is not affine: {r}")
-    p = r.num.scale(Fraction(1, 1) / _as_fraction(r.den.as_constant()))
-    if p.total_degree() > 1:
-        raise ParseError(f"argument is not affine: {p}")
-    coeffs = {}
-    const = 0
-    for exp, c in p.terms.items():
-        if sum(exp) == 0:
-            const = c
-        else:
-            s = symbols[exp.index(1)]
-            coeffs[s] = c
-    return LinearForm(coeffs, const)
+        raise ParseError(f"not affine: {r}")
+    return LinearForm.from_poly(r.num)  # a constant denominator is 1
 
 
 def _is_pure_rational(node):
@@ -829,7 +821,6 @@ def _compile_product(node, symbols) -> TermExpression:
             factors.append((nd, sgn))
 
     walk(node, 1)
-    term = TermExpression.one(symbols)
     facts, binos, riss, pows = [], [], [], []
     rat = RationalFunction.constant(symbols, 1)
 
@@ -862,6 +853,8 @@ def _compile_product(node, symbols) -> TermExpression:
                 # integer power: replicate the base factor
                 n = cv.numerator * sgn
                 sub = _compile_product(base, symbols)
+                if n < 0 and sub.is_zero():
+                    raise ParseError("division by zero factor")
                 rep = sub if n >= 0 else sub.inverted()
                 for _ in range(abs(n)):
                     facts.extend(rep.factorials)
@@ -956,12 +949,19 @@ def parse_term(text, symbols=None) -> TermExpression:
     return terms[0]
 
 
+def parse_rational(text, symbols) -> RationalFunction:
+    """Parse a rational function of the declared symbols.  Factorials,
+    binomials, rf and powers with a non-constant exponent are rejected."""
+    return _ast_to_rational(_Parser(text).parse_full(), tuple(symbols))
+
+
+def parse_affine(text, symbols) -> LinearForm:
+    """Parse an affine form in the declared symbols."""
+    return _ast_to_linear(_Parser(text).parse_full(), tuple(symbols))
+
+
 # ---------------------------------------------------------------------------
 # rendering
-
-
-def _render_linear(L: LinearForm) -> str:
-    return str(L)
 
 
 def render(f: TermExpression) -> str:
@@ -973,15 +973,15 @@ def render(f: TermExpression) -> str:
         (num_parts if e > 0 else den_parts).append(s)
 
     for u, l, e in f.binomials:
-        emit(f"binomial({_render_linear(u)},{_render_linear(l)})", e)
+        emit(f"binomial({u},{l})", e)
     for a, e in f.factorials:
-        emit(f"({_render_linear(a)})!", e)
+        emit(f"({a})!", e)
     for b, c, e in f.risings:
-        emit(f"rf({_render_linear(b)},{_render_linear(c)})", e)
+        emit(f"rf({b},{c})", e)
     for b, e in f.powers:
         base = str(b) if (isinstance(b, int) or b.denominator == 1) and b > 0 \
             else f"({b})"
-        num_parts.append(f"{base}^({_render_linear(e)})")
+        num_parts.append(f"{base}^({e})")
     if not (f.rational.is_constant() and f.rational.as_constant() == 1) or not num_parts:
         num_parts.append(f"(({f.rational.num}))" if f.rational.den.is_constant()
                          and f.rational.den.as_constant() == 1

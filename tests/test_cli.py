@@ -190,3 +190,93 @@ def test_jobs_env_default(monkeypatch):
     assert _default_jobs() == 3
     monkeypatch.setenv("HYPERPROOF_JOBS", "junk")
     assert _default_jobs() == 1
+
+
+def _identity_file(tmp_path, name="id", **fields):
+    # the fields of corpus/binomial-2n.txt, with the given ones replaced
+    base = {"name": name, "summand": "binomial(n,k)", "rhs": "2^n",
+            "sum_var": "k", "rec_var": "n", "lower": "0", "upper": "n",
+            "params": ""}
+    base.update(fields)
+    path = tmp_path / f"{name}.txt"
+    path.write_text("".join(f"{k}: {v}\n" for k, v in base.items()))
+    return path
+
+
+CERT = "--certificate=-k/(n+1-k)"
+
+
+@pytest.mark.parametrize("fields,flags,reason", [
+    # limits that were read as 1, and one that is no limit of a sum over k
+    pytest.param({"upper": "2^n"}, None, "limit '2^n'", id="power-limit"),
+    pytest.param({"upper": "n!"}, None, "limit 'n!'", id="factorial-limit"),
+    pytest.param({"upper": "n+k"}, None, "limit 'n+k' depends on k",
+                 id="sum-var-limit"),
+    # recurrence coefficients whose power or factorial was dropped
+    pytest.param({}, ["--recurrence=-2*2^n,1", CERT], "exponent",
+                 id="power-coefficient"),
+    pytest.param({}, ["--recurrence=-2*n!,1", CERT], "factorial",
+                 id="factorial-coefficient"),
+    pytest.param({"summand": "binomial(m,k)"}, None, "undeclared symbol 'm'",
+                 id="undeclared-summand"),
+    pytest.param({"rhs": "2^m"}, None, "undeclared symbol 'm'",
+                 id="undeclared-rhs"),
+    pytest.param({"upper": "m"}, None, "undeclared symbol 'm'",
+                 id="undeclared-limit"),
+    pytest.param({}, ["--recurrence=m,1", CERT], "undeclared symbol 'm'",
+                 id="undeclared-recurrence"),
+    pytest.param({"summand": "binomial(n,k)*(n-n)^(-1)"}, None,
+                 "division by zero", id="zero-power-summand"),
+    pytest.param({"upper": "(n-n)^(-1)"}, None, "division by zero",
+                 id="zero-power-limit"),
+    pytest.param({}, ["--recurrence=-2,1", "--certificate=0^(-1)"],
+                 "division by zero", id="zero-power-certificate"),
+    pytest.param({"summand": "binomial(n,k)*binomial(a,k)",
+                  "rhs": "binomial(a+n,a)", "params": "a a"}, None,
+                 "params must not repeat a name", id="repeated-param"),
+])
+def test_malformed_input_gives_a_one_line_error(tmp_path, capsys, fields,
+                                                flags, reason):
+    path = str(_identity_file(tmp_path, **fields))
+    argv = ["prove", path] if flags is None else ["verify", path] + flags
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert reason in err
+    if flags is None:
+        assert path in err
+
+
+def test_corpus_goes_on_past_an_undeclared_symbol(tmp_path, capsys):
+    (tmp_path / "binomial-2n.txt").write_text(
+        (CORPUS / "binomial-2n.txt").read_text())
+    _identity_file(tmp_path, name="bad", rhs="2^m")
+    out_json = tmp_path / "records.jsonl"
+    assert main(["corpus", str(tmp_path), "--json", str(out_json)]) == \
+        EXIT_USAGE
+    records = [json.loads(l) for l in out_json.read_text().splitlines()]
+    assert [(r["name"], r["verdict"]) for r in records] == [
+        ("binomial-2n", "rigorous")]
+    rows = [l.split()[:2] for l in capsys.readouterr().out.splitlines()]
+    assert ["bad", "parse-error"] in rows
+
+
+@pytest.mark.parametrize("fields,expected", [
+    # a summand free of n: the normalized ratio is identically 1
+    ({"summand": "binomial(4,k)", "rhs": "16", "upper": "4"},
+     {"method": "constant-ratio", "order": 0, "recurrence": None,
+      "certificate": None, "initial_checks": [["base", 0, True]]}),
+    # a zero right side proved by a direct Gosper antidifference
+    ({"summand": "(n-2*k)*binomial(n,k)", "rhs": "0"},
+     {"method": "gosper-wz", "order": 0, "recurrence": ["1"],
+      "certificate": "(-1/2*k)/(k - 1/2*n)",
+      "initial_checks": [["sum", 0, True]]}),
+], ids=["constant-ratio", "gosper-wz-zero-rhs"])
+def test_constant_ratio_and_zero_rhs_gosper_routes(tmp_path, fields,
+                                                   expected):
+    out = tmp_path / "rec.json"
+    path = _identity_file(tmp_path, **fields)
+    assert main(["prove", str(path), "--json", str(out)]) == EXIT_OK
+    rec = json.loads(out.read_text())
+    assert rec["verdict"] == "rigorous"
+    assert {key: rec[key] for key in expected} == expected

@@ -25,23 +25,8 @@ from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.telescope import Recurrence, assemble
 from hyperproof.terms import (
     EvalError, LinearForm, TermExpression, eval_summand, natural_support,
-    parse_sum, parse_term,
+    parse_affine as lf, parse_sum, parse_term,
 )
-
-
-def lf(text, syms):
-    t = parse_term(text, syms)
-    r = t.rational
-    assert r.den.is_constant()
-    p = r.num
-    coeffs = {}
-    const = 0
-    for exp, c in p.terms.items():
-        if sum(exp) == 0:
-            const = c
-        else:
-            coeffs[syms[exp.index(1)]] = c
-    return LinearForm(coeffs, const)
 
 
 CHU = ("binomial(n,k)*binomial(a,k)", "binomial(a+n,a)",
@@ -50,7 +35,7 @@ CHU = ("binomial(n,k)*binomial(a,k)", "binomial(a+n,a)",
 
 def make_nid(summand, rhs, syms, params, lo, hi):
     F = parse_term(summand, syms)
-    rhs_terms = parse_sum(rhs, syms) if rhs != "0" else []
+    rhs_terms = parse_sum(rhs, syms)
     return normalize_and_delta(F, rhs_terms, params, "k", "n",
                                lf(lo, syms), lf(hi, syms))
 

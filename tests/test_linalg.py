@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hyperproof import linalg
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.linalg import (
-    PolyMatrix, _int_rank, _interpolate_int, _nullspace_univar,
-    _permutation_sign, _poly_eliminate, det_at_point, det_symbolic,
+    PolyMatrix, _int_det, _int_rank, _interpolate_int, _nullspace_univar,
+    _poly_eliminate, det_at_point, det_symbolic,
     permanent_degree_bound, solve_nullspace,
 )
 
@@ -246,14 +246,6 @@ def int_matrices(draw, square):
     return a
 
 
-def kernel_det(a):
-    """Determinant through the integer kernel, as its callers compute it."""
-    order = list(range(len(a)))
-    if _int_rank(a, order) < len(a):
-        return 0
-    return _permutation_sign(order) * a[-1][-1]
-
-
 def ref_rank_pivots(a):
     """Gaussian elimination over Fraction with the kernel's pivot rule (first
     nonzero row at or below the current one); returns (rank, pivot rows)."""
@@ -279,7 +271,7 @@ def ref_rank_pivots(a):
 @given(int_matrices(square=True))
 def test_int_kernel_det_matches_cofactor_expansion(a):
     expected = det_symbolic(PolyMatrix.from_rows((), a)).eval({})
-    assert kernel_det([list(row) for row in a]) == expected
+    assert _int_det([list(row) for row in a]) == expected
 
 
 @settings(deadline=None, max_examples=300)

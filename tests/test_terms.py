@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.terms import (
     EvalError, LinearForm, ParseError, TermExpression, eval_summand, eval_term,
-    evaluate, natural_support, parse_sum, parse_term, render, shift_quotient,
+    evaluate, natural_support, parse_affine, parse_rational, parse_sum,
+    parse_term, render, shift_quotient,
 )
 
 
@@ -51,6 +52,19 @@ def test_parse_non_affine_argument():
 def test_parse_power_base_not_constant():
     with pytest.raises(ParseError):
         parse_term("n^k", SYMS)
+
+
+def test_parse_affine_and_rational():
+    L = parse_affine("(3*n - a)/2 + 1", SYMS)
+    assert L == LinearForm({"n": Fraction(3, 2), "a": Fraction(-1, 2)}, 1)
+    assert LinearForm.from_poly(L.to_poly(SYMS)) == L
+    assert parse_rational("(n+1)/(n+1-k)", SYMS) == ratfn("n+1", "n+1-k", SYMS)
+    for text in ("n*n", "1/n", "2^n", "n!", "binomial(n,k)", "rf(a,k)", "m"):
+        with pytest.raises(ParseError):
+            parse_affine(text, SYMS)
+    for text in ("2^n", "n!", "binomial(n,k)", "rf(a,k)", "m", "0^(-1)"):
+        with pytest.raises(ParseError):
+            parse_rational(text, SYMS)
 
 
 def test_parse_rational_factor_and_integer_power():
