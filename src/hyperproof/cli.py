@@ -96,6 +96,9 @@ def load_identity(path) -> IdentityFile:
         sum_var=fields["sum_var"], rec_var=fields["rec_var"],
         lower=fields["lower"], upper=fields["upper"], params=params,
         notes=fields.get("notes", ""), path=str(path))
+    for name in (ident.sum_var, ident.rec_var) + params:
+        if not name.isidentifier():
+            raise IdentityFileError(f"{path}: {name!r} is not a variable name")
     if ident.sum_var == ident.rec_var:
         raise IdentityFileError(f"{path}: sum_var and rec_var must differ")
     if set(params) & {ident.sum_var, ident.rec_var}:

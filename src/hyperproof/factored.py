@@ -218,6 +218,32 @@ def factored_lcm(items) -> Factored:
     return out
 
 
+def factored_common(a: Factored, b: Factored) -> Factored:
+    """The factors a and b share, each with the smaller of its two positive
+    exponents (constants dropped).  Factors are matched by their normalized
+    form only, so this is a common divisor, not necessarily the gcd."""
+    out = Factored.one(a.vars)
+    for key, (f, e) in a.aff.items():
+        if key in b.aff:
+            out.aff[key] = [f, min(e, b.aff[key][1])]
+    for key, (p, e) in a.opq.items():
+        if key in b.opq:
+            out.opq[key] = [p, min(e, b.opq[key][1])]
+    return out
+
+
+def factored_free_of(a: Factored, var) -> Factored:
+    """The factors of a that do not involve var (constant dropped)."""
+    out = Factored.one(a.vars)
+    for key, (f, e) in a.aff.items():
+        if f.var_coeff(var) == 0:
+            out.aff[key] = [f, e]
+    for key, (p, e) in a.opq.items():
+        if p.degree(var) == 0:
+            out.opq[key] = [p, e]
+    return out
+
+
 def factored_quotient(a: Factored, b: Factored) -> Factored:
     """a / b where every factor of b occurs in a with at least its exponent."""
     out = a.copy()

@@ -2,18 +2,20 @@
 
 Normalizes sum F = RHS to sum Fhat = 1 and differences it (dropping the
 recurrence order by one), then proves existence of a telescoping recurrence
-without solving the symbolic system: the system matrix is square (or handled
-by rank on maximal minors), and its determinant is a polynomial whose
-support lies in a lower (down-closed) set S of exponents.  For every weight
-w in {0,1}^r, w.e is at most the max-weight assignment h(w) on the entry
-weights; the unit weights give the permanent degree bounds, so S lies in
-their box.  A polynomial with support in a lower set that vanishes on the
-matching subgrid of integer points is zero (N. Dyn and M. S. Floater,
-"Multivariate polynomial interpolation on lower sets", J. Approx. Theory
-177, 2014), so vanishing on those |S| points is conclusive.  Certainty < 1
-tests a sampled fraction of them.  The leading-coefficient specialization
-check and exact initial conditions close the induction; parametric verdicts
-hold for generic values of the parameters.
+without solving the symbolic system.  Each column of the system matrix is
+first divided by its k-free content (read off the factored system, see
+_content_free); the result is square (or handled by rank on maximal minors),
+and its determinant is a polynomial whose support lies in a lower
+(down-closed) set S of exponents.  For every weight w in {0,1}^r, w.e is at
+most the max-weight assignment h(w) on the entry weights; the unit weights
+give the permanent degree bounds, so S lies in their box.  A polynomial
+with support in a lower set that vanishes on the matching subgrid of integer
+points is zero (N. Dyn and M. S. Floater, "Multivariate polynomial
+interpolation on lower sets", J. Approx. Theory 177, 2014), so vanishing on
+those |S| points is conclusive.  Certainty < 1 tests a sampled fraction of
+them.  The leading-coefficient specialization check and exact initial
+conditions close the induction; parametric verdicts hold for generic values
+of the parameters.
 
 Grid points are visited in sorted box index order, the first of matrix.vars
 the most significant digit.  linalg._GridEvaluator substitutes one variable
@@ -285,6 +287,18 @@ def _rank_deficiency_test(matrix: PolyMatrix, certainty, seed: int,
         return VanishingResult(False, total, pos + 1,
                                _grid_point(matrix.vars, values, index))
     return VanishingResult(True, total, count, None)
+
+
+def _content_free(sys) -> PolyMatrix:
+    """sys.matrix with column j divided by its factored k-free content c_j
+    (sys.contents); divexact raises on any inexact division.
+
+    Column scaling by nonzero polynomials keeps the rank over Q(n, params),
+    and for a square matrix det M = det M' * prod_j c_j, so the vanishing
+    test on M' decides it for M over a smaller lower set."""
+    contents = [c.expand().restrict(sys.matrix_vars) for c in sys.contents]
+    return PolyMatrix([[e.divexact(c) for e, c in zip(row, contents)]
+                       for row in sys.matrix.entries], avoid=sys.matrix.avoid)
 
 
 def _parallel_scan(matrix, values, indices, jobs):
@@ -763,7 +777,8 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
         if m.rows < m.cols:
             res = VanishingResult(True, 0, 0, None)
         else:
-            res = _rank_deficiency_test(m, certainty, seed, jobs=jobs)
+            res = _rank_deficiency_test(_content_free(sys), certainty, seed,
+                                        jobs=jobs)
         if not res.passed:
             last_witness = res.witness
             continue

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .factored import (
-    Factored, factored_lcm, factored_quotient, from_ratio_parts, gosper_normal,
-    integer_roots_in_var,
+    Factored, factored_common, factored_free_of, factored_lcm,
+    factored_quotient, from_ratio_parts, gosper_normal, integer_roots_in_var,
 )
 from .linalg import PolyMatrix, clear_and_primitive, solve_nullspace
 from .polys import (
@@ -63,6 +63,7 @@ class AssembledSystem:
     q: MultiPoly
     r: MultiPoly
     denominator: Factored       # Q(k), the cleared common denominator
+    contents: list              # Factored k-free divisor of each column
 
 
 def _default_vars(f: TermExpression, k, n):
@@ -155,8 +156,13 @@ def assemble(f: TermExpression, J: int, k=None, n=None):
     ansatz = TelescoperAnsatz(J, K, labels)
     avoid = _collect_avoid([Q, q_f, r_f, pbar_f, rho_den], k, matrix_vars)
     matrix = PolyMatrix(rows, avoid=avoid)
+    # column a_j is -u_j pbar; every b_i column is a combination of q(k) and
+    # r(k-1), and a shift in k leaves their shared k-free factors in place
+    b_content = factored_free_of(factored_common(q_f, r_f), k)
+    contents = [factored_free_of(u.copy().mul(pbar_f), k) for u in u_facts]
+    contents += [b_content] * (K + 1)
     return AssembledSystem(ansatz, matrix, k, n, vars, matrix_vars,
-                           u_polys, pbar, q_poly, r_poly, Q)
+                           u_polys, pbar, q_poly, r_poly, Q, contents)
 
 
 def _collect_avoid(facts, k, matrix_vars):

@@ -234,6 +234,13 @@ CERT = "--certificate=-k/(n+1-k)"
     pytest.param({"summand": "binomial(n,k)*binomial(a,k)",
                   "rhs": "binomial(a+n,a)", "params": "a a"}, None,
                  "params must not repeat a name", id="repeated-param"),
+    # a number or an expression where a variable name belongs
+    pytest.param({"sum_var": "2", "summand": "binomial(n,2)"}, None,
+                 "'2' is not a variable name", id="number-sum-var"),
+    pytest.param({"rec_var": "n+1"}, None, "'n+1' is not a variable name",
+                 id="expression-rec-var"),
+    pytest.param({"params": "a 3"}, None, "'3' is not a variable name",
+                 id="number-param"),
 ])
 def test_malformed_input_gives_a_one_line_error(tmp_path, capsys, fields,
                                                 flags, reason):

@@ -12,7 +12,8 @@ from hyperproof import gridproof
 from hyperproof.gridproof import (
     NormalizedIdentity, Inconclusive, initial_conditions_check,
     leading_coeff_check, normalize_and_delta, prove,
-    _degenerate_on_support, _gosper_columns_independent, _grid_point,
+    _content_free, _degenerate_on_support, _gosper_columns_independent,
+    _grid_point,
     _grid_values, _leading_root_bound, _lower_set, _rank_deficiency_test,
     _support_bounds, _termination_guard,
 )
@@ -418,10 +419,17 @@ def test_leading_coeff_check_chu():
     assert set(point) == {"a"}
 
 
-def mrr_nid():
-    ident = load_identity(Path(__file__).resolve().parent.parent / "corpus" / "mrr.txt")
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def corpus_nid(name):
+    ident = load_identity(CORPUS / f"{name}.txt")
     F, rhs_terms, lower, upper = ident.parsed()
     return normalize_and_delta(F, rhs_terms, ident.params, "k", "n", lower, upper)
+
+
+def mrr_nid():
+    return corpus_nid("mrr")
 
 
 def test_degenerate_on_support_denominator_form_in_n():
@@ -501,6 +509,48 @@ def test_prove_inconclusive_without_independent_gosper_columns(monkeypatch):
     assert (rep.verdict, rep.method, rep.order) == (
         "inconclusive", "determinant-grid", 1)
     assert rep.message.startswith("order 1:")
+
+
+# lower-set sizes of the system matrix M and of M' = M with every column
+# divided by its k-free content
+@pytest.mark.parametrize("name,J,full,content_free", [
+    ("mrr", 1, 2203, 480),
+    ("mrr", 2, 72728, 6704),
+    ("dixon", 1, 2620, 886),
+    ("dixon", 2, 41255, 7281),
+    ("chu-vandermonde", 1, 149, 80),
+])
+def test_content_free_columns(name, J, full, content_free):
+    nid = corpus_nid(name)
+    sys = assemble(nid.delta_term, J, k=nid.k, n=nid.n)
+    reduced = _content_free(sys)
+    contents = [c.expand().restrict(sys.matrix_vars) for c in sys.contents]
+    assert not any(c.is_constant() for c in contents)
+    for row, reduced_row in zip(sys.matrix.entries, reduced.entries):
+        for e, r, c in zip(row, reduced_row, contents):
+            assert r * c == e
+
+    def lower_set_size(m):
+        # one sampled point; grid_total is |S| whatever that point shows
+        return _rank_deficiency_test(m, Fraction(1, 10 ** 6), 0).grid_total
+
+    assert lower_set_size(sys.matrix) == full
+    assert lower_set_size(reduced) == content_free
+
+
+def test_mrr_order_one_witness_is_full_rank_without_contents():
+    ident = load_identity(CORPUS / "mrr.txt")
+    F, rhs_terms, lower, upper = ident.parsed()
+    rep = prove(F, rhs_terms, "k", "n", lower, upper, ident.params,
+                max_order=1)
+    assert (rep.verdict, rep.method) == ("inconclusive", "determinant-grid")
+    assert rep.nonzero_point is not None
+    nid = mrr_nid()
+    reduced = _integer_cleared(_content_free(
+        assemble(nid.delta_term, 1, k=nid.k, n=nid.n)))
+    a = [[int(v) for v in row]
+         for row in _evaluated_at(reduced, rep.nonzero_point)]
+    assert _int_rank(a) == reduced.cols
 
 
 def test_prove_binomial_2n():
