@@ -173,7 +173,8 @@ def _summary_lines(ident, report):
     if report.leading_root_bound is not None:
         lines.append(f"lead root  {report.leading_root_bound}")
     if report.specialization:
-        spec = ", ".join(f"{p}={v}" for p, v in sorted(report.specialization.items()))
+        spec = "; ".join(", ".join(f"{p}={v}" for p, v in sorted(point.items()))
+                         for point in report.specialization)
         lines.append(f"specialized {spec}")
     if report.recurrence:
         lines.append(f"recurrence [{'; '.join(report.recurrence)}]")

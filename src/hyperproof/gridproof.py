@@ -13,9 +13,12 @@ with support in a lower set that vanishes on the matching subgrid of integer
 points is zero (N. Dyn and M. S. Floater, "Multivariate polynomial
 interpolation on lower sets", J. Approx. Theory 177, 2014), so vanishing on
 those |S| points is conclusive.  Certainty < 1 tests a sampled fraction of
-them.  The leading-coefficient specialization check and exact initial
-conditions close the induction; parametric verdicts hold for generic values
-of the parameters.
+them.  The induction is closed by a root bound for the leading coefficient
+a_J, read off the cofactors of the same content-free order-J system at
+integer specializations (leading_coeff_check), and by exact initial
+conditions; the bound covers the roots generic in the parameters, so a
+parametric verdict holds for generic values of them.  A numeric summation
+of both sides at integer parameter points then cross-checks the verdict.
 
 Grid points are visited in sorted box index order, the first of matrix.vars
 the most significant digit.  linalg._GridEvaluator substitutes one variable
@@ -38,9 +41,9 @@ from .factored import integer_roots_univar
 from .gosper import gosper_antidifference
 from .linalg import (
     PolyMatrix, _GridEvaluator, _grid_digits, _int_rank, _integer_cleared,
-    _max_assignment,
+    _max_assignment, _pivot_rows, _univar_minors,
 )
-from .polys import MultiPoly, RationalFunction, _as_fraction
+from .polys import MultiPoly, RationalFunction, _as_fraction, poly_gcd
 from .telescope import (
     Certificate, Recurrence, assemble, creative_telescope, verify_certificate,
 )
@@ -103,7 +106,7 @@ class ProofReport:
     nonzero_point: dict | None = None
     leading_root_bound: int | None = None
     initial_checks: list = field(default_factory=list)
-    specialization: dict | None = None
+    specialization: list | None = None  # parameter points of the a_J gcd
     recurrence: list | None = None
     certificate: str | None = None
     message: str = ""
@@ -333,6 +336,13 @@ class Inconclusive(GridProofError):
     pass
 
 
+def _positive_root_bound(coeffs):
+    """Largest positive integer root of the polynomial with the ascending
+    coefficients coeffs, or None.  ValueError for the zero polynomial,
+    ArithmeticError when the modular root search gives up."""
+    return max((r for r in integer_roots_univar(coeffs) if r > 0), default=None)
+
+
 def _leading_root_bound(rec: Recurrence, n):
     """Largest positive integer root in n of the last recurrence coefficient,
     or None."""
@@ -340,59 +350,106 @@ def _leading_root_bound(rec: Recurrence, n):
     coeffs = [_as_fraction(c.as_constant()) if not c.is_zero() else Fraction(0)
               for c in p.to_univar(n)]
     try:
-        roots = integer_roots_univar(coeffs)
+        return _positive_root_bound(coeffs)
     except ValueError:
         return None
-    return max((r for r in roots if r > 0), default=None)
 
 
-def leading_coeff_check(nid: NormalizedIdentity, J: int, seed: int,
-                        max_order: int = 6):
-    """Largest positive integer root of the leading recurrence coefficient,
-    taken from the minimal telescoper of one random rational specialization
-    of the parameters.
+_LEAD_POINTS = 3     # parameter specializations whose a_J cofactors are gcd'ed
+_LEAD_RANGE = 99     # their values, and that of the rank probe's n, lie in +-this
 
-    Returns (n0 or None, specialization); the specialization used is
-    recorded.  This does not bound the roots of the generic leading
-    coefficient a_J of the order-J system the grid proved: the specialized
-    minimal telescoper can have a lower order than J, or a different leading
-    coefficient, so a positive integer root of a_J can be missed.  A
-    parametric verdict therefore holds for generic values of the parameters,
-    not for every value.
+
+def _draw(rng, avoid) -> int:
+    while True:
+        v = rng.randint(-_LEAD_RANGE, _LEAD_RANGE)
+        if v not in avoid:
+            return v
+
+
+def _free_part(p: MultiPoly, n) -> MultiPoly:
+    """The largest factor of p in n alone: the gcd of its coefficients as a
+    polynomial in the other variables, over (n,)."""
+    i = p.vars.index(n)
+    coeffs = {}
+    for exp, c in p.terms.items():
+        coeffs.setdefault(exp[:i] + exp[i + 1:], []).append(((exp[i],), c))
+    g = MultiPoly.zero((n,))
+    for items in coeffs.values():
+        g = poly_gcd(g, MultiPoly.from_terms((n,), items))
+    return g
+
+
+def leading_coeff_check(reduced: PolyMatrix, sys, certainty, seed: int):
+    """Largest positive integer root n0 of the leading coefficient a_J of a
+    telescoper from the order-J system the grid proved, as roots generic in
+    the parameters; returns (n0 or None, the parameter points used).
+
+    reduced is that system's content-free matrix M' (column j of sys.matrix
+    divided by c_j = sys.contents[j]).  At one seeded integer point s_1 of the
+    parameters and n, rows P and columns B (J not in B) of full rank r = rank
+    M'(s_1) are chosen such that column J lies in the span of B.  M'[:, C],
+    C = B + {J}, is then shown rank-deficient: by the grid already when C is
+    every column, trivially when it has more columns than M' has rows, else by
+    its own vanishing test at this certainty and seed.  Its kernel is then the
+    cofactor vector of M'[P, C], whose entry J is w_J = det M'[P, B], nonzero
+    at s_1.  So a_J = w_J * L / c_J up to the primitive part, L = lcm of the
+    c_j.  Determinants commute with specialization, so the factors of w_J
+    free of the parameters divide w_J(n; s_i) at every parameter point s_i;
+    the gcd over the nonzero w_J(n; s_i), each interpolated from integer
+    minors, keeps them and drops roots that only special parameter values
+    have.  n0 is the largest positive integer root of that gcd or of the
+    parameter-free part of a factor of any c_j.  Raises Inconclusive when no
+    such B exists, the rank-deficiency test fails or the root search gives
+    up.
     """
-    term = nid.delta_term
-    if not nid.params:
-        out = creative_telescope(term, max_order, k=nid.k, n=nid.n)
-        if out is None:
-            raise Inconclusive("no recurrence found for the summand")
-        rec, _ = out
-        return _leading_root_bound(rec, nid.n), {}
+    J = sys.ansatz.order
+    n = sys.n
+    matrix = _integer_cleared(reduced)
+    avoid = matrix.avoid
     rng = random.Random(seed * 1000003 + 17)
-    last_error = None
-    for attempt in range(5):
-        point = {}
-        for p in nid.params:
-            sign = 1 if rng.random() < 0.5 else -1
-            point[p] = Fraction(sign * rng.randint(1, 20), rng.randint(1, 20))
-        try:
-            g = term.substituted(point)
-        except (ZeroDivisionError, TermError) as exc:
-            last_error = exc
-            continue
-        if g.is_zero() or _degenerate_on_support(nid, g, point):
-            continue
-        out = creative_telescope(g, max_order, k=nid.k, n=nid.n)
-        if out is None:
+    points = [{v: _draw(rng, avoid.get(v, ())) for v in matrix.vars if v != n}
+              for _ in range(_LEAD_POINTS)]
+    probe = {**points[0], n: _draw(rng, avoid.get(n, ()))}
+    a = [[e.eval(probe) for e in row] for row in matrix.entries]
+    others = [j for j in range(matrix.cols) if j != J]
+    B = [others[i] for i in _pivot_rows([[row[j] for row in a] for j in others])]
+    if not B or len(B) < len(_pivot_rows(a)):
+        raise Inconclusive(
+            f"order {J}: the a_{J} column is not shown dependent on the others")
+    P = _pivot_rows([[row[j] for j in B] for row in a])
+    C = sorted(B + [J])
+    if len(C) < matrix.cols and matrix.rows >= len(C):
+        sub = PolyMatrix([[row[j] for j in C] for row in reduced.entries],
+                         avoid=avoid)
+        if not _rank_deficiency_test(sub, certainty, seed).passed:
             raise Inconclusive(
-                f"specialized run found no recurrence up to order {max_order}")
-        rec, _ = out
-        return _leading_root_bound(rec, nid.n), point
-    raise Inconclusive(f"no usable parameter specialization found: {last_error}")
+                f"order {J}: the a_{J} column and the {len(B)} columns it "
+                "depends on were not shown dependent")
+    minors = _univar_minors(PolyMatrix([matrix.entries[i] for i in P]), n,
+                            points, [B])
+    g = MultiPoly.zero((n,))
+    used = []
+    for point, (coeffs,) in zip(points, minors):
+        w = MultiPoly.from_terms((n,), [((d,), c) for d, c in enumerate(coeffs)])
+        if not w.is_zero():
+            g = poly_gcd(g, w)
+            used.append(point)
+    if g.is_zero():
+        raise Inconclusive(f"order {J}: the a_{J} cofactor vanished at every "
+                           "parameter point tried")
+    free = [_free_part(f, n) for c in sys.contents for f, _, _, _ in c.factors()]
+    try:
+        roots = [_positive_root_bound([p.terms.get((d,), 0)
+                                       for d in range(p.degree(n) + 1)])
+                 for p in [g] + free if p.degree(n) > 0]
+    except ArithmeticError as exc:
+        raise Inconclusive(f"order {J}: leading-coefficient root search: {exc}")
+    return max((r for r in roots if r is not None), default=None), used
 
 
 def _degenerate_on_support(nid, g, point) -> bool:
     """Specialized summand g = nid.delta_term.substituted(point) unusable for
-    the telescoping run.
+    the Gosper probe of _fast_path_feasible.
 
     Structural rejections: identically zero, or a denominator-side rising
     factorial / factorial / binomial whose argument lands on a terminating
@@ -401,8 +458,8 @@ def _degenerate_on_support(nid, g, point) -> bool:
     specialized summand is then undefined inside the window for small n).
     Sampled evaluation (where the point values are even defined, e.g. at
     integer parameters) only rejects an all-zero window; points the product
-    formulas cannot evaluate are simply skipped, since the telescoping run
-    itself is formal."""
+    formulas cannot evaluate are simply skipped, since the Gosper run itself
+    is formal."""
     if g.is_zero():
         return True
 
@@ -444,17 +501,18 @@ def _degenerate_on_support(nid, g, point) -> bool:
     return evaluable > 0 and nonzero == 0
 
 
-def _window(nid: NormalizedIdentity, n_val: int):
-    """Integer summation bounds at n = n_val: the declared limits, with a
-    limit of all taken from that end of the natural support."""
-    ends = [None if L is None else L.eval({nid.n: n_val})
-            for L in (nid.lower, nid.upper)]
+def _window(nid: NormalizedIdentity, n_val: int, params=None):
+    """Integer summation bounds at n = n_val and the parameter values params
+    (if given): the declared limits, with a limit of all taken from that end
+    of the natural support."""
+    at = {**(params or {}), nid.n: n_val}
+    ends = [None if L is None else L.eval(at) for L in (nid.lower, nid.upper)]
     if None in ends:
-        if nid.params:
+        if params is None and nid.params:
             raise GridProofError(
                 "cannot determine a finite support with symbolic parameters; "
                 "declare summation limits")
-        support = natural_support(nid.fhat, {nid.n: n_val}, k=nid.k)
+        support = natural_support(nid.fhat, at, k=nid.k)
         ends = [s if e is None else e for e, s in zip(ends, support)]
         if None in ends:
             raise GridProofError(f"unbounded support at {nid.n} = {n_val}")
@@ -471,6 +529,40 @@ def _symbolic_sum(nid: NormalizedIdentity, term: TermExpression, n_val: int):
     for kv in range(lo, hi + 1):
         total = total + eval_summand(term, {nid.k: kv, nid.n: n_val})
     return total
+
+
+_NUMERIC_POINTS = 2       # parameter points the numeric cross-check sums at
+_NUMERIC_TRIES = 12       # candidate points drawn before it gives up
+_NUMERIC_RANGE = 9        # their parameter values lie in 1..this
+
+
+def _numeric_check(nid: NormalizedIdentity, summand, rhs_terms, upto: int,
+                   seed: int):
+    """Independent check of the original identity: sum both sides exactly
+    for n = 0..upto at _NUMERIC_POINTS seeded positive-integer parameter
+    points.  A point where some term cannot be evaluated is skipped.  Returns
+    the first {n, param: value} where the sides differ, or None."""
+    rng = random.Random(seed * 1000033 + 29)
+    done = 0
+    for _ in range(_NUMERIC_TRIES):
+        if done == _NUMERIC_POINTS:
+            break
+        point = {p: rng.randint(1, _NUMERIC_RANGE) for p in nid.params}
+        try:
+            for nv in range(upto + 1):
+                at = {nid.n: nv, **point}
+                lo, hi = _window(nid, nv, point)
+                lhs = sum((eval_summand(summand, {**at, nid.k: kv})
+                           for kv in range(lo, hi + 1)),
+                          RationalFunction.constant((), 0))
+                rhs = sum((evaluate(t, {**at, nid.k: 0}) for t in rhs_terms),
+                          RationalFunction.constant((), 0))
+                if lhs != rhs:
+                    return dict(at)
+        except (GridProofError, TermError, ZeroDivisionError):
+            continue
+        done += 1
+    return None
 
 
 def initial_conditions_check(nid: NormalizedIdentity, J: int,
@@ -676,9 +768,11 @@ def prove(summand: TermExpression, rhs_terms, k, n, lower, upper, params,
     outside the declared window (else only compare both sides exactly for
     small n); try the direct Gosper/WZ route; with no parameters run plain
     creative telescoping; otherwise escalate the recurrence order, replacing
-    the symbolic solve by the grid vanishing test, then close with the
-    leading-coefficient specialization and exact initial conditions; such a
-    verdict holds for generic values of the parameters.  certainty 1 makes
+    the symbolic solve by the grid vanishing test, then close with the root
+    bound of the proved order-J system's leading coefficient
+    (leading_coeff_check) and exact initial conditions; such a verdict holds
+    for generic values of the parameters, and summing both sides exactly at
+    integer parameter points can still refute it.  certainty 1 makes
     the grid stage exhaustive (rigorous); smaller values test that sampled
     fraction of the grid's points (semi-rigorous).  A term the routes cannot
     shift or evaluate (TermError) makes the verdict inconclusive.
@@ -774,11 +868,11 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
         if sys is None:
             continue
         m = sys.matrix
+        reduced = _content_free(sys)
         if m.rows < m.cols:
             res = VanishingResult(True, 0, 0, None)
         else:
-            res = _rank_deficiency_test(_content_free(sys), certainty, seed,
-                                        jobs=jobs)
+            res = _rank_deficiency_test(reduced, certainty, seed, jobs=jobs)
         if not res.passed:
             last_witness = res.witness
             continue
@@ -791,7 +885,8 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
                          "shown independent, so a vanishing determinant "
                          "need not give a telescoper"))
         try:
-            n0, specialization = leading_coeff_check(nid, J, seed, max_order)
+            n0, specialization = leading_coeff_check(reduced, sys, certainty,
+                                                     seed)
         except Inconclusive as exc:
             return ProofReport(
                 verdict="inconclusive", certainty=certainty, seed=seed,
@@ -810,10 +905,17 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
             verdict=verdict, certainty=certainty, seed=seed,
             method="determinant-grid", order=J, degree=sys.ansatz.degree,
             grid_total=res.grid_total, grid_tested=res.grid_tested,
-            leading_root_bound=n0,
-            specialization={p: str(v) for p, v in specialization.items()},
+            leading_root_bound=n0, specialization=specialization,
             message=shape)
-        return _finish(report, checks)
+        report = _finish(report, checks)
+        if report.verdict != "refuted":
+            upto = max(J - 1, J + n0 if n0 is not None else -1) + 3
+            bad = _numeric_check(nid, summand, rhs_terms, upto, seed)
+            if bad is not None:
+                report.verdict = "refuted"
+                report.message = "numeric check failed at " + ", ".join(
+                    f"{v}={x}" for v, x in bad.items())
+        return report
     return ProofReport(
         verdict="inconclusive", certainty=certainty, seed=seed,
         method="determinant-grid", nonzero_point=last_witness,

@@ -7,7 +7,9 @@ elimination in the package: `_int_rank` on integer matrices (grid rank,
 pivot rows, numeric determinants) and `_poly_eliminate` on `MultiPoly`
 matrices (nullspaces, symbolic determinants and resultants).  One evaluator,
 `_GridEvaluator`, computes a polynomial matrix at integer points for the
-determinant grid and for the univariate nullspace shortcut.
+determinant grid and for `_univar_minors`, which interpolates minors in one
+variable for the univariate nullspace shortcut and the leading-coefficient
+check.
 """
 
 from __future__ import annotations
@@ -384,6 +386,44 @@ def _interpolate_int(values) -> list:
     return [Fraction(c, s) for c in acc]
 
 
+def _pivot_rows(a) -> list:
+    """Sorted indices of rows of the integer matrix a that form a basis of its
+    row space (a is left unchanged)."""
+    order = list(range(len(a)))
+    rank = _int_rank([list(row) for row in a], order)
+    return sorted(order[:rank])
+
+
+def _univar_minors(m: PolyMatrix, var, points, column_sets) -> list:
+    """Per point (fixing every variable of m but var at an integer), the
+    coefficient lists (ascending in var) of det m[:, cols] per column set.
+
+    m is integer-cleared with len(cols) rows.  Every minor has degree at most
+    the max-weight assignment on its entries' degrees in var, so it is
+    evaluated at that many nodes 0, 1, ... and interpolated exactly.  The
+    evaluator substitutes var last, so the nodes of one point share the
+    substitution of the others, and point t takes the t-th value of each."""
+    deg_rows = [[e.degree(var) for e in row] for row in m.entries]
+    bound = 0
+    for cols in column_sets:
+        b = _max_assignment([[r[j] for j in cols] for r in deg_rows])
+        if b is not None:
+            bound = max(bound, b)
+    nodes = list(range(bound + 1))
+    order = tuple(v for v in m.vars if v != var) + (var,)
+    last = PolyMatrix([[e.restrict(order) for e in row] for row in m.entries])
+    values = {v: [p[v] for p in points] for v in order[:-1]}
+    values[var] = nodes
+    # index of (t-th value of every fixed variable, node j)
+    stride = sum(len(points) ** i for i in range(len(order) - 1)) * len(nodes)
+    indices = [t * stride + j for t in range(len(points)) for j in nodes]
+    dets = [[[] for _ in column_sets] for _ in points]
+    for pos, _, a in _GridEvaluator(last, values).matrices(indices):
+        for out, cols in zip(dets[pos // len(nodes)], column_sets):
+            out.append(_int_det([[r[j] for j in cols] for r in a]))
+    return [[_interpolate_int(d) for d in per_point] for per_point in dets]
+
+
 def _nullspace_univar(m: PolyMatrix):
     """Evaluation/interpolation nullspace for univariate matrices.
 
@@ -394,35 +434,21 @@ def _nullspace_univar(m: PolyMatrix):
     var = m.vars[0]
     cleared = _integer_cleared(m)
     # probe the rank at a few points clear of small-integer coincidences
-    best_rank = -1
-    best_pivots = None
+    best_pivots = []
     probes = _GridEvaluator(cleared, {var: [101, 137, 211]})
     for _, _, a in probes.matrices(range(3)):
-        order = list(range(m.rows))
-        rank = _int_rank(a, order)
-        if rank > best_rank:
-            best_rank = rank
-            best_pivots = sorted(order[:rank])
-        if best_rank == m.cols:
+        pivots = _pivot_rows(a)
+        if len(pivots) > len(best_pivots):
+            best_pivots = pivots
+        if len(best_pivots) == m.cols:
             return []
-    if best_rank < m.cols - 1:
+    if len(best_pivots) < m.cols - 1:
         return None  # corank >= 2: fall back to the symbolic path
     sub = PolyMatrix([cleared.entries[i] for i in best_pivots])
-    deg_rows = [[e.degree(var) for e in row] for row in sub.entries]
-    bound = 0
-    for skip in range(m.cols):
-        b = _max_assignment([r[:skip] + r[skip + 1:] for r in deg_rows])
-        if b is not None:
-            bound = max(bound, b)
-    nodes = range(bound + 1)
-    comps = [[] for _ in range(m.cols)]
-    for _, _, a in _GridEvaluator(sub, {var: list(nodes)}).matrices(nodes):
-        for j in range(m.cols):
-            comps[j].append(_int_det([r[:j] + r[j + 1:] for r in a]))
+    others = [[c for c in range(m.cols) if c != j] for j in range(m.cols)]
     vec = []
     vars = m.vars
-    for j in range(m.cols):
-        coeffs = _interpolate_int(comps[j])
+    for j, coeffs in enumerate(_univar_minors(sub, var, [{}], others)[0]):
         sign = 1 if j % 2 == 0 else -1
         vec.append(MultiPoly.from_terms(
             vars, [((d,), sign * c) for d, c in enumerate(coeffs) if c]))

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import ceil, prod
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,11 +14,12 @@ from hyperproof.gridproof import (
     NormalizedIdentity, Inconclusive, initial_conditions_check,
     leading_coeff_check, normalize_and_delta, prove,
     _content_free, _degenerate_on_support, _gosper_columns_independent,
-    _grid_point,
+    _grid_point, _numeric_check,
     _grid_values, _leading_root_bound, _lower_set, _rank_deficiency_test,
     _support_bounds, _termination_guard,
 )
 from hyperproof.cli import load_identity
+from hyperproof.factored import Factored
 from hyperproof.linalg import (
     PolyMatrix, _GridEvaluator, _grid_digits, _int_rank, _integer_cleared,
     det_symbolic, permanent_degree_bound,
@@ -412,13 +414,6 @@ def test_positive_integer_roots():
     assert _leading_root_bound(Recurrence(1, (one, q)), "n") is None
 
 
-def test_leading_coeff_check_chu():
-    nid = make_nid(*CHU)
-    n0, point = leading_coeff_check(nid, 1, seed=5)
-    assert n0 is None
-    assert set(point) == {"a"}
-
-
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
@@ -442,21 +437,174 @@ def test_degenerate_on_support_denominator_form_in_n():
     assert not _degenerate_on_support(nid, nid.delta_term.substituted(point), point)
 
 
-def test_leading_coeff_check_skips_degenerate_first_draw():
-    # prove seed 160630457 first draws x=7/2, z=-11, where rf(2z+2n+2, k)
-    # becomes rf(2n-20, k); telescoping that specialization stalled for minutes
+def _system(vars, rows, J, contents=None):
+    """A hand-built content-free order-J matrix M' and the parts of its
+    assembled system that leading_coeff_check reads."""
+    matrix = PolyMatrix.from_rows(vars, rows)
+    ones = [Factored.one(vars)] * matrix.cols
+    sys = SimpleNamespace(ansatz=SimpleNamespace(order=J), n="n",
+                          contents=contents or ones)
+    return matrix, sys
+
+
+def _rank_two_of_three(v0, v1, v2):
+    # every row is orthogonal to (v0, v1, v2), and any two rows have rank 2
+    zero = v0 - v0
+    return [[v1, -v0, zero], [zero, v2, -v1], [v2, zero, -v0]]
+
+
+def _nx():
+    vars = ("n", "x")
+    return vars, MultiPoly.variable(vars, "n"), MultiPoly.variable(vars, "x")
+
+
+def test_leading_coeff_check_finds_a_generic_root():
+    vars, n, x = _nx()
+    one = MultiPoly.constant(vars, 1)
+    a1 = (n - one.scale(3)) * (n + x.scale(2) + one)
+    matrix, sys = _system(vars, _rank_two_of_three(n + x, a1, one), 1)
+    n0, points = leading_coeff_check(matrix, sys, Fraction(1), 0)
+    assert n0 == 3
+    assert len(points) == 3 and all(set(p) == {"x"} for p in points)
+    assert all(isinstance(v, int) for p in points for v in p.values())
+
+
+def test_leading_coeff_check_drops_roots_of_special_parameters():
+    # a_1 = n - x has the positive root n = x only where x is a positive
+    # integer; the gcd over the specializations drops it
+    vars, n, x = _nx()
+    one = MultiPoly.constant(vars, 1)
+    matrix, sys = _system(vars, _rank_two_of_three(n + x, n - x, n + one), 1)
+    assert leading_coeff_check(matrix, sys, Fraction(1), 0)[0] is None
+
+
+def test_leading_coeff_check_reads_parameter_free_contents():
+    # the parameter-free parts of the column contents divide a_J's multiple
+    # L / c_J: n - 5, and n - 6 inside the unsplit (n - 6)(n + x); n - x is
+    # not free of x, so its root is not generic
+    vars, n, x = _nx()
+    one = MultiPoly.constant(vars, 1)
+    rows = _rank_two_of_three(n + x, n - x, n + one)
+    contents = [Factored.one(vars).mul_poly(n - one.scale(5), 1),
+                Factored.one(vars).mul_poly(n - x, 1), Factored.one(vars)]
+    matrix, sys = _system(vars, rows, 1, contents)
+    assert leading_coeff_check(matrix, sys, Fraction(1), 0)[0] == 5
+    contents[2] = Factored.one(vars).mul_poly((n - one.scale(6)) * (n + x), 1)
+    assert contents[2].factors()[0][0].total_degree() == 2
+    matrix, sys = _system(vars, rows, 1, contents)
+    assert leading_coeff_check(matrix, sys, Fraction(1), 0)[0] == 6
+
+
+def _corank_two():
+    # kernel spanned by (p, n - 4, 1, 0) and (s, 0, 0, 1); a_1 = n - 4 on the
+    # columns a0, a1, b0, while the 4 columns together have rank 2 only
+    vars, n, x = _nx()
+    one = MultiPoly.constant(vars, 1)
+    zero = one - one
+    p, q, s = n + x, n - one.scale(4), x * n + one
+
+    def row(r0, r1):
+        return [r0, r1, -(r0 * p + r1 * q), -(r0 * s)]
+
+    return _system(vars, [row(one, zero), row(zero, one), row(n, one),
+                          row(one, x)], 1)
+
+
+def test_leading_coeff_check_tests_the_chosen_columns(monkeypatch):
+    calls = []
+    real = gridproof._rank_deficiency_test
+
+    def spy(matrix, certainty, seed, jobs=1):
+        calls.append(matrix.cols)
+        return real(matrix, certainty, seed, jobs)
+
+    monkeypatch.setattr(gridproof, "_rank_deficiency_test", spy)
+    matrix, sys = _corank_two()
+    assert leading_coeff_check(matrix, sys, Fraction(1), 0)[0] == 4
+    assert calls == [3]
+
+
+def test_leading_coeff_check_needs_a_j_in_the_span_of_the_others(monkeypatch):
+    # b0 = n * a0 gives the kernel (n, 0, -1): no telescoper of order 1, and
+    # the independent a1 column is turned down before any scan
+    calls = []
+    monkeypatch.setattr(gridproof, "_rank_deficiency_test",
+                        lambda *args, **kw: calls.append(args))
+    vars, n, x = _nx()
+    one = MultiPoly.constant(vars, 1)
+    matrix, sys = _system(vars, [[one, x, n], [x, one, n * x],
+                                 [n, n + x, n * n]], 1)
+    with pytest.raises(Inconclusive, match="^order 1: the a_1 column is not"):
+        leading_coeff_check(matrix, sys, Fraction(1), 0)
+    assert calls == []
+
+
+def test_leading_coeff_check_inconclusive_when_columns_not_dependent(
+        monkeypatch):
+    monkeypatch.setattr(gridproof, "_rank_deficiency_test",
+                        lambda *args, **kw: gridproof.VanishingResult(
+                            False, 1, 1, {}))
+    matrix, sys = _corank_two()
+    with pytest.raises(Inconclusive, match="^order 1: "):
+        leading_coeff_check(matrix, sys, Fraction(1), 0)
+
+
+def test_prove_inconclusive_when_root_search_gives_up(monkeypatch):
+    def gives_up(coeffs):
+        raise ArithmeticError("too many modular root candidates")
+
+    monkeypatch.setattr(gridproof, "integer_roots_univar", gives_up)
+    ident = load_identity(CORPUS / "chu-vandermonde.txt")
+    F, rhs_terms, lower, upper = ident.parsed()
+    rep = prove(F, rhs_terms, "k", "n", lower, upper, ident.params,
+                fast_path=False)
+    assert rep.verdict == "inconclusive"
+    assert rep.message.startswith("order 1: ")
+    assert "too many modular root candidates" in rep.message
+
+
+def test_leading_coeff_check_mrr_seed_160630457():
+    # the old check telescoped a specialization drawn from this prove seed,
+    # x=7/2, z=-11, and stalled for minutes
     def too_slow(signum, frame):
         raise TimeoutError("leading_coeff_check took more than 60 s")
 
     nid = mrr_nid()
+    sys = assemble(nid.delta_term, 2, k=nid.k, n=nid.n)
+    reduced = _content_free(sys)
     old = signal.signal(signal.SIGALRM, too_slow)
     signal.alarm(60)
     try:
-        _, point = leading_coeff_check(nid, 2, 160630457)
+        n0, points = leading_coeff_check(reduced, sys, Fraction(1, 100),
+                                         160630457)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
-    assert point != {"x": Fraction(7, 2), "z": Fraction(-11)}
+    assert n0 is None
+    assert len(points) == 3 and all(set(p) == {"x", "z"} for p in points)
+
+
+def test_numeric_check_finds_a_wrong_right_side():
+    nid = make_nid(*CHU)
+    syms = CHU[2]
+    F = parse_term(CHU[0], syms)
+    assert _numeric_check(nid, F, parse_sum(CHU[1], syms), 4, 0) is None
+    bad = _numeric_check(nid, F, parse_sum("binomial(a+n+1,a)", syms), 4, 0)
+    assert bad["n"] == 0 and set(bad) == {"n", "a"}
+
+
+def test_prove_refutes_on_numeric_mismatch(monkeypatch):
+    # twice the right side passes the grid (same ratio in n); with the base
+    # case forced through, only the numeric check is left to catch it
+    monkeypatch.setattr(gridproof, "initial_conditions_check",
+                        lambda nid, J, n0: [("base", 0, True)])
+    syms = CHU[2]
+    rep = prove(parse_term(CHU[0], syms), parse_sum("2*binomial(a+n,a)", syms),
+                "k", "n", lf("0", syms), lf("n", syms), ("a",),
+                fast_path=False)
+    assert rep.method == "determinant-grid"
+    assert rep.verdict == "refuted"
+    assert rep.message.startswith("numeric check failed at n=0, a=")
 
 
 def test_initial_conditions_chu():

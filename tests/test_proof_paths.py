@@ -8,7 +8,7 @@ import pytest
 
 from hyperproof.cli import load_identity, run_prove
 from hyperproof.gridproof import (
-    _rank_deficiency_test, normalize_and_delta, prove,
+    _leading_root_bound, _rank_deficiency_test, normalize_and_delta, prove,
 )
 from hyperproof.linalg import PolyMatrix, permanent_degree_bound, solve_nullspace
 from hyperproof.polys import MultiPoly
@@ -58,6 +58,22 @@ def test_dixon_determinant_path():
     assert rep.verdict == "rigorous"
     assert rep.method == "determinant-grid"
     assert rep.order <= 3
+
+
+@pytest.mark.parametrize("name", ["chu-vandermonde.txt", "dixon.txt"])
+def test_leading_root_bound_covers_the_symbolic_telescoper(name):
+    # the root bound from the order-J cofactors is at least that of the
+    # telescoper the symbolic solve finds up to the same order
+    nid, ident = _nid(name)
+    F, rhs_terms, lower, upper = ident.parsed()
+    rep = prove(F, rhs_terms, "k", "n", lower, upper, ident.params,
+                fast_path=False)
+    assert rep.method == "determinant-grid"
+    rec, _ = creative_telescope(nid.delta_term, rep.order)
+    symbolic = _leading_root_bound(rec, "n")
+    grid = rep.leading_root_bound
+    assert (grid if grid is not None else 0) >= \
+        (symbolic if symbolic is not None else 0)
 
 
 def test_vanishing_monotone_in_certainty():
