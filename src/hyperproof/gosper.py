@@ -19,9 +19,9 @@ def gosper_antidifference(f: TermExpression, k: str):
     """Certificate R with G = R*f and G(k+1) - G(k) = f, or None.
 
     R satisfies R(k+1)*rho(k) - R(k) = 1 exactly, rho the shift quotient of f.
-    The first nullspace vector (a_0, b_0..b_K) of the order-0 system with
-    a_0 != 0 gives b(k) = sum_i (b_i/a_0) k^i and R = b(k) r(k-1) / pbar(k),
-    returned reduced.
+    The first nullspace vector of the order-0 system with a_0 != 0, lifted to
+    (a_0, b_0..b_K), gives b(k) = sum_i (b_i/a_0) k^i and
+    R = b(k) r(k-1) / pbar(k), returned reduced.
     """
     vars = f.symbols
     if f.is_zero():
@@ -33,10 +33,10 @@ def gosper_antidifference(f: TermExpression, k: str):
     for vec in solve_nullspace(sys.matrix):
         if vec[0].is_zero():
             continue
-        # basis vectors are polynomial, so b = sum_i b_i k^i over a_0
+        a0, *bs = sys.lift(vec)
         b = MultiPoly.zero(vars)
-        for i, c in enumerate(vec[1:]):
-            b = b + c.num.embed(vars) * kpoly ** i
+        for i, c in enumerate(bs):
+            b = b + c.embed(vars) * kpoly ** i
         return Certificate(RationalFunction(
-            b * sys.r.shift(k, -1), vec[0].num.embed(vars) * sys.pbar))
+            b * sys.r.shift(k, -1), a0.embed(vars) * sys.pbar))
     return None

@@ -2,10 +2,10 @@
 
 Normalizes sum F = RHS to sum Fhat = 1 and differences it (dropping the
 recurrence order by one), then proves existence of a telescoping recurrence
-without solving the symbolic system.  Each column of the system matrix is
-first divided by its k-free content (read off the factored system, see
-_content_free); the result is square (or handled by rank on maximal minors),
-and its determinant is a polynomial whose support lies in a lower
+without solving the symbolic system.  telescope.assemble builds the system
+matrix M' with each column divided by its k-free content, read off the
+factored system; M' is square (or handled by rank on maximal minors), and
+its determinant is a polynomial whose support lies in a lower
 (down-closed) set S of exponents.  For every weight w in {0,1}^r, w.e is at
 most the max-weight assignment h(w) on the entry weights; the unit weights
 give the permanent degree bounds, so S lies in their box.  A polynomial
@@ -14,8 +14,8 @@ points is zero (N. Dyn and M. S. Floater, "Multivariate polynomial
 interpolation on lower sets", J. Approx. Theory 177, 2014), so vanishing on
 those |S| points is conclusive.  Certainty < 1 tests a sampled fraction of
 them.  The induction is closed by a root bound for the leading coefficient
-a_J, read off the cofactors of the same content-free order-J system at
-integer specializations (leading_coeff_check), and by exact initial
+a_J, read off the cofactors of the same order-J system M' at integer
+specializations (leading_coeff_check), and by exact initial
 conditions; the bound covers the roots generic in the parameters, so a
 parametric verdict holds for generic values of them.  A numeric summation
 of both sides at integer parameter points then cross-checks the verdict.
@@ -48,8 +48,8 @@ from .telescope import (
     Certificate, Recurrence, assemble, creative_telescope, verify_certificate,
 )
 from .terms import (
-    EvalError, LinearForm, TermError, TermExpression, eval_summand, evaluate,
-    integer_form, natural_support, shift_quotient, zero_rules,
+    LinearForm, TermError, TermExpression, eval_summand, evaluate,
+    natural_support, shift_quotient, zero_rules,
 )
 
 
@@ -292,18 +292,6 @@ def _rank_deficiency_test(matrix: PolyMatrix, certainty, seed: int,
     return VanishingResult(True, total, count, None)
 
 
-def _content_free(sys) -> PolyMatrix:
-    """sys.matrix with column j divided by its factored k-free content c_j
-    (sys.contents); divexact raises on any inexact division.
-
-    Column scaling by nonzero polynomials keeps the rank over Q(n, params),
-    and for a square matrix det M = det M' * prod_j c_j, so the vanishing
-    test on M' decides it for M over a smaller lower set."""
-    contents = [c.expand().restrict(sys.matrix_vars) for c in sys.contents]
-    return PolyMatrix([[e.divexact(c) for e, c in zip(row, contents)]
-                       for row in sys.matrix.entries], avoid=sys.matrix.avoid)
-
-
 def _parallel_scan(matrix, values, indices, jobs):
     """Rank the first _SERIAL_HEAD indices in process, then the rest over
     worker processes in contiguous chunks of equal length; the reported hit
@@ -379,13 +367,13 @@ def _free_part(p: MultiPoly, n) -> MultiPoly:
     return g
 
 
-def leading_coeff_check(reduced: PolyMatrix, sys, certainty, seed: int):
+def leading_coeff_check(sys, certainty, seed: int):
     """Largest positive integer root n0 of the leading coefficient a_J of a
     telescoper from the order-J system the grid proved, as roots generic in
     the parameters; returns (n0 or None, the parameter points used).
 
-    reduced is that system's content-free matrix M' (column j of sys.matrix
-    divided by c_j = sys.contents[j]).  At one seeded integer point s_1 of the
+    sys.matrix is that system's M' (column j of the full system divided by
+    c_j = sys.contents[j]).  At one seeded integer point s_1 of the
     parameters and n, rows P and columns B (J not in B) of full rank r = rank
     M'(s_1) are chosen such that column J lies in the span of B.  M'[:, C],
     C = B + {J}, is then shown rank-deficient: by the grid already when C is
@@ -404,7 +392,7 @@ def leading_coeff_check(reduced: PolyMatrix, sys, certainty, seed: int):
     """
     J = sys.ansatz.order
     n = sys.n
-    matrix = _integer_cleared(reduced)
+    matrix = _integer_cleared(sys.matrix)
     avoid = matrix.avoid
     rng = random.Random(seed * 1000003 + 17)
     points = [{v: _draw(rng, avoid.get(v, ())) for v in matrix.vars if v != n}
@@ -419,7 +407,7 @@ def leading_coeff_check(reduced: PolyMatrix, sys, certainty, seed: int):
     P = _pivot_rows([[row[j] for j in B] for row in a])
     C = sorted(B + [J])
     if len(C) < matrix.cols and matrix.rows >= len(C):
-        sub = PolyMatrix([[row[j] for j in C] for row in reduced.entries],
+        sub = PolyMatrix([[row[j] for j in C] for row in matrix.entries],
                          avoid=avoid)
         if not _rank_deficiency_test(sub, certainty, seed).passed:
             raise Inconclusive(
@@ -445,60 +433,6 @@ def leading_coeff_check(reduced: PolyMatrix, sys, certainty, seed: int):
     except ArithmeticError as exc:
         raise Inconclusive(f"order {J}: leading-coefficient root search: {exc}")
     return max((r for r in roots if r is not None), default=None), used
-
-
-def _degenerate_on_support(nid, g, point) -> bool:
-    """Specialized summand g = nid.delta_term.substituted(point) unusable for
-    the Gosper probe of _fast_path_feasible.
-
-    Structural rejections: identically zero, or a denominator-side rising
-    factorial / factorial / binomial whose argument lands on a terminating
-    nonpositive integer: as a constant, or, for an argument that mentions a
-    parameter, as an integer-coefficient form in n at some n >= 0 (the
-    specialized summand is then undefined inside the window for small n).
-    Sampled evaluation (where the point values are even defined, e.g. at
-    integer parameters) only rejects an all-zero window; points the product
-    formulas cannot evaluate are simply skipped, since the Gosper run itself
-    is formal."""
-    if g.is_zero():
-        return True
-
-    def bad(L: LinearForm, strict: bool) -> bool:
-        # an integer value at some n >= 0 that is negative, or zero too
-        # when not strict; a form in n counts only if L mentions a parameter
-        S = L.substitute(point)
-        if not integer_form(S) or any(s != nid.n for s in S.coeffs):
-            return False
-        if S.coeffs and not any(s in point for s in L.coeffs):
-            return False
-        return S.var_coeff(nid.n) < 0 or (S.const < 0 if strict else S.const <= 0)
-
-    term = nid.delta_term
-    for b, c, e in term.risings:
-        if e < 0 and bad(b, strict=False):
-            return True
-    for a_, e in term.factorials:
-        if e < 0 and bad(a_, strict=True):
-            return True
-    for u, l, e in term.binomials:
-        if e < 0 and (bad(l, strict=True) or bad(u - l, strict=True)):
-            return True
-    nonzero = 0
-    evaluable = 0
-    for nv in range(0, 4):
-        try:
-            lo, hi = _window(nid, nv)
-        except GridProofError:
-            continue
-        for kv in range(lo, min(hi, lo + 8) + 1):
-            try:
-                v = eval_summand(g, {nid.k: kv, nid.n: nv})
-            except (EvalError, ZeroDivisionError):
-                continue
-            evaluable += 1
-            if not v.is_zero():
-                nonzero += 1
-    return evaluable > 0 and nonzero == 0
 
 
 def _window(nid: NormalizedIdentity, n_val: int, params=None):
@@ -668,16 +602,16 @@ def _termination_guard(nid: NormalizedIdentity):
 
 
 _PROBE_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
-_PROBE_MAX_PARAMS = 4  # more parameters go straight to the symbolic attempt
 _SMALL_CASES_UPTO = 4  # largest n the finite check compares
 
 
 def _gosper_columns_independent(sys) -> bool:
-    """The b columns of the system, the Gosper operator
-    b -> q(k) b(k+1) - r(k-1) b(k), have full column rank at one of three
-    integer points off matrix.avoid.  Full rank at one point proves them
-    independent, so every kernel vector has some a_j != 0 and a vanishing
-    determinant does give a telescoper.  False only means no probe showed it.
+    """The b columns of M', the Gosper operator
+    b -> q(k) b(k+1) - r(k-1) b(k) over the k-free factor q and r share, have
+    full column rank at one of three integer points off matrix.avoid.  Full
+    rank at one point proves them independent, in M too, so every kernel
+    vector has some a_j != 0 and a vanishing determinant does give a
+    telescoper.  False only means no probe showed it.
     """
     m = sys.matrix
     block = PolyMatrix([row[sys.ansatz.order + 1:] for row in m.entries])
@@ -690,31 +624,6 @@ def _gosper_columns_independent(sys) -> bool:
     diagonal = sorted({t * (3 ** width - 1) // 2 for t in range(3)})
     return any(_int_rank(a) == block.cols for _, _, a in
                _GridEvaluator(block, values).matrices(diagonal))
-
-
-def _fast_path_feasible(nid: NormalizedIdentity) -> bool:
-    """Gate for the symbolic Gosper attempt: probe an integer specialization
-    first.  A failed probe means the symbolic run would fail too (a symbolic
-    solution specializes to a solution almost everywhere); probes that cannot
-    be evaluated are skipped and the symbolic attempt proceeds."""
-    if not nid.params:
-        return True
-    if len(nid.params) > _PROBE_MAX_PARAMS:
-        return True
-    for attempt in range(2):
-        point = {p: Fraction(_PROBE_PRIMES[attempt * len(nid.params) + i])
-                 for i, p in enumerate(nid.params)}
-        try:
-            g = nid.delta_term.substituted(point)
-        except (TermError, ZeroDivisionError):
-            continue
-        if g.is_zero() or _degenerate_on_support(nid, g, point):
-            continue
-        try:
-            return gosper_antidifference(g, nid.k) is not None
-        except TermError:
-            continue
-    return True
 
 
 def _report_failure(checks):
@@ -816,7 +725,7 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
     g = nid.delta_term
 
     # WZ fast path: a direct Gosper antidifference of the differenced summand
-    if fast_path and _fast_path_feasible(nid):
+    if fast_path:
         try:
             cert_g = gosper_antidifference(g, k)
         except TermError:
@@ -848,14 +757,12 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
                 verdict="inconclusive", certainty=certainty, seed=seed,
                 method="telescope",
                 message=f"no telescoper found up to order {max_order}")
-        rec, cert = out
+        rec, cert, degree = out
         n0 = _leading_root_bound(rec, n)
         checks = initial_conditions_check(nid, rec.order, n0)
-        sys = assemble(g, rec.order, k, n)
         report = ProofReport(
             verdict="rigorous", certainty=certainty, seed=seed,
-            method="telescope", order=rec.order,
-            degree=sys.ansatz.degree if sys else None,
+            method="telescope", order=rec.order, degree=degree,
             leading_root_bound=n0,
             recurrence=[str(c) for c in rec.coefficients],
             certificate=str(cert.ratio))
@@ -868,11 +775,10 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
         if sys is None:
             continue
         m = sys.matrix
-        reduced = _content_free(sys)
         if m.rows < m.cols:
             res = VanishingResult(True, 0, 0, None)
         else:
-            res = _rank_deficiency_test(reduced, certainty, seed, jobs=jobs)
+            res = _rank_deficiency_test(m, certainty, seed, jobs=jobs)
         if not res.passed:
             last_witness = res.witness
             continue
@@ -885,8 +791,7 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
                          "shown independent, so a vanishing determinant "
                          "need not give a telescoper"))
         try:
-            n0, specialization = leading_coeff_check(reduced, sys, certainty,
-                                                     seed)
+            n0, specialization = leading_coeff_check(sys, certainty, seed)
         except Inconclusive as exc:
             return ProofReport(
                 verdict="inconclusive", certainty=certainty, seed=seed,

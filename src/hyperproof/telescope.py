@@ -3,9 +3,11 @@ with sum_j a_j(n) F(n+j,k) = G(n,k+1) - G(n,k), by assembling the linear
 system from the expanded telescoping equation and solving (or, downstream,
 testing) it.  Includes independent certificate verification.
 
-`assemble` is the one builder of the telescoping system.  Its order-0 case
-q(k) b(k+1) - r(k-1) b(k) = a_0 pbar(k) is Gosper's equation, and
-gosper.gosper_antidifference solves it.
+`assemble` is the one builder of the telescoping system.  It builds M', the
+system M with each column divided by its k-free content c_j, which it reads
+off the factored system; `AssembledSystem.lift` maps a kernel vector of M'
+back to one of M.  Its order-0 case q(k) b(k+1) - r(k-1) b(k) = a_0 pbar(k)
+is Gosper's equation, and gosper.gosper_antidifference solves it.
 """
 
 from __future__ import annotations
@@ -52,18 +54,28 @@ class TelescoperAnsatz:
 
 @dataclass
 class AssembledSystem:
+    """The telescoping system M' of one order: column j of the system M of
+    the expanded equation, divided by its k-free content c_j = contents[j].
+    Column scaling by nonzero polynomials keeps the rank over Q(n, params),
+    and for a square system det M = det M' * prod_j c_j."""
     ansatz: TelescoperAnsatz
-    matrix: PolyMatrix          # over (rec var, params); k eliminated
+    matrix: PolyMatrix          # M' over (rec var, params); k eliminated
     k: str
     n: str
     vars: tuple                 # full variable tuple of the term
     matrix_vars: tuple
-    u_polys: list               # expanded u_j, the a_j multiplier polynomials
     pbar: MultiPoly
-    q: MultiPoly
     r: MultiPoly
     denominator: Factored       # Q(k), the cleared common denominator
     contents: list              # Factored k-free divisor of each column
+
+    def lift(self, vec):
+        """The kernel vector of M, as polynomials over matrix_vars, that the
+        polynomial kernel vector vec of M' gives: entry j times L / c_j, L the
+        lcm of the contents."""
+        L = factored_lcm(self.contents)
+        return [v.num * factored_quotient(L, c).expand().restrict(
+                    self.matrix_vars) for v, c in zip(vec, self.contents)]
 
 
 def _default_vars(f: TermExpression, k, n):
@@ -104,9 +116,9 @@ def gosper_degree_bound(deg_p: int, q: MultiPoly, r: MultiPoly, k: str):
 
 
 def assemble(f: TermExpression, J: int, k=None, n=None):
-    """Build the telescoping linear system for order J; None if the degree
-    bound rules the order out.  Order 0 does no shift in n, so it also takes
-    a summand whose only symbol is k."""
+    """Build the content-free telescoping system M' for order J; None if the
+    degree bound rules the order out.  Order 0 does no shift in n, so it also
+    takes a summand whose only symbol is k."""
     k, n = _default_vars(f, k, n)
     vars = f.symbols
     sigmas = [(Factored.one(vars), Factored.one(vars))]  # f(n,k)/f(n,k)
@@ -114,10 +126,6 @@ def assemble(f: TermExpression, J: int, k=None, n=None):
         const, affine, opaque = f.shift_ratio_parts(n, step=j)
         sigmas.append(from_ratio_parts(vars, const, affine, opaque).split())
     Q = factored_lcm([den for _, den in sigmas])
-    u_facts = []
-    for num, den in sigmas:
-        u = num.copy().mul(factored_quotient(Q, den))
-        u_facts.append(u)
     # H = f/Q has ratio rho_f * Q(k)/Q(k+1); Gosper-normalized it gives the
     # equation q(k) b(k+1) - r(k-1) b(k) = pbar(k) * sum_j a_j u_j(k)
     const, affine, opaque = f.shift_ratio_parts(k)
@@ -126,17 +134,23 @@ def assemble(f: TermExpression, J: int, k=None, n=None):
     h_num = rho_num.copy().mul(Q)
     h_den = rho_den.copy().mul(Q.shift(k, 1))
     pbar_f, q_f, r_f = gosper_normal(h_num, h_den, k)
-    pbar = pbar_f.expand()
-    q_poly = q_f.expand()
-    r_poly = r_f.expand()
-    u_polys = [u.expand() * pbar for u in u_facts]
-    deg_p = max(u.degree(k) for u in u_polys)
-    K = gosper_degree_bound(deg_p, q_poly, r_poly, k)
+    # column a_j is -u_j pbar; every b_i column is a combination of q(k) and
+    # r(k-1), and a shift in k leaves their shared k-free factors in place.
+    # Dividing q and r by the same k-free factor changes neither their
+    # k-degrees nor the ratio of their coefficients, so K stays the same.
+    a_facts = [num.copy().mul(factored_quotient(Q, den)).mul(pbar_f)
+               for num, den in sigmas]
+    contents = [factored_free_of(a, k) for a in a_facts]
+    b_content = factored_free_of(factored_common(q_f, r_f), k)
+    cols = [-factored_quotient(a, c).expand() for a, c in zip(a_facts, contents)]
+    q_poly = factored_quotient(q_f, b_content).expand()
+    r_poly = factored_quotient(r_f, b_content).expand()
+    K = gosper_degree_bound(max(c.degree(k) for c in cols), q_poly, r_poly, k)
     if K is None:
         return None
+    contents += [b_content] * (K + 1)
     kpoly = MultiPoly.variable(vars, k)
     rm = r_poly.shift(k, -1)
-    cols = [-u for u in u_polys]
     for i in range(K + 1):
         ki = kpoly ** i
         cols.append(q_poly * ki.shift(k, 1) - rm * ki)
@@ -156,13 +170,8 @@ def assemble(f: TermExpression, J: int, k=None, n=None):
     ansatz = TelescoperAnsatz(J, K, labels)
     avoid = _collect_avoid([Q, q_f, r_f, pbar_f, rho_den], k, matrix_vars)
     matrix = PolyMatrix(rows, avoid=avoid)
-    # column a_j is -u_j pbar; every b_i column is a combination of q(k) and
-    # r(k-1), and a shift in k leaves their shared k-free factors in place
-    b_content = factored_free_of(factored_common(q_f, r_f), k)
-    contents = [factored_free_of(u.copy().mul(pbar_f), k) for u in u_facts]
-    contents += [b_content] * (K + 1)
     return AssembledSystem(ansatz, matrix, k, n, vars, matrix_vars,
-                           u_polys, pbar, q_poly, r_poly, Q, contents)
+                           pbar_f.expand(), r_f.expand(), Q, contents)
 
 
 def _collect_avoid(facts, k, matrix_vars):
@@ -219,29 +228,28 @@ def certificate_from_solution(sys: AssembledSystem, b_coeffs, extra_den=None):
 
 
 def creative_telescope(f: TermExpression, max_order: int = 6, k=None, n=None):
-    """Smallest-order telescoper up to max_order, with its certificate, or
-    None.  Orders are tried in turn; each candidate solution is re-verified
-    exactly before being returned."""
+    """(recurrence, certificate, K) for the smallest-order telescoper up to
+    max_order, K the degree of b in the system it was solved from, or None.
+    Orders are tried in turn; each candidate solution is re-verified exactly
+    before being returned."""
     k, n = _default_vars(f, k, n)
     for J in range(max_order + 1):
         sys = assemble(f, J, k, n)
         if sys is None:
             continue
-        basis = solve_nullspace(sys.matrix)
         best = None
-        for vec in basis:
-            a_part = vec[:J + 1]
-            top = max((i for i, a in enumerate(a_part) if not a.is_zero()),
+        for vec in solve_nullspace(sys.matrix):
+            polys = sys.lift(vec)
+            top = max((i for i in range(J + 1) if not polys[i].is_zero()),
                       default=None)
             if top is None:
                 continue
-            key = (top, a_part[top].num.total_degree())
+            key = (top, polys[top].total_degree())
             if best is None or key < best[0]:
-                best = (key, vec, top)
+                best = (key, polys, top)
         if best is None:
             continue
-        _, vec, top = best
-        polys = [v.num for v in vec]  # denominators already cleared
+        _, polys, top = best
         a_polys = polys[:top + 1]
         b_polys = polys[J + 1:]
         # joint normalization: divide the whole solution by the scale that
@@ -258,7 +266,7 @@ def creative_telescope(f: TermExpression, max_order: int = 6, k=None, n=None):
         cert = certificate_from_solution(sys, b_nums, extra_den=den)
         if not verify_certificate(f, rec, cert, k=k, n=n):
             raise RuntimeError("telescoper failed exact re-verification")
-        return rec, cert
+        return rec, cert, sys.ansatz.degree
     return None
 
 

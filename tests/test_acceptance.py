@@ -79,7 +79,7 @@ def test_mrr_symbolic_semi_rigorous():
 def test_known_recurrences_with_partial_sum_oracles():
     # sum C(n,k): (a0, a1) proportional to (-2, 1)
     f = parse_term("binomial(n,k)", ("k", "n"))
-    rec, cert = creative_telescope(f)
+    rec, cert, _ = creative_telescope(f)
     assert [c.as_constant() for c in rec.coefficients] == [-2, 1]
     A = []
     for nv in range(22):
@@ -91,7 +91,7 @@ def test_known_recurrences_with_partial_sum_oracles():
                    for j, c in enumerate(rec.coefficients)) == 0
     # sum C(n,k)^2: (a0, a1) proportional to (-2(2n+1), n+1)
     f2 = parse_term("binomial(n,k)^2", ("k", "n"))
-    rec2, _ = creative_telescope(f2)
+    rec2, _, _ = creative_telescope(f2)
     nvar = MultiPoly.variable(("n",), "n")
     one = MultiPoly.constant(("n",), 1)
     assert rec2.coefficients[1] == nvar + one
@@ -114,7 +114,7 @@ def _certified_triples():
                        ("binomial(n,k)^2", ("k", "n")),
                        ("binomial(n,k)*binomial(a,k)", ("k", "n", "a"))):
         f = parse_term(text, syms)
-        rec, cert = creative_telescope(f)
+        rec, cert, _ = creative_telescope(f)
         triples.append((f, rec, cert))
     # WZ pair for the normalized one-parameter identity
     ident = load_identity(CORPUS / "chu-vandermonde.txt")
@@ -285,4 +285,13 @@ def test_deterministic_reports(tmp_path):
                         "corpus-1-10-seed13.jsonl").read_bytes()
     verdicts = {json.loads(l)["verdict"] for l in blobs[0].splitlines()}
     assert verdicts <= {"rigorous", "semi-rigorous"}
+    # the exhaustive grid, against records of an earlier version too
+    out = tmp_path / "rigorous.jsonl"
+    assert main(["corpus", str(CORPUS), "--certainty", "1", "--seed", "13",
+                 "--json", str(out)]) == EXIT_OK
+    rigorous = out.read_bytes()
+    assert rigorous == (ROOT / "tests" / "data" /
+                        "corpus-1-seed13.jsonl").read_bytes()
+    assert {json.loads(l)["verdict"] for l in rigorous.splitlines()} == \
+        {"rigorous"}
     _passline("byte-identical structured reports for identical flags+seed")

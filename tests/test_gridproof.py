@@ -13,19 +13,21 @@ from hyperproof import gridproof
 from hyperproof.gridproof import (
     NormalizedIdentity, Inconclusive, initial_conditions_check,
     leading_coeff_check, normalize_and_delta, prove,
-    _content_free, _degenerate_on_support, _gosper_columns_independent,
+    _gosper_columns_independent,
     _grid_point, _numeric_check,
     _grid_values, _leading_root_bound, _lower_set, _rank_deficiency_test,
     _support_bounds, _termination_guard,
 )
 from hyperproof.cli import load_identity
-from hyperproof.factored import Factored
+from hyperproof.factored import (
+    Factored, factored_lcm, factored_quotient, from_ratio_parts, gosper_normal,
+)
 from hyperproof.linalg import (
     PolyMatrix, _GridEvaluator, _grid_digits, _int_rank, _integer_cleared,
-    det_symbolic, permanent_degree_bound,
+    det_symbolic, permanent_degree_bound, solve_nullspace,
 )
 from hyperproof.polys import MultiPoly, RationalFunction
-from hyperproof.telescope import Recurrence, assemble
+from hyperproof.telescope import Recurrence, assemble, gosper_degree_bound
 from hyperproof.terms import (
     EvalError, LinearForm, TermExpression, eval_summand, natural_support,
     parse_affine as lf, parse_sum, parse_term,
@@ -427,24 +429,13 @@ def mrr_nid():
     return corpus_nid("mrr")
 
 
-def test_degenerate_on_support_denominator_form_in_n():
-    # at x=15, z=-4 the denominator factor rf(2z+2n+2, k) becomes rf(2n-6, k),
-    # a nonpositive integer base for n <= 3
-    nid = mrr_nid()
-    point = {"x": Fraction(15), "z": Fraction(-4)}
-    assert _degenerate_on_support(nid, nid.delta_term.substituted(point), point)
-    point = {"x": Fraction(3, 7), "z": Fraction(5, 11)}
-    assert not _degenerate_on_support(nid, nid.delta_term.substituted(point), point)
-
-
 def _system(vars, rows, J, contents=None):
-    """A hand-built content-free order-J matrix M' and the parts of its
-    assembled system that leading_coeff_check reads."""
+    """A hand-built order-J system with matrix M' and the other parts that
+    leading_coeff_check reads."""
     matrix = PolyMatrix.from_rows(vars, rows)
     ones = [Factored.one(vars)] * matrix.cols
-    sys = SimpleNamespace(ansatz=SimpleNamespace(order=J), n="n",
-                          contents=contents or ones)
-    return matrix, sys
+    return SimpleNamespace(matrix=matrix, ansatz=SimpleNamespace(order=J),
+                           n="n", contents=contents or ones)
 
 
 def _rank_two_of_three(v0, v1, v2):
@@ -462,8 +453,8 @@ def test_leading_coeff_check_finds_a_generic_root():
     vars, n, x = _nx()
     one = MultiPoly.constant(vars, 1)
     a1 = (n - one.scale(3)) * (n + x.scale(2) + one)
-    matrix, sys = _system(vars, _rank_two_of_three(n + x, a1, one), 1)
-    n0, points = leading_coeff_check(matrix, sys, Fraction(1), 0)
+    sys = _system(vars, _rank_two_of_three(n + x, a1, one), 1)
+    n0, points = leading_coeff_check(sys, Fraction(1), 0)
     assert n0 == 3
     assert len(points) == 3 and all(set(p) == {"x"} for p in points)
     assert all(isinstance(v, int) for p in points for v in p.values())
@@ -474,8 +465,8 @@ def test_leading_coeff_check_drops_roots_of_special_parameters():
     # integer; the gcd over the specializations drops it
     vars, n, x = _nx()
     one = MultiPoly.constant(vars, 1)
-    matrix, sys = _system(vars, _rank_two_of_three(n + x, n - x, n + one), 1)
-    assert leading_coeff_check(matrix, sys, Fraction(1), 0)[0] is None
+    sys = _system(vars, _rank_two_of_three(n + x, n - x, n + one), 1)
+    assert leading_coeff_check(sys, Fraction(1), 0)[0] is None
 
 
 def test_leading_coeff_check_reads_parameter_free_contents():
@@ -487,12 +478,12 @@ def test_leading_coeff_check_reads_parameter_free_contents():
     rows = _rank_two_of_three(n + x, n - x, n + one)
     contents = [Factored.one(vars).mul_poly(n - one.scale(5), 1),
                 Factored.one(vars).mul_poly(n - x, 1), Factored.one(vars)]
-    matrix, sys = _system(vars, rows, 1, contents)
-    assert leading_coeff_check(matrix, sys, Fraction(1), 0)[0] == 5
+    sys = _system(vars, rows, 1, contents)
+    assert leading_coeff_check(sys, Fraction(1), 0)[0] == 5
     contents[2] = Factored.one(vars).mul_poly((n - one.scale(6)) * (n + x), 1)
     assert contents[2].factors()[0][0].total_degree() == 2
-    matrix, sys = _system(vars, rows, 1, contents)
-    assert leading_coeff_check(matrix, sys, Fraction(1), 0)[0] == 6
+    sys = _system(vars, rows, 1, contents)
+    assert leading_coeff_check(sys, Fraction(1), 0)[0] == 6
 
 
 def _corank_two():
@@ -519,8 +510,8 @@ def test_leading_coeff_check_tests_the_chosen_columns(monkeypatch):
         return real(matrix, certainty, seed, jobs)
 
     monkeypatch.setattr(gridproof, "_rank_deficiency_test", spy)
-    matrix, sys = _corank_two()
-    assert leading_coeff_check(matrix, sys, Fraction(1), 0)[0] == 4
+    sys = _corank_two()
+    assert leading_coeff_check(sys, Fraction(1), 0)[0] == 4
     assert calls == [3]
 
 
@@ -532,10 +523,10 @@ def test_leading_coeff_check_needs_a_j_in_the_span_of_the_others(monkeypatch):
                         lambda *args, **kw: calls.append(args))
     vars, n, x = _nx()
     one = MultiPoly.constant(vars, 1)
-    matrix, sys = _system(vars, [[one, x, n], [x, one, n * x],
+    sys = _system(vars, [[one, x, n], [x, one, n * x],
                                  [n, n + x, n * n]], 1)
     with pytest.raises(Inconclusive, match="^order 1: the a_1 column is not"):
-        leading_coeff_check(matrix, sys, Fraction(1), 0)
+        leading_coeff_check(sys, Fraction(1), 0)
     assert calls == []
 
 
@@ -544,9 +535,9 @@ def test_leading_coeff_check_inconclusive_when_columns_not_dependent(
     monkeypatch.setattr(gridproof, "_rank_deficiency_test",
                         lambda *args, **kw: gridproof.VanishingResult(
                             False, 1, 1, {}))
-    matrix, sys = _corank_two()
+    sys = _corank_two()
     with pytest.raises(Inconclusive, match="^order 1: "):
-        leading_coeff_check(matrix, sys, Fraction(1), 0)
+        leading_coeff_check(sys, Fraction(1), 0)
 
 
 def test_prove_inconclusive_when_root_search_gives_up(monkeypatch):
@@ -571,12 +562,10 @@ def test_leading_coeff_check_mrr_seed_160630457():
 
     nid = mrr_nid()
     sys = assemble(nid.delta_term, 2, k=nid.k, n=nid.n)
-    reduced = _content_free(sys)
     old = signal.signal(signal.SIGALRM, too_slow)
     signal.alarm(60)
     try:
-        n0, points = leading_coeff_check(reduced, sys, Fraction(1, 100),
-                                         160630457)
+        n0, points = leading_coeff_check(sys, Fraction(1, 100), 160630457)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
@@ -659,6 +648,36 @@ def test_prove_inconclusive_without_independent_gosper_columns(monkeypatch):
     assert rep.message.startswith("order 1:")
 
 
+def _full_system(f, J, k="k", n="n"):
+    """The rows of the telescoping system M, built from the expanded column
+    polynomials u_j pbar and the full q and r of the Gosper normal form, and
+    its degree K; assemble builds M' from the same factored parts."""
+    vars = f.symbols
+    sigmas = [(Factored.one(vars), Factored.one(vars))]
+    for j in range(1, J + 1):
+        parts = f.shift_ratio_parts(n, step=j)
+        sigmas.append(from_ratio_parts(vars, *parts).split())
+    Q = factored_lcm([den for _, den in sigmas])
+    rho_num, rho_den = from_ratio_parts(vars, *f.shift_ratio_parts(k)).split()
+    pbar, q, r = (p.expand() for p in gosper_normal(
+        rho_num.copy().mul(Q), rho_den.copy().mul(Q.shift(k, 1)), k))
+    u = [num.copy().mul(factored_quotient(Q, den)).expand() * pbar
+         for num, den in sigmas]
+    K = gosper_degree_bound(max(c.degree(k) for c in u), q, r, k)
+    kpoly = MultiPoly.variable(vars, k)
+    cols = [-c for c in u] + [
+        q * (kpoly ** i).shift(k, 1) - r.shift(k, -1) * kpoly ** i
+        for i in range(K + 1)]
+    mvars = tuple(v for v in vars if v != k)
+    rows = []
+    for d in range(max(c.degree(k) for c in cols) + 1):
+        row = [c.to_univar(k)[d].restrict(mvars) if d <= c.degree(k)
+               else MultiPoly.zero(mvars) for c in cols]
+        if any(not e.is_zero() for e in row):
+            rows.append(row)
+    return rows, K
+
+
 # lower-set sizes of the system matrix M and of M' = M with every column
 # divided by its k-free content
 @pytest.mark.parametrize("name,J,full,content_free", [
@@ -671,19 +690,43 @@ def test_prove_inconclusive_without_independent_gosper_columns(monkeypatch):
 def test_content_free_columns(name, J, full, content_free):
     nid = corpus_nid(name)
     sys = assemble(nid.delta_term, J, k=nid.k, n=nid.n)
-    reduced = _content_free(sys)
+    rows, K = _full_system(nid.delta_term, J, k=nid.k, n=nid.n)
+    assert K == sys.ansatz.degree
     contents = [c.expand().restrict(sys.matrix_vars) for c in sys.contents]
     assert not any(c.is_constant() for c in contents)
-    for row, reduced_row in zip(sys.matrix.entries, reduced.entries):
-        for e, r, c in zip(row, reduced_row, contents):
-            assert r * c == e
+    # column j of M' times c_j is column j of M, up to a constant per row
+    assert len(rows) == sys.matrix.rows
+    for row, reduced_row in zip(rows, sys.matrix.entries):
+        scaled = [r * c for r, c in zip(reduced_row, contents)]
+        e, r = next((e, r) for e, r in zip(row, scaled) if not e.is_zero())
+        lam = Fraction(r.leading_coeff()) / Fraction(e.leading_coeff())
+        assert scaled == [e.scale(lam) for e in row]
 
     def lower_set_size(m):
         # one sampled point; grid_total is |S| whatever that point shows
         return _rank_deficiency_test(m, Fraction(1, 10 ** 6), 0).grid_total
 
-    assert lower_set_size(sys.matrix) == full
-    assert lower_set_size(reduced) == content_free
+    assert lower_set_size(PolyMatrix(rows)) == full
+    assert lower_set_size(sys.matrix) == content_free
+
+
+@pytest.mark.parametrize("text,syms", [
+    ("binomial(n,k)", ("k", "n")),
+    ("binomial(n,k)^2", ("k", "n")),
+    (CHU[0], CHU[2]),
+])
+def test_lifted_kernel_vectors_solve_the_full_system(text, syms):
+    f = parse_term(text, syms)
+    sys = assemble(f, 1)
+    rows, _ = _full_system(f, 1)
+    basis = solve_nullspace(sys.matrix)
+    assert basis
+    for vec in basis:
+        lifted = sys.lift(vec)
+        assert any(not a.is_zero() for a in lifted)
+        for row in rows:
+            assert sum((e * x for e, x in zip(row, lifted)),
+                       MultiPoly.zero(sys.matrix_vars)).is_zero()
 
 
 def test_mrr_order_one_witness_is_full_rank_without_contents():
@@ -694,8 +737,8 @@ def test_mrr_order_one_witness_is_full_rank_without_contents():
     assert (rep.verdict, rep.method) == ("inconclusive", "determinant-grid")
     assert rep.nonzero_point is not None
     nid = mrr_nid()
-    reduced = _integer_cleared(_content_free(
-        assemble(nid.delta_term, 1, k=nid.k, n=nid.n)))
+    reduced = _integer_cleared(
+        assemble(nid.delta_term, 1, k=nid.k, n=nid.n).matrix)
     a = [[int(v) for v in row]
          for row in _evaluated_at(reduced, rep.nonzero_point)]
     assert _int_rank(a) == reduced.cols

@@ -69,7 +69,7 @@ def test_leading_root_bound_covers_the_symbolic_telescoper(name):
     rep = prove(F, rhs_terms, "k", "n", lower, upper, ident.params,
                 fast_path=False)
     assert rep.method == "determinant-grid"
-    rec, _ = creative_telescope(nid.delta_term, rep.order)
+    rec, _, _ = creative_telescope(nid.delta_term, rep.order)
     symbolic = _leading_root_bound(rec, "n")
     grid = rep.leading_root_bound
     assert (grid if grid is not None else 0) >= \

@@ -38,22 +38,25 @@ def test_assemble_binomial_j1_shape():
     assert matrix.vars == ("n",)
 
 
+def _lifted_ratio(f):
+    # a1/a0 of the first kernel vector of the J=1 system, lifted to M
+    sys = assemble(f, 1)
+    basis = solve_nullspace(sys.matrix)
+    assert basis
+    vec = sys.lift(basis[0])
+    return RationalFunction(vec[1], vec[0])
+
+
 def test_assemble_nullspace_ratio_binomial():
     # nullspace of the J=1 system gives a1/a0 = -1/2
     f = parse_term("binomial(n,k)", ("k", "n"))
-    basis = solve_nullspace(assemble(f, 1).matrix)
-    assert basis
-    vec = basis[0]
-    ratio = vec[1] / vec[0]
+    ratio = _lifted_ratio(f)
     assert ratio == RationalFunction.constant(("n",), Fraction(-1, 2))
 
 
 def test_assemble_nullspace_ratio_central_binomial():
     f = parse_term("binomial(n,k)^2", ("k", "n"))
-    basis = solve_nullspace(assemble(f, 1).matrix)
-    assert basis
-    vec = basis[0]
-    ratio = vec[1] / vec[0]
+    ratio = _lifted_ratio(f)
     # a1/a0 = -(n+1)/(4n+2)
     n = MultiPoly.variable(("n",), "n")
     one = MultiPoly.constant(("n",), 1)
@@ -64,8 +67,10 @@ def test_creative_telescope_binomial():
     f = parse_term("binomial(n,k)", ("k", "n"))
     out = creative_telescope(f)
     assert out is not None
-    rec, cert = out
+    rec, cert, degree = out
     assert rec.order == 1
+    # the degree of b in the order-1 system the telescoper was solved from
+    assert degree == assemble(f, 1).ansatz.degree
     a0, a1 = rec.coefficients
     assert a0.as_constant() == -2 and a1.as_constant() == 1
     # R = -k/(n+1-k)
@@ -81,7 +86,7 @@ def test_creative_telescope_central_binomial():
     f = parse_term("binomial(n,k)^2", ("k", "n"))
     out = creative_telescope(f)
     assert out is not None
-    rec, cert = out
+    rec, cert, _ = out
     assert rec.order == 1
     a0, a1 = rec.coefficients
     # (a0, a1) proportional to (-2(2n+1), n+1)
@@ -96,7 +101,7 @@ def test_creative_telescope_central_binomial():
 def test_partial_sum_oracle_binomial():
     # exact partial-sum oracle for n = 0..20
     f = parse_term("binomial(n,k)", ("k", "n"))
-    rec, _ = creative_telescope(f)
+    rec, _, _ = creative_telescope(f)
     A = [brute_sum(f, nv, 0, nv) for nv in range(22)]
     assert all(A[nv] == 2 ** nv for nv in range(22))
     for nv in range(20):
@@ -108,7 +113,7 @@ def test_partial_sum_oracle_binomial():
 def test_partial_sum_oracle_central_binomial():
     from math import comb
     f = parse_term("binomial(n,k)^2", ("k", "n"))
-    rec, _ = creative_telescope(f)
+    rec, _, _ = creative_telescope(f)
     A = [brute_sum(f, nv, 0, nv) for nv in range(22)]
     assert all(A[nv] == comb(2 * nv, nv) for nv in range(22))
     for nv in range(20):
@@ -121,7 +126,7 @@ def test_creative_telescope_vandermonde_with_parameter():
     f = parse_term("binomial(n,k)*binomial(a,k)", ("k", "n", "a"))
     out = creative_telescope(f)
     assert out is not None
-    rec, cert = out
+    rec, cert, _ = out
     assert rec.order == 1
     assert verify_certificate(f, rec, cert)
     # oracle: A(n) = C(n+a, n) at integer a; recurrence must annihilate it
@@ -139,7 +144,7 @@ def test_creative_telescope_dixon():
         ("k", "n", "a", "b"))
     out = creative_telescope(f, max_order=2)
     assert out is not None
-    rec, cert = out
+    rec, cert, _ = out
     assert rec.order <= 2
     assert verify_certificate(f, rec, cert)
     # recurrence is consistent with the closed form (a+b+n)!/(a!b!n!):
@@ -161,7 +166,7 @@ def test_creative_telescope_dixon():
 
 def test_verify_certificate_rejects_perturbation():
     f = parse_term("binomial(n,k)", ("k", "n"))
-    rec, cert = creative_telescope(f)
+    rec, cert, _ = creative_telescope(f)
     vars = ("k", "n")
     k = MultiPoly.variable(vars, "k")
     n = MultiPoly.variable(vars, "n")
@@ -172,7 +177,7 @@ def test_verify_certificate_rejects_perturbation():
 
 def test_verify_certificate_rejects_zero():
     f = parse_term("binomial(n,k)", ("k", "n"))
-    rec, _ = creative_telescope(f)
+    rec, _, _ = creative_telescope(f)
     zero = Certificate(RationalFunction.constant(("k", "n"), 0))
     assert not verify_certificate(f, rec, zero)
 
@@ -180,8 +185,8 @@ def test_verify_certificate_rejects_zero():
 def test_scaling_invariance():
     f = parse_term("binomial(n,k)", ("k", "n"))
     g = f.with_rational(RationalFunction.constant(("k", "n"), Fraction(7, 3)))
-    rec_f, _ = creative_telescope(f)
-    rec_g, _ = creative_telescope(g)
+    rec_f, _, _ = creative_telescope(f)
+    rec_g, _, _ = creative_telescope(g)
     assert rec_f.coefficients == rec_g.coefficients
 
 
@@ -193,7 +198,7 @@ def test_telescope_mrr_specialized():
         ("k", "n"))
     out = creative_telescope(f, max_order=4)
     assert out is not None
-    rec, cert = out
+    rec, cert, _ = out
     assert verify_certificate(f, rec, cert)
     # the sum vanishes for every n: recurrence + zero initial values
     for nv in range(0, 6):
