@@ -23,9 +23,12 @@ of both sides at integer parameter points then cross-checks the verdict.
 Grid points are visited in sorted box index order, the first of matrix.vars
 the most significant digit.  linalg._GridEvaluator substitutes one variable
 per level by Horner's rule, reusing the levels of the digit prefix a point
-shares with the previous one; _first_full_rank, serial or in the pool
-workers, ends each point in one call of the integer rank kernel _int_rank,
-made here.
+shares with the previous one.  _first_full_rank, serial or in the pool
+workers, reads linalg._constant_pivots once per matrix; _full_rank applies
+that division-free chain at each point and ends in one call of the integer
+rank kernel _int_rank, made here, on the remainder.  The pivot rows, never
+changed, form a triangular block with nonzero constant diagonal above zeros,
+so the rank is the chain length plus the remainder's: each decision is exact.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from math import ceil
 from .factored import integer_roots_univar
 from .gosper import gosper_antidifference
 from .linalg import (
-    PolyMatrix, _GridEvaluator, _grid_digits, _int_rank, _integer_cleared,
-    _max_assignment, _pivot_rows, _univar_minors,
+    PivotChain, PolyMatrix, _GridEvaluator, _constant_pivots, _grid_digits,
+    _int_rank, _integer_cleared, _max_assignment, _pivot_rows, _univar_minors,
 )
 from .polys import MultiPoly, RationalFunction, _as_fraction, poly_gcd
 from .telescope import (
@@ -227,12 +230,29 @@ def _lower_set(sizes, bounds: dict) -> array:
 _SERIAL_HEAD = 256
 
 
+def _full_rank(chain: PivotChain, a) -> bool:
+    """Whether a, a value of the matrix the chain was read from, has full
+    column rank: the chain's steps in place, then _int_rank on the rest."""
+    for i, j, targets, live in chain.steps:
+        piv = a[i]
+        c = piv[j]
+        for r in targets:
+            row = a[r]
+            f = row[j]
+            if f:
+                for k in live:
+                    row[k] = c * row[k] - f * piv[k]
+    rest = [[a[r][k] for k in chain.cols] for r in chain.rows]
+    return _int_rank(rest) == len(chain.cols)
+
+
 def _first_full_rank(matrix: PolyMatrix, values: dict, indices):
     """(position, index) of the first point of the sorted index list where
     the integer-cleared matrix has full column rank, or None.  Serial scans,
     the serial head of _parallel_scan and its pool workers all run it."""
+    chain = _constant_pivots(matrix)
     for pos, index, a in _GridEvaluator(matrix, values).matrices(indices):
-        if _int_rank(a) == matrix.cols:
+        if _full_rank(chain, a):
             return pos, index
     return None
 

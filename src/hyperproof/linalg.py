@@ -9,7 +9,10 @@ matrices (nullspaces, symbolic determinants and resultants).  One evaluator,
 `_GridEvaluator`, computes a polynomial matrix at integer points for the
 determinant grid and for `_univar_minors`, which interpolates minors in one
 variable for the univariate nullspace shortcut and the leading-coefficient
-check.
+check.  The grid first applies `_constant_pivots`' chain of constant pivots
+without division, so the Bareiss exactness check stays with `_int_rank` on
+the remainder; the pivot rows form a triangular block with nonzero constant
+diagonal above zeros, so the rank is the chain length plus the remainder's.
 """
 
 from __future__ import annotations
@@ -176,6 +179,42 @@ def _int_rank(a, order=None) -> int:
         if r == rows:
             break
     return r
+
+
+class PivotChain(NamedTuple):
+    steps: list  # (row, column, target rows, live columns) per pivot, in order
+    rows: list   # rows of the remainder
+    cols: list   # columns of the remainder
+
+
+def _constant_pivots(matrix: PolyMatrix) -> PivotChain:
+    """Division-free pivot chain on the constant entries of an integer
+    polynomial matrix, read once before its values are ranked.
+
+    Each pivot (i, j) has matrix[i][j] a nonzero constant c, and row i is
+    structurally zero in every earlier pivot column, counting fill, so no
+    step changes a pivot row.  A step sets row_r = c*row_r - f*row_i, f =
+    row_r[j], on its targets (the other unpivoted rows structurally nonzero
+    in column j) over its live (unpivoted) columns.  Fewest targets first,
+    ties by row and column; the chain stops before the last column.
+    """
+    pattern = [{j for j, e in enumerate(row) if not e.is_zero()}
+               for row in matrix.entries]
+    free, live, steps = list(range(matrix.rows)), list(range(matrix.cols)), []
+    while len(steps) < min(matrix.rows, matrix.cols) - 1:
+        options = [(sum(j in pattern[r] for r in free) - 1, i, j)
+                   for i in free if pattern[i].issubset(live)
+                   for j in pattern[i] if matrix.entries[i][j].is_constant()]
+        if not options:
+            break
+        _, i, j = min(options)
+        free.remove(i)
+        live = [c for c in live if c != j]
+        targets = [r for r in free if j in pattern[r]]
+        for r in targets:
+            pattern[r] |= pattern[i]  # fill; j stays in as the mark of an update
+        steps.append((i, j, targets, live))
+    return PivotChain(steps, free, live)
 
 
 def _int_det(a) -> int:

@@ -16,15 +16,15 @@ from hyperproof.gridproof import (
     _gosper_columns_independent,
     _grid_point, _numeric_check,
     _grid_values, _leading_root_bound, _lower_set, _rank_deficiency_test,
-    _support_bounds, _termination_guard,
+    _full_rank, _support_bounds, _termination_guard,
 )
 from hyperproof.cli import load_identity
 from hyperproof.factored import (
     Factored, factored_lcm, factored_quotient, from_ratio_parts, gosper_normal,
 )
 from hyperproof.linalg import (
-    PolyMatrix, _GridEvaluator, _grid_digits, _int_rank, _integer_cleared,
-    det_symbolic, permanent_degree_bound, solve_nullspace,
+    PolyMatrix, _GridEvaluator, _constant_pivots, _grid_digits, _int_rank,
+    _integer_cleared, det_symbolic, permanent_degree_bound, solve_nullspace,
 )
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.telescope import Recurrence, assemble, gosper_degree_bound
@@ -404,6 +404,100 @@ def test_grid_evaluator_on_mrr_order_two():
     for index, numeric in zip(indices, seen):
         point = _grid_point(matrix.vars, values, index)
         assert numeric == _evaluated_at(matrix, point), point
+
+
+@st.composite
+def chain_cases(draw):
+    """Small integer polynomial matrices in x, y (rows >= cols) with planted
+    zero and constant entries, and integer points to evaluate them at."""
+    vars = ("x", "y")
+    cols = draw(st.integers(1, 4))
+    rows = cols + draw(st.integers(0, 2))
+    coef = st.integers(-3, 3)
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+    def entry():
+        kind = draw(st.sampled_from(("zero", "constant", "constant", "poly")))
+        if kind == "zero":
+            return MultiPoly.zero(vars)
+        if kind == "constant":
+            return MultiPoly.constant(vars, draw(coef.filter(bool)))
+        return MultiPoly.from_terms(
+            vars, draw(st.lists(st.tuples(exps, coef), min_size=1, max_size=3)))
+
+    matrix = PolyMatrix([[entry() for _ in range(cols)] for _ in range(rows)])
+    point = st.fixed_dictionaries({v: st.integers(-3, 3) for v in vars})
+    return matrix, draw(st.lists(point, min_size=1, max_size=6))
+
+
+def _chain_decides(matrix, chain, a):
+    """The chain-plus-remainder decision on the integer matrix a, checked
+    against _int_rank on all of a."""
+    expected = _int_rank([list(row) for row in a]) == matrix.cols
+    assert _full_rank(chain, a) == expected
+    return expected
+
+
+@settings(deadline=None, max_examples=400)
+@given(chain_cases())
+def test_pivot_chain_decides_full_column_rank(case):
+    matrix, points = case
+    chain = _constant_pivots(matrix)
+    assert len(chain.steps) < matrix.cols
+    assert len(chain.steps) + len(chain.cols) == matrix.cols
+    assert len(chain.steps) + len(chain.rows) == matrix.rows
+    for i, j, _, _ in chain.steps:
+        assert matrix.entries[i][j].is_constant()
+    for point in points:
+        _chain_decides(matrix, chain,
+                       [[int(v) for v in row]
+                        for row in _evaluated_at(matrix, point)])
+
+
+_X = MultiPoly.variable(("x",), "x")
+
+
+@pytest.mark.parametrize("rows, steps, rest, full", [
+    # pivot (0, 0) puts x^2 into row 1's column 1, which is zero in M; the
+    # next pivot (2, 1) must update row 1 too.  At x = -1 only that update
+    # leaves the remainder nonzero: M has full rank at every integer x.
+    ([[1, _X, 0], [_X, 0, _X + MultiPoly.constant(("x",), 1)], [0, 1, _X],
+      [0, _X, 1]],
+     [(0, 0, [1], [1, 2]), (2, 1, [1, 3], [2])], ([1, 3], [2]),
+     lambda v: True),
+    # after pivot (0, 0) row 1 reads (0, 0, x): its constant 1 in column 1
+    # is gone, so row 1 is no pivot and (2, 2) ends the chain; det M = -x^2
+    ([[1, 1, 0], [1, 1, _X], [0, _X, 1]],
+     [(0, 0, [1], [1, 2]), (2, 2, [1], [1])], ([1], [1]),
+     lambda v: v != 0),
+], ids=["fill", "updated-row"])
+def test_pivot_chain_hand_built(rows, steps, rest, full):
+    matrix = PolyMatrix.from_rows(("x",), rows)
+    chain = _constant_pivots(matrix)
+    assert chain.steps == steps
+    assert (chain.rows, chain.cols) == rest
+    for v in range(-3, 4):
+        a = _evaluated_at(matrix, {"x": v})
+        assert _chain_decides(matrix, chain, a) == full(v)
+
+
+@pytest.mark.parametrize("J, pivots, remainder", [(1, 1, (4, 3)),
+                                                  (2, 5, (4, 4))])
+def test_pivot_chain_on_mrr(J, pivots, remainder):
+    nid = mrr_nid()
+    matrix = _integer_cleared(assemble(nid.delta_term, J, k=nid.k, n=nid.n).matrix)
+    chain = _constant_pivots(matrix)
+    assert len(chain.steps) == pivots
+    assert (len(chain.rows), len(chain.cols)) == remainder
+    bounds = _support_bounds(matrix)
+    values = {v: _grid_values(bounds[1 << i], matrix.avoid.get(v, set()))
+              for i, v in enumerate(matrix.vars)}
+    lower = _lower_set([len(values[v]) for v in matrix.vars], bounds)
+    sample = sorted(random.Random(13).sample(list(lower), min(500, len(lower))))
+    flags = {_chain_decides(matrix, chain, a) for _, _, a in
+             _GridEvaluator(matrix, values).matrices(sample)}
+    # order 1 has full-rank points (its witness is the 2nd); order 2 none
+    assert flags == ({False, True} if J == 1 else {False})
 
 
 def test_positive_integer_roots():
