@@ -3,7 +3,10 @@
 Shift quotients of hypergeometric terms are products of affine forms (plus
 numerators/denominators of rational factors).  Keeping the factorization
 makes shift-gcd structure (dispersions) cheap to read off, which is what the
-Gosper normal form needs; expansion happens only at the end.
+Gosper normal form needs; expansion happens only at the end.  Each factor
+pair keeps its own candidate shifts, the roots of its resultant in k, and the
+normal form tests a pair only there, or at every shift when both factors have
+a nonconstant k-content (a k-free factor, which the resultant cannot see).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from fractions import Fraction
 from math import gcd as _igcd, isqrt
 
 from .linalg import _poly_eliminate
-from .polys import MultiPoly, _as_fraction, _norm_coef, poly_gcd
+from .polys import MultiPoly, _as_fraction, _norm_coef, _poly_list_gcd, poly_gcd
 from .terms import LinearForm, TermError
 
 
@@ -543,40 +546,23 @@ def _shift_candidates(fq, fr, k, vars):
     return [j for j in integer_roots_in_var(h, _JVAR) if j >= 0]
 
 
-def dispersion_set(num: Factored, den: Factored, k) -> list:
-    js = set()
-    nf = [(p, a, L) for p, e, a, L in num.factors() if e > 0]
-    df = [(p, a, L) for p, e, a, L in den.factors() if e > 0]
-    for fq in nf:
-        for fr in df:
-            js.update(_shift_candidates(fq, fr, k, num.vars))
-    return sorted(js)
+def _k_factors(f: Factored, k):
+    """The factors of f that involve k, as ((kind, key), poly, form-or-None),
+    affine ones first, each group in storage order."""
+    out = [(("aff", key), L.to_poly(f.vars), L) for key, (L, e) in f.aff.items()
+           if e > 0 and L.var_coeff(k) != 0]
+    out += [(("opq", key), p, None) for key, (p, e) in f.opq.items()
+            if e > 0 and p.degree(k) > 0]
+    return out
 
 
-def _pairwise_gcd_at(num: Factored, den: Factored, j: int, k):
-    """One nontrivial common factor of num(k) and den(k+j).
-
-    Returns (g_poly, (kind_q, key_q), (kind_r, key_r)) or None; g_poly is a
-    divisor of the q-side factor, and g_poly(k-j) divides the r-side factor.
-    """
-    qfacts = [("aff", key, f.to_poly(num.vars), f) for key, (f, e) in num.aff.items()
-              if e > 0 and f.var_coeff(k) != 0]
-    qfacts += [("opq", key, p, None) for key, (p, e) in num.opq.items()
-               if e > 0 and p.degree(k) > 0]
-    rfacts = [("aff", key, f.to_poly(den.vars), f) for key, (f, e) in den.aff.items()
-              if e > 0 and f.var_coeff(k) != 0]
-    rfacts += [("opq", key, p, None) for key, (p, e) in den.opq.items()
-               if e > 0 and p.degree(k) > 0]
-    for kq, keyq, pq, Lq in qfacts:
-        for kr, keyr, pr, Lr in rfacts:
-            if kq == "aff" and kr == "aff":
-                if _normalize_affine(Lr.shift(k, j), num.vars)[1] == Lq:
-                    return pq, ("aff", keyq), ("aff", keyr)
-            else:
-                g = poly_gcd(pq, pr.shift(k, j))
-                if not g.is_constant():
-                    return g, (kq, keyq), (kr, keyr)
-    return None
+def dispersion_set(num: Factored, den: Factored, k) -> dict:
+    """For each pair (num factor, den factor), both involving k, the
+    integers j >= 0 at which the two share a factor that involves k."""
+    return {(fq, fr): _shift_candidates((pq, Lq is not None, Lq),
+                                        (pr, Lr is not None, Lr), k, num.vars)
+            for fq, pq, Lq in _k_factors(num, k)
+            for fr, pr, Lr in _k_factors(den, k)}
 
 
 def gosper_normal(ratio_num: Factored, ratio_den: Factored, k):
@@ -584,21 +570,57 @@ def gosper_normal(ratio_num: Factored, ratio_den: Factored, k):
     gcd(q(k), r(k+j)) = 1 for every integer j >= 0.
 
     The peeled factors accumulate in pbar; q keeps the constant.  Dispersion
-    j = 0 doubles as plain cancellation of common factors.
+    j = 0 doubles as plain cancellation of common factors.  At each j, the
+    first factor pair (q side outer) with a nontrivial gcd at shift j is
+    peeled until none is left.  A pair is tested only at its candidates from
+    dispersion_set, or at every j if both factors have a nonconstant k-content
+    (gcd of the k-coefficients).  A quotient left by a peel divides its
+    parent, so it inherits the parent's candidates and flag.
     """
     if ratio_num.is_zero():
         raise ValueError("zero shift quotient")
     q = ratio_num.copy()
     r = ratio_den.copy()
     pbar = Factored.one(q.vars)
-    for j in dispersion_set(ratio_num, ratio_den, k):
+    cands = dispersion_set(q, r, k)
+    content = {fid: fid[0] == "opq" and not _poly_list_gcd(p.to_univar(k)).is_constant()
+               for f in (q, r) for fid, p, _ in _k_factors(f, k)}
+    for j in sorted(set().union(*cands.values())):
         while True:
-            hit = _pairwise_gcd_at(q, r, j, k)
-            if hit is None:
+            rfacts = _k_factors(r, k)
+            pairs = ((fq, pq, Lq, fr, pr, Lr)
+                     for fq, pq, Lq in _k_factors(q, k) for fr, pr, Lr in rfacts
+                     if j in cands[fq, fr] or content[fq] and content[fr])
+            for fq, pq, Lq, fr, pr, Lr in pairs:
+                if Lq is not None and Lr is not None:
+                    if _normalize_affine(Lr.shift(k, j), q.vars)[1] == Lq:
+                        g = pq
+                        break
+                else:
+                    g = poly_gcd(pq, pr.shift(k, j))
+                    if not g.is_constant():
+                        break
+            else:
                 break
-            g_poly, (kq, keyq), (kr, keyr) = hit
-            q.divide_factor(kq, keyq, g_poly)
-            r.divide_factor(kr, keyr, g_poly.shift(k, -j))
+            _peel(q, fq, g, 0, cands, content)
+            _peel(r, fr, g.shift(k, -j), 1, cands, content)
             for t in range(1, j + 1):
-                pbar.mul_poly(g_poly.shift(k, -t), 1)
+                pbar.mul_poly(g.shift(k, -t), 1)
     return pbar, q, r
+
+
+def _fids(f: Factored):
+    return {("aff", key) for key in f.aff} | {("opq", key) for key in f.opq}
+
+
+def _peel(f: Factored, fid, d_poly, side, cands, content):
+    """Divide one copy of factor fid of f by d_poly.  A new factor left by
+    the quotient inherits fid's content flag and its candidates on side 0
+    (q) or 1 (r) of each pair."""
+    before = _fids(f)
+    f.divide_factor(fid[0], fid[1], d_poly)
+    for new in _fids(f) - before:
+        content[new] = content[fid]
+        for pair, js in list(cands.items()):
+            if pair[side] == fid:
+                cands[(new, pair[1]) if side == 0 else (pair[0], new)] = js

@@ -612,8 +612,21 @@ def poly_lcm(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     return (p * q).divexact(poly_gcd(p, q)).monic()
 
 
+def _cancel(a: MultiPoly, b: MultiPoly):
+    """a and b with their gcd divided out."""
+    g = poly_gcd(a, b)
+    if g.is_constant():
+        return a, b
+    return a.divexact(g), b.divexact(g)
+
+
 class RationalFunction:
-    """Quotient of polynomials, kept reduced with a monic denominator."""
+    """Quotient of polynomials, kept reduced with a monic denominator.
+
+    * and / cancel only the cross gcds, and shift cancels nothing, so all
+    three need reduced operands.  The one unreduced instance, the large
+    certificate of telescope.certificate_from_solution, enters none of them.
+    """
 
     __slots__ = ("num", "den")
 
@@ -686,12 +699,16 @@ class RationalFunction:
         return RationalFunction(-self.num, self.den, reduce=False)
 
     def __mul__(self, other):
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        n1, d2 = _cancel(self.num, other.den)
+        n2, d1 = _cancel(other.num, self.den)
+        return RationalFunction(n1 * n2, d1 * d2, reduce=False)
 
     def __truediv__(self, other):
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        n1, n2 = _cancel(self.num, other.num)
+        d2, d1 = _cancel(other.den, self.den)
+        return RationalFunction(n1 * d2, d1 * n2, reduce=False)
 
     def inverse(self):
         if self.is_zero():
@@ -699,7 +716,8 @@ class RationalFunction:
         return RationalFunction(self.den, self.num)
 
     def shift(self, var, delta):
-        return RationalFunction(self.num.shift(var, delta), self.den.shift(var, delta))
+        return RationalFunction(self.num.shift(var, delta), self.den.shift(var, delta),
+                                reduce=False)
 
     def eval(self, point: dict):
         d = self.den.eval(point)

@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperproof import factored, polys, telescope
+from hyperproof.cli import load_identity
 from hyperproof.factored import (
-    Factored, _sylvester_resultant, gosper_normal, integer_roots_univar,
-    integer_roots_in_var,
+    Factored, _normalize_affine, _sylvester_resultant, dispersion_set,
+    gosper_normal, integer_roots_univar, integer_roots_in_var,
 )
 from hyperproof.gosper import gosper_antidifference
+from hyperproof.gridproof import normalize_and_delta
 from hyperproof.linalg import PolyMatrix, det_symbolic, solve_nullspace
 from hyperproof.polys import MultiPoly, RationalFunction, poly_gcd
 from hyperproof.telescope import assemble
@@ -306,3 +310,120 @@ def test_sylvester_resultant_matches_cofactor_expansion(fgv):
     rows += [[g[n - (j - i)] if 0 <= j - i <= n else zero for j in range(size)]
              for i in range(m)]
     assert res == det_symbolic(PolyMatrix(rows))
+
+
+# -- the Gosper normal form against the all-pairs loop ------------------------
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def all_pairs_gosper_normal(num, den, k):
+    """Reference normal form: at each dispersion j, peel the first factor
+    pair (q side outer, r side inner, each in storage order) whose gcd at
+    shift j is nontrivial, testing every pair, until none is left."""
+    q, r = num.copy(), den.copy()
+    pbar = Factored.one(q.vars)
+    for j in sorted(set().union(*dispersion_set(num, den, k).values())):
+        while True:
+            qf = [("aff", key, L.to_poly(q.vars), L) for key, (L, e) in q.aff.items()
+                  if e > 0 and L.var_coeff(k) != 0]
+            qf += [("opq", key, p, None) for key, (p, e) in q.opq.items()
+                   if e > 0 and p.degree(k) > 0]
+            rf = [("aff", key, L.to_poly(r.vars), L) for key, (L, e) in r.aff.items()
+                  if e > 0 and L.var_coeff(k) != 0]
+            rf += [("opq", key, p, None) for key, (p, e) in r.opq.items()
+                   if e > 0 and p.degree(k) > 0]
+            hit = None
+            for kq, keyq, pq, Lq in qf:
+                for kr, keyr, pr, Lr in rf:
+                    if kq == "aff" and kr == "aff":
+                        if _normalize_affine(Lr.shift(k, j), q.vars)[1] == Lq:
+                            hit = pq, kq, keyq, kr, keyr
+                    else:
+                        g = factored.poly_gcd(pq, pr.shift(k, j))
+                        if not g.is_constant():
+                            hit = g, kq, keyq, kr, keyr
+                    if hit:
+                        break
+                if hit:
+                    break
+            if hit is None:
+                break
+            g, kq, keyq, kr, keyr = hit
+            q.divide_factor(kq, keyq, g)
+            r.divide_factor(kr, keyr, g.shift(k, -j))
+            for t in range(1, j + 1):
+                pbar.mul_poly(g.shift(k, -t), 1)
+    return pbar, q, r
+
+
+def expanded(form):
+    return tuple(f.expand() for f in form)
+
+
+def assemble_inputs(name, orders=(0, 1, 2)):
+    """The (num, den, k) that assemble passes to gosper_normal for the
+    differenced summand of a corpus identity, at each order."""
+    ident = load_identity(CORPUS / f"{name}.txt")
+    F, rhs_terms, lower, upper = ident.parsed()
+    nid = normalize_and_delta(F, rhs_terms, ident.params, "k", "n", lower, upper)
+    seen = []
+
+    def record(num, den, k):
+        seen.append((num.copy(), den.copy(), k))
+        return gosper_normal(num, den, k)
+
+    telescope.gosper_normal, real = record, telescope.gosper_normal
+    try:
+        for J in orders:
+            assemble(nid.delta_term, J, k=nid.k, n=nid.n)
+    finally:
+        telescope.gosper_normal = real
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.txt")))
+def test_gosper_normal_matches_all_pairs_loop(name):
+    for num, den, k in assemble_inputs(name):
+        assert expanded(gosper_normal(num, den, k)) == \
+            expanded(all_pairs_gosper_normal(num, den, k))
+
+
+def test_gosper_normal_peels_shared_k_free_content():
+    # (a^2+b) divides a q-side and an r-side factor at every shift; the
+    # resultant in k misses it, and only the affine pair puts j = 3 in the
+    # dispersion set
+    vars = ("k", "a", "b")
+    k, a, b = (MultiPoly.variable(vars, v) for v in vars)
+    one = MultiPoly.constant(vars, 1)
+    c = a * a + b
+    num = Factored.one(vars).mul_poly(k + one.scale(3), 1).mul_poly(c * (k + a), 1)
+    den = Factored.one(vars).mul_poly(k, 1).mul_poly(c * (k + b), 1)
+    form = expanded(gosper_normal(num, den, "k"))
+    assert form == expanded(all_pairs_gosper_normal(num, den, "k"))
+    pbar, q, r = form
+    assert pbar.degree("k") == 3
+    assert q == k + a
+    assert r == k + b
+    ratio_ = RationalFunction(num.expand(), den.expand())
+    assert RationalFunction(pbar.shift("k", 1) * q, pbar * r) == ratio_
+
+
+def test_gosper_normal_skips_known_trivial_gcds(monkeypatch):
+    inputs = assemble_inputs("dixon", orders=(0, 1))
+    calls = [0]
+
+    def counted(p, q):
+        calls[0] += 1
+        return real_gcd(p, q)
+
+    real_gcd = polys.poly_gcd
+    monkeypatch.setattr(polys, "poly_gcd", counted)
+    monkeypatch.setattr(factored, "poly_gcd", counted)
+    counts = []
+    for normal_form in (all_pairs_gosper_normal, gosper_normal):
+        calls[0] = 0
+        forms = [expanded(normal_form(num, den, k)) for num, den, k in inputs]
+        counts.append(calls[0])
+    assert forms == [expanded(all_pairs_gosper_normal(*i)) for i in inputs]
+    assert counts[1] < counts[0] / 2, counts

@@ -353,3 +353,46 @@ def test_rational_function_ring_laws(fgh):
     if not g.is_zero():
         assert (f / g) * g == f
         assert g * g.inverse() == one
+
+
+@st.composite
+def cross_sharing_pairs(draw):
+    """Two reduced rational functions f = a*s/(b*t) and g = c*t/(d*s), so
+    that f's numerator shares s with g's denominator and g's numerator
+    shares t with f's denominator."""
+    n = draw(st.integers(1, 2))
+    small = polys(n, max_terms=2, max_exp=2)
+    nonzero = small.filter(lambda p: not p.is_zero())
+    a, c = draw(small), draw(small)
+    b, d, s, t = (draw(nonzero) for _ in range(4))
+    return RationalFunction(a * s, b * t), RationalFunction(c * t, d * s)
+
+
+def same(f, g):
+    assert f == g and str(f) == str(g)
+    assert dict(typed(f.num)) == dict(typed(g.num))
+    assert dict(typed(f.den)) == dict(typed(g.den))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(cross_sharing_pairs(), st.integers(1, 2).flatmap(
+    lambda n: st.tuples(*[rational_functions(tuple("xyzw"[:n]))] * 2))))
+def test_products_match_full_reduction(fg):
+    # * and / cancel only the cross gcds of reduced operands; the result is
+    # the one the gcd of the whole products gives
+    f, g = fg
+    same(f * g, RationalFunction(f.num * g.num, f.den * g.den))
+    same(g * f, RationalFunction(f.num * g.num, f.den * g.den))
+    if not g.is_zero():
+        same(f / g, RationalFunction(f.num * g.den, f.den * g.num))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    rational_functions(tuple("xyz"[:n])), st.sampled_from("xyz"[:n]),
+    st.integers(-3, 3))))
+def test_shift_matches_full_reduction(case):
+    # a shift keeps num and den coprime and the leading term of den
+    f, var, delta = case
+    same(f.shift(var, delta),
+         RationalFunction(f.num.shift(var, delta), f.den.shift(var, delta)))
