@@ -41,14 +41,13 @@ from itertools import compress, repeat
 from math import ceil
 
 from .factored import integer_roots_univar
-from .gosper import gosper_antidifference
 from .linalg import (
     PivotChain, PolyMatrix, _GridEvaluator, _constant_pivots, _grid_digits,
     _int_rank, _integer_cleared, _max_assignment, _pivot_rows, _univar_minors,
 )
 from .polys import MultiPoly, RationalFunction, _as_fraction, poly_gcd
 from .telescope import (
-    Certificate, Recurrence, assemble, creative_telescope, verify_certificate,
+    Certificate, Recurrence, assemble, solve_order, verify_certificate,
 )
 from .terms import (
     LinearForm, TermError, TermExpression, eval_summand, evaluate,
@@ -475,13 +474,16 @@ def _window(nid: NormalizedIdentity, n_val: int, params=None):
     return int(ends[0]), int(ends[1])
 
 
-def _symbolic_sum(nid: NormalizedIdentity, term: TermExpression, n_val: int):
-    lo, hi = _window(nid, n_val)
-    remaining = tuple(s for s in term.symbols
-                      if s not in (nid.k, nid.n))
+def _symbolic_sum(nid: NormalizedIdentity, term: TermExpression, n_val: int,
+                  params=None):
+    """Exact window sum of term at n = n_val and the parameter values params
+    (if given), a rational function of the symbols left."""
+    at = {**(params or {}), nid.n: n_val}
+    lo, hi = _window(nid, n_val, params)
+    remaining = tuple(s for s in term.symbols if s != nid.k and s not in at)
     total = RationalFunction.constant(remaining, 0)
     for kv in range(lo, hi + 1):
-        total = total + eval_summand(term, {nid.k: kv, nid.n: n_val})
+        total = total + eval_summand(term, {**at, nid.k: kv})
     return total
 
 
@@ -505,10 +507,7 @@ def _numeric_check(nid: NormalizedIdentity, summand, rhs_terms, upto: int,
         try:
             for nv in range(upto + 1):
                 at = {nid.n: nv, **point}
-                lo, hi = _window(nid, nv, point)
-                lhs = sum((eval_summand(summand, {**at, nid.k: kv})
-                           for kv in range(lo, hi + 1)),
-                          RationalFunction.constant((), 0))
+                lhs = _symbolic_sum(nid, summand, nv, point)
                 rhs = sum((evaluate(t, {**at, nid.k: 0}) for t in rhs_terms),
                           RationalFunction.constant((), 0))
                 if lhs != rhs:
@@ -688,23 +687,56 @@ def _finish(report, checks):
     return report
 
 
+def _telescoper_report(nid: NormalizedIdentity, sys, certainty, seed):
+    """The rigorous report from the solution of sys, the order-J system of
+    the delta term g, or None when it has none or an order-0 certificate
+    fails.  Order J >= 1 is published as telescope and certifies g.  Order
+    0 is Gosper/WZ: its recurrence is [1], so its certificate R, reduced,
+    certifies g, which is fhat when the right side is zero; else
+    R * (n_ratio - 1) certifies fhat with the recurrence [-1, 1]."""
+    out = solve_order(sys)
+    if out is None:
+        return None
+    (rec, cert), term, wz = out, nid.delta_term, sys.ansatz.order == 0
+    if wz:
+        R = RationalFunction(cert.ratio.num, cert.ratio.den)
+        if not nid.rhs_is_zero:
+            rec = Recurrence(1, (-rec.coefficients[0], rec.coefficients[0]))
+            R = R * (nid.n_ratio - RationalFunction.constant(term.symbols, 1))
+        term, cert = nid.fhat, Certificate(R)
+    if not verify_certificate(term, rec, cert, k=nid.k, n=nid.n):
+        if wz:
+            return None
+        raise RuntimeError("telescoper failed exact re-verification")
+    n0 = None if wz else _leading_root_bound(rec, nid.n)
+    report = ProofReport(
+        verdict="rigorous", certainty=certainty, seed=seed,
+        method="gosper-wz" if wz else "telescope", order=rec.order,
+        degree=None if wz else sys.ansatz.degree, leading_root_bound=n0,
+        recurrence=[str(c) for c in rec.coefficients],
+        certificate=str(cert.ratio))
+    return _finish(report,
+                   initial_conditions_check(nid, 1 if wz else rec.order, n0))
+
+
 def prove(summand: TermExpression, rhs_terms, k, n, lower, upper, params,
           certainty=Fraction(1), seed: int = 0, max_order: int = 6,
           jobs: int = 1, fast_path: bool = True) -> ProofReport:
     """Prove sum_k summand = RHS (RHS zero allowed) for all integers n >= 0.
 
-    Orchestrates: normalize and difference; require the summand to vanish
-    outside the declared window (else only compare both sides exactly for
-    small n); try the direct Gosper/WZ route; with no parameters run plain
-    creative telescoping; otherwise escalate the recurrence order, replacing
-    the symbolic solve by the grid vanishing test, then close with the root
-    bound of the proved order-J system's leading coefficient
+    Normalizes and differences, and requires the summand to vanish outside
+    the declared window (else only compares both sides exactly for small n).
+    Then one loop over the orders J = 0..max_order (from 1 when fast_path is
+    false) solves order 0 (Gosper/WZ) and every order of a parameter-free
+    identity symbolically, verifying the certificate it publishes.  A
+    parametric order J >= 1 runs the grid vanishing test instead, closed by
+    the root bound of the order-J system's leading coefficient
     (leading_coeff_check) and exact initial conditions; such a verdict holds
-    for generic values of the parameters, and summing both sides exactly at
-    integer parameter points can still refute it.  certainty 1 makes
-    the grid stage exhaustive (rigorous); smaller values test that sampled
-    fraction of the grid's points (semi-rigorous).  A term the routes cannot
-    shift or evaluate (TermError) makes the verdict inconclusive.
+    for generic values of the parameters, and summing both sides at integer
+    parameter points can still refute it.  certainty 1 makes the grid
+    exhaustive (rigorous); smaller values test that sampled fraction of its
+    points (semi-rigorous).  A term the routes cannot shift or evaluate
+    (TermError) makes the verdict inconclusive.
     """
     certainty = _as_fraction(certainty)
     if not (0 < certainty <= 1):
@@ -742,58 +774,22 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
                              seed=seed, method="constant-ratio", order=0)
         return _finish(report, checks)
 
-    g = nid.delta_term
-
-    # WZ fast path: a direct Gosper antidifference of the differenced summand
-    if fast_path:
-        try:
-            cert_g = gosper_antidifference(g, k)
-        except TermError:
-            cert_g = None
-        if cert_g is not None:
-            mv = tuple(s for s in summand.symbols if s != k)
-            if nid.rhs_is_zero:
-                rec = Recurrence(0, (MultiPoly.constant(mv, 1),))
-                R = cert_g.ratio
-            else:
-                rec = Recurrence(1, (MultiPoly.constant(mv, -1),
-                                     MultiPoly.constant(mv, 1)))
-                R = cert_g.ratio * (nid.n_ratio
-                                    - RationalFunction.constant(summand.symbols, 1))
-            if verify_certificate(nid.fhat, rec, Certificate(R), k=k, n=n):
-                checks = initial_conditions_check(nid, 1, None)
-                report = ProofReport(
-                    verdict="rigorous", certainty=certainty, seed=seed,
-                    method="gosper-wz", order=rec.order, degree=None,
-                    recurrence=[str(c) for c in rec.coefficients],
-                    certificate=str(R))
-                return _finish(report, checks)
-
-    # no parameters: plain creative telescoping on the differenced summand
-    if not nid.params:
-        out = creative_telescope(g, max_order, k=k, n=n)
-        if out is None:
-            return ProofReport(
-                verdict="inconclusive", certainty=certainty, seed=seed,
-                method="telescope",
-                message=f"no telescoper found up to order {max_order}")
-        rec, cert, degree = out
-        n0 = _leading_root_bound(rec, n)
-        checks = initial_conditions_check(nid, rec.order, n0)
-        report = ProofReport(
-            verdict="rigorous", certainty=certainty, seed=seed,
-            method="telescope", order=rec.order, degree=degree,
-            leading_root_bound=n0,
-            recurrence=[str(c) for c in rec.coefficients],
-            certificate=str(cert.ratio))
-        return _finish(report, checks)
-
-    # parameters present: determinant-vanishing on the degree-bounded grid
     last_witness = None
-    for J in range(1, max_order + 1):
-        sys = assemble(nid.delta_term, J, k=nid.k, n=nid.n)
+    for J in range(0 if fast_path else 1, max_order + 1):
+        try:
+            sys = assemble(nid.delta_term, J, k=k, n=n)
+        except TermError:
+            if J > 0 or not nid.params:
+                raise
+            continue  # the grid may still shift and evaluate the term
         if sys is None:
             continue
+        if J == 0 or not nid.params:
+            report = _telescoper_report(nid, sys, certainty, seed)
+            if report:
+                return report
+            continue
+        # parameters present: determinant-vanishing on the degree-bounded grid
         m = sys.matrix
         if m.rows < m.cols:
             res = VanishingResult(True, 0, 0, None)
@@ -802,15 +798,12 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
         if not res.passed:
             last_witness = res.witness
             continue
-        if not _gosper_columns_independent(sys):
-            return ProofReport(
-                verdict="inconclusive", certainty=certainty, seed=seed,
-                method="determinant-grid", order=J, degree=sys.ansatz.degree,
-                grid_total=res.grid_total, grid_tested=res.grid_tested,
-                message=(f"order {J}: the Gosper-operator columns were not "
-                         "shown independent, so a vanishing determinant "
-                         "need not give a telescoper"))
         try:
+            if not _gosper_columns_independent(sys):
+                raise Inconclusive(
+                    f"order {J}: the Gosper-operator columns were not shown "
+                    "independent, so a vanishing determinant need not give a "
+                    "telescoper")
             n0, specialization = leading_coeff_check(sys, certainty, seed)
         except Inconclusive as exc:
             return ProofReport(
@@ -843,5 +836,8 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
         return report
     return ProofReport(
         verdict="inconclusive", certainty=certainty, seed=seed,
-        method="determinant-grid", nonzero_point=last_witness,
-        message=f"no order up to {max_order} passed the vanishing test")
+        method="determinant-grid" if nid.params else "telescope",
+        nonzero_point=last_witness,
+        message=(f"no order up to {max_order} passed the vanishing test"
+                 if nid.params else
+                 f"no telescoper found up to order {max_order}"))

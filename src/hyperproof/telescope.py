@@ -6,8 +6,10 @@ testing) it.  Includes independent certificate verification.
 `assemble` is the one builder of the telescoping system.  It builds M', the
 system M with each column divided by its k-free content c_j, which it reads
 off the factored system; `AssembledSystem.lift` maps a kernel vector of M'
-back to one of M.  Its order-0 case q(k) b(k+1) - r(k-1) b(k) = a_0 pbar(k)
-is Gosper's equation, and gosper.gosper_antidifference solves it.
+back to one of M.  `solve_order` turns the kernel of one system into an
+unverified (recurrence, certificate); creative_telescope and gridproof.prove
+walk the orders with it and verify what they publish.  The order-0 system
+q(k) b(k+1) - r(k-1) b(k) = a_0 pbar(k) is Gosper's equation.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ class Certificate:
 class TelescoperAnsatz:
     order: int          # J
     degree: int         # K, degree of the unknown polynomial b(k)
-    unknowns: tuple     # column labels a0..aJ, b0..bK
 
 
 @dataclass
@@ -115,22 +116,30 @@ def gosper_degree_bound(deg_p: int, q: MultiPoly, r: MultiPoly, k: str):
     return max((c for c in candidates if c >= 0), default=None)
 
 
+def _shift_ratios(f: TermExpression, J: int, k, n):
+    """([u_0..u_J], Q, (rho_num, rho_den)): sigma_j = f(n+j,k)/f(n,k) =
+    u_j/Q over their common denominator Q(k), and rho = f(n,k+1)/f(n,k)
+    split, all factored.  sigma_0 = 1 is taken without a shift in n, so
+    order 0 also takes a summand in k alone."""
+    vars = f.symbols
+    sigmas = [(Factored.one(vars), Factored.one(vars))]
+    for j in range(1, J + 1):
+        sigmas.append(
+            from_ratio_parts(vars, *f.shift_ratio_parts(n, step=j)).split())
+    Q = factored_lcm([den for _, den in sigmas])
+    us = [num.copy().mul(factored_quotient(Q, den)) for num, den in sigmas]
+    return us, Q, from_ratio_parts(vars, *f.shift_ratio_parts(k)).split()
+
+
 def assemble(f: TermExpression, J: int, k=None, n=None):
     """Build the content-free telescoping system M' for order J; None if the
     degree bound rules the order out.  Order 0 does no shift in n, so it also
     takes a summand whose only symbol is k."""
     k, n = _default_vars(f, k, n)
     vars = f.symbols
-    sigmas = [(Factored.one(vars), Factored.one(vars))]  # f(n,k)/f(n,k)
-    for j in range(1, J + 1):
-        const, affine, opaque = f.shift_ratio_parts(n, step=j)
-        sigmas.append(from_ratio_parts(vars, const, affine, opaque).split())
-    Q = factored_lcm([den for _, den in sigmas])
+    us, Q, (rho_num, rho_den) = _shift_ratios(f, J, k, n)
     # H = f/Q has ratio rho_f * Q(k)/Q(k+1); Gosper-normalized it gives the
     # equation q(k) b(k+1) - r(k-1) b(k) = pbar(k) * sum_j a_j u_j(k)
-    const, affine, opaque = f.shift_ratio_parts(k)
-    rho = from_ratio_parts(vars, const, affine, opaque)
-    rho_num, rho_den = rho.split()
     h_num = rho_num.copy().mul(Q)
     h_den = rho_den.copy().mul(Q.shift(k, 1))
     pbar_f, q_f, r_f = gosper_normal(h_num, h_den, k)
@@ -138,8 +147,7 @@ def assemble(f: TermExpression, J: int, k=None, n=None):
     # r(k-1), and a shift in k leaves their shared k-free factors in place.
     # Dividing q and r by the same k-free factor changes neither their
     # k-degrees nor the ratio of their coefficients, so K stays the same.
-    a_facts = [num.copy().mul(factored_quotient(Q, den)).mul(pbar_f)
-               for num, den in sigmas]
+    a_facts = [u.mul(pbar_f) for u in us]
     contents = [factored_free_of(a, k) for a in a_facts]
     b_content = factored_free_of(factored_common(q_f, r_f), k)
     cols = [-factored_quotient(a, c).expand() for a, c in zip(a_facts, contents)]
@@ -166,8 +174,7 @@ def assemble(f: TermExpression, J: int, k=None, n=None):
         if any(not e.is_zero() for e in row):
             den = common_denominator(row)
             rows.append([p.scale(den) for p in row] if den != 1 else row)
-    labels = tuple([f"a{j}" for j in range(J + 1)] + [f"b{i}" for i in range(K + 1)])
-    ansatz = TelescoperAnsatz(J, K, labels)
+    ansatz = TelescoperAnsatz(J, K)
     avoid = _collect_avoid([Q, q_f, r_f, pbar_f, rho_den], k, matrix_vars)
     matrix = PolyMatrix(rows, avoid=avoid)
     return AssembledSystem(ansatz, matrix, k, n, vars, matrix_vars,
@@ -227,6 +234,42 @@ def certificate_from_solution(sys: AssembledSystem, b_coeffs, extra_den=None):
     return Certificate(RationalFunction(num, den, reduce=small))
 
 
+def solve_order(sys: AssembledSystem):
+    """(recurrence, certificate) from the kernel of one assembled system, or
+    None when no kernel vector has an a_j != 0.  Of the kernel vectors, the
+    one with the lowest top order, then the lowest degree of that
+    coefficient, wins.  The pair is not verified.  The recurrence is made
+    primitive, so at order 0 it is [1]."""
+    J = sys.ansatz.order
+    best = None
+    for vec in solve_nullspace(sys.matrix):
+        polys = sys.lift(vec)
+        top = max((i for i in range(J + 1) if not polys[i].is_zero()),
+                  default=None)
+        if top is None:
+            continue
+        key = (top, polys[top].total_degree())
+        if best is None or key < best[0]:
+            best = (key, polys, top)
+    if best is None:
+        return None
+    _, polys, top = best
+    a_polys = polys[:top + 1]
+    b_polys = polys[J + 1:]
+    # joint normalization: divide the whole solution by the scale that
+    # makes the a-part content-free, so (a, b) stay a matched pair;
+    # sign fixed by the leading recurrence coefficient
+    normed = clear_and_primitive(a_polys)
+    if normed[top].leading_coeff() < 0:
+        normed = [-p for p in normed]
+    scale = next(RationalFunction(orig, new)
+                 for orig, new in zip(a_polys, normed) if not orig.is_zero())
+    b_scaled = [RationalFunction.from_poly(p) / scale for p in b_polys]
+    den, b_nums = clear_denominators(sys.matrix_vars, b_scaled)
+    return (Recurrence(top, tuple(normed)),
+            certificate_from_solution(sys, b_nums, extra_den=den))
+
+
 def creative_telescope(f: TermExpression, max_order: int = 6, k=None, n=None):
     """(recurrence, certificate, K) for the smallest-order telescoper up to
     max_order, K the degree of b in the system it was solved from, or None.
@@ -235,35 +278,10 @@ def creative_telescope(f: TermExpression, max_order: int = 6, k=None, n=None):
     k, n = _default_vars(f, k, n)
     for J in range(max_order + 1):
         sys = assemble(f, J, k, n)
-        if sys is None:
+        out = None if sys is None else solve_order(sys)
+        if out is None:
             continue
-        best = None
-        for vec in solve_nullspace(sys.matrix):
-            polys = sys.lift(vec)
-            top = max((i for i in range(J + 1) if not polys[i].is_zero()),
-                      default=None)
-            if top is None:
-                continue
-            key = (top, polys[top].total_degree())
-            if best is None or key < best[0]:
-                best = (key, polys, top)
-        if best is None:
-            continue
-        _, polys, top = best
-        a_polys = polys[:top + 1]
-        b_polys = polys[J + 1:]
-        # joint normalization: divide the whole solution by the scale that
-        # makes the a-part content-free, so (a, b) stay a matched pair;
-        # sign fixed by the leading recurrence coefficient
-        normed = clear_and_primitive(a_polys)
-        if normed[top].leading_coeff() < 0:
-            normed = [-p for p in normed]
-        scale = next(RationalFunction(orig, new)
-                     for orig, new in zip(a_polys, normed) if not orig.is_zero())
-        rec = Recurrence(top, tuple(normed))
-        b_scaled = [RationalFunction.from_poly(p) / scale for p in b_polys]
-        den, b_nums = clear_denominators(sys.matrix_vars, b_scaled)
-        cert = certificate_from_solution(sys, b_nums, extra_den=den)
+        rec, cert = out
         if not verify_certificate(f, rec, cert, k=k, n=n):
             raise RuntimeError("telescoper failed exact re-verification")
         return rec, cert, sys.ansatz.degree
@@ -282,19 +300,12 @@ def verify_certificate(f: TermExpression, rec: Recurrence, cert: Certificate,
     try:
         k, n = _default_vars(f, k, n)
         vars = f.symbols
+        us, Q, (rho_num, rho_den) = _shift_ratios(f, rec.order, k, n)
         # lhs = (sum_j a_j u_j) / Q over the common factored denominator
-        sigmas = []
-        for j in range(rec.order + 1):
-            const, affine, opaque = f.shift_ratio_parts(n, step=j)
-            sigmas.append(from_ratio_parts(vars, const, affine, opaque).split())
-        Q = factored_lcm([den for _, den in sigmas])
         lhs_num = MultiPoly.zero(vars)
-        for a, (num, den) in zip(rec.coefficients, sigmas):
-            u = num.copy().mul(factored_quotient(Q, den))
+        for a, u in zip(rec.coefficients, us):
             lhs_num = lhs_num + a.embed(vars) * u.expand()
         lhs_den = Q.expand()
-        const, affine, opaque = f.shift_ratio_parts(k)
-        rho_num, rho_den = from_ratio_parts(vars, const, affine, opaque).split()
         pn = rho_num.expand()
         pd = rho_den.expand()
         R = cert.ratio if cert.ratio.vars == vars else cert.ratio.embed(vars)

@@ -427,3 +427,57 @@ def test_gosper_normal_skips_known_trivial_gcds(monkeypatch):
         counts.append(calls[0])
     assert forms == [expanded(all_pairs_gosper_normal(*i)) for i in inputs]
     assert counts[1] < counts[0] / 2, counts
+
+
+def _reference_gosper(f, k):
+    """Gosper's construction on its own: the first kernel vector of the
+    order-0 system with a_0 != 0, lifted to (a_0, b_0..b_K), gives
+    R = b(k) r(k-1) / (a_0 pbar), reduced."""
+    vars = f.symbols
+    sys = assemble(f, 0, k=k)
+    kpoly = MultiPoly.variable(vars, k)
+    for vec in solve_nullspace(sys.matrix):
+        if vec[0].is_zero():
+            continue
+        a0, *bs = sys.lift(vec)
+        b = MultiPoly.zero(vars)
+        for i, c in enumerate(bs):
+            b = b + c.embed(vars) * kpoly ** i
+        return RationalFunction(b * sys.r.shift(k, -1), a0.embed(vars) * sys.pbar)
+    return None
+
+
+def _wz_delta_terms():
+    """(name, delta term) of the corpus identities the WZ route proves and
+    of specializations of dixon (a, b in 1..4) and chu-vandermonde
+    (a in 2..9)."""
+    out = []
+    for name in ("binomial-2n", "central-binomial", "chu-vandermonde", "dixon"):
+        ident = load_identity(CORPUS / f"{name}.txt")
+        F, rhs, lower, upper = ident.parsed()
+        nid = normalize_and_delta(F, rhs, ident.params, ident.sum_var,
+                                  ident.rec_var, lower, upper)
+        out.append((name, nid.delta_term))
+    syms = ("k", "n")
+    specs = [(f"dixon-a{a}-b{b}",
+              f"(-1)^k*binomial({a + b},{a}+k)*binomial({a}+n,n+k)"
+              f"*binomial({b}+n,{b}+k)", f"({a + b}+n)!/{a}!/{b}!/n!")
+             for a in range(1, 5) for b in range(1, 5)]
+    specs += [(f"chu-vandermonde-a{a}", f"binomial(n,k)*binomial({a},k)",
+               f"binomial({a}+n,{a})") for a in range(2, 10)]
+    for name, summand, rhs in specs:
+        nid = normalize_and_delta(parse_term(summand, syms),
+                                  [parse_term(rhs, syms)], (), "k", "n")
+        out.append((name, nid.delta_term))
+    return out
+
+
+def test_gosper_matches_the_reference_construction():
+    # the reduced order-0 certificate of solve_order is the certificate
+    # Gosper's own construction gives, character for character
+    cases = _wz_delta_terms()
+    assert len(cases) == 28
+    for name, g in cases:
+        ref = _reference_gosper(g, "k")
+        assert ref is not None, name
+        assert str(gosper_antidifference(g, "k").ratio) == str(ref), name

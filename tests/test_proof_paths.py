@@ -6,12 +6,14 @@ from pathlib import Path
 
 import pytest
 
+from hyperproof import gosper, gridproof, telescope
 from hyperproof.cli import load_identity, run_prove
 from hyperproof.gridproof import (
     _leading_root_bound, _rank_deficiency_test, normalize_and_delta, prove,
 )
 from hyperproof.linalg import PolyMatrix, permanent_degree_bound, solve_nullspace
 from hyperproof.polys import MultiPoly
+from hyperproof.terms import TermError
 from hyperproof.telescope import assemble, creative_telescope
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -158,3 +160,53 @@ def test_seed_changes_sample_not_verdict():
     assert all(r.verdict == "semi-rigorous" for r in reports)
     assert reports[0].grid_total == reports[1].grid_total
     assert reports[0].grid_tested == reports[1].grid_tested
+
+
+def _recording(fn, log):
+    def wrapper(*args, **kwargs):
+        log.append(args[1])
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("name, method, orders", [
+    ("mrr-specialized.txt", "telescope", [0, 1]),
+    ("chu-vandermonde.txt", "gosper-wz", [0]),
+])
+def test_each_order_is_assembled_and_verified_once(monkeypatch, name, method,
+                                                   orders):
+    # one loop over the orders: order 0 is Gosper/WZ, and a parameter-free
+    # identity goes on to order 1 without assembling order 0 again; the one
+    # published certificate is verified once
+    assembled, verified = [], []
+    for mod in (gridproof, telescope, gosper):
+        for attr, log in (("assemble", assembled),
+                          ("verify_certificate", verified)):
+            if hasattr(mod, attr):
+                monkeypatch.setattr(mod, attr,
+                                    _recording(getattr(mod, attr), log))
+    rep = run_prove(load_identity(CORPUS / name), Fraction(1), 0, 6, 1)
+    assert (rep.verdict, rep.method) == ("rigorous", method)
+    assert assembled == orders
+    assert len(verified) == 1
+
+
+@pytest.mark.parametrize("name, verdict, method", [
+    ("chu-vandermonde.txt", "rigorous", "determinant-grid"),
+    ("binomial-2n.txt", "inconclusive", ""),
+])
+def test_term_error_at_order_zero(monkeypatch, name, verdict, method):
+    # a parametric identity falls through to the grid, a parameter-free one
+    # has no other route and ends inconclusive with the error's text
+    original = gridproof.assemble
+
+    def fails_at_zero(f, J, **kwargs):
+        if J == 0:
+            raise TermError("cannot shift at order 0")
+        return original(f, J, **kwargs)
+
+    monkeypatch.setattr(gridproof, "assemble", fails_at_zero)
+    rep = run_prove(load_identity(CORPUS / name), Fraction(1), 0, 6, 1)
+    assert (rep.verdict, rep.method) == (verdict, method)
+    if verdict == "inconclusive":
+        assert rep.message == "cannot shift at order 0"

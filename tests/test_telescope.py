@@ -203,3 +203,15 @@ def test_telescope_mrr_specialized():
     # the sum vanishes for every n: recurrence + zero initial values
     for nv in range(0, 6):
         assert brute_sum(f, nv, 0, 2 * nv + 1) == 0
+
+
+def test_order_zero_needs_no_rec_var():
+    # sigma_0 = 1 takes no shift in n, so a summand in k alone is assembled,
+    # solved and verified at order 0
+    rec, cert, _ = creative_telescope(parse_term("k", ("k",)), 0, k="k")
+    assert rec.order == 0
+    f = parse_term("k*2^k", ("k",))
+    R = RationalFunction(poly_of("k-2", ("k",)), poly_of("k", ("k",)))
+    one = Recurrence(0, (MultiPoly.constant((), 1),))
+    assert verify_certificate(f, one, Certificate(R), k="k")
+    assert not verify_certificate(f, one, Certificate(R.shift("k", 1)), k="k")
