@@ -14,10 +14,7 @@ from .gridproof import (
     NormalizedIdentity, ProofReport, initial_conditions_check,
     leading_coeff_check, normalize_and_delta, prove,
 )
-from .linalg import (
-    PolyMatrix, det_at_point, det_symbolic, permanent_degree_bound,
-    solve_nullspace,
-)
+from .linalg import PolyMatrix, permanent_degree_bound, solve_nullspace
 from .polys import BigRational, MultiPoly, RationalFunction, poly_gcd
 from .telescope import (
     Certificate, Recurrence, assemble, creative_telescope, verify_certificate,
@@ -32,10 +29,9 @@ __all__ = [
     "BigRational", "Certificate", "LinearForm", "MultiPoly",
     "NormalizedIdentity", "PolyMatrix", "ProofReport", "RationalFunction",
     "Recurrence", "TermExpression", "assemble", "creative_telescope",
-    "det_at_point", "det_symbolic", "eval_term", "evaluate",
-    "gosper_antidifference", "initial_conditions_check", "leading_coeff_check",
-    "natural_support", "normalize_and_delta", "parse_affine",
-    "parse_rational", "parse_sum", "parse_term", "permanent_degree_bound",
-    "poly_gcd", "prove", "render", "shift_quotient", "solve_nullspace",
-    "verify_certificate",
+    "eval_term", "evaluate", "gosper_antidifference",
+    "initial_conditions_check", "leading_coeff_check", "natural_support",
+    "normalize_and_delta", "parse_affine", "parse_rational", "parse_sum",
+    "parse_term", "permanent_degree_bound", "poly_gcd", "prove", "render",
+    "shift_quotient", "solve_nullspace", "verify_certificate",
 ]

@@ -17,13 +17,10 @@ def gosper_antidifference(f: TermExpression, k: str):
 
     R satisfies R(k+1)*rho(k) - R(k) = 1 exactly, rho the shift quotient of f.
     It is the certificate of the order-0 system, whose recurrence solve_order
-    makes [1], returned reduced.
+    makes [1]; certificate_from_solution reduces it.
     """
     if f.is_zero():
         return Certificate(RationalFunction.constant(f.symbols, 0))
     sys = assemble(f, 0, k=k)
     out = None if sys is None else solve_order(sys)
-    if out is None:
-        return None
-    ratio = out[1].ratio
-    return Certificate(RationalFunction(ratio.num, ratio.den))
+    return None if out is None else out[1]

@@ -34,16 +34,15 @@ so the rank is the chain length plus the remainder's: each decision is exact.
 from __future__ import annotations
 
 import random
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, repeat
 from math import ceil
 
 from .factored import integer_roots_univar
 from .linalg import (
     PivotChain, PolyMatrix, _GridEvaluator, _constant_pivots, _grid_digits,
-    _int_rank, _integer_cleared, _max_assignment, _pivot_rows, _univar_minors,
+    _grid_values, _int_rank, _integer_cleared, _lower_set, _max_assignment,
+    _pivot_rows, _univar_minors, _weighted_degree,
 )
 from .polys import MultiPoly, RationalFunction, _as_fraction, poly_gcd
 from .telescope import (
@@ -148,24 +147,6 @@ def normalize_and_delta(F: TermExpression, rhs_terms, params, k, n,
 # grid machinery
 
 
-def _grid_values(degree: int, avoid) -> list:
-    start = -(degree // 2)
-    box = list(range(start, start + degree + 1))
-    if not avoid:
-        return box
-    out = []
-    nxt = start + degree + 1
-    for x in box:
-        if x in avoid:
-            while nxt in avoid:
-                nxt += 1
-            out.append(nxt)
-            nxt += 1
-        else:
-            out.append(x)
-    return sorted(out)
-
-
 def _grid_point(vars, values: dict, index: int) -> dict:
     """The grid point with the given index, as {var: value} in vars order."""
     axes = [values[v] for v in vars]
@@ -186,42 +167,12 @@ def _support_bounds(matrix: PolyMatrix) -> dict | None:
     bounds = {}
     for mask in range(1, 1 << r):
         w = tuple(mask >> i & 1 for i in range(r))
-        h = _max_assignment(
-            [[max(map(sum, map(compress, e.terms, repeat(w))), default=-1)
-              for e in row] for row in matrix.entries])
+        h = _max_assignment([[_weighted_degree(e, w) for e in row]
+                             for row in matrix.entries])
         if h is None:
             return None
         bounds[mask] = h
     return bounds
-
-
-def _lower_set(sizes, bounds: dict) -> array:
-    """Sorted box indices (mixed radix over sizes, vars[0] most significant)
-    of the lower set {e >= 0 : sum of e_i over w <= h(w) for every (w, h) in
-    bounds}, bounds as from _support_bounds, in an int64 array (a quarter of
-    the memory of a list).  Each digit's range follows from the slack its
-    prefix leaves in every bound; every prefix so reached extends by zeros,
-    so no box point is visited in vain."""
-    out = array("q")
-    if not sizes:
-        out.append(0)
-        return out
-    last = len(sizes) - 1
-    masks = list(bounds)
-
-    def walk(level, index, slack):
-        bit = 1 << level
-        top = min(s for m, s in zip(masks, slack) if m & bit)
-        index *= sizes[level]
-        if level == last:
-            out.extend(range(index, index + top + 1))
-            return
-        for d in range(top + 1):
-            walk(level + 1, index + d,
-                 [s - d if m & bit else s for m, s in zip(masks, slack)])
-
-    walk(0, 0, list(bounds.values()))
-    return out
 
 
 # Points ranked in process before a parallel scan starts its pool: a witness
@@ -698,12 +649,10 @@ def _telescoper_report(nid: NormalizedIdentity, sys, certainty, seed):
     if out is None:
         return None
     (rec, cert), term, wz = out, nid.delta_term, sys.ansatz.order == 0
-    if wz:
-        R = RationalFunction(cert.ratio.num, cert.ratio.den)
-        if not nid.rhs_is_zero:
-            rec = Recurrence(1, (-rec.coefficients[0], rec.coefficients[0]))
-            R = R * (nid.n_ratio - RationalFunction.constant(term.symbols, 1))
-        term, cert = nid.fhat, Certificate(R)
+    if wz and not nid.rhs_is_zero:
+        rec = Recurrence(1, (-rec.coefficients[0], rec.coefficients[0]))
+        one = RationalFunction.constant(term.symbols, 1)
+        term, cert = nid.fhat, Certificate(cert.ratio * (nid.n_ratio - one))
     if not verify_certificate(term, rec, cert, k=nid.k, n=nid.n):
         if wz:
             return None

@@ -1,15 +1,18 @@
 """Exact linear algebra over polynomials: fraction-free elimination,
-nullspaces over the rational-function field, numeric determinants, and
-permanent-based determinant degree bounds.
+nullspaces over the rational-function field, integer determinants, the
+lower-set evaluation grid, and permanent-based determinant degree bounds.
 
 Two fraction-free (Bareiss) elimination kernels carry every exact
 elimination in the package: `_int_rank` on integer matrices (grid rank,
-pivot rows, numeric determinants) and `_poly_eliminate` on `MultiPoly`
-matrices (nullspaces, symbolic determinants and resultants).  One evaluator,
-`_GridEvaluator`, computes a polynomial matrix at integer points for the
-determinant grid and for `_univar_minors`, which interpolates minors in one
-variable for the univariate nullspace shortcut and the leading-coefficient
-check.  The grid first applies `_constant_pivots`' chain of constant pivots
+pivot rows, integer determinants) and `_poly_eliminate` on `MultiPoly`
+matrices (nullspaces and resultants).  One evaluator, `_GridEvaluator`,
+computes a polynomial matrix at integer points for the determinant grid, for
+`_univar_minors`, which interpolates minors in one variable for the
+univariate nullspace shortcut and the leading-coefficient check, and for
+certificate verification (telescope.verify_certificate).  The determinant
+grid and the verification share `_lower_set`, the points of a lower set of
+exponents cut out by weighted degree bounds, on `_grid_values` per variable.
+The grid first applies `_constant_pivots`' chain of constant pivots
 without division, so the Bareiss exactness check stays with `_int_rank` on
 the remainder; the pivot rows form a triangular block with nonzero constant
 diagonal above zeros, so the rank is the chain length plus the remainder's.
@@ -17,12 +20,14 @@ diagonal above zeros, so the rank is the chain length plus the remainder's.
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
+from itertools import compress, repeat
 from math import factorial, gcd, lcm
 from typing import NamedTuple
 
 from .polys import (
-    MultiPoly, RationalFunction, _as_fraction, _poly_list_gcd,
+    MultiPoly, RationalFunction, _poly_list_gcd,
     clear_denominators, common_denominator,
 )
 from .polys import poly_gcd  # noqa: F401  perfbench/tracer.py wraps it here
@@ -49,9 +54,6 @@ class PolyMatrix:
         # integer values per variable that grid construction should step over
         self.avoid = avoid or {}
 
-    def is_square(self):
-        return self.rows == self.cols
-
     @classmethod
     def from_rows(cls, vars, rows, avoid=None):
         """Build from nested lists of polynomials/ints/Fractions."""
@@ -63,45 +65,6 @@ class PolyMatrix:
                 for e in row
             ])
         return cls(out, avoid=avoid)
-
-
-def det_at_point(m: PolyMatrix, point: dict) -> Fraction:
-    """Exact determinant of m evaluated at an integer/rational point.
-
-    Each row of values is scaled to integers by its common denominator, the
-    integer kernel eliminates fraction-free, and the result is divided by the
-    product of the row scales; no rounding.
-    """
-    if not m.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    a = []
-    scale = 1
-    for row in m.entries:
-        vals = [_as_fraction(e.eval(point)) for e in row]
-        den = lcm(*(v.denominator for v in vals))
-        a.append([v.numerator * (den // v.denominator) for v in vals])
-        scale *= den
-    return Fraction(_int_det(a), scale)
-
-
-def det_symbolic(m: PolyMatrix) -> MultiPoly:
-    """Symbolic determinant by cofactor expansion (oracle; small matrices only)."""
-    if not m.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-
-    def rec(rows, cols):
-        if len(cols) == 1:
-            return m.entries[rows[0]][cols[0]]
-        total = MultiPoly.zero(m.vars)
-        r = rows[0]
-        for idx, c in enumerate(cols):
-            sub = rec(rows[1:], cols[:idx] + cols[idx + 1:])
-            term = m.entries[r][c] * sub
-            total = total + term if idx % 2 == 0 else total - term
-        return total
-
-    return rec(tuple(range(n)), tuple(range(n)))
 
 
 def solve_nullspace(m: PolyMatrix) -> list:
@@ -239,6 +202,62 @@ def _grid_digits(index: int, sizes) -> list:
         digits.append(d)
     digits.reverse()
     return digits
+
+
+def _weighted_degree(p: MultiPoly, w) -> int:
+    """Max of w.e over the support of p, w a 0/1 tuple over p.vars; -1 for
+    the zero polynomial."""
+    return max(map(sum, map(compress, p.terms, repeat(w))), default=-1)
+
+
+def _grid_values(degree: int, avoid) -> list:
+    """degree + 1 distinct integers centered at 0, those in avoid replaced by
+    the next integers above the box that are not."""
+    start = -(degree // 2)
+    box = list(range(start, start + degree + 1))
+    if not avoid:
+        return box
+    out = []
+    nxt = start + degree + 1
+    for x in box:
+        if x in avoid:
+            while nxt in avoid:
+                nxt += 1
+            out.append(nxt)
+            nxt += 1
+        else:
+            out.append(x)
+    return sorted(out)
+
+
+def _lower_set(sizes, bounds: dict) -> array:
+    """Sorted box indices (mixed radix over sizes, vars[0] most significant)
+    of the lower set {e >= 0 : sum of e_i over w <= h(w) for every (w, h) in
+    bounds}, bounds keyed by the bitmask of w (bit i for vars[i]) and holding
+    every unit weight, in an int64 array (a quarter of the memory of a
+    list).  Each digit's range follows from the slack its prefix leaves in
+    every bound; every prefix so reached extends by zeros, so no box point is
+    visited in vain."""
+    out = array("q")
+    if not sizes:
+        out.append(0)
+        return out
+    last = len(sizes) - 1
+    masks = list(bounds)
+
+    def walk(level, index, slack):
+        bit = 1 << level
+        top = min(s for m, s in zip(masks, slack) if m & bit)
+        index *= sizes[level]
+        if level == last:
+            out.extend(range(index, index + top + 1))
+            return
+        for d in range(top + 1):
+            walk(level + 1, index + d,
+                 [s - d if m & bit else s for m, s in zip(masks, slack)])
+
+    walk(0, 0, list(bounds.values()))
+    return out
 
 
 class _GridEvaluator:

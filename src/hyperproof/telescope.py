@@ -3,6 +3,16 @@ with sum_j a_j(n) F(n+j,k) = G(n,k+1) - G(n,k), by assembling the linear
 system from the expanded telescoping equation and solving (or, downstream,
 testing) it.  Includes independent certificate verification.
 
+`verify_certificate` decides exactly whether the cross-multiplied identity P
+of a certificate is zero without expanding it.  Weighted degree bounds h_w
+over the variables other than k follow from the factors (a product adds
+them, a sum takes their max, a shift in k keeps them), so every
+k-coefficient of P has support in a lower set of exponents; P is zero iff it
+vanishes on the matching subgrid (N. Dyn and M. S. Floater, "Multivariate
+polynomial interpolation on lower sets", J. Approx. Theory 177, 2014).  The
+points come from linalg._lower_set and the values from linalg._GridEvaluator,
+as for the determinant grid of gridproof.
+
 `assemble` is the one builder of the telescoping system.  It builds M', the
 system M with each column divided by its k-free content c_j, which it reads
 off the factored system; `AssembledSystem.lift` maps a kernel vector of M'
@@ -20,7 +30,10 @@ from .factored import (
     Factored, factored_common, factored_free_of, factored_lcm,
     factored_quotient, from_ratio_parts, gosper_normal, integer_roots_in_var,
 )
-from .linalg import PolyMatrix, clear_and_primitive, solve_nullspace
+from .linalg import (
+    PolyMatrix, _GridEvaluator, _grid_values, _lower_set, _weighted_degree,
+    clear_and_primitive, solve_nullspace,
+)
 from .polys import (
     MultiPoly, RationalFunction, _as_fraction, clear_denominators,
     common_denominator,
@@ -217,8 +230,10 @@ def _collect_avoid(facts, k, matrix_vars):
 def certificate_from_solution(sys: AssembledSystem, b_coeffs, extra_den=None):
     """R = b(k) * r(k-1) / (pbar(k) * Q(k)), the certificate G = R*f.
 
-    Left unreduced: cancelling the fraction needs a multivariate gcd that can
-    dwarf the whole proof, and verification never requires it.
+    Reduced at order 0, where it is published as the Gosper/WZ certificate,
+    and when it is small.  Otherwise left unreduced: cancelling the fraction
+    needs a multivariate gcd that can dwarf the whole proof, and verification
+    never requires it.
     """
     vars = sys.vars
     kpoly = MultiPoly.variable(vars, sys.k)
@@ -230,8 +245,9 @@ def certificate_from_solution(sys: AssembledSystem, b_coeffs, extra_den=None):
     if extra_den is not None:
         den = den * extra_den.embed(vars)
     num = b_num * sys.r.shift(sys.k, -1) * qden.expand()
-    small = num.total_degree() + den.total_degree() <= 24
-    return Certificate(RationalFunction(num, den, reduce=small))
+    reduce = (sys.ansatz.order == 0
+              or num.total_degree() + den.total_degree() <= 24)
+    return Certificate(RationalFunction(num, den, reduce=reduce))
 
 
 def solve_order(sys: AssembledSystem):
@@ -291,30 +307,132 @@ def creative_telescope(f: TermExpression, max_order: int = 6, k=None, n=None):
 def verify_certificate(f: TermExpression, rec: Recurrence, cert: Certificate,
                        k=None, n=None) -> bool:
     """Exact check of sum_j a_j(n) sigma_j(n,k) = R(n,k+1) rho(n,k) - R(n,k),
-    sigma_j = f(n+j,k)/f(n,k) and rho = f(n,k+1)/f(n,k), after clearing
-    denominators.  False on any mismatch.
+    sigma_j = f(n+j,k)/f(n,k) and rho = f(n,k+1)/f(n,k).  False on any
+    mismatch.
 
-    Both sides are cleared over unreduced numerator/denominator pairs and
-    compared by cross-multiplication, so no polynomial gcd is ever needed.
+    With sigma_j = u_j/Q, rho = pn/pd and R = rn/rd over their unreduced
+    numerators and denominators, the check is whether the cleared identity
+    P = pd rd(k+1) (sum_j a_j u_j rd + rn Q) - rn(k+1) pn rd Q is zero; no
+    polynomial gcd is needed and P is never expanded.  P is a polynomial in
+    k over the other variables y.  For each weight w in {0,1}^r minus 0 over
+    y, h_w(p), the max of w.e over the support of p, obeys h_w(pq) <= h_w(p)
+    + h_w(q) and h_w(p + q) <= max(h_w(p), h_w(q)), and a shift in k leaves
+    it unchanged; so the factors' h_w bound h_w(P), and every k-coefficient
+    of P has support in the lower set S = {e : w.e <= h_w(P) for all w}.
+    A polynomial with support in a lower set that vanishes on the matching
+    subgrid of integer points is zero (N. Dyn and M. S. Floater,
+    "Multivariate polynomial interpolation on lower sets", J. Approx. Theory
+    177, 2014), so P is zero iff it is zero at the |S| points of that
+    subgrid.  There the factors' coefficient rows in k evaluate to dense
+    integer lists (linalg._GridEvaluator), R(k+1) is a Taylor shift, and
+    both sides of P are multiplied out and compared exactly.
     """
     try:
-        k, n = _default_vars(f, k, n)
-        vars = f.symbols
-        us, Q, (rho_num, rho_den) = _shift_ratios(f, rec.order, k, n)
-        # lhs = (sum_j a_j u_j) / Q over the common factored denominator
-        lhs_num = MultiPoly.zero(vars)
-        for a, u in zip(rec.coefficients, us):
-            lhs_num = lhs_num + a.embed(vars) * u.expand()
-        lhs_den = Q.expand()
-        pn = rho_num.expand()
-        pd = rho_den.expand()
-        R = cert.ratio if cert.ratio.vars == vars else cert.ratio.embed(vars)
-        rn, rd = R.num, R.den
-        rn1 = rn.shift(k, 1)
-        rd1 = rd.shift(k, 1)
-        # rhs = (rn1 pn rd - rn pd rd1) / (rd1 pd rd)
-        rhs_num = rn1 * pn * rd - rn * pd * rd1
-        rhs_den = rd1 * pd * rd
-        return lhs_num * rhs_den == rhs_num * lhs_den
+        return _cleared_identity_vanishes(
+            *_cleared_factors(f, rec, cert, k, n))
     except (TermError, ZeroDivisionError, ValueError):
         return False
+
+
+def _cleared_factors(f, rec, cert, k=None, n=None):
+    """(k, [a_0, u_0, ..., a_J, u_J, Q, pn, pd, rn, rd]): the factors of the
+    cleared identity P of verify_certificate, expanded over f.symbols."""
+    k, n = _default_vars(f, k, n)
+    vars = f.symbols
+    us, Q, (rho_num, rho_den) = _shift_ratios(f, rec.order, k, n)
+    R = cert.ratio if cert.ratio.vars == vars else cert.ratio.embed(vars)
+    factors = [p for a, u in zip(rec.coefficients, us)
+               for p in (a.embed(vars), u.expand())]
+    return k, factors + [Q.expand(), rho_num.expand(), rho_den.expand(),
+                         R.num, R.den]
+
+
+def _sum_bound(*hs):
+    """h_w of a product from those of its factors (None: zero)."""
+    return None if None in hs else tuple(map(sum, zip(*hs)))
+
+
+def _max_bound(*hs):
+    """h_w of a sum from those of its terms (None: zero)."""
+    hs = [h for h in hs if h is not None]
+    return tuple(map(max, zip(*hs))) if hs else None
+
+
+def _identity_bound(k, factors):
+    """h_w(P) of the cleared identity P on the factors of _cleared_factors,
+    for every weight w in {0,1}^r minus 0 over the r variables other than k,
+    in the order of the bitmask of w (bit i for the i-th of them); None when
+    P is structurally zero."""
+    vars = factors[0].vars
+    ys = [v for v in vars if v != k]
+    weights = [tuple(0 if v == k else mask >> ys.index(v) & 1 for v in vars)
+               for mask in range(1, 1 << len(ys))]
+    *hp, hq, hpn, hpd, hrn, hrd = [
+        None if p.is_zero() else tuple(_weighted_degree(p, w) for w in weights)
+        for p in factors]
+    lhs = _max_bound(*map(_sum_bound, hp[0::2], hp[1::2]))
+    x = _max_bound(_sum_bound(lhs, hrd), _sum_bound(hrn, hq))
+    return _max_bound(_sum_bound(hpd, hrd, x), _sum_bound(hrn, hpn, hrd, hq))
+
+
+def _cleared_identity_vanishes(k, factors) -> bool:
+    """Whether P = pd rd(k+1) (sum_j a_j u_j rd + rn Q) - rn(k+1) pn rd Q is
+    zero, decided on the lower-set subgrid of its support bound (see
+    verify_certificate); factors as from _cleared_factors."""
+    bound = _identity_bound(k, factors)
+    if bound is None:
+        return True
+    bounds = dict(enumerate(bound, start=1))
+    ys = tuple(v for v in factors[0].vars if v != k)
+    # every factor is scaled by one constant den, so a product of m factors
+    # is den^m times its value; rn Q and the right side, a factor short of
+    # lhs rd and the left side, take one more den
+    den = common_denominator(factors)
+    rows = [[c.restrict(ys).scale(den) for c in p.to_univar(k)]
+            for p in factors]
+    lengths = [len(row) for row in rows]
+    zero = MultiPoly.zero(ys)
+    width = max(lengths)
+    matrix = PolyMatrix([row + [zero] * (width - len(row)) for row in rows])
+    values = {v: _grid_values(bounds[1 << i], ()) for i, v in enumerate(ys)}
+    lower = _lower_set([len(values[v]) for v in ys], bounds)
+    for _, _, a in _GridEvaluator(matrix, values).matrices(lower):
+        *ts, q, pn, pd, rn, rd = [row[:m] for row, m in zip(a, lengths)]
+        lhs = []
+        for a_j, u_j in zip(ts[0::2], ts[1::2]):
+            lhs = _dense_add(lhs, _dense_mul(a_j, u_j))
+        x = _dense_add(_dense_mul(lhs, rd),
+                       [den * c for c in _dense_mul(rn, q)])
+        left = _dense_mul(_dense_mul(pd, _taylor_shift(rd)), x)
+        right = _dense_mul(_dense_mul(_taylor_shift(rn), pn), _dense_mul(rd, q))
+        if any(_dense_add(left, [-den * c for c in right])):
+            return False
+    return True
+
+
+def _dense_add(p, q):
+    """Sum of two ascending integer coefficient lists."""
+    if len(p) < len(q):
+        p, q = q, p
+    return [a + b for a, b in zip(p, q)] + p[len(q):]
+
+
+def _dense_mul(p, q):
+    """Product of two ascending integer coefficient lists."""
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q, i):
+                out[j] += a * b
+    return out
+
+
+def _taylor_shift(p):
+    """The ascending coefficients of p(k+1) from those of p(k)."""
+    p = list(p)
+    for i in range(len(p) - 1):
+        for j in range(len(p) - 2, i - 1, -1):
+            p[j] += p[j + 1]
+    return p

@@ -19,12 +19,13 @@ from hyperproof.cli import (
 )
 from hyperproof.gosper import gosper_antidifference
 from hyperproof.gridproof import _rank_deficiency_test, normalize_and_delta
-from hyperproof.linalg import PolyMatrix, det_symbolic, permanent_degree_bound
+from hyperproof.linalg import PolyMatrix, permanent_degree_bound
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.telescope import (
     Certificate, Recurrence, creative_telescope, verify_certificate,
 )
 from hyperproof.terms import eval_summand, parse_term, shift_quotient
+from oracles import det_symbolic
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"

@@ -13,10 +13,11 @@ from hyperproof.factored import (
 )
 from hyperproof.gosper import gosper_antidifference
 from hyperproof.gridproof import normalize_and_delta
-from hyperproof.linalg import PolyMatrix, det_symbolic, solve_nullspace
+from hyperproof.linalg import PolyMatrix, solve_nullspace
 from hyperproof.polys import MultiPoly, RationalFunction, poly_gcd
 from hyperproof.telescope import assemble
 from hyperproof.terms import EvalError, eval_summand, eval_term, parse_term, shift_quotient
+from oracles import det_symbolic
 
 
 def ratio(num_text, den_text, syms=("k",)):

@@ -15,7 +15,7 @@ from hyperproof.gridproof import (
     leading_coeff_check, normalize_and_delta, prove,
     _gosper_columns_independent,
     _grid_point, _numeric_check,
-    _grid_values, _leading_root_bound, _lower_set, _rank_deficiency_test,
+    _leading_root_bound, _rank_deficiency_test,
     _full_rank, _support_bounds, _termination_guard,
 )
 from hyperproof.cli import load_identity
@@ -23,8 +23,9 @@ from hyperproof.factored import (
     Factored, factored_lcm, factored_quotient, from_ratio_parts, gosper_normal,
 )
 from hyperproof.linalg import (
-    PolyMatrix, _GridEvaluator, _constant_pivots, _grid_digits, _int_rank,
-    _integer_cleared, det_symbolic, permanent_degree_bound, solve_nullspace,
+    PolyMatrix, _GridEvaluator, _constant_pivots, _grid_digits, _grid_values,
+    _int_rank, _integer_cleared, _lower_set, permanent_degree_bound,
+    solve_nullspace,
 )
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.telescope import Recurrence, assemble, gosper_degree_bound
@@ -32,6 +33,7 @@ from hyperproof.terms import (
     EvalError, LinearForm, TermExpression, eval_summand, natural_support,
     parse_affine as lf, parse_sum, parse_term,
 )
+from oracles import det_symbolic
 
 
 CHU = ("binomial(n,k)*binomial(a,k)", "binomial(a+n,a)",

@@ -1,14 +1,46 @@
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from hyperproof.linalg import solve_nullspace
+from hyperproof.linalg import _grid_values, solve_nullspace
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.telescope import (
-    Certificate, Recurrence, assemble, creative_telescope, verify_certificate,
+    Certificate, Recurrence, _cleared_factors, _default_vars, _identity_bound,
+    _shift_ratios, assemble, creative_telescope, verify_certificate,
 )
-from hyperproof.terms import eval_summand, eval_term, parse_term
+from hyperproof.terms import TermError, eval_summand, eval_term, parse_term
+
+
+def cross_multiplied(f, rec, cert, k=None, n=None):
+    """lhs_num * rhs_den - rhs_num * lhs_den of the certificate identity,
+    both products expanded: the zero test verify_certificate replaced by an
+    evaluation on its lower-set grid, kept as the oracle."""
+    k, n = _default_vars(f, k, n)
+    vars = f.symbols
+    us, Q, (rho_num, rho_den) = _shift_ratios(f, rec.order, k, n)
+    lhs_num = MultiPoly.zero(vars)
+    for a, u in zip(rec.coefficients, us):
+        lhs_num = lhs_num + a.embed(vars) * u.expand()
+    lhs_den = Q.expand()
+    pn = rho_num.expand()
+    pd = rho_den.expand()
+    R = cert.ratio if cert.ratio.vars == vars else cert.ratio.embed(vars)
+    rn, rd = R.num, R.den
+    rn1 = rn.shift(k, 1)
+    rd1 = rd.shift(k, 1)
+    rhs_num = rn1 * pn * rd - rn * pd * rd1
+    rhs_den = rd1 * pd * rd
+    return lhs_num * rhs_den - rhs_num * lhs_den
+
+
+def oracle_verify(f, rec, cert, k=None, n=None):
+    try:
+        return cross_multiplied(f, rec, cert, k, n).is_zero()
+    except (TermError, ZeroDivisionError, ValueError):
+        return False
 
 
 def poly_of(text, syms):
@@ -215,3 +247,110 @@ def test_order_zero_needs_no_rec_var():
     one = Recurrence(0, (MultiPoly.constant((), 1),))
     assert verify_certificate(f, one, Certificate(R), k="k")
     assert not verify_certificate(f, one, Certificate(R.shift("k", 1)), k="k")
+
+
+# Certificates of the kinds the corpus and the benchmark's symbolic workload
+# verify: parameter-free and parametric, orders 1 and 2.  The last is an mrr
+# specialization at x = 3/7, z = 5/11, whose certificate has 229/122 terms.
+CERTIFIED = {
+    "binomial": ("binomial(n,k)", ("k", "n")),
+    "vandermonde": ("binomial(n,k)*binomial(a,k)", ("k", "n", "a")),
+    "dixon": ("(-1)^k*binomial(a+b,a+k)*binomial(a+n,n+k)*binomial(b+n,b+k)",
+              ("k", "n", "a", "b")),
+    "dixon-a2-b3": ("(-1)^k*binomial(5,2+k)*binomial(2+n,n+k)"
+                    "*binomial(3+n,3+k)", ("k", "n")),
+    "mrr-x3o7-z5o11": ("rf(-2*n-1,k)*rf(2*n+17/7,k)*rf(73/154,k)*rf(n+10/7,k)"
+                       "*rf(n+16/11,k)/(rf(5/7,k)*rf(17/14,k)*rf(2*n+32/11,k)"
+                       "*rf(73/77,k)*k!)", ("k", "n")),
+}
+
+
+@cache
+def certified(name):
+    f = parse_term(*CERTIFIED[name])
+    rec, cert, _ = creative_telescope(f, max_order=2)
+    return f, rec, cert
+
+
+@st.composite
+def perturbed_certificates(draw):
+    """A certified (f, rec, cert) with at most one term added to R's
+    numerator or denominator or to one recurrence coefficient."""
+    f, rec, cert = certified(draw(st.sampled_from(sorted(CERTIFIED))))
+    c = Fraction(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 2)))
+    where = draw(st.sampled_from(["none", "num", "den", "rec"]))
+    if where == "none":
+        return f, rec, cert
+    if where == "rec":
+        j = draw(st.integers(0, rec.order))
+        vars = rec.coefficients[j].vars
+        exp = tuple(draw(st.integers(0, 2)) for _ in vars)
+        coeffs = list(rec.coefficients)
+        coeffs[j] = coeffs[j] + MultiPoly.from_terms(vars, [(exp, c)])
+        return f, Recurrence(rec.order, tuple(coeffs)), cert
+    num, den = cert.ratio.num, cert.ratio.den
+    target = num if where == "num" else den
+    # a term R already has, or any small monomial
+    exp = draw(st.sampled_from(sorted(target.terms))
+               | st.tuples(*[st.integers(0, 3)] * len(f.symbols)))
+    target = target + MultiPoly.from_terms(f.symbols, [(exp, c)])
+    assume(not target.is_zero())
+    if where == "num":
+        num = target
+    else:
+        den = target
+    return f, rec, Certificate(RationalFunction(num, den, reduce=False))
+
+
+@settings(deadline=None, max_examples=60)
+@given(perturbed_certificates())
+def test_verify_matches_the_cross_multiplied_oracle(case):
+    f, rec, cert = case
+    P = cross_multiplied(f, rec, cert)
+    assert verify_certificate(f, rec, cert) == P.is_zero()
+    # every exponent of P, the k one aside, obeys the bound it was tested on
+    k, factors = _cleared_factors(f, rec, cert)
+    bound = _identity_bound(k, factors)
+    ys = [i for i, v in enumerate(f.symbols) if v != k]
+    for mask, h in enumerate(bound or (), start=1):
+        weight = [i for b, i in enumerate(ys) if mask >> b & 1]
+        assert all(sum(e[i] for i in weight) <= h for e in P.terms)
+
+
+@pytest.mark.parametrize("name", ["binomial", "dixon", "mrr-x3o7-z5o11"])
+def test_perturbation_at_the_degree_bound_is_rejected(name):
+    # R + 3 n^D, D the n-bound of the valid certificate's cleared identity:
+    # the perturbed identity's n-degree then sits exactly on its own
+    # computed bound, so a grid one node short in n could miss it
+    f, rec, cert = certified(name)
+    k, factors = _cleared_factors(f, rec, cert)
+    assert verify_certificate(f, rec, cert)
+    slot = (1 << [v for v in f.symbols if v != k].index("n")) - 1
+    D = _identity_bound(k, factors)[slot]
+    R = cert.ratio
+    n = MultiPoly.variable(f.symbols, "n")
+    bad = Certificate(RationalFunction(R.num + (n ** D).scale(3) * R.den,
+                                       R.den, reduce=False))
+    assert not verify_certificate(f, rec, bad)
+    assert not oracle_verify(f, rec, bad)
+    k, factors = _cleared_factors(f, rec, bad)
+    assert cross_multiplied(f, rec, bad).degree("n") == \
+        _identity_bound(k, factors)[slot]
+
+
+def test_perturbation_nonzero_at_one_node_only_is_rejected():
+    # f = 1 and a_0 = 0 certify with R = 0.  R = k N(n) gives P = -N(n), of
+    # n-degree D, so the grid has D + 1 nodes in n; N vanishes at all of them
+    # but the last, and a grid one node short would accept it
+    vars = ("k", "n")
+    f = parse_term("1", vars)
+    rec = Recurrence(0, (MultiPoly.zero(("n",)),))
+    assert verify_certificate(f, rec, Certificate(RationalFunction.constant(vars, 0)))
+    k, n = (MultiPoly.variable(vars, v) for v in vars)
+    D = 6
+    N = MultiPoly.constant(vars, 1)
+    for t in _grid_values(D, ())[:-1]:
+        N = N * (n - MultiPoly.constant(vars, t))
+    bad = Certificate(RationalFunction(k * N, MultiPoly.constant(vars, 1)))
+    assert not verify_certificate(f, rec, bad)
+    assert not oracle_verify(f, rec, bad)
