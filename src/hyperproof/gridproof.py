@@ -24,9 +24,11 @@ Grid points are visited in sorted box index order, the first of matrix.vars
 the most significant digit.  linalg._GridEvaluator substitutes one variable
 per level by Horner's rule, reusing the levels of the digit prefix a point
 shares with the previous one.  _first_full_rank, serial or in the pool
-workers, reads linalg._constant_pivots once per matrix; _full_rank applies
-that division-free chain at each point and ends in one call of the integer
-rank kernel _int_rank, made here, on the remainder.  The pivot rows, never
+workers, reads linalg._constant_pivots once per matrix and compiles it with
+the last variable's level into one generated function
+(_GridEvaluator.kernel), which at each point returns the rows and columns
+the division-free chain leaves.  Each point ends in one call of the integer
+rank kernel _int_rank, made here, on that remainder.  The pivot rows, never
 changed, form a triangular block with nonzero constant diagonal above zeros,
 so the rank is the chain length plus the remainder's: each decision is exact.
 """
@@ -40,7 +42,7 @@ from math import ceil
 
 from .factored import integer_roots_univar
 from .linalg import (
-    PivotChain, PolyMatrix, _GridEvaluator, _constant_pivots, _grid_digits,
+    PolyMatrix, _GridEvaluator, _constant_pivots, _grid_digits,
     _grid_values, _int_rank, _integer_cleared, _lower_set, _max_assignment,
     _pivot_rows, _univar_minors, _weighted_degree,
 )
@@ -180,29 +182,16 @@ def _support_bounds(matrix: PolyMatrix) -> dict | None:
 _SERIAL_HEAD = 256
 
 
-def _full_rank(chain: PivotChain, a) -> bool:
-    """Whether a, a value of the matrix the chain was read from, has full
-    column rank: the chain's steps in place, then _int_rank on the rest."""
-    for i, j, targets, live in chain.steps:
-        piv = a[i]
-        c = piv[j]
-        for r in targets:
-            row = a[r]
-            f = row[j]
-            if f:
-                for k in live:
-                    row[k] = c * row[k] - f * piv[k]
-    rest = [[a[r][k] for k in chain.cols] for r in chain.rows]
-    return _int_rank(rest) == len(chain.cols)
-
-
 def _first_full_rank(matrix: PolyMatrix, values: dict, indices):
     """(position, index) of the first point of the sorted index list where
     the integer-cleared matrix has full column rank, or None.  Serial scans,
-    the serial head of _parallel_scan and its pool workers all run it."""
+    the serial head of _parallel_scan and its pool workers all run it, each
+    with its own compiled kernel."""
     chain = _constant_pivots(matrix)
-    for pos, index, a in _GridEvaluator(matrix, values).matrices(indices):
-        if _full_rank(chain, a):
+    evaluator = _GridEvaluator(matrix, values)
+    kernel, width = evaluator.kernel(chain), len(chain.cols)
+    for pos, index, s, v in evaluator.inputs(indices):
+        if _int_rank(kernel(s, v)) == width:
             return pos, index
     return None
 
@@ -384,10 +373,10 @@ def leading_coeff_check(sys, certainty, seed: int):
                 f"order {J}: the a_{J} column and the {len(B)} columns it "
                 "depends on were not shown dependent")
     minors = _univar_minors(PolyMatrix([matrix.entries[i] for i in P]), n,
-                            points, [B])
+                            points, B)
     g = MultiPoly.zero((n,))
     used = []
-    for point, (coeffs,) in zip(points, minors):
+    for point, coeffs in zip(points, minors):
         w = MultiPoly.from_terms((n,), [((d,), c) for d, c in enumerate(coeffs)])
         if not w.is_zero():
             g = poly_gcd(g, w)

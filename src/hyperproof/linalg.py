@@ -4,18 +4,29 @@ lower-set evaluation grid, and permanent-based determinant degree bounds.
 
 Two fraction-free (Bareiss) elimination kernels carry every exact
 elimination in the package: `_int_rank` on integer matrices (grid rank,
-pivot rows, integer determinants) and `_poly_eliminate` on `MultiPoly`
-matrices (nullspaces and resultants).  One evaluator, `_GridEvaluator`,
-computes a polynomial matrix at integer points for the determinant grid, for
-`_univar_minors`, which interpolates minors in one variable for the
-univariate nullspace shortcut and the leading-coefficient check, and for
-certificate verification (telescope.verify_certificate).  The determinant
-grid and the verification share `_lower_set`, the points of a lower set of
-exponents cut out by weighted degree bounds, on `_grid_values` per variable.
+pivot rows, integer determinants and cofactor vectors) and `_poly_eliminate`
+on `MultiPoly` matrices (nullspaces and resultants).  One evaluator,
+`_GridEvaluator`, computes a polynomial matrix at integer points for the
+determinant grid, for the univariate nullspace shortcut (one cofactor
+vector per node, `_cofactor_vector`), for `_univar_minors`, which
+interpolates one minor in one variable for the leading-coefficient check,
+and for certificate verification (telescope.verify_certificate).  The
+determinant grid and the verification share `_lower_set`, the points of a
+lower set of exponents cut out by weighted degree bounds, on `_grid_values`
+per variable.
+
 The grid first applies `_constant_pivots`' chain of constant pivots
 without division, so the Bareiss exactness check stays with `_int_rank` on
 the remainder; the pivot rows form a triangular block with nonzero constant
 diagonal above zeros, so the rank is the chain length plus the remainder's.
+For the grid only, `_GridEvaluator.kernel` compiles the last variable's
+Horner level, the gather into matrix entries and that chain into one
+straight-line function per matrix, which returns the remainder rows.  Its
+updates are unconditional: where f = 0, row_r = c*row_r only scales the row
+by the nonzero constant c, which keeps the rank.  Building it takes a few
+milliseconds for mrr's 9x9 order-2 system, repaid over a scan of thousands
+of points; the other callers evaluate few points per matrix and keep the
+interpreted level, which is also the kernel's test oracle.
 """
 
 from __future__ import annotations
@@ -75,9 +86,10 @@ def solve_nullspace(m: PolyMatrix) -> list:
     coordinate made positive.  Empty list iff m has full column rank.
 
     Univariate matrices of corank <= 1 take an evaluation/interpolation
-    shortcut (numeric cofactor minors at enough integer points, then exact
-    interpolation), which avoids the coefficient blowup of the symbolic
-    elimination; the interpolated vector is re-verified symbolically.
+    shortcut (a cofactor vector from one elimination at each of enough
+    integer points, then exact interpolation), which avoids the coefficient
+    blowup of the symbolic elimination; the interpolated vector is
+    re-verified symbolically.
     """
     if len(m.vars) == 1 and m.cols >= 4:
         fast = _nullspace_univar(m)
@@ -188,6 +200,31 @@ def _int_det(a) -> int:
     return _permutation_sign(order) * a[-1][-1]
 
 
+def _cofactor_vector(a) -> list:
+    """[(-1)^j det a[:, all columns but j] for each j] of an r x (r+1)
+    integer matrix a (eliminated in place): a kernel vector of a, zero when
+    rank a < r.
+
+    One elimination; at rank r its pivot columns give the coordinate of the
+    free column, +-det a[:, pivots], and back-substitution on the echelon
+    rows the others.  Every division is checked to be exact."""
+    r = len(a)
+    order = list(range(r))
+    vec = [0] * (r + 1)
+    if _int_rank(a, order) < r:
+        return vec
+    pivots = [next(j for j, x in enumerate(row) if x) for row in a]
+    free = next(j for j in range(r + 1) if j not in pivots)
+    vec[free] = (-1) ** free * _permutation_sign(order) * a[-1][pivots[-1]]
+    for row, p in zip(reversed(a), reversed(pivots)):
+        q, rem = divmod(-sum(x * y for x, y in zip(row[p + 1:], vec[p + 1:])),
+                        row[p])
+        if rem:
+            raise ArithmeticError("inexact back-substitution")
+        vec[p] = q
+    return vec
+
+
 def _permutation_sign(order) -> int:
     """Sign of `order` as a permutation of range(len(order))."""
     inversions = sum(x > y for i, x in enumerate(order) for y in order[i + 1:])
@@ -269,9 +306,13 @@ class _GridEvaluator:
     are (position, exponents of vars[L+1:]), sorted by their degree in
     vars[L], highest first, so the coefficient block of each exponent is a
     prefix of them.  A block is a gather list into the level's input and
-    Horner runs down the blocks.  The last level's output is gathered into
-    the rows x cols matrix.  Consecutive sorted indices reuse the levels of
-    their common digit prefix.
+    Horner runs down the blocks.  Consecutive sorted indices reuse the levels
+    of their common digit prefix; inputs() yields the last level's input.
+    matrices() runs the last level interpreted and gathers its output into
+    the rows x cols matrix.  kernel() instead generates that level as
+    straight-line code, one Horner assignment per exponent of each nonzero
+    entry (self.last holds their input slots), followed by a pivot chain's
+    steps on the entries, kept in locals.
     """
 
     def __init__(self, matrix: PolyMatrix, values: dict):
@@ -291,7 +332,9 @@ class _GridEvaluator:
         # per level, highest exponent first: (block, its part beyond the
         # previous block)
         self.levels = []
+        inputs = slots  # of the last level; without variables, of coefs
         for _ in matrix.vars:
+            inputs = slots
             where = {s: k for k, s in enumerate(slots)}
             degree = {}
             for s in slots:
@@ -309,31 +352,87 @@ class _GridEvaluator:
         self.scatter = [[where.get(i * self.cols + j, -1)
                          for j in range(self.cols)]
                         for i in range(matrix.rows)]
+        # per nonzero entry position, {exponent of the last variable: its
+        # slot in the last level's input}; exponent 0 without variables
+        self.last = {}
+        for k, (position, *exp) in enumerate(inputs):
+            self.last.setdefault(position, {})[exp[0] if exp else 0] = k
 
-    def matrices(self, indices):
-        """Yield (position, index, integer matrix) over the sorted index list."""
-        depth = len(self.levels)
+    def _substitute(self, level, v, src) -> list:
+        acc = []
+        for blk, tail in self.levels[level]:
+            acc = [a * v + src[k] for a, k in zip(acc, blk)]
+            acc += [src[k] for k in tail]
+        acc.append(0)
+        return acc
+
+    def inputs(self, indices):
+        """Yield (position, index, s, v) over the sorted index list: s the
+        last level's input, v the last variable's value (s the coefficients
+        and v 0 without variables)."""
+        upper = len(self.levels) - 1
         prev_digits = None
         stack = [self.coefs]  # stack[L] = values after substituting L vars
         for pos, index in enumerate(indices):
             digits = _grid_digits(index, self.sizes)
             common = 0
             if prev_digits is not None:
-                while common < depth and digits[common] == prev_digits[common]:
+                while common < upper and digits[common] == prev_digits[common]:
                     common += 1
             del stack[common + 1:]
-            for level in range(common, depth):
-                v = self.values[level][digits[level]]
-                src = stack[level]
-                acc = []
-                for blk, tail in self.levels[level]:
-                    acc = [a * v + src[k] for a, k in zip(acc, blk)]
-                    acc += [src[k] for k in tail]
-                acc.append(0)
-                stack.append(acc)
+            for level in range(common, upper):
+                stack.append(self._substitute(
+                    level, self.values[level][digits[level]], stack[level]))
             prev_digits = digits
-            out = stack[-1]
+            yield pos, index, stack[-1], (self.values[-1][digits[-1]]
+                                          if digits else 0)
+
+    def matrices(self, indices):
+        """Yield (position, index, integer matrix) over the sorted index list."""
+        for pos, index, s, v in self.inputs(indices):
+            out = self._substitute(-1, v, s) if self.levels else s
             yield pos, index, [[out[k] for k in row] for row in self.scatter]
+
+    def kernel(self, chain: PivotChain):
+        """Compile f(s, v) = the remainder rows (chain.rows x chain.cols)
+        after the chain's steps on the matrix at v, s and v as inputs()
+        yields them.
+
+        Straight-line source: Horner in v per nonzero entry, one assignment
+        per exponent, then each step's c*row - f*piv as local assignments
+        (scaling by c alone where the pivot row is structurally zero).  It
+        holds only slot indices and generated names, and its nesting does
+        not grow with any degree."""
+        lines = ["def kernel(s, v):"]
+        names = {}  # (row, column) -> local, structurally nonzero entries
+        for position, slot in self.last.items():
+            name = names[divmod(position, self.cols)] = f"e{position}"
+            top = max(slot)
+            lines.append(f" {name} = s[{slot[top]}]")
+            for e in range(top - 1, -1, -1):
+                lines.append(f" {name} = {name} * v + s[{slot[e]}]"
+                             if e in slot else f" {name} *= v")
+        for i, j, targets, live in chain.steps:
+            c = names[i, j]
+            for r in targets:
+                f = names[r, j]
+                for k in live:
+                    a, b = names.get((r, k)), names.get((i, k))
+                    if b is None:
+                        if a is not None:
+                            lines.append(f" {a} *= {c}")
+                    elif a is None:  # fill
+                        a = names[r, k] = f"e{r * self.cols + k}"
+                        lines.append(f" {a} = -{f} * {b}")
+                    else:
+                        lines.append(f" {a} = {c} * {a} - {f} * {b}")
+        rows = ", ".join("[" + ", ".join(names.get((r, k), "0")
+                                         for k in chain.cols) + "]"
+                         for r in chain.rows)
+        lines.append(f" return [{rows}]")
+        scope = {}
+        exec(compile("\n".join(lines), "<grid kernel>", "exec"), scope)
+        return scope["kernel"]
 
 
 def _integer_cleared(matrix: PolyMatrix) -> PolyMatrix:
@@ -452,34 +551,30 @@ def _pivot_rows(a) -> list:
     return sorted(order[:rank])
 
 
-def _univar_minors(m: PolyMatrix, var, points, column_sets) -> list:
+def _univar_minors(m: PolyMatrix, var, points, cols) -> list:
     """Per point (fixing every variable of m but var at an integer), the
-    coefficient lists (ascending in var) of det m[:, cols] per column set.
+    coefficient list (ascending in var) of det m[:, cols].
 
-    m is integer-cleared with len(cols) rows.  Every minor has degree at most
+    m is integer-cleared with len(cols) rows.  The minor has degree at most
     the max-weight assignment on its entries' degrees in var, so it is
     evaluated at that many nodes 0, 1, ... and interpolated exactly.  The
     evaluator substitutes var last, so the nodes of one point share the
     substitution of the others, and point t takes the t-th value of each."""
-    deg_rows = [[e.degree(var) for e in row] for row in m.entries]
-    bound = 0
-    for cols in column_sets:
-        b = _max_assignment([[r[j] for j in cols] for r in deg_rows])
-        if b is not None:
-            bound = max(bound, b)
-    nodes = list(range(bound + 1))
     order = tuple(v for v in m.vars if v != var) + (var,)
-    last = PolyMatrix([[e.restrict(order) for e in row] for row in m.entries])
+    sub = PolyMatrix([[row[j].restrict(order) for j in cols]
+                      for row in m.entries])
+    bound = _max_assignment([[e.degree(var) for e in row]
+                             for row in sub.entries])
+    nodes = list(range((bound or 0) + 1))
     values = {v: [p[v] for p in points] for v in order[:-1]}
     values[var] = nodes
     # index of (t-th value of every fixed variable, node j)
     stride = sum(len(points) ** i for i in range(len(order) - 1)) * len(nodes)
     indices = [t * stride + j for t in range(len(points)) for j in nodes]
-    dets = [[[] for _ in column_sets] for _ in points]
-    for pos, _, a in _GridEvaluator(last, values).matrices(indices):
-        for out, cols in zip(dets[pos // len(nodes)], column_sets):
-            out.append(_int_det([[r[j] for j in cols] for r in a]))
-    return [[_interpolate_int(d) for d in per_point] for per_point in dets]
+    dets = [[] for _ in points]
+    for pos, _, a in _GridEvaluator(sub, values).matrices(indices):
+        dets[pos // len(nodes)].append(_int_det(a))
+    return [_interpolate_int(d) for d in dets]
 
 
 def _nullspace_univar(m: PolyMatrix):
@@ -487,7 +582,8 @@ def _nullspace_univar(m: PolyMatrix):
 
     Handles corank 0 (full column rank at some probe point) and corank 1
     (one basis vector, recovered as the cofactor vector of a well-chosen
-    row subset).  Returns None to fall back to symbolic elimination.
+    row subset, interpolated from its values at integer nodes).  Returns
+    None to fall back to symbolic elimination.
     """
     var = m.vars[0]
     cleared = _integer_cleared(m)
@@ -503,13 +599,19 @@ def _nullspace_univar(m: PolyMatrix):
     if len(best_pivots) < m.cols - 1:
         return None  # corank >= 2: fall back to the symbolic path
     sub = PolyMatrix([cleared.entries[i] for i in best_pivots])
-    others = [[c for c in range(m.cols) if c != j] for j in range(m.cols)]
-    vec = []
+    # the largest degree bound of the minors, each dropping one column: an
+    # assignment of the columns to the rows
+    bound = _max_assignment([[e.degree(var) for e in col]
+                             for col in zip(*sub.entries)])
+    nodes = list(range((bound or 0) + 1))
+    cofactors = [_cofactor_vector(a) for _, _, a in
+                 _GridEvaluator(sub, {var: nodes}).matrices(nodes)]
     vars = m.vars
-    for j, coeffs in enumerate(_univar_minors(sub, var, [{}], others)[0]):
-        sign = 1 if j % 2 == 0 else -1
+    vec = []
+    for values in zip(*cofactors):
+        coeffs = _interpolate_int(values)
         vec.append(MultiPoly.from_terms(
-            vars, [((d,), sign * c) for d, c in enumerate(coeffs) if c]))
+            vars, [((d,), c) for d, c in enumerate(coeffs) if c]))
     if all(p.is_zero() for p in vec):
         return None
     # exact re-verification against every row of the full matrix

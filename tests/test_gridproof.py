@@ -16,16 +16,16 @@ from hyperproof.gridproof import (
     _gosper_columns_independent,
     _grid_point, _numeric_check,
     _leading_root_bound, _rank_deficiency_test,
-    _full_rank, _support_bounds, _termination_guard,
+    _support_bounds, _termination_guard,
 )
 from hyperproof.cli import load_identity
 from hyperproof.factored import (
     Factored, factored_lcm, factored_quotient, from_ratio_parts, gosper_normal,
 )
 from hyperproof.linalg import (
-    PolyMatrix, _GridEvaluator, _constant_pivots, _grid_digits, _grid_values,
-    _int_rank, _integer_cleared, _lower_set, permanent_degree_bound,
-    solve_nullspace,
+    PivotChain, PolyMatrix, _GridEvaluator, _constant_pivots, _grid_digits,
+    _grid_values, _int_rank, _integer_cleared, _lower_set,
+    permanent_degree_bound, solve_nullspace,
 )
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.telescope import Recurrence, assemble, gosper_degree_bound
@@ -242,6 +242,45 @@ def test_grid_evaluator_matches_eval(case, rng):
             assert full == (_int_rank(expected) == matrix.cols)
 
 
+@settings(deadline=None, max_examples=200)
+@given(grid_matrices())
+def test_kernel_without_chain_matches_matrices(case):
+    # zero entries, rows > cols, exponent gaps in the last variable and no
+    # variable at all: the compiled last level is the interpreted one
+    matrix, values = case
+    evaluator = _GridEvaluator(matrix, values)
+    kernel = evaluator.kernel(PivotChain([], list(range(matrix.rows)),
+                                         list(range(matrix.cols))))
+    indices = range(prod(len(values[v]) for v in matrix.vars))
+    assert [kernel(s, v) for _, _, s, v in evaluator.inputs(indices)] == \
+        [a for _, _, a in evaluator.matrices(indices)]
+
+
+@pytest.mark.parametrize("singular", [True, False])
+def test_kernel_of_degree_300_in_the_last_variable(singular):
+    # 300 Horner steps in one entry: nested as one expression they would
+    # exceed the parser's limit on nested parentheses
+    vars = ("a", "n")
+    p = MultiPoly.variable(vars, "n") ** 300 + MultiPoly.variable(vars, "a")
+    one = MultiPoly.constant(vars, 1)
+    matrix = PolyMatrix([[p, p if singular else p + one], [one, one]])
+    res = _rank_deficiency_test(matrix, Fraction(1), 0)
+    assert res.passed == singular
+    # e_a <= 1 and e_a + e_n <= 300
+    assert res.grid_total == 601
+    assert res.grid_tested == (601 if singular else 1)
+
+
+@pytest.mark.parametrize("rows, singular", [
+    ([[1, 2], [2, 4]], True), ([[1, 2], [2, 5]], False),
+    ([[0, 2], [0, 5], [1, 0]], False)])
+def test_rank_deficiency_test_without_variables(rows, singular):
+    # one grid point, the empty one; the kernel reads the coefficients
+    res = _rank_deficiency_test(PolyMatrix.from_rows((), rows), Fraction(1), 0)
+    assert (res.passed, res.grid_total, res.grid_tested) == (singular, 1, 1)
+    assert res.witness == (None if singular else {})
+
+
 def _brute_support_bound(matrix, w):
     """h(w) by brute force: the largest sum of entry weights max_{e in supp}
     w.e over every row subset and column permutation that meets no zero
@@ -432,12 +471,17 @@ def chain_cases(draw):
     return matrix, draw(st.lists(point, min_size=1, max_size=6))
 
 
-def _chain_decides(matrix, chain, a):
-    """The chain-plus-remainder decision on the integer matrix a, checked
-    against _int_rank on all of a."""
-    expected = _int_rank([list(row) for row in a]) == matrix.cols
-    assert _full_rank(chain, a) == expected
-    return expected
+def _chain_decides(matrix, chain, values, indices):
+    """The compiled kernel's decisions at the grid indices: _int_rank on its
+    remainder rows, checked against _int_rank on the whole evaluated
+    matrix."""
+    evaluator = _GridEvaluator(matrix, values)
+    kernel = evaluator.kernel(chain)
+    decided = [_int_rank(kernel(s, v)) == len(chain.cols)
+               for _, _, s, v in evaluator.inputs(indices)]
+    assert decided == [_int_rank(a) == matrix.cols
+                       for _, _, a in evaluator.matrices(indices)]
+    return decided
 
 
 @settings(deadline=None, max_examples=400)
@@ -451,9 +495,7 @@ def test_pivot_chain_decides_full_column_rank(case):
     for i, j, _, _ in chain.steps:
         assert matrix.entries[i][j].is_constant()
     for point in points:
-        _chain_decides(matrix, chain,
-                       [[int(v) for v in row]
-                        for row in _evaluated_at(matrix, point)])
+        _chain_decides(matrix, chain, {v: [x] for v, x in point.items()}, [0])
 
 
 _X = MultiPoly.variable(("x",), "x")
@@ -478,9 +520,9 @@ def test_pivot_chain_hand_built(rows, steps, rest, full):
     chain = _constant_pivots(matrix)
     assert chain.steps == steps
     assert (chain.rows, chain.cols) == rest
-    for v in range(-3, 4):
-        a = _evaluated_at(matrix, {"x": v})
-        assert _chain_decides(matrix, chain, a) == full(v)
+    xs = list(range(-3, 4))
+    assert _chain_decides(matrix, chain, {"x": xs}, range(len(xs))) == \
+        [full(v) for v in xs]
 
 
 @pytest.mark.parametrize("J, pivots, remainder", [(1, 1, (4, 3)),
@@ -496,8 +538,7 @@ def test_pivot_chain_on_mrr(J, pivots, remainder):
               for i, v in enumerate(matrix.vars)}
     lower = _lower_set([len(values[v]) for v in matrix.vars], bounds)
     sample = sorted(random.Random(13).sample(list(lower), min(500, len(lower))))
-    flags = {_chain_decides(matrix, chain, a) for _, _, a in
-             _GridEvaluator(matrix, values).matrices(sample)}
+    flags = set(_chain_decides(matrix, chain, values, sample))
     # order 1 has full-rank points (its witness is the 2nd); order 2 none
     assert flags == ({False, True} if J == 1 else {False})
 

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from hyperproof import linalg
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.linalg import (
-    PolyMatrix, _int_det, _int_rank, _interpolate_int, _nullspace_univar,
-    _poly_eliminate, permanent_degree_bound, solve_nullspace,
+    PolyMatrix, _cofactor_vector, _int_det, _int_rank, _interpolate_int,
+    _nullspace_univar, _poly_eliminate, permanent_degree_bound,
+    solve_nullspace,
 )
 from oracles import det_symbolic
 
@@ -286,6 +287,37 @@ def test_int_kernel_rank_and_pivot_rows_match_fraction_reference(a):
     assert _int_rank([list(row) for row in a], order) == rank
     assert sorted(order[:rank]) == pivots
     assert _int_rank([list(row) for row in a]) == rank
+
+
+@st.composite
+def cofactor_cases(draw):
+    """r x (r+1) integer matrices, r from 1 to 7: random, with a row that is
+    a multiple of another (rank < r), or with a column before the last that
+    is a multiple of an earlier one or zero (a free column not the last)."""
+    r = draw(st.integers(1, 7))
+    a = draw(st.lists(st.lists(small_ints, min_size=r + 1, max_size=r + 1),
+                      min_size=r, max_size=r))
+    kind = draw(st.sampled_from(("random", "row", "column")))
+    if kind == "row" and r > 1:
+        i, j = draw(st.lists(st.integers(0, r - 1), min_size=2, max_size=2,
+                             unique=True))
+        a[i] = [draw(small_ints) * x for x in a[j]]
+    elif kind == "column":
+        j = draw(st.integers(0, r - 1))
+        f, src = draw(small_ints), draw(st.integers(0, j))
+        for row in a:
+            row[j] = f * row[src] if src < j else 0
+    return a
+
+
+@settings(deadline=None, max_examples=300)
+@given(cofactor_cases())
+def test_cofactor_vector_matches_minors(a):
+    expected = [(-1) ** j * _int_det([row[:j] + row[j + 1:] for row in a])
+                for j in range(len(a) + 1)]
+    vec = _cofactor_vector([list(row) for row in a])
+    assert vec == expected
+    assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in a)
 
 
 def test_int_kernel_rejects_inexact_step():
