@@ -294,6 +294,12 @@ def _fraction(text) -> Fraction:
     return value
 
 
+def _jobs(text) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
+
+
 def _default_jobs():
     try:
         return max(1, int(os.environ.get("HYPERPROOF_JOBS", "1")))
@@ -317,8 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(1 = rigorous; default 1)")
         p.add_argument("--seed", type=int, default=0,
                        help="sampling seed (default 0)")
-        p.add_argument("--jobs", type=int, default=_default_jobs(),
-                       help="parallel grid workers (default $HYPERPROOF_JOBS or 1)")
+        p.add_argument("--jobs", type=_jobs, default=_default_jobs(),
+                       help="parallel grid workers, at most one per CPU "
+                            "(default $HYPERPROOF_JOBS or 1)")
         p.add_argument("--max-order", type=int, default=6,
                        help="largest recurrence order to try (default 6)")
         p.add_argument("--json", metavar="PATH",

@@ -35,12 +35,13 @@ so the rank is the chain length plus the remainder's: each decision is exact.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
 
-from .factored import integer_roots_univar
+from .factored import _primes_from, integer_roots_univar
 from .linalg import (
     PolyMatrix, _GridEvaluator, _constant_pivots, _grid_digits,
     _grid_values, _int_rank, _integer_cleared, _lower_set, _max_assignment,
@@ -204,15 +205,16 @@ def _rank_deficiency_test(matrix: PolyMatrix, certainty, seed: int,
     of every maximal minor satisfies w.e <= h(w) (_support_bounds).  The
     lattice points obeying all of them form a lower (down-closed) set S
     inside the box 0 <= e_i <= d_i, d_i the permanent degree bound of the
-    i-th variable x_i.  Grid: per variable, d_i + 1 distinct integers
-    t_{i,0} < t_{i,1} < ... centered at 0 (stepping over degenerate values);
+    i-th variable x_i.  Grid: per variable, d_i + 1 consecutive integers
+    t_{i,0} < t_{i,1} < ... centered at 0 (_grid_values, the one node rule);
     the test points are the subgrid {(t_{1,e_1}, ..., t_{r,e_r}) : e in S},
     visited as sorted box indices.  A polynomial with support in the lower
     set S that vanishes on that subgrid is zero (N. Dyn and M. S. Floater,
     "Multivariate polynomial interpolation on lower sets", J. Approx. Theory
     177, 2014): the Newton products prod_i prod_{j<e_i} (x_i - t_{i,j}), e in
     S, span the same space as the monomials of S and are triangular on the
-    subgrid.  So vanishing on all |S| points proves det = 0 identically.
+    subgrid.  That needs only distinct nodes, so no node value is special.
+    So vanishing on all |S| points proves det = 0 identically.
     grid_total is |S|; certainty < 1 tests ceil(certainty * |S|) positions
     of the sorted list, drawn with random.Random(seed).  A nonzero value
     aborts the scan and is reported as a witness (grid-order-first).
@@ -228,9 +230,9 @@ def _rank_deficiency_test(matrix: PolyMatrix, certainty, seed: int,
     if bounds is None:
         # no assignment at all: every maximal minor is structurally zero
         return VanishingResult(True, 0, 0, None)
-    values = {v: _grid_values(bounds[1 << i], matrix.avoid.get(v, set()))
+    values = {v: _grid_values(bounds[1 << i])
               for i, v in enumerate(matrix.vars)}
-    lower = _lower_set([len(values[v]) for v in matrix.vars], bounds)
+    lower = _lower_set(bounds)
     total = len(lower)
     certainty = _as_fraction(certainty)
     count = total if certainty == 1 else ceil(certainty * total)
@@ -252,15 +254,16 @@ def _rank_deficiency_test(matrix: PolyMatrix, certainty, seed: int,
 
 
 def _parallel_scan(matrix, values, indices, jobs):
-    """Rank the first _SERIAL_HEAD indices in process, then the rest over
-    worker processes in contiguous chunks of equal length; the reported hit
-    is the grid-order-first full-rank point regardless of completion order."""
+    """Rank the first _SERIAL_HEAD indices in process, then the rest over at
+    most one worker process per CPU in contiguous chunks of equal length; the
+    reported hit is the grid-order-first full-rank point regardless of
+    completion order."""
     from concurrent.futures import ProcessPoolExecutor
     hit = _first_full_rank(matrix, values, indices[:_SERIAL_HEAD])
     if hit is not None:
         return hit
     n = len(indices) - _SERIAL_HEAD
-    jobs = min(jobs, n)
+    jobs = min(jobs, n, os.cpu_count() or 1)
     bounds = [_SERIAL_HEAD + (i * n) // jobs for i in range(jobs + 1)]
     chunks = [indices[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     args = ([matrix] * jobs, [values] * jobs, chunks)
@@ -306,13 +309,6 @@ _LEAD_POINTS = 3     # parameter specializations whose a_J cofactors are gcd'ed
 _LEAD_RANGE = 99     # their values, and that of the rank probe's n, lie in +-this
 
 
-def _draw(rng, avoid) -> int:
-    while True:
-        v = rng.randint(-_LEAD_RANGE, _LEAD_RANGE)
-        if v not in avoid:
-            return v
-
-
 def _free_part(p: MultiPoly, n) -> MultiPoly:
     """The largest factor of p in n alone: the gcd of its coefficients as a
     polynomial in the other variables, over (n,)."""
@@ -352,11 +348,10 @@ def leading_coeff_check(sys, certainty, seed: int):
     J = sys.ansatz.order
     n = sys.n
     matrix = _integer_cleared(sys.matrix)
-    avoid = matrix.avoid
     rng = random.Random(seed * 1000003 + 17)
-    points = [{v: _draw(rng, avoid.get(v, ())) for v in matrix.vars if v != n}
-              for _ in range(_LEAD_POINTS)]
-    probe = {**points[0], n: _draw(rng, avoid.get(n, ()))}
+    points = [{v: rng.randint(-_LEAD_RANGE, _LEAD_RANGE)
+               for v in matrix.vars if v != n} for _ in range(_LEAD_POINTS)]
+    probe = {**points[0], n: rng.randint(-_LEAD_RANGE, _LEAD_RANGE)}
     a = [[e.eval(probe) for e in row] for row in matrix.entries]
     others = [j for j in range(matrix.cols) if j != J]
     B = [others[i] for i in _pivot_rows([[row[j] for row in a] for j in others])]
@@ -366,8 +361,7 @@ def leading_coeff_check(sys, certainty, seed: int):
     P = _pivot_rows([[row[j] for j in B] for row in a])
     C = sorted(B + [J])
     if len(C) < matrix.cols and matrix.rows >= len(C):
-        sub = PolyMatrix([[row[j] for j in C] for row in matrix.entries],
-                         avoid=avoid)
+        sub = PolyMatrix([[row[j] for j in C] for row in matrix.entries])
         if not _rank_deficiency_test(sub, certainty, seed).passed:
             raise Inconclusive(
                 f"order {J}: the a_{J} column and the {len(B)} columns it "
@@ -560,26 +554,24 @@ def _termination_guard(nid: NormalizedIdentity):
 # orchestration
 
 
-_PROBE_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 _SMALL_CASES_UPTO = 4  # largest n the finite check compares
 
 
 def _gosper_columns_independent(sys) -> bool:
     """The b columns of M', the Gosper operator
     b -> q(k) b(k+1) - r(k-1) b(k) over the k-free factor q and r share, have
-    full column rank at one of three integer points off matrix.avoid.  Full
-    rank at one point proves them independent, in M too, so every kernel
-    vector has some a_j != 0 and a vanishing determinant does give a
-    telescoper.  False only means no probe showed it.
+    full column rank at one of three distinct integer points.  Full rank at
+    any point proves them independent, in M too, so every kernel vector has
+    some a_j != 0 and a vanishing determinant does give a telescoper.  Point
+    t gives variable i the (t * width + i)-th prime from 5.  False only
+    means no probe showed it.
     """
     m = sys.matrix
     block = PolyMatrix([row[sys.ansatz.order + 1:] for row in m.entries])
     width = len(m.vars)
-    values = {}
-    for i, v in enumerate(m.vars):
-        usable = [p for p in _PROBE_PRIMES if p not in m.avoid.get(v, ())]
-        values[v] = [usable[(t * width + i) % len(usable)] for t in range(3)]
-    # point t takes the t-th value of every variable
+    primes = _primes_from(5, 3 * width)
+    values = {v: [primes[t * width + i] for t in range(3)]
+              for i, v in enumerate(m.vars)}
     diagonal = sorted({t * (3 ** width - 1) // 2 for t in range(3)})
     return any(_int_rank(a) == block.cols for _, _, a in
                _GridEvaluator(block, values).matrices(diagonal))

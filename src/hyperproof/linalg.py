@@ -13,7 +13,8 @@ interpolates one minor in one variable for the leading-coefficient check,
 and for certificate verification (telescope.verify_certificate).  The
 determinant grid and the verification share `_lower_set`, the points of a
 lower set of exponents cut out by weighted degree bounds, on `_grid_values`
-per variable.
+per variable: the one node rule, consecutive integers centered at 0, since
+lower-set interpolation needs only distinct nodes.
 
 The grid first applies `_constant_pivots`' chain of constant pivots
 without division, so the Bareiss exactness check stays with `_int_rank` on
@@ -47,9 +48,9 @@ from .polys import poly_gcd  # noqa: F401  perfbench/tracer.py wraps it here
 class PolyMatrix:
     """Rectangular matrix of polynomials over one shared variable list."""
 
-    __slots__ = ("vars", "rows", "cols", "entries", "avoid")
+    __slots__ = ("vars", "rows", "cols", "entries")
 
-    def __init__(self, entries, avoid=None):
+    def __init__(self, entries):
         if not entries or not entries[0]:
             raise ValueError("matrix must be nonempty")
         self.rows = len(entries)
@@ -62,11 +63,9 @@ class PolyMatrix:
                 if e.vars != self.vars:
                     raise ValueError("entries must share one variable list")
         self.entries = entries
-        # integer values per variable that grid construction should step over
-        self.avoid = avoid or {}
 
     @classmethod
-    def from_rows(cls, vars, rows, avoid=None):
+    def from_rows(cls, vars, rows):
         """Build from nested lists of polynomials/ints/Fractions."""
         vars = tuple(vars)
         out = []
@@ -75,7 +74,7 @@ class PolyMatrix:
                 e if isinstance(e, MultiPoly) else MultiPoly.constant(vars, e)
                 for e in row
             ])
-        return cls(out, avoid=avoid)
+        return cls(out)
 
 
 def solve_nullspace(m: PolyMatrix) -> list:
@@ -247,38 +246,26 @@ def _weighted_degree(p: MultiPoly, w) -> int:
     return max(map(sum, map(compress, p.terms, repeat(w))), default=-1)
 
 
-def _grid_values(degree: int, avoid) -> list:
-    """degree + 1 distinct integers centered at 0, those in avoid replaced by
-    the next integers above the box that are not."""
+def _grid_values(degree: int) -> list:
+    """The grid nodes of one variable: degree + 1 consecutive integers
+    centered at 0.  Lower-set interpolation needs only distinct nodes."""
     start = -(degree // 2)
-    box = list(range(start, start + degree + 1))
-    if not avoid:
-        return box
-    out = []
-    nxt = start + degree + 1
-    for x in box:
-        if x in avoid:
-            while nxt in avoid:
-                nxt += 1
-            out.append(nxt)
-            nxt += 1
-        else:
-            out.append(x)
-    return sorted(out)
+    return list(range(start, start + degree + 1))
 
 
-def _lower_set(sizes, bounds: dict) -> array:
-    """Sorted box indices (mixed radix over sizes, vars[0] most significant)
-    of the lower set {e >= 0 : sum of e_i over w <= h(w) for every (w, h) in
-    bounds}, bounds keyed by the bitmask of w (bit i for vars[i]) and holding
-    every unit weight, in an int64 array (a quarter of the memory of a
-    list).  Each digit's range follows from the slack its prefix leaves in
-    every bound; every prefix so reached extends by zeros, so no box point is
-    visited in vain."""
+def _lower_set(bounds: dict) -> array:
+    """Sorted box indices (mixed radix, vars[0] most significant, axis i of
+    size bounds[1 << i] + 1) of the lower set {e >= 0 : sum of e_i over w <=
+    h(w) for every (w, h) in bounds}, bounds keyed by the bitmask of w (bit i
+    for vars[i]) and holding every unit weight, in an int64 array (a quarter
+    of the memory of a list).  Each digit's range follows from the slack its
+    prefix leaves in every bound; every prefix so reached extends by zeros,
+    so no box point is visited in vain."""
     out = array("q")
-    if not sizes:
+    if not bounds:
         out.append(0)
         return out
+    sizes = [bounds[1 << i] + 1 for i in range(max(bounds).bit_length())]
     last = len(sizes) - 1
     masks = list(bounds)
 
@@ -442,7 +429,7 @@ def _integer_cleared(matrix: PolyMatrix) -> PolyMatrix:
     if all(d == 1 for d in dens):
         return matrix
     return PolyMatrix([[p.scale(d) for p in row] if d != 1 else list(row)
-                       for d, row in zip(dens, matrix.entries)], avoid=matrix.avoid)
+                       for d, row in zip(dens, matrix.entries)])
 
 
 def _poly_eliminate(rows):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .factored import (
     Factored, factored_common, factored_free_of, factored_lcm,
-    factored_quotient, from_ratio_parts, gosper_normal, integer_roots_in_var,
+    factored_quotient, from_ratio_parts, gosper_normal,
 )
 from .linalg import (
     PolyMatrix, _GridEvaluator, _grid_values, _lower_set, _weighted_degree,
@@ -188,43 +188,9 @@ def assemble(f: TermExpression, J: int, k=None, n=None):
             den = common_denominator(row)
             rows.append([p.scale(den) for p in row] if den != 1 else row)
     ansatz = TelescoperAnsatz(J, K)
-    avoid = _collect_avoid([Q, q_f, r_f, pbar_f, rho_den], k, matrix_vars)
-    matrix = PolyMatrix(rows, avoid=avoid)
+    matrix = PolyMatrix(rows)
     return AssembledSystem(ansatz, matrix, k, n, vars, matrix_vars,
                            pbar_f.expand(), r_f.expand(), Q, contents)
-
-
-def _collect_avoid(facts, k, matrix_vars):
-    """Integer values of single variables at which a cleared factor collapses
-    identically in k; grid construction steps over them."""
-    avoid = {}
-    for fct in facts:
-        for p, e, is_aff, form in fct.factors():
-            if is_aff:
-                if form.var_coeff(k) != 0:
-                    continue  # k-coefficient is a nonzero constant
-                live = [s for s in form.coeffs if s != k]
-                if len(live) != 1:
-                    continue
-                v = live[0]
-                root = -_as_fraction(form.const) / _as_fraction(form.coeffs[v])
-                if root.denominator == 1:
-                    avoid.setdefault(v, set()).add(int(root))
-            else:
-                candidates = [p] if p.degree(k) == 0 else p.to_univar(k)[-1:]
-                for g in candidates:
-                    if g.is_constant():
-                        continue
-                    live = [v for v in matrix_vars if g.degree(v) > 0]
-                    if len(live) != 1:
-                        continue
-                    try:
-                        roots = integer_roots_in_var(g.restrict((live[0],)), live[0])
-                    except (ArithmeticError, ValueError):
-                        continue
-                    for rt in roots:
-                        avoid.setdefault(live[0], set()).add(rt)
-    return avoid
 
 
 def certificate_from_solution(sys: AssembledSystem, b_coeffs, extra_den=None):
@@ -394,8 +360,8 @@ def _cleared_identity_vanishes(k, factors) -> bool:
     zero = MultiPoly.zero(ys)
     width = max(lengths)
     matrix = PolyMatrix([row + [zero] * (width - len(row)) for row in rows])
-    values = {v: _grid_values(bounds[1 << i], ()) for i, v in enumerate(ys)}
-    lower = _lower_set([len(values[v]) for v in ys], bounds)
+    values = {v: _grid_values(bounds[1 << i]) for i, v in enumerate(ys)}
+    lower = _lower_set(bounds)
     for _, _, a in _GridEvaluator(matrix, values).matrices(lower):
         *ts, q, pn, pd, rn, rd = [row[:m] for row, m in zip(a, lengths)]
         lhs = []

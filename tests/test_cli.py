@@ -184,6 +184,13 @@ def test_prove_deterministic_bytes(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_below_one_is_rejected(capsys, jobs):
+    assert main(["prove", str(CORPUS / "binomial-2n.txt"),
+                 f"--jobs={jobs}"]) == EXIT_USAGE
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_jobs_env_default(monkeypatch):
     from hyperproof.cli import _default_jobs
     monkeypatch.setenv("HYPERPROOF_JOBS", "3")

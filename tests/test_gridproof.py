@@ -1,3 +1,4 @@
+import concurrent.futures
 import random
 import signal
 from fractions import Fraction
@@ -130,15 +131,6 @@ def test_vanishing_test_non_square_errors():
         _rank_deficiency_test(m, Fraction(1), 0)
 
 
-def test_vanishing_test_avoid_values():
-    vars = ("n",)
-    n = MultiPoly.variable(vars, "n")
-    m = PolyMatrix([[n ** 2]], avoid={"n": {0}})
-    res = _rank_deficiency_test(m, Fraction(1), seed=0)
-    # grid would be {-1,0,1}; 0 is stepped over, so no point vanishes
-    assert not res.passed
-
-
 def _random_poly(rng, vars, maxexp=1, coef=3):
     return MultiPoly.from_terms(
         vars, [(tuple(rng.randint(0, maxexp) for _ in vars),
@@ -201,7 +193,8 @@ def _evaluated_at(matrix, point):
 def grid_matrices(draw, min_vars=0):
     """Small integer polynomial matrices (rows >= cols) over min_vars-3
     variables, with zero, constant and sparse entries, plus grid values per
-    variable."""
+    variable: sorted distinct integers, not only the consecutive ones of
+    _grid_values, as _univar_minors and _nullspace_univar use them."""
     vars = ("n", "x", "z")[:draw(st.integers(min_vars, 3))]
     cols = draw(st.integers(1, 3))
     rows = cols + draw(st.integers(0, 1))
@@ -219,8 +212,8 @@ def grid_matrices(draw, min_vars=0):
             vars, draw(st.lists(st.tuples(exps, coef), max_size=4)))
 
     matrix = PolyMatrix([[entry() for _ in range(cols)] for _ in range(rows)])
-    values = {v: _grid_values(draw(st.integers(0, 3)),
-                              draw(st.sets(st.integers(-2, 2), max_size=2)))
+    values = {v: sorted(draw(st.sets(st.integers(-3, 6), min_size=1,
+                                     max_size=4)))
               for v in vars}
     return matrix, values
 
@@ -281,6 +274,31 @@ def test_rank_deficiency_test_without_variables(rows, singular):
     assert res.witness == (None if singular else {})
 
 
+def test_parallel_scan_starts_at_most_one_worker_per_cpu(monkeypatch):
+    class Pool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *args):
+            return map(fn, *args)
+
+    workers = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(gridproof.os, "cpu_count", lambda: 3)
+    matrix = _rank_test_cases()["singular"]
+    res = _rank_deficiency_test(matrix, Fraction(1), 0, jobs=5000)
+    assert res.passed and res.grid_tested > gridproof._SERIAL_HEAD
+    monkeypatch.setattr(gridproof.os, "cpu_count", lambda: None)
+    assert _rank_deficiency_test(matrix, Fraction(1), 0, jobs=5000) == res
+    assert workers == [3, 1]
+
+
 def _brute_support_bound(matrix, w):
     """h(w) by brute force: the largest sum of entry weights max_{e in supp}
     w.e over every row subset and column permutation that meets no zero
@@ -309,7 +327,7 @@ def _reference_rank_test(matrix, certainty, seed):
     values = {}
     for i, v in enumerate(matrix.vars):
         unit = tuple(int(j == i) for j in range(r))
-        values[v] = _grid_values(h[unit], matrix.avoid.get(v, set()))
+        values[v] = _grid_values(h[unit])
     points = [
         {v: values[v][d] for v, d in zip(matrix.vars, e)}
         for e in product(*(range(len(values[v])) for v in matrix.vars))
@@ -353,13 +371,11 @@ def _rank_test_cases():
         "singular": PolyMatrix([[p, p * q], [r, r * q]]),
         "dense": PolyMatrix([[p, q], [r, c(1)]]),
         "rectangular": PolyMatrix([[p, q], [p * r, q * r], [r, c(1)]]),
-        "avoid": PolyMatrix([[late]], avoid={"n": {0, 12}, "a": {-1}}),
     }
 
 
 @pytest.mark.parametrize(
-    "name", ["late", "two-blocks", "singular", "dense", "rectangular",
-             "avoid"])
+    "name", ["late", "two-blocks", "singular", "dense", "rectangular"])
 def test_rank_deficiency_test_matches_brute_force(name):
     matrix = _rank_test_cases()[name]
     for certainty, seed in ((Fraction(1), 0), (Fraction(1, 2), 3)):
@@ -381,7 +397,7 @@ def test_lower_set_contains_every_maximal_minor_support(case):
         assert all(d.is_zero() for d in minors)
         return
     sizes = [bounds[1 << i] + 1 for i in range(len(matrix.vars))]
-    lower = _lower_set(sizes, bounds)
+    lower = _lower_set(bounds)
     # exactly the box points within every bound, in sorted order
     assert list(lower) == [
         i for i in range(prod(sizes))
@@ -404,15 +420,13 @@ def _newton(vars, values, e):
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.lists(st.integers(0, 5), min_size=1, max_size=3),
-       st.sets(st.integers(-2, 2), max_size=2))
-def test_scan_reports_the_corner_of_the_lower_set(e, avoid):
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=3))
+def test_scan_reports_the_corner_of_the_lower_set(e):
     # the lower set of a 1x1 Newton product is the box below e, whose only
     # maximal point e is the last one scanned and the only nonzero one
     vars = ("n", "x", "z")[:len(e)]
-    values = {v: _grid_values(d, avoid) for v, d in zip(vars, e)}
-    matrix = PolyMatrix([[_newton(vars, values, e)]],
-                        avoid={v: avoid for v in vars})
+    values = {v: _grid_values(d) for v, d in zip(vars, e)}
+    matrix = PolyMatrix([[_newton(vars, values, e)]])
     res = _rank_deficiency_test(matrix, Fraction(1), 0)
     assert not res.passed
     assert res.witness == {v: values[v][d] for v, d in zip(vars, e)}
@@ -424,7 +438,7 @@ def test_scan_reports_a_corner_of_a_triangular_lower_set():
     # e_n + e_a <= 2 of 6 points, and on it the two rows are nonzero only at
     # its corners (2, 0) and (0, 2); (0, 2) comes first in grid order
     vars = ("n", "a")
-    values = {v: _grid_values(2, set()) for v in vars}
+    values = {v: _grid_values(2) for v in vars}
     matrix = PolyMatrix([[_newton(vars, values, (2, 0))],
                          [_newton(vars, values, (0, 2))]])
     res = _rank_deficiency_test(matrix, Fraction(1), 0)
@@ -435,7 +449,7 @@ def test_scan_reports_a_corner_of_a_triangular_lower_set():
 def test_grid_evaluator_on_mrr_order_two():
     nid = mrr_nid()
     matrix = _integer_cleared(assemble(nid.delta_term, 2, k=nid.k, n=nid.n).matrix)
-    values = {v: _grid_values(permanent_degree_bound(matrix, v).degree, set())
+    values = {v: _grid_values(permanent_degree_bound(matrix, v).degree)
               for v in matrix.vars}
     total = prod(len(values[v]) for v in matrix.vars)
     indices = sorted(random.Random(7).sample(range(total), 36))
@@ -534,9 +548,9 @@ def test_pivot_chain_on_mrr(J, pivots, remainder):
     assert len(chain.steps) == pivots
     assert (len(chain.rows), len(chain.cols)) == remainder
     bounds = _support_bounds(matrix)
-    values = {v: _grid_values(bounds[1 << i], matrix.avoid.get(v, set()))
+    values = {v: _grid_values(bounds[1 << i])
               for i, v in enumerate(matrix.vars)}
-    lower = _lower_set([len(values[v]) for v in matrix.vars], bounds)
+    lower = _lower_set(bounds)
     sample = sorted(random.Random(13).sample(list(lower), min(500, len(lower))))
     flags = set(_chain_decides(matrix, chain, values, sample))
     # order 1 has full-rank points (its witness is the 2nd); order 2 none
@@ -771,6 +785,16 @@ def test_gosper_columns_independent():
     nid = mrr_nid()
     assert _gosper_columns_independent(
         assemble(nid.delta_term, 2, k=nid.k, n=nid.n))
+
+
+def test_gosper_columns_independent_probes_three_distinct_points():
+    # six variables: the three probes give v0 the values 5, 23 and 47, so a
+    # b entry (v0 - 5)(v0 - 23) is nonzero at the third probe only
+    vars = tuple(f"v{i}" for i in range(6))
+    v0 = MultiPoly.variable(vars, "v0")
+    one = MultiPoly.constant(vars, 1)
+    entry = (v0 - one.scale(5)) * (v0 - one.scale(23))
+    assert _gosper_columns_independent(_system(vars, [[one, entry]], 0))
 
 
 def test_prove_inconclusive_without_independent_gosper_columns(monkeypatch):

@@ -349,7 +349,7 @@ def test_perturbation_nonzero_at_one_node_only_is_rejected():
     k, n = (MultiPoly.variable(vars, v) for v in vars)
     D = 6
     N = MultiPoly.constant(vars, 1)
-    for t in _grid_values(D, ())[:-1]:
+    for t in _grid_values(D)[:-1]:
         N = N * (n - MultiPoly.constant(vars, t))
     bad = Certificate(RationalFunction(k * N, MultiPoly.constant(vars, 1)))
     assert not verify_certificate(f, rec, bad)
