@@ -601,14 +601,15 @@ def _nullspace_univar(m: PolyMatrix):
             vars, [((d,), c) for d, c in enumerate(coeffs) if c]))
     if all(p.is_zero() for p in vec):
         return None
-    # exact re-verification against every row of the full matrix
+    # exact re-verification against every row of the full matrix, of the
+    # primitive vector: M v = 0 exactly when M (v / c) = 0
+    vec = clear_and_primitive(vec)
     for row in m.entries:
         s = MultiPoly.zero(vars)
         for e, p in zip(row, vec):
             s = s + e * p
         if not s.is_zero():
             return None
-    vec = clear_and_primitive(vec)
     return [[RationalFunction.from_poly(p) for p in vec]]
 
 

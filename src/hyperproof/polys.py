@@ -11,7 +11,14 @@ divisions pack each exponent tuple into a single mixed-radix int, so that
 adding packed keys adds exponents (the division's packing also orders keys
 graded-lexicographically, and its remainder is updated in place).  Packed keys
 never leave a kernel: stored terms stay keyed by exponent tuples, with ints
-preferred.  Univariate gcds run a primitive remainder sequence on dense
+preferred.
+
+Gcds run GCDHEU first (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989):
+each variable in turn is set to a large integer xi, down to one big-integer
+gcd, and the polynomial is read back from the xi-adic digits of the result.
+It is accepted only if it divides both operands exactly, and then it is the
+gcd, so the answer never depends on the heuristic.  When the heuristic gives
+up, a primitive remainder sequence runs; when one variable occurs, on dense
 integer coefficient lists.
 """
 
@@ -73,6 +80,60 @@ def _unpack(key, radices):
         key, d = divmod(key, r)
         exp.append(d)
     return tuple(exp)
+
+
+def _rational_quotient(r, c):
+    return _norm_coef(Fraction(r, c))
+
+
+def _integer_quotient(r, c):
+    q, m = divmod(r, c)
+    return None if m else q
+
+
+def _divide(a: dict, b: dict, quotient):
+    """Terms of a / b for term dicts b nonconstant and a over the same
+    variables, or None when b does not divide a.  quotient(r, c) divides a
+    remainder coefficient by b's leading one, None if it cannot."""
+    # graded-lex order as one int: key(e) = sum(e)*R^n + digits e_0..e_{n-1}
+    # most significant first; every exponent met stays below R
+    n = len(next(iter(b)))
+    radix = max(sum(e) for e in (*a, *b)) + 1
+    top = radix ** n
+    weights = [top + radix ** (n - 1 - i) for i in range(n)]
+    divisor = {sum(map(mul, e, weights)): c for e, c in b.items()}
+    dkey = max(divisor)
+    dcoef = divisor.pop(dkey)
+    dlead = _unpack(dkey % top, [radix] * n)[::-1]
+    rem = {sum(map(mul, e, weights)): c for e, c in a.items()}
+    heap = [-k for k in rem]
+    heapq.heapify(heap)
+    out = {}
+    while rem:
+        k = -heapq.heappop(heap)
+        r = rem.pop(k, None)
+        if r is None:
+            continue  # stale heap entry of a cancelled term
+        rlead = _unpack(k % top, [radix] * n)[::-1]
+        qexp = tuple(x - y for x, y in zip(rlead, dlead))
+        q = quotient(r, dcoef)
+        if q is None or any(e < 0 for e in qexp):
+            return None
+        out[qexp] = q
+        qk = k - dkey
+        for ek, c in divisor.items():
+            kk = qk + ek
+            old = rem.get(kk)
+            if old is None:
+                rem[kk] = _norm_coef(-q * c)
+                heapq.heappush(heap, -kk)
+            else:
+                s = old - q * c
+                if s:
+                    rem[kk] = _norm_coef(s)
+                else:
+                    del rem[kk]
+    return out
 
 
 class MultiPoly:
@@ -392,44 +453,9 @@ class MultiPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if other.is_constant():
             return self.scale(Fraction(1, 1) / _as_fraction(other.as_constant()))
-        # graded-lex order as one int: key(e) = sum(e)*R^n + digits e_0..e_{n-1}
-        # most significant first; every exponent met stays below R
-        n = len(self.vars)
-        radix = max(self.total_degree(), other.total_degree()) + 1
-        top = radix ** n
-        weights = [top + radix ** (n - 1 - i) for i in range(n)]
-        divisor = {sum(map(mul, e, weights)): c for e, c in other.terms.items()}
-        dkey = max(divisor)
-        dcoef = divisor.pop(dkey)
-        dlead = other.leading_exponent()
-        rem = {sum(map(mul, e, weights)): c for e, c in self.terms.items()}
-        heap = [-k for k in rem]
-        heapq.heapify(heap)
-        out = {}
-        while rem:
-            k = -heapq.heappop(heap)
-            r = rem.pop(k, None)
-            if r is None:
-                continue  # stale heap entry of a cancelled term
-            rlead = _unpack(k % top, [radix] * n)[::-1]
-            qexp = tuple(a - b for a, b in zip(rlead, dlead))
-            if any(e < 0 for e in qexp):
-                raise ValueError("inexact polynomial division")
-            q = _norm_coef(Fraction(r, dcoef))
-            out[qexp] = q
-            qk = k - dkey
-            for ek, c in divisor.items():
-                kk = qk + ek
-                old = rem.get(kk)
-                if old is None:
-                    rem[kk] = _norm_coef(-q * c)
-                    heapq.heappush(heap, -kk)
-                else:
-                    s = old - q * c
-                    if s:
-                        rem[kk] = _norm_coef(s)
-                    else:
-                        del rem[kk]
+        out = _divide(self.terms, other.terms, _rational_quotient)
+        if out is None:
+            raise ValueError("inexact polynomial division")
         return MultiPoly(self.vars, out)
 
     def to_univar(self, var):
@@ -519,7 +545,9 @@ def _poly_list_gcd(polys):
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Greatest common divisor, normalized to leading coefficient 1.
 
-    Primitive-PRS scheme.  When only one variable occurs, the sequence runs
+    GCDHEU first (`_heuristic_gcd`): its answer has passed an exact division
+    of both operands, which makes it the gcd.  When the heuristic gives up,
+    a primitive-PRS scheme.  When only one variable occurs, the sequence runs
     on dense integer coefficient lists (`_univariate_gcd`).  Otherwise recurse
     on the first variable present, split off contents, and run a primitive
     pseudo-remainder sequence on the primitive parts.
@@ -532,6 +560,9 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         return p.monic()
     if p.is_constant() or q.is_constant():
         return MultiPoly.constant(p.vars, 1)
+    g = _heuristic_gcd(dict(_cleared(p)[1]), dict(_cleared(q)[1]))
+    if g is not None:
+        return MultiPoly(p.vars, g).monic()
     occurring = {i for e in (*p.terms, *q.terms) for i, x in enumerate(e) if x}
     if len(occurring) == 1:
         return _univariate_gcd(p, q, occurring.pop())
@@ -558,6 +589,94 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     a = [c.divexact(cont_a) for c in a]
     g = MultiPoly.from_univar(var, a) * cont
     return g.monic()
+
+
+# GCDHEU gives up, and the PRS runs, after this many evaluation points per
+# level or once an evaluation would make integers of more than this many
+# bits (the bits of xi times the degree in the evaluated variable).
+_HEU_TRIES = 6
+_HEU_BITS = 1 << 15
+
+
+def _heuristic_gcd(f: dict, g: dict):
+    """gcd(f, g) up to sign, for integer term dicts f, g keyed by exponent
+    tuples and not both zero, or None when GCDHEU gives up (B. Char,
+    K. Geddes, G. Gonnet, J. Symbolic Comput. 7, 1989).
+
+    With the integer contents split off, the last variable that occurs is
+    set to xi >= 2 min(|f|, |g|) + 2 and the gcd h of the two evaluations is
+    taken recursively, down to math.gcd.  The primitive part G of the
+    polynomial whose coefficients are the symmetric xi-adic digits of h is
+    the gcd of the primitive parts if it divides both (their theorem), and it
+    is accepted only then.  Each level returns the whole gcd, content
+    included, because the level above rebuilds its digits from it."""
+    if not f or not g:
+        return f or g
+    cf, cg = _igcd(*f.values()), _igcd(*g.values())
+    gamma = _igcd(cf, cg)
+    fdeg = list(map(max, zip(*f)))
+    gdeg = list(map(max, zip(*g)))
+    if not any(fdeg) or not any(gdeg):
+        # a constant operand: the gcd is the gcd of the contents
+        return {(0,) * len(fdeg): gamma}
+    i = max(j for j, (a, b) in enumerate(zip(fdeg, gdeg)) if a or b)
+    if cf > 1:
+        f = {e: c // cf for e, c in f.items()}
+    if cg > 1:
+        g = {e: c // cg for e, c in g.items()}
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
+    degree = max(fdeg[i], gdeg[i])
+    for _ in range(_HEU_TRIES):
+        if xi.bit_length() * degree > _HEU_BITS:
+            return None
+        h = _heuristic_gcd(_evaluate(f, i, xi), _evaluate(g, i, xi))
+        G = h and _xi_adic(h, i, xi, min(fdeg[i], gdeg[i]))
+        if G:
+            c = _igcd(*G.values())
+            if c > 1:
+                G = {e: v // c for e, v in G.items()}
+            if len(G) == 1 and not any(next(iter(G))) or (
+                    _divide(f, G, _integer_quotient) is not None
+                    and _divide(g, G, _integer_quotient) is not None):
+                return {e: v * gamma for e, v in G.items()} if gamma > 1 else G
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _evaluate(f: dict, i: int, xi: int) -> dict:
+    """f with the variable at index i set to xi; the slot stays, as 0."""
+    powers = [1]
+    for _ in range(max(e[i] for e in f)):
+        powers.append(powers[-1] * xi)
+    out = {}
+    for e, c in f.items():
+        if e[i]:
+            c *= powers[e[i]]
+            e = e[:i] + (0,) + e[i + 1:]
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _xi_adic(h: dict, i: int, xi: int, degree: int):
+    """The polynomial in the variable at index i whose coefficients are the
+    symmetric xi-adic digits of h (in (-xi/2, xi/2]), so that it is h at xi;
+    None when it would pass the given degree."""
+    half = xi >> 1
+    out = {}
+    for d in range(degree + 1):
+        rest = {}
+        for e, c in h.items():
+            r = c % xi
+            if r > half:
+                r -= xi
+            if r:
+                out[e[:i] + (d,) + e[i + 1:]] = r
+            if c != r:
+                rest[e] = (c - r) // xi
+        h = rest
+        if not h:
+            return out
+    return None
 
 
 def _univariate_gcd(p: MultiPoly, q: MultiPoly, i: int) -> MultiPoly:

@@ -176,21 +176,31 @@ def assemble(f: TermExpression, J: int, k=None, n=None):
         ki = kpoly ** i
         cols.append(q_poly * ki.shift(k, 1) - rm * ki)
     matrix_vars = tuple(v for v in vars if v != k)
-    maxdeg = max(c.degree(k) for c in cols)
-    rows = []
-    for d in range(maxdeg + 1):
-        row = []
-        for c in cols:
-            cu = c.to_univar(k)
-            entry = cu[d] if d < len(cu) else MultiPoly.zero(vars)
-            row.append(entry.restrict(matrix_vars))
-        if any(not e.is_zero() for e in row):
-            den = common_denominator(row)
-            rows.append([p.scale(den) for p in row] if den != 1 else row)
     ansatz = TelescoperAnsatz(J, K)
-    matrix = PolyMatrix(rows)
+    matrix = PolyMatrix(_split_rows(cols, vars.index(k), matrix_vars))
     return AssembledSystem(ansatz, matrix, k, n, vars, matrix_vars,
                            pbar_f.expand(), r_f.expand(), Q, contents)
+
+
+def _split_rows(cols, ki, matrix_vars):
+    """Rows of the system whose columns are the polynomials cols: row d holds
+    the coefficients of k^d (k the variable at index ki) over matrix_vars,
+    the variables without k in the same order, scaled by the row's common
+    denominator.  Each column's terms are walked once; zero rows are left
+    out."""
+    by_row = {}
+    for j, c in enumerate(cols):
+        for e, v in c.terms.items():
+            row = by_row.get(e[ki])
+            if row is None:
+                row = by_row[e[ki]] = [{} for _ in cols]
+            row[j][e[:ki] + e[ki + 1:]] = v
+    rows = []
+    for d in sorted(by_row):
+        row = [MultiPoly(matrix_vars, t) for t in by_row[d]]
+        den = common_denominator(row)
+        rows.append([p.scale(den) for p in row] if den != 1 else row)
+    return rows
 
 
 def certificate_from_solution(sys: AssembledSystem, b_coeffs, extra_den=None):

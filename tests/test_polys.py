@@ -5,8 +5,10 @@ from math import lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hyperproof import polys as polys_module
 from hyperproof.polys import (
-    MultiPoly, RationalFunction, _norm_coef, common_denominator, poly_gcd, poly_lcm,
+    MultiPoly, RationalFunction, _cleared, _heuristic_gcd, _norm_coef,
+    common_denominator, poly_gcd, poly_lcm,
 )
 
 
@@ -396,3 +398,102 @@ def test_shift_matches_full_reduction(case):
     f, var, delta = case
     same(f.shift(var, delta),
          RationalFunction(f.num.shift(var, delta), f.den.shift(var, delta)))
+
+
+def heuristic_gcd(p, q):
+    """GCDHEU on its own, made monic; None when it gives up."""
+    g = _heuristic_gcd(dict(_cleared(p)[1]), dict(_cleared(q)[1]))
+    return None if g is None else MultiPoly(p.vars, g).monic()
+
+
+def prs_gcd(p, q, monkeypatch):
+    """poly_gcd with the heuristic off: the primitive remainder sequences."""
+    with monkeypatch.context() as m:
+        m.setattr(polys_module, "_HEU_BITS", 0)
+        return poly_gcd(p, q)
+
+
+def test_heuristic_gcd_matches_the_prs(monkeypatch):
+    rng = random.Random(19)
+
+    def rand(vars, terms, deg, bits):
+        items = []
+        for _ in range(rng.randint(1, terms)):
+            c = rng.randint(-2 ** bits, 2 ** bits)
+            if rng.random() < 0.3:
+                c = Fraction(c, rng.randint(1, 12))
+            items.append((tuple(rng.randint(0, deg) for _ in vars), c))
+        return MultiPoly.from_terms(vars, items)
+
+    kinds = ("planted", "coprime", "divides", "content", "constant", "zero")
+    ran = dict.fromkeys(kinds, 0)
+    for trial in range(240):
+        nvars = trial % 4 + 1
+        vars = tuple("wxyz"[:nvars])
+        terms, deg = (4, 3) if nvars < 3 else (3, 2 if nvars == 3 else 1)
+        bits = rng.choice((2, 8, 40))
+        a, b, c = (rand(vars, terms, deg, bits) for _ in range(3))
+        kind = kinds[trial % len(kinds)]
+        if kind == "planted":
+            p, q = a * c, b * c
+        elif kind == "coprime":
+            p, q = a, b
+        elif kind == "divides":
+            p, q = a * c, c
+        elif kind == "content":
+            mono = MultiPoly.from_terms(
+                vars, [(tuple(rng.randint(0, 2) for _ in vars), rng.randint(1, 60))])
+            p, q = (a * mono * c).scale(6), (b * mono).scale(Fraction(10, 7))
+        elif kind == "constant":
+            p, q = a * c, MultiPoly.constant(vars, Fraction(rng.randint(1, 9), 4))
+        else:
+            p, q = a, MultiPoly.zero(vars)
+        if p.is_zero() and q.is_zero():
+            continue
+        ran[kind] += 1
+        expected = prs_gcd(p, q, monkeypatch)
+        assert poly_gcd(p, q) == expected, (p, q)
+        if not p.is_zero() and not q.is_zero():
+            assert heuristic_gcd(p, q) == expected, (p, q)
+    assert min(ran.values()) >= 30, ran
+
+
+def test_heuristic_gcd_keeps_the_content_of_inner_levels():
+    # the level below must return the whole integer gcd, content included:
+    # a primitive part there reconstructs a^3 here, which divides both
+    V3 = ("a", "b", "c")
+    p = MultiPoly.from_terms(V3, [((3, 2, 3), 36)])
+    q = MultiPoly.from_terms(V3, [((4, 2, 2), 36), ((4, 1, 3), -42)])
+    expected = MultiPoly.from_terms(V3, [((3, 1, 2), 1)])
+    assert heuristic_gcd(p, q) == expected
+    assert poly_gcd(p, q) == expected
+
+
+def test_heuristic_gives_way_to_the_prs(monkeypatch):
+    x = MultiPoly.variable(V, "x")
+    y = MultiPoly.variable(V, "y")
+    common = x * y + y.scale(3) + x
+    p, q = common * (x + y) * (x - y), common * (x * x - y.scale(2))
+    assert poly_gcd(p, q) == common.monic()
+    # over the bit budget: the heuristic gives up at once
+    monkeypatch.setattr(polys_module, "_HEU_BITS", 8)
+    assert heuristic_gcd(p, q) is None
+    assert poly_gcd(p, q) == common.monic()
+    monkeypatch.undo()
+    # every division check fails: the heuristic gives up after its tries
+    evaluations = [0]
+    real_evaluate = polys_module._evaluate
+
+    def counted(f, i, xi):
+        evaluations[0] += 1
+        return real_evaluate(f, i, xi)
+
+    monkeypatch.setattr(polys_module, "_evaluate", counted)
+    monkeypatch.setattr(polys_module, "_integer_quotient", lambda r, c: None)
+    u = MultiPoly.variable(("x",), "x")
+    one = MultiPoly.constant(("x",), 1)
+    f, g = (u + one) * (u - one.scale(2)), (u + one) * (u + one.scale(5))
+    assert heuristic_gcd(f, g) is None
+    assert evaluations[0] == 2 * polys_module._HEU_TRIES
+    assert poly_gcd(f, g) == u + one
+    assert poly_gcd(p, q) == common.monic()

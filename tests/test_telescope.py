@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from hyperproof import telescope
+from hyperproof.cli import load_identity
+from hyperproof.gridproof import normalize_and_delta
 from hyperproof.linalg import _grid_values, solve_nullspace
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.telescope import (
@@ -12,6 +16,7 @@ from hyperproof.telescope import (
     _shift_ratios, assemble, creative_telescope, verify_certificate,
 )
 from hyperproof.terms import TermError, eval_summand, eval_term, parse_term
+from oracles import rows_by_to_univar
 
 
 def cross_multiplied(f, rec, cert, k=None, n=None):
@@ -354,3 +359,33 @@ def test_perturbation_nonzero_at_one_node_only_is_rejected():
     bad = Certificate(RationalFunction(k * N, MultiPoly.constant(vars, 1)))
     assert not verify_certificate(f, rec, bad)
     assert not oracle_verify(f, rec, bad)
+
+
+@pytest.mark.parametrize("name", ["mrr", "mrr-x3o7-z5o11"])
+def test_assemble_rows_match_the_to_univar_split(name, monkeypatch):
+    # the one-pass row split gives the old per-row to_univar matrix, entry by
+    # entry, with the same term order and coefficient types
+    if name == "mrr":
+        ident = load_identity(Path(__file__).parent.parent / "corpus" / "mrr.txt")
+        F, rhs, lower, upper = ident.parsed()
+        nid = normalize_and_delta(F, rhs, ident.params, "k", "n", lower, upper)
+        f, k, n = nid.delta_term, nid.k, nid.n
+    else:
+        f, k, n = parse_term(*CERTIFIED[name]), "k", "n"
+    seen = []
+    real = telescope._split_rows
+
+    def record(cols, ki, matrix_vars):
+        seen.append((cols, matrix_vars))
+        return real(cols, ki, matrix_vars)
+
+    monkeypatch.setattr(telescope, "_split_rows", record)
+    sys = assemble(f, 2, k=k, n=n)
+    (cols, matrix_vars), = seen
+    ref = rows_by_to_univar(cols, k, matrix_vars)
+    assert len(ref) == sys.matrix.rows
+    for row, ref_row in zip(sys.matrix.entries, ref):
+        for e, r in zip(row, ref_row):
+            assert e.vars == r.vars
+            assert [(x, c, type(c)) for x, c in e.terms.items()] == \
+                [(x, c, type(c)) for x, c in r.terms.items()]
