@@ -294,10 +294,14 @@ def _fraction(text) -> Fraction:
     return value
 
 
-def _jobs(text) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
-    return int(text)
+def _at_least(low):
+    """argparse type: a decimal integer of at least low."""
+    def parse(text) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(
+                f"not an integer of at least {low}: {text!r}")
+        return int(text)
+    return parse
 
 
 def _default_jobs():
@@ -323,10 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "(1 = rigorous; default 1)")
         p.add_argument("--seed", type=int, default=0,
                        help="sampling seed (default 0)")
-        p.add_argument("--jobs", type=_jobs, default=_default_jobs(),
+        p.add_argument("--jobs", type=_at_least(1), default=_default_jobs(),
                        help="parallel grid workers, at most one per CPU "
                             "(default $HYPERPROOF_JOBS or 1)")
-        p.add_argument("--max-order", type=int, default=6,
+        p.add_argument("--max-order", type=_at_least(0), default=6,
                        help="largest recurrence order to try (default 6)")
         p.add_argument("--json", metavar="PATH",
                        help="write one structured JSON record per identity")

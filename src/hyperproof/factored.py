@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _igcd, isqrt
 
-from .linalg import _poly_eliminate
+from .linalg import _int_det
 from .polys import MultiPoly, _as_fraction, _norm_coef, _poly_list_gcd, poly_gcd
 from .terms import LinearForm, TermError
 
@@ -454,7 +454,7 @@ def integer_roots_in_var(p: MultiPoly, var) -> list:
 
 def _sylvester_resultant(f_coeffs, g_coeffs, vars):
     """Resultant of two univariate polynomials with MultiPoly coefficients
-    (ascending lists), via fraction-free elimination of the Sylvester matrix."""
+    (ascending lists): the determinant of the Sylvester matrix."""
     m = len(f_coeffs) - 1
     n = len(g_coeffs) - 1
     if m < 0 or n < 0:
@@ -470,10 +470,7 @@ def _sylvester_resultant(f_coeffs, g_coeffs, vars):
         rows.append([zero] * i + frow + [zero] * (size - i - m - 1))
     for i in range(m):
         rows.append([zero] * i + grow + [zero] * (size - i - n - 1))
-    pivots, sign = _poly_eliminate(rows)
-    if len(pivots) < size:
-        return zero
-    return rows[-1][-1] if sign > 0 else -rows[-1][-1]
+    return _int_det(rows)
 
 
 _JVAR = "_j"

@@ -1,11 +1,14 @@
 """Exact linear algebra over polynomials: fraction-free elimination,
-nullspaces over the rational-function field, integer determinants, the
-lower-set evaluation grid, and permanent-based determinant degree bounds.
+nullspaces over the rational-function field, determinants, the lower-set
+evaluation grid, and permanent-based determinant degree bounds.
 
-Two fraction-free (Bareiss) elimination kernels carry every exact
-elimination in the package: `_int_rank` on integer matrices (grid rank,
-pivot rows, integer determinants and cofactor vectors) and `_poly_eliminate`
-on `MultiPoly` matrices (nullspaces and resultants).  One evaluator,
+One fraction-free (Bareiss) elimination kernel, `_int_rank`, carries every
+exact elimination in the package, on integer and on `MultiPoly` matrices
+alike (`MultiPoly.__divmod__` divides exactly or raises): grid rank, pivot
+rows, determinants (`_int_det`, also of the Sylvester matrices of
+factored's resultants), cofactor vectors and the symbolic nullspace.  One
+back-substitution, `_back_substitute`, solves the echelon rows it leaves
+for a kernel vector with checked exact divisions.  One evaluator,
 `_GridEvaluator`, computes a polynomial matrix at integer points for the
 determinant grid, for the univariate nullspace shortcut (one cofactor
 vector per node, `_cofactor_vector`), for `_univar_minors`, which
@@ -39,8 +42,7 @@ from math import factorial, gcd, lcm
 from typing import NamedTuple
 
 from .polys import (
-    MultiPoly, RationalFunction, _poly_list_gcd,
-    clear_denominators, common_denominator,
+    MultiPoly, RationalFunction, _poly_list_gcd, common_denominator,
 )
 from .polys import poly_gcd  # noqa: F401  perfbench/tracer.py wraps it here
 
@@ -80,48 +82,50 @@ class PolyMatrix:
 def solve_nullspace(m: PolyMatrix) -> list:
     """Basis of the right nullspace over the rational-function field.
 
-    Fraction-free forward elimination, then back-substitution.  Basis vectors
-    are normalized: denominators cleared, content removed, first nonzero
-    coordinate made positive.  Empty list iff m has full column rank.
+    One fraction-free elimination of m, then per free column (one without a
+    pivot) one back-substitution from the last pivot at that column and
+    zeros at the other free columns.  The last pivot is the determinant of
+    the pivot block, so by Cramer's rule the pivot coordinates are
+    polynomials, each one exact division.  Basis vectors are normalized:
+    content removed, first nonzero coordinate made positive.  Empty list iff
+    m has full column rank.
 
-    Univariate matrices of corank <= 1 take an evaluation/interpolation
-    shortcut (a cofactor vector from one elimination at each of enough
-    integer points, then exact interpolation), which avoids the coefficient
-    blowup of the symbolic elimination; the interpolated vector is
-    re-verified symbolically.
+    Univariate matrices with at least 4 columns first try an
+    evaluation/interpolation shortcut (a cofactor vector from one integer
+    elimination at each of enough points, then exact interpolation, the
+    interpolated vector re-verified symbolically), kept because it is faster
+    there than the symbolic path.
     """
     if len(m.vars) == 1 and m.cols >= 4:
         fast = _nullspace_univar(m)
         if fast is not None:
             return fast
-    rows = [list(r) for r in m.entries]
-    ncols = m.cols
-    pivots, _ = _poly_eliminate(rows)
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    a = [list(r) for r in m.entries]
+    echelon = a[:_int_rank(a)]
+    pivots = [next(j for j, x in enumerate(row) if x) for row in echelon]
+    value = echelon[-1][pivots[-1]] if echelon else MultiPoly.constant(m.vars, 1)
     basis = []
-    one = RationalFunction.constant(m.vars, 1)
-    zero = RationalFunction.constant(m.vars, 0)
-    for fc in free_cols:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for pr, pc in reversed(pivots):
-            s = zero
-            for j in range(pc + 1, ncols):
-                if not vec[j].is_zero() and not rows[pr][j].is_zero():
-                    s = s + RationalFunction.from_poly(rows[pr][j]) * vec[j]
-            vec[pc] = -(s / RationalFunction.from_poly(rows[pr][pc]))
-        basis.append(_normalize_vector(vec))
+    for free in range(m.cols):
+        if free not in pivots:
+            vec = [MultiPoly.zero(m.vars)] * m.cols
+            _back_substitute(echelon, pivots, vec, free, value)
+            basis.append([RationalFunction.from_poly(p)
+                          for p in clear_and_primitive(vec)])
     return basis
 
 
 def _int_rank(a, order=None) -> int:
-    """Rank of an integer matrix by fraction-free elimination (in place).
+    """Rank of an integer or MultiPoly matrix by fraction-free elimination
+    (in place).
 
     Row swaps are applied to `order` too when it is given, so order[:rank]
-    lists the pivot rows.  For a square matrix of full rank, a[-1][-1] ends as
-    the determinant times the sign of the permutation `order`.  Every Bareiss
-    division is checked to be exact.
+    lists the pivot rows, and a[:rank] is an echelon form whose rows start at
+    their pivots.  Every row below a pivot is transformed, so each entry stays
+    a minor of the row-permuted input and each Bareiss division is exact;
+    it is checked.  For a square matrix, a[-1][-1] ends as the determinant
+    times the sign of the permutation `order`, and as a zero when the
+    matrix is singular, since its last row is then zero.  An eliminated
+    entry is set to f - f, a zero of the entries' type.
     """
     rows = len(a)
     cols = len(a[0])
@@ -147,7 +151,7 @@ def _int_rank(a, order=None) -> int:
                 if rem:
                     raise ArithmeticError("inexact fraction-free step")
                 a[i][j] = q
-            a[i][c] = 0
+            a[i][c] = f - f
         prev = pv
         r += 1
         if r == rows:
@@ -191,12 +195,12 @@ def _constant_pivots(matrix: PolyMatrix) -> PivotChain:
     return PivotChain(steps, free, live)
 
 
-def _int_det(a) -> int:
-    """Determinant of a square integer matrix (eliminated in place)."""
+def _int_det(a):
+    """Determinant of a square integer or MultiPoly matrix (eliminated in
+    place), of the entries' type."""
     order = list(range(len(a)))
-    if _int_rank(a, order) < len(a):
-        return 0
-    return _permutation_sign(order) * a[-1][-1]
+    _int_rank(a, order)
+    return a[-1][-1] if _permutation_sign(order) > 0 else -a[-1][-1]
 
 
 def _cofactor_vector(a) -> list:
@@ -206,7 +210,7 @@ def _cofactor_vector(a) -> list:
 
     One elimination; at rank r its pivot columns give the coordinate of the
     free column, +-det a[:, pivots], and back-substitution on the echelon
-    rows the others.  Every division is checked to be exact."""
+    rows the others."""
     r = len(a)
     order = list(range(r))
     vec = [0] * (r + 1)
@@ -214,14 +218,26 @@ def _cofactor_vector(a) -> list:
         return vec
     pivots = [next(j for j, x in enumerate(row) if x) for row in a]
     free = next(j for j in range(r + 1) if j not in pivots)
-    vec[free] = (-1) ** free * _permutation_sign(order) * a[-1][pivots[-1]]
-    for row, p in zip(reversed(a), reversed(pivots)):
-        q, rem = divmod(-sum(x * y for x, y in zip(row[p + 1:], vec[p + 1:])),
-                        row[p])
+    _back_substitute(a, pivots, vec, free, (-1) ** free
+                     * _permutation_sign(order) * a[-1][pivots[-1]])
+    return vec
+
+
+def _back_substitute(echelon, pivots, vec, free, value):
+    """Set vec[free] = value and solve the echelon rows (row i starting at
+    column pivots[i]) bottom-up for vec's pivot coordinates, in place; vec
+    holds zeros of the entries' type elsewhere.  Each coordinate is one
+    division, checked to be exact: with value a multiple of the last pivot,
+    the determinant of the pivot block, Cramer's rule makes every coordinate
+    an integer (a polynomial)."""
+    vec[free] = value
+    for row, p in zip(reversed(echelon), reversed(pivots)):
+        # vec[p] is still zero, the sum's start of the entries' type
+        s = sum((x * y for x, y in zip(row[p + 1:], vec[p + 1:])), vec[p])
+        q, rem = divmod(-s, row[p])
         if rem:
             raise ArithmeticError("inexact back-substitution")
         vec[p] = q
-    return vec
 
 
 def _permutation_sign(order) -> int:
@@ -432,47 +448,6 @@ def _integer_cleared(matrix: PolyMatrix) -> PolyMatrix:
                        for d, row in zip(dens, matrix.entries)])
 
 
-def _poly_eliminate(rows):
-    """Fraction-free forward elimination of a MultiPoly matrix (in place).
-
-    Returns (pivots, sign): the (row, col) pivot positions in elimination
-    order and the sign of the row permutation.  Every row below a pivot is
-    transformed, even where its entry in the pivot column is zero, so that
-    entries stay minors of the input and each division is exact.  For a
-    square matrix with len(pivots) == size, sign * rows[-1][-1] is the
-    determinant.
-    """
-    nrows, ncols = len(rows), len(rows[0])
-    vars = rows[0][0].vars
-    pivots = []
-    sign = 1
-    prev = MultiPoly.constant(vars, 1)
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not rows[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            sign = -sign
-        piv = rows[r][c]
-        for i in range(r + 1, nrows):
-            fi = rows[i][c]
-            for j in range(c + 1, ncols):
-                rows[i][j] = (rows[i][j] * piv - fi * rows[r][j]).divexact(prev)
-            rows[i][c] = MultiPoly.zero(vars)
-        pivots.append((r, c))
-        prev = piv
-        r += 1
-        if r == nrows:
-            break
-    return pivots, sign
-
-
 def clear_and_primitive(polys):
     """Strip the common polynomial factor and rational content from a list of
     polynomials; make the first nonzero one positively led.  Returns new list."""
@@ -492,13 +467,6 @@ def clear_and_primitive(polys):
     if first.leading_coeff() < 0:
         scale = -scale
     return [p.scale(1 / scale) for p in polys]
-
-
-def _normalize_vector(vec):
-    """Clear denominators, strip content, make the first nonzero entry positive."""
-    _, polys = clear_denominators(vec[0].vars, vec)
-    polys = clear_and_primitive(polys)
-    return [RationalFunction.from_poly(p) for p in polys]
 
 
 def _interpolate_int(values) -> list:

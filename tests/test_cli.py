@@ -191,6 +191,14 @@ def test_jobs_below_one_is_rejected(capsys, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("order", ["-1", "two", "1.5"])
+def test_negative_max_order_is_rejected(capsys, order):
+    assert main(["prove", str(CORPUS / "binomial-2n.txt"),
+                 f"--max-order={order}"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--max-order" in err and "Traceback" not in err
+
+
 def test_jobs_env_default(monkeypatch):
     from hyperproof.cli import _default_jobs
     monkeypatch.setenv("HYPERPROOF_JOBS", "3")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from unittest import mock
 
@@ -10,10 +11,11 @@ from hyperproof import linalg
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.linalg import (
     PolyMatrix, _cofactor_vector, _int_det, _int_rank, _interpolate_int,
-    _nullspace_univar, _poly_eliminate, permanent_degree_bound,
+    _nullspace_univar, permanent_degree_bound,
     solve_nullspace,
 )
-from oracles import det_symbolic
+from hyperproof.terms import parse_rational
+from oracles import det_symbolic, nullspace_rational
 
 
 def det_at_point(m, point):
@@ -97,6 +99,56 @@ def test_nullspace_product_is_zero():
                 for e, x in zip(row, v):
                     s = s + RationalFunction.from_poly(e) * x
                 assert s.is_zero()
+
+
+@st.composite
+def nullspace_cases(draw):
+    """Matrices over 1-2 variables, up to 4 x 5, entries of at most 3 terms
+    of total degree at most 2 with small integer or Fraction coefficients;
+    at times one row is a polynomial multiple of another, so that a free
+    column can lie between pivot columns."""
+    vars = ("x", "y")[:draw(st.integers(1, 2))]
+    exps = st.sampled_from([e for e in product(range(3), repeat=len(vars))
+                            if sum(e) <= 2])
+    coefs = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)])
+    terms = st.lists(st.tuples(exps, coefs), max_size=3)
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    entries = [[MultiPoly.from_terms(vars, draw(terms)) for _ in range(cols)]
+               for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, rows - 1), min_size=2,
+                             max_size=2, unique=True))
+        f = MultiPoly.from_terms(vars, draw(terms))
+        entries[i] = [f * e for e in entries[j]]
+    return PolyMatrix(entries)
+
+
+@settings(deadline=None, max_examples=150)
+@given(nullspace_cases())
+def test_nullspace_matches_rational_elimination(m):
+    with mock.patch.object(linalg, "_nullspace_univar", lambda m: None):
+        assert solve_nullspace(m) == nullspace_rational(m)
+
+
+def test_nullspace_three_variables_without_rational_arithmetic():
+    # back-substitution in RationalFunction arithmetic ran for minutes here
+    text = (
+        "x*y^2*z^2 | -5*x^2*z - 3/2*x^2 + 2*y | 3/2*z"
+        " | 1/3*x^2*y^2*z - 5/3*y^2 - 3*y*z | -2*y*z^2 - 4*z^2;"
+        " -3*y*z | 0 | -4/3*x^2*y^2*z - x*z^2 | -y*z^2 + 2/3*z^2 + 5/3*y"
+        " | -5*x^2*y + z + 3/2;"
+        " 0 | -4*x^2*y^2*z - 3*x^2*y*z^2 - 1/3*x*y | 2*x*z^2"
+        " | -5/2*x*y*z^2 | 0;"
+        " x^2 + 4*x*z | 0 | -2*x*y^2*z - 5*x*y*z^2"
+        " | -5/3*y^2*z - x*y - 4/3*x*z | -2/3*x*y*z^2 + 5/2*z")
+    vars = ("x", "y", "z")
+    m = PolyMatrix([[parse_rational(e, vars).num for e in row.split("|")]
+                    for row in text.split(";")])
+    basis = solve_nullspace(m)
+    assert len(basis) == 1
+    v = [c.num for c in basis[0]]
+    for row in m.entries:
+        assert sum((e * p for e, p in zip(row, v)), MultiPoly.zero(vars)).is_zero()
 
 
 def test_permanent_bound_simple():
@@ -229,7 +281,7 @@ def test_interpolate_int_matches_fraction_newton(values):
         assert sum(c * t ** d for d, c in enumerate(coeffs)) == v
 
 
-# -- property tests of the two fraction-free elimination kernels ---------------
+# -- property tests of the fraction-free elimination kernel ---------------
 
 # small entries with many zeros, so singular matrices and row swaps are common
 small_ints = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 5, 12])
@@ -356,11 +408,7 @@ def poly_matrices(draw):
 @settings(deadline=None, max_examples=150)
 @given(poly_matrices())
 def test_poly_kernel_det_matches_cofactor_expansion(m):
-    a = [list(row) for row in m.entries]
-    pivots, sign = _poly_eliminate(a)
-    det = a[-1][-1].scale(sign) if len(pivots) == m.rows else MultiPoly.zero(m.vars)
-    assert det == det_symbolic(m)
-    assert [r for r, _ in pivots] == list(range(len(pivots)))
+    assert _int_det([list(row) for row in m.entries]) == det_symbolic(m)
 
 
 @st.composite
