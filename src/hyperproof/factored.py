@@ -4,15 +4,18 @@ Shift quotients of hypergeometric terms are products of affine forms (plus
 numerators/denominators of rational factors).  Keeping the factorization
 makes shift-gcd structure (dispersions) cheap to read off, which is what the
 Gosper normal form needs; expansion happens only at the end.  Each factor
-pair keeps its own candidate shifts, the roots of its resultant in k, and the
-normal form tests a pair only there, or at every shift when both factors have
-a nonconstant k-content (a k-free factor, which the resultant cannot see).
+pair keeps its own candidate shifts, the integer roots in j of its resultant
+in k, and the normal form tests a pair only there, or at every shift when both
+factors have a nonconstant k-content (a k-free factor, which the resultant
+cannot see).  Those roots, and the roots of a leading recurrence coefficient,
+come from one complete integer-root finder, integer_roots_univar: p-adic
+lifting modulo one prime, with every candidate checked exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _igcd, isqrt
+from math import gcd as _igcd
 
 from .linalg import _int_det
 from .polys import MultiPoly, _as_fraction, _norm_coef, _poly_list_gcd, poly_gcd
@@ -272,24 +275,6 @@ def factored_quotient(a: Factored, b: Factored) -> Factored:
 # integer roots
 
 
-def _divisors(n: int):
-    n = abs(n)
-    if n == 0:
-        raise ValueError("divisors of zero")
-    if n > 10 ** 12:
-        raise ArithmeticError("constant term too large for divisor enumeration")
-    small = []
-    big = []
-    d = 1
-    while d <= isqrt(n):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                big.append(n // d)
-        d += 1
-    return small + big[::-1]
-
-
 def _primes_from(start, count):
     out = []
     cand = start | 1
@@ -309,143 +294,72 @@ def _primes_from(start, count):
     return out
 
 
-def _roots_mod_p(ints, p):
-    cs = [c % p for c in ints]
-    if not any(cs):
-        return None  # polynomial vanishes mod p; prime gives no information
-    roots = []
-    for t in range(p):
-        total = 0
-        for c in reversed(cs):
-            total = (total * t + c) % p
-        if total == 0:
-            roots.append(t)
-    return roots
-
-
-def _integer_roots_modular(ints, val):
-    """Complete integer root search via roots modulo enough primes.
-
-    Every integer root is bounded by the Lagrange bound B and determined by
-    its residues modulo primes with product > 2B; candidate residues are
-    CRT-combined and verified exactly."""
-    lead = abs(ints[-1])
-    B = 1 + max(abs(c) for c in ints) // lead
-    need = 2 * B + 1
-    primes = []
-    residues = []  # list of root lists per prime
-    modulus = 1
-    start = 10007
-    while modulus <= need:
-        p = _primes_from(start, 1)[0]
-        start = p + 2
-        rs = _roots_mod_p(ints, p)
-        if rs is None:
-            continue  # cannot happen for content-free input, kept for safety
-        if not rs:
-            return []  # no roots mod p: no integer roots at all
-        primes.append(p)
-        residues.append(rs)
-        modulus *= p
-        combos = 1
-        for r_ in residues:
-            combos *= len(r_)
-        if combos > 200000:
-            raise ArithmeticError("too many modular root candidates")
-    # CRT combine
-    cands = [0]
-    m = 1
-    for p, rs in zip(primes, residues):
-        new = []
-        inv = pow(m % p, -1, p)
-        for c in cands:
-            for r in rs:
-                t = ((r - c) * inv) % p
-                new.append(c + m * t)
-        cands = new
-        m *= p
-    roots = []
-    for c in cands:
-        r = c if c <= m // 2 else c - m
-        if abs(r) <= B and val(r) == 0:
-            roots.append(r)
-    return roots
+def _value_mod(ints, x, m):
+    total = 0
+    for c in reversed(ints):
+        total = (total * x + c) % m
+    return total
 
 
 def integer_roots_univar(coeffs) -> list:
-    """Integer roots of a univariate polynomial given by Fraction/int coeffs
-    (ascending).  Divisor enumeration of the trailing coefficient when it is
-    small; a modular CRT search under the Lagrange root bound otherwise."""
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    if not coeffs:
+    """Integer roots, ascending, of the univariate polynomial with the
+    ascending Fraction/int coefficients coeffs, by p-adic lifting (Loos,
+    SIAM J. Comput. 12, 1983; von zur Gathen and Gerhard, Modern Computer
+    Algebra, ch. 15).  The zero root and the content are split off and f is
+    the integer square-free part of the rest.  Its discriminant is nonzero,
+    so some prime p divides neither it nor f's leading coefficient: every
+    root of f mod p is then simple, and Newton's iteration lifts it to the
+    one p-adic root above it, modulo p^m > 2B, B = 1 + max|c_i|/|lead| the
+    Cauchy bound.  An integer root is the symmetric residue of one of these,
+    with |r| <= B and f(r) = 0 exactly.  The search is complete: it never
+    gives up.
+    """
+    x = ("x",)
+    f = MultiPoly.from_terms(x, [((d,), c) for d, c in enumerate(coeffs)])
+    if f.is_zero():
         raise ValueError("zero polynomial has every integer as a root")
-    den = 1
-    for c in coeffs:
-        f = _as_fraction(c)
-        den = den * f.denominator // _igcd(den, f.denominator)
-    ints = [int(_as_fraction(c) * den) for c in coeffs]
-    roots = []
-    shift = 0
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-        if shift == 0:
-            roots.append(0)
-        shift += 1
-    if len(ints) <= 1:
-        return sorted(set(roots))
-    content = 0
-    for c in ints:
-        content = _igcd(content, abs(c))
-    ints = [c // content for c in ints]
-    c0 = ints[0]
-
-    def val(x):
-        total = 0
-        for c in reversed(ints):
-            total = total * x + c
-        return total
-
-    if abs(c0) <= 10 ** 12:
-        for d in _divisors(c0):
-            for cand in (d, -d):
-                if val(cand) == 0:
-                    roots.append(cand)
-    else:
-        roots.extend(_integer_roots_modular(ints, val))
-    return sorted(set(roots))
+    low = min(f.terms)[0]
+    roots = [0] if low else []
+    f = MultiPoly(x, {(d - low,): c for (d,), c in f.terms.items()})
+    df = MultiPoly(x, {(d - 1,): _norm_coef(d * c)
+                       for (d,), c in f.terms.items() if d})
+    if df.is_zero():
+        return roots
+    f = f.divexact(poly_gcd(f, df)).primitive()[1]
+    ints = [f.terms.get((d,), 0) for d in range(f.degree("x") + 1)]
+    deriv = [d * c for d, c in enumerate(ints)][1:]
+    bound = 1 + max(abs(c) for c in ints) // abs(ints[-1])
+    p = 1
+    while True:
+        p = _primes_from(p + 1, 1)[0]
+        if ints[-1] % p:
+            residues = [r for r in range(p) if _value_mod(ints, r, p) == 0]
+            if all(_value_mod(deriv, r, p) for r in residues):
+                break
+    for r in residues:
+        q = p
+        while q <= 2 * bound:
+            q *= q
+            r = (r - _value_mod(ints, r, q)
+                 * pow(_value_mod(deriv, r, q), -1, q)) % q
+        r = r if r <= q // 2 else r - q
+        if abs(r) <= bound and f.eval({"x": r}) == 0:
+            roots.append(r)
+    return sorted(roots)
 
 
 def integer_roots_in_var(p: MultiPoly, var) -> list:
-    """Integers v0 with p(var=v0) identically zero in the other variables."""
+    """Integers v0 with p(var=v0) identically zero in the other variables,
+    ascending.  The candidates are the integer roots of one slice, the
+    coefficients in var of one monomial of p's leading coefficient: a root
+    of p is a root of every slice."""
     if p.is_zero():
         raise ValueError("zero polynomial")
     coeffs = p.to_univar(var)
-    if len(coeffs) == 1:
-        return []
-    # candidate roots come from one monomial slice (any root of p is a root of
-    # every slice); prefer the slice with the smallest trailing coefficient
-    monos = set()
-    for c in coeffs:
-        monos.update(c.terms.keys())
-    slices = []
-    for mono in monos:
-        s = [c.terms.get(mono, 0) for c in coeffs]
-        if any(s):
-            trailing = next(abs(_as_fraction(x).numerator) for x in s if x)
-            slices.append((trailing, s))
-    slices.sort(key=lambda t: t[0])
-    candidates = None
-    for _, s in slices:
-        try:
-            candidates = integer_roots_univar(s)
-            break
-        except ArithmeticError:
-            continue
-    if candidates is None:
-        raise ArithmeticError("no tractable coefficient slice for root search")
-    return sorted(v for v in candidates
-                  if p.eval_partial({var: v}).is_zero())
+    mono = min(coeffs[-1].terms)
+    slice_ = [c.terms.get(mono, 0) for c in coeffs]
+    return [v for v in integer_roots_univar(slice_)
+            if p.eval_partial({var: v}).is_zero()]
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
 
-from .factored import _primes_from, integer_roots_univar
+from .factored import _primes_from, integer_roots_in_var
 from .linalg import (
     PolyMatrix, _GridEvaluator, _constant_pivots, _grid_digits,
     _grid_values, _int_rank, _integer_cleared, _lower_set, _max_assignment,
@@ -286,21 +286,18 @@ class Inconclusive(GridProofError):
     pass
 
 
-def _positive_root_bound(coeffs):
-    """Largest positive integer root of the polynomial with the ascending
-    coefficients coeffs, or None.  ValueError for the zero polynomial,
-    ArithmeticError when the modular root search gives up."""
-    return max((r for r in integer_roots_univar(coeffs) if r > 0), default=None)
+def _positive_root_bound(p: MultiPoly, var):
+    """Largest positive integer root of p, a polynomial in var alone, or
+    None.  ValueError for the zero polynomial."""
+    return max((r for r in integer_roots_in_var(p, var) if r > 0), default=None)
 
 
 def _leading_root_bound(rec: Recurrence, n):
     """Largest positive integer root in n of the last recurrence coefficient,
     or None."""
     p = rec.coefficients[-1].restrict((n,))
-    coeffs = [_as_fraction(c.as_constant()) if not c.is_zero() else Fraction(0)
-              for c in p.to_univar(n)]
     try:
-        return _positive_root_bound(coeffs)
+        return _positive_root_bound(p, n)
     except ValueError:
         return None
 
@@ -342,8 +339,7 @@ def leading_coeff_check(sys, certainty, seed: int):
     minors, keeps them and drops roots that only special parameter values
     have.  n0 is the largest positive integer root of that gcd or of the
     parameter-free part of a factor of any c_j.  Raises Inconclusive when no
-    such B exists, the rank-deficiency test fails or the root search gives
-    up.
+    such B exists or the rank-deficiency test fails.
     """
     J = sys.ansatz.order
     n = sys.n
@@ -379,12 +375,7 @@ def leading_coeff_check(sys, certainty, seed: int):
         raise Inconclusive(f"order {J}: the a_{J} cofactor vanished at every "
                            "parameter point tried")
     free = [_free_part(f, n) for c in sys.contents for f, _, _, _ in c.factors()]
-    try:
-        roots = [_positive_root_bound([p.terms.get((d,), 0)
-                                       for d in range(p.degree(n) + 1)])
-                 for p in [g] + free if p.degree(n) > 0]
-    except ArithmeticError as exc:
-        raise Inconclusive(f"order {J}: leading-coefficient root search: {exc}")
+    roots = [_positive_root_bound(p, n) for p in [g] + free]
     return max((r for r in roots if r is not None), default=None), used
 
 

@@ -711,6 +711,8 @@ class _Parser:
             node = self.parse_expr()
             self.expect_op(")")
             return node
+        if kind == "end":
+            raise ParseError("unexpected end of input", pos)
         raise ParseError(f"unexpected token {val!r}", pos)
 
     def parse_full(self):

@@ -246,6 +246,12 @@ CERT = "--certificate=-k/(n+1-k)"
                  id="zero-power-limit"),
     pytest.param({}, ["--recurrence=-2,1", "--certificate=0^(-1)"],
                  "division by zero", id="zero-power-certificate"),
+    pytest.param({}, ["--recurrence=-2,1", "--certificate="],
+                 "unexpected end of input (at position 0)",
+                 id="empty-certificate"),
+    pytest.param({}, ["--recurrence=-2,1", "--certificate=k+"],
+                 "unexpected end of input (at position 2)",
+                 id="truncated-certificate"),
     pytest.param({"summand": "binomial(n,k)*binomial(a,k)",
                   "rhs": "binomial(a+n,a)", "params": "a a"}, None,
                  "params must not repeat a name", id="repeated-param"),

@@ -17,7 +17,7 @@ from hyperproof.linalg import PolyMatrix, solve_nullspace
 from hyperproof.polys import MultiPoly, RationalFunction, poly_gcd
 from hyperproof.telescope import assemble
 from hyperproof.terms import EvalError, eval_summand, eval_term, parse_term, shift_quotient
-from oracles import det_symbolic
+from oracles import det_symbolic, integer_roots_reference
 
 
 def ratio(num_text, den_text, syms=("k",)):
@@ -70,6 +70,67 @@ def test_integer_roots_in_var():
     n = MultiPoly.variable(vars, "n")
     p = (j - MultiPoly.constant(vars, 2)) * (j * n + n)  # roots j=2, j=-1
     assert integer_roots_in_var(p, "j") == [-1, 2]
+
+
+def _dense_product(*factors):
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+# (j-1)(j-2)...(j-10)(j^2+10^13): ten roots modulo every prime above 10, and a
+# trailing coefficient past 10^12
+TEN_ROOTS_AND_A_BIG_CONSTANT = _dense_product(
+    *[[-r, 1] for r in range(1, 11)], [10 ** 13, 0, 1])
+
+
+def test_integer_roots_univar_ten_roots_and_a_big_constant():
+    assert integer_roots_univar(TEN_ROOTS_AND_A_BIG_CONSTANT) == \
+        list(range(1, 11))
+
+
+def test_integer_roots_in_var_ten_roots_and_a_big_constant():
+    vars = ("j", "n")
+    p = MultiPoly.from_univar("j", [MultiPoly.constant(vars, c)
+                                    for c in TEN_ROOTS_AND_A_BIG_CONSTANT])
+    p = p * (MultiPoly.variable(vars, "n") + MultiPoly.constant(vars, 1))
+    assert integer_roots_in_var(p, "j") == list(range(1, 11))
+
+
+def test_integer_roots_match_the_reference():
+    # repeated roots, rational coefficients, a zero root, and trailing
+    # coefficients on both sides of the reference's 10^12 switch; the
+    # reference's give-ups are skipped, and every root is checked exactly
+    rng = random.Random(21)
+    compared = 0
+    for _ in range(40):
+        roots = [rng.randint(-30, 30) for _ in range(rng.randint(0, 4))]
+        big = rng.random() < 0.5
+        c = rng.randint(10 ** 12, 10 ** 15) if big else rng.randint(1, 99)
+        other = rng.choice([[c, 0, 1], [c, rng.choice([-1, 1]) * rng.randint(2, 9)],
+                            [c, rng.randint(-5, 5), 0, 1]])
+        zeros = [0] * rng.choice([0, 0, 1, 2])
+        scale = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                         rng.randint(1, 9))
+        linear = [[-r, 1] for r in roots for _ in range(rng.randint(1, 2))]
+        coeffs = [scale * x for x in _dense_product(zeros + [1], other, *linear)]
+        got = integer_roots_univar(coeffs)
+        assert got == sorted(set(got))
+        assert set(roots) | ({0} if zeros else set()) <= set(got)
+        assert all(sum(x * r ** d for d, x in enumerate(coeffs)) == 0
+                   for r in got)
+        try:
+            expected = integer_roots_reference(coeffs)
+        except ArithmeticError:
+            continue
+        assert got == expected
+        compared += 1
+    assert compared >= 30
 
 
 def test_pqr_k_over_k_plus_2():

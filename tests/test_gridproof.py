@@ -691,20 +691,6 @@ def test_leading_coeff_check_inconclusive_when_columns_not_dependent(
         leading_coeff_check(sys, Fraction(1), 0)
 
 
-def test_prove_inconclusive_when_root_search_gives_up(monkeypatch):
-    def gives_up(coeffs):
-        raise ArithmeticError("too many modular root candidates")
-
-    monkeypatch.setattr(gridproof, "integer_roots_univar", gives_up)
-    ident = load_identity(CORPUS / "chu-vandermonde.txt")
-    F, rhs_terms, lower, upper = ident.parsed()
-    rep = prove(F, rhs_terms, "k", "n", lower, upper, ident.params,
-                fast_path=False)
-    assert rep.verdict == "inconclusive"
-    assert rep.message.startswith("order 1: ")
-    assert "too many modular root candidates" in rep.message
-
-
 def test_leading_coeff_check_mrr_seed_160630457():
     # the old check telescoped a specialization drawn from this prove seed,
     # x=7/2, z=-11, and stalled for minutes
