@@ -4,22 +4,28 @@ Shift quotients of hypergeometric terms are products of affine forms (plus
 numerators/denominators of rational factors).  Keeping the factorization
 makes shift-gcd structure (dispersions) cheap to read off, which is what the
 Gosper normal form needs; expansion happens only at the end.  Each factor
-pair keeps its own candidate shifts, the integer roots in j of its resultant
-in k, and the normal form tests a pair only there, or at every shift when both
-factors have a nonconstant k-content (a k-free factor, which the resultant
-cannot see).  Those roots, and the roots of a leading recurrence coefficient,
-come from one complete integer-root finder, integer_roots_univar: p-adic
-lifting modulo one prime, with every candidate checked exactly.
+pair keeps its own candidate shifts j, and the normal form tests a pair only
+there, or at every shift when both factors have a nonconstant k-content (a
+k-free factor, which a resultant in k cannot see).  Two affine factors have
+one candidate in closed form; any other pair takes the integer roots of
+Res_k(fq(k, s), fr(k+j, s)), univariate in j, at the first integer point s
+of the other variables where both leading coefficients in k are nonzero
+(Abramov 1971; Man and Wright, ISSAC 1994).  There every generic shift is
+a root, and the resultant has degree deg_k fq * deg_k fr in j, never zero.
+The roots, and those of a leading recurrence coefficient, come from one
+complete integer-root finder, integer_roots_univar: p-adic lifting modulo
+one prime, with every candidate checked exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd as _igcd
 
 from .linalg import _int_det
 from .polys import MultiPoly, _as_fraction, _norm_coef, _poly_list_gcd, poly_gcd
-from .terms import LinearForm, TermError
+from .terms import LinearForm
 
 
 def _normalize_affine(L: LinearForm, order):
@@ -371,8 +377,6 @@ def _sylvester_resultant(f_coeffs, g_coeffs, vars):
     (ascending lists): the determinant of the Sylvester matrix."""
     m = len(f_coeffs) - 1
     n = len(g_coeffs) - 1
-    if m < 0 or n < 0:
-        return MultiPoly.zero(vars)
     size = m + n
     if size == 0:
         return MultiPoly.constant(vars, 1)
@@ -390,19 +394,42 @@ def _sylvester_resultant(f_coeffs, g_coeffs, vars):
 _JVAR = "_j"
 
 
-def _shift_candidates(fq, fr, k, vars):
-    """Nonnegative integers j with gcd(fq(k), fr(k+j)) nontrivial, for one
-    factor from each side.  fq, fr are (poly, is_affine, form)."""
+def _good_point(pq, pr, k):
+    """The first point of pq's variables other than k at which lc_k(pq) *
+    lc_k(pr) is nonzero, in a box of deg_v + 1 consecutive integers per
+    variable v, from 3, 5, 7, ...: a nonzero polynomial cannot vanish on
+    all of it."""
+    lead = pq.to_univar(k)[-1] * pr.to_univar(k)[-1]
+    others = [v for v in pq.vars if v != k]
+    box = [range(3 + 2 * i, 4 + 2 * i + lead.degree(v))
+           for i, v in enumerate(others)]
+    for values in product(*box):
+        if lead.eval({k: 0, **dict(zip(others, values))}):
+            return dict(zip(others, values))
+
+
+def _resultant_in_j(pq, pr, k, point):
+    """Ascending coefficients in j of Res_k(pq(k, s), pr(k+j, s)) at the
+    point s of the variables other than k."""
+    jvars = (k, _JVAR)
+    gq = pq.eval_partial(point).restrict(jvars)
+    gr = pr.eval_partial(point).restrict(jvars).subst_linear(
+        k, MultiPoly.variable(jvars, k) + MultiPoly.variable(jvars, _JVAR))
+    h = _sylvester_resultant(gq.to_univar(k), gr.to_univar(k), jvars)
+    return [h.terms.get((0, d), 0) for d in range(h.degree(_JVAR) + 1)]
+
+
+def _shift_candidates(fq, fr, k):
+    """Nonnegative integers j that include every j with gcd(fq(k), fr(k+j))
+    nontrivial, for one factor from each side, both involving k.  fq, fr
+    are (poly, is_affine, form).  Two affine factors give one j in closed
+    form; any other pair the integer roots of _resultant_in_j at
+    _good_point.  There specializing commutes with the Sylvester
+    determinant, so every generic shift is a root, and the resultant is
+    +-lc(fq)^deg(fr) lc(fr)^deg(fq) prod(j + a_i - b_l), over the roots a_i
+    of fq and b_l of fr, of degree deg_k fq * deg_k fr in j: never zero."""
     pq, aq, Lq = fq
     pr, ar, Lr = fr
-    if aq and Lq.var_coeff(k) == 0:
-        return []
-    if ar and Lr.var_coeff(k) == 0:
-        return []
-    if not aq and pq.degree(k) == 0:
-        return []
-    if not ar and pr.degree(k) == 0:
-        return []
     if aq and ar:
         alpha1 = _as_fraction(Lq.var_coeff(k))
         alpha2 = _as_fraction(Lr.var_coeff(k))
@@ -416,45 +443,8 @@ def _shift_candidates(fq, fr, k, vars):
         if j.denominator == 1 and j >= 0:
             return [int(j)]
         return []
-    jvars = vars + (_JVAR,)
-    jpoly = MultiPoly.variable(jvars, _JVAR)
-    kpoly = MultiPoly.variable(jvars, k)
-    if aq != ar:
-        # one affine, one opaque: substitute the affine root into the other
-        if aq:
-            alpha = _as_fraction(Lq.var_coeff(k))
-            beta = LinearForm({s: c for s, c in Lq.coeffs.items() if s != k},
-                              Lq.const).to_poly(jvars)
-            g = pr.embed(jvars)
-            # root of fq: k* = -beta/alpha; need g(k* + j) == 0
-            arg = jpoly.scale(alpha) - beta
-        else:
-            alpha = _as_fraction(Lr.var_coeff(k))
-            beta = LinearForm({s: c for s, c in Lr.coeffs.items() if s != k},
-                              Lr.const).to_poly(jvars)
-            g = pq.embed(jvars)
-            # root of fr(k+j): k* = -(beta + alpha*j)/alpha; need g(k*) == 0
-            arg = -(beta + jpoly.scale(alpha))
-        coeffs = g.to_univar(k)
-        d = len(coeffs) - 1
-        # h = alpha^d * g(arg/alpha) = sum_i g_i * arg^i * alpha^(d-i)
-        h = MultiPoly.zero(jvars)
-        argpow = MultiPoly.constant(jvars, 1)
-        for i, c in enumerate(coeffs):
-            h = h + c * argpow * MultiPoly.constant(jvars, alpha ** (d - i))
-            if i < d:
-                argpow = argpow * arg
-    else:
-        gq = pq.embed(jvars)
-        gr = pr.embed(jvars).subst_linear(k, kpoly + jpoly)
-        h = _sylvester_resultant(gq.to_univar(k), gr.to_univar(k), jvars)
-    if h.is_zero():
-        raise TermError("degenerate shift structure (identically zero resultant)")
-    if h.is_constant():
-        return []
-    if h.degree(_JVAR) <= 0:
-        return []
-    return [j for j in integer_roots_in_var(h, _JVAR) if j >= 0]
+    coeffs = _resultant_in_j(pq, pr, k, _good_point(pq, pr, k))
+    return [j for j in integer_roots_univar(coeffs) if j >= 0]
 
 
 def _k_factors(f: Factored, k):
@@ -468,10 +458,11 @@ def _k_factors(f: Factored, k):
 
 
 def dispersion_set(num: Factored, den: Factored, k) -> dict:
-    """For each pair (num factor, den factor), both involving k, the
-    integers j >= 0 at which the two share a factor that involves k."""
+    """For each pair (num factor, den factor), both involving k, candidate
+    shifts j >= 0 (_shift_candidates), among them every j at which the two
+    share a factor that involves k."""
     return {(fq, fr): _shift_candidates((pq, Lq is not None, Lq),
-                                        (pr, Lr is not None, Lr), k, num.vars)
+                                        (pr, Lr is not None, Lr), k)
             for fq, pq, Lq in _k_factors(num, k)
             for fr, pr, Lr in _k_factors(den, k)}
 
@@ -485,8 +476,10 @@ def gosper_normal(ratio_num: Factored, ratio_den: Factored, k):
     first factor pair (q side outer) with a nontrivial gcd at shift j is
     peeled until none is left.  A pair is tested only at its candidates from
     dispersion_set, or at every j if both factors have a nonconstant k-content
-    (gcd of the k-coefficients).  A quotient left by a peel divides its
-    parent, so it inherits the parent's candidates and flag.
+    (gcd of the k-coefficients).  A candidate at which the pair shares no
+    factor fails the exact gcd test and changes nothing.  A quotient left by
+    a peel divides its parent, so it inherits the parent's candidates and
+    flag.
     """
     if ratio_num.is_zero():
         raise ValueError("zero shift quotient")

@@ -6,12 +6,12 @@ One fraction-free (Bareiss) elimination kernel, `_int_rank`, carries every
 exact elimination in the package, on integer and on `MultiPoly` matrices
 alike (`MultiPoly.__divmod__` divides exactly or raises): grid rank, pivot
 rows, determinants (`_int_det`, also of the Sylvester matrices of
-factored's resultants), cofactor vectors and the symbolic nullspace.  One
-back-substitution, `_back_substitute`, solves the echelon rows it leaves
-for a kernel vector with checked exact divisions.  One evaluator,
-`_GridEvaluator`, computes a polynomial matrix at integer points for the
-determinant grid, for the univariate nullspace shortcut (one cofactor
-vector per node, `_cofactor_vector`), for `_univar_minors`, which
+factored's resultants, univariate in j), cofactor vectors and the symbolic
+nullspace.  One back-substitution, `_back_substitute`, solves the echelon
+rows it leaves for a kernel vector with checked exact divisions.  One
+evaluator, `_GridEvaluator`, computes a polynomial matrix at integer points
+for the determinant grid, for the univariate nullspace shortcut (one
+cofactor vector per node, `_cofactor_vector`), for `_univar_minors`, which
 interpolates one minor in one variable for the leading-coefficient check,
 and for certificate verification (telescope.verify_certificate).  The
 determinant grid and the verification share `_lower_set`, the points of a

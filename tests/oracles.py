@@ -2,12 +2,15 @@
 
 from math import gcd, isqrt
 
-from hyperproof.factored import _primes_from
+from hyperproof.factored import (
+    _primes_from, _sylvester_resultant, integer_roots_in_var,
+)
 from hyperproof.linalg import PolyMatrix, clear_and_primitive
 from hyperproof.polys import (
     MultiPoly, RationalFunction, _as_fraction, clear_denominators,
     common_denominator,
 )
+from hyperproof.terms import LinearForm
 
 
 def det_symbolic(m: PolyMatrix) -> MultiPoly:
@@ -213,3 +216,52 @@ def integer_roots_reference(coeffs) -> list:
     else:
         roots.extend(_integer_roots_modular(ints, val))
     return sorted(set(roots))
+
+
+def shift_candidates_reference(fq, fr, k) -> list:
+    """The shift candidates of a factor pair with at least one opaque
+    factor, both factors involving k, the way factored._shift_candidates
+    once found them: the nonnegative integer roots in j of the generic
+    resultant over all of the pair's variables and j.  An affine factor's
+    root in k is substituted into the other factor; two opaque factors give
+    the multivariate Sylvester determinant.  fq, fr are (poly, is_affine,
+    form)."""
+    pq, aq, Lq = fq
+    pr, ar, Lr = fr
+    assert not (aq and ar), "two affine factors have a closed form"
+    jvars = pq.vars + ("_j",)
+    jpoly = MultiPoly.variable(jvars, "_j")
+    kpoly = MultiPoly.variable(jvars, k)
+    if aq != ar:
+        # one affine, one opaque: substitute the affine root into the other
+        if aq:
+            alpha = _as_fraction(Lq.var_coeff(k))
+            beta = LinearForm({s: c for s, c in Lq.coeffs.items() if s != k},
+                              Lq.const).to_poly(jvars)
+            g = pr.embed(jvars)
+            # root of fq: k* = -beta/alpha; need g(k* + j) == 0
+            arg = jpoly.scale(alpha) - beta
+        else:
+            alpha = _as_fraction(Lr.var_coeff(k))
+            beta = LinearForm({s: c for s, c in Lr.coeffs.items() if s != k},
+                              Lr.const).to_poly(jvars)
+            g = pq.embed(jvars)
+            # root of fr(k+j): k* = -(beta + alpha*j)/alpha; need g(k*) == 0
+            arg = -(beta + jpoly.scale(alpha))
+        coeffs = g.to_univar(k)
+        d = len(coeffs) - 1
+        # h = alpha^d * g(arg/alpha) = sum_i g_i * arg^i * alpha^(d-i)
+        h = MultiPoly.zero(jvars)
+        argpow = MultiPoly.constant(jvars, 1)
+        for i, c in enumerate(coeffs):
+            h = h + c * argpow * MultiPoly.constant(jvars, alpha ** (d - i))
+            if i < d:
+                argpow = argpow * arg
+    else:
+        gq = pq.embed(jvars)
+        gr = pr.embed(jvars).subst_linear(k, kpoly + jpoly)
+        h = _sylvester_resultant(gq.to_univar(k), gr.to_univar(k), jvars)
+    assert not h.is_zero(), "degenerate shift structure"
+    if h.degree("_j") <= 0:
+        return []
+    return [j for j in integer_roots_in_var(h, "_j") if j >= 0]

@@ -3,13 +3,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hyperproof import factored, polys, telescope
-from hyperproof.cli import load_identity
+from hyperproof.cli import IdentityFile, load_identity, run_prove
 from hyperproof.factored import (
-    Factored, _normalize_affine, _sylvester_resultant, dispersion_set,
-    gosper_normal, integer_roots_univar, integer_roots_in_var,
+    Factored, _good_point, _k_factors, _normalize_affine, _resultant_in_j,
+    _shift_candidates, _sylvester_resultant, dispersion_set, gosper_normal,
+    integer_roots_univar, integer_roots_in_var,
 )
 from hyperproof.gosper import gosper_antidifference
 from hyperproof.gridproof import normalize_and_delta
@@ -17,7 +18,9 @@ from hyperproof.linalg import PolyMatrix, solve_nullspace
 from hyperproof.polys import MultiPoly, RationalFunction, poly_gcd
 from hyperproof.telescope import assemble
 from hyperproof.terms import EvalError, eval_summand, eval_term, parse_term, shift_quotient
-from oracles import det_symbolic, integer_roots_reference
+from oracles import (
+    det_symbolic, integer_roots_reference, shift_candidates_reference,
+)
 
 
 def ratio(num_text, den_text, syms=("k",)):
@@ -489,6 +492,108 @@ def test_gosper_normal_skips_known_trivial_gcds(monkeypatch):
         counts.append(calls[0])
     assert forms == [expanded(all_pairs_gosper_normal(*i)) for i in inputs]
     assert counts[1] < counts[0] / 2, counts
+
+
+# -- shift candidates at an integer point against the generic resultant ------
+
+def _identity(name, summand, rhs, lower, upper):
+    return IdentityFile(name=name, summand=summand, rhs=rhs, sum_var="k",
+                        rec_var="n", lower=lower, upper=upper, params=())
+
+
+# dixon-cubes is left out: its generic resultants take over 30 s
+PROVED = [load_identity(p) for p in sorted(CORPUS.glob("*.txt"))
+          + sorted((CORPUS / "extra").glob("*.txt"))
+          if p.stem != "dixon-cubes"] + [
+    _identity("mrr-x6o7-z6o11",
+              "rf(-2*n-1,k)*rf(2*n+20/7,k)*rf(125/154,k)*rf(n+13/7,k)"
+              "*rf(n+17/11,k)/(rf(13/14,k)*rf(10/7,k)*rf(2*n+34/11,k)"
+              "*rf(125/77,k)*k!)", "0", "0", "2*n+1"),
+    _identity("dixon-a2-b3",
+              "(-1)^k*binomial(5,2+k)*binomial(2+n,n+k)*binomial(3+n,3+k)",
+              "(5+n)!/2!/3!/n!", "-n", "n"),
+    _identity("chu-vandermonde-a5", "binomial(n,k)*binomial(5,k)",
+              "binomial(5+n,5)", "0", "n"),
+]
+
+
+def _reference_candidates(fq, fr, k):
+    if fq[1] and fr[1]:
+        return _shift_candidates(fq, fr, k)
+    return shift_candidates_reference(fq, fr, k)
+
+
+@pytest.mark.parametrize("ident", PROVED, ids=lambda i: i.name)
+def test_point_candidates_contain_the_generic_ones(ident, monkeypatch):
+    # every gosper_normal call of the proof: each pair with an opaque factor
+    # keeps every generic candidate, and the normal form is the one the
+    # generic candidates give
+    seen = []
+
+    def record(num, den, k):
+        seen.append((num.copy(), den.copy(), k))
+        return gosper_normal(num, den, k)
+
+    monkeypatch.setattr(telescope, "gosper_normal", record)
+    run_prove(ident, Fraction(1, 10), 0, 6, 1)
+    monkeypatch.undo()
+    for num, den, k in seen:
+        for _, pq, Lq in _k_factors(num, k):
+            for _, pr, Lr in _k_factors(den, k):
+                if Lq is None or Lr is None:
+                    fq, fr = (pq, Lq is not None, Lq), (pr, Lr is not None, Lr)
+                    assert set(shift_candidates_reference(fq, fr, k)) <= \
+                        set(_shift_candidates(fq, fr, k))
+        form = [str(f) for f in gosper_normal(num, den, k)]
+        monkeypatch.setattr(factored, "_shift_candidates", _reference_candidates)
+        assert [str(f) for f in gosper_normal(num, den, k)] == form
+        monkeypatch.undo()
+
+
+def test_point_walk_passes_a_vanishing_leading_coefficient():
+    # lc_k = n - 3 vanishes at the first point n = 3; the walk moves to n = 4,
+    # where the shift j = 2 between f(k) and f(k - 2) is still a root
+    vars = ("k", "n")
+    k, n = (MultiPoly.variable(vars, v) for v in vars)
+    one = MultiPoly.constant(vars, 1)
+    f = (n - one.scale(3)) * k * k + k + one
+    g = f.shift("k", -2)
+    assert _good_point(f, g, "k") == {"n": 4}
+    assert 2 in _shift_candidates((f, False, None), (g, False, None), "k")
+    num = Factored.one(vars).mul_poly(f, 1)
+    den = Factored.one(vars).mul_poly(g, 1)
+    pbar, q, r = expanded(gosper_normal(num, den, "k"))
+    assert q.is_constant() and r.is_constant()
+    assert RationalFunction(pbar.shift("k", 1) * q, pbar * r) == \
+        RationalFunction(f, g)
+
+
+@st.composite
+def pairs_at_a_point(draw):
+    """Two polynomials of positive degree in k over (k, a, b) and an integer
+    point of (a, b) at which both leading coefficients in k are nonzero."""
+    vars = ("k", "a", "b")
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2))
+    terms = st.lists(st.tuples(exps, st.integers(-3, 3)), min_size=1,
+                     max_size=5)
+    fq, fr = (MultiPoly.from_terms(vars, draw(terms)) for _ in range(2))
+    assume(fq.degree("k") > 0 and fr.degree("k") > 0)
+    point = {"a": draw(st.integers(-4, 4)), "b": draw(st.integers(-4, 4))}
+    lead = fq.to_univar("k")[-1] * fr.to_univar("k")[-1]
+    assume(lead.eval({**point, "k": 0}) != 0)
+    return fq, fr, point
+
+
+@settings(deadline=None, max_examples=100)
+@given(pairs_at_a_point())
+def test_resultant_at_a_good_point_has_full_degree_in_j(case):
+    fq, fr, point = case
+    m, n = fq.degree("k"), fr.degree("k")
+    coeffs = _resultant_in_j(fq, fr, "k", point)
+    assert len(coeffs) - 1 == m * n
+    lq = fq.to_univar("k")[-1].eval({**point, "k": 0})
+    lr = fr.to_univar("k")[-1].eval({**point, "k": 0})
+    assert abs(coeffs[-1]) == abs(lq ** n * lr ** m)
 
 
 def _reference_gosper(f, k):
