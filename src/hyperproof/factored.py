@@ -404,8 +404,9 @@ def _good_point(pq, pr, k):
     box = [range(3 + 2 * i, 4 + 2 * i + lead.degree(v))
            for i, v in enumerate(others)]
     for values in product(*box):
-        if lead.eval({k: 0, **dict(zip(others, values))}):
-            return dict(zip(others, values))
+        point = dict(zip(others, values))
+        if lead.eval({k: 0, **point}):
+            return point
 
 
 def _resultant_in_j(pq, pr, k, point):
