@@ -21,16 +21,21 @@ parametric verdict holds for generic values of them.  A numeric summation
 of both sides at integer parameter points then cross-checks the verdict.
 
 Grid points are visited in sorted box index order, the first of matrix.vars
-the most significant digit.  linalg._GridEvaluator substitutes one variable
-per level by Horner's rule, reusing the levels of the digit prefix a point
-shares with the previous one.  _first_full_rank, serial or in the pool
-workers, reads linalg._constant_pivots once per matrix and compiles it with
-the last variable's level into one generated function
-(_GridEvaluator.kernel), which at each point returns the rows and columns
-the division-free chain leaves.  Each point ends in one call of the integer
-rank kernel _int_rank, made here, on that remainder.  The pivot rows, never
-changed, form a triangular block with nonzero constant diagonal above zeros,
-so the rank is the chain length plus the remainder's: each decision is exact.
+the most significant digit.  linalg._GridEvaluator holds each matrix row as
+one integer with a signed B-bit lane per column and substitutes one variable
+per level by Horner's rule on whole rows, reusing the levels of the digit
+prefix a point shares with the previous one.  _first_full_rank, serial or in
+the pool workers, reads linalg._constant_pivots once per matrix and compiles
+it with the last variable's level into one generated function
+(_GridEvaluator.kernel): the chain's steps are division-free row operations
+on packed rows, and a lane is read out only where it is needed, exactly,
+since B bounds every value read.  The pivot rows, never changed, form a
+triangular block with nonzero constant diagonal above zeros, so the rank is
+the chain length plus the remainder's.  Where the remainder is square and at
+most linalg._DET_WIDTH wide (mrr's 4x4 at order 2), the function returns its
+determinant, expanded by minors, and a nonzero one is full rank; otherwise
+(mrr's 4x3 at order 1) it returns the remainder's rows and _first_full_rank
+ranks them with the integer rank kernel _int_rank.  Each decision is exact.
 """
 
 from __future__ import annotations
@@ -187,12 +192,17 @@ def _first_full_rank(matrix: PolyMatrix, values: dict, indices):
     """(position, index) of the first point of the sorted index list where
     the integer-cleared matrix has full column rank, or None.  Serial scans,
     the serial head of _parallel_scan and its pool workers all run it, each
-    with its own compiled kernel."""
-    chain = _constant_pivots(matrix)
-    evaluator = _GridEvaluator(matrix, values)
-    kernel, width = evaluator.kernel(chain), len(chain.cols)
+    with its own compiled kernel (_GridEvaluator.kernel).  The rank is the
+    chain length plus the remainder's, so full rank is a nonzero remainder
+    determinant where the kernel ends in one (_GridEvaluator.determinant),
+    else _int_rank of the remainder rows it reads out equal to their width;
+    that call is made here, for mrr's 4x3 order-1 remainder among others."""
+    evaluator = _GridEvaluator(matrix, values, _constant_pivots(matrix))
+    kernel, width = evaluator.kernel(), len(evaluator.chain.cols)
+    determinant = evaluator.determinant
     for pos, index, s, v in evaluator.inputs(indices):
-        if _int_rank(kernel(s, v)) == width:
+        out = kernel(s, v)
+        if out if determinant else _int_rank(out) == width:
             return pos, index
     return None
 

@@ -4,8 +4,9 @@ evaluation grid, and permanent-based determinant degree bounds.
 
 One fraction-free (Bareiss) elimination kernel, `_int_rank`, carries every
 exact elimination in the package, on integer and on `MultiPoly` matrices
-alike (`MultiPoly.__divmod__` divides exactly or raises): grid rank, pivot
-rows, determinants (`_int_det`, also of the Sylvester matrices of
+alike (`MultiPoly.__divmod__` divides exactly or raises): the grid rank
+of remainders too wide for the grid kernel's determinant, pivot rows,
+determinants (`_int_det`, also of the Sylvester matrices of
 factored's resultants, univariate in j), cofactor vectors and the symbolic
 nullspace.  One back-substitution, `_back_substitute`, solves the echelon
 rows it leaves for a kernel vector with checked exact divisions.  One
@@ -19,26 +20,33 @@ lower set of exponents cut out by weighted degree bounds, on `_grid_values`
 per variable: the one node rule, consecutive integers centered at 0, since
 lower-set interpolation needs only distinct nodes.
 
-The grid first applies `_constant_pivots`' chain of constant pivots
-without division, so the Bareiss exactness check stays with `_int_rank` on
-the remainder; the pivot rows form a triangular block with nonzero constant
-diagonal above zeros, so the rank is the chain length plus the remainder's.
-For the grid only, `_GridEvaluator.kernel` compiles the last variable's
-Horner level, the gather into matrix entries and that chain into one
-straight-line function per matrix, which returns the remainder rows.  Its
-updates are unconditional: where f = 0, row_r = c*row_r only scales the row
-by the nonzero constant c, which keeps the rank.  Building it takes a few
-milliseconds for mrr's 9x9 order-2 system, repaid over a scan of thousands
-of points; the other callers evaluate few points per matrix and keep the
-interpreted level, which is also the kernel's test oracle.
+The evaluator packs each matrix row into one integer, sum_j a_ij 2^(B*j),
+one signed B-bit lane per column, and runs Horner's rule on whole rows.
+Every operation on packed rows is Z-linear in the lanes, so a lane reads
+out exactly whenever it and every lower lane lie in [-2^(B-1), 2^(B-1));
+B is fixed at construction from a bound on every value ever read out.  For
+the grid only, `_GridEvaluator.kernel` compiles the last variable's Horner
+level and `_constant_pivots`' chain of constant pivots, as division-free
+row operations on packed rows, into one straight-line function per matrix.
+The pivot rows form a triangular block with nonzero constant diagonal above
+zeros, so the rank is the chain length plus the remainder's; the function
+ends in the remainder's determinant, expanded by minors without division,
+when the remainder is square and at most _DET_WIDTH wide (beyond that the
+expansion's n 2^(n-1) products lose to Bareiss's cubic count, measured),
+and otherwise returns its rows for `_int_rank`.  Its updates are
+unconditional: where f = 0, row_r = c*row_r only scales the row by the
+nonzero constant c, which keeps the rank.  Building it takes a few milliseconds for mrr's 9x9
+order-2 system, repaid over a scan of thousands of points; the other
+callers evaluate few points per matrix and read the rows out
+(`_GridEvaluator.matrices`).
 """
 
 from __future__ import annotations
 
 from array import array
 from fractions import Fraction
-from itertools import compress, repeat
-from math import factorial, gcd, lcm
+from itertools import combinations, compress, repeat
+from math import factorial, gcd, lcm, prod
 from typing import NamedTuple
 
 from .polys import (
@@ -300,142 +308,191 @@ def _lower_set(bounds: dict) -> array:
     return out
 
 
-class _GridEvaluator:
-    """Integer values of an integer polynomial matrix on sorted grid indices.
+# The widest square remainder whose determinant _GridEvaluator.kernel expands
+# in line (_minor_expansion, n * 2^(n-1) - n products).  Measured against
+# _int_rank on the read-out rows, on random integer matrices of full rank and
+# of rank n - 1 with 30- and 90-bit entries (2-core x86_64, Python 3.11): the
+# expansion is 2.4-3.6 times faster at 4 columns and 1.2-1.3 times at 7; at
+# 8 _int_rank is faster.
+_DET_WIDTH = 7
 
-    Ragged Horner layout.  Before level L, the values are one list over
-    "slots" (entry position, exponents of vars[L:]), followed by a 0 that
-    absent terms index as -1.  Level L substitutes vars[L]: its output slots
-    are (position, exponents of vars[L+1:]), sorted by their degree in
-    vars[L], highest first, so the coefficient block of each exponent is a
-    prefix of them.  A block is a gather list into the level's input and
-    Horner runs down the blocks.  Consecutive sorted indices reuse the levels
-    of their common digit prefix; inputs() yields the last level's input.
-    matrices() runs the last level interpreted and gathers its output into
-    the rows x cols matrix.  kernel() instead generates that level as
-    straight-line code, one Horner assignment per exponent of each nonzero
-    entry (self.last holds their input slots), followed by a pivot chain's
-    steps on the entries, kept in locals.
+
+class _GridEvaluator:
+    """Integer values of an integer polynomial matrix on sorted grid indices,
+    one packed integer per matrix row.
+
+    Row i is held as sum_j a_ij * 2^(B*j), one signed lane of B bits per
+    column, as a polynomial in the variables with packed coefficients.
+    Horner steps and the pivot chain's row_r = c*row_r - f*row_i are
+    Z-linear in the lanes, so a packed row always equals sum_j v_j * 2^(B*j)
+    for the true values v_j, and lane j reads out exactly as
+    ((row + bias) >> B*j & mask) - 2^(B-1) whenever it and every lower lane
+    lie in [-2^(B-1), 2^(B-1)).  B is fixed here from a bound on every value
+    ever read out: sum |c| * prod max|node|^e over each entry's terms, grown
+    by |c|*b_r + b_r[j]*b_i at each chain step, b_r the lane bounds of row r.
+
+    Level L substitutes vars[L]: its input is one packed coefficient per
+    (row, exponents of vars[L:]), every row keeping its constant term, and
+    its output one per (row, exponents of vars[L+1:]), in sorted order.  It
+    holds one gather list per exponent of vars[L], highest first, with -1
+    reading the trailing 0 where a coefficient is absent, and Horner runs
+    down them.  Consecutive sorted indices reuse the levels of their common
+    digit prefix; inputs() yields the last level's input, which matrices()
+    substitutes and reads out and kernel() compiles.
     """
 
-    def __init__(self, matrix: PolyMatrix, values: dict):
+    def __init__(self, matrix: PolyMatrix, values: dict, chain=None):
         self.values = [values[v] for v in matrix.vars]
         self.sizes = [len(axis) for axis in self.values]
-        self.cols = matrix.cols
-        coefs = []
-        slots = []
+        self.rows, self.cols = matrix.rows, matrix.cols
+        self.chain = chain or PivotChain(
+            [], list(range(matrix.rows)), list(range(matrix.cols)))
+        self.pivots = [matrix.entries[i][j].as_constant()
+                       for i, j, _, _ in self.chain.steps]
+        tops = [max(map(abs, axis)) for axis in self.values]
+        bound = [[sum(abs(c) * prod(map(pow, tops, exp))
+                      for exp, c in entry.terms.items()) for entry in row]
+                 for row in matrix.entries]
+        for (i, j, targets, _), c in zip(self.chain.steps, self.pivots):
+            for r in targets:
+                f = bound[r][j]
+                bound[r] = [abs(c) * a + f * b
+                            for a, b in zip(bound[r], bound[i])]
+        self.lane = lane = max(map(max, bound)).bit_length() + 1
+        packed = {(i,) + (0,) * len(tops): 0 for i in range(matrix.rows)}
         for i, row in enumerate(matrix.entries):
             for j, entry in enumerate(row):
                 for exp, c in entry.terms.items():
                     assert not isinstance(c, Fraction), \
                         "grid entries must be integer-cleared"
-                    coefs.append(c)
-                    slots.append((i * self.cols + j,) + exp)
-        self.coefs = coefs + [0]
-        # per level, highest exponent first: (block, its part beyond the
-        # previous block)
+                    key = (i,) + exp
+                    packed[key] = packed.get(key, 0) + (c << lane * j)
+        keys = sorted(packed)
+        self.coefs = [packed[k] for k in keys] + [0]
         self.levels = []
-        inputs = slots  # of the last level; without variables, of coefs
         for _ in matrix.vars:
-            inputs = slots
-            where = {s: k for k, s in enumerate(slots)}
-            degree = {}
-            for s in slots:
-                out = (s[0],) + s[2:]
-                degree[out] = max(degree.get(out, 0), s[1])
-            slots = sorted(degree, key=degree.get, reverse=True)
-            blocks = []
-            for e in range(max(degree.values(), default=0), -1, -1):
-                width = sum(1 for s in slots if degree[s] >= e)
-                blocks.append([where.get((s[0], e) + s[1:], -1)
-                               for s in slots[:width]])
-            self.levels.append([(blk, blk[len(prev):])
-                                for prev, blk in zip([[]] + blocks, blocks)])
-        where = {s[0]: k for k, s in enumerate(slots)}
-        self.scatter = [[where.get(i * self.cols + j, -1)
-                         for j in range(self.cols)]
-                        for i in range(matrix.rows)]
-        # per nonzero entry position, {exponent of the last variable: its
-        # slot in the last level's input}; exponent 0 without variables
-        self.last = {}
-        for k, (position, *exp) in enumerate(inputs):
-            self.last.setdefault(position, {})[exp[0] if exp else 0] = k
+            where = {k: t for t, k in enumerate(keys)}
+            outs = sorted({(k[0],) + k[2:] for k in keys})
+            top = max(k[1] for k in keys)
+            self.levels.append([[where.get((o[0], e) + o[1:], -1)
+                                 for o in outs] for e in range(top, -1, -1)])
+            keys = outs
 
     def _substitute(self, level, v, src) -> list:
-        acc = []
-        for blk, tail in self.levels[level]:
-            acc = [a * v + src[k] for a, k in zip(acc, blk)]
-            acc += [src[k] for k in tail]
+        gathers = self.levels[level]
+        acc = [src[k] for k in gathers[0]]
+        for gather in gathers[1:]:
+            acc = [a * v + src[k] for a, k in zip(acc, gather)]
         acc.append(0)
         return acc
 
     def inputs(self, indices):
         """Yield (position, index, s, v) over the sorted index list: s the
-        last level's input, v the last variable's value (s the coefficients
-        and v 0 without variables)."""
-        upper = len(self.levels) - 1
-        prev_digits = None
+        last level's input, v the last variable's value (s the packed rows
+        and v 0 without variables).  Points that share every digit but the
+        last share s."""
+        if not self.levels:
+            for pos, index in enumerate(indices):
+                yield pos, index, self.coefs, 0
+            return
+        *sizes, size = self.sizes
+        axis = self.values[-1]
         stack = [self.coefs]  # stack[L] = values after substituting L vars
+        digits = prefix = None
         for pos, index in enumerate(indices):
-            digits = _grid_digits(index, self.sizes)
-            common = 0
-            if prev_digits is not None:
-                while common < upper and digits[common] == prev_digits[common]:
-                    common += 1
-            del stack[common + 1:]
-            for level in range(common, upper):
-                stack.append(self._substitute(
-                    level, self.values[level][digits[level]], stack[level]))
-            prev_digits = digits
-            yield pos, index, stack[-1], (self.values[-1][digits[-1]]
-                                          if digits else 0)
+            head, d = divmod(index, size)
+            if head != prefix:
+                prev, digits, prefix = digits, _grid_digits(head, sizes), head
+                common = 0 if prev is None else next(
+                    L for L, (a, b) in enumerate(zip(digits, prev)) if a != b)
+                del stack[common + 1:]
+                for level in range(common, len(sizes)):
+                    stack.append(self._substitute(
+                        level, self.values[level][digits[level]],
+                        stack[level]))
+            yield pos, index, stack[-1], axis[d]
+
+    def _read_out(self, high):
+        """(bias, mask, half) that read out lanes 0..high of a packed row."""
+        half = 1 << self.lane - 1
+        bias = sum(half << self.lane * j for j in range(high + 1))
+        return bias, (1 << self.lane) - 1, half
 
     def matrices(self, indices):
-        """Yield (position, index, integer matrix) over the sorted index list."""
+        """Yield (position, index, integer matrix) over the sorted index
+        list, every lane read out."""
+        bias, mask, half = self._read_out(self.cols - 1)
+        shifts = range(0, self.lane * self.cols, self.lane)
         for pos, index, s, v in self.inputs(indices):
-            out = self._substitute(-1, v, s) if self.levels else s
-            yield pos, index, [[out[k] for k in row] for row in self.scatter]
+            rows = self._substitute(-1, v, s) if self.levels else s
+            yield pos, index, [[(p >> t & mask) - half for t in shifts]
+                               for p in (q + bias for q in rows[:self.rows])]
 
-    def kernel(self, chain: PivotChain):
-        """Compile f(s, v) = the remainder rows (chain.rows x chain.cols)
-        after the chain's steps on the matrix at v, s and v as inputs()
-        yields them.
+    @property
+    def determinant(self) -> bool:
+        """Whether kernel() ends in the remainder's determinant."""
+        return len(self.chain.rows) == len(self.chain.cols) <= _DET_WIDTH
 
-        Straight-line source: Horner in v per nonzero entry, one assignment
-        per exponent, then each step's c*row - f*piv as local assignments
-        (scaling by c alone where the pivot row is structurally zero).  It
-        holds only slot indices and generated names, and its nesting does
-        not grow with any degree."""
+    def kernel(self):
+        """Compile f(s, v), s and v as inputs() yields them: the chain's
+        remainder at v, as its determinant when self.determinant, else as
+        its rows (chain.rows x chain.cols) read out.
+
+        Straight-line source, one line per step: Horner in v per packed row,
+        one assignment per exponent; per chain step and target, f read out
+        of the target and c*row - f*pivot row; the remainder's lanes read
+        out; then the determinant by minors of the leading rows, without
+        division (_minor_expansion).  It holds only slot indices, literals
+        and generated names, and its nesting does not grow with any
+        degree."""
+        lane, chain = self.lane, self.chain
         lines = ["def kernel(s, v):"]
-        names = {}  # (row, column) -> local, structurally nonzero entries
-        for position, slot in self.last.items():
-            name = names[divmod(position, self.cols)] = f"e{position}"
-            top = max(slot)
-            lines.append(f" {name} = s[{slot[top]}]")
-            for e in range(top - 1, -1, -1):
-                lines.append(f" {name} = {name} * v + s[{slot[e]}]"
-                             if e in slot else f" {name} *= v")
-        for i, j, targets, live in chain.steps:
-            c = names[i, j]
+        for i in range(self.rows):
+            slots = [g[i] for g in self.levels[-1]] if self.levels else [i]
+            slots = slots[next(t for t, k in enumerate(slots) if k >= 0):]
+            lines.append(f" r{i} = s[{slots[0]}]")
+            lines += [f" r{i} = r{i} * v + s[{k}]" if k >= 0 else f" r{i} *= v"
+                      for k in slots[1:]]
+        for (i, j, targets, _), c in zip(chain.steps, self.pivots):
+            bias, mask, half = self._read_out(j)
             for r in targets:
-                f = names[r, j]
-                for k in live:
-                    a, b = names.get((r, k)), names.get((i, k))
-                    if b is None:
-                        if a is not None:
-                            lines.append(f" {a} *= {c}")
-                    elif a is None:  # fill
-                        a = names[r, k] = f"e{r * self.cols + k}"
-                        lines.append(f" {a} = -{f} * {b}")
-                    else:
-                        lines.append(f" {a} = {c} * {a} - {f} * {b}")
-        rows = ", ".join("[" + ", ".join(names.get((r, k), "0")
-                                         for k in chain.cols) + "]"
-                         for r in chain.rows)
-        lines.append(f" return [{rows}]")
+                lines.append(f" f = ((r{r} + {bias}) >> {lane * j} & {mask})"
+                             f" - {half}")
+                lines.append(f" r{r} = {c} * r{r} - f * r{i}")
+        bias, mask, half = self._read_out(max(chain.cols))
+        for t, r in enumerate(chain.rows):
+            lines.append(f" q = r{r} + {bias}")
+            lines += [f" a{t}_{u} = (q >> {lane * k} & {mask}) - {half}"
+                      for u, k in enumerate(chain.cols)]
+        if self.determinant:
+            lines += _minor_expansion(len(chain.cols))
+        else:
+            rows = ", ".join("[" + ", ".join(f"a{t}_{u}" for u in
+                                             range(len(chain.cols))) + "]"
+                             for t in range(len(chain.rows)))
+            lines.append(f" return [{rows}]")
         scope = {}
         exec(compile("\n".join(lines), "<grid kernel>", "exec"), scope)
         return scope["kernel"]
+
+
+def _minor_expansion(n: int) -> list:
+    """Source lines returning the determinant of the n x n locals a{t}_{u}
+    by minors of its leading rows, without division: m{S} is the minor on
+    the first |S| rows and the columns of the bitmask S, each expanded along
+    its last row from the minors one row smaller."""
+    names = {1 << u: f"a0_{u}" for u in range(n)}
+    lines = []
+    for k in range(2, n + 1):
+        for cols in combinations(range(n), k):
+            mask = sum(1 << u for u in cols)
+            terms = " ".join(f"{'-' if (k - 1 + t) % 2 else '+'} "
+                             f"a{k - 1}_{u} * {names[mask ^ 1 << u]}"
+                             for t, u in enumerate(cols))
+            names[mask] = f"m{mask}"
+            lines.append(f" m{mask} = {terms}")
+    lines.append(f" return {names[(1 << n) - 1]}")
+    return lines
 
 
 def _integer_cleared(matrix: PolyMatrix) -> PolyMatrix:

@@ -16,7 +16,7 @@ from hyperproof.gridproof import (
     leading_coeff_check, normalize_and_delta, prove,
     _gosper_columns_independent,
     _grid_point, _numeric_check,
-    _leading_root_bound, _rank_deficiency_test,
+    _first_full_rank, _leading_root_bound, _rank_deficiency_test,
     _support_bounds, _termination_guard,
 )
 from hyperproof.cli import load_identity
@@ -24,8 +24,8 @@ from hyperproof.factored import (
     Factored, factored_lcm, factored_quotient, from_ratio_parts, gosper_normal,
 )
 from hyperproof.linalg import (
-    PivotChain, PolyMatrix, _GridEvaluator, _constant_pivots, _grid_digits,
-    _grid_values, _int_rank, _integer_cleared, _lower_set,
+    PolyMatrix, _DET_WIDTH, _GridEvaluator, _constant_pivots, _grid_digits,
+    _grid_values, _int_det, _int_rank, _integer_cleared, _lower_set,
     permanent_degree_bound, solve_nullspace,
 )
 from hyperproof.polys import MultiPoly, RationalFunction
@@ -237,16 +237,109 @@ def test_grid_evaluator_matches_eval(case, rng):
 
 @settings(deadline=None, max_examples=200)
 @given(grid_matrices())
-def test_kernel_without_chain_matches_matrices(case):
+def test_kernel_without_chain_decides_full_rank(case):
     # zero entries, rows > cols, exponent gaps in the last variable and no
-    # variable at all: the compiled last level is the interpreted one
+    # variable at all: without a chain the kernel returns the determinant of
+    # the evaluated matrix when square, else its rows, and its full-rank
+    # decision is _int_rank's on the matrix MultiPoly.eval gives
     matrix, values = case
     evaluator = _GridEvaluator(matrix, values)
-    kernel = evaluator.kernel(PivotChain([], list(range(matrix.rows)),
-                                         list(range(matrix.cols))))
+    kernel = evaluator.kernel()
+    assert evaluator.determinant == (matrix.rows == matrix.cols)
+    for _, index, s, v in evaluator.inputs(
+            range(prod(len(values[v]) for v in matrix.vars))):
+        point = _grid_point(matrix.vars, values, index)
+        expected = _evaluated_at(matrix, point)
+        out = kernel(s, v)
+        if evaluator.determinant:
+            assert out == _int_det([list(row) for row in expected])
+            assert (out != 0) == (_int_rank(expected) == matrix.cols)
+        else:
+            assert out == expected
+
+
+@st.composite
+def packed_cases(draw):
+    """Integer polynomial matrices (rows >= cols) over 0-3 variables with
+    signed coefficients up to 2^80, some rows and columns all zero, and
+    grid values per variable: sorted distinct integers of either sign."""
+    vars = ("n", "x", "z")[:draw(st.integers(0, 3))]
+    cols = draw(st.integers(1, 3))
+    rows = cols + draw(st.integers(0, 2))
+    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=rows - 1))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=cols - 1))
+    coef = st.integers(-2 ** 80, 2 ** 80)
+    exps = st.tuples(*[st.integers(0, 3) for _ in vars])
+
+    def entry(i, j):
+        if i in zero_rows or j in zero_cols:
+            return MultiPoly.zero(vars)
+        return MultiPoly.from_terms(
+            vars, draw(st.lists(st.tuples(exps, coef), max_size=3)))
+
+    matrix = PolyMatrix([[entry(i, j) for j in range(cols)]
+                         for i in range(rows)])
+    values = {v: sorted(draw(st.sets(st.integers(-40, 40), min_size=1,
+                                     max_size=4)))
+              for v in vars}
+    return matrix, values
+
+
+@settings(deadline=None, max_examples=200)
+@given(packed_cases())
+@example((PolyMatrix.from_rows((), [[2 ** 80, -2 ** 80], [0, 0],
+                                     [-2 ** 80, 1]]), {}))
+def test_packed_rows_match_eval(case):
+    # every point of the box, so the nodes at both ends of every axis and
+    # the corners, where the lane bound is nearest
+    matrix, values = case
     indices = range(prod(len(values[v]) for v in matrix.vars))
-    assert [kernel(s, v) for _, _, s, v in evaluator.inputs(indices)] == \
-        [a for _, _, a in evaluator.matrices(indices)]
+    for _, index, a in _GridEvaluator(matrix, values).matrices(indices):
+        assert a == _evaluated_at(matrix,
+                                  _grid_point(matrix.vars, values, index))
+
+
+def test_lane_bound_met_with_equality():
+    # 3x^2y + 2y + 5 at the corner (3, 2) is 63, its bound sum |c| * prod
+    # max|node|^e: a lane one bit narrower reads it out wrong
+    vars = ("x", "y")
+    x, y = MultiPoly.variable(vars, "x"), MultiPoly.variable(vars, "y")
+    peak = (x * x * y).scale(3) + y.scale(2) + MultiPoly.constant(vars, 5)
+    matrix = PolyMatrix([[peak, x - y, -peak], [y, x * y, x],
+                         [x, y - x, y]])
+    values = {"x": [-2, -1, 0, 1, 2, 3], "y": [-1, 0, 1, 2]}
+    evaluator = _GridEvaluator(matrix, values)
+    assert evaluator.lane == 63 .bit_length() + 1
+    indices = range(6 * 4)
+    seen = {index: a for _, index, a in evaluator.matrices(indices)}
+    assert seen[23][0] == [63, 1, -63]
+    for index in indices:
+        assert seen[index] == _evaluated_at(
+            matrix, _grid_point(vars, values, index))
+
+
+@pytest.mark.parametrize("n", range(1, _DET_WIDTH + 1))
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_straight_line_determinant_is_int_det(n, data):
+    rows = data.draw(st.lists(
+        st.lists(st.integers(-2 ** 80, 2 ** 80), min_size=n, max_size=n),
+        min_size=n, max_size=n))
+    copy = data.draw(st.integers(-1, n - 1))
+    if 0 <= copy < n - 1:
+        rows[-1] = list(rows[copy])  # singular
+    evaluator = _GridEvaluator(PolyMatrix.from_rows((), rows), {})
+    assert evaluator.determinant
+    kernel = evaluator.kernel()
+    assert kernel(evaluator.coefs, 0) == _int_det([list(r) for r in rows])
+
+
+def test_kernel_reads_out_rows_beyond_the_width_limit():
+    n = _DET_WIDTH + 1
+    rows = [[(i + 2) ** j for j in range(n)] for i in range(n)]
+    evaluator = _GridEvaluator(PolyMatrix.from_rows((), rows), {})
+    assert not evaluator.determinant
+    assert evaluator.kernel()(evaluator.coefs, 0) == rows
 
 
 @pytest.mark.parametrize("singular", [True, False])
@@ -485,16 +578,19 @@ def chain_cases(draw):
     return matrix, draw(st.lists(point, min_size=1, max_size=6))
 
 
-def _chain_decides(matrix, chain, values, indices):
-    """The compiled kernel's decisions at the grid indices: _int_rank on its
-    remainder rows, checked against _int_rank on the whole evaluated
-    matrix."""
-    evaluator = _GridEvaluator(matrix, values)
-    kernel = evaluator.kernel(chain)
-    decided = [_int_rank(kernel(s, v)) == len(chain.cols)
-               for _, _, s, v in evaluator.inputs(indices)]
-    assert decided == [_int_rank(a) == matrix.cols
-                       for _, _, a in evaluator.matrices(indices)]
+def _chain_decides(matrix, values, indices):
+    """The grid scan's full-rank decisions at the sorted grid indices: one
+    _first_full_rank call from each point after its last hit, checked
+    against _int_rank of the matrix MultiPoly.eval gives."""
+    indices = list(indices)
+    decided = []
+    while len(decided) < len(indices):
+        hit = _first_full_rank(matrix, values, indices[len(decided):])
+        misses = len(indices) - len(decided) if hit is None else hit[0]
+        decided += [False] * misses + [True] * (hit is not None)
+    assert decided == [
+        _int_rank(_evaluated_at(matrix, _grid_point(matrix.vars, values, i)))
+        == matrix.cols for i in indices]
     return decided
 
 
@@ -509,7 +605,7 @@ def test_pivot_chain_decides_full_column_rank(case):
     for i, j, _, _ in chain.steps:
         assert matrix.entries[i][j].is_constant()
     for point in points:
-        _chain_decides(matrix, chain, {v: [x] for v, x in point.items()}, [0])
+        _chain_decides(matrix, {v: [x] for v, x in point.items()}, [0])
 
 
 _X = MultiPoly.variable(("x",), "x")
@@ -535,8 +631,40 @@ def test_pivot_chain_hand_built(rows, steps, rest, full):
     assert chain.steps == steps
     assert (chain.rows, chain.cols) == rest
     xs = list(range(-3, 4))
-    assert _chain_decides(matrix, chain, {"x": xs}, range(len(xs))) == \
+    assert _chain_decides(matrix, {"x": xs}, range(len(xs))) == \
         [full(v) for v in xs]
+
+
+@pytest.mark.parametrize("rows, remainder, full", [
+    # pivot (0, 0) zeroes row 1, x times row 0: the square remainder's
+    # determinant is 0 everywhere
+    ([[1, _X, 2], [_X, _X * _X, _X.scale(2)], [0, _X, _X]], (2, 2),
+     lambda v: False),
+    # remainder [[1 - x^2, 0], [0, x]]: determinant zero at x = -1, 0, 1
+    ([[1, _X, 0], [_X, 1, 0], [0, 0, _X]], (2, 2), lambda v: v not in (-1, 0, 1)),
+    # remainder [[1 - x^2], [x - x^2]], 2 x 1: rank 0 only at x = 1
+    ([[1, _X], [_X, 1], [_X, _X]], (2, 1), lambda v: v != 1),
+], ids=["square-zero", "square-nonzero", "non-square"])
+def test_kernel_decision_by_remainder_shape(rows, remainder, full):
+    matrix = PolyMatrix.from_rows(("x",), rows)
+    chain = _constant_pivots(matrix)
+    assert (len(chain.rows), len(chain.cols)) == remainder
+    xs = list(range(-3, 4))
+    evaluator = _GridEvaluator(matrix, {"x": xs}, chain)
+    assert evaluator.determinant == (remainder[0] == remainder[1])
+    assert _chain_decides(matrix, {"x": xs}, range(len(xs))) == \
+        [full(v) for v in xs]
+
+
+def test_chain_lane_bound_grows_with_the_pivot():
+    # pivot 256 scales row 1 to (0, 256x): at x = +-4 the remainder is
+    # +-1024, which a lane bound missing the factor |c| reads out as 0
+    matrix = PolyMatrix.from_rows(("x",), [[256, 0], [1, _X]])
+    xs = list(range(-4, 5))
+    assert _GridEvaluator(matrix, {"x": xs}, _constant_pivots(matrix)).lane \
+        == 1024 .bit_length() + 1
+    assert _chain_decides(matrix, {"x": xs}, range(len(xs))) == \
+        [v != 0 for v in xs]
 
 
 @pytest.mark.parametrize("J, pivots, remainder", [(1, 1, (4, 3)),
@@ -552,7 +680,7 @@ def test_pivot_chain_on_mrr(J, pivots, remainder):
               for i, v in enumerate(matrix.vars)}
     lower = _lower_set(bounds)
     sample = sorted(random.Random(13).sample(list(lower), min(500, len(lower))))
-    flags = set(_chain_decides(matrix, chain, values, sample))
+    flags = set(_chain_decides(matrix, values, sample))
     # order 1 has full-rank points (its witness is the 2nd); order 2 none
     assert flags == ({False, True} if J == 1 else {False})
 
