@@ -310,10 +310,10 @@ def _lower_set(bounds: dict) -> array:
 
 # The widest square remainder whose determinant _GridEvaluator.kernel expands
 # in line (_minor_expansion, n * 2^(n-1) - n products).  Measured against
-# _int_rank on the read-out rows, on random integer matrices of full rank and
-# of rank n - 1 with 30- and 90-bit entries (2-core x86_64, Python 3.11): the
-# expansion is 2.4-3.6 times faster at 4 columns and 1.2-1.3 times at 7; at
-# 8 _int_rank is faster.
+# _int_rank on the read-out rows, on random integer matrices of full rank
+# with 90-bit entries and of rank n - 1 with 30- and 90-bit entries (2-core
+# x86_64, Python 3.11): the expansion is 2.4-3.2 times faster at 4 columns
+# and 1.2-1.3 times at 7; at 8 _int_rank is faster.
 _DET_WIDTH = 7
 
 
