@@ -17,8 +17,12 @@ them.  The induction is closed by a root bound for the leading coefficient
 a_J, read off the cofactors of the same order-J system M' at integer
 specializations (leading_coeff_check), and by exact initial
 conditions; the bound covers the roots generic in the parameters, so a
-parametric verdict holds for generic values of them.  A numeric summation
-of both sides at integer parameter points then cross-checks the verdict.
+parametric verdict holds for generic values of them.  Every exact small-n
+comparison is one stage, _small_cases, called in this order: as the whole
+finite check of an identity that cannot be normalized or fails the
+termination guard; at integer parameter points for n <= 4, just before the
+first grid scan, to refute a false identity before any grid work; and,
+after a route succeeds, symbolically for the initial conditions it needs.
 
 Grid points are visited in sorted box index order, the first of matrix.vars
 the most significant digit.  linalg._GridEvaluator holds each matrix row as
@@ -126,18 +130,17 @@ def normalize_and_delta(F: TermExpression, rhs_terms, params, k, n,
                         lower=None, upper=None) -> NormalizedIdentity:
     """Divide by the conjectured right side and difference in n.
 
-    rhs_terms is a list of TermExpressions ([] for an identically zero right
-    side).  A multi-term right side cannot be normalized.
+    rhs_terms is a list of TermExpressions; zero terms are dropped first, so
+    [] and [0] both mean a zero right side.  A right side of several nonzero
+    terms cannot be normalized.
     """
+    rhs_terms = [t for t in rhs_terms if not t.is_zero()]
     if not rhs_terms:
         return NormalizedIdentity(F, F, tuple(params), k, n, lower, upper,
                                   True, RationalFunction.constant(F.symbols, 1))
     if len(rhs_terms) > 1:
         raise NotNormalizable("right side is a sum of several terms")
     rhs = rhs_terms[0]
-    if rhs.is_zero():
-        return NormalizedIdentity(F, F, tuple(params), k, n, lower, upper,
-                                  True, RationalFunction.constant(F.symbols, 1))
     try:
         shift_quotient(rhs, n)
     except TermError as exc:
@@ -389,10 +392,10 @@ def leading_coeff_check(sys, certainty, seed: int):
     return max((r for r in roots if r is not None), default=None), used
 
 
-def _window(nid: NormalizedIdentity, n_val: int, params=None):
-    """Integer summation bounds at n = n_val and the parameter values params
-    (if given): the declared limits, with a limit of all taken from that end
-    of the natural support."""
+def _window(nid: NormalizedIdentity, term, n_val: int, params=None):
+    """Integer summation bounds of term at n = n_val and the parameter values
+    params (if given): the declared limits, with a limit of all taken from
+    that end of term's natural support."""
     at = {**(params or {}), nid.n: n_val}
     ends = [None if L is None else L.eval(at) for L in (nid.lower, nid.upper)]
     if None in ends:
@@ -400,7 +403,7 @@ def _window(nid: NormalizedIdentity, n_val: int, params=None):
             raise GridProofError(
                 "cannot determine a finite support with symbolic parameters; "
                 "declare summation limits")
-        support = natural_support(nid.fhat, at, k=nid.k)
+        support = natural_support(term, at, k=nid.k)
         ends = [s if e is None else e for e, s in zip(ends, support)]
         if None in ends:
             raise GridProofError(f"unbounded support at {nid.n} = {n_val}")
@@ -409,46 +412,66 @@ def _window(nid: NormalizedIdentity, n_val: int, params=None):
     return int(ends[0]), int(ends[1])
 
 
-def _symbolic_sum(nid: NormalizedIdentity, term: TermExpression, n_val: int,
-                  params=None):
-    """Exact window sum of term at n = n_val and the parameter values params
-    (if given), a rational function of the symbols left."""
-    at = {**(params or {}), nid.n: n_val}
-    lo, hi = _window(nid, n_val, params)
-    remaining = tuple(s for s in term.symbols if s != nid.k and s not in at)
-    total = RationalFunction.constant(remaining, 0)
-    for kv in range(lo, hi + 1):
-        total = total + eval_summand(term, {**at, nid.k: kv})
-    return total
+_SMALL_CASES_UPTO = 4  # largest n the finite and point checks compare
 
 
-_NUMERIC_POINTS = 2       # parameter points the numeric cross-check sums at
+def _small_cases(nid: NormalizedIdentity, term: TermExpression, rhs_terms,
+                 upto: int, point=None):
+    """The exact small-case stage: yield, for n = 0..upto in turn, the
+    declared window's sum of term minus the sum of rhs_terms (terms free of
+    k), symbolic in the parameters or at their integer values point.  Every
+    exact check of a proof reads these differences; a caller stops at the
+    first n it does not need, so no window is summed in vain."""
+    for nv in range(upto + 1):
+        at = {**(point or {}), nid.n: nv}
+        lo, hi = _window(nid, term, nv, point)
+        remaining = tuple(s for s in term.symbols if s != nid.k and s not in at)
+        diff = RationalFunction.constant(remaining, 0)
+        for kv in range(lo, hi + 1):
+            diff = diff + eval_summand(term, {**at, nid.k: kv})
+        for t in rhs_terms:
+            diff = diff - evaluate(t, {**at, nid.k: 0})
+        yield diff
+
+
+def _identity_checks(nid: NormalizedIdentity, summand, rhs_terms,
+                     point=None) -> list:
+    """[("identity", n, passed), ...] for the identity as stated, n = 0 ..
+    _SMALL_CASES_UPTO, up to and including the first failure."""
+    checks = []
+    for nv, diff in enumerate(_small_cases(nid, summand, rhs_terms,
+                                           _SMALL_CASES_UPTO, point)):
+        checks.append(("identity", nv, diff.is_zero()))
+        if not diff.is_zero():
+            break
+    return checks
+
+
+_NUMERIC_POINTS = 2       # parameter points the small cases are checked at
 _NUMERIC_TRIES = 12       # candidate points drawn before it gives up
 _NUMERIC_RANGE = 9        # their parameter values lie in 1..this
 
 
-def _numeric_check(nid: NormalizedIdentity, summand, rhs_terms, upto: int,
-                   seed: int):
-    """Independent check of the original identity: sum both sides exactly
-    for n = 0..upto at _NUMERIC_POINTS seeded positive-integer parameter
-    points.  A point where some term cannot be evaluated is skipped.  Returns
-    the first {n, param: value} where the sides differ, or None."""
+def _point_check(nid: NormalizedIdentity, summand, rhs_terms, seed: int):
+    """_identity_checks at _NUMERIC_POINTS distinct seeded positive-integer
+    parameter points; a point where some term cannot be evaluated is
+    skipped.  Returns the checks of the first point where the sides differ
+    and a message that names n and the point, or None."""
     rng = random.Random(seed * 1000033 + 29)
-    done = 0
+    tried, done = [], 0
     for _ in range(_NUMERIC_TRIES):
-        if done == _NUMERIC_POINTS:
-            break
         point = {p: rng.randint(1, _NUMERIC_RANGE) for p in nid.params}
+        if done == _NUMERIC_POINTS or point in tried:
+            continue
+        tried.append(point)
         try:
-            for nv in range(upto + 1):
-                at = {nid.n: nv, **point}
-                lhs = _symbolic_sum(nid, summand, nv, point)
-                rhs = sum((evaluate(t, {**at, nid.k: 0}) for t in rhs_terms),
-                          RationalFunction.constant((), 0))
-                if lhs != rhs:
-                    return dict(at)
+            checks = _identity_checks(nid, summand, rhs_terms, point)
         except (GridProofError, TermError, ZeroDivisionError):
             continue
+        if not checks[-1][2]:
+            at = {nid.n: checks[-1][1], **point}
+            return checks, "numeric check failed at " + ", ".join(
+                f"{v}={x}" for v, x in at.items())
         done += 1
     return None
 
@@ -465,18 +488,14 @@ def initial_conditions_check(nid: NormalizedIdentity, J: int,
     upto = J - 1
     if n0 is not None:
         upto = max(upto, n0 + J)
-    checks = []
     if nid.rhs_is_zero:
-        for nv in range(0, upto + 1):
-            total = _symbolic_sum(nid, nid.fhat, nv)
-            checks.append(("sum", nv, total.is_zero()))
-        return checks
-    sums = [_symbolic_sum(nid, nid.fhat, nv) for nv in range(0, upto + 2)]
+        return [("sum", nv, total.is_zero()) for nv, total in
+                enumerate(_small_cases(nid, nid.fhat, [], upto))]
+    sums = list(_small_cases(nid, nid.fhat, [], upto + 1))
     one = RationalFunction.constant(sums[0].vars, 1)
-    checks.append(("base", 0, sums[0] == one))
-    for nv in range(0, upto + 1):
-        checks.append(("delta", nv, (sums[nv + 1] - sums[nv]).is_zero()))
-    return checks
+    return [("base", 0, sums[0] == one)] + [
+        ("delta", nv, (sums[nv + 1] - sums[nv]).is_zero())
+        for nv in range(upto + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -555,9 +574,6 @@ def _termination_guard(nid: NormalizedIdentity):
 # orchestration
 
 
-_SMALL_CASES_UPTO = 4  # largest n the finite check compares
-
-
 def _gosper_columns_independent(sys) -> bool:
     """The b columns of M', the Gosper operator
     b -> q(k) b(k+1) - r(k-1) b(k) over the k-free factor q and r share, have
@@ -578,45 +594,24 @@ def _gosper_columns_independent(sys) -> bool:
                _GridEvaluator(block, values).matrices(diagonal))
 
 
-def _report_failure(checks):
-    failed = [c for c in checks if not c[2]]
-    return (f"exact initial check failed at {failed[0][0]} n={failed[0][1]}"
-            if failed else "")
-
-
-def _compare_small_cases(summand, rhs_terms, params, k, n, lower, upper,
-                         certainty, seed) -> ProofReport:
-    """Fallback when the right side cannot be normalized or the termination
-    guard fails: compare both sides exactly for small n (symbolic in the
-    parameters).  A mismatch is a refutation; agreement alone is
-    inconclusive."""
-    nid = NormalizedIdentity(summand, summand, tuple(params), k, n,
-                             lower, upper, True,
-                             RationalFunction.constant(summand.symbols, 1))
-    checks = []
-    for nv in range(0, _SMALL_CASES_UPTO + 1):
-        diff = _symbolic_sum(nid, summand, nv)
-        for t in rhs_terms:
-            diff = diff - evaluate(t, {n: nv, k: 0})
-        ok = diff.is_zero()
-        checks.append(("identity", nv, ok))
-        if not ok:
-            return ProofReport(
-                verdict="refuted", certainty=certainty, seed=seed,
-                method="finite-check", initial_checks=checks,
-                message=f"exact check failed at {n}={nv}")
+def _finite_report(checks, message, certainty, seed) -> ProofReport:
+    """The finite-check report of _identity_checks: refuted when the last
+    check failed, else inconclusive."""
     return ProofReport(
-        verdict="inconclusive", certainty=certainty, seed=seed,
-        method="finite-check", initial_checks=checks,
-        message=("right side is not a single hypergeometric term; "
-                 f"exact agreement verified for {n}=0..{_SMALL_CASES_UPTO} only"))
+        verdict="inconclusive" if checks[-1][2] else "refuted",
+        certainty=certainty, seed=seed, method="finite-check",
+        initial_checks=[list(c) for c in checks], message=message)
 
 
-def _finish(report, checks):
-    report.initial_checks = [[label, nv, ok] for label, nv, ok in checks]
-    if not all(ok for _, _, ok in checks):
+def _finish(report, nid, J, n0):
+    """Close report with the exact initial conditions of an order-J route."""
+    checks = initial_conditions_check(nid, J, n0)
+    report.initial_checks = [list(c) for c in checks]
+    failed = [c for c in checks if not c[2]]
+    if failed:
         report.verdict = "refuted"
-        report.message = _report_failure(checks)
+        report.message = (f"exact initial check failed at {failed[0][0]} "
+                          f"n={failed[0][1]}")
     return report
 
 
@@ -646,8 +641,7 @@ def _telescoper_report(nid: NormalizedIdentity, sys, certainty, seed):
         degree=None if wz else sys.ansatz.degree, leading_root_bound=n0,
         recurrence=[str(c) for c in rec.coefficients],
         certificate=str(cert.ratio))
-    return _finish(report,
-                   initial_conditions_check(nid, 1 if wz else rec.order, n0))
+    return _finish(report, nid, 1 if wz else rec.order, n0)
 
 
 def prove(summand: TermExpression, rhs_terms, k, n, lower, upper, params,
@@ -656,18 +650,21 @@ def prove(summand: TermExpression, rhs_terms, k, n, lower, upper, params,
     """Prove sum_k summand = RHS (RHS zero allowed) for all integers n >= 0.
 
     Normalizes and differences, and requires the summand to vanish outside
-    the declared window (else only compares both sides exactly for small n).
-    Then one loop over the orders J = 0..max_order (from 1 when fast_path is
-    false) solves order 0 (Gosper/WZ) and every order of a parameter-free
-    identity symbolically, verifying the certificate it publishes.  A
-    parametric order J >= 1 runs the grid vanishing test instead, closed by
-    the root bound of the order-J system's leading coefficient
-    (leading_coeff_check) and exact initial conditions; such a verdict holds
-    for generic values of the parameters, and summing both sides at integer
-    parameter points can still refute it.  certainty 1 makes the grid
-    exhaustive (rigorous); smaller values test that sampled fraction of its
-    points (semi-rigorous).  A term the routes cannot shift or evaluate
-    (TermError) makes the verdict inconclusive.
+    the declared window; else the exact small cases n = 0..4, symbolic in
+    the parameters, are the whole check (finite-check).  Then one loop over
+    the orders J = 0..max_order (from 1 when fast_path is false) solves
+    order 0 (Gosper/WZ) and every order of a parameter-free identity
+    symbolically, verifying the certificate it publishes.  A parametric
+    order J >= 1 runs the grid vanishing test instead, closed by the root
+    bound of the order-J system's leading coefficient (leading_coeff_check);
+    such a verdict holds for generic values of the parameters.  Just before
+    the first grid scan, the small cases n = 0..4 at integer parameter
+    points can refute the identity (finite-check, no grid point tested).
+    A route that succeeds is closed by its exact initial conditions,
+    symbolic in the parameters.  certainty 1 makes the grid exhaustive
+    (rigorous); smaller values test that sampled fraction of its points
+    (semi-rigorous).  A term the routes cannot shift or evaluate (TermError)
+    makes the verdict inconclusive.
     """
     certainty = _as_fraction(certainty)
     if not (0 < certainty <= 1):
@@ -685,27 +682,27 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
     try:
         nid = normalize_and_delta(summand, rhs_terms, params, k, n,
                                   lower, upper)
+        # every route below sums a telescoped equation over the window
+        reason = _termination_guard(nid)
     except NotNormalizable:
-        return _compare_small_cases(summand, rhs_terms, params, k, n,
-                                    lower, upper, certainty, seed)
-
-    # every route below sums a telescoped equation over the declared window
-    reason = _termination_guard(nid)
+        nid = NormalizedIdentity(summand, summand, tuple(params), k, n,
+                                 lower, upper, True,
+                                 RationalFunction.constant(summand.symbols, 1))
+        reason = ("right side is not a single hypergeometric term; exact "
+                  f"agreement verified for {n}=0..{_SMALL_CASES_UPTO} only")
     if reason is not None:
-        report = _compare_small_cases(summand, rhs_terms, params, k, n,
-                                      lower, upper, certainty, seed)
-        if report.verdict != "refuted":
-            report.message = reason
-        return report
+        checks = _identity_checks(nid, summand, rhs_terms)
+        if not checks[-1][2]:
+            reason = f"exact check failed at {n}={checks[-1][1]}"
+        return _finite_report(checks, reason, certainty, seed)
 
     # ratio identically 1: the normalized sum is constant in n
     if not nid.rhs_is_zero and nid.ftil.is_zero():
-        checks = initial_conditions_check(nid, 0, None)
         report = ProofReport(verdict="rigorous", certainty=certainty,
                              seed=seed, method="constant-ratio", order=0)
-        return _finish(report, checks)
+        return _finish(report, nid, 0, None)
 
-    last_witness = None
+    last_witness, points_checked = None, False
     for J in range(0 if fast_path else 1, max_order + 1):
         try:
             sys = assemble(nid.delta_term, J, k=k, n=n)
@@ -720,7 +717,13 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
             if report:
                 return report
             continue
-        # parameters present: determinant-vanishing on the degree-bounded grid
+        # parameters present: the small cases at integer points, once, then
+        # determinant-vanishing on the degree-bounded grid
+        if not points_checked:
+            points_checked = True
+            bad = _point_check(nid, summand, rhs_terms, seed)
+            if bad is not None:
+                return _finite_report(*bad, certainty, seed)
         m = sys.matrix
         if m.rows < m.cols:
             res = VanishingResult(True, 0, 0, None)
@@ -742,7 +745,6 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
                 method="determinant-grid", order=J, degree=sys.ansatz.degree,
                 grid_total=res.grid_total, grid_tested=res.grid_tested,
                 message=str(exc))
-        checks = initial_conditions_check(nid, J, n0)
         verdict = "rigorous" if certainty == 1 else "semi-rigorous"
         shape = f"system {m.rows}x{m.cols}"
         if m.rows > m.cols:
@@ -756,15 +758,7 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
             grid_total=res.grid_total, grid_tested=res.grid_tested,
             leading_root_bound=n0, specialization=specialization,
             message=shape)
-        report = _finish(report, checks)
-        if report.verdict != "refuted":
-            upto = max(J - 1, J + n0 if n0 is not None else -1) + 3
-            bad = _numeric_check(nid, summand, rhs_terms, upto, seed)
-            if bad is not None:
-                report.verdict = "refuted"
-                report.message = "numeric check failed at " + ", ".join(
-                    f"{v}={x}" for v, x in bad.items())
-        return report
+        return _finish(report, nid, J, n0)
     return ProofReport(
         verdict="inconclusive", certainty=certainty, seed=seed,
         method="determinant-grid" if nid.params else "telescope",

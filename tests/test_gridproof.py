@@ -1,5 +1,6 @@
 import concurrent.futures
 import random
+import re
 import signal
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -15,11 +16,11 @@ from hyperproof.gridproof import (
     NormalizedIdentity, Inconclusive, initial_conditions_check,
     leading_coeff_check, normalize_and_delta, prove,
     _gosper_columns_independent,
-    _grid_point, _numeric_check,
+    _grid_point, _point_check,
     _first_full_rank, _leading_root_bound, _rank_deficiency_test,
     _support_bounds, _termination_guard,
 )
-from hyperproof.cli import load_identity
+from hyperproof.cli import load_identity, report_record, run_prove
 from hyperproof.factored import (
     Factored, factored_lcm, factored_quotient, from_ratio_parts, gosper_normal,
 )
@@ -842,23 +843,66 @@ def test_numeric_check_finds_a_wrong_right_side():
     nid = make_nid(*CHU)
     syms = CHU[2]
     F = parse_term(CHU[0], syms)
-    assert _numeric_check(nid, F, parse_sum(CHU[1], syms), 4, 0) is None
-    bad = _numeric_check(nid, F, parse_sum("binomial(a+n+1,a)", syms), 4, 0)
-    assert bad["n"] == 0 and set(bad) == {"n", "a"}
+    assert _point_check(nid, F, parse_sum(CHU[1], syms), 0) is None
+    checks, message = _point_check(
+        nid, F, parse_sum("binomial(a+n+1,a)", syms), 0)
+    assert checks == [("identity", 0, False)]
+    assert re.fullmatch(r"numeric check failed at n=0, a=[1-9]", message)
 
 
 def test_prove_refutes_on_numeric_mismatch(monkeypatch):
-    # twice the right side passes the grid (same ratio in n); with the base
-    # case forced through, only the numeric check is left to catch it
+    # twice the right side has the same ratio in n, so it would pass the
+    # grid; the integer-point small cases refute it before any scan, even
+    # with the symbolic base case forced through
     monkeypatch.setattr(gridproof, "initial_conditions_check",
                         lambda nid, J, n0: [("base", 0, True)])
     syms = CHU[2]
     rep = prove(parse_term(CHU[0], syms), parse_sum("2*binomial(a+n,a)", syms),
                 "k", "n", lf("0", syms), lf("n", syms), ("a",),
                 fast_path=False)
-    assert rep.method == "determinant-grid"
-    assert rep.verdict == "refuted"
+    assert (rep.verdict, rep.method, rep.grid_tested) == (
+        "refuted", "finite-check", 0)
     assert rep.message.startswith("numeric check failed at n=0, a=")
+
+
+@pytest.mark.parametrize("name", ["pfaff-saalschutz-b-shifted",
+                                  "pfaff-saalschutz-rhs-shifted"])
+def test_false_parametric_twin_refuted_before_the_grid(monkeypatch, name):
+    # both twins satisfy a recurrence, so only the small cases at integer
+    # points, run before the first scan, can refute them that early
+    def never(*args, **kwargs):
+        raise AssertionError("no grid work expected")
+
+    monkeypatch.setattr(gridproof, "_rank_deficiency_test", never)
+    monkeypatch.setattr(gridproof, "leading_coeff_check", never)
+    rep = run_prove(load_identity(CORPUS / "extra" / f"{name}.txt"),
+                    Fraction(1), 0, 6, 1)
+    assert (rep.verdict, rep.method, rep.grid_tested) == (
+        "refuted", "finite-check", 0)
+    assert rep.message.startswith("numeric check failed at n=1, a=")
+    assert rep.initial_checks[-1] == ["identity", 1, False]
+
+
+@pytest.mark.parametrize("name,summand,rhs,params", [
+    ("binomial-2n", "binomial(n,k)", "2^n+0", ""),
+    ("chu-vandermonde", "binomial(n,k)*binomial(a,k)", "binomial(a+n,a)+0*a",
+     "a"),
+])
+def test_zero_right_side_terms_are_dropped(tmp_path, name, summand, rhs,
+                                           params):
+    path = tmp_path / "zero-term.txt"
+    path.write_text(f"name: zero-term\nsummand: {summand}\nrhs: {rhs}\n"
+                    f"sum_var: k\nrec_var: n\nlower: 0\nupper: n\n"
+                    f"params: {params}\n")
+    records = []
+    for p in (path, CORPUS / f"{name}.txt"):
+        ident = load_identity(p)
+        records.append(report_record(ident, run_prove(ident, Fraction(1), 0,
+                                                      6, 1)))
+    assert records[0]["verdict"] == "rigorous"
+    assert records[0].pop("name") == "zero-term"
+    assert records[1].pop("name") == name
+    assert records[0] == records[1]
 
 
 def test_initial_conditions_chu():
