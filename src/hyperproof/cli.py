@@ -328,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0,
                        help="sampling seed (default 0)")
         p.add_argument("--jobs", type=_at_least(1), default=_default_jobs(),
-                       help="parallel grid workers, at most one per CPU "
+                       help="processes that rank grid points, this one "
+                            "included, at most one per CPU "
                             "(default $HYPERPROOF_JOBS or 1)")
         p.add_argument("--max-order", type=_at_least(0), default=6,
                        help="largest recurrence order to try (default 6)")

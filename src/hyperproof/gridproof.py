@@ -28,17 +28,19 @@ Grid points are visited in sorted box index order, the first of matrix.vars
 the most significant digit.  linalg._GridEvaluator holds each matrix row as
 one integer with a signed B-bit lane per column and substitutes one variable
 per level by Horner's rule on whole rows, reusing the levels of the digit
-prefix a point shares with the previous one.  _first_full_rank, serial or in
-the pool workers, reads linalg._constant_pivots once per matrix and compiles
-it with the last variable's level into one generated function
-(_GridEvaluator.kernel): the chain's steps are division-free row operations
+prefix a point shares with the previous one.  _first_full_rank reads
+linalg._constant_pivots once per scan and compiles it with the last
+variable's level into one generated function (_GridEvaluator.kernel), in the
+calling process; with jobs > 1 the children it forks rank their chunks of
+the grid with that same function, inherited, and report their first hit
+through a pipe.  The chain's steps are division-free row operations
 on packed rows, and a lane is read out only where it is needed, exactly,
 since B bounds every value read.  The pivot rows, never changed, form a
 triangular block with nonzero constant diagonal above zeros, so the rank is
 the chain length plus the remainder's.  Where the remainder is square and at
 most linalg._DET_WIDTH wide (mrr's 4x4 at order 2), the function returns its
 determinant, expanded by minors, and a nonzero one is full rank; otherwise
-(mrr's 4x3 at order 1) it returns the remainder's rows and _first_full_rank
+(mrr's 4x3 at order 1) it returns the remainder's rows and _rank_chunk
 ranks them with the integer rank kernel _int_rank.  Each decision is exact.
 """
 
@@ -186,28 +188,118 @@ def _support_bounds(matrix: PolyMatrix) -> dict | None:
     return bounds
 
 
-# Points ranked in process before a parallel scan starts its pool: a witness
-# this early (mrr's order 1 has it at position 1) needs no workers.
+# Points ranked in the calling process before any child is forked: a witness
+# this early (mrr's order 1 has it at position 1) needs no children.
 _SERIAL_HEAD = 256
 
 
-def _first_full_rank(matrix: PolyMatrix, values: dict, indices):
-    """(position, index) of the first point of the sorted index list where
-    the integer-cleared matrix has full column rank, or None.  Serial scans,
-    the serial head of _parallel_scan and its pool workers all run it, each
-    with its own compiled kernel (_GridEvaluator.kernel).  The rank is the
-    chain length plus the remainder's, so full rank is a nonzero remainder
-    determinant where the kernel ends in one (_GridEvaluator.determinant),
-    else _int_rank of the remainder rows it reads out equal to their width;
-    that call is made here, for mrr's 4x3 order-1 remainder among others."""
-    evaluator = _GridEvaluator(matrix, values, _constant_pivots(matrix))
-    kernel, width = evaluator.kernel(), len(evaluator.chain.cols)
-    determinant = evaluator.determinant
-    for pos, index, s, v in evaluator.inputs(indices):
+def _rank_chunk(evaluator, kernel, indices, lo, hi):
+    """(position, index) of the first point of indices[lo:hi] where the
+    compiled kernel finds full column rank, or None; position counts from
+    the start of indices.  The rank is the chain length plus the
+    remainder's, so full rank is a nonzero remainder determinant where the
+    kernel ends in one (_GridEvaluator.determinant), else _int_rank of the
+    remainder rows it reads out equal to their width; that call is made
+    here, for mrr's 4x3 order-1 remainder among others."""
+    width, determinant = len(evaluator.chain.cols), evaluator.determinant
+    for pos, index, s, v in evaluator.inputs(indices[lo:hi]):
         out = kernel(s, v)
         if out if determinant else _int_rank(out) == width:
-            return pos, index
+            return lo + pos, index
     return None
+
+
+def _first_full_rank(matrix: PolyMatrix, values: dict, indices, jobs: int = 1):
+    """(position, index) of the first point of the sorted index list where
+    the integer-cleared matrix has full column rank, or None.
+
+    The evaluator and its compiled kernel (_GridEvaluator.kernel) are built
+    once, here.  With one job, or without os.fork, every point is ranked
+    here in order.  Otherwise the first _SERIAL_HEAD points are ranked here,
+    and the rest is split into min(jobs, os.cpu_count()) contiguous chunks of
+    equal length: this process ranks the first, and one forked child per
+    other chunk ranks it with the kernel it inherits (_forked_scan)."""
+    evaluator = _GridEvaluator(matrix, values, _constant_pivots(matrix))
+    kernel = evaluator.kernel()
+
+    def rank(lo, hi):
+        return _rank_chunk(evaluator, kernel, indices, lo, hi)
+
+    rest = len(indices) - _SERIAL_HEAD
+    jobs = min(jobs, rest, os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    if jobs <= 1:
+        return rank(0, len(indices))
+    hit = rank(0, _SERIAL_HEAD)
+    if hit is not None:
+        return hit
+    return _forked_scan(rank, [_SERIAL_HEAD + (i * rest) // jobs
+                               for i in range(jobs + 1)])
+
+
+def _forked_scan(rank, bounds):
+    """The grid-order-first hit of rank over the chunks bounds[c] ..
+    bounds[c + 1] - 1.  Chunk 0 is ranked here and every other chunk by a
+    forked child (_spawn), read in chunk order; a chunk whose child could
+    not be forked, failed or reported nothing is ranked here too, so the
+    result never depends on a child.  Once the answer is known the children
+    still running are killed, and every child is reaped before this
+    returns."""
+    from signal import SIGKILL  # here, so that a serial run never imports it
+    children = {}
+    try:
+        for c in range(1, len(bounds) - 1):
+            try:
+                children[c] = _spawn(rank, bounds[c], bounds[c + 1])
+            except OSError:
+                pass  # the chunk is ranked here below
+        for c, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            line = _reap(*children.pop(c)) if c in children else None
+            if line is None:
+                hit = rank(lo, hi)
+            else:
+                hit = tuple(map(int, line.split())) or None
+            if hit is not None:
+                return hit
+        return None
+    finally:
+        for pid, fd in children.values():
+            os.kill(pid, SIGKILL)
+            _reap(pid, fd)
+
+
+def _spawn(rank, lo, hi):
+    """Fork a child that ranks lo .. hi - 1 and writes its hit to a pipe as
+    the ASCII line "position index", or an empty line for none; returns its
+    pid and the pipe's read end.  The child always leaves by os._exit, with
+    status 0 only after a complete write."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            hit = rank(lo, hi)
+            os.write(w, b"\n" if hit is None else b"%d %d\n" % hit)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, r
+
+
+def _reap(pid, fd):
+    """Read a child's pipe to its end and reap the child; the line it wrote,
+    or None when it exited nonzero or wrote no complete line."""
+    with open(fd, "rb") as pipe:
+        out = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    return out.decode("ascii") if status == 0 and out.endswith(b"\n") \
+        else None
 
 
 def _rank_deficiency_test(matrix: PolyMatrix, certainty, seed: int,
@@ -255,40 +347,12 @@ def _rank_deficiency_test(matrix: PolyMatrix, certainty, seed: int,
         indices = [lower[p] for p in sorted(rng.sample(range(total), count))]
     else:
         indices = lower
-    if jobs > 1 and count > _SERIAL_HEAD:
-        hit = _parallel_scan(matrix, values, indices, jobs)
-    else:
-        hit = _first_full_rank(matrix, values, indices)
+    hit = _first_full_rank(matrix, values, indices, jobs)
     if hit is not None:
         pos, index = hit
         return VanishingResult(False, total, pos + 1,
                                _grid_point(matrix.vars, values, index))
     return VanishingResult(True, total, count, None)
-
-
-def _parallel_scan(matrix, values, indices, jobs):
-    """Rank the first _SERIAL_HEAD indices in process, then the rest over at
-    most one worker process per CPU in contiguous chunks of equal length; the
-    reported hit is the grid-order-first full-rank point regardless of
-    completion order."""
-    from concurrent.futures import ProcessPoolExecutor
-    hit = _first_full_rank(matrix, values, indices[:_SERIAL_HEAD])
-    if hit is not None:
-        return hit
-    n = len(indices) - _SERIAL_HEAD
-    jobs = min(jobs, n, os.cpu_count() or 1)
-    bounds = [_SERIAL_HEAD + (i * n) // jobs for i in range(jobs + 1)]
-    chunks = [indices[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    args = ([matrix] * jobs, [values] * jobs, chunks)
-    try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_first_full_rank, *args))
-    except (OSError, ImportError):
-        results = list(map(_first_full_rank, *args))
-    for offset, res in zip(bounds, results):
-        if res is not None:
-            return offset + res[0], res[1]
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +396,7 @@ def _free_part(p: MultiPoly, n) -> MultiPoly:
     return g
 
 
-def leading_coeff_check(sys, certainty, seed: int):
+def leading_coeff_check(sys, certainty, seed: int, jobs: int = 1):
     """Largest positive integer root n0 of the leading coefficient a_J of a
     telescoper from the order-J system the grid proved, as roots generic in
     the parameters; returns (n0 or None, the parameter points used).
@@ -343,9 +407,9 @@ def leading_coeff_check(sys, certainty, seed: int):
     M'(s_1) are chosen such that column J lies in the span of B.  M'[:, C],
     C = B + {J}, is then shown rank-deficient: by the grid already when C is
     every column, trivially when it has more columns than M' has rows, else by
-    its own vanishing test at this certainty and seed.  Its kernel is then the
-    cofactor vector of M'[P, C], whose entry J is w_J = det M'[P, B], nonzero
-    at s_1.  So a_J = w_J * L / c_J up to the primitive part, L = lcm of the
+    its own vanishing test at this certainty and seed, over jobs processes as
+    the grid's.  Its kernel is then the cofactor vector of M'[P, C], whose
+    entry J is w_J = det M'[P, B], nonzero at s_1.  So a_J = w_J * L / c_J up to the primitive part, L = lcm of the
     c_j.  Determinants commute with specialization, so the factors of w_J
     free of the parameters divide w_J(n; s_i) at every parameter point s_i;
     the gcd over the nonzero w_J(n; s_i), each interpolated from integer
@@ -371,7 +435,7 @@ def leading_coeff_check(sys, certainty, seed: int):
     C = sorted(B + [J])
     if len(C) < matrix.cols and matrix.rows >= len(C):
         sub = PolyMatrix([[row[j] for j in C] for row in matrix.entries])
-        if not _rank_deficiency_test(sub, certainty, seed).passed:
+        if not _rank_deficiency_test(sub, certainty, seed, jobs).passed:
             raise Inconclusive(
                 f"order {J}: the a_{J} column and the {len(B)} columns it "
                 "depends on were not shown dependent")
@@ -738,7 +802,8 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
                     f"order {J}: the Gosper-operator columns were not shown "
                     "independent, so a vanishing determinant need not give a "
                     "telescoper")
-            n0, specialization = leading_coeff_check(sys, certainty, seed)
+            n0, specialization = leading_coeff_check(sys, certainty, seed,
+                                                     jobs)
         except Inconclusive as exc:
             return ProofReport(
                 verdict="inconclusive", certainty=certainty, seed=seed,

@@ -1,7 +1,8 @@
-import concurrent.futures
+import os
 import random
 import re
 import signal
+import warnings
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import ceil, prod
@@ -368,29 +369,35 @@ def test_rank_deficiency_test_without_variables(rows, singular):
     assert res.witness == (None if singular else {})
 
 
-def test_parallel_scan_starts_at_most_one_worker_per_cpu(monkeypatch):
-    class Pool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids that called os.fork, through a wrapper around the real one."""
+    calls, real = [], os.fork
 
-        def __enter__(self):
-            return self
+    def fork():
+        calls.append(os.getpid())
+        return real()
 
-        def __exit__(self, *exc):
-            return False
+    monkeypatch.setattr(gridproof.os, "fork", fork)
+    return calls
 
-        def map(self, fn, *args):
-            return map(fn, *args)
 
-    workers = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_parallel_scan_starts_at_most_one_worker_per_cpu(monkeypatch, forks):
+    # the caller ranks the first chunk, so 3 CPUs take 2 forked children
     monkeypatch.setattr(gridproof.os, "cpu_count", lambda: 3)
     matrix = _rank_test_cases()["singular"]
     res = _rank_deficiency_test(matrix, Fraction(1), 0, jobs=5000)
     assert res.passed and res.grid_tested > gridproof._SERIAL_HEAD
+    assert len(forks) == 2
+    _assert_no_child_left()
     monkeypatch.setattr(gridproof.os, "cpu_count", lambda: None)
     assert _rank_deficiency_test(matrix, Fraction(1), 0, jobs=5000) == res
-    assert workers == [3, 1]
+    assert len(forks) == 2
 
 
 def _brute_support_bound(matrix, w):
@@ -475,9 +482,35 @@ def test_rank_deficiency_test_matches_brute_force(name):
     for certainty, seed in ((Fraction(1), 0), (Fraction(1, 2), 3)):
         expected = _reference_rank_test(matrix, certainty, seed)
         for jobs in (1, 2):
-            res = _rank_deficiency_test(matrix, certainty, seed, jobs=jobs)
+            with warnings.catch_warnings():
+                # 3.12 warns when it forks while another thread is alive
+                warnings.simplefilter("error")
+                res = _rank_deficiency_test(matrix, certainty, seed, jobs=jobs)
             assert (res.passed, res.grid_total, res.grid_tested,
                     res.witness) == expected, (certainty, jobs)
+            _assert_no_child_left()
+
+
+@pytest.mark.parametrize("name", ["late", "two-blocks"])
+def test_a_child_that_dies_leaves_the_result_unchanged(monkeypatch, forks,
+                                                        name):
+    parent, real = os.getpid(), gridproof._rank_chunk
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real(*args)
+
+    monkeypatch.setattr(gridproof, "_rank_chunk", dying)
+    monkeypatch.setattr(gridproof.os, "cpu_count", lambda: 2)
+    matrix = _rank_test_cases()[name]
+    for certainty, seed in ((Fraction(1), 0), (Fraction(1, 2), 3)):
+        res = _rank_deficiency_test(matrix, certainty, seed, jobs=2)
+        assert (res.passed, res.grid_total, res.grid_tested, res.witness) == \
+            _reference_rank_test(matrix, certainty, seed), certainty
+        _assert_no_child_left()
+    # two-blocks at 1/2 has its hit in the serial head, before any fork
+    assert len(forks) == (2 if name == "late" else 1)
 
 
 @settings(deadline=None, max_examples=200)
@@ -786,13 +819,13 @@ def test_leading_coeff_check_tests_the_chosen_columns(monkeypatch):
     real = gridproof._rank_deficiency_test
 
     def spy(matrix, certainty, seed, jobs=1):
-        calls.append(matrix.cols)
+        calls.append((matrix.cols, jobs))
         return real(matrix, certainty, seed, jobs)
 
     monkeypatch.setattr(gridproof, "_rank_deficiency_test", spy)
     sys = _corank_two()
-    assert leading_coeff_check(sys, Fraction(1), 0)[0] == 4
-    assert calls == [3]
+    assert leading_coeff_check(sys, Fraction(1), 0, jobs=3)[0] == 4
+    assert calls == [(3, 3)]
 
 
 def test_leading_coeff_check_needs_a_j_in_the_span_of_the_others(monkeypatch):
