@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -304,13 +303,6 @@ def _at_least(low):
     return parse
 
 
-def _default_jobs():
-    try:
-        return max(1, int(os.environ.get("HYPERPROOF_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hyperproof",
@@ -326,11 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fraction of the proof grid to test "
                             "(1 = rigorous; default 1)")
         p.add_argument("--seed", type=int, default=0,
-                       help="sampling seed (default 0)")
-        p.add_argument("--jobs", type=_at_least(1), default=_default_jobs(),
+                       help="seed of every random choice: the sampled grid "
+                            "points, the leading-coefficient parameter "
+                            "points and the integer points of the small-case "
+                            "check (default 0)")
+        p.add_argument("--jobs", type=_at_least(1), default=1,
                        help="processes that rank grid points, this one "
-                            "included, at most one per CPU "
-                            "(default $HYPERPROOF_JOBS or 1)")
+                            "included, at most one per CPU (default 1)")
         p.add_argument("--max-order", type=_at_least(0), default=6,
                        help="largest recurrence order to try (default 6)")
         p.add_argument("--json", metavar="PATH",

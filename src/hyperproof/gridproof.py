@@ -8,7 +8,7 @@ factored system; M' is square (or handled by rank on maximal minors), and
 its determinant is a polynomial whose support lies in a lower
 (down-closed) set S of exponents.  For every weight w in {0,1}^r, w.e is at
 most the max-weight assignment h(w) on the entry weights; the unit weights
-give the permanent degree bounds, so S lies in their box.  A polynomial
+give a degree bound per variable, so S lies in their box.  A polynomial
 with support in a lower set that vanishes on the matching subgrid of integer
 points is zero (N. Dyn and M. S. Floater, "Multivariate polynomial
 interpolation on lower sets", J. Approx. Theory 177, 2014), so vanishing on
@@ -133,10 +133,19 @@ def normalize_and_delta(F: TermExpression, rhs_terms, params, k, n,
     """Divide by the conjectured right side and difference in n.
 
     rhs_terms is a list of TermExpressions; zero terms are dropped first, so
-    [] and [0] both mean a zero right side.  A right side of several nonzero
-    terms cannot be normalized.
+    [] and [0] both mean a zero right side.  A right side that depends on k
+    is an error: dividing by it would prove another statement.  A right
+    side of several nonzero terms cannot be normalized.
     """
     rhs_terms = [t for t in rhs_terms if not t.is_zero()]
+    for t in rhs_terms:
+        try:
+            ratio = shift_quotient(t, k)
+        except TermError:
+            ratio = None
+        if ratio != RationalFunction.constant(t.symbols, 1):
+            raise GridProofError(
+                f"right side depends on the summation variable {k}")
     if not rhs_terms:
         return NormalizedIdentity(F, F, tuple(params), k, n, lower, upper,
                                   True, RationalFunction.constant(F.symbols, 1))
@@ -172,9 +181,11 @@ def _support_bounds(matrix: PolyMatrix) -> dict | None:
     the bitmask of w (bit i for vars[i]); None when no assignment exists.
 
     Each entry weighs max over its support of w.e (-1 for a zero entry), and
-    h(w) is the max-weight assignment on those weights.  Every exponent e of
-    every maximal minor has w.e <= h(w), since its monomials come from
-    assignments; the unit weight of v gives permanent_degree_bound(matrix, v).
+    h(w) is the max-weight assignment on those weights (linalg's
+    _max_assignment).  Every exponent e of every maximal minor has
+    w.e <= h(w), since its monomials come from assignments; the unit weight
+    of v bounds the degree in v, as a permanent of leading terms would.
+    ValueError when matrix has fewer rows than columns.
     """
     r = len(matrix.vars)
     bounds = {}
@@ -309,8 +320,8 @@ def _rank_deficiency_test(matrix: PolyMatrix, certainty, seed: int,
     Support bound: for each weight w in W = {0,1}^r minus 0, every exponent e
     of every maximal minor satisfies w.e <= h(w) (_support_bounds).  The
     lattice points obeying all of them form a lower (down-closed) set S
-    inside the box 0 <= e_i <= d_i, d_i the permanent degree bound of the
-    i-th variable x_i.  Grid: per variable, d_i + 1 consecutive integers
+    inside the box 0 <= e_i <= d_i, d_i = h of the unit weight of the i-th
+    variable x_i.  Grid: per variable, d_i + 1 consecutive integers
     t_{i,0} < t_{i,1} < ... centered at 0 (_grid_values, the one node rule);
     the test points are the subgrid {(t_{1,e_1}, ..., t_{r,e_r}) : e in S},
     visited as sorted box indices.  A polynomial with support in the lower
@@ -525,7 +536,7 @@ def _point_check(nid: NormalizedIdentity, summand, rhs_terms, seed: int):
     tried, done = [], 0
     for _ in range(_NUMERIC_TRIES):
         point = {p: rng.randint(1, _NUMERIC_RANGE) for p in nid.params}
-        if done == _NUMERIC_POINTS or point in tried:
+        if point in tried:
             continue
         tried.append(point)
         try:
@@ -537,6 +548,8 @@ def _point_check(nid: NormalizedIdentity, summand, rhs_terms, seed: int):
             return checks, "numeric check failed at " + ", ".join(
                 f"{v}={x}" for v, x in at.items())
         done += 1
+        if done == _NUMERIC_POINTS:
+            break
     return None
 
 

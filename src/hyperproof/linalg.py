@@ -1,6 +1,7 @@
 """Exact linear algebra over polynomials: fraction-free elimination,
 nullspaces over the rational-function field, determinants, the lower-set
-evaluation grid, and permanent-based determinant degree bounds.
+evaluation grid, and the max-weight assignment (`_max_assignment`) that
+bounds the degrees of a determinant, or of every maximal minor.
 
 One fraction-free (Bareiss) elimination kernel, `_int_rank`, carries every
 exact elimination in the package, on integer and on `MultiPoly` matrices
@@ -73,18 +74,6 @@ class PolyMatrix:
                 if e.vars != self.vars:
                     raise ValueError("entries must share one variable list")
         self.entries = entries
-
-    @classmethod
-    def from_rows(cls, vars, rows):
-        """Build from nested lists of polynomials/ints/Fractions."""
-        vars = tuple(vars)
-        out = []
-        for row in rows:
-            out.append([
-                e if isinstance(e, MultiPoly) else MultiPoly.constant(vars, e)
-                for e in row
-            ])
-        return cls(out)
 
 
 def solve_nullspace(m: PolyMatrix) -> list:
@@ -636,32 +625,6 @@ def _nullspace_univar(m: PolyMatrix):
         if not s.is_zero():
             return None
     return [[RationalFunction.from_poly(p) for p in vec]]
-
-
-class DegreeBoundResult(NamedTuple):
-    degree: int
-    structurally_zero: bool
-
-
-def permanent_degree_bound(m: PolyMatrix, var) -> DegreeBoundResult:
-    """Upper bound for the determinant's degree in `var`.
-
-    Replace every entry by its leading term w.r.t. var and take the permanent;
-    a permanent of monomials has no cancellation, so its degree bounds the
-    determinant's.  Equivalently: maximum over permutations of the summed
-    per-entry degrees, a max-weight perfect assignment on the degree matrix.
-    Zero entries admit no assignment; if no perfect assignment exists the
-    determinant is structurally zero and the flag is set.
-
-    A matrix with more rows than columns is accepted: the assignment then
-    ranges over every choice of rows, so the bound holds for every maximal
-    square minor at once.  Fewer rows than columns raise ValueError.
-    """
-    degs = [[e.degree(var) for e in row] for row in m.entries]  # -1 marks zero
-    best = _max_assignment(degs)
-    if best is None:
-        return DegreeBoundResult(0, True)
-    return DegreeBoundResult(best, False)
 
 
 def _max_assignment(degs) -> int | None:

@@ -29,8 +29,6 @@ from fractions import Fraction
 from math import comb, gcd as _igcd, lcm
 from operator import mul
 
-BigRational = Fraction
-
 
 def _norm_coef(c):
     """Prefer plain ints over integral Fractions (much faster arithmetic)."""

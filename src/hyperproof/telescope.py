@@ -17,9 +17,10 @@ as for the determinant grid of gridproof.
 system M with each column divided by its k-free content c_j, which it reads
 off the factored system; `AssembledSystem.lift` maps a kernel vector of M'
 back to one of M.  `solve_order` turns the kernel of one system into an
-unverified (recurrence, certificate); creative_telescope and gridproof.prove
-walk the orders with it and verify what they publish.  The order-0 system
-q(k) b(k+1) - r(k-1) b(k) = a_0 pbar(k) is Gosper's equation.
+unverified (recurrence, certificate); gridproof.prove walks the orders with
+it and verifies what it publishes.  The order-0 system
+q(k) b(k+1) - r(k-1) b(k) = a_0 pbar(k) is Gosper's equation, so Gosper's
+algorithm is solve_order at order 0.
 """
 
 from __future__ import annotations
@@ -260,24 +261,6 @@ def solve_order(sys: AssembledSystem):
     den, b_nums = clear_denominators(sys.matrix_vars, b_scaled)
     return (Recurrence(top, tuple(normed)),
             certificate_from_solution(sys, b_nums, extra_den=den))
-
-
-def creative_telescope(f: TermExpression, max_order: int = 6, k=None, n=None):
-    """(recurrence, certificate, K) for the smallest-order telescoper up to
-    max_order, K the degree of b in the system it was solved from, or None.
-    Orders are tried in turn; each candidate solution is re-verified exactly
-    before being returned."""
-    k, n = _default_vars(f, k, n)
-    for J in range(max_order + 1):
-        sys = assemble(f, J, k, n)
-        out = None if sys is None else solve_order(sys)
-        if out is None:
-            continue
-        rec, cert = out
-        if not verify_certificate(f, rec, cert, k=k, n=n):
-            raise RuntimeError("telescoper failed exact re-verification")
-        return rec, cert, sys.ansatz.degree
-    return None
 
 
 def verify_certificate(f: TermExpression, rec: Recurrence, cert: Certificate,

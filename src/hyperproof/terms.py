@@ -480,14 +480,6 @@ def evaluate(f: TermExpression, point: dict,
     return RationalFunction(num.scale(value), den) * rf
 
 
-def eval_term(f: TermExpression, point: dict) -> Fraction:
-    """Exact numeric value; every symbol must be assigned."""
-    r = evaluate(f, point)
-    if not r.is_constant():
-        raise EvalError("point does not assign all symbols")
-    return _as_fraction(r.as_constant())
-
-
 def eval_summand(f: TermExpression, point: dict) -> RationalFunction:
     """Like evaluate, but zero-convention factors yield an exact zero.
 

@@ -13,6 +13,13 @@ from hyperproof.polys import (
 from hyperproof.terms import LinearForm
 
 
+def poly_matrix(vars, rows) -> PolyMatrix:
+    """A PolyMatrix over vars from nested lists of polynomials and numbers."""
+    return PolyMatrix([[e if isinstance(e, MultiPoly)
+                        else MultiPoly.constant(tuple(vars), e) for e in row]
+                       for row in rows])
+
+
 def det_symbolic(m: PolyMatrix) -> MultiPoly:
     """Symbolic determinant by cofactor expansion (small matrices only)."""
     if m.rows != m.cols:

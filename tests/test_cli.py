@@ -199,14 +199,6 @@ def test_negative_max_order_is_rejected(capsys, order):
     assert "--max-order" in err and "Traceback" not in err
 
 
-def test_jobs_env_default(monkeypatch):
-    from hyperproof.cli import _default_jobs
-    monkeypatch.setenv("HYPERPROOF_JOBS", "3")
-    assert _default_jobs() == 3
-    monkeypatch.setenv("HYPERPROOF_JOBS", "junk")
-    assert _default_jobs() == 1
-
-
 def _identity_file(tmp_path, name="id", **fields):
     # the fields of corpus/binomial-2n.txt, with the given ones replaced
     base = {"name": name, "summand": "binomial(n,k)", "rhs": "2^n",
@@ -216,6 +208,21 @@ def _identity_file(tmp_path, name="id", **fields):
     path = tmp_path / f"{name}.txt"
     path.write_text("".join(f"{k}: {v}\n" for k, v in base.items()))
     return path
+
+
+@pytest.mark.parametrize("rhs", [None, "2^n*binomial(n,k)"],
+                         ids=["3^n", "2^n"])
+def test_right_side_in_the_summation_variable_is_not_proved(
+        tmp_path, capsys, rhs):
+    # sum C(n,k) 2^k is 3^n, not 2^k 2^n, and sum C(n,k) is 2^n: dividing
+    # the summand by a right side in k would prove a different statement
+    path = CORPUS / "extra" / "rhs-depends-on-k.txt" if rhs is None \
+        else _identity_file(tmp_path, rhs=rhs)
+    out = tmp_path / "rec.json"
+    assert main(["prove", str(path), "--json", str(out)]) == EXIT_INCONCLUSIVE
+    assert "right side depends on the summation variable k" in \
+        capsys.readouterr().out
+    assert json.loads(out.read_text())["verdict"] == "inconclusive"
 
 
 CERT = "--certificate=-k/(n+1-k)"

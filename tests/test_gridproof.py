@@ -28,7 +28,7 @@ from hyperproof.factored import (
 from hyperproof.linalg import (
     PolyMatrix, _DET_WIDTH, _GridEvaluator, _constant_pivots, _grid_digits,
     _grid_values, _int_det, _int_rank, _integer_cleared, _lower_set,
-    permanent_degree_bound, solve_nullspace,
+    solve_nullspace,
 )
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.telescope import Recurrence, assemble, gosper_degree_bound
@@ -36,7 +36,7 @@ from hyperproof.terms import (
     EvalError, LinearForm, TermExpression, eval_summand, natural_support,
     parse_affine as lf, parse_sum, parse_term,
 )
-from oracles import det_symbolic
+from oracles import det_symbolic, poly_matrix
 
 
 CHU = ("binomial(n,k)*binomial(a,k)", "binomial(a+n,a)",
@@ -289,8 +289,7 @@ def packed_cases(draw):
 
 @settings(deadline=None, max_examples=200)
 @given(packed_cases())
-@example((PolyMatrix.from_rows((), [[2 ** 80, -2 ** 80], [0, 0],
-                                     [-2 ** 80, 1]]), {}))
+@example((poly_matrix((), [[2 ** 80, -2 ** 80], [0, 0], [-2 ** 80, 1]]), {}))
 def test_packed_rows_match_eval(case):
     # every point of the box, so the nodes at both ends of every axis and
     # the corners, where the lane bound is nearest
@@ -330,7 +329,7 @@ def test_straight_line_determinant_is_int_det(n, data):
     copy = data.draw(st.integers(-1, n - 1))
     if 0 <= copy < n - 1:
         rows[-1] = list(rows[copy])  # singular
-    evaluator = _GridEvaluator(PolyMatrix.from_rows((), rows), {})
+    evaluator = _GridEvaluator(poly_matrix((), rows), {})
     assert evaluator.determinant
     kernel = evaluator.kernel()
     assert kernel(evaluator.coefs, 0) == _int_det([list(r) for r in rows])
@@ -339,7 +338,7 @@ def test_straight_line_determinant_is_int_det(n, data):
 def test_kernel_reads_out_rows_beyond_the_width_limit():
     n = _DET_WIDTH + 1
     rows = [[(i + 2) ** j for j in range(n)] for i in range(n)]
-    evaluator = _GridEvaluator(PolyMatrix.from_rows((), rows), {})
+    evaluator = _GridEvaluator(poly_matrix((), rows), {})
     assert not evaluator.determinant
     assert evaluator.kernel()(evaluator.coefs, 0) == rows
 
@@ -364,7 +363,7 @@ def test_kernel_of_degree_300_in_the_last_variable(singular):
     ([[0, 2], [0, 5], [1, 0]], False)])
 def test_rank_deficiency_test_without_variables(rows, singular):
     # one grid point, the empty one; the kernel reads the coefficients
-    res = _rank_deficiency_test(PolyMatrix.from_rows((), rows), Fraction(1), 0)
+    res = _rank_deficiency_test(poly_matrix((), rows), Fraction(1), 0)
     assert (res.passed, res.grid_total, res.grid_tested) == (singular, 1, 1)
     assert res.witness == (None if singular else {})
 
@@ -576,8 +575,9 @@ def test_scan_reports_a_corner_of_a_triangular_lower_set():
 def test_grid_evaluator_on_mrr_order_two():
     nid = mrr_nid()
     matrix = _integer_cleared(assemble(nid.delta_term, 2, k=nid.k, n=nid.n).matrix)
-    values = {v: _grid_values(permanent_degree_bound(matrix, v).degree)
-              for v in matrix.vars}
+    bounds = _support_bounds(matrix)
+    values = {v: _grid_values(bounds[1 << i])
+              for i, v in enumerate(matrix.vars)}
     total = prod(len(values[v]) for v in matrix.vars)
     indices = sorted(random.Random(7).sample(range(total), 36))
     # two consecutive indices share their (n, x) prefix
@@ -660,7 +660,7 @@ _X = MultiPoly.variable(("x",), "x")
      lambda v: v != 0),
 ], ids=["fill", "updated-row"])
 def test_pivot_chain_hand_built(rows, steps, rest, full):
-    matrix = PolyMatrix.from_rows(("x",), rows)
+    matrix = poly_matrix(("x",), rows)
     chain = _constant_pivots(matrix)
     assert chain.steps == steps
     assert (chain.rows, chain.cols) == rest
@@ -680,7 +680,7 @@ def test_pivot_chain_hand_built(rows, steps, rest, full):
     ([[1, _X], [_X, 1], [_X, _X]], (2, 1), lambda v: v != 1),
 ], ids=["square-zero", "square-nonzero", "non-square"])
 def test_kernel_decision_by_remainder_shape(rows, remainder, full):
-    matrix = PolyMatrix.from_rows(("x",), rows)
+    matrix = poly_matrix(("x",), rows)
     chain = _constant_pivots(matrix)
     assert (len(chain.rows), len(chain.cols)) == remainder
     xs = list(range(-3, 4))
@@ -693,7 +693,7 @@ def test_kernel_decision_by_remainder_shape(rows, remainder, full):
 def test_chain_lane_bound_grows_with_the_pivot():
     # pivot 256 scales row 1 to (0, 256x): at x = +-4 the remainder is
     # +-1024, which a lane bound missing the factor |c| reads out as 0
-    matrix = PolyMatrix.from_rows(("x",), [[256, 0], [1, _X]])
+    matrix = poly_matrix(("x",), [[256, 0], [1, _X]])
     xs = list(range(-4, 5))
     assert _GridEvaluator(matrix, {"x": xs}, _constant_pivots(matrix)).lane \
         == 1024 .bit_length() + 1
@@ -745,7 +745,7 @@ def mrr_nid():
 def _system(vars, rows, J, contents=None):
     """A hand-built order-J system with matrix M' and the other parts that
     leading_coeff_check reads."""
-    matrix = PolyMatrix.from_rows(vars, rows)
+    matrix = poly_matrix(vars, rows)
     ones = [Factored.one(vars)] * matrix.cols
     return SimpleNamespace(matrix=matrix, ansatz=SimpleNamespace(order=J),
                            n="n", contents=contents or ones)

@@ -8,14 +8,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperproof import linalg
+from hyperproof.gridproof import _support_bounds
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.linalg import (
     PolyMatrix, _cofactor_vector, _int_det, _int_rank, _interpolate_int,
-    _nullspace_univar, permanent_degree_bound,
-    solve_nullspace,
+    _nullspace_univar, solve_nullspace,
 )
 from hyperproof.terms import parse_rational
-from oracles import det_symbolic, nullspace_rational
+from oracles import det_symbolic, nullspace_rational, poly_matrix
+
+
+def degree_bounds(m):
+    """{var: h of its unit weight} from the support bounds of the grid, or
+    None when every maximal minor is structurally zero."""
+    bounds = _support_bounds(m)
+    return None if bounds is None else \
+        {v: bounds[1 << i] for i, v in enumerate(m.vars)}
 
 
 def det_at_point(m, point):
@@ -28,7 +36,7 @@ def det_at_point(m, point):
 
 
 def test_det_at_point_constant():
-    m = PolyMatrix.from_rows((), [[1, 2], [3, 4]])
+    m = poly_matrix((), [[1, 2], [3, 4]])
     assert det_at_point(m, {}) == -2
 
 
@@ -41,7 +49,7 @@ def test_det_at_point_rank_one_symbolic():
 
 
 def test_det_at_point_fractions():
-    m = PolyMatrix.from_rows(
+    m = poly_matrix(
         (), [[1, Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 3)]])
     assert det_at_point(m, {}) == Fraction(1, 12)
 
@@ -61,7 +69,7 @@ def test_det_symbolic_matches_points():
 
 
 def test_nullspace_proportional_rows():
-    m = PolyMatrix.from_rows((), [[1, 1], [2, 2]])
+    m = poly_matrix((), [[1, 1], [2, 2]])
     basis = solve_nullspace(m)
     assert len(basis) == 1
     v = basis[0]
@@ -81,7 +89,7 @@ def test_nullspace_symbolic():
 
 
 def test_nullspace_full_rank():
-    m = PolyMatrix.from_rows((), [[1, 0], [0, 1]])
+    m = poly_matrix((), [[1, 0], [0, 1]])
     assert solve_nullspace(m) == []
 
 
@@ -157,8 +165,7 @@ def test_permanent_bound_simple():
     x = MultiPoly.variable(vars, "x")
     one = MultiPoly.constant(vars, 1)
     m = PolyMatrix([[x, x * x], [x * x * x, one]])
-    r = permanent_degree_bound(m, "x")
-    assert r.degree == 5 and not r.structurally_zero
+    assert degree_bounds(m) == {"x": 5}
     d = det_symbolic(m)  # x - x^5
     assert d.degree("x") == 5
 
@@ -168,8 +175,7 @@ def test_permanent_bound_identity():
     one = MultiPoly.constant(vars, 1)
     zero = MultiPoly.zero(vars)
     m = PolyMatrix([[one, zero, zero], [zero, one, zero], [zero, zero, one]])
-    r = permanent_degree_bound(m, "v")
-    assert r.degree == 0 and not r.structurally_zero
+    assert degree_bounds(m) == {"v": 0}
 
 
 def test_permanent_bound_structural_zero():
@@ -177,8 +183,7 @@ def test_permanent_bound_structural_zero():
     v = MultiPoly.variable(vars, "v")
     zero = MultiPoly.zero(vars)
     m = PolyMatrix([[v, v], [zero, zero]])
-    r = permanent_degree_bound(m, "v")
-    assert r.structurally_zero and r.degree == 0
+    assert degree_bounds(m) is None
 
 
 def _random_matrix(rng, vars, size=3, nterms=3, maxexp=2, coef=4):
@@ -194,12 +199,11 @@ def test_permanent_bound_dominates_det_degree():
     for _ in range(100):
         m = _random_matrix(rng, ("x", "y"))
         d = det_symbolic(m)
-        for v in ("x", "y"):
-            r = permanent_degree_bound(m, v)
-            if r.structurally_zero:
-                assert d.is_zero()
-            else:
-                assert r.degree >= d.degree(v)
+        bounds = degree_bounds(m)
+        if bounds is None:
+            assert d.is_zero()
+        else:
+            assert all(bounds[v] >= d.degree(v) for v in ("x", "y"))
 
 
 def test_permanent_bound_rectangular_bounds_every_maximal_minor():
@@ -210,12 +214,11 @@ def test_permanent_bound_rectangular_bounds_every_maximal_minor():
         m = PolyMatrix([row[:2] for row in rows])  # 3x2
         minors = [det_symbolic(PolyMatrix([m.entries[i], m.entries[j]]))
                   for i, j in ((0, 1), (0, 2), (1, 2))]
-        for v in vars:
-            r = permanent_degree_bound(m, v)
-            if r.structurally_zero:
-                assert all(d.is_zero() for d in minors)
-            else:
-                assert all(r.degree >= d.degree(v) for d in minors)
+        bounds = degree_bounds(m)
+        if bounds is None:
+            assert all(d.is_zero() for d in minors)
+        else:
+            assert all(bounds[v] >= d.degree(v) for v in vars for d in minors)
 
 
 def test_grid_soundness_kernel_small():
@@ -227,15 +230,8 @@ def test_grid_soundness_kernel_small():
     while checked_zero < 5 or checked_nonzero < 5:
         m = _random_matrix(rng, vars, size=2, nterms=2, maxexp=1, coef=2)
         d = det_symbolic(m)
-        bounds = {}
-        ok = True
-        for v in vars:
-            r = permanent_degree_bound(m, v)
-            if r.structurally_zero:
-                ok = False
-                break
-            bounds[v] = r.degree
-        if not ok:
+        bounds = degree_bounds(m)
+        if bounds is None:
             assert d.is_zero()
             continue
         xs = range(-(bounds["x"] // 2), -(bounds["x"] // 2) + bounds["x"] + 1)
@@ -327,7 +323,7 @@ def ref_rank_pivots(a):
 @settings(deadline=None, max_examples=300)
 @given(int_matrices(square=True))
 def test_int_kernel_det_matches_cofactor_expansion(a):
-    expected = det_symbolic(PolyMatrix.from_rows((), a)).eval({})
+    expected = det_symbolic(poly_matrix((), a)).eval({})
     assert _int_det([list(row) for row in a]) == expected
 
 

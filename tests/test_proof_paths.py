@@ -6,15 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from hyperproof import gosper, gridproof, telescope
+from hyperproof import gridproof, telescope
 from hyperproof.cli import load_identity, run_prove
 from hyperproof.gridproof import (
-    _leading_root_bound, _rank_deficiency_test, normalize_and_delta, prove,
+    _leading_root_bound, _rank_deficiency_test, _support_bounds,
+    normalize_and_delta, prove,
 )
-from hyperproof.linalg import PolyMatrix, permanent_degree_bound, solve_nullspace
+from hyperproof.linalg import PolyMatrix, solve_nullspace
 from hyperproof.polys import MultiPoly
 from hyperproof.terms import TermError
-from hyperproof.telescope import assemble, creative_telescope
+from hyperproof.telescope import assemble, solve_order
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -49,7 +50,7 @@ def test_chu_determinant_path_matches_symbolic():
                     s = term if s is None else s + term
                 assert s.is_zero()
     # the symbolic route agrees on solvability of the differenced summand
-    assert creative_telescope(nid.delta_term, rep.order) is not None
+    assert solve_order(sys) is not None
 
 
 def test_dixon_determinant_path():
@@ -71,7 +72,8 @@ def test_leading_root_bound_covers_the_symbolic_telescoper(name):
     rep = prove(F, rhs_terms, "k", "n", lower, upper, ident.params,
                 fast_path=False)
     assert rep.method == "determinant-grid"
-    rec, _, _ = creative_telescope(nid.delta_term, rep.order)
+    rec, _ = solve_order(assemble(nid.delta_term, rep.order, k=nid.k,
+                                  n=nid.n))
     symbolic = _leading_root_bound(rec, "n")
     grid = rep.leading_root_bound
     assert (grid if grid is not None else 0) >= \
@@ -122,9 +124,8 @@ def test_mrr_system_shapes():
     sys3 = assemble(nid.delta_term, 3, k=nid.k, n=nid.n)
     assert sys3.matrix.rows < sys3.matrix.cols
     # per-variable bounds exist and the grid box sizes are bound+1
-    for v in m2.vars:
-        r = permanent_degree_bound(m2, v)
-        assert not r.structurally_zero and r.degree > 0
+    bounds = _support_bounds(m2)
+    assert all(bounds[1 << i] > 0 for i in range(len(m2.vars)))
 
 
 def test_permanent_bound_non_square_errors():
@@ -132,7 +133,7 @@ def test_permanent_bound_non_square_errors():
     n = MultiPoly.variable(vars, "n")
     m = PolyMatrix([[n, n]])
     with pytest.raises(ValueError):
-        permanent_degree_bound(m, "n")
+        _support_bounds(m)
 
 
 def test_mrr_statement_is_numerically_true():
@@ -179,7 +180,7 @@ def test_each_order_is_assembled_and_verified_once(monkeypatch, name, method,
     # identity goes on to order 1 without assembling order 0 again; the one
     # published certificate is verified once
     assembled, verified = [], []
-    for mod in (gridproof, telescope, gosper):
+    for mod in (gridproof, telescope):
         for attr, log in (("assemble", assembled),
                           ("verify_certificate", verified)):
             if hasattr(mod, attr):
