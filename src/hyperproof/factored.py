@@ -11,20 +11,23 @@ one candidate in closed form; any other pair takes the integer roots of
 Res_k(fq(k, s), fr(k+j, s)), univariate in j, at the first integer point s
 of the other variables where both leading coefficients in k are nonzero
 (Abramov 1971; Man and Wright, ISSAC 1994).  There every generic shift is
-a root, and the resultant has degree deg_k fq * deg_k fr in j, never zero.
-The roots, and those of a leading recurrence coefficient, come from one
-complete integer-root finder, integer_roots_univar: p-adic lifting modulo
-one prime, with every candidate checked exactly.
+a root, and the resultant has degree D = deg_k fq * deg_k fr in j, never
+zero: it is interpolated from D + 1 integer Sylvester determinants (Collins,
+J. ACM 18, 1971).  Its roots, and a leading recurrence coefficient's, come
+from one complete integer-root finder, integer_roots_univar: p-adic lifting
+modulo one prime, with every candidate checked exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd as _igcd
+from math import gcd as _igcd, prod
 
-from .linalg import _int_det
-from .polys import MultiPoly, _as_fraction, _norm_coef, _poly_list_gcd, poly_gcd
+from .linalg import _int_det, _interpolate_int, _taylor_shift
+from .polys import (
+    MultiPoly, _as_fraction, _cleared, _norm_coef, _poly_list_gcd, poly_gcd,
+)
 from .terms import LinearForm
 
 
@@ -354,44 +357,21 @@ def integer_roots_univar(coeffs) -> list:
     return sorted(roots)
 
 
-def integer_roots_in_var(p: MultiPoly, var) -> list:
-    """Integers v0 with p(var=v0) identically zero in the other variables,
-    ascending.  The candidates are the integer roots of one slice, the
-    coefficients in var of one monomial of p's leading coefficient: a root
-    of p is a root of every slice."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    coeffs = p.to_univar(var)
-    mono = min(coeffs[-1].terms)
-    slice_ = [c.terms.get(mono, 0) for c in coeffs]
-    return [v for v in integer_roots_univar(slice_)
-            if p.eval_partial({var: v}).is_zero()]
-
-
 # ---------------------------------------------------------------------------
 # dispersion and the Gosper normal form
 
 
-def _sylvester_resultant(f_coeffs, g_coeffs, vars):
-    """Resultant of two univariate polynomials with MultiPoly coefficients
+def _sylvester_resultant(f, g):
+    """Resultant of two univariate polynomials with integer coefficients
     (ascending lists): the determinant of the Sylvester matrix."""
-    m = len(f_coeffs) - 1
-    n = len(g_coeffs) - 1
+    m = len(f) - 1
+    n = len(g) - 1
     size = m + n
     if size == 0:
-        return MultiPoly.constant(vars, 1)
-    zero = MultiPoly.zero(vars)
-    rows = []
-    frow = list(reversed(f_coeffs))
-    grow = list(reversed(g_coeffs))
-    for i in range(n):
-        rows.append([zero] * i + frow + [zero] * (size - i - m - 1))
-    for i in range(m):
-        rows.append([zero] * i + grow + [zero] * (size - i - n - 1))
+        return 1
+    rows = [[0] * i + f[::-1] + [0] * (size - i - m - 1) for i in range(n)]
+    rows += [[0] * i + g[::-1] + [0] * (size - i - n - 1) for i in range(m)]
     return _int_det(rows)
-
-
-_JVAR = "_j"
 
 
 def _good_point(pq, pr, k):
@@ -410,14 +390,27 @@ def _good_point(pq, pr, k):
 
 
 def _resultant_in_j(pq, pr, k, point):
-    """Ascending coefficients in j of Res_k(pq(k, s), pr(k+j, s)) at the
-    point s of the variables other than k."""
-    jvars = (k, _JVAR)
-    gq = pq.eval_partial(point).restrict(jvars)
-    gr = pr.eval_partial(point).restrict(jvars).subst_linear(
-        k, MultiPoly.variable(jvars, k) + MultiPoly.variable(jvars, _JVAR))
-    h = _sylvester_resultant(gq.to_univar(k), gr.to_univar(k), jvars)
-    return [h.terms.get((0, d), 0) for d in range(h.degree(_JVAR) + 1)]
+    """Ascending coefficients in j of Res_k(pq(k, s), pr(k+j, s)) at a point
+    s of the variables other than k where both leading coefficients in k are
+    nonzero: of degree D = deg_k pq * deg_k pr, so interpolated from the
+    Sylvester determinants at j = 0..D of cq pq(k, s) and cr pr(k+j, s), cq
+    and cr from _cleared, then divided by their factor cq^deg pr cr^deg pq."""
+    lists = []
+    for p in (pq, pr):
+        den, terms = _cleared(p)
+        at = [1 if v == k else point[v] for v in p.vars]
+        i = p.vars.index(k)
+        coeffs = [0] * (p.degree(k) + 1)
+        for exp, c in terms:
+            coeffs[exp[i]] += c * prod(map(pow, at, exp))
+        lists.append((den, coeffs))
+    (cq, fq), (cr, fr) = lists
+    values = []
+    for _ in range((len(fq) - 1) * (len(fr) - 1) + 1):
+        values.append(_sylvester_resultant(fq, fr))
+        fr = _taylor_shift(fr)
+    scale = cq ** (len(fr) - 1) * cr ** (len(fq) - 1)
+    return [_norm_coef(c / scale) for c in _interpolate_int(values)]
 
 
 def _shift_candidates(fq, fr, k):
@@ -425,10 +418,10 @@ def _shift_candidates(fq, fr, k):
     nontrivial, for one factor from each side, both involving k.  fq, fr
     are (poly, is_affine, form).  Two affine factors give one j in closed
     form; any other pair the integer roots of _resultant_in_j at
-    _good_point.  There specializing commutes with the Sylvester
-    determinant, so every generic shift is a root, and the resultant is
-    +-lc(fq)^deg(fr) lc(fr)^deg(fq) prod(j + a_i - b_l), over the roots a_i
-    of fq and b_l of fr, of degree deg_k fq * deg_k fr in j: never zero."""
+    _good_point.  There specializing commutes with the resultant, so every
+    generic shift is a root, and it is +-lc(fq)^deg(fr) lc(fr)^deg(fq)
+    prod(j + a_i - b_l), over the roots a_i of fq and b_l of fr, of degree
+    deg_k fq * deg_k fr in j: never zero, and found by interpolation."""
     pq, aq, Lq = fq
     pr, ar, Lr = fr
     if aq and ar:

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
 
-from .factored import _primes_from, integer_roots_in_var
+from .factored import _primes_from, integer_roots_univar
 from .linalg import (
     PolyMatrix, _GridEvaluator, _constant_pivots, _grid_digits,
     _grid_values, _int_rank, _integer_cleared, _lower_set, _max_assignment,
@@ -375,9 +375,10 @@ class Inconclusive(GridProofError):
 
 
 def _positive_root_bound(p: MultiPoly, var):
-    """Largest positive integer root of p, a polynomial in var alone, or
+    """Largest positive integer root of p, a polynomial over (var,), or
     None.  ValueError for the zero polynomial."""
-    return max((r for r in integer_roots_in_var(p, var) if r > 0), default=None)
+    coeffs = [p.terms.get((d,), 0) for d in range(p.degree(var) + 1)]
+    return max((r for r in integer_roots_univar(coeffs) if r > 0), default=None)
 
 
 def _leading_root_bound(rec: Recurrence, n):

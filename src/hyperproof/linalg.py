@@ -4,16 +4,17 @@ evaluation grid, and the max-weight assignment (`_max_assignment`) that
 bounds the degrees of a determinant, or of every maximal minor.
 
 One fraction-free (Bareiss) elimination kernel, `_int_rank`, carries every
-exact elimination in the package, on integer and on `MultiPoly` matrices
-alike (`MultiPoly.__divmod__` divides exactly or raises): the grid rank
-of remainders too wide for the grid kernel's determinant, pivot rows,
-determinants (`_int_det`, also of the Sylvester matrices of
-factored's resultants, univariate in j), cofactor vectors and the symbolic
-nullspace.  One back-substitution, `_back_substitute`, solves the echelon
-rows it leaves for a kernel vector with checked exact divisions.  One
-evaluator, `_GridEvaluator`, computes a polynomial matrix at integer points
-for the determinant grid, for the univariate nullspace shortcut (one
-cofactor vector per node, `_cofactor_vector`), for `_univar_minors`, which
+exact elimination in the package: the grid rank of remainders too wide for
+the grid kernel's determinant, pivot rows, integer determinants (`_int_det`,
+also of the Sylvester matrices from which factored interpolates its
+resultants in j, with `_interpolate_int` after `_taylor_shift`), cofactor
+vectors, and the symbolic nullspace, its one use on `MultiPoly` matrices
+(`MultiPoly.__divmod__` divides exactly or raises).  One
+back-substitution, `_back_substitute`, solves the echelon rows it leaves
+for a kernel vector with checked exact divisions.  One evaluator,
+`_GridEvaluator`, computes a polynomial matrix at integer points for the
+determinant grid, for the univariate nullspace shortcut (one cofactor
+vector per node, `_cofactor_vector`), for `_univar_minors`, which
 interpolates one minor in one variable for the leading-coefficient check,
 and for certificate verification (telescope.verify_certificate).  The
 determinant grid and the verification share `_lower_set`, the points of a
@@ -542,6 +543,15 @@ def _interpolate_int(values) -> list:
         w *= mth
     s = factorial(n - 1)
     return [Fraction(c, s) for c in acc]
+
+
+def _taylor_shift(p):
+    """The ascending coefficients of p(k+1) from those of p(k)."""
+    p = list(p)
+    for i in range(len(p) - 1):
+        for j in range(len(p) - 2, i - 1, -1):
+            p[j] += p[j + 1]
+    return p
 
 
 def _pivot_rows(a) -> list:

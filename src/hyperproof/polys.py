@@ -364,26 +364,6 @@ class MultiPoly:
         out.terms.update({e: _norm_coef(c) for e, c in acc.items() if c != 0})
         return out
 
-    def subst_linear(self, var, poly: "MultiPoly"):
-        """Substitute var -> poly (poly may itself mention var, e.g. k -> k+j)."""
-        i = self.vars.index(var)
-        by_deg = {}
-        for exp, c in self.terms.items():
-            by_deg.setdefault(exp[i], []).append((exp[:i] + (0,) + exp[i + 1:], c))
-        if not by_deg:
-            return MultiPoly.zero(self.vars)
-        # Horner over descending degree in var, gap-aware
-        result = MultiPoly.zero(self.vars)
-        prev = None
-        for d in sorted(by_deg, reverse=True):
-            if prev is not None:
-                result = result * (poly ** (prev - d))
-            result = result + MultiPoly.from_terms(self.vars, by_deg[d])
-            prev = d
-        if prev:
-            result = result * (poly ** prev)
-        return result
-
     def restrict(self, vars):
         """Project onto a smaller variable tuple (dropped vars must not occur)."""
         vars = tuple(vars)

@@ -32,8 +32,8 @@ from .factored import (
     factored_quotient, from_ratio_parts, gosper_normal,
 )
 from .linalg import (
-    PolyMatrix, _GridEvaluator, _grid_values, _lower_set, _weighted_degree,
-    clear_and_primitive, solve_nullspace,
+    PolyMatrix, _GridEvaluator, _grid_values, _lower_set, _taylor_shift,
+    _weighted_degree, clear_and_primitive, solve_nullspace,
 )
 from .polys import (
     MultiPoly, RationalFunction, _as_fraction, clear_denominators,
@@ -386,12 +386,3 @@ def _dense_mul(p, q):
             for j, b in enumerate(q, i):
                 out[j] += a * b
     return out
-
-
-def _taylor_shift(p):
-    """The ascending coefficients of p(k+1) from those of p(k)."""
-    p = list(p)
-    for i in range(len(p) - 1):
-        for j in range(len(p) - 2, i - 1, -1):
-            p[j] += p[j + 1]
-    return p

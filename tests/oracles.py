@@ -2,10 +2,8 @@
 
 from math import gcd, isqrt
 
-from hyperproof.factored import (
-    _primes_from, _sylvester_resultant, integer_roots_in_var,
-)
-from hyperproof.linalg import PolyMatrix, clear_and_primitive
+from hyperproof.factored import _primes_from
+from hyperproof.linalg import PolyMatrix, _int_det, clear_and_primitive
 from hyperproof.polys import (
     MultiPoly, RationalFunction, _as_fraction, clear_denominators,
     common_denominator,
@@ -238,7 +236,6 @@ def shift_candidates_reference(fq, fr, k) -> list:
     assert not (aq and ar), "two affine factors have a closed form"
     jvars = pq.vars + ("_j",)
     jpoly = MultiPoly.variable(jvars, "_j")
-    kpoly = MultiPoly.variable(jvars, k)
     if aq != ar:
         # one affine, one opaque: substitute the affine root into the other
         if aq:
@@ -265,10 +262,67 @@ def shift_candidates_reference(fq, fr, k) -> list:
             if i < d:
                 argpow = argpow * arg
     else:
-        gq = pq.embed(jvars)
-        gr = pr.embed(jvars).subst_linear(k, kpoly + jpoly)
-        h = _sylvester_resultant(gq.to_univar(k), gr.to_univar(k), jvars)
+        h = resultant_reference(pq.embed(jvars), pr.embed(jvars), k, "_j")
     assert not h.is_zero(), "degenerate shift structure"
     if h.degree("_j") <= 0:
         return []
-    return [j for j in integer_roots_in_var(h, "_j") if j >= 0]
+    return [j for j in integer_roots_in_var_reference(h, "_j") if j >= 0]
+
+
+def shifted_by(p: MultiPoly, k, j) -> MultiPoly:
+    """p with k replaced by k + j, j another variable of p."""
+    i = p.vars.index(k)
+    kj = MultiPoly.variable(p.vars, k) + MultiPoly.variable(p.vars, j)
+    out = MultiPoly.zero(p.vars)
+    for exp, c in p.terms.items():
+        rest = MultiPoly.from_terms(p.vars, [(exp[:i] + (0,) + exp[i + 1:], c)])
+        out = out + rest * kj ** exp[i]
+    return out
+
+
+def sylvester_reference(f_coeffs, g_coeffs, vars) -> MultiPoly:
+    """Resultant of two univariate polynomials with MultiPoly coefficients
+    (ascending lists): Bareiss on their Sylvester matrix over vars."""
+    m = len(f_coeffs) - 1
+    n = len(g_coeffs) - 1
+    size = m + n
+    if size == 0:
+        return MultiPoly.constant(vars, 1)
+    zero = MultiPoly.zero(vars)
+    rows = [[zero] * i + f_coeffs[::-1] + [zero] * (size - i - m - 1)
+            for i in range(n)]
+    rows += [[zero] * i + g_coeffs[::-1] + [zero] * (size - i - n - 1)
+             for i in range(m)]
+    return _int_det(rows)
+
+
+def resultant_reference(q: MultiPoly, r: MultiPoly, k, j) -> MultiPoly:
+    """Res_k(q(k), r(k+j)) as a polynomial over q's variables, which hold
+    k and j: the Sylvester determinant of the symbolic shift."""
+    return sylvester_reference(q.to_univar(k), shifted_by(r, k, j).to_univar(k),
+                               q.vars)
+
+
+def resultant_in_j_reference(pq, pr, k, point) -> list:
+    """Ascending coefficients in j of Res_k(pq(k, s), pr(k+j, s)) at the
+    point s of the variables other than k, the way
+    factored._resultant_in_j once found them: one Sylvester determinant
+    over (k, _j)."""
+    jvars = (k, "_j")
+    h = resultant_reference(pq.eval_partial(point).restrict(jvars),
+                            pr.eval_partial(point).restrict(jvars), k, "_j")
+    return [h.terms.get((0, d), 0) for d in range(h.degree("_j") + 1)]
+
+
+def integer_roots_in_var_reference(p: MultiPoly, var) -> list:
+    """Integers v0 with p(var=v0) identically zero in the other variables,
+    ascending: the integer_roots_reference roots of one slice, the
+    coefficients in var of one monomial of p's leading coefficient (a root
+    of p is a root of every slice), each checked on all of p."""
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    coeffs = p.to_univar(var)
+    mono = min(coeffs[-1].terms)
+    slice_ = [c.terms.get(mono, 0) for c in coeffs]
+    return [v for v in integer_roots_reference(slice_)
+            if p.eval_partial({var: v}).is_zero()]

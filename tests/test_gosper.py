@@ -10,7 +10,7 @@ from hyperproof.cli import IdentityFile, load_identity, run_prove
 from hyperproof.factored import (
     Factored, _good_point, _k_factors, _normalize_affine, _resultant_in_j,
     _shift_candidates, _sylvester_resultant, dispersion_set, gosper_normal,
-    integer_roots_univar, integer_roots_in_var,
+    integer_roots_univar,
 )
 from hyperproof.gridproof import normalize_and_delta
 from hyperproof.linalg import PolyMatrix, solve_nullspace
@@ -18,7 +18,9 @@ from hyperproof.polys import MultiPoly, RationalFunction, poly_gcd
 from hyperproof.telescope import assemble, solve_order
 from hyperproof.terms import EvalError, eval_summand, evaluate, parse_term, shift_quotient
 from oracles import (
-    det_symbolic, integer_roots_reference, shift_candidates_reference,
+    det_symbolic, integer_roots_in_var_reference, integer_roots_reference,
+    poly_matrix, resultant_in_j_reference, resultant_reference,
+    shift_candidates_reference,
 )
 
 
@@ -44,14 +46,10 @@ def check_gosper_form(form, rat, k="k"):
     # nonnegative integer roots
     if q.degree(k) > 0 and r.degree(k) > 0:
         jvars = q.vars + ("_j",)
-        qj = q.embed(jvars)
-        kpoly = MultiPoly.variable(jvars, k)
-        jpoly = MultiPoly.variable(jvars, "_j")
-        rj = r.embed(jvars).subst_linear(k, kpoly + jpoly)
-        res = _sylvester_resultant(qj.to_univar(k), rj.to_univar(k), jvars)
+        res = resultant_reference(q.embed(jvars), r.embed(jvars), k, "_j")
         assert not res.is_zero()
         if not res.is_constant() and res.degree("_j") > 0:
-            roots = integer_roots_in_var(res, "_j")
+            roots = integer_roots_in_var_reference(res, "_j")
             assert all(j < 0 for j in roots)
     for j in range(0, 13):
         assert poly_gcd(q, r.shift(k, j)).is_constant()
@@ -64,14 +62,6 @@ def test_integer_roots_univar():
     assert integer_roots_univar([0, -2, 1]) == [0, 2]
     # no integer roots
     assert integer_roots_univar([1, 1, 1]) == []
-
-
-def test_integer_roots_in_var():
-    vars = ("j", "n")
-    j = MultiPoly.variable(vars, "j")
-    n = MultiPoly.variable(vars, "n")
-    p = (j - MultiPoly.constant(vars, 2)) * (j * n + n)  # roots j=2, j=-1
-    assert integer_roots_in_var(p, "j") == [-1, 2]
 
 
 def _dense_product(*factors):
@@ -94,14 +84,6 @@ TEN_ROOTS_AND_A_BIG_CONSTANT = _dense_product(
 def test_integer_roots_univar_ten_roots_and_a_big_constant():
     assert integer_roots_univar(TEN_ROOTS_AND_A_BIG_CONSTANT) == \
         list(range(1, 11))
-
-
-def test_integer_roots_in_var_ten_roots_and_a_big_constant():
-    vars = ("j", "n")
-    p = MultiPoly.from_univar("j", [MultiPoly.constant(vars, c)
-                                    for c in TEN_ROOTS_AND_A_BIG_CONSTANT])
-    p = p * (MultiPoly.variable(vars, "n") + MultiPoly.constant(vars, 1))
-    assert integer_roots_in_var(p, "j") == list(range(1, 11))
 
 
 def test_integer_roots_match_the_reference():
@@ -337,36 +319,32 @@ def test_gosper_finds_planted_antidifference(case):
 
 @st.composite
 def coefficient_lists(draw):
-    """Two ascending coefficient lists with MultiPoly coefficients over one
-    or two variables; formal degrees m + n <= 4, leading terms may vanish."""
-    vars = ("a", "b")[:draw(st.integers(1, 2))]
-    exps = st.tuples(*[st.integers(0, 2)] * len(vars))
-    coef = st.lists(st.tuples(exps, st.integers(-3, 3)), max_size=2).map(
-        lambda terms: MultiPoly.from_terms(vars, terms))
-    m = draw(st.integers(0, 4))
-    n = draw(st.integers(0, 4 - m))
+    """Two ascending integer coefficient lists; formal degrees m + n <= 5,
+    leading terms may vanish."""
+    m = draw(st.integers(0, 5))
+    n = draw(st.integers(0, 5 - m))
+    coef = st.one_of(st.integers(-3, 3), st.integers(-2 ** 40, 2 ** 40))
     return (draw(st.lists(coef, min_size=m + 1, max_size=m + 1)),
-            draw(st.lists(coef, min_size=n + 1, max_size=n + 1)), vars)
+            draw(st.lists(coef, min_size=n + 1, max_size=n + 1)))
 
 
 @settings(deadline=None, max_examples=150)
 @given(coefficient_lists())
-def test_sylvester_resultant_matches_cofactor_expansion(fgv):
-    f, g, vars = fgv
+def test_sylvester_resultant_matches_cofactor_expansion(fg):
+    f, g = fg
     m, n = len(f) - 1, len(g) - 1
     size = m + n
-    res = _sylvester_resultant(f, g, vars)
+    res = _sylvester_resultant(f, g)
     if size == 0:
-        assert res == MultiPoly.constant(vars, 1)
+        assert res == 1
         return
-    zero = MultiPoly.zero(vars)
     # row i < n holds f's coefficients, highest first, from column i; row
     # n + i holds g's from column i
-    rows = [[f[m - (j - i)] if 0 <= j - i <= m else zero for j in range(size)]
+    rows = [[f[m - (j - i)] if 0 <= j - i <= m else 0 for j in range(size)]
             for i in range(n)]
-    rows += [[g[n - (j - i)] if 0 <= j - i <= n else zero for j in range(size)]
+    rows += [[g[n - (j - i)] if 0 <= j - i <= n else 0 for j in range(size)]
              for i in range(m)]
-    assert res == det_symbolic(PolyMatrix(rows))
+    assert res == det_symbolic(poly_matrix(("a",), rows)).as_constant()
 
 
 # -- the Gosper normal form against the all-pairs loop ------------------------
@@ -515,11 +493,10 @@ def _reference_candidates(fq, fr, k):
     return shift_candidates_reference(fq, fr, k)
 
 
-@pytest.mark.parametrize("ident", PROVED, ids=lambda i: i.name)
-def test_point_candidates_contain_the_generic_ones(ident, monkeypatch):
-    # every gosper_normal call of the proof: each pair with an opaque factor
-    # keeps every generic candidate, and the normal form is the one the
-    # generic candidates give
+def proof_opaque_pairs(ident, monkeypatch):
+    """(num, den, k, opaque pairs) of every gosper_normal call of ident's
+    proof, with each pair of k-factors of which one at least is opaque as
+    ((poly, is_affine, form), (poly, is_affine, form))."""
     seen = []
 
     def record(num, den, k):
@@ -529,17 +506,37 @@ def test_point_candidates_contain_the_generic_ones(ident, monkeypatch):
     monkeypatch.setattr(telescope, "gosper_normal", record)
     run_prove(ident, Fraction(1, 10), 0, 6, 1)
     monkeypatch.undo()
-    for num, den, k in seen:
-        for _, pq, Lq in _k_factors(num, k):
-            for _, pr, Lr in _k_factors(den, k):
-                if Lq is None or Lr is None:
-                    fq, fr = (pq, Lq is not None, Lq), (pr, Lr is not None, Lr)
-                    assert set(shift_candidates_reference(fq, fr, k)) <= \
-                        set(_shift_candidates(fq, fr, k))
+    return [(num, den, k, [((pq, Lq is not None, Lq), (pr, Lr is not None, Lr))
+                           for _, pq, Lq in _k_factors(num, k)
+                           for _, pr, Lr in _k_factors(den, k)
+                           if Lq is None or Lr is None])
+            for num, den, k in seen]
+
+
+@pytest.mark.parametrize("ident", PROVED, ids=lambda i: i.name)
+def test_point_candidates_contain_the_generic_ones(ident, monkeypatch):
+    # every gosper_normal call of the proof: each pair with an opaque factor
+    # keeps every generic candidate, and the normal form is the one the
+    # generic candidates give
+    for num, den, k, pairs in proof_opaque_pairs(ident, monkeypatch):
+        for fq, fr in pairs:
+            assert set(shift_candidates_reference(fq, fr, k)) <= \
+                set(_shift_candidates(fq, fr, k))
         form = [str(f) for f in gosper_normal(num, den, k)]
         monkeypatch.setattr(factored, "_shift_candidates", _reference_candidates)
         assert [str(f) for f in gosper_normal(num, den, k)] == form
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.txt")),
+                         ids=lambda p: p.stem)
+def test_resultant_matches_the_reference_on_the_corpus(path, monkeypatch):
+    # every pair with an opaque factor that the proof meets, at its good point
+    for _, _, k, pairs in proof_opaque_pairs(load_identity(path), monkeypatch):
+        for (pq, _, _), (pr, _, _) in pairs:
+            point = _good_point(pq, pr, k)
+            assert _resultant_in_j(pq, pr, k, point) == \
+                resultant_in_j_reference(pq, pr, k, point)
 
 
 def test_point_walk_passes_a_vanishing_leading_coefficient():
@@ -562,12 +559,14 @@ def test_point_walk_passes_a_vanishing_leading_coefficient():
 
 @st.composite
 def pairs_at_a_point(draw):
-    """Two polynomials of positive degree in k over (k, a, b) and an integer
-    point of (a, b) at which both leading coefficients in k are nonzero."""
+    """Two polynomials of positive degree in k over (k, a, b), with integer
+    or rational coefficients, and an integer point of (a, b) at which both
+    leading coefficients in k are nonzero."""
     vars = ("k", "a", "b")
     exps = st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2))
-    terms = st.lists(st.tuples(exps, st.integers(-3, 3)), min_size=1,
-                     max_size=5)
+    coef = st.one_of(st.integers(-3, 3),
+                     st.builds(Fraction, st.integers(-3, 3), st.integers(1, 6)))
+    terms = st.lists(st.tuples(exps, coef), min_size=1, max_size=5)
     fq, fr = (MultiPoly.from_terms(vars, draw(terms)) for _ in range(2))
     assume(fq.degree("k") > 0 and fr.degree("k") > 0)
     point = {"a": draw(st.integers(-4, 4)), "b": draw(st.integers(-4, 4))}
@@ -586,6 +585,7 @@ def test_resultant_at_a_good_point_has_full_degree_in_j(case):
     lq = fq.to_univar("k")[-1].eval({**point, "k": 0})
     lr = fr.to_univar("k")[-1].eval({**point, "k": 0})
     assert abs(coeffs[-1]) == abs(lq ** n * lr ** m)
+    assert coeffs == resultant_in_j_reference(fq, fr, "k", point)
 
 
 def _reference_gosper(f, k):

@@ -166,15 +166,6 @@ def test_rational_function_shift_eval():
     assert r2.eval({"k": 0}) == Fraction(1, 2)
 
 
-def test_subst_linear():
-    vars = ("k", "j")
-    k = MultiPoly.variable(vars, "k")
-    j = MultiPoly.variable(vars, "j")
-    p = k * k + k
-    q = p.subst_linear("k", k + j)  # (k+j)^2 + (k+j)
-    assert q.eval({"k": 2, "j": 3}) == 30
-
-
 # -- property tests of the integer kernels against the schoolbook versions ---
 
 
