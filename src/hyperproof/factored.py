@@ -20,13 +20,13 @@ modulo one prime, with every candidate checked exactly.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
-from math import gcd as _igcd, prod
+from math import gcd as _igcd, lcm, prod
 
 from .linalg import _int_det, _interpolate_int, _taylor_shift
 from .polys import (
-    MultiPoly, _as_fraction, _cleared, _norm_coef, _poly_list_gcd, poly_gcd,
+    MultiPoly, _cleared, _norm_coef, _parts, _poly_list_gcd, _ratio,
+    poly_gcd,
 )
 from .terms import LinearForm
 
@@ -35,26 +35,19 @@ def _normalize_affine(L: LinearForm, order):
     """Scale an affine form to coprime integer coefficients, sign-canonical
     w.r.t. the given symbol order.  Returns (scale, normal form) with
     L = scale * normal."""
-    entries = [(s, _as_fraction(c)) for s, c in L.coeffs.items()]
-    entries.append((None, _as_fraction(L.const)))
-    num = 0
-    den = 1
-    for _, c in entries:
-        num = _igcd(num, abs(c.numerator))
-        den = den * c.denominator // _igcd(den, c.denominator)
+    parts = [_parts(c) for c in L.coeffs.values()]
+    cn, cd = _parts(L.const)
+    num = _igcd(cn, *(n for n, _ in parts))
+    den = lcm(cd, *(d for _, d in parts))
     if num == 0:
         raise ValueError("zero affine form")
-    scale = Fraction(num, den)
-    lead = None
-    for s in order:
-        if s in L.coeffs:
-            lead = L.coeffs[s]
-            break
-    if lead is None:
-        lead = L.const
+    lead = next((L.coeffs[s] for s in order if s in L.coeffs), L.const)
     if lead < 0:
-        scale = -scale
-    return scale, L.scale(1 / scale)
+        num = -num
+    # each coefficient n/d times den/num: d divides den and num divides n
+    return _ratio(num, den), LinearForm(
+        {s: n // num * (den // d) for s, (n, d) in zip(L.coeffs, parts)},
+        cn // num * (den // cd))
 
 
 class Factored:
@@ -64,7 +57,7 @@ class Factored:
 
     def __init__(self, vars, const=1, aff=None, opq=None):
         self.vars = tuple(vars)
-        self.const = const
+        self.const = _norm_coef(const)
         self.aff = aff or {}   # key -> [LinearForm, exp]
         self.opq = opq or {}   # key -> [MultiPoly, exp]
 
@@ -82,8 +75,14 @@ class Factored:
 
     # -- building ----------------------------------------------------------
 
-    def mul_const(self, c):
-        self.const = _norm_coef(_as_fraction(self.const) * _as_fraction(c))
+    def mul_const(self, c, e: int = 1):
+        """Multiply the constant by c^e, c a nonzero int or Fraction, or 0
+        with e >= 0."""
+        num, den = _parts(c)
+        if e < 0:
+            num, den, e = den, num, -e
+        n, d = _parts(self.const)
+        self.const = _ratio(n * num ** e, d * den ** e)
         return self
 
     def mul_affine(self, L: LinearForm, e: int):
@@ -95,9 +94,9 @@ class Factored:
                     self.const = 0
                     return self
                 raise ZeroDivisionError("division by zero factor")
-            return self.mul_const(_as_fraction(L.const) ** e)
+            return self.mul_const(L.const, e)
         scale, normal = _normalize_affine(L, self.vars)
-        self.mul_const(_as_fraction(scale) ** e)
+        self.mul_const(scale, e)
         key = normal.sort_key()
         if key in self.aff:
             self.aff[key][1] += e
@@ -116,11 +115,11 @@ class Factored:
                 return self
             raise ZeroDivisionError("division by zero factor")
         if p.is_constant():
-            return self.mul_const(_as_fraction(p.as_constant()) ** e)
+            return self.mul_const(p.as_constant(), e)
         if p.total_degree() == 1:
             return self.mul_affine(LinearForm.from_poly(p), e)
         scale, prim = p.primitive()
-        self.mul_const(_as_fraction(scale) ** e)
+        self.mul_const(scale, e)
         key = prim.key()
         if key in self.opq:
             self.opq[key][1] += e
@@ -262,7 +261,7 @@ def factored_free_of(a: Factored, var) -> Factored:
 def factored_quotient(a: Factored, b: Factored) -> Factored:
     """a / b where every factor of b occurs in a with at least its exponent."""
     out = a.copy()
-    out.mul_const(Fraction(1, 1) / _as_fraction(b.const))
+    out.mul_const(b.const, -1)
     for key, (f, e) in b.aff.items():
         cur = out.aff.get(key)
         if cur is None or cur[1] < e:
@@ -425,18 +424,17 @@ def _shift_candidates(fq, fr, k):
     pq, aq, Lq = fq
     pr, ar, Lr = fr
     if aq and ar:
-        alpha1 = _as_fraction(Lq.var_coeff(k))
-        alpha2 = _as_fraction(Lr.var_coeff(k))
-        lam = alpha2 / alpha1
-        c1 = {s: c for s, c in Lq.coeffs.items() if s != k}
-        c2 = {s: c for s, c in Lr.coeffs.items() if s != k}
-        if {s: _as_fraction(c) * lam for s, c in c1.items()} != \
-                {s: _as_fraction(c) for s, c in c2.items()}:
+        # fr(k + j) is a multiple of fq(k) iff the parts free of k are
+        # proportional, by alpha2/alpha1, and j is the difference of roots
+        alpha1 = Lq.var_coeff(k)
+        alpha2 = Lr.var_coeff(k)
+        if {s: c * alpha2 for s, c in Lq.coeffs.items() if s != k} != \
+                {s: c * alpha1 for s, c in Lr.coeffs.items() if s != k}:
             return []
-        j = _as_fraction(Lq.const) / alpha1 - _as_fraction(Lr.const) / alpha2
-        if j.denominator == 1 and j >= 0:
-            return [int(j)]
-        return []
+        n, d = _parts(Lq.const * alpha2 - Lr.const * alpha1)
+        m, e = _parts(alpha1 * alpha2)
+        j = _ratio(n * e, d * m)
+        return [j] if type(j) is int and j >= 0 else []
     coeffs = _resultant_in_j(pq, pr, k, _good_point(pq, pr, k))
     return [j for j in integer_roots_univar(coeffs) if j >= 0]
 

@@ -353,7 +353,7 @@ class _GridEvaluator:
         for i, row in enumerate(matrix.entries):
             for j, entry in enumerate(row):
                 for exp, c in entry.terms.items():
-                    assert not isinstance(c, Fraction), \
+                    assert type(c) is not Fraction, \
                         "grid entries must be integer-cleared"
                     key = (i,) + exp
                     packed[key] = packed.get(key, 0) + (c << lane * j)

@@ -1,17 +1,26 @@
 """Sparse multivariate polynomials and rational functions over exact rationals.
 
-Coefficients are arbitrary-precision rationals (`fractions.Fraction`), stored
-as plain ints whenever the denominator is 1.  No floating point anywhere.
-The monomial order is graded lexicographic over a fixed variable tuple.
+Coefficients are arbitrary-precision rationals.  A stored coefficient is
+never zero, and it is a plain int unless it is a non-integral rational, which
+alone is a `fractions.Fraction`.  The kernels keep that invariant without
+building Fractions on the way: they split a coefficient into its integer
+numerator and denominator (`_parts`), work on ints, and build a Fraction only
+where a denominator survives (`_ratio`).  They test a coefficient's class
+with `type(c) is Fraction`, never with an `isinstance` check: Fraction is
+registered with the numbers ABCs, so that check goes through
+`ABCMeta.__instancecheck__` and costs about ten times the exact type test.
+No floating point anywhere.  The monomial order is graded lexicographic over
+a fixed variable tuple.
 
 Products run over the integers: each operand is scaled by the lcm of its
 coefficient denominators (`common_denominator`), and the one common
 denominator is divided out when the product is stored.  Products and exact
-divisions pack each exponent tuple into a single mixed-radix int, so that
-adding packed keys adds exponents (the division's packing also orders keys
-graded-lexicographically, and its remainder is updated in place).  Packed keys
-never leave a kernel: stored terms stay keyed by exponent tuples, with ints
-preferred.
+divisions pack each exponent tuple into a single int, so that adding packed
+keys adds exponents.  The division's packing also orders keys
+graded-lexicographically and keeps a spare top bit in every exponent field,
+so one subtraction tests monomial divisibility; its remainder is updated in
+place.  Packed keys never leave a kernel: stored terms stay keyed by exponent
+tuples.
 
 Gcds run GCDHEU first (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989):
 each variable in turn is set to a large integer xi, down to one big-integer
@@ -32,13 +41,26 @@ from operator import mul
 
 def _norm_coef(c):
     """Prefer plain ints over integral Fractions (much faster arithmetic)."""
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is Fraction and c.denominator == 1:
         return c.numerator
     return c
 
 
 def _as_fraction(c) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
+    return c if type(c) is Fraction else Fraction(c)
+
+
+def _parts(c):
+    """(numerator, denominator) of an int or a Fraction, building nothing."""
+    if type(c) is Fraction:
+        return c.numerator, c.denominator
+    return c, 1
+
+
+def _ratio(num: int, den: int):
+    """num/den as a coefficient: an int when den divides num, else a Fraction."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def common_denominator(polys) -> int:
@@ -46,7 +68,7 @@ def common_denominator(polys) -> int:
     den = 1
     for p in polys:
         for c in p.terms.values():
-            if isinstance(c, Fraction) and den % c.denominator:
+            if type(c) is Fraction and den % c.denominator:
                 den = lcm(den, c.denominator)
     return den
 
@@ -66,7 +88,7 @@ def _cleared(p):
     """(den, [(exp, int)]): the common denominator of p and den * p's terms."""
     den = common_denominator((p,))
     return den, [(e, c.numerator * (den // c.denominator)
-                  if isinstance(c, Fraction) else c * den)
+                  if type(c) is Fraction else c * den)
                  for e, c in p.terms.items()]
 
 
@@ -81,7 +103,9 @@ def _unpack(key, radices):
 
 
 def _rational_quotient(r, c):
-    return _norm_coef(Fraction(r, c))
+    n, d = _parts(r)
+    m, e = _parts(c)
+    return _ratio(n * e, d * m)
 
 
 def _integer_quotient(r, c):
@@ -93,16 +117,18 @@ def _divide(a: dict, b: dict, quotient):
     """Terms of a / b for term dicts b nonconstant and a over the same
     variables, or None when b does not divide a.  quotient(r, c) divides a
     remainder coefficient by b's leading one, None if it cannot."""
-    # graded-lex order as one int: key(e) = sum(e)*R^n + digits e_0..e_{n-1}
-    # most significant first; every exponent met stays below R
+    # graded-lex order as one int: the total degree above n fields of w bits,
+    # e_0 most significant.  Every exponent met stays below 2^(w-1), so the
+    # top bit of each field is a guard: (k | guard) - dkey borrows into no
+    # other field, and keeps every guard bit iff k's monomial is divisible
     n = len(next(iter(b)))
-    radix = max(sum(e) for e in (*a, *b)) + 1
-    top = radix ** n
-    weights = [top + radix ** (n - 1 - i) for i in range(n)]
+    w = max(sum(e) for e in (*a, *b)).bit_length() + 1
+    shifts = [w * (n - 1 - i) for i in range(n)]
+    weights = [(1 << w * n) + (1 << s) for s in shifts]
+    guard = sum(1 << s + w - 1 for s in shifts)
     divisor = {sum(map(mul, e, weights)): c for e, c in b.items()}
     dkey = max(divisor)
     dcoef = divisor.pop(dkey)
-    dlead = _unpack(dkey % top, [radix] * n)[::-1]
     rem = {sum(map(mul, e, weights)): c for e, c in a.items()}
     heap = [-k for k in rem]
     heapq.heapify(heap)
@@ -112,13 +138,13 @@ def _divide(a: dict, b: dict, quotient):
         r = rem.pop(k, None)
         if r is None:
             continue  # stale heap entry of a cancelled term
-        rlead = _unpack(k % top, [radix] * n)[::-1]
-        qexp = tuple(x - y for x, y in zip(rlead, dlead))
-        q = quotient(r, dcoef)
-        if q is None or any(e < 0 for e in qexp):
+        if ((k | guard) - dkey) & guard != guard:
             return None
-        out[qexp] = q
+        q = quotient(r, dcoef)
+        if q is None:
+            return None
         qk = k - dkey
+        out[qk] = q
         for ek, c in divisor.items():
             kk = qk + ek
             old = rem.get(kk)
@@ -131,7 +157,8 @@ def _divide(a: dict, b: dict, quotient):
                     rem[kk] = _norm_coef(s)
                 else:
                     del rem[kk]
-    return out
+    mask = (1 << w) - 1
+    return {tuple(k >> s & mask for s in shifts): q for k, q in out.items()}
 
 
 class MultiPoly:
@@ -208,7 +235,7 @@ class MultiPoly:
 
     def key(self):
         """Hashable canonical form (for use as a dict key)."""
-        return (self.vars, tuple(sorted((e, _as_fraction(c)) for e, c in self.terms.items())))
+        return (self.vars, tuple(sorted(self.terms.items())))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -262,7 +289,7 @@ class MultiPoly:
         den = den_a * den_b
         if den == 1:
             return MultiPoly(self.vars, {_unpack(k, radices): c for k, c in acc.items()})
-        return MultiPoly(self.vars, {_unpack(k, radices): _norm_coef(Fraction(c, den))
+        return MultiPoly(self.vars, {_unpack(k, radices): _ratio(c, den)
                                      for k, c in acc.items()})
 
     def scale(self, c):
@@ -321,7 +348,7 @@ class MultiPoly:
                 if e:
                     t *= v ** e
             total += t
-        return _norm_coef(_as_fraction(total)) if total else 0
+        return _norm_coef(total) if total else 0
 
     def eval_partial(self, point: dict):
         """Substitute a subset of the variables; result keeps the full tuple."""
@@ -396,33 +423,51 @@ class MultiPoly:
 
     # -- content, division, univariate views --------------------------------
 
-    def content(self) -> Fraction:
-        """Positive rational content (gcd of coefficients); 0 for zero poly."""
-        if not self.terms:
-            return Fraction(0)
+    def _content_parts(self):
+        """(gcd of the numerators, lcm of the denominators), both positive,
+        of a nonzero polynomial."""
         num = 0
         den = 1
         for c in self.terms.values():
-            f = _as_fraction(c)
-            num = _igcd(num, abs(f.numerator))
-            den = den * f.denominator // _igcd(den, f.denominator)
-        return Fraction(num, den)
+            n, d = _parts(c)
+            num = _igcd(num, n)
+            if den % d:
+                den = lcm(den, d)
+        return num, den
+
+    def content(self):
+        """Positive rational content (gcd of coefficients); 0 for zero poly."""
+        if not self.terms:
+            return 0
+        return _ratio(*self._content_parts())
 
     def primitive(self):
         """Return (scale, prim) with self = scale*prim, prim integer-primitive
         with positive graded-lex leading coefficient."""
         if not self.terms:
-            return Fraction(1), self
-        c = self.content()
+            return 1, self
+        num, den = self._content_parts()
         if self.leading_coeff() < 0:
-            c = -c
-        return c, self.scale(1 / c)
+            num = -num
+        scale = _ratio(num, den)
+        return scale, self._over(scale)
 
     def monic(self):
         """Divide by the graded-lex leading coefficient."""
         if not self.terms:
             return self
-        return self.scale(Fraction(1, 1) / _as_fraction(self.leading_coeff()))
+        return self._over(self.leading_coeff())
+
+    def _over(self, c) -> "MultiPoly":
+        """self / c for a nonzero int or Fraction c = num/den: each
+        coefficient n/d becomes the integer quotient n*den / (d*num), or a
+        Fraction where a denominator is left."""
+        num, den = _parts(c)
+        terms = {}
+        for e, v in self.terms.items():
+            n, d = _parts(v)
+            terms[e] = _ratio(n * den, d * num)
+        return MultiPoly(self.vars, terms)
 
     def divexact(self, other: "MultiPoly") -> "MultiPoly":
         """Exact division; raises ValueError if the division has a remainder."""
@@ -430,7 +475,7 @@ class MultiPoly:
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if other.is_constant():
-            return self.scale(Fraction(1, 1) / _as_fraction(other.as_constant()))
+            return self._over(other.as_constant())
         out = _divide(self.terms, other.terms, _rational_quotient)
         if out is None:
             raise ValueError("inexact polynomial division")
@@ -686,7 +731,7 @@ def _univariate_gcd(p: MultiPoly, q: MultiPoly, i: int) -> MultiPoly:
     while b:
         a, b = b, _primitive_ints(_dense_prem(a, b))
     zero = (0,) * len(p.vars)
-    return MultiPoly(p.vars, {zero[:i] + (d,) + zero[i + 1:]: _norm_coef(Fraction(c, a[-1]))
+    return MultiPoly(p.vars, {zero[:i] + (d,) + zero[i + 1:]: _ratio(c, a[-1])
                               for d, c in enumerate(a) if c})
 
 
@@ -753,10 +798,10 @@ class RationalFunction:
                 num = num.divexact(g)
                 den = den.divexact(g)
         if not den.is_constant() or den.as_constant() != 1:
-            lc = _as_fraction(den.leading_coeff())
+            lc = den.leading_coeff()
             if lc != 1:
-                num = num.scale(1 / lc)
-                den = den.scale(1 / lc)
+                num = num._over(lc)
+                den = den._over(lc)
         self.num = num
         self.den = den
 
@@ -833,7 +878,7 @@ class RationalFunction:
         d = self.den.eval(point)
         if d == 0:
             raise ZeroDivisionError("denominator vanishes at the point")
-        return _norm_coef(_as_fraction(self.num.eval(point)) / _as_fraction(d))
+        return _rational_quotient(self.num.eval(point), d)
 
     def eval_partial(self, point: dict):
         d = self.den.eval_partial(point)

@@ -14,7 +14,9 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .polys import MultiPoly, RationalFunction, _as_fraction, _norm_coef
+from .polys import (
+    MultiPoly, RationalFunction, _as_fraction, _norm_coef, _parts, _ratio,
+)
 
 
 class TermError(ValueError):
@@ -130,8 +132,9 @@ class LinearForm:
         return MultiPoly.from_terms(vars, items)
 
     def sort_key(self):
-        return (tuple(sorted((s, _as_fraction(c)) for s, c in self.coeffs.items())),
-                _as_fraction(self.const))
+        # coefficients are stored normalized, and an int and the equal
+        # Fraction compare and hash alike
+        return tuple(sorted(self.coeffs.items())), self.const
 
     def __eq__(self, other):
         if not isinstance(other, LinearForm):
@@ -336,7 +339,7 @@ def shift_quotient(f: TermExpression, var) -> RationalFunction:
 
 
 def _int_value(x, what):
-    if isinstance(x, Fraction):
+    if type(x) is Fraction:
         if x.denominator != 1:
             raise EvalError(f"{what} is not an integer: {x}")
         return x.numerator
@@ -349,6 +352,15 @@ def _factorial(n):
     return math.factorial(n)
 
 
+def _product(p: int, d: int, count: int) -> int:
+    """prod_{t < count} (p + t*d) for ints p and d != 0; 0, with nothing
+    multiplied, when one factor is 0."""
+    t, r = divmod(-p, d)
+    if not r and 0 <= t < count:
+        return 0
+    return math.prod(range(p, p + count * d, d))
+
+
 def evaluate(f: TermExpression, point: dict,
              zero_conventions: bool = False) -> RationalFunction:
     """Exact value of f with some symbols assigned; symbolic in the rest.
@@ -359,6 +371,10 @@ def evaluate(f: TermExpression, point: dict,
     the same symbolic part and integer-spaced constants), in which case the
     pair contributes a finite rising-factorial product.
 
+    A rising or falling product with a constant base p/q is the integer
+    product of the p + t*q or p - t*q over q^count; the constant factor is
+    kept as an integer numerator and denominator until the end.
+
     With zero_conventions, a negative binomial lower index or a reciprocal
     factorial of a negative integer makes the term zero (raises _ZeroTerm for
     eval_summand to catch) instead of erroring.
@@ -367,7 +383,7 @@ def evaluate(f: TermExpression, point: dict,
     one = MultiPoly.constant(remaining, 1)
     num = one
     den = one
-    value = Fraction(1)
+    top, bottom = 1, 1  # the constant factor top/bottom
     gammas = []  # (group key, symbolic part, constant, exponent)
 
     def mul(p: MultiPoly, e: int):
@@ -379,22 +395,31 @@ def evaluate(f: TermExpression, point: dict,
             for _ in range(-e):
                 den = den * p
 
-    def mul_val(v, e: int):
-        nonlocal value
-        if v == 0 and e < 0:
+    def mul_val(a: int, b: int, e: int):
+        # the constant factor times (a/b)^e, b nonzero
+        nonlocal top, bottom
+        if a == 0 and e < 0:
             raise EvalError("division by a zero factor")
-        value *= _as_fraction(v) ** e
+        if e < 0:
+            a, b, e = b, a, -e
+        top *= a ** e
+        bottom *= b ** e
+
+    def product(base: LinearForm, count: int, step: int, e: int):
+        # (base)(base + step)...(base + (count-1)*step), to the power e
+        if base.is_constant():
+            p, q = _parts(base.const)
+            value = _product(p, step * q, count)
+            mul_val(value, q ** count if value else 1, e)
+        else:
+            for t in range(count):
+                mul(base.add_const(step * t).to_poly(remaining), e)
 
     def rising_product(base: LinearForm, count: int, e: int):
         # (base)_count with count a nonnegative integer
         if count < 0:
             raise EvalError(f"negative rising-factorial count {count}")
-        for t in range(count):
-            a = base.add_const(t)
-            if a.is_constant():
-                mul_val(a.const, e)
-            else:
-                mul(a.to_poly(remaining), e)
+        product(base, count, 1, e)
 
     def push_factorial(arg: LinearForm, e: int):
         if arg.is_constant():
@@ -403,14 +428,13 @@ def evaluate(f: TermExpression, point: dict,
                 if e < 0 and zero_conventions:
                     raise _ZeroTerm  # 1/(negative)! = 0
                 raise EvalError(f"factorial of negative integer {n}")
-            mul_val(_factorial(n), e)
+            mul_val(_factorial(n), 1, e)
         else:
-            sym = LinearForm(arg.coeffs, 0)
-            c = _as_fraction(arg.const)
-            frac = c - (c.numerator // c.denominator)  # floor residue mod 1
-            key = (tuple(sorted((s, _as_fraction(v)) for s, v in sym.coeffs.items())),
-                   frac)
-            gammas.append((key, sym, c, e))
+            c = arg.const
+            n, d = _parts(c)
+            # grouped by the symbolic part and the residue of c mod 1
+            key = (tuple(sorted(arg.coeffs.items())), _ratio(n % d, d))
+            gammas.append((key, LinearForm(arg.coeffs, 0), c, e))
 
     for a, e in f.factorials:
         push_factorial(a.substitute(point), e)
@@ -425,13 +449,9 @@ def evaluate(f: TermExpression, point: dict,
                     raise _ZeroTerm  # binomial(., negative) = 0
                 raise EvalError(f"negative binomial lower index {m}")
             # binomial(x, m) = x(x-1)...(x-m+1)/m!
-            for t in range(m):
-                a = uv.add_const(-t)
-                if a.is_constant():
-                    mul_val(a.const, e)
-                else:
-                    mul(a.to_poly(remaining), e)
-            mul_val(_factorial(m), -e)
+            product(uv, m, -1, e)
+            if top:  # m! is not zero: a zero value stays zero
+                mul_val(_factorial(m), 1, -e)
         else:
             # symbolic lower index: fall back to factorial quotients
             push_factorial(uv, e)
@@ -452,7 +472,7 @@ def evaluate(f: TermExpression, point: dict,
         if not ev.is_constant():
             raise EvalError(f"power exponent {ev} not fully assigned")
         m = _int_value(ev.const, "power exponent")
-        mul_val(base, m)
+        mul_val(*_parts(base), m)
 
     # cancel symbolic factorial groups pairwise
     groups = {}
@@ -477,7 +497,7 @@ def evaluate(f: TermExpression, point: dict,
         rf = f.rational.eval_partial(point).restrict(remaining)
     except ZeroDivisionError as exc:
         raise EvalError(str(exc)) from exc
-    return RationalFunction(num.scale(value), den) * rf
+    return RationalFunction(num.scale(_ratio(top, bottom)), den) * rf
 
 
 def eval_summand(f: TermExpression, point: dict) -> RationalFunction:

@@ -1,6 +1,7 @@
 """Reference implementations the tests compare the program against."""
 
-from math import gcd, isqrt
+from fractions import Fraction
+from math import factorial, gcd, isqrt
 
 from hyperproof.factored import _primes_from
 from hyperproof.linalg import PolyMatrix, _int_det, clear_and_primitive
@@ -8,7 +9,7 @@ from hyperproof.polys import (
     MultiPoly, RationalFunction, _as_fraction, clear_denominators,
     common_denominator,
 )
-from hyperproof.terms import LinearForm
+from hyperproof.terms import EvalError, LinearForm, _ZeroTerm
 
 
 def poly_matrix(vars, rows) -> PolyMatrix:
@@ -326,3 +327,49 @@ def integer_roots_in_var_reference(p: MultiPoly, var) -> list:
     slice_ = [c.terms.get(mono, 0) for c in coeffs]
     return [v for v in integer_roots_reference(slice_)
             if p.eval_partial({var: v}).is_zero()]
+
+
+def poly_key_reference(p: MultiPoly):
+    """MultiPoly.key as it was built with every coefficient boxed as a
+    Fraction."""
+    return (p.vars, tuple(sorted((e, Fraction(c)) for e, c in p.terms.items())))
+
+
+def sort_key_reference(L: LinearForm):
+    """LinearForm.sort_key as it was built with every coefficient boxed as a
+    Fraction."""
+    return (tuple(sorted((s, Fraction(c)) for s, c in L.coeffs.items())),
+            Fraction(L.const))
+
+
+def constant_products_reference(f, point, zero_conventions=False) -> Fraction:
+    """The value of a term whose factors are binomials and rising factorials,
+    at a point that assigns every symbol, the way terms.evaluate once found
+    it: one Fraction factor at a time, binomials first, then rising
+    factorials, each in stored order."""
+    value = Fraction(1)
+
+    def mul_val(v, e):
+        nonlocal value
+        if v == 0 and e < 0:
+            raise EvalError("division by a zero factor")
+        value *= Fraction(v) ** e
+
+    for u, l, e in f.binomials:
+        x = u.eval(point)
+        m = l.eval(point)
+        if m < 0:
+            if zero_conventions and e > 0:
+                raise _ZeroTerm
+            raise EvalError(f"negative binomial lower index {m}")
+        for t in range(m):
+            mul_val(x - t, e)
+        mul_val(factorial(m), -e)
+    for b, c, e in f.risings:
+        x = b.eval(point)
+        count = c.eval(point)
+        if count < 0:
+            raise EvalError(f"negative rising-factorial count {count}")
+        for t in range(count):
+            mul_val(x + t, e)
+    return value * f.rational.as_constant()

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 from pathlib import Path
 
 import pytest
@@ -315,3 +316,24 @@ def test_constant_ratio_and_zero_rhs_gosper_routes(tmp_path, fields,
     rec = json.loads(out.read_text())
     assert rec["verdict"] == "rigorous"
     assert {key: rec[key] for key in expected} == expected
+
+
+def test_wide_declared_window_is_summed_within_20_s(tmp_path):
+    # the small cases sum binomial(n, k) up to k = 10000*n, where each
+    # binomial(1, k) with k >= 2 has a zero factor: the falling product
+    # stops there instead of multiplying k factors
+    path = _identity_file(tmp_path, upper="10000*n")
+    out = tmp_path / "rec.json"
+
+    def expire(signum, frame):
+        raise TimeoutError("prove took more than 20 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    try:
+        code = main(["prove", str(path), "--json", str(out)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == EXIT_OK
+    assert json.loads(out.read_text())["verdict"] == "rigorous"

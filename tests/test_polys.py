@@ -10,6 +10,8 @@ from hyperproof.polys import (
     MultiPoly, RationalFunction, _cleared, _heuristic_gcd, _norm_coef,
     common_denominator, poly_gcd, poly_lcm,
 )
+from hyperproof.terms import LinearForm
+from oracles import poly_key_reference, sort_key_reference
 
 
 V = ("x", "y")
@@ -331,6 +333,53 @@ def test_univariate_gcd_planted(nvars, data):
 def test_common_denominator(ps):
     dens = [Fraction(c).denominator for p in ps for c in p.terms.values()]
     assert common_denominator(ps) == lcm(1, *dens)
+
+
+def is_coefficient(c):
+    """A stored coefficient: a nonzero int, or a Fraction that is not one."""
+    return type(c) is int and c != 0 or type(c) is Fraction and c.denominator != 1
+
+
+def normalized(p):
+    return all(map(is_coefficient, p.terms.values()))
+
+
+@settings(deadline=None, max_examples=300)
+@given(poly_pairs(), coefs.filter(bool))
+def test_kernels_store_ints_unless_a_denominator_survives(pq, c):
+    p, q = pq
+    assert normalized(p + q) and normalized(p - q) and normalized(p * q)
+    assert normalized(p.scale(c)) and normalized(p.monic())
+    assert normalized(p.divexact(MultiPoly.constant(p.vars, c)))
+    if not q.is_zero():
+        assert normalized((p * q).divexact(q))
+        rf = RationalFunction(p, q)
+        assert normalized(rf.num) and normalized(rf.den)
+    if not p.is_zero():
+        scale, prim = p.primitive()
+        assert is_coefficient(p.content()) and is_coefficient(scale)
+        assert normalized(prim) and prim.scale(scale) == p
+        assert all(type(v) is int for v in prim.terms.values())
+
+
+linear_forms = st.builds(
+    LinearForm, st.dictionaries(st.sampled_from("kna"), coefs, max_size=3),
+    coefs)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(polys(2), max_size=4), st.lists(linear_forms, max_size=4))
+def test_unboxed_keys_match_the_boxed_ones(ps, forms):
+    # an int and the equal Fraction compare and hash alike, so dict lookups
+    # and factor sort order are those of the Fraction-boxed keys
+    for p in ps:
+        assert p.key() == poly_key_reference(p)
+        assert hash(p.key()) == hash(poly_key_reference(p))
+    for L in forms:
+        assert L.sort_key() == sort_key_reference(L)
+        assert hash(L.sort_key()) == hash(sort_key_reference(L))
+    assert sorted(forms, key=LinearForm.sort_key) == \
+        sorted(forms, key=sort_key_reference)
 
 
 @st.composite

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.terms import (
-    EvalError, LinearForm, ParseError, TermExpression, eval_summand, evaluate,
-    natural_support, parse_affine, parse_rational, parse_sum, parse_term,
-    render, shift_quotient,
+    EvalError, LinearForm, ParseError, TermExpression, _ZeroTerm, eval_summand,
+    evaluate, natural_support, parse_affine, parse_rational, parse_sum,
+    parse_term, render, shift_quotient,
 )
+from oracles import constant_products_reference
 
 
 SYMS = ("k", "n", "a")
@@ -166,6 +167,45 @@ def test_eval_zero_conventions():
     assert eval_summand(t, {"n": 5, "k": -1}).is_zero()
     t2 = parse_term("1/k!", ("k",))
     assert eval_summand(t2, {"k": -2}).is_zero()
+    # a zero factor of a constant product makes a numerator zero, and in a
+    # denominator it is an error that the zero conventions do not hide
+    assert eval_summand(t, {"n": 1, "k": 10000}).is_zero()
+    assert eval_summand(parse_term("rf(n,k)", ("k", "n")),
+                        {"n": -3, "k": 5}).is_zero()
+    for text, n in [("1/binomial(n,k)", 3), ("1/rf(n,k)", -3), ("1/rf(n,k)", 0),
+                    ("binomial(-n,k)/rf(n,k)", -3)]:
+        with pytest.raises(EvalError, match="division by a zero factor"):
+            eval_summand(parse_term(text, ("k", "n")), {"n": n, "k": 5})
+
+
+PRODUCT_TERMS = ["rf(a,k)", "1/rf(a,k)", "rf(a,k)^2", "rf(a,k)^(-2)",
+                 "binomial(a,k)", "1/binomial(a,k)", "binomial(a,k)^2",
+                 "binomial(a,k)^(-2)", "binomial(a,k)/rf(a,k)",
+                 "rf(a,k)/binomial(a,k)"]
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (EvalError, _ZeroTerm) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("zero_conventions", [False, True])
+@pytest.mark.parametrize("text", PRODUCT_TERMS)
+def test_constant_products_match_the_per_factor_loop(text, zero_conventions):
+    # bases p/q, nonpositive integers among them, and counts -2..12: the same
+    # value, or the same exception with the same message
+    t = parse_term(text, ("k", "a"))
+    for p in range(-5, 6):
+        for q in (1, 2, 3):
+            for count in range(-2, 13):
+                point = {"a": Fraction(p, q), "k": count}
+                got = outcome(evaluate, t, point, zero_conventions)
+                if not isinstance(got, tuple):
+                    got = got.as_constant()
+                assert got == outcome(constant_products_reference, t, point,
+                                      zero_conventions), (p, q, count)
 
 
 def test_eval_symbolic_in_params():
