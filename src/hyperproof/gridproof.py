@@ -15,9 +15,11 @@ interpolation on lower sets", J. Approx. Theory 177, 2014), so vanishing on
 those |S| points is conclusive.  Certainty < 1 tests a sampled fraction of
 them.  The induction is closed by a root bound for the leading coefficient
 a_J, read off the cofactors of the same order-J system M' at integer
-specializations (leading_coeff_check), and by exact initial
-conditions; the bound covers the roots generic in the parameters, so a
-parametric verdict holds for generic values of them.  Every exact small-n
+specializations (leading_coeff_check: one minor of M' per specialization,
+interpolated in n from its compiled pivot-chain kernel at integer nodes,
+and each distinct factor of the column contents rooted once), and by exact
+initial conditions; the bound covers the roots generic in the parameters,
+so a parametric verdict holds for generic values of them.  Every exact small-n
 comparison is one stage, _small_cases, called in this order: as the whole
 finite check of an identity that cannot be normalized or fails the
 termination guard; at integer parameter points for n <= 4, just before the
@@ -56,7 +58,7 @@ from .factored import _primes_from, integer_roots_univar
 from .linalg import (
     PolyMatrix, _GridEvaluator, _constant_pivots, _grid_digits,
     _grid_values, _int_rank, _integer_cleared, _lower_set, _max_assignment,
-    _pivot_rows, _univar_minors, _weighted_degree,
+    _pivot_rows, _univar_minors, _weighted_degrees,
 )
 from .polys import MultiPoly, RationalFunction, _as_fraction, poly_gcd
 from .telescope import (
@@ -64,7 +66,7 @@ from .telescope import (
 )
 from .terms import (
     LinearForm, TermError, TermExpression, eval_summand, evaluate,
-    natural_support, shift_quotient, zero_rules,
+    natural_support, shift_quotient, term_value, zero_rules,
 )
 
 
@@ -180,19 +182,21 @@ def _support_bounds(matrix: PolyMatrix) -> dict | None:
     """h(w) for every weight w in {0,1}^r minus 0 over matrix.vars, keyed by
     the bitmask of w (bit i for vars[i]); None when no assignment exists.
 
-    Each entry weighs max over its support of w.e (-1 for a zero entry), and
-    h(w) is the max-weight assignment on those weights (linalg's
-    _max_assignment).  Every exponent e of every maximal minor has
-    w.e <= h(w), since its monomials come from assignments; the unit weight
-    of v bounds the degree in v, as a permanent of leading terms would.
-    ValueError when matrix has fewer rows than columns.
+    Each entry weighs max over its support of w.e (-1 for a zero entry), all
+    2^r - 1 weights in one walk over its exponents (linalg's
+    _weighted_degrees), and h(w) is the max-weight assignment on those
+    weights (linalg's _max_assignment, the Hungarian method).  Every
+    exponent e of every maximal minor has w.e <= h(w), since its monomials
+    come from assignments; the unit weight of v bounds the degree in v, as a
+    permanent of leading terms would.  ValueError when matrix has fewer rows
+    than columns.
     """
-    r = len(matrix.vars)
+    axes = range(len(matrix.vars))
+    tables = [[_weighted_degrees(e, axes) for e in row]
+              for row in matrix.entries]
     bounds = {}
-    for mask in range(1, 1 << r):
-        w = tuple(mask >> i & 1 for i in range(r))
-        h = _max_assignment([[_weighted_degree(e, w) for e in row]
-                             for row in matrix.entries])
+    for mask in range(1, 1 << len(axes)):
+        h = _max_assignment([[t[mask - 1] for t in row] for row in tables])
         if h is None:
             return None
         bounds[mask] = h
@@ -463,7 +467,9 @@ def leading_coeff_check(sys, certainty, seed: int, jobs: int = 1):
     if g.is_zero():
         raise Inconclusive(f"order {J}: the a_{J} cofactor vanished at every "
                            "parameter point tried")
-    free = [_free_part(f, n) for c in sys.contents for f, _, _, _ in c.factors()]
+    # the contents share most of their factors: each is rooted once
+    factors = {f.key(): f for c in sys.contents for f, _, _, _ in c.factors()}
+    free = [_free_part(f, n) for f in factors.values()]
     roots = [_positive_root_bound(p, n) for p in [g] + free]
     return max((r for r in roots if r is not None), default=None), used
 
@@ -495,18 +501,26 @@ def _small_cases(nid: NormalizedIdentity, term: TermExpression, rhs_terms,
                  upto: int, point=None):
     """The exact small-case stage: yield, for n = 0..upto in turn, the
     declared window's sum of term minus the sum of rhs_terms (terms free of
-    k), symbolic in the parameters or at their integer values point.  Every
-    exact check of a proof reads these differences; a caller stops at the
-    first n it does not need, so no window is summed in vain."""
+    k), symbolic in the parameters or at their integer values point.  Where
+    no symbol but k is left, every term is a number and the sum is one of
+    Fractions.  Every exact check of a proof reads these differences; a
+    caller stops at the first n it does not need, so no window is summed in
+    vain."""
     for nv in range(upto + 1):
         at = {**(point or {}), nid.n: nv}
         lo, hi = _window(nid, term, nv, point)
         remaining = tuple(s for s in term.symbols if s != nid.k and s not in at)
-        diff = RationalFunction.constant(remaining, 0)
-        for kv in range(lo, hi + 1):
-            diff = diff + eval_summand(term, {**at, nid.k: kv})
-        for t in rhs_terms:
-            diff = diff - evaluate(t, {**at, nid.k: 0})
+        if remaining:
+            diff = RationalFunction.constant(remaining, 0)
+            for kv in range(lo, hi + 1):
+                diff = diff + eval_summand(term, {**at, nid.k: kv})
+            for t in rhs_terms:
+                diff = diff - evaluate(t, {**at, nid.k: 0})
+        else:
+            total = sum(term_value(term, {**at, nid.k: kv}, True)
+                        for kv in range(lo, hi + 1))
+            diff = RationalFunction.constant((), total - sum(
+                term_value(t, {**at, nid.k: 0}) for t in rhs_terms))
         yield diff
 
 

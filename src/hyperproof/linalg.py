@@ -1,22 +1,25 @@
 """Exact linear algebra over polynomials: fraction-free elimination,
 nullspaces over the rational-function field, determinants, the lower-set
-evaluation grid, and the max-weight assignment (`_max_assignment`) that
-bounds the degrees of a determinant, or of every maximal minor.
+evaluation grid, and the max-weight assignment (`_max_assignment`, the
+Hungarian method, polynomial in the matrix size) that bounds the degrees
+of a determinant, or of every maximal minor, on the weights of
+`_weighted_degrees`.
 
 One fraction-free (Bareiss) elimination kernel, `_int_rank`, carries every
-exact elimination in the package: the grid rank of remainders too wide for
-the grid kernel's determinant, pivot rows, integer determinants (`_int_det`,
-also of the Sylvester matrices from which factored interpolates its
-resultants in j, with `_interpolate_int` after `_taylor_shift`), cofactor
-vectors, and the symbolic nullspace, its one use on `MultiPoly` matrices
-(`MultiPoly.__divmod__` divides exactly or raises).  One
-back-substitution, `_back_substitute`, solves the echelon rows it leaves
-for a kernel vector with checked exact divisions.  One evaluator,
-`_GridEvaluator`, computes a polynomial matrix at integer points for the
-determinant grid, for the univariate nullspace shortcut (one cofactor
-vector per node, `_cofactor_vector`), for `_univar_minors`, which
-interpolates one minor in one variable for the leading-coefficient check,
-and for certificate verification (telescope.verify_certificate).  The
+exact elimination in the package: the rank and determinant of pivot-chain
+remainders too wide for the compiled kernel's expansion, pivot rows,
+integer determinants (`_int_det`, also of the Sylvester matrices from
+which factored interpolates its resultants in j, with `_interpolate_int`
+after `_taylor_shift`), cofactor vectors, and the symbolic nullspace, its
+one use on `MultiPoly` matrices (`MultiPoly.__divmod__` divides exactly or
+raises).  One back-substitution, `_back_substitute`, solves the echelon
+rows it leaves for a kernel vector with checked exact divisions.  One
+evaluator, `_GridEvaluator`, computes a polynomial matrix at integer
+points for the determinant grid, for the univariate nullspace shortcut
+(one cofactor vector per node, `_cofactor_vector`), for `_univar_minors`,
+which interpolates one minor in one variable for the leading-coefficient
+check from its compiled pivot-chain kernel, and for certificate
+verification (telescope.verify_certificate).  The
 determinant grid and the verification share `_lower_set`, the points of a
 lower set of exponents cut out by weighted degree bounds, on `_grid_values`
 per variable: the one node rule, consecutive integers centered at 0, since
@@ -37,18 +40,20 @@ when the remainder is square and at most _DET_WIDTH wide (beyond that the
 expansion's n 2^(n-1) products lose to Bareiss's cubic count, measured),
 and otherwise returns its rows for `_int_rank`.  Its updates are
 unconditional: where f = 0, row_r = c*row_r only scales the row by the
-nonzero constant c, which keeps the rank.  Building it takes a few milliseconds for mrr's 9x9
-order-2 system, repaid over a scan of thousands of points; the other
-callers evaluate few points per matrix and read the rows out
-(`_GridEvaluator.matrices`).
+nonzero constant c, which keeps the rank.  Building it takes a few
+milliseconds for mrr's 9x9 order-2 system, repaid over a scan of thousands
+of points, or over the hundred nodes of `_univar_minors`, which divides
+the known pivot powers back out; the other callers evaluate few points per
+matrix and read the rows out (`_GridEvaluator.matrices`).
 """
 
 from __future__ import annotations
 
 from array import array
 from fractions import Fraction
-from itertools import combinations, compress, repeat
+from itertools import combinations
 from math import factorial, gcd, lcm, prod
+from operator import add
 from typing import NamedTuple
 
 from .polys import (
@@ -254,10 +259,23 @@ def _grid_digits(index: int, sizes) -> list:
     return digits
 
 
-def _weighted_degree(p: MultiPoly, w) -> int:
-    """Max of w.e over the support of p, w a 0/1 tuple over p.vars; -1 for
-    the zero polynomial."""
-    return max(map(sum, map(compress, p.terms, repeat(w))), default=-1)
+def _weighted_degrees(p: MultiPoly, axes) -> list:
+    """[max of w.e over the support of p, for w = 1 .. 2^len(axes) - 1]
+    with bit b of the bitmask w weighing the exponent of p.vars[axes[b]];
+    -1 each for the zero polynomial.  One walk over p's exponent columns:
+    the sums of w are those of w minus its lowest bit plus that bit's
+    column."""
+    masks = range(1, 1 << len(axes))
+    if not p.terms:
+        return [-1] * len(masks)
+    columns = list(zip(*p.terms))
+    sums = [None]
+    for w in masks:
+        low = w & -w
+        column = columns[axes[low.bit_length() - 1]]
+        sums.append(column if w == low
+                    else list(map(add, sums[w ^ low], column)))
+    return [max(t) for t in sums[1:]]
 
 
 def _grid_values(degree: int) -> list:
@@ -570,7 +588,16 @@ def _univar_minors(m: PolyMatrix, var, points, cols) -> list:
     the max-weight assignment on its entries' degrees in var, so it is
     evaluated at that many nodes 0, 1, ... and interpolated exactly.  The
     evaluator substitutes var last, so the nodes of one point share the
-    substitution of the others, and point t takes the t-th value of each."""
+    substitution of the others, and point t takes the t-th value of each.
+
+    Each node runs the compiled kernel of the minor's chain of constant
+    pivots (_constant_pivots, _GridEvaluator.kernel), which gives the
+    remainder's determinant R, or its rows for _int_det when it is wider
+    than _DET_WIDTH.  A step scales each of its targets by its pivot c_s and
+    changes no pivot row, and the pivot rows and columns in step order,
+    then the remainder's, make the result block triangular with diagonal
+    c_1 .. c_p, R.  So det = sigma * R * prod c_s / prod c_s^|targets_s|,
+    an exact division, sigma the signs of those row and column orders."""
     order = tuple(v for v in m.vars if v != var) + (var,)
     sub = PolyMatrix([[row[j].restrict(order) for j in cols]
                       for row in m.entries])
@@ -582,9 +609,22 @@ def _univar_minors(m: PolyMatrix, var, points, cols) -> list:
     # index of (t-th value of every fixed variable, node j)
     stride = sum(len(points) ** i for i in range(len(order) - 1)) * len(nodes)
     indices = [t * stride + j for t in range(len(points)) for j in nodes]
+    chain = _constant_pivots(sub)
+    evaluator = _GridEvaluator(sub, values, chain)
+    kernel = evaluator.kernel()
+    sign = _permutation_sign([i for i, _, _, _ in chain.steps] + chain.rows) \
+        * _permutation_sign([j for _, j, _, _ in chain.steps] + chain.cols)
+    scale = sign * prod(evaluator.pivots)
+    divisor = prod(c ** len(targets) for c, (_, _, targets, _)
+                   in zip(evaluator.pivots, chain.steps))
     dets = [[] for _ in points]
-    for pos, _, a in _GridEvaluator(sub, values).matrices(indices):
-        dets[pos // len(nodes)].append(_int_det(a))
+    for pos, _, s, v in evaluator.inputs(indices):
+        out = kernel(s, v)
+        det, rem = divmod(scale * (out if evaluator.determinant
+                                   else _int_det(out)), divisor)
+        if rem:
+            raise ArithmeticError("inexact pivot-chain minor")
+        dets[pos // len(nodes)].append(det)
     return [_interpolate_int(d) for d in dets]
 
 
@@ -637,36 +677,58 @@ def _nullspace_univar(m: PolyMatrix):
     return [[RationalFunction.from_poly(p) for p in vec]]
 
 
-def _max_assignment(degs) -> int | None:
-    """Max-weight assignment choosing one entry per row, all columns distinct.
+_INF = float("inf")  # the slack of a row no path has reached yet
 
-    Rows may outnumber columns (any subset of rows of matching size is allowed);
-    weights of -1 mark forbidden entries.  Bitmask DP over column subsets.
+
+def _max_assignment(degs) -> int | None:
+    """Max-weight assignment choosing one entry per column, all rows distinct.
+
+    Rows may outnumber columns (any subset of rows of matching size is
+    allowed); weights of -1 mark forbidden entries, and the result is None
+    when every assignment uses one.  The Hungarian method by shortest
+    augmenting paths (H. W. Kuhn, Naval Res. Logist. Q. 2, 1955; R. Jonker
+    and A. Volgenant, Computing 38, 1987), O(c^2 r) for c columns and r
+    rows: each column in turn is placed along a shortest alternating path
+    of reduced costs under integer potentials.  A cost is a negated weight,
+    and a forbidden entry costs 1 + the sum of the positive weights, more
+    than any assignment can gain, so the optimum uses one only when no
+    valid assignment exists.
     """
-    nrows = len(degs)
-    ncols = len(degs[0])
+    nrows, ncols = len(degs), len(degs[0])
     if nrows < ncols:
         raise ValueError("need at least as many rows as columns")
-    NEG = None
-    full = (1 << ncols) - 1
-    # dp[mask] = best weight using some rows so far covering exactly `mask`
-    dp = {0: 0}
-    for i in range(nrows):
-        ndp = dict(dp)  # skipping row i is allowed when rows > cols
-        row = degs[i]
-        for mask, w in dp.items():
-            for j in range(ncols):
-                if mask & (1 << j) or row[j] < 0:
-                    continue
-                nm = mask | (1 << j)
-                nw = w + row[j]
-                if ndp.get(nm, -1) < nw:
-                    ndp[nm] = nw
-        if nrows == ncols:
-            # every row must be used: states must have popcount == i+1
-            ndp = {mask: w for mask, w in ndp.items()
-                   if bin(mask).count("1") == i + 1}
-        dp = ndp
-        if not dp:
-            return NEG
-    return dp.get(full, NEG)
+    forbidden = 1 + sum(w for row in degs for w in row if w > 0)
+    cost = [[-w if w >= 0 else forbidden for w in col] for col in zip(*degs)]
+    # 1-based: owner[j] is the column placed in row j, 0 for none; row 0 is
+    # the start of each path, owner[0] the column being placed
+    u, v = [0] * (ncols + 1), [0] * (nrows + 1)
+    owner, way = [0] * (nrows + 1), [0] * (nrows + 1)
+    rows = range(1, nrows + 1)
+    for col in range(1, ncols + 1):
+        owner[0], j0 = col, 0
+        slack = [_INF] * (nrows + 1)
+        used = [False] * (nrows + 1)
+        while owner[j0]:
+            used[j0] = True
+            i0 = owner[j0]
+            c, ui = cost[i0 - 1], u[i0]
+            delta, j1 = _INF, 0
+            for j in rows:
+                if not used[j]:
+                    reduced = c[j - 1] - ui - v[j]
+                    if reduced < slack[j]:
+                        slack[j], way[j] = reduced, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(nrows + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:
+            owner[j0] = owner[way[j0]]
+            j0 = way[j0]
+    weights = [degs[j - 1][owner[j] - 1] for j in rows if owner[j]]
+    return None if min(weights, default=0) < 0 else sum(weights)

@@ -33,7 +33,7 @@ from .factored import (
 )
 from .linalg import (
     PolyMatrix, _GridEvaluator, _grid_values, _lower_set, _taylor_shift,
-    _weighted_degree, clear_and_primitive, solve_nullspace,
+    _weighted_degrees, clear_and_primitive, solve_nullspace,
 )
 from .polys import (
     MultiPoly, RationalFunction, _as_fraction, clear_denominators,
@@ -323,11 +323,9 @@ def _identity_bound(k, factors):
     in the order of the bitmask of w (bit i for the i-th of them); None when
     P is structurally zero."""
     vars = factors[0].vars
-    ys = [v for v in vars if v != k]
-    weights = [tuple(0 if v == k else mask >> ys.index(v) & 1 for v in vars)
-               for mask in range(1, 1 << len(ys))]
+    axes = [i for i, v in enumerate(vars) if v != k]
     *hp, hq, hpn, hpd, hrn, hrd = [
-        None if p.is_zero() else tuple(_weighted_degree(p, w) for w in weights)
+        None if p.is_zero() else tuple(_weighted_degrees(p, axes))
         for p in factors]
     lhs = _max_bound(*map(_sum_bound, hp[0::2], hp[1::2]))
     x = _max_bound(_sum_bound(lhs, hrd), _sum_bound(hrn, hq))

@@ -369,17 +369,58 @@ def evaluate(f: TermExpression, point: dict,
     factorial counts) must become nonnegative integers, except that factorials
     whose arguments stay symbolic may cancel in matched pairs (arguments with
     the same symbolic part and integer-spaced constants), in which case the
-    pair contributes a finite rising-factorial product.
-
-    A rising or falling product with a constant base p/q is the integer
-    product of the p + t*q or p - t*q over q^count; the constant factor is
-    kept as an integer numerator and denominator until the end.
+    pair contributes a finite rising-factorial product.  At a point that
+    assigns every symbol the value is a number, found as term_value finds
+    it, without MultiPoly or RationalFunction arithmetic.
 
     With zero_conventions, a negative binomial lower index or a reciprocal
     factorial of a negative integer makes the term zero (raises _ZeroTerm for
     eval_summand to catch) instead of erroring.
     """
     remaining = tuple(s for s in f.symbols if s not in point)
+    top, bottom, num, den = _special_factors(f, point, zero_conventions,
+                                             remaining)
+    if not remaining:
+        return RationalFunction.constant((), _full_value(f, point, top,
+                                                         bottom))
+    try:
+        rf = f.rational.eval_partial(point).restrict(remaining)
+    except ZeroDivisionError as exc:
+        raise EvalError(str(exc)) from exc
+    return RationalFunction(num.scale(_ratio(top, bottom)), den) * rf
+
+
+def term_value(f: TermExpression, point: dict, zero_conventions: bool = False):
+    """The exact value of f at a point that assigns every symbol, an int or
+    a Fraction, with evaluate's errors; with zero_conventions, 0 where they
+    make the term zero, as eval_summand gives it."""
+    try:
+        top, bottom, _, _ = _special_factors(f, point, zero_conventions, ())
+    except _ZeroTerm:
+        return 0
+    return _full_value(f, point, top, bottom)
+
+
+def _full_value(f: TermExpression, point: dict, top: int, bottom: int):
+    """top/bottom times the value of f's rational part at a point that
+    assigns every symbol."""
+    d = f.rational.den.eval(point)
+    if not d:
+        raise EvalError("denominator vanishes under the substitution")
+    (p, q), (r, t) = _parts(f.rational.num.eval(point)), _parts(d)
+    return _ratio(top * p * t, bottom * q * r)
+
+
+def _special_factors(f: TermExpression, point: dict, zero_conventions: bool,
+                     remaining: tuple):
+    """(top, bottom, num, den): the factorials, binomials, rising factorials
+    and powers of f at point, as the constant top/bottom times num/den over
+    the symbols remaining (evaluate's rules).
+
+    A rising or falling product with a constant base p/q is the integer
+    product of the p + t*q or p - t*q over q^count; the constant factor is
+    kept as an integer numerator and denominator until the end.
+    """
     one = MultiPoly.constant(remaining, 1)
     num = one
     den = one
@@ -493,11 +534,7 @@ def evaluate(f: TermExpression, point: dict,
             else:
                 rising_product(sym.add_const(cp + 1), int(-m), -1)
 
-    try:
-        rf = f.rational.eval_partial(point).restrict(remaining)
-    except ZeroDivisionError as exc:
-        raise EvalError(str(exc)) from exc
-    return RationalFunction(num.scale(_ratio(top, bottom)), den) * rf
+    return top, bottom, num, den
 
 
 def eval_summand(f: TermExpression, point: dict) -> RationalFunction:

@@ -1,5 +1,6 @@
 """Reference implementations the tests compare the program against."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial, gcd, isqrt
 
@@ -9,7 +10,8 @@ from hyperproof.polys import (
     MultiPoly, RationalFunction, _as_fraction, clear_denominators,
     common_denominator,
 )
-from hyperproof.terms import EvalError, LinearForm, _ZeroTerm
+from hyperproof.gridproof import _window
+from hyperproof.terms import EvalError, LinearForm, _ZeroTerm, evaluate
 
 
 def poly_matrix(vars, rows) -> PolyMatrix:
@@ -373,3 +375,72 @@ def constant_products_reference(f, point, zero_conventions=False) -> Fraction:
         for t in range(count):
             mul_val(x + t, e)
     return value * f.rational.as_constant()
+
+
+def max_assignment_reference(degs):
+    """linalg._max_assignment as a bitmask DP over column subsets, the way
+    it was computed before the Hungarian method: one entry per column, all
+    rows distinct, -1 forbidden, None when every assignment uses a
+    forbidden entry; exponential in the number of columns."""
+    nrows = len(degs)
+    ncols = len(degs[0])
+    if nrows < ncols:
+        raise ValueError("need at least as many rows as columns")
+    full = (1 << ncols) - 1
+    # dp[mask] = best weight using some rows so far covering exactly `mask`
+    dp = {0: 0}
+    for i in range(nrows):
+        ndp = dict(dp)  # skipping row i is allowed when rows > cols
+        row = degs[i]
+        for mask, w in dp.items():
+            for j in range(ncols):
+                if mask & (1 << j) or row[j] < 0:
+                    continue
+                nm = mask | (1 << j)
+                nw = w + row[j]
+                if ndp.get(nm, -1) < nw:
+                    ndp[nm] = nw
+        if nrows == ncols:
+            # every row must be used: states must have popcount == i+1
+            ndp = {mask: w for mask, w in ndp.items()
+                   if bin(mask).count("1") == i + 1}
+        dp = ndp
+        if not dp:
+            return None
+    return dp.get(full)
+
+
+def full_point_reference(f, point, zero_conventions=False):
+    """terms.evaluate at a point that assigns every symbol, the way it was
+    found before its full-point return: the constant factor of the special
+    factors (evaluate on f with its rational part replaced by 1) times the
+    rational part taken through eval_partial and restrict, an EvalError
+    where its denominator vanishes, in RationalFunction arithmetic."""
+    factor = evaluate(replace(f, rational=RationalFunction.constant(
+        f.symbols, 1)), point, zero_conventions)
+    try:
+        rf = f.rational.eval_partial(point).restrict(())
+    except ZeroDivisionError as exc:
+        raise EvalError(str(exc)) from exc
+    one = MultiPoly.constant((), 1)
+    return RationalFunction(one.scale(factor.as_constant()), one) * rf
+
+
+def small_cases_reference(nid, term, rhs_terms, upto, point):
+    """gridproof._small_cases at a point that leaves no symbol but k, the
+    way it summed before: each window term (full_point_reference with zero
+    conventions, a zero term skipped) added and each right-side term
+    subtracted in RationalFunction arithmetic."""
+    for nv in range(upto + 1):
+        at = {**(point or {}), nid.n: nv}
+        lo, hi = _window(nid, term, nv, point)
+        diff = RationalFunction.constant((), 0)
+        for kv in range(lo, hi + 1):
+            try:
+                diff = diff + full_point_reference(term, {**at, nid.k: kv},
+                                                   True)
+            except _ZeroTerm:
+                pass
+        for t in rhs_terms:
+            diff = diff - full_point_reference(t, {**at, nid.k: 0})
+        yield diff

@@ -19,7 +19,7 @@ from hyperproof.gridproof import (
     _gosper_columns_independent,
     _grid_point, _point_check,
     _first_full_rank, _leading_root_bound, _rank_deficiency_test,
-    _support_bounds, _termination_guard,
+    _small_cases, _support_bounds, _termination_guard,
 )
 from hyperproof.cli import load_identity, report_record, run_prove
 from hyperproof.factored import (
@@ -33,10 +33,13 @@ from hyperproof.linalg import (
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.telescope import Recurrence, assemble, gosper_degree_bound
 from hyperproof.terms import (
-    EvalError, LinearForm, TermExpression, eval_summand, natural_support,
-    parse_affine as lf, parse_sum, parse_term,
+    EvalError, LinearForm, TermError, TermExpression, _ZeroTerm, eval_summand,
+    evaluate, natural_support, parse_affine as lf, parse_sum, parse_term,
+    term_value,
 )
-from oracles import det_symbolic, poly_matrix
+from oracles import (
+    det_symbolic, full_point_reference, poly_matrix, small_cases_reference,
+)
 
 
 CHU = ("binomial(n,k)*binomial(a,k)", "binomial(a+n,a)",
@@ -881,6 +884,89 @@ def test_numeric_check_finds_a_wrong_right_side():
         nid, F, parse_sum("binomial(a+n+1,a)", syms), 0)
     assert checks == [("identity", 0, False)]
     assert re.fullmatch(r"numeric check failed at n=0, a=[1-9]", message)
+
+
+IDENTITY_FILES = sorted(CORPUS.glob("*.txt")) + sorted(
+    CORPUS.glob("extra/*.txt"))
+
+
+def full_points(path):
+    """(identity file, its terms, and 3 seeded points: every parameter in
+    1..9 and n = 0..4, k left to the caller).  The terms are the summand,
+    the right side and, where it normalizes, the normalized and the
+    differenced summand, whose rational parts have denominators."""
+    ident = load_identity(path)
+    F, rhs_terms, lower, upper = ident.parsed()
+    terms = [F] + rhs_terms
+    try:
+        nid = normalize_and_delta(F, rhs_terms, ident.params, ident.sum_var,
+                                  ident.rec_var, lower, upper)
+        terms += [nid.fhat, nid.ftil]
+    except gridproof.GridProofError:
+        pass
+    rng = random.Random(path.name)
+    points = [{p: rng.randint(1, 9) for p in ident.params} for _ in range(3)]
+    return ident, terms, [{**p, ident.rec_var: nv} for p in points
+                          for nv in range(5)]
+
+
+def value_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (gridproof.GridProofError, TermError, ZeroDivisionError,
+            _ZeroTerm) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("path", IDENTITY_FILES, ids=lambda p: p.name)
+def test_full_point_values_match_the_rational_path(path):
+    # every term at k = -2 .. 2n+3, with and without zero conventions:
+    # evaluate and term_value give the same number, or the same exception
+    # with the same message (term_value gives 0 for a zero-convention term)
+    ident, terms, points = full_points(path)
+    raised = 0
+    for t in terms:
+        for point in points:
+            for kv in range(-2, 2 * point[ident.rec_var] + 4):
+                at = {**point, ident.sum_var: kv}
+                for zero_conventions in (False, True):
+                    expected = value_or_error(full_point_reference, t, at,
+                                              zero_conventions)
+                    assert value_or_error(evaluate, t, at,
+                                          zero_conventions) == expected, at
+                    if expected == (_ZeroTerm, ""):
+                        expected = 0
+                    elif not isinstance(expected, tuple):
+                        expected = expected.as_constant()
+                    assert value_or_error(term_value, t, at,
+                                          zero_conventions) == expected, at
+                    raised += isinstance(expected, tuple)
+    assert raised
+
+
+@pytest.mark.parametrize("path", IDENTITY_FILES, ids=lambda p: p.name)
+def test_small_cases_sum_fractions_as_the_rational_path_did(path):
+    # the declared window minus the right side for n = 0..4, at the seeded
+    # parameter points (the one empty point without parameters): the same
+    # differences up to the same exception
+    ident, _, points = full_points(path)
+    F, rhs_terms, lower, upper = ident.parsed()
+    nid = NormalizedIdentity(F, F, ident.params, ident.sum_var, ident.rec_var,
+                             lower, upper, True,
+                             RationalFunction.constant(F.symbols, 1))
+
+    def upto_error(cases):
+        out = []
+        try:
+            out.extend(cases)
+        except (gridproof.GridProofError, TermError, ZeroDivisionError) as exc:
+            out.append((type(exc), str(exc)))
+        return out
+
+    for point in points[::5]:
+        point = {p: point[p] for p in ident.params} or None
+        assert upto_error(_small_cases(nid, F, rhs_terms, 4, point)) == \
+            upto_error(small_cases_reference(nid, F, rhs_terms, 4, point))
 
 
 def test_prove_refutes_on_numeric_mismatch(monkeypatch):

@@ -1,21 +1,27 @@
 import random
+import signal
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hyperproof import linalg
+from hyperproof import gridproof, linalg
+from hyperproof.cli import load_identity, run_prove
 from hyperproof.gridproof import _support_bounds
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.linalg import (
-    PolyMatrix, _cofactor_vector, _int_det, _int_rank, _interpolate_int,
-    _nullspace_univar, solve_nullspace,
+    PolyMatrix, _DET_WIDTH, _GridEvaluator, _cofactor_vector,
+    _constant_pivots, _int_det, _int_rank, _interpolate_int, _max_assignment,
+    _nullspace_univar, _univar_minors, solve_nullspace,
 )
 from hyperproof.terms import parse_rational
-from oracles import det_symbolic, nullspace_rational, poly_matrix
+from oracles import (
+    det_symbolic, max_assignment_reference, nullspace_rational, poly_matrix,
+)
 
 
 def degree_bounds(m):
@@ -449,3 +455,169 @@ def test_nullspace_univar_matches_elimination(m):
         assert fast == expected
     else:
         assert fast is None
+
+
+# -- the max-weight assignment ------------------------------------------------
+
+def assignment_outcome(fn, degs):
+    try:
+        return fn(degs)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@st.composite
+def assignment_weights(draw):
+    """Up to 7 columns and up to 3 more rows (or one fewer, an error), each
+    weight -1 (forbidden) with probability about one third, 0 as often (so
+    a forbidden entry often ties with a valid one), else 0..30; some rows
+    or columns forbidden throughout, so that no assignment exists."""
+    cols = draw(st.integers(1, 7))
+    rows = draw(st.integers(max(cols - 1, 1), cols + 3))
+    weight = st.one_of(st.just(-1), st.just(0), st.integers(0, 30))
+    degs = draw(st.lists(st.lists(weight, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+        degs[i] = [-1] * cols
+    if draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        for row in degs:
+            row[j] = -1
+    return degs
+
+
+@settings(deadline=None, max_examples=600)
+@given(assignment_weights())
+@example([[-1], [0]])
+def test_max_assignment_matches_the_bitmask_dp(degs):
+    assert assignment_outcome(_max_assignment, degs) == \
+        assignment_outcome(max_assignment_reference, degs)
+
+
+def test_max_assignment_dense_21_by_20_within_5_s():
+    # weights (a+1)(b+1) with rows and columns shuffled: by the
+    # rearrangement inequality the optimum pairs rows 2..21 with columns
+    # 1..20 in order, sum (j+1)j = 3080.  A DP over column subsets takes
+    # minutes here.
+    rng = random.Random(21)
+    a, b = list(range(21)), list(range(20))
+    rng.shuffle(a)
+    rng.shuffle(b)
+    degs = [[(i + 1) * (j + 1) for j in b] for i in a]
+
+    def expire(signum, frame):
+        raise TimeoutError("_max_assignment took more than 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        best = _max_assignment(degs)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert best == sum((j + 1) * j for j in range(1, 21))
+
+
+# -- leading-coefficient minors on the pivot chain ---------------------------
+
+def assert_minors_match_int_det(m, var, points, cols):
+    """_univar_minors against _int_det of the MultiPoly.eval matrix, sign
+    included, at every interpolation node and two beyond each end."""
+    bound = max_assignment_reference([[row[j].degree(var) for j in cols]
+                                      for row in m.entries]) or 0
+    for point, coeffs in zip(points, _univar_minors(m, var, points, cols)):
+        for x in range(-2, bound + 3):
+            a = [[row[j].eval({**point, var: x}) for j in cols]
+                 for row in m.entries]
+            assert sum(c * x ** d for d, c in enumerate(coeffs)) == \
+                _int_det(a), (point, x)
+
+
+def univar_pivot_case(rng, size, constants, zeros=()):
+    """A size x size matrix over (y, n), integer entries of degree at most
+    1 in each variable; the entries at the positions in constants are
+    nonzero constants in +-(2..4), those at zeros (and not in constants)
+    zero, and every other entry is nonconstant."""
+    vars = ("y", "n")
+    y, n = (MultiPoly.variable(vars, v) for v in vars)
+    one = MultiPoly.constant(vars, 1)
+
+    def entry(i, j):
+        if (i, j) in constants:
+            return one.scale(rng.choice((-4, -3, -2, 2, 3, 4)))
+        if (i, j) in zeros:
+            return MultiPoly.zero(vars)
+        return (y.scale(rng.randint(-3, 3))
+                + n.scale(rng.choice((-2, -1, 1, 2)))
+                + one.scale(rng.randint(-5, 5)))
+
+    return PolyMatrix([[entry(i, j) for j in range(size)]
+                       for i in range(size)])
+
+
+def minors_evaluator(m, cols):
+    sub = PolyMatrix([[row[j] for j in cols] for row in m.entries])
+    chain = _constant_pivots(sub)
+    return chain, _GridEvaluator(sub, {v: [0] for v in sub.vars}, chain)
+
+
+def test_univar_minors_of_mrr_on_its_pivot_chain(monkeypatch):
+    # the minor leading_coeff_check interpolates for mrr at order 2
+    calls = []
+    real = gridproof._univar_minors
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gridproof, "_univar_minors", record)
+    mrr = Path(__file__).resolve().parent.parent / "corpus" / "mrr.txt"
+    rep = run_prove(load_identity(mrr), Fraction(1, 10), 1, 4, 1)
+    assert rep.verdict == "semi-rigorous" and len(calls) == 1
+    m, var, points, cols = calls[0]
+    chain, evaluator = minors_evaluator(m, cols)
+    assert chain.steps and evaluator.determinant
+    assert_minors_match_int_det(m, var, points, cols)
+
+
+def test_univar_minors_without_constant_entries():
+    rng = random.Random(4)
+    m = univar_pivot_case(rng, 4, ())
+    chain, evaluator = minors_evaluator(m, range(4))
+    assert not chain.steps and evaluator.determinant
+    assert_minors_match_int_det(m, "n", [{"y": -3}, {"y": 2}, {"y": 7}],
+                                list(range(4)))
+
+
+def test_univar_minors_with_a_remainder_wider_than_the_expansion():
+    # one constant pivot with eight targets leaves an 8 x 8 remainder, which
+    # the kernel reads out for _int_det
+    rng = random.Random(9)
+    m = univar_pivot_case(rng, _DET_WIDTH + 2, {(4, 6)})
+    chain, evaluator = minors_evaluator(m, range(_DET_WIDTH + 2))
+    assert len(chain.steps) == 1 and len(chain.steps[0][2]) == _DET_WIDTH + 1
+    assert not evaluator.determinant
+    assert_minors_match_int_det(m, "n", [{"y": 5}, {"y": -1}],
+                                list(range(_DET_WIDTH + 2)))
+
+
+def test_univar_minors_on_random_pivot_chains():
+    # constant diagonals over mostly zero lower triangles, rows and columns
+    # shuffled: chains of up to five steps with up to a dozen targets in
+    # scattered rows and columns, so both permutation signs and the powers
+    # of the pivots matter
+    rng = random.Random(17)
+    shapes = []
+    for _ in range(60):
+        size = rng.randint(2, 7)
+        rp, cp = rng.sample(range(size), size), rng.sample(range(size), size)
+        constants = {(rp[i], cp[i]) for i in range(size) if rng.random() < 0.8}
+        zeros = {(rp[i], cp[j]) for i in range(size) for j in range(i)
+                 if rng.random() < 0.7}
+        m = univar_pivot_case(rng, size, constants, zeros)
+        cols = rng.sample(range(size), size)
+        steps = minors_evaluator(m, cols)[0].steps
+        shapes.append((len(steps), sum(len(t) for _, _, t, _ in steps)))
+        assert_minors_match_int_det(m, "n", [{"y": rng.randint(-9, 9)}],
+                                    cols)
+    assert max(shapes) >= (4, 10)
