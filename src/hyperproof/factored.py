@@ -3,19 +3,24 @@
 Shift quotients of hypergeometric terms are products of affine forms (plus
 numerators/denominators of rational factors).  Keeping the factorization
 makes shift-gcd structure (dispersions) cheap to read off, which is what the
-Gosper normal form needs; expansion happens only at the end.  Each factor
-pair keeps its own candidate shifts j, and the normal form tests a pair only
-there, or at every shift when both factors have a nonconstant k-content (a
-k-free factor, which a resultant in k cannot see).  Two affine factors have
-one candidate in closed form; any other pair takes the integer roots of
-Res_k(fq(k, s), fr(k+j, s)), univariate in j, at the first integer point s
-of the other variables where both leading coefficients in k are nonzero
-(Abramov 1971; Man and Wright, ISSAC 1994).  There every generic shift is
-a root, and the resultant has degree D = deg_k fq * deg_k fr in j, never
-zero: it is interpolated from D + 1 integer Sylvester determinants (Collins,
-J. ACM 18, 1971).  Its roots, and a leading recurrence coefficient's, come
-from one complete integer-root finder, integer_roots_univar: p-adic lifting
-modulo one prime, with every candidate checked exactly.
+Gosper normal form needs.  Expansion happens only at the end, and only of
+the products that are read: `Factored.expand` multiplies every factor into
+one accumulator keyed by packed exponents (`polys._product`).  Two affine
+factors are compared by their normalized forms, with no polynomial built.
+
+Each factor pair keeps its own candidate shifts j, and the normal form tests
+a pair only there, or at every shift when both factors have a nonconstant
+k-content (a k-free factor, which a resultant in k cannot see).  Two affine
+factors have one candidate in closed form; any other pair takes the integer
+roots of Res_k(fq(k, s), fr(k+j, s)), univariate in j, at the first integer
+point s of the other variables where both leading coefficients in k are
+nonzero (Abramov 1971; Man and Wright, ISSAC 1994).  There every generic
+shift is a root, and the resultant has degree D = deg_k fq * deg_k fr in j,
+never zero: it is interpolated from D + 1 integer Sylvester determinants
+(Collins, J. ACM 18, 1971).  Its roots, and a leading recurrence
+coefficient's, come from one complete integer-root finder,
+integer_roots_univar: p-adic lifting modulo one prime, with every candidate
+checked exactly.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from math import gcd as _igcd, lcm, prod
 
 from .linalg import _int_det, _interpolate_int, _taylor_shift
 from .polys import (
-    MultiPoly, _cleared, _norm_coef, _parts, _poly_list_gcd, _ratio,
-    poly_gcd,
+    MultiPoly, _cleared, _norm_coef, _parts, _poly_list_gcd, _product,
+    _ratio, poly_gcd,
 )
 from .terms import LinearForm
 
@@ -167,16 +172,14 @@ class Factored:
         return out
 
     def expand(self) -> MultiPoly:
-        out = MultiPoly.constant(self.vars, self.const)
-        for f, e in self.aff.values():
-            if e < 0:
-                raise ValueError("cannot expand negative exponents")
-            out = out * (f.to_poly(self.vars) ** e)
-        for p, e in self.opq.values():
-            if e < 0:
-                raise ValueError("cannot expand negative exponents")
-            out = out * (p ** e)
-        return out
+        """The product as one polynomial, by polys._product: each factor is
+        multiplied in once per unit of its exponent, with packed keys that
+        are unpacked once, at the end."""
+        factors = [(f.to_poly(self.vars), e) for f, e in self.aff.values()]
+        factors += self.opq.values()
+        if any(e < 0 for _, e in factors):
+            raise ValueError("cannot expand negative exponents")
+        return _product(self.vars, factors, self.const)
 
     def divide_factor(self, kind, key, d_poly: MultiPoly):
         """Divide one copy of the stored factor (kind, key) by d_poly, which
@@ -420,7 +423,9 @@ def _shift_candidates(fq, fr, k):
     _good_point.  There specializing commutes with the resultant, so every
     generic shift is a root, and it is +-lc(fq)^deg(fr) lc(fr)^deg(fq)
     prod(j + a_i - b_l), over the roots a_i of fq and b_l of fr, of degree
-    deg_k fq * deg_k fr in j: never zero, and found by interpolation."""
+    deg_k fq * deg_k fr in j: never zero, and found by interpolation.  The
+    poly of an affine factor may be None: it is built from the form only for
+    a pair with an opaque factor."""
     pq, aq, Lq = fq
     pr, ar, Lr = fr
     if aq and ar:
@@ -435,14 +440,19 @@ def _shift_candidates(fq, fr, k):
         m, e = _parts(alpha1 * alpha2)
         j = _ratio(n * e, d * m)
         return [j] if type(j) is int and j >= 0 else []
+    pq = pq or Lq.to_poly(pr.vars)
+    pr = pr or Lr.to_poly(pq.vars)
     coeffs = _resultant_in_j(pq, pr, k, _good_point(pq, pr, k))
     return [j for j in integer_roots_univar(coeffs) if j >= 0]
 
 
 def _k_factors(f: Factored, k):
-    """The factors of f that involve k, as ((kind, key), poly, form-or-None),
-    affine ones first, each group in storage order."""
-    out = [(("aff", key), L.to_poly(f.vars), L) for key, (L, e) in f.aff.items()
+    """The factors of f that involve k, as ((kind, key), poly, form), affine
+    ones first, each group in storage order.  An affine factor comes as its
+    normalized form with poly None, an opaque one as its poly with form
+    None: affine pairs are compared on their forms, and a caller builds
+    L.to_poly(f.vars) only where a polynomial is needed."""
+    out = [(("aff", key), None, L) for key, (L, e) in f.aff.items()
            if e > 0 and L.var_coeff(k) != 0]
     out += [(("opq", key), p, None) for key, (p, e) in f.opq.items()
             if e > 0 and p.degree(k) > 0]
@@ -453,10 +463,10 @@ def dispersion_set(num: Factored, den: Factored, k) -> dict:
     """For each pair (num factor, den factor), both involving k, candidate
     shifts j >= 0 (_shift_candidates), among them every j at which the two
     share a factor that involves k."""
+    rfacts = _k_factors(den, k)
     return {(fq, fr): _shift_candidates((pq, Lq is not None, Lq),
                                         (pr, Lr is not None, Lr), k)
-            for fq, pq, Lq in _k_factors(num, k)
-            for fr, pr, Lr in _k_factors(den, k)}
+            for fq, pq, Lq in _k_factors(num, k) for fr, pr, Lr in rfacts}
 
 
 def gosper_normal(ratio_num: Factored, ratio_den: Factored, k):
@@ -477,7 +487,8 @@ def gosper_normal(ratio_num: Factored, ratio_den: Factored, k):
         raise ValueError("zero shift quotient")
     q = ratio_num.copy()
     r = ratio_den.copy()
-    pbar = Factored.one(q.vars)
+    vars = q.vars
+    pbar = Factored.one(vars)
     cands = dispersion_set(q, r, k)
     content = {fid: fid[0] == "opq" and not _poly_list_gcd(p.to_univar(k)).is_constant()
                for f in (q, r) for fid, p, _ in _k_factors(f, k)}
@@ -489,11 +500,12 @@ def gosper_normal(ratio_num: Factored, ratio_den: Factored, k):
                      if j in cands[fq, fr] or content[fq] and content[fr])
             for fq, pq, Lq, fr, pr, Lr in pairs:
                 if Lq is not None and Lr is not None:
-                    if _normalize_affine(Lr.shift(k, j), q.vars)[1] == Lq:
-                        g = pq
+                    if _normalize_affine(Lr.shift(k, j), vars)[1] == Lq:
+                        g = Lq.to_poly(vars)
                         break
                 else:
-                    g = poly_gcd(pq, pr.shift(k, j))
+                    g = poly_gcd(pq or Lq.to_poly(vars),
+                                 (pr or Lr.to_poly(vars)).shift(k, j))
                     if not g.is_constant():
                         break
             else:

@@ -515,11 +515,14 @@ def _integer_cleared(matrix: PolyMatrix) -> PolyMatrix:
 
 def clear_and_primitive(polys):
     """Strip the common polynomial factor and rational content from a list of
-    polynomials; make the first nonzero one positively led.  Returns new list."""
+    polynomials; make the first nonzero one positively led.  Returns new list.
+    The factor is divided out as its primitive integer associate, so integer
+    polynomials divide with integer quotients."""
     content = _poly_list_gcd(polys)
     if content is None:
         return list(polys)
     if not content.is_constant():
+        content = content.primitive()[1]
         polys = [p.divexact(content) if not p.is_zero() else p for p in polys]
     num = 0
     den = 1

@@ -14,13 +14,16 @@ a fixed variable tuple.
 
 Products run over the integers: each operand is scaled by the lcm of its
 coefficient denominators (`common_denominator`), and the one common
-denominator is divided out when the product is stored.  Products and exact
-divisions pack each exponent tuple into a single int, so that adding packed
-keys adds exponents.  The division's packing also orders keys
-graded-lexicographically and keeps a spare top bit in every exponent field,
-so one subtraction tests monomial divisibility; its remainder is updated in
-place.  Packed keys never leave a kernel: stored terms stay keyed by exponent
-tuples.
+denominator is divided out when the product is stored.  A product of many
+factors or a power (`_product`) runs in one accumulator, into which each
+factor is multiplied in turn, so each key is unpacked only once, at the
+end (Monagan and Pearce, CASC 2007; Johnson, SIGSAM Bull. 8, 1974).
+Products and exact divisions pack each exponent tuple into a single int, so
+that adding packed keys adds exponents.  The division's packing also orders
+keys graded-lexicographically and keeps a spare top bit in every exponent
+field, so one subtraction tests monomial divisibility; its remainder is
+updated in place.  Packed keys never leave a kernel: stored terms stay keyed
+by exponent tuples.
 
 Gcds run GCDHEU first (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989):
 each variable in turn is set to a large integer xi, down to one big-integer
@@ -299,16 +302,11 @@ class MultiPoly:
         return MultiPoly(self.vars, {e: _norm_coef(v * c) for e, v in self.terms.items()})
 
     def __pow__(self, n: int):
+        """self^n by repeated multiplication in one packed accumulator
+        (`_product`); self^0 is 1, also for the zero polynomial."""
         if n < 0:
             raise ValueError("negative power")
-        result = MultiPoly.constant(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _product(self.vars, [(self, n)])
 
     # -- degrees and leading terms ------------------------------------------
 
@@ -545,6 +543,47 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self})"
+
+
+def _product(vars, factors, const=1) -> MultiPoly:
+    """const * prod(p^e) over the pairs (p, e) of factors, every p over the
+    variable tuple vars and every e >= 0.  One dict keyed by packed exponents
+    is multiplied by each factor e times over the integers.  The radix of
+    variable i is 1 plus the sum of e * deg_i(p), so no digit carries; each
+    factor's denominator is cleared once, and each key is unpacked and the
+    common denominator divided out once, at the end."""
+    num, den = _parts(const)
+    factors = [(p, e) for p, e in factors if e]
+    if not num or any(not p.terms for p, _ in factors):
+        return MultiPoly(vars, {})
+    radices = [1] * len(vars)
+    for p, e in factors:
+        for i, d in enumerate(map(max, zip(*p.terms))):
+            radices[i] += e * d
+    weights = [1]
+    for r in radices[:-1]:
+        weights.append(weights[-1] * r)
+    acc = {0: num}
+    for p, e in factors:
+        d, terms = _cleared(p)
+        den *= d ** e
+        packed = [(sum(map(mul, exp, weights)), c) for exp, c in terms]
+        for _ in range(e):
+            out = {}
+            get = out.get
+            for k2, c2 in packed:
+                for k1, c1 in acc.items():
+                    k = k1 + k2
+                    s = get(k, 0) + c1 * c2
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+            acc = out
+    if den == 1:
+        return MultiPoly(vars, {_unpack(k, radices): c for k, c in acc.items()})
+    return MultiPoly(vars, {_unpack(k, radices): _ratio(c, den)
+                            for k, c in acc.items()})
 
 
 def _univar_prem(u, v, var):

@@ -72,15 +72,17 @@ class AssembledSystem:
     """The telescoping system M' of one order: column j of the system M of
     the expanded equation, divided by its k-free content c_j = contents[j].
     Column scaling by nonzero polynomials keeps the rank over Q(n, params),
-    and for a square system det M = det M' * prod_j c_j."""
+    and for a square system det M = det M' * prod_j c_j.  pbar and r, the
+    Gosper normal form's parts that only a certificate reads, stay factored;
+    certificate_from_solution expands them."""
     ansatz: TelescoperAnsatz
     matrix: PolyMatrix          # M' over (rec var, params); k eliminated
     k: str
     n: str
     vars: tuple                 # full variable tuple of the term
     matrix_vars: tuple
-    pbar: MultiPoly
-    r: MultiPoly
+    pbar: Factored
+    r: Factored
     denominator: Factored       # Q(k), the cleared common denominator
     contents: list              # Factored k-free divisor of each column
 
@@ -180,7 +182,7 @@ def assemble(f: TermExpression, J: int, k=None, n=None):
     ansatz = TelescoperAnsatz(J, K)
     matrix = PolyMatrix(_split_rows(cols, vars.index(k), matrix_vars))
     return AssembledSystem(ansatz, matrix, k, n, vars, matrix_vars,
-                           pbar_f.expand(), r_f.expand(), Q, contents)
+                           pbar_f, r_f, Q, contents)
 
 
 def _split_rows(cols, ki, matrix_vars):
@@ -218,10 +220,10 @@ def certificate_from_solution(sys: AssembledSystem, b_coeffs, extra_den=None):
     for i, c in enumerate(b_coeffs):
         b_num = b_num + c.embed(vars) * (kpoly ** i)
     qnum, qden = sys.denominator.split()
-    den = sys.pbar * qnum.expand()
+    den = qnum.mul(sys.pbar).expand()
     if extra_den is not None:
         den = den * extra_den.embed(vars)
-    num = b_num * sys.r.shift(sys.k, -1) * qden.expand()
+    num = b_num * qden.mul(sys.r.shift(sys.k, -1)).expand()
     reduce = (sys.ansatz.order == 0
               or num.total_degree() + den.total_degree() <= 24)
     return Certificate(RationalFunction(num, den, reduce=reduce))

@@ -2,13 +2,13 @@
 
 from dataclasses import replace
 from fractions import Fraction
-from math import factorial, gcd, isqrt
+from math import factorial, gcd, isqrt, lcm
 
 from hyperproof.factored import _primes_from
-from hyperproof.linalg import PolyMatrix, _int_det, clear_and_primitive
+from hyperproof.linalg import PolyMatrix, _int_det
 from hyperproof.polys import (
-    MultiPoly, RationalFunction, _as_fraction, clear_denominators,
-    common_denominator,
+    MultiPoly, RationalFunction, _as_fraction, _poly_list_gcd,
+    clear_denominators, common_denominator,
 )
 from hyperproof.gridproof import _window
 from hyperproof.terms import EvalError, LinearForm, _ZeroTerm, evaluate
@@ -77,8 +77,60 @@ def nullspace_rational(m: PolyMatrix) -> list:
             vec[pc] = -(s / rows[pr][pc])
         _, polys = clear_denominators(m.vars, vec)
         basis.append([RationalFunction.from_poly(p)
-                      for p in clear_and_primitive(polys)])
+                      for p in clear_and_primitive_reference(polys)])
     return basis
+
+
+def clear_and_primitive_reference(polys):
+    """linalg.clear_and_primitive the way it once was: the common polynomial
+    factor divided out as the monic gcd, then the rational content, with the
+    first nonzero polynomial positively led."""
+    content = _poly_list_gcd(polys)
+    if content is None:
+        return list(polys)
+    if not content.is_constant():
+        polys = [p.divexact(content) if not p.is_zero() else p for p in polys]
+    num = 0
+    den = 1
+    for p in polys:
+        c = p.content()
+        num = gcd(num, c.numerator)
+        den = lcm(den, c.denominator)
+    scale = Fraction(num, den)
+    first = next(p for p in polys if not p.is_zero())
+    if first.leading_coeff() < 0:
+        scale = -scale
+    return [p.scale(1 / scale) for p in polys]
+
+
+def pow_reference(p: MultiPoly, n: int) -> MultiPoly:
+    """p^n by square-and-multiply over MultiPoly products, the way
+    MultiPoly.__pow__ once computed it."""
+    if n < 0:
+        raise ValueError("negative power")
+    result = MultiPoly.constant(p.vars, 1)
+    base = p
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
+
+
+def expand_reference(f) -> MultiPoly:
+    """A factored.Factored product multiplied out one factor at a time, each
+    a pow_reference, the way Factored.expand once did."""
+    out = MultiPoly.constant(f.vars, f.const)
+    for L, e in f.aff.values():
+        if e < 0:
+            raise ValueError("cannot expand negative exponents")
+        out = out * pow_reference(L.to_poly(f.vars), e)
+    for p, e in f.opq.values():
+        if e < 0:
+            raise ValueError("cannot expand negative exponents")
+        out = out * pow_reference(p, e)
+    return out
 
 
 def rows_by_to_univar(cols, k, matrix_vars) -> list:
@@ -233,11 +285,11 @@ def shift_candidates_reference(fq, fr, k) -> list:
     resultant over all of the pair's variables and j.  An affine factor's
     root in k is substituted into the other factor; two opaque factors give
     the multivariate Sylvester determinant.  fq, fr are (poly, is_affine,
-    form)."""
+    form); an affine factor's poly is not read, and may be None."""
     pq, aq, Lq = fq
     pr, ar, Lr = fr
     assert not (aq and ar), "two affine factors have a closed form"
-    jvars = pq.vars + ("_j",)
+    jvars = (pr if aq else pq).vars + ("_j",)
     jpoly = MultiPoly.variable(jvars, "_j")
     if aq != ar:
         # one affine, one opaque: substitute the affine root into the other

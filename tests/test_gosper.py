@@ -496,7 +496,8 @@ def _reference_candidates(fq, fr, k):
 def proof_opaque_pairs(ident, monkeypatch):
     """(num, den, k, opaque pairs) of every gosper_normal call of ident's
     proof, with each pair of k-factors of which one at least is opaque as
-    ((poly, is_affine, form), (poly, is_affine, form))."""
+    ((poly, is_affine, form), (poly, is_affine, form)); an affine factor's
+    poly is built from its form."""
     seen = []
 
     def record(num, den, k):
@@ -506,10 +507,13 @@ def proof_opaque_pairs(ident, monkeypatch):
     monkeypatch.setattr(telescope, "gosper_normal", record)
     run_prove(ident, Fraction(1, 10), 0, 6, 1)
     monkeypatch.undo()
-    return [(num, den, k, [((pq, Lq is not None, Lq), (pr, Lr is not None, Lr))
-                           for _, pq, Lq in _k_factors(num, k)
-                           for _, pr, Lr in _k_factors(den, k)
-                           if Lq is None or Lr is None])
+
+    def side(f, k):
+        return [(p or L.to_poly(f.vars), L is not None, L)
+                for _, p, L in _k_factors(f, k)]
+
+    return [(num, den, k, [(fq, fr) for fq in side(num, k)
+                           for fr in side(den, k) if not (fq[1] and fr[1])])
             for num, den, k in seen]
 
 
@@ -602,7 +606,8 @@ def _reference_gosper(f, k):
         b = MultiPoly.zero(vars)
         for i, c in enumerate(bs):
             b = b + c.embed(vars) * kpoly ** i
-        return RationalFunction(b * sys.r.shift(k, -1), a0.embed(vars) * sys.pbar)
+        return RationalFunction(b * sys.r.expand().shift(k, -1),
+                                a0.embed(vars) * sys.pbar.expand())
     return None
 
 

@@ -6,12 +6,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hyperproof import polys as polys_module
+from hyperproof.factored import Factored
+from hyperproof.linalg import clear_and_primitive
 from hyperproof.polys import (
     MultiPoly, RationalFunction, _cleared, _heuristic_gcd, _norm_coef,
     common_denominator, poly_gcd, poly_lcm,
 )
 from hyperproof.terms import LinearForm
-from oracles import poly_key_reference, sort_key_reference
+from oracles import (
+    clear_and_primitive_reference, expand_reference, poly_key_reference,
+    pow_reference, sort_key_reference,
+)
 
 
 V = ("x", "y")
@@ -265,6 +270,74 @@ def poly_pairs(draw):
 def test_mul_matches_schoolbook(pq):
     p, q = pq
     assert typed(p * q) == typed(ref_mul(p, q))
+
+
+def well_typed(p):
+    """Every stored coefficient is nonzero, and an int unless it is a
+    non-integral rational."""
+    return all(c and (type(c) is int or type(c) is Fraction and c.denominator > 1)
+               for c in p.terms.values())
+
+
+def outcome(compute):
+    """The variables and the terms, each coefficient with its type, of the
+    well-typed polynomial compute() returns, or the class and message of
+    the ValueError it raises."""
+    try:
+        p = compute()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    assert well_typed(p), p
+    return p.vars, sorted(typed(p))
+
+
+@st.composite
+def factored_products(draw):
+    """A Factored product over 1-4 variables: an int, Fraction or zero
+    constant, affine forms with Fraction coefficients and opaque factors,
+    exponents 0-3, now and then -1."""
+    n = draw(st.integers(1, 4))
+    vars = tuple("xyzw"[:n])
+    f = Factored(vars, draw(coefs) if draw(st.integers(0, 7)) else 0)
+    exps = st.sampled_from((0, 1, 2, 3) * 4 + (-1,))
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            L = LinearForm(dict(zip(vars, draw(st.lists(coefs, min_size=n,
+                                                        max_size=n)))),
+                           draw(coefs))
+            if L.coeffs or L.const:
+                f.mul_affine(L, draw(exps))
+        else:
+            p = draw(polys(n, max_terms=4, max_exp=2))
+            if p:
+                f.mul_poly(p, draw(exps))
+    return f
+
+
+@settings(deadline=None, max_examples=300)
+@given(factored_products())
+def test_expand_matches_the_factor_by_factor_product(f):
+    assert outcome(f.expand) == outcome(lambda: expand_reference(f))
+
+
+@settings(deadline=None, max_examples=300)
+@given(polys(max_terms=4), st.integers(-1, 4))
+def test_pow_matches_square_and_multiply(p, n):
+    assert outcome(lambda: p ** n) == outcome(lambda: pow_reference(p, n))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(polys(n, max_terms=3, max_exp=2), min_size=1, max_size=4),
+    polys(n, max_terms=3, max_exp=2).filter(bool))))
+def test_clear_and_primitive_matches_the_monic_division(case):
+    # the vector shares the polynomial factor s, which may be a constant
+    ps, s = case
+    vec = [p * s for p in ps]
+    got = clear_and_primitive(vec)
+    assert [sorted(typed(p)) for p in got] == \
+        [sorted(typed(p)) for p in clear_and_primitive_reference(vec)]
+    assert all(map(well_typed, got))
 
 
 @settings(deadline=None, max_examples=200)
