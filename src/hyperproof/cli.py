@@ -7,7 +7,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,16 +41,21 @@ class IdentityFile:
     params: tuple
     notes: str = ""
     path: str = ""
+    _parsed: tuple = field(default=None, init=False, repr=False,
+                           compare=False)
 
     @property
     def symbols(self):
         return (self.sum_var, self.rec_var) + self.params
 
     def parsed(self):
-        """(summand term, rhs term list, lower form, upper form)."""
-        return (parse_term(self.summand, self.symbols),
-                parse_sum(self.rhs, self.symbols),
-                self._limit(self.lower), self._limit(self.upper))
+        """(summand term, rhs term list, lower form, upper form), parsed on
+        the first call and kept: load_identity's validation is that call."""
+        if self._parsed is None:
+            self._parsed = (parse_term(self.summand, self.symbols),
+                            parse_sum(self.rhs, self.symbols),
+                            self._limit(self.lower), self._limit(self.upper))
+        return self._parsed
 
     def _limit(self, text):
         if text.strip().lower() == "all":

@@ -102,13 +102,17 @@ class Factored:
             return self.mul_const(L.const, e)
         scale, normal = _normalize_affine(L, self.vars)
         self.mul_const(scale, e)
-        key = normal.sort_key()
-        if key in self.aff:
-            self.aff[key][1] += e
-            if self.aff[key][1] == 0:
-                del self.aff[key]
+        return self._mul_stored(self.aff, normal.sort_key(), normal, e)
+
+    def _mul_stored(self, table, key, factor, e):
+        """Multiply by factor^e, factor already in the normal form of table
+        (aff or opq) under key."""
+        if key in table:
+            table[key][1] += e
+            if table[key][1] == 0:
+                del table[key]
         else:
-            self.aff[key] = [normal, e]
+            table[key] = [factor, e]
         return self
 
     def mul_poly(self, p: MultiPoly, e: int):
@@ -125,27 +129,27 @@ class Factored:
             return self.mul_affine(LinearForm.from_poly(p), e)
         scale, prim = p.primitive()
         self.mul_const(scale, e)
-        key = prim.key()
-        if key in self.opq:
-            self.opq[key][1] += e
-            if self.opq[key][1] == 0:
-                del self.opq[key]
-        else:
-            self.opq[key] = [prim, e]
-        return self
+        return self._mul_stored(self.opq, prim.key(), prim, e)
 
     def mul(self, other: "Factored"):
+        """Multiply by other, over the same vars; its factors are stored
+        normalized, so they are taken as they are."""
         self.mul_const(other.const)
-        for f, e in other.aff.values():
-            self.mul_affine(f, e)
-        for p, e in other.opq.values():
-            self.mul_poly(p, e)
+        for key, (f, e) in other.aff.items():
+            self._mul_stored(self.aff, key, f, e)
+        for key, (p, e) in other.opq.items():
+            self._mul_stored(self.opq, key, p, e)
         return self
 
-    def shift(self, var, delta) -> "Factored":
+    def shift(self, var, delta: int) -> "Factored":
+        """The product with var replaced by var + delta, an integer.  Such a
+        shift changes only the constant of an affine factor, which leaves
+        its coefficients' gcd and its sign, and so its normal form; an
+        opaque factor is normalized again."""
         out = Factored(self.vars, self.const)
         for f, e in self.aff.values():
-            out.mul_affine(f.shift(var, delta), e)
+            g = f.shift(var, delta)
+            out._mul_stored(out.aff, g.sort_key(), g, e)
         for p, e in self.opq.values():
             out.mul_poly(p.shift(var, delta), e)
         return out
@@ -500,7 +504,7 @@ def gosper_normal(ratio_num: Factored, ratio_den: Factored, k):
                      if j in cands[fq, fr] or content[fq] and content[fr])
             for fq, pq, Lq, fr, pr, Lr in pairs:
                 if Lq is not None and Lr is not None:
-                    if _normalize_affine(Lr.shift(k, j), vars)[1] == Lq:
+                    if Lr.shift(k, j) == Lq:  # both stay normalized
                         g = Lq.to_poly(vars)
                         break
                 else:

@@ -378,19 +378,22 @@ class Inconclusive(GridProofError):
     pass
 
 
-def _positive_root_bound(p: MultiPoly, var):
-    """Largest positive integer root of p, a polynomial over (var,), or
-    None.  ValueError for the zero polynomial."""
+def _nonnegative_root_bound(p: MultiPoly, var):
+    """Largest nonnegative integer root of p, a polynomial over (var,), or
+    None.  ValueError for the zero polynomial.  The root 0 counts: the
+    induction starts at n = 0, and where a_J(0) = 0 the recurrence at n = 0
+    does not fix the value at n = J."""
     coeffs = [p.terms.get((d,), 0) for d in range(p.degree(var) + 1)]
-    return max((r for r in integer_roots_univar(coeffs) if r > 0), default=None)
+    return max((r for r in integer_roots_univar(coeffs) if r >= 0),
+               default=None)
 
 
 def _leading_root_bound(rec: Recurrence, n):
-    """Largest positive integer root in n of the last recurrence coefficient,
-    or None."""
+    """Largest nonnegative integer root in n of the last recurrence
+    coefficient, or None."""
     p = rec.coefficients[-1].restrict((n,))
     try:
-        return _positive_root_bound(p, n)
+        return _nonnegative_root_bound(p, n)
     except ValueError:
         return None
 
@@ -413,7 +416,7 @@ def _free_part(p: MultiPoly, n) -> MultiPoly:
 
 
 def leading_coeff_check(sys, certainty, seed: int, jobs: int = 1):
-    """Largest positive integer root n0 of the leading coefficient a_J of a
+    """Largest nonnegative integer root n0 of the leading coefficient a_J of a
     telescoper from the order-J system the grid proved, as roots generic in
     the parameters; returns (n0 or None, the parameter points used).
 
@@ -430,7 +433,7 @@ def leading_coeff_check(sys, certainty, seed: int, jobs: int = 1):
     free of the parameters divide w_J(n; s_i) at every parameter point s_i;
     the gcd over the nonzero w_J(n; s_i), each interpolated from integer
     minors, keeps them and drops roots that only special parameter values
-    have.  n0 is the largest positive integer root of that gcd or of the
+    have.  n0 is the largest nonnegative integer root of that gcd or of the
     parameter-free part of a factor of any c_j.  Raises Inconclusive when no
     such B exists or the rank-deficiency test fails.
     """
@@ -470,7 +473,7 @@ def leading_coeff_check(sys, certainty, seed: int, jobs: int = 1):
     # the contents share most of their factors: each is rooted once
     factors = {f.key(): f for c in sys.contents for f, _, _, _ in c.factors()}
     free = [_free_part(f, n) for f in factors.values()]
-    roots = [_positive_root_bound(p, n) for p in [g] + free]
+    roots = [_nonnegative_root_bound(p, n) for p in [g] + free]
     return max((r for r in roots if r is not None), default=None), used
 
 

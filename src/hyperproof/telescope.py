@@ -3,12 +3,16 @@ with sum_j a_j(n) F(n+j,k) = G(n,k+1) - G(n,k), by assembling the linear
 system from the expanded telescoping equation and solving (or, downstream,
 testing) it.  Includes independent certificate verification.
 
-`verify_certificate` decides exactly whether the cross-multiplied identity P
-of a certificate is zero without expanding it.  Weighted degree bounds h_w
-over the variables other than k follow from the factors (a product adds
-them, a sum takes their max, a shift in k keeps them), so every
-k-coefficient of P has support in a lower set of exponents; P is zero iff it
-vanishes on the matching subgrid (N. Dyn and M. S. Floater, "Multivariate
+`verify_certificate` decides exactly whether the certificate identity,
+cleared by the lcm L of its factored denominators, is zero without
+expanding it: P' = (L/Q) sum_j a_j u_j - (L/(pd D(k+1))) pn N(k+1) +
+(L/D) N, for sigma_j = u_j/Q, rho = pn/pd and R = N/D.  A certificate keeps
+its unreduced denominator D as a product (Certificate.factored_den), so L
+is read off the factors; any other D is one opaque factor.  Weighted degree
+bounds h_w over the variables other than k follow from the factors (a
+product adds them, a sum takes their max, a shift in k keeps them), so every
+k-coefficient of P' has support in a lower set of exponents; P' is zero iff
+it vanishes on the matching subgrid (N. Dyn and M. S. Floater, "Multivariate
 polynomial interpolation on lower sets", J. Approx. Theory 177, 2014).  The
 points come from linalg._lower_set and the values from linalg._GridEvaluator,
 as for the determinant grid of gridproof.
@@ -25,7 +29,8 @@ algorithm is solve_order at order 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 
 from .factored import (
     Factored, factored_common, factored_free_of, factored_lcm,
@@ -54,8 +59,11 @@ class Recurrence:
 
 @dataclass(frozen=True)
 class Certificate:
-    """R with G = R*F for the antidifference G of F."""
+    """R with G = R*F for the antidifference G of F.  factored_den, when R
+    is left unreduced, is its denominator as a product, with
+    factored_den.expand() == ratio.den; verify_certificate clears by it."""
     ratio: RationalFunction
+    factored_den: Factored | None = field(default=None, compare=False)
 
     def __str__(self):
         return str(self.ratio)
@@ -212,7 +220,9 @@ def certificate_from_solution(sys: AssembledSystem, b_coeffs, extra_den=None):
     Reduced at order 0, where it is published as the Gosper/WZ certificate,
     and when it is small.  Otherwise left unreduced: cancelling the fraction
     needs a multivariate gcd that can dwarf the whole proof, and verification
-    never requires it.
+    never requires it.  An unreduced certificate keeps its denominator, the
+    numerator of Q times pbar(k) times extra_den, as a product
+    (Certificate.factored_den), which verify_certificate clears by.
     """
     vars = sys.vars
     kpoly = MultiPoly.variable(vars, sys.k)
@@ -220,13 +230,18 @@ def certificate_from_solution(sys: AssembledSystem, b_coeffs, extra_den=None):
     for i, c in enumerate(b_coeffs):
         b_num = b_num + c.embed(vars) * (kpoly ** i)
     qnum, qden = sys.denominator.split()
-    den = qnum.mul(sys.pbar).expand()
+    D = qnum.mul(sys.pbar)
     if extra_den is not None:
-        den = den * extra_den.embed(vars)
+        D.mul_poly(extra_den.embed(vars), 1)
+    den = D.expand()
     num = b_num * qden.mul(sys.r.shift(sys.k, -1)).expand()
-    reduce = (sys.ansatz.order == 0
-              or num.total_degree() + den.total_degree() <= 24)
-    return Certificate(RationalFunction(num, den, reduce=reduce))
+    reduced = (sys.ansatz.order == 0
+               or num.total_degree() + den.total_degree() <= 24)
+    ratio = RationalFunction(num, den, reduce=reduced)
+    if reduced or num.is_zero():
+        return Certificate(ratio)
+    # the unreduced ratio divides num and den by the leading coefficient
+    return Certificate(ratio, D.mul_const(den.leading_coeff(), -1))
 
 
 def solve_order(sys: AssembledSystem):
@@ -271,22 +286,27 @@ def verify_certificate(f: TermExpression, rec: Recurrence, cert: Certificate,
     sigma_j = f(n+j,k)/f(n,k) and rho = f(n,k+1)/f(n,k).  False on any
     mismatch.
 
-    With sigma_j = u_j/Q, rho = pn/pd and R = rn/rd over their unreduced
-    numerators and denominators, the check is whether the cleared identity
-    P = pd rd(k+1) (sum_j a_j u_j rd + rn Q) - rn(k+1) pn rd Q is zero; no
-    polynomial gcd is needed and P is never expanded.  P is a polynomial in
-    k over the other variables y.  For each weight w in {0,1}^r minus 0 over
-    y, h_w(p), the max of w.e over the support of p, obeys h_w(pq) <= h_w(p)
-    + h_w(q) and h_w(p + q) <= max(h_w(p), h_w(q)), and a shift in k leaves
-    it unchanged; so the factors' h_w bound h_w(P), and every k-coefficient
-    of P has support in the lower set S = {e : w.e <= h_w(P) for all w}.
-    A polynomial with support in a lower set that vanishes on the matching
-    subgrid of integer points is zero (N. Dyn and M. S. Floater,
-    "Multivariate polynomial interpolation on lower sets", J. Approx. Theory
-    177, 2014), so P is zero iff it is zero at the |S| points of that
-    subgrid.  There the factors' coefficient rows in k evaluate to dense
-    integer lists (linalg._GridEvaluator), R(k+1) is a Taylor shift, and
-    both sides of P are multiplied out and compared exactly.
+    With sigma_j = u_j/Q, rho = pn/pd and R = N/D, all over factored
+    denominators (D from cert.factored_den, else R.den as one opaque
+    factor), the check is whether the cleared identity
+    P' = (L/Q) sum_j a_j u_j - (L/(pd D(k+1))) pn N(k+1) + (L/D) N
+    is zero, L = factored_lcm([Q, pd D(k+1), D]) and every quotient a
+    factored_quotient; no polynomial gcd is needed and P' is never expanded.
+    P' is a polynomial in k over the other variables y.  For each weight w
+    in {0,1}^r minus 0 over y, h_w(p), the max of w.e over the support of
+    p, obeys h_w(pq) <= h_w(p) + h_w(q) and h_w(p + q) <= max(h_w(p),
+    h_w(q)), and a shift in k leaves it unchanged; so the factors' h_w bound
+    h_w(P'), and every k-coefficient of P' has support in the lower set
+    S = {e : w.e <= h_w(P') for all w}.  L divides the product
+    pd D(k+1) D Q that a cross-multiplication would clear by, so the bound
+    is never above that product's.  A polynomial with support in a lower
+    set that vanishes on the matching subgrid of integer points is zero
+    (N. Dyn and M. S. Floater, "Multivariate polynomial interpolation on
+    lower sets", J. Approx. Theory 177, 2014), so P' is zero iff it is zero
+    at the |S| points of that subgrid.  There the factors' coefficient rows
+    in k evaluate to dense integer lists (linalg._GridEvaluator), N(k+1) is
+    a Taylor shift, and the three terms of P' are multiplied out and
+    summed exactly.
     """
     try:
         return _cleared_identity_vanishes(
@@ -296,16 +316,40 @@ def verify_certificate(f: TermExpression, rec: Recurrence, cert: Certificate,
 
 
 def _cleared_factors(f, rec, cert, k=None, n=None):
-    """(k, [a_0, u_0, ..., a_J, u_J, Q, pn, pd, rn, rd]): the factors of the
-    cleared identity P of verify_certificate, expanded over f.symbols."""
+    """(k, factors, head, quotients): the cleared identity P' of
+    verify_certificate as polynomials over f.symbols.  The first head
+    factors are [a_0, u_0, ..., a_J, u_J, pn, N]; quotients lists, for L/Q,
+    L/(pd D(k+1)) and L/D in turn, the indices of the factors that multiply
+    to it: first its constant and affine factors, expanded as one, then
+    each opaque factor as often as its exponent, every distinct one held
+    once.  An opaque factor, such as a denominator that is not factored,
+    expands to far fewer terms alone than in a product."""
     k, n = _default_vars(f, k, n)
     vars = f.symbols
-    us, Q, (rho_num, rho_den) = _shift_ratios(f, rec.order, k, n)
+    us, Q, (pn, pd) = _shift_ratios(f, rec.order, k, n)
     R = cert.ratio if cert.ratio.vars == vars else cert.ratio.embed(vars)
+    D = cert.factored_den
+    if D is None or D.vars != vars:
+        D = Factored.one(vars).mul_poly(R.den, 1)
+    right = pd.mul(D.shift(k, 1))
+    L = factored_lcm([Q, right, D])
     factors = [p for a, u in zip(rec.coefficients, us)
                for p in (a.embed(vars), u.expand())]
-    return k, factors + [Q.expand(), rho_num.expand(), rho_den.expand(),
-                         R.num, R.den]
+    factors += [pn.expand(), R.num]
+    head = len(factors)
+    opaque = {}
+    quotients = []
+    for d in (Q, right, D):
+        q = factored_quotient(L, d)
+        indices = [len(factors)]
+        factors.append(Factored(vars, q.const, q.aff).expand())
+        for key, (p, e) in q.opq.items():
+            if key not in opaque:
+                opaque[key] = len(factors)
+                factors.append(p)
+            indices += [opaque[key]] * e
+        quotients.append(indices)
+    return k, factors, head, quotients
 
 
 def _sum_bound(*hs):
@@ -319,34 +363,38 @@ def _max_bound(*hs):
     return tuple(map(max, zip(*hs))) if hs else None
 
 
-def _identity_bound(k, factors):
-    """h_w(P) of the cleared identity P on the factors of _cleared_factors,
-    for every weight w in {0,1}^r minus 0 over the r variables other than k,
-    in the order of the bitmask of w (bit i for the i-th of them); None when
-    P is structurally zero."""
+def _identity_bound(k, factors, head, quotients):
+    """h_w(P') of the cleared identity P' from the output of
+    _cleared_factors, for every weight w in {0,1}^r minus 0 over the r
+    variables other than k, in the order of the bitmask of w (bit i for the
+    i-th of them); None when P' is structurally zero."""
     vars = factors[0].vars
     axes = [i for i, v in enumerate(vars) if v != k]
-    *hp, hq, hpn, hpd, hrn, hrd = [
-        None if p.is_zero() else tuple(_weighted_degrees(p, axes))
-        for p in factors]
+    hs = [None if p.is_zero() else tuple(_weighted_degrees(p, axes))
+          for p in factors]
+    *hp, hpn, hn = hs[:head]
+    hlq, hlr, hld = (_sum_bound(*(hs[i] for i in q)) for q in quotients)
     lhs = _max_bound(*map(_sum_bound, hp[0::2], hp[1::2]))
-    x = _max_bound(_sum_bound(lhs, hrd), _sum_bound(hrn, hq))
-    return _max_bound(_sum_bound(hpd, hrd, x), _sum_bound(hrn, hpn, hrd, hq))
+    return _max_bound(_sum_bound(hlq, lhs), _sum_bound(hlr, hpn, hn),
+                      _sum_bound(hld, hn))
 
 
-def _cleared_identity_vanishes(k, factors) -> bool:
-    """Whether P = pd rd(k+1) (sum_j a_j u_j rd + rn Q) - rn(k+1) pn rd Q is
-    zero, decided on the lower-set subgrid of its support bound (see
-    verify_certificate); factors as from _cleared_factors."""
-    bound = _identity_bound(k, factors)
+def _cleared_identity_vanishes(k, factors, head, quotients) -> bool:
+    """Whether P' = (L/Q) sum_j a_j u_j - (L/(pd D(k+1))) pn N(k+1) +
+    (L/D) N is zero, decided on the lower-set subgrid of its support bound
+    (see verify_certificate); the arguments as from _cleared_factors."""
+    bound = _identity_bound(k, factors, head, quotients)
     if bound is None:
         return True
     bounds = dict(enumerate(bound, start=1))
     ys = tuple(v for v in factors[0].vars if v != k)
     # every factor is scaled by one constant den, so a product of m factors
-    # is den^m times its value; rn Q and the right side, a factor short of
-    # lhs rd and the left side, take one more den
+    # is den^m times its value: each of the three terms is scaled up to the
+    # largest power
     den = common_denominator(factors)
+    sizes = [len(quotients[0]) + 2, len(quotients[1]) + 2,
+             len(quotients[2]) + 1]
+    lq_scale, lr_scale, ld_scale = (den ** (max(sizes) - m) for m in sizes)
     rows = [[c.restrict(ys).scale(den) for c in p.to_univar(k)]
             for p in factors]
     lengths = [len(row) for row in rows]
@@ -356,15 +404,21 @@ def _cleared_identity_vanishes(k, factors) -> bool:
     values = {v: _grid_values(bounds[1 << i]) for i, v in enumerate(ys)}
     lower = _lower_set(bounds)
     for _, _, a in _GridEvaluator(matrix, values).matrices(lower):
-        *ts, q, pn, pd, rn, rd = [row[:m] for row, m in zip(a, lengths)]
+        at = [row[:m] for row, m in zip(a, lengths)]
+        *ts, pn, num = at[:head]
+        lq, lr, ld = (reduce(_dense_mul, (at[i] for i in q))
+                      for q in quotients)
         lhs = []
         for a_j, u_j in zip(ts[0::2], ts[1::2]):
             lhs = _dense_add(lhs, _dense_mul(a_j, u_j))
-        x = _dense_add(_dense_mul(lhs, rd),
-                       [den * c for c in _dense_mul(rn, q)])
-        left = _dense_mul(_dense_mul(pd, _taylor_shift(rd)), x)
-        right = _dense_mul(_dense_mul(_taylor_shift(rn), pn), _dense_mul(rd, q))
-        if any(_dense_add(left, [-den * c for c in right])):
+        terms = [(lq_scale, _dense_mul(lq, lhs)),
+                 (ld_scale, _dense_mul(ld, num)),
+                 (-lr_scale, _dense_mul(_dense_mul(lr, pn),
+                                        _taylor_shift(num)))]
+        total = []
+        for c, t in terms:
+            total = _dense_add(total, [c * x for x in t])
+        if any(total):
             return False
     return True
 

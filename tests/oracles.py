@@ -133,6 +133,28 @@ def expand_reference(f) -> MultiPoly:
     return out
 
 
+def factored_mul_reference(f, g):
+    """f * g as Factored.mul once computed it: every factor of g through
+    mul_affine or mul_poly, which normalize it again."""
+    out = f.copy().mul_const(g.const)
+    for L, e in g.aff.values():
+        out.mul_affine(L, e)
+    for p, e in g.opq.values():
+        out.mul_poly(p, e)
+    return out
+
+
+def factored_shift_reference(f, var, delta):
+    """f with var replaced by var + delta as Factored.shift once computed
+    it: every shifted factor through mul_affine or mul_poly."""
+    out = type(f)(f.vars, f.const)
+    for L, e in f.aff.values():
+        out.mul_affine(L.shift(var, delta), e)
+    for p, e in f.opq.values():
+        out.mul_poly(p.shift(var, delta), e)
+    return out
+
+
 def rows_by_to_univar(cols, k, matrix_vars) -> list:
     """The rows of the telescoping system with columns cols, split the way
     assemble once did: row d takes to_univar(k)[d] of every column, restricted

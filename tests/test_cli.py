@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from hyperproof import cli
 from hyperproof.cli import (
     EXIT_INCONCLUSIVE, EXIT_OK, EXIT_REFUTED, EXIT_USAGE, IdentityFileError,
-    load_identity, main,
+    load_identity, main, run_prove,
 )
 from hyperproof.terms import parse_sum, parse_term, render
 
@@ -23,6 +24,26 @@ def test_load_identity_fields():
     F, rhs_terms, lower, upper = ident.parsed()
     assert len(rhs_terms) == 1
     assert lower.eval({"n": 4}) == 0 and upper.eval({"n": 4}) == 4
+
+
+def test_identity_file_is_parsed_once(monkeypatch):
+    # load_identity parses to validate and keeps the result; a proof and a
+    # verification reuse it
+    calls = []
+    real = cli.parse_term
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "parse_term", counted)
+    ident = load_identity(CORPUS / "binomial-2n.txt")
+    assert len(calls) == 1
+    assert run_prove(ident, 1, 0, 6, 1).verdict == "rigorous"
+    assert len(calls) == 1
+    assert main(["verify", str(CORPUS / "binomial-2n.txt"), "--recurrence=-2,1",
+                 "--certificate=-k/(n+1-k)"]) == EXIT_OK
+    assert len(calls) == 2
 
 
 def test_load_identity_missing_field(tmp_path):

@@ -732,6 +732,30 @@ def test_positive_integer_roots():
     assert _leading_root_bound(Recurrence(1, (one, q)), "n") is None
 
 
+def test_zero_root_of_the_leading_coefficient_counts():
+    # a_J = n^2 + 2n = n (n + 2): at n = 0 the recurrence does not fix the
+    # value at n = J, so the bound is 0 and the base cases reach n = J
+    vars = ("n",)
+    n = MultiPoly.variable(vars, "n")
+    one = MultiPoly.constant(vars, 1)
+    a = n * n + n.scale(2)
+    assert _leading_root_bound(Recurrence(1, (one, a)), "n") == 0
+    assert _leading_root_bound(Recurrence(1, (one, a + one)), "n") is None
+
+
+@pytest.mark.parametrize("name", ["zero-root-central-binomial",
+                                  "zero-root-dixon-cubes-2",
+                                  "zero-root-dixon-cubes-4"])
+def test_false_identity_with_a_zero_root_is_refuted(name):
+    # each holds at n = 0 and 1 only; its telescoper's leading coefficient
+    # vanishes at n = 0, so the base cases must reach n = 1
+    rep = run_prove(load_identity(CORPUS / "extra" / f"{name}.txt"),
+                    Fraction(1), 0, 6, 1)
+    assert (rep.verdict, rep.method, rep.leading_root_bound) == (
+        "refuted", "telescope", 0)
+    assert rep.initial_checks[-1] == ["delta", 1, False]
+
+
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 

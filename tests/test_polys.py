@@ -14,8 +14,9 @@ from hyperproof.polys import (
 )
 from hyperproof.terms import LinearForm
 from oracles import (
-    clear_and_primitive_reference, expand_reference, poly_key_reference,
-    pow_reference, sort_key_reference,
+    clear_and_primitive_reference, expand_reference, factored_mul_reference,
+    factored_shift_reference, poly_key_reference, pow_reference,
+    sort_key_reference,
 )
 
 
@@ -292,11 +293,11 @@ def outcome(compute):
 
 
 @st.composite
-def factored_products(draw):
-    """A Factored product over 1-4 variables: an int, Fraction or zero
-    constant, affine forms with Fraction coefficients and opaque factors,
-    exponents 0-3, now and then -1."""
-    n = draw(st.integers(1, 4))
+def factored_products(draw, nvars=None):
+    """A Factored product over 1-4 variables (nvars if given): an int,
+    Fraction or zero constant, affine forms with Fraction coefficients and
+    opaque factors, exponents 0-3, now and then -1."""
+    n = draw(st.integers(1, 4)) if nvars is None else nvars
     vars = tuple("xyzw"[:n])
     f = Factored(vars, draw(coefs) if draw(st.integers(0, 7)) else 0)
     exps = st.sampled_from((0, 1, 2, 3) * 4 + (-1,))
@@ -318,6 +319,25 @@ def factored_products(draw):
 @given(factored_products())
 def test_expand_matches_the_factor_by_factor_product(f):
     assert outcome(f.expand) == outcome(lambda: expand_reference(f))
+
+
+def stored(f):
+    """The constant and the factor tables of a Factored, keys included."""
+    return (f.const, {key: (L, e) for key, (L, e) in f.aff.items()},
+            {key: (p, e) for key, (p, e) in f.opq.items()})
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    factored_products(n), factored_products(n),
+    st.sampled_from("xyzw"[:n]), st.integers(-3, 3))))
+def test_mul_and_shift_take_the_stored_factors_as_normalized(case):
+    # mul and an integer shift skip _normalize_affine: they must store what
+    # mul_affine would
+    f, g, var, delta = case
+    assert stored(f.copy().mul(g)) == stored(factored_mul_reference(f, g))
+    assert stored(f.shift(var, delta)) == \
+        stored(factored_shift_reference(f, var, delta))
 
 
 @settings(deadline=None, max_examples=300)

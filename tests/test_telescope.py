@@ -1,19 +1,23 @@
 import random
 from fractions import Fraction
 from functools import cache
+from math import prod
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hyperproof import telescope
-from hyperproof.cli import load_identity
+from hyperproof import gridproof, telescope
+from hyperproof.cli import load_identity, run_prove
 from hyperproof.gridproof import normalize_and_delta
-from hyperproof.linalg import _grid_values, solve_nullspace
+from hyperproof.linalg import (
+    _grid_values, _lower_set, _weighted_degrees, solve_nullspace,
+)
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.telescope import (
     Certificate, Recurrence, _cleared_factors, _default_vars, _identity_bound,
-    _shift_ratios, assemble, solve_order, verify_certificate,
+    _max_bound, _shift_ratios, _sum_bound, assemble, solve_order,
+    verify_certificate,
 )
 from hyperproof.terms import TermError, eval_summand, parse_term
 from oracles import rows_by_to_univar
@@ -39,6 +43,43 @@ def cross_multiplied(f, rec, cert, k=None, n=None):
     rhs_num = rn1 * pn * rd - rn * pd * rd1
     rhs_den = rd1 * pd * rd
     return lhs_num * rhs_den - rhs_num * lhs_den
+
+
+def cleared_identity(k, factors, head, quotients):
+    """The cleared identity P' = (L/Q) sum_j a_j u_j - (L/(pd D(k+1))) pn
+    N(k+1) + (L/D) N that verify_certificate tests, expanded from the
+    output of _cleared_factors."""
+    *ts, pn, num = factors[:head]
+    lq, lr, ld = (prod((factors[i] for i in q[1:]), start=factors[q[0]])
+                  for q in quotients)
+    lhs = MultiPoly.zero(num.vars)
+    for a, u in zip(ts[0::2], ts[1::2]):
+        lhs = lhs + a * u
+    return lq * lhs - lr * pn * num.shift(k, 1) + ld * num
+
+
+def cross_multiplied_bound(f, rec, cert, k="k", n="n"):
+    """h_w, as _identity_bound orders them, of the cross-multiplied
+    P = pd rd(k+1) (sum_j a_j u_j rd + rn Q) - rn(k+1) pn rd Q, which
+    verify_certificate tested before it cleared by the lcm of the
+    denominators."""
+    us, Q, (pn, pd) = _shift_ratios(f, rec.order, k, n)
+    R = cert.ratio
+    axes = [i for i, v in enumerate(f.symbols) if v != k]
+
+    def h(p):
+        return None if p.is_zero() else tuple(_weighted_degrees(p, axes))
+
+    hq, hpn, hpd, hrn, hrd = map(h, [Q.expand(), pn.expand(), pd.expand(),
+                                     R.num, R.den])
+    lhs = _max_bound(*(_sum_bound(h(a.embed(f.symbols)), h(u.expand()))
+                       for a, u in zip(rec.coefficients, us)))
+    x = _max_bound(_sum_bound(lhs, hrd), _sum_bound(hrn, hq))
+    return _max_bound(_sum_bound(hpd, hrd, x), _sum_bound(hrn, hpn, hrd, hq))
+
+
+def lower_set_size(bound):
+    return len(_lower_set(dict(enumerate(bound, start=1))))
 
 
 def oracle_verify(f, rec, cert, k=None, n=None):
@@ -243,9 +284,10 @@ def test_order_zero_needs_no_rec_var():
 
 
 # Certificates of the kinds the corpus and the benchmark's symbolic workload
-# verify: parameter-free and parametric, orders 1 and 2.  The last is an mrr
-# specialization at x = 3/7, z = 5/11, whose certificate has 229/122 terms.
-# Each entry is (summand, symbols, order of its telescoper).
+# verify: parameter-free and parametric, orders 1 and 2.  The mrr entries
+# are specializations at x = a/7, z = b/11; their certificates are left
+# unreduced (229/122 terms at x = 3/7, z = 5/11), so they carry a factored
+# denominator.  Each entry is (summand, symbols, order of its telescoper).
 CERTIFIED = {
     "binomial": ("binomial(n,k)", ("k", "n"), 1),
     "vandermonde": ("binomial(n,k)*binomial(a,k)", ("k", "n", "a"), 1),
@@ -256,7 +298,14 @@ CERTIFIED = {
     "mrr-x3o7-z5o11": ("rf(-2*n-1,k)*rf(2*n+17/7,k)*rf(73/154,k)*rf(n+10/7,k)"
                        "*rf(n+16/11,k)/(rf(5/7,k)*rf(17/14,k)*rf(2*n+32/11,k)"
                        "*rf(73/77,k)*k!)", ("k", "n"), 2),
+    "mrr-x6o7-z6o11": ("rf(-2*n-1,k)*rf(2*n+20/7,k)*rf(125/154,k)"
+                       "*rf(n+13/7,k)*rf(n+17/11,k)/(rf(13/14,k)*rf(10/7,k)"
+                       "*rf(2*n+34/11,k)*rf(125/77,k)*k!)", ("k", "n"), 2),
+    "mrr-x5o7-z9o11": ("rf(-2*n-1,k)*rf(2*n+19/7,k)*rf(61/154,k)"
+                       "*rf(n+12/7,k)*rf(n+20/11,k)/(rf(6/7,k)*rf(19/14,k)"
+                       "*rf(2*n+40/11,k)*rf(61/77,k)*k!)", ("k", "n"), 2),
 }
+MRR_SPECIALIZATIONS = [name for name in CERTIFIED if name.startswith("mrr")]
 
 
 @cache
@@ -270,7 +319,9 @@ def certified(name):
 @st.composite
 def perturbed_certificates(draw):
     """A certified (f, rec, cert) with at most one term added to R's
-    numerator or denominator or to one recurrence coefficient."""
+    numerator or denominator or to one recurrence coefficient.  A
+    certificate keeps its factored denominator unless the denominator
+    changed."""
     f, rec, cert = certified(draw(st.sampled_from(sorted(CERTIFIED))))
     c = Fraction(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 2)))
     where = draw(st.sampled_from(["none", "num", "den", "rec"]))
@@ -291,10 +342,9 @@ def perturbed_certificates(draw):
     target = target + MultiPoly.from_terms(f.symbols, [(exp, c)])
     assume(not target.is_zero())
     if where == "num":
-        num = target
-    else:
-        den = target
-    return f, rec, Certificate(RationalFunction(num, den, reduce=False))
+        return f, rec, Certificate(RationalFunction(target, den, reduce=False),
+                                   cert.factored_den)
+    return f, rec, Certificate(RationalFunction(num, target, reduce=False))
 
 
 @settings(deadline=None, max_examples=60)
@@ -303,34 +353,105 @@ def test_verify_matches_the_cross_multiplied_oracle(case):
     f, rec, cert = case
     P = cross_multiplied(f, rec, cert)
     assert verify_certificate(f, rec, cert) == P.is_zero()
-    # every exponent of P, the k one aside, obeys the bound it was tested on
-    k, factors = _cleared_factors(f, rec, cert)
-    bound = _identity_bound(k, factors)
-    ys = [i for i, v in enumerate(f.symbols) if v != k]
+    # P' = L P / (pd rd(k+1) rd Q) is zero with P, and every exponent of the
+    # expanded P', the k one aside, obeys the bound it was tested on
+    cleared = _cleared_factors(f, rec, cert)
+    P_lcm = cleared_identity(*cleared)
+    assert P_lcm.is_zero() == P.is_zero()
+    bound = _identity_bound(*cleared)
+    ys = [i for i, v in enumerate(f.symbols) if v != "k"]
     for mask, h in enumerate(bound or (), start=1):
         weight = [i for b, i in enumerate(ys) if mask >> b & 1]
-        assert all(sum(e[i] for i in weight) <= h for e in P.terms)
+        assert all(sum(e[i] for i in weight) <= h for e in P_lcm.terms)
 
 
 @pytest.mark.parametrize("name", ["binomial", "dixon", "mrr-x3o7-z5o11"])
 def test_perturbation_at_the_degree_bound_is_rejected(name):
-    # R + 3 n^D, D the n-bound of the valid certificate's cleared identity:
-    # the perturbed identity's n-degree then sits exactly on its own
-    # computed bound, so a grid one node short in n could miss it
+    # R + 3 n^D, D the n-bound of the valid certificate's cleared identity
+    # P': the perturbed P' is 3 n^D (L/pd) (pd - pn), whose n-degree then
+    # sits exactly on its own computed bound, so a grid one node short in n
+    # could miss it
     f, rec, cert = certified(name)
-    k, factors = _cleared_factors(f, rec, cert)
     assert verify_certificate(f, rec, cert)
-    slot = (1 << [v for v in f.symbols if v != k].index("n")) - 1
-    D = _identity_bound(k, factors)[slot]
+    slot = (1 << [v for v in f.symbols if v != "k"].index("n")) - 1
+    D = _identity_bound(*_cleared_factors(f, rec, cert))[slot]
     R = cert.ratio
     n = MultiPoly.variable(f.symbols, "n")
     bad = Certificate(RationalFunction(R.num + (n ** D).scale(3) * R.den,
                                        R.den, reduce=False))
     assert not verify_certificate(f, rec, bad)
     assert not oracle_verify(f, rec, bad)
-    k, factors = _cleared_factors(f, rec, bad)
-    assert cross_multiplied(f, rec, bad).degree("n") == \
-        _identity_bound(k, factors)[slot]
+    cleared = _cleared_factors(f, rec, bad)
+    assert cleared_identity(*cleared).degree("n") == \
+        _identity_bound(*cleared)[slot]
+
+
+def test_factored_denominator_expands_to_the_certificate_denominator():
+    # the unreduced mrr certificates keep their denominator as a product;
+    # the reduced ones keep none
+    for name in CERTIFIED:
+        _, _, cert = certified(name)
+        if name in MRR_SPECIALIZATIONS:
+            assert cert.factored_den.expand() == cert.ratio.den
+        else:
+            assert cert.factored_den is None
+    # it takes no part in equality
+    _, _, cert = certified("mrr-x3o7-z5o11")
+    assert cert == Certificate(cert.ratio)
+
+
+def test_specialization_lower_set_is_smaller_than_the_cross_multiplied_one():
+    # at x = 3/7, z = 5/11 the lcm-cleared identity has n-bound 30, the
+    # cross-multiplied one 60
+    f, rec, cert = certified("mrr-x3o7-z5o11")
+    new = _identity_bound(*_cleared_factors(f, rec, cert))
+    old = cross_multiplied_bound(f, rec, cert)
+    assert (new, old) == ((30,), (60,))
+    assert lower_set_size(new) < lower_set_size(old)
+
+
+def _corpus_certificates(monkeypatch):
+    """(name, f, rec, cert, k, n) for every certificate a proof of the
+    corpus verifies, at certainty 1/10, seed 0."""
+    out = []
+    real = gridproof.verify_certificate
+
+    def record(f, rec, cert, k=None, n=None):
+        out.append((path.stem, f, rec, cert, k, n))
+        return real(f, rec, cert, k=k, n=n)
+
+    monkeypatch.setattr(gridproof, "verify_certificate", record)
+    for path in sorted((Path(__file__).parent.parent / "corpus").glob("*.txt")):
+        run_prove(load_identity(path), Fraction(1, 10), 0, 6, 1)
+    monkeypatch.undo()
+    return out
+
+
+def test_with_and_without_factors_and_the_oracle_agree(monkeypatch):
+    # on every certificate the corpus proofs verify and on the mrr
+    # specializations, each as published and with its recurrence broken:
+    # the factored denominator, the opaque one and the cross-multiplied
+    # oracle give one verdict, and no lower set is larger than that of the
+    # cross-multiplied identity
+    cases = _corpus_certificates(monkeypatch)
+    assert {c[0] for c in cases} >= {"binomial-2n", "dixon-cubes",
+                                     "mrr-specialized"}
+    cases += [(name, *certified(name), "k", "n")
+              for name in MRR_SPECIALIZATIONS]
+    factored = 0
+    for name, f, rec, cert, k, n in cases:
+        a = list(rec.coefficients)
+        broken = Recurrence(rec.order, tuple(
+            a[:-1] + [a[-1] + MultiPoly.constant(a[-1].vars, 1)]))
+        for r, expected in ((rec, True), (broken, False)):
+            for c in (cert, Certificate(cert.ratio)):
+                assert verify_certificate(f, r, c, k=k, n=n) == expected, name
+                cleared = _cleared_factors(f, r, c, k, n)
+                assert lower_set_size(_identity_bound(*cleared)) <= \
+                    lower_set_size(cross_multiplied_bound(f, r, c, k, n))
+            assert oracle_verify(f, r, cert, k, n) == expected, name
+        factored += cert.factored_den is not None
+    assert factored >= len(MRR_SPECIALIZATIONS)
 
 
 def test_perturbation_nonzero_at_one_node_only_is_rejected():
