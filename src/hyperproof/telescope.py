@@ -4,18 +4,19 @@ system from the expanded telescoping equation and solving (or, downstream,
 testing) it.  Includes independent certificate verification.
 
 `verify_certificate` decides exactly whether the certificate identity,
-cleared by the lcm L of its factored denominators, is zero without
-expanding it: P' = (L/Q) sum_j a_j u_j - (L/(pd D(k+1))) pn N(k+1) +
-(L/D) N, for sigma_j = u_j/Q, rho = pn/pd and R = N/D.  A certificate keeps
-its unreduced denominator D as a product (Certificate.factored_den), so L
-is read off the factors; any other D is one opaque factor.  Weighted degree
-bounds h_w over the variables other than k follow from the factors (a
-product adds them, a sum takes their max, a shift in k keeps them), so every
-k-coefficient of P' has support in a lower set of exponents; P' is zero iff
-it vanishes on the matching subgrid (N. Dyn and M. S. Floater, "Multivariate
-polynomial interpolation on lower sets", J. Approx. Theory 177, 2014).  The
-points come from linalg._lower_set and the values from linalg._GridEvaluator,
-as for the determinant grid of gridproof.
+cleared by the lcm L of its factored denominators, is zero without expanding
+it: P' = (L/Q) sum_j a_j u_j - (L/(pd D(k+1))) pn N(k+1) + (L/D) N, for
+sigma_j = u_j/Q, rho = pn/pd and R = N/D.  A certificate keeps its unreduced
+denominator D as a product (Certificate.factored_den), so L is read off the
+factors; any other D is split by exact division over the factors of Q, the
+cofactor left one opaque factor.  Weighted degree bounds h_w over the
+variables other than k follow from the factors (a product adds them, a sum
+takes their max, a shift in k keeps them), so every k-coefficient of P' has
+support in a lower set of exponents; P' is zero iff it vanishes on the
+matching subgrid (N. Dyn and M. S. Floater, "Multivariate polynomial
+interpolation on lower sets", J. Approx. Theory 177, 2014).  The points come
+from linalg._lower_set and the values from linalg._GridEvaluator, as for the
+determinant grid of gridproof.
 
 `assemble` is the one builder of the telescoping system.  It builds M', the
 system M with each column divided by its k-free content c_j, which it reads
@@ -287,8 +288,8 @@ def verify_certificate(f: TermExpression, rec: Recurrence, cert: Certificate,
     mismatch.
 
     With sigma_j = u_j/Q, rho = pn/pd and R = N/D, all over factored
-    denominators (D from cert.factored_den, else R.den as one opaque
-    factor), the check is whether the cleared identity
+    denominators (D from cert.factored_den, else R.den split by
+    _factor_over), the check is whether the cleared identity
     P' = (L/Q) sum_j a_j u_j - (L/(pd D(k+1))) pn N(k+1) + (L/D) N
     is zero, L = factored_lcm([Q, pd D(k+1), D]) and every quotient a
     factored_quotient; no polynomial gcd is needed and P' is never expanded.
@@ -322,15 +323,15 @@ def _cleared_factors(f, rec, cert, k=None, n=None):
     L/(pd D(k+1)) and L/D in turn, the indices of the factors that multiply
     to it: first its constant and affine factors, expanded as one, then
     each opaque factor as often as its exponent, every distinct one held
-    once.  An opaque factor, such as a denominator that is not factored,
-    expands to far fewer terms alone than in a product."""
+    once.  An opaque factor, such as the cofactor of a denominator that
+    was not factored, expands to far fewer terms alone than in a product."""
     k, n = _default_vars(f, k, n)
     vars = f.symbols
     us, Q, (pn, pd) = _shift_ratios(f, rec.order, k, n)
     R = cert.ratio if cert.ratio.vars == vars else cert.ratio.embed(vars)
     D = cert.factored_den
     if D is None or D.vars != vars:
-        D = Factored.one(vars).mul_poly(R.den, 1)
+        D = _factor_over(R.den, Q)
     right = pd.mul(D.shift(k, 1))
     L = factored_lcm([Q, right, D])
     factors = [p for a, u in zip(rec.coefficients, us)
@@ -350,6 +351,23 @@ def _cleared_factors(f, rec, cert, k=None, n=None):
             indices += [opaque[key]] * e
         quotients.append(indices)
     return k, factors, head, quotients
+
+
+def _factor_over(p, F):
+    """p as a Factored: every factor of F, as often as it divides p exactly,
+    and the cofactor left as one opaque factor.  Over Q this finds what a
+    certificate's denominator shares with Q, which L then clears once."""
+    out = Factored.one(p.vars)
+    for table, out_table in ((F.aff, out.aff), (F.opq, out.opq)):
+        for key, (f, _) in table.items():
+            g = f.to_poly(p.vars) if table is F.aff else f
+            while not p.is_constant():
+                try:
+                    p = p.divexact(g)
+                except ValueError:
+                    break
+                out._mul_stored(out_table, key, f, 1)
+    return out.mul_poly(p, 1)
 
 
 def _sum_bound(*hs):

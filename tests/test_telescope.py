@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hyperproof import gridproof, telescope
+from hyperproof.factored import Factored
 from hyperproof.cli import load_identity, run_prove
 from hyperproof.gridproof import normalize_and_delta
 from hyperproof.linalg import (
@@ -410,6 +411,32 @@ def test_specialization_lower_set_is_smaller_than_the_cross_multiplied_one():
     assert lower_set_size(new) < lower_set_size(old)
 
 
+def test_a_denominator_without_factors_is_split_by_exact_division():
+    # every factor of the given products is peeled as often as it divides;
+    # the cofactor stays one opaque factor
+    vars = ("k", "n")
+    k, n = (MultiPoly.variable(vars, v) for v in vars)
+    one = MultiPoly.constant(vars, 1)
+    over = Factored.one(vars).mul_poly(k + one, 1).mul_poly(n.scale(2), 1)
+    p = ((k + one) ** 2 * (n + one) * (n * n + one)).scale(Fraction(3, 2))
+    split = telescope._factor_over(p, over)
+    assert split.expand() == p
+    assert sorted(e for _, e in split.aff.values()) == [2]
+    assert [q for q, _ in split.opq.values()] == [(n + one) * (n * n + one)]
+    # the reduced dixon certificate's denominator (k - n - 1)(a + b + n + 1)
+    # divides Q, so L clears it once; the unreduced mrr certificate stripped
+    # of its factors reaches the bound of the factored one
+    f, rec, cert = certified("dixon")
+    assert cert.factored_den is None
+    cleared = _cleared_factors(f, rec, cert)
+    assert [len(q) for q in cleared[3]] == [1, 1, 1]
+    assert (lower_set_size(_identity_bound(*cleared)),
+            lower_set_size(cross_multiplied_bound(f, rec, cert))) == (39, 57)
+    f, rec, cert = certified("mrr-x3o7-z5o11")
+    assert _identity_bound(*_cleared_factors(f, rec, Certificate(cert.ratio))) \
+        == _identity_bound(*_cleared_factors(f, rec, cert)) == (30,)
+
+
 def _corpus_certificates(monkeypatch):
     """(name, f, rec, cert, k, n) for every certificate a proof of the
     corpus verifies, at certainty 1/10, seed 0."""
@@ -430,8 +457,8 @@ def _corpus_certificates(monkeypatch):
 def test_with_and_without_factors_and_the_oracle_agree(monkeypatch):
     # on every certificate the corpus proofs verify and on the mrr
     # specializations, each as published and with its recurrence broken:
-    # the factored denominator, the opaque one and the cross-multiplied
-    # oracle give one verdict, and no lower set is larger than that of the
+    # the factored denominator, the one found by exact division and the
+    # cross-multiplied oracle give one verdict, and no lower set is larger than that of the
     # cross-multiplied identity
     cases = _corpus_certificates(monkeypatch)
     assert {c[0] for c in cases} >= {"binomial-2n", "dixon-cubes",
