@@ -358,15 +358,13 @@ def _factor_over(p, F):
     and the cofactor left as one opaque factor.  Over Q this finds what a
     certificate's denominator shares with Q, which L then clears once."""
     out = Factored.one(p.vars)
-    for table, out_table in ((F.aff, out.aff), (F.opq, out.opq)):
-        for key, (f, _) in table.items():
-            g = f.to_poly(p.vars) if table is F.aff else f
-            while not p.is_constant():
-                try:
-                    p = p.divexact(g)
-                except ValueError:
-                    break
-                out._mul_stored(out_table, key, f, 1)
+    for g, _, _, _ in F.factors():
+        while not p.is_constant():
+            try:
+                p = p.divexact(g)
+            except ValueError:
+                break
+            out.mul_poly(g, 1)
     return out.mul_poly(p, 1)
 
 
