@@ -16,10 +16,12 @@ raises).  One back-substitution, `_back_substitute`, solves the echelon
 rows it leaves for a kernel vector with checked exact divisions.  One
 evaluator, `_GridEvaluator`, computes a polynomial matrix at integer
 points for the determinant grid, for the univariate nullspace shortcut
-(one cofactor vector per node, `_cofactor_vector`), for `_univar_minors`,
-which interpolates one minor in one variable for the leading-coefficient
-check from its compiled pivot-chain kernel, and for certificate
-verification (telescope.verify_certificate).  The
+(per node, the chain of constant pivots on integer lists and the
+`_cofactor_vector` of its small remainder, the pivot coordinates
+back-substituted), for `_univar_minors`, which interpolates one minor in
+one variable for the leading-coefficient check from its compiled
+pivot-chain kernel, and for certificate verification
+(telescope.verify_certificate).  The
 determinant grid and the verification share `_lower_set`, the points of a
 lower set of exponents cut out by weighted degree bounds, on `_grid_values`
 per variable: the one node rule, consecutive integers centered at 0, since
@@ -53,13 +55,12 @@ from array import array
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, lcm, prod
-from operator import add
+from operator import add, mul
 from typing import NamedTuple
 
 from .polys import (
-    MultiPoly, RationalFunction, _poly_list_gcd, common_denominator,
+    MultiPoly, RationalFunction, _poly_list_gcd, common_denominator, poly_gcd,
 )
-from .polys import poly_gcd  # noqa: F401  perfbench/tracer.py wraps it here
 
 
 class PolyMatrix:
@@ -94,10 +95,11 @@ def solve_nullspace(m: PolyMatrix) -> list:
     m has full column rank.
 
     Univariate matrices with at least 4 columns first try an
-    evaluation/interpolation shortcut (a cofactor vector from one integer
-    elimination at each of enough points, then exact interpolation, the
-    interpolated vector re-verified symbolically), kept because it is faster
-    there than the symbolic path.
+    evaluation/interpolation shortcut (_nullspace_univar: per node, a
+    cofactor vector through the chain of constant pivots of the rows of
+    lowest degree; then exact interpolation on integers, the primitive
+    vector re-verified exactly against every row), kept because it is
+    faster there than the symbolic path.
     """
     if len(m.vars) == 1 and m.cols >= 4:
         fast = _nullspace_univar(m)
@@ -538,15 +540,21 @@ def clear_and_primitive(polys):
 
 
 def _interpolate_int(values) -> list:
-    """Coefficients of the polynomial with given values at nodes 0..len-1.
+    """Coefficients of the polynomial with given values at nodes 0..len-1,
+    as Fractions: those of _interpolate_scaled over (len-1)!."""
+    s = factorial(max(len(values) - 1, 0))
+    return [Fraction(c, s) for c in _interpolate_scaled(values)]
 
-    Newton forward form over the integers, scaled by s = (n-1)!:
+
+def _interpolate_scaled(values) -> list:
+    """Integer coefficients of s*f, s = (n-1)!, for the polynomial f with
+    the n given integer values at nodes 0..n-1.
+
+    Newton forward form over the integers:
     s*f(x) = sum_m D^m f(0) * (s/m!) * x(x-1)...(x-m+1), with D the forward
-    difference; the coefficients become Fractions only at the end.
+    difference.
     """
     n = len(values)
-    if not n:
-        return []
     heads = []  # D^m f(0)
     diffs = list(values)
     while diffs:
@@ -562,8 +570,7 @@ def _interpolate_int(values) -> list:
         shifted[0] += w * heads[mth]
         acc = shifted
         w *= mth
-    s = factorial(n - 1)
-    return [Fraction(c, s) for c in acc]
+    return acc
 
 
 def _taylor_shift(p):
@@ -632,52 +639,156 @@ def _univar_minors(m: PolyMatrix, var, points, cols) -> list:
 
 
 def _nullspace_univar(m: PolyMatrix):
-    """Evaluation/interpolation nullspace for univariate matrices.
+    """Evaluation/interpolation nullspace of a univariate matrix (W. S.
+    Brown, J. ACM 18, 1971): [] at corank 0 (full column rank at some probe
+    point), one primitive vector at corank 1, and None at a higher corank or
+    when the interpolated vector fails the exact check, for the symbolic
+    path.
 
-    Handles corank 0 (full column rank at some probe point) and corank 1
-    (one basis vector, recovered as the cofactor vector of a well-chosen
-    row subset, interpolated from its values at integer nodes).  Returns
-    None to fall back to symbolic elimination.
+    At corank 1 the vector is the cofactor vector of cols - 1 rows of full
+    rank at a probe point: the first such rows in ascending order of degree
+    (then index), which keeps its degree bound, the max-weight assignment of
+    the columns to those rows, low.  Each node 0..bound runs the rows' chain
+    of constant pivots (_constant_pivots) on their integer values and takes
+    the cofactor vector of the small remainder.  The pivot rows, which no
+    step changes, then give the pivot coordinates by back-substitution
+    without division, the vector scaled by each pivot in turn.  The result
+    is the cofactor vector times a nonzero constant, the same at every node:
+    the pivots and the signs of the row and column orders.  Each coordinate
+    is interpolated on integers (_interpolate_scaled), the vector made
+    primitive (_primitive_vector) and checked exactly against every row.
     """
     var = m.vars[0]
     cleared = _integer_cleared(m)
-    # probe the rank at a few points clear of small-integer coincidences
-    best_pivots = []
+    by_degree = sorted(range(m.rows), key=lambda i: (
+        max(e.degree(var) for e in cleared.entries[i]), i))
+    # probe the rank at a few points clear of small-integer coincidences;
+    # the pivot columns of the transpose, its columns in by_degree order,
+    # are the first rows that raise the rank
+    best = []
     probes = _GridEvaluator(cleared, {var: [101, 137, 211]})
     for _, _, a in probes.matrices(range(3)):
-        pivots = _pivot_rows(a)
-        if len(pivots) > len(best_pivots):
-            best_pivots = pivots
-        if len(best_pivots) == m.cols:
+        t = [list(col) for col in zip(*(a[i] for i in by_degree))]
+        rank = _int_rank(t)
+        if rank == m.cols:
             return []
-    if len(best_pivots) < m.cols - 1:
+        if rank > len(best):
+            best = [by_degree[next(j for j, x in enumerate(row) if x)]
+                    for row in t[:rank]]
+    if len(best) < m.cols - 1:
         return None  # corank >= 2: fall back to the symbolic path
-    sub = PolyMatrix([cleared.entries[i] for i in best_pivots])
+    sub = PolyMatrix([cleared.entries[i] for i in sorted(best)])
     # the largest degree bound of the minors, each dropping one column: an
     # assignment of the columns to the rows
     bound = _max_assignment([[e.degree(var) for e in col]
                              for col in zip(*sub.entries)])
     nodes = list(range((bound or 0) + 1))
-    cofactors = [_cofactor_vector(a) for _, _, a in
-                 _GridEvaluator(sub, {var: nodes}).matrices(nodes)]
-    vars = m.vars
-    vec = []
-    for values in zip(*cofactors):
-        coeffs = _interpolate_int(values)
-        vec.append(MultiPoly.from_terms(
-            vars, [((d,), c) for d, c in enumerate(coeffs) if c]))
-    if all(p.is_zero() for p in vec):
+    chain = _constant_pivots(sub)
+    steps = [(i, j, targets, live, sub.entries[i][j].as_constant())
+             for i, j, targets, live in chain.steps]
+    cofactors = []
+    for _, _, a in _GridEvaluator(sub, {var: nodes}).matrices(nodes):
+        for i, j, targets, live, c in steps:
+            pivot = a[i]
+            for r in targets:
+                row = a[r]
+                f = row[j]
+                for k in live:
+                    row[k] = c * row[k] - f * pivot[k]
+        vec = [0] * m.cols
+        rest = _cofactor_vector([[a[r][k] for k in chain.cols]
+                                 for r in chain.rows])
+        for k, x in zip(chain.cols, rest):
+            vec[k] = x
+        # pivot rows in reverse order, each zero in the pivot columns of the
+        # steps before it: after scaling by c, vec[j] = -s zeroes row i's
+        # sum (c*s - c*s) and leaves the later rows' sums zero
+        for i, j, _, _, c in reversed(steps):
+            s = sum(map(mul, a[i], vec))
+            vec = [c * x for x in vec]
+            vec[j] = -s
+        cofactors.append(vec)
+    vec = [_interpolate_scaled(values) for values in zip(*cofactors)]
+    for p in vec:
+        while p and not p[-1]:
+            p.pop()
+    if not any(vec):
         return None
-    # exact re-verification against every row of the full matrix, of the
-    # primitive vector: M v = 0 exactly when M (v / c) = 0
-    vec = clear_and_primitive(vec)
-    for row in m.entries:
-        s = MultiPoly.zero(vars)
+    vec = _primitive_vector(vec, m.vars)
+    # exact re-verification against every row of the integer-cleared matrix
+    for row in cleared.entries:
+        acc = [0] * (max(e.degree(var) for e in row)
+                     + max(map(len, vec)))
         for e, p in zip(row, vec):
-            s = s + e * p
-        if not s.is_zero():
+            for (d,), c in e.terms.items():
+                for t, x in enumerate(p, d):
+                    acc[t] += c * x
+        if any(acc):
             return None
-    return [[RationalFunction.from_poly(p) for p in vec]]
+    return [[RationalFunction.from_poly(_from_dense(p, m.vars)) for p in vec]]
+
+
+def _from_dense(coeffs, vars) -> MultiPoly:
+    """The univariate polynomial over vars with the ascending coefficient
+    list coeffs."""
+    return MultiPoly(vars, {(d,): c for d, c in enumerate(coeffs) if c})
+
+
+def _dense_quotients(vec, g):
+    """[p / g for p in vec] on ascending integer coefficient lists without
+    trailing zeros, g divided out as its primitive integer associate, or
+    None when one division leaves a remainder."""
+    if g.is_constant():
+        return vec
+    b = [0] * (g.degree(g.vars[0]) + 1)
+    for (d,), c in g.primitive()[1].terms.items():
+        b[d] = c
+    n, lead = len(b) - 1, b[-1]
+    out = []
+    for a in vec:
+        if a and len(a) <= n:
+            return None
+        a, q = list(a), [0] * max(len(a) - n, 0)
+        for i in reversed(range(len(q))):
+            c, rem = divmod(a[i + n], lead)
+            if rem:
+                return None
+            q[i] = c
+            for t in range(n):
+                a[i + t] -= c * b[t]
+        if any(a[:n]):
+            return None
+        out.append(q)
+    return out
+
+
+def _primitive_vector(vec, vars) -> list:
+    """vec (ascending integer coefficient lists without trailing zeros, not
+    all zero) as clear_and_primitive leaves it: divided by its integer
+    content, then by the gcd of its entries as an integer primitive
+    polynomial (which, by Gauss's lemma, leaves the content 1), the first
+    nonzero entry positively led.
+
+    The gcd is taken of the first nonzero entry and one combination of the
+    others with the fixed multipliers 1, 2, 3, ...: a multiple of the gcd of
+    all entries, and so that gcd when it divides every entry.  When one
+    exact division fails, the gcd of all entries is taken (_poly_list_gcd).
+    """
+    c = gcd(*(x for p in vec for x in p))
+    vec = [[x // c for x in p] for p in vec]
+    first, *others = [p for p in vec if p]
+    mix = [0] * max(map(len, others), default=0)
+    for t, p in enumerate(others, 1):
+        for d, x in enumerate(p):
+            mix[d] += t * x
+    quotients = _dense_quotients(vec, poly_gcd(_from_dense(first, vars),
+                                               _from_dense(mix, vars)))
+    if quotients is None:
+        quotients = _dense_quotients(vec, _poly_list_gcd(
+            [_from_dense(p, vars) for p in vec]))
+    if next(p for p in quotients if p)[-1] < 0:
+        return [[-x for x in p] for p in quotients]
+    return quotients
 
 
 _INF = float("inf")  # the slack of a row no path has reached yet

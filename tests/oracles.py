@@ -1,11 +1,15 @@
 """Reference implementations the tests compare the program against."""
 
+import re
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial, gcd, isqrt, lcm
 
 from hyperproof.factored import _primes_from
-from hyperproof.linalg import PolyMatrix, _int_det
+from hyperproof.linalg import (
+    PolyMatrix, _GridEvaluator, _cofactor_vector, _int_det, _integer_cleared,
+    _interpolate_int, _max_assignment, _pivot_rows, clear_and_primitive,
+)
 from hyperproof.polys import (
     MultiPoly, RationalFunction, _as_fraction, _poly_list_gcd,
     clear_denominators, common_denominator,
@@ -79,6 +83,45 @@ def nullspace_rational(m: PolyMatrix) -> list:
         basis.append([RationalFunction.from_poly(p)
                       for p in clear_and_primitive_reference(polys)])
     return basis
+
+
+def nullspace_univar_reference(m: PolyMatrix):
+    """linalg._nullspace_univar the way it once was: pivot rows in file
+    order, a full fraction-free elimination per node (_cofactor_vector),
+    interpolation to Fractions, and the content and re-verification in
+    MultiPoly arithmetic."""
+    var = m.vars[0]
+    cleared = _integer_cleared(m)
+    best_pivots = []
+    probes = _GridEvaluator(cleared, {var: [101, 137, 211]})
+    for _, _, a in probes.matrices(range(3)):
+        pivots = _pivot_rows(a)
+        if len(pivots) > len(best_pivots):
+            best_pivots = pivots
+        if len(best_pivots) == m.cols:
+            return []
+    if len(best_pivots) < m.cols - 1:
+        return None
+    sub = PolyMatrix([cleared.entries[i] for i in best_pivots])
+    bound = _max_assignment([[e.degree(var) for e in col]
+                             for col in zip(*sub.entries)])
+    nodes = list(range((bound or 0) + 1))
+    cofactors = [_cofactor_vector(a) for _, _, a in
+                 _GridEvaluator(sub, {var: nodes}).matrices(nodes)]
+    vec = [MultiPoly.from_terms(m.vars, [((d,), c) for d, c in
+                                         enumerate(_interpolate_int(values))
+                                         if c])
+           for values in zip(*cofactors)]
+    if all(p.is_zero() for p in vec):
+        return None
+    vec = clear_and_primitive(vec)
+    for row in m.entries:
+        s = MultiPoly.zero(m.vars)
+        for e, p in zip(row, vec):
+            s = s + e * p
+        if not s.is_zero():
+            return None
+    return [[RationalFunction.from_poly(p) for p in vec]]
 
 
 def clear_and_primitive_reference(polys):
@@ -518,3 +561,59 @@ def small_cases_reference(nid, term, rhs_terms, upto, point):
         for t in rhs_terms:
             diff = diff - full_point_reference(t, {**at, nid.k: 0})
         yield diff
+
+
+def _binomial_reference(a, b):
+    if b.denominator != 1:
+        raise ValueError("binomial with a non-integer lower argument")
+    if b < 0:
+        return Fraction(0)
+    out = Fraction(1)
+    for i in range(int(b)):
+        out = out * (a - i) / (i + 1)
+    return out
+
+
+def _rf_reference(a, k):
+    if k.denominator != 1 or k < 0:
+        raise ValueError("rising factorial of a non-natural length")
+    out = Fraction(1)
+    for i in range(int(k)):
+        out *= a + i
+    return out
+
+
+def _factorial_reference(a):
+    if a.denominator != 1 or a < 0:
+        raise ValueError("factorial of a non-natural number")
+    return Fraction(factorial(int(a)))
+
+
+def identity_sides_reference(ident, nv):
+    """(the sum of the summand over its window, the right side) of an
+    identity file without parameters at rec_var = nv, in Fraction
+    arithmetic straight from the file's text, or None where a term is
+    undefined there (a zero denominator, a factorial of a negative number).
+
+    The text is rewritten into a Python expression: postfix ! into a call,
+    ^ into **, every integer literal into a Fraction; binomial(a, b) is
+    a(a-1)...(a-b+1)/b! for natural b and 0 for negative b."""
+    def python(text):
+        while "!" in text:
+            text = re.sub(r"(\w+|\([^()]*\))!", r"_fact(\1)", text)
+        return re.sub(r"(?<![\w.])(\d+)", r"_q(\1)", text.replace("^", "**"))
+
+    names = {"binomial": _binomial_reference, "rf": _rf_reference,
+             "_fact": _factorial_reference, "_q": Fraction}
+
+    def value(text, **point):
+        return eval(python(text), {"__builtins__": {}, **names},
+                    {ident.rec_var: Fraction(nv), **point})
+
+    try:
+        lo, hi = value(ident.lower), value(ident.upper)
+        total = sum((value(ident.summand, **{ident.sum_var: Fraction(kv)})
+                     for kv in range(int(lo), int(hi) + 1)), Fraction(0))
+        return total, value(ident.rhs)
+    except (ZeroDivisionError, ValueError):
+        return None

@@ -7,6 +7,8 @@ exact equalities of rationals or polynomials.
 
 import json
 import random
+import re
+import signal
 import time
 from fractions import Fraction
 from math import comb
@@ -15,7 +17,8 @@ from pathlib import Path
 import pytest
 
 from hyperproof.cli import (
-    EXIT_INCONCLUSIVE, EXIT_OK, EXIT_REFUTED, load_identity, main, run_prove,
+    EXIT_INCONCLUSIVE, EXIT_OK, EXIT_REFUTED, IdentityFileError, load_identity,
+    main, run_prove,
 )
 from hyperproof.gridproof import (
     _rank_deficiency_test, _support_bounds, normalize_and_delta,
@@ -26,7 +29,7 @@ from hyperproof.telescope import (
     Certificate, Recurrence, assemble, solve_order, verify_certificate,
 )
 from hyperproof.terms import eval_summand, parse_term, shift_quotient
-from oracles import det_symbolic
+from oracles import det_symbolic, identity_sides_reference
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -296,3 +299,80 @@ def test_deterministic_reports(tmp_path):
     assert {json.loads(l)["verdict"] for l in rigorous.splitlines()} == \
         {"rigorous"}
     _passline("byte-identical structured reports for identical flags+seed")
+
+
+def _prove_within(path, seconds):
+    """run_prove at certainty 1 under a SIGALRM limit of seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{path.name} took more than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return run_prove(load_identity(path), Fraction(1), 0, 6, 1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# (corpus entry, text, replacement): false mutants whose order-3 telescoping
+# system (43 x 41 and 41 x 36 over n) once took minutes in the univariate
+# nullspace, one full elimination per interpolation node
+SLOW_MUTANTS = [("dixon-cubes", "summand: (-1)^k", "summand: (-2)^k"),
+                ("dixon-cubes", "k)^3\n", "k)^4\n")]
+
+
+@pytest.mark.parametrize("name,old,new", SLOW_MUTANTS,
+                         ids=["minus-two-power", "fourth-power"])
+def test_slow_false_mutant_refuted_within_20_s(tmp_path, name, old, new):
+    text = (CORPUS / f"{name}.txt").read_text()
+    assert old in text
+    path = tmp_path / f"{name}-mutant.txt"
+    path.write_text(text.replace(old, new, 1))
+    assert _prove_within(path, 20).verdict == "refuted"
+    _passline(f"{name} with {new.strip()} refuted inside 20 s")
+
+
+def literal_mutants(name):
+    """(label, text) of the corpus entry with one integer literal of its
+    summand or right side moved by +1 or -1, to a natural number."""
+    text = (CORPUS / f"{name}.txt").read_text()
+    for line in text.splitlines():
+        if not line.startswith(("summand:", "rhs:")):
+            continue
+        for m in re.finditer(r"\d+", line):
+            for step in (-1, 1):
+                value = int(m.group()) + step
+                if value >= 0:
+                    changed = line[:m.start()] + str(value) + line[m.end():]
+                    yield (f"{line.split(':')[0]}@{m.start()}{step:+d}",
+                           text.replace(line, changed))
+
+
+def test_literal_mutants_of_the_corpus_are_not_proved(tmp_path):
+    # every +-1 literal mutant of four parameter-free entries whose exact
+    # sums differ from its right side at some n <= 6 must end neither
+    # rigorous nor semi-rigorous; the SLOW_MUTANTS run in their own test
+    slow = {text.replace(old, new, 1) for name, old, new in SLOW_MUTANTS
+            for text in [(CORPUS / f"{name}.txt").read_text()]}
+    false = 0
+    for name in ("binomial-2n", "central-binomial", "dixon-cubes",
+                 "mrr-specialized"):
+        for label, text in literal_mutants(name):
+            path = tmp_path / f"{name}-{label}.txt"
+            path.write_text(text)
+            try:
+                ident = load_identity(path)
+            except IdentityFileError:
+                continue  # (-0)^k: a zero power base is rejected on load
+            sides = [identity_sides_reference(ident, nv) for nv in range(7)]
+            if not any(s and s[0] != s[1] for s in sides):
+                continue
+            false += 1
+            if text in slow:
+                slow.remove(text)
+                continue
+            report = _prove_within(path, 20)
+            assert report.verdict in ("refuted", "inconclusive"), (name, label)
+    assert false >= 40 and not slow
+    _passline(f"{false} false literal mutants of the corpus not proved")

@@ -2,12 +2,12 @@ import random
 import signal
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import lcm, prod
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hyperproof import gridproof, linalg
 from hyperproof.cli import load_identity, run_prove
@@ -15,12 +15,14 @@ from hyperproof.gridproof import _support_bounds
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.linalg import (
     PolyMatrix, _DET_WIDTH, _GridEvaluator, _cofactor_vector,
-    _constant_pivots, _int_det, _int_rank, _interpolate_int, _max_assignment,
-    _nullspace_univar, _univar_minors, solve_nullspace,
+    _constant_pivots, _from_dense, _int_det, _int_rank, _integer_cleared,
+    _interpolate_int, _max_assignment, _nullspace_univar, _primitive_vector,
+    _univar_minors, clear_and_primitive, solve_nullspace,
 )
 from hyperproof.terms import parse_rational
 from oracles import (
-    det_symbolic, max_assignment_reference, nullspace_rational, poly_matrix,
+    det_symbolic, max_assignment_reference, nullspace_rational,
+    nullspace_univar_reference, poly_matrix,
 )
 
 
@@ -417,8 +419,14 @@ def test_poly_kernel_det_matches_cofactor_expansion(m):
 def univariate_systems(draw):
     """Univariate matrices with 4-5 columns, as solve_nullspace's shortcut
     takes them: corank 0 (random rows), or corank 1 (one column a polynomial
-    combination of the others, at a random position); some rows are scaled
-    by 1/d so their coefficients are Fractions."""
+    combination of the others, at a random position).  Entries may be
+    nonzero constants other than +-1, so that a chain of constant pivots
+    with nontrivial pivots exists; row degrees may fall from the first row
+    to the last, so that the rows of lowest degree are not the first ones;
+    one row may carry a factor x - t, t a small node, so that the remainder
+    of the chain (which never takes that row as a pivot row) loses rank at
+    that node.  Some rows are scaled by 1/d so their coefficients are
+    Fractions."""
     vars = ("x",)
     x = MultiPoly.variable(vars, "x")
 
@@ -428,24 +436,45 @@ def univariate_systems(draw):
         return sum((x ** i * MultiPoly.constant(vars, c)
                     for i, c in enumerate(coeffs)), MultiPoly.zero(vars))
 
+    constants = draw(st.booleans())
+    falling = draw(st.booleans())
+
+    def row(i, size):
+        degree = max(3 - i, 0) if falling else 2
+        return [MultiPoly.constant(vars, draw(st.sampled_from((-4, -3, -2,
+                                                                2, 3, 4))))
+                if constants and draw(st.integers(0, 2)) == 0
+                else poly(degree, 4) for _ in range(size)]
+
     cols = draw(st.integers(4, 5))
     if draw(st.booleans()):
-        rows = [[poly(2, 4) for _ in range(cols)]
-                for _ in range(cols + draw(st.integers(0, 1)))]
+        rows = [row(i, cols) for i in range(cols + draw(st.integers(0, 1)))]
     else:
         lam = [poly(1, 3) for _ in range(cols - 1)]
         at = draw(st.integers(0, cols - 1))
         rows = []
-        for _ in range(cols - 1 + draw(st.integers(0, 2))):
-            row = [poly(2, 4) for _ in range(cols - 1)]
-            dep = sum((c * e for c, e in zip(lam, row)), MultiPoly.zero(vars))
-            rows.append(row[:at] + [dep] + row[at:])
+        for i in range(cols - 1 + draw(st.integers(0, 2))):
+            r = row(i, cols - 1)
+            dep = sum((c * e for c, e in zip(lam, r)), MultiPoly.zero(vars))
+            rows.append(r[:at] + [dep] + r[at:])
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        root = x - MultiPoly.constant(vars, draw(st.integers(0, 3)))
+        rows[i] = [root * e for e in rows[i]]
     dens = st.sampled_from((1, 1, 2, 3, 6))
     return PolyMatrix([[e.scale(Fraction(1, d)) for e in row]
                        for row, d in zip(rows, [draw(dens) for _ in rows])])
 
 
-@settings(deadline=None, max_examples=100)
+def typed_basis(basis):
+    """A nullspace basis coordinate by coordinate: each numerator and
+    denominator as its sorted terms with their coefficient types."""
+    return basis if basis is None else [
+        [[sorted((e, type(c), c) for e, c in p.terms.items())
+          for p in (f.num, f.den)] for f in vec] for vec in basis]
+
+
+@settings(deadline=None, max_examples=150)
 @given(univariate_systems())
 def test_nullspace_univar_matches_elimination(m):
     with mock.patch.object(linalg, "_nullspace_univar", lambda m: None):
@@ -455,6 +484,102 @@ def test_nullspace_univar_matches_elimination(m):
         assert fast == expected
     else:
         assert fast is None
+    assert typed_basis(fast) == typed_basis(nullspace_univar_reference(m))
+
+
+def test_nullspace_univar_rejects_a_vector_that_fails_a_row():
+    # the last row vanishes at the three probe points, so the probes read
+    # corank 1 though the matrix has full rank: the cofactor vector of the
+    # other rows fails the last row, and the symbolic path finds no kernel
+    vars = ("x",)
+    x = MultiPoly.variable(vars, "x")
+    vanish = prod((x - MultiPoly.constant(vars, c) for c in (101, 137, 211)),
+                  start=MultiPoly.constant(vars, 1))
+    m = poly_matrix(vars, [[1, x, 0, 2], [0, 1, x, 3], [x, 0, 1, x],
+                           [vanish, vanish * x, vanish, 0]])
+    assert det_symbolic(m)
+    assert _nullspace_univar(m) is None
+    assert solve_nullspace(m) == []
+
+
+@st.composite
+def dense_vectors(draw):
+    """1-4 ascending integer coefficient lists, not all zero, times a
+    planted common factor of degree 0-2 and an integer content."""
+    vars = ("x",)
+    coeffs = st.lists(st.integers(-6, 6), max_size=4)
+    factor = _from_dense(draw(coeffs.filter(any)), vars)
+    content = draw(st.sampled_from((1, -1, 2, 6, -35)))
+    polys = [_from_dense(draw(coeffs), vars).scale(content) * factor
+             for _ in range(draw(st.integers(1, 4)))]
+    assume(any(polys))
+    return [[p.terms.get((d,), 0) for d in range(p.degree("x") + 1)]
+            if p else [] for p in polys]
+
+
+@settings(deadline=None, max_examples=200)
+@given(dense_vectors())
+@example([[1, 1], [2], [0, 1]])  # gcd(x + 1, 2 + 2x) divides no [2]
+def test_primitive_vector_matches_clear_and_primitive(vec):
+    vars = ("x",)
+    got = [_from_dense(p, vars) for p in _primitive_vector(vec, vars)]
+    want = clear_and_primitive([_from_dense(p, vars) for p in vec])
+    assert [sorted((e, type(c), c) for e, c in p.terms.items())
+            for p in got] == \
+        [sorted((e, type(c), c) for e, c in p.terms.items()) for p in want]
+
+
+def _identity(name, summand, rhs, lower, upper):
+    return (f"name: {name}\nsummand: {summand}\nrhs: {rhs}\nsum_var: k\n"
+            f"rec_var: n\nlower: {lower}\nupper: {upper}\n")
+
+
+# specializations of the parametric corpus entries, as the benchmark draws
+# them: mrr at x = a/7, z = b/11, dixon at (a, b), chu-vandermonde at a
+SPECIALIZATIONS = [
+    _identity("mrr-x-2o7-z6o11",
+              "rf(-2*n-1,k)*rf(2*n+12/7,k)*rf(-51/154,k)*rf(n+5/7,k)"
+              "*rf(n+17/11,k)/(rf(5/14,k)*rf(6/7,k)*rf(2*n+34/11,k)"
+              "*rf(-51/77,k)*k!)", "0", "0", "2*n+1"),
+    _identity("mrr-x3o7-z2o11",
+              "rf(-2*n-1,k)*rf(2*n+17/7,k)*rf(115/154,k)*rf(n+10/7,k)"
+              "*rf(n+13/11,k)/(rf(5/7,k)*rf(17/14,k)*rf(2*n+26/11,k)"
+              "*rf(115/77,k)*k!)", "0", "0", "2*n+1"),
+    _identity("dixon-a2-b3",
+              "(-1)^k*binomial(5,2+k)*binomial(2+n,n+k)*binomial(3+n,3+k)",
+              "(5+n)!/2!/3!/n!", "-n", "n"),
+    _identity("chu-vandermonde-a5", "binomial(n,k)*binomial(5,k)",
+              "binomial(5+n,5)", "0", "n"),
+]
+
+
+def test_nullspace_univar_matches_the_reference_on_the_proofs(tmp_path):
+    # every univariate system the shortcut meets while proving the corpus
+    # and the specializations, coordinate for coordinate against the old
+    # path: pivot rows in file order, a full elimination per node
+    systems = []
+
+    def record(m):
+        systems.append(m)
+        return real(m)
+
+    real = linalg._nullspace_univar
+    paths = sorted((Path(__file__).resolve().parent.parent / "corpus")
+                   .glob("*.txt"))
+    for i, text in enumerate(SPECIALIZATIONS):
+        paths.append(tmp_path / f"s{i}.txt")
+        paths[-1].write_text(text)
+    with mock.patch.object(linalg, "_nullspace_univar", record):
+        for path in paths:
+            run_prove(load_identity(path), Fraction(1, 10), 0, 4, 1)
+    assert {(m.rows, m.cols) for m in systems} >= {(7, 6), (3, 4), (9, 9)}
+    chained = 0
+    for m in systems:
+        fast = _nullspace_univar(m)
+        assert typed_basis(fast) == typed_basis(nullspace_univar_reference(m))
+        if fast:
+            chained += bool(_constant_pivots(_integer_cleared(m)).steps)
+    assert chained
 
 
 # -- the max-weight assignment ------------------------------------------------
