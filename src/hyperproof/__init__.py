@@ -20,16 +20,16 @@ from .telescope import (
     Certificate, Recurrence, assemble, solve_order, verify_certificate,
 )
 from .terms import (
-    LinearForm, TermExpression, evaluate, natural_support, parse_affine,
-    parse_rational, parse_sum, parse_term, render, shift_quotient,
+    LinearForm, TermExpression, natural_support, parse_affine,
+    parse_rational, parse_sum, parse_term, render, shift_quotient, term_value,
 )
 
 __all__ = [
     "Certificate", "LinearForm", "MultiPoly", "NormalizedIdentity",
     "PolyMatrix", "ProofReport", "RationalFunction", "Recurrence",
-    "TermExpression", "assemble", "evaluate", "initial_conditions_check",
+    "TermExpression", "assemble", "initial_conditions_check",
     "leading_coeff_check", "natural_support", "normalize_and_delta",
     "parse_affine", "parse_rational", "parse_sum", "parse_term", "poly_gcd",
     "prove", "render", "shift_quotient", "solve_nullspace", "solve_order",
-    "verify_certificate",
+    "term_value", "verify_certificate",
 ]

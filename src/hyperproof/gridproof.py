@@ -25,6 +25,8 @@ finite check of an identity that cannot be normalized or fails the
 termination guard; at integer parameter points for n <= 4, just before the
 first grid scan, to refute a false identity before any grid work; and,
 after a route succeeds, symbolically for the initial conditions it needs.
+A symbolic sum is one of factored terms over the lcm of their
+denominators, tested for zero on the expanded numerator, with no gcd.
 
 Grid points are visited in sorted box index order, the first of matrix.vars
 the most significant digit.  linalg._GridEvaluator holds each matrix row as
@@ -54,7 +56,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
 
-from .factored import _primes_from, integer_roots_univar
+from .factored import (
+    Factored, _primes_from, factored_lcm, from_ratio_parts,
+    integer_roots_univar,
+)
 from .linalg import (
     PolyMatrix, _GridEvaluator, _constant_pivots, _grid_digits,
     _grid_values, _int_rank, _integer_cleared, _lower_set, _max_assignment,
@@ -65,8 +70,8 @@ from .telescope import (
     Certificate, Recurrence, assemble, solve_order, verify_certificate,
 )
 from .terms import (
-    LinearForm, TermError, TermExpression, eval_summand, evaluate,
-    natural_support, shift_quotient, term_value, zero_rules,
+    LinearForm, TermError, TermExpression, natural_support, shift_quotient,
+    term_value, value_parts, zero_rules,
 )
 
 
@@ -502,29 +507,46 @@ _SMALL_CASES_UPTO = 4  # largest n the finite and point checks compare
 
 def _small_cases(nid: NormalizedIdentity, term: TermExpression, rhs_terms,
                  upto: int, point=None):
-    """The exact small-case stage: yield, for n = 0..upto in turn, the
-    declared window's sum of term minus the sum of rhs_terms (terms free of
-    k), symbolic in the parameters or at their integer values point.  Where
-    no symbol but k is left, every term is a number and the sum is one of
-    Fractions.  Every exact check of a proof reads these differences; a
-    caller stops at the first n it does not need, so no window is summed in
-    vain."""
+    """The exact small-case stage: yield, for n = 0..upto in turn, the terms
+    of the declared window's sum of term and the negated rhs_terms (terms
+    free of k) as a list of Factored values (terms.value_parts), symbolic in
+    the parameters or at their integer values point; where no symbol but k
+    is left, one constant, the Fraction sum of term_values.  _vanishes tests
+    a list for zero.  A caller stops at the first n it does not need, so no
+    window is summed in vain."""
     for nv in range(upto + 1):
         at = {**(point or {}), nid.n: nv}
         lo, hi = _window(nid, term, nv, point)
-        remaining = tuple(s for s in term.symbols if s != nid.k and s not in at)
-        if remaining:
-            diff = RationalFunction.constant(remaining, 0)
-            for kv in range(lo, hi + 1):
-                diff = diff + eval_summand(term, {**at, nid.k: kv})
-            for t in rhs_terms:
-                diff = diff - evaluate(t, {**at, nid.k: 0})
+        free = tuple(s for s in term.symbols if s != nid.k and s not in at)
+        if free:
+            values = [from_ratio_parts(free, *value_parts(
+                term, {**at, nid.k: kv}, True)) for kv in range(lo, hi + 1)]
+            values += [from_ratio_parts(free, *value_parts(
+                t, {**at, nid.k: 0})).mul_const(-1) for t in rhs_terms]
         else:
             total = sum(term_value(term, {**at, nid.k: kv}, True)
                         for kv in range(lo, hi + 1))
-            diff = RationalFunction.constant((), total - sum(
-                term_value(t, {**at, nid.k: 0}) for t in rhs_terms))
-        yield diff
+            values = [Factored((), total - sum(
+                term_value(t, {**at, nid.k: 0}) for t in rhs_terms))]
+        yield values
+
+
+def _vanishes(plus, minus=()) -> bool:
+    """Whether the Factored values of plus, over the same variables with
+    exponents of either sign, sum to those of minus: each times L, the
+    factored_lcm of their denominators, is expanded once (Factored.expand),
+    and the two sides' sums of these polynomials are compared; no gcd.  A
+    zero value is dropped first, with the denominator it may still carry."""
+    values = [(sign, v) for sign, side in ((1, plus), (-1, minus))
+              for v in side if not v.is_zero()]
+    if not values:
+        return True
+    lcm = factored_lcm(v.split()[1] for _, v in values)
+    acc = {}
+    for sign, v in values:
+        for exp, c in v.copy().mul(lcm).expand().terms.items():
+            acc[exp] = acc.get(exp, 0) + sign * c
+    return not any(acc.values())
 
 
 def _identity_checks(nid: NormalizedIdentity, summand, rhs_terms,
@@ -532,10 +554,10 @@ def _identity_checks(nid: NormalizedIdentity, summand, rhs_terms,
     """[("identity", n, passed), ...] for the identity as stated, n = 0 ..
     _SMALL_CASES_UPTO, up to and including the first failure."""
     checks = []
-    for nv, diff in enumerate(_small_cases(nid, summand, rhs_terms,
-                                           _SMALL_CASES_UPTO, point)):
-        checks.append(("identity", nv, diff.is_zero()))
-        if not diff.is_zero():
+    for nv, values in enumerate(_small_cases(nid, summand, rhs_terms,
+                                             _SMALL_CASES_UPTO, point)):
+        checks.append(("identity", nv, _vanishes(values)))
+        if not checks[-1][2]:
             break
     return checks
 
@@ -577,19 +599,21 @@ def initial_conditions_check(nid: NormalizedIdentity, J: int,
 
     Checks n = 0 .. max(J-1, n0+J when n0 is present).  For a normalized
     identity the n = 0 entry also requires the undifferenced sum to equal 1;
-    a zero right side requires the raw sums to vanish.  Returns
+    a zero right side requires the raw sums to vanish.  Each check is one
+    _vanishes over the factored window terms of _small_cases, so no
+    polynomial gcd and no RationalFunction arithmetic runs.  Returns
     [(label, n, passed), ...]; any False entry refutes the identity.
     """
     upto = J - 1
     if n0 is not None:
         upto = max(upto, n0 + J)
     if nid.rhs_is_zero:
-        return [("sum", nv, total.is_zero()) for nv, total in
+        return [("sum", nv, _vanishes(values)) for nv, values in
                 enumerate(_small_cases(nid, nid.fhat, [], upto))]
     sums = list(_small_cases(nid, nid.fhat, [], upto + 1))
-    one = RationalFunction.constant(sums[0].vars, 1)
-    return [("base", 0, sums[0] == one)] + [
-        ("delta", nv, (sums[nv + 1] - sums[nv]).is_zero())
+    free = tuple(s for s in nid.fhat.symbols if s not in (nid.k, nid.n))
+    return [("base", 0, _vanishes(sums[0], [Factored(free, 1)]))] + [
+        ("delta", nv, _vanishes(sums[nv + 1], sums[nv]))
         for nv in range(upto + 1)]
 
 

@@ -360,9 +360,13 @@ class _GridEvaluator:
         self.pivots = [matrix.entries[i][j].as_constant()
                        for i, j, _, _ in self.chain.steps]
         tops = [max(map(abs, axis)) for axis in self.values]
-        bound = [[sum(abs(c) * prod(map(pow, tops, exp))
-                      for exp, c in entry.terms.items()) for entry in row]
-                 for row in matrix.entries]
+        # prod max|node|^e once per distinct exponent tuple: mrr's order-2
+        # M' has 2024 terms but only 128 distinct tuples
+        weight = {exp: prod(map(pow, tops, exp)) for exp in {
+            exp for row in matrix.entries for entry in row
+            for exp in entry.terms}}
+        bound = [[sum(abs(c) * weight[exp] for exp, c in entry.terms.items())
+                  for entry in row] for row in matrix.entries]
         for (i, j, targets, _), c in zip(self.chain.steps, self.pivots):
             for r in targets:
                 f = bound[r][j]

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .polys import (
-    MultiPoly, RationalFunction, _as_fraction, _norm_coef, _parts, _ratio,
+    MultiPoly, RationalFunction, _as_fraction, _norm_coef, _parts,
+    _product as _poly_product, _ratio,
 )
 
 
@@ -118,11 +119,21 @@ class LinearForm:
                 cs[s] = c
         return LinearForm(cs, const)
 
+    def at(self, point: dict):
+        """The number self is at point where point assigns every symbol,
+        found with no form built; else the substituted form."""
+        if not self.coeffs.keys() <= point.keys():
+            return self.substitute(point)
+        const = self.const
+        for s, c in self.coeffs.items():
+            const += c * point[s]
+        return _norm_coef(const)
+
     def eval(self, point: dict):
-        v = self.substitute(point)
-        if not v.is_constant():
+        v = self.at(point)
+        if type(v) is LinearForm:
             raise EvalError(f"unassigned symbols in {self}")
-        return v.const
+        return v
 
     def to_poly(self, vars) -> MultiPoly:
         items = [(tuple(1 if v == s else 0 for v in vars), c)
@@ -313,25 +324,10 @@ def shift_quotient(f: TermExpression, var) -> RationalFunction:
     if var not in f.symbols:
         raise TermError(f"{var} is not a symbol of the term")
     const, affine, opaque = f.shift_ratio_parts(var)
-    vars = f.symbols
-    num = MultiPoly.constant(vars, const)
-    den = MultiPoly.constant(vars, 1)
-    for L, e in affine:
-        p = L.to_poly(vars)
-        if e > 0:
-            for _ in range(e):
-                num = num * p
-        else:
-            for _ in range(-e):
-                den = den * p
-    for p, e in opaque:
-        if e > 0:
-            for _ in range(e):
-                num = num * p
-        else:
-            for _ in range(-e):
-                den = den * p
-    return RationalFunction(num, den)
+    parts = [(L.to_poly(f.symbols), e) for L, e in affine] + opaque
+    return RationalFunction(
+        _poly_product(f.symbols, [(p, e) for p, e in parts if e > 0], const),
+        _poly_product(f.symbols, [(p, -e) for p, e in parts if e < 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -361,49 +357,16 @@ def _product(p: int, d: int, count: int) -> int:
     return math.prod(range(p, p + count * d, d))
 
 
-def evaluate(f: TermExpression, point: dict,
-             zero_conventions: bool = False) -> RationalFunction:
-    """Exact value of f with some symbols assigned; symbolic in the rest.
-
-    Count-type arguments (factorial arguments, binomial lower indices, rising
-    factorial counts) must become nonnegative integers, except that factorials
-    whose arguments stay symbolic may cancel in matched pairs (arguments with
-    the same symbolic part and integer-spaced constants), in which case the
-    pair contributes a finite rising-factorial product.  At a point that
-    assigns every symbol the value is a number, found as term_value finds
-    it, without MultiPoly or RationalFunction arithmetic.
-
-    With zero_conventions, a negative binomial lower index or a reciprocal
-    factorial of a negative integer makes the term zero (raises _ZeroTerm for
-    eval_summand to catch) instead of erroring.
-    """
-    remaining = tuple(s for s in f.symbols if s not in point)
-    top, bottom, num, den = _special_factors(f, point, zero_conventions,
-                                             remaining)
-    if not remaining:
-        return RationalFunction.constant((), _full_value(f, point, top,
-                                                         bottom))
-    try:
-        rf = f.rational.eval_partial(point).restrict(remaining)
-    except ZeroDivisionError as exc:
-        raise EvalError(str(exc)) from exc
-    return RationalFunction(num.scale(_ratio(top, bottom)), den) * rf
-
-
 def term_value(f: TermExpression, point: dict, zero_conventions: bool = False):
     """The exact value of f at a point that assigns every symbol, an int or
-    a Fraction, with evaluate's errors; with zero_conventions, 0 where they
-    make the term zero, as eval_summand gives it."""
+    a Fraction.  Count-type arguments (factorial arguments, binomial lower
+    indices, rising factorial counts) must be nonnegative integers there, or
+    EvalError.  With zero_conventions, a negative binomial lower index or a
+    reciprocal factorial of a negative integer makes the term 0 instead."""
     try:
-        top, bottom, _, _ = _special_factors(f, point, zero_conventions, ())
+        top, bottom, _ = _special_factors(f, point, zero_conventions)
     except _ZeroTerm:
         return 0
-    return _full_value(f, point, top, bottom)
-
-
-def _full_value(f: TermExpression, point: dict, top: int, bottom: int):
-    """top/bottom times the value of f's rational part at a point that
-    assigns every symbol."""
     d = f.rational.den.eval(point)
     if not d:
         raise EvalError("denominator vanishes under the substitution")
@@ -411,30 +374,41 @@ def _full_value(f: TermExpression, point: dict, top: int, bottom: int):
     return _ratio(top * p * t, bottom * q * r)
 
 
-def _special_factors(f: TermExpression, point: dict, zero_conventions: bool,
-                     remaining: tuple):
-    """(top, bottom, num, den): the factorials, binomials, rising factorials
-    and powers of f at point, as the constant top/bottom times num/den over
-    the symbols remaining (evaluate's rules).
+def value_parts(f: TermExpression, point: dict, zero_conventions: bool = False):
+    """f at a point that may leave symbols free, as shift_ratio_parts gives
+    a quotient: (const, affine, opaque) over the symbols left, the rational
+    part as its unreduced numerator and denominator, with term_value's rules
+    and errors; (0, [], []) where the zero conventions make f zero."""
+    remaining = tuple(s for s in f.symbols if s not in point)
+    try:
+        top, bottom, affine = _special_factors(f, point, zero_conventions)
+    except _ZeroTerm:
+        return 0, [], []
+    den = f.rational.den.eval_partial(point)
+    if den.is_zero():
+        raise EvalError("denominator vanishes under the substitution")
+    num = f.rational.num.eval_partial(point)
+    return _ratio(top, bottom), affine, [(num.restrict(remaining), 1),
+                                         (den.restrict(remaining), -1)]
+
+
+def _special_factors(f: TermExpression, point: dict, zero_conventions: bool):
+    """(top, bottom, affine): the factorials, binomials, rising factorials
+    and powers of f at point, as the constant top/bottom times the factors
+    left symbolic, the pairs (LinearForm, exponent) of affine.
 
     A rising or falling product with a constant base p/q is the integer
     product of the p + t*q or p - t*q over q^count; the constant factor is
-    kept as an integer numerator and denominator until the end.
+    kept as an integer numerator and denominator until the end.  A
+    symbolic base gives one affine factor per step.  Factorials whose
+    arguments stay symbolic must cancel in matched pairs (arguments with
+    the same symbolic part and integer-spaced constants); each pair is a
+    finite rising product.  With zero_conventions, a zero-convention factor
+    raises _ZeroTerm.
     """
-    one = MultiPoly.constant(remaining, 1)
-    num = one
-    den = one
+    affine = []
     top, bottom = 1, 1  # the constant factor top/bottom
     gammas = []  # (group key, symbolic part, constant, exponent)
-
-    def mul(p: MultiPoly, e: int):
-        nonlocal num, den
-        if e > 0:
-            for _ in range(e):
-                num = num * p
-        else:
-            for _ in range(-e):
-                den = den * p
 
     def mul_val(a: int, b: int, e: int):
         # the constant factor times (a/b)^e, b nonzero
@@ -446,25 +420,25 @@ def _special_factors(f: TermExpression, point: dict, zero_conventions: bool,
         top *= a ** e
         bottom *= b ** e
 
-    def product(base: LinearForm, count: int, step: int, e: int):
-        # (base)(base + step)...(base + (count-1)*step), to the power e
-        if base.is_constant():
-            p, q = _parts(base.const)
+    def product(base, count: int, step: int, e: int):
+        # (base)(base + step)...(base + (count-1)*step), to the power e, for
+        # a number or a symbolic LinearForm base
+        if type(base) is not LinearForm:
+            p, q = _parts(base)
             value = _product(p, step * q, count)
             mul_val(value, q ** count if value else 1, e)
         else:
-            for t in range(count):
-                mul(base.add_const(step * t).to_poly(remaining), e)
+            affine.extend((base.add_const(step * t), e) for t in range(count))
 
-    def rising_product(base: LinearForm, count: int, e: int):
+    def rising_product(base, count: int, e: int):
         # (base)_count with count a nonnegative integer
         if count < 0:
             raise EvalError(f"negative rising-factorial count {count}")
         product(base, count, 1, e)
 
-    def push_factorial(arg: LinearForm, e: int):
-        if arg.is_constant():
-            n = _int_value(arg.const, "factorial argument")
+    def push_factorial(arg, e: int):
+        if type(arg) is not LinearForm:
+            n = _int_value(arg, "factorial argument")
             if n < 0:
                 if e < 0 and zero_conventions:
                     raise _ZeroTerm  # 1/(negative)! = 0
@@ -478,41 +452,40 @@ def _special_factors(f: TermExpression, point: dict, zero_conventions: bool,
             gammas.append((key, LinearForm(arg.coeffs, 0), c, e))
 
     for a, e in f.factorials:
-        push_factorial(a.substitute(point), e)
+        push_factorial(a.at(point), e)
 
     for u, l, e in f.binomials:
-        uv = u.substitute(point)
-        lv = l.substitute(point)
-        if lv.is_constant():
-            m = _int_value(lv.const, "binomial lower index")
+        lv = l.at(point)
+        if type(lv) is not LinearForm:
+            m = _int_value(lv, "binomial lower index")
             if m < 0:
                 if zero_conventions and e > 0:
                     raise _ZeroTerm  # binomial(., negative) = 0
                 raise EvalError(f"negative binomial lower index {m}")
             # binomial(x, m) = x(x-1)...(x-m+1)/m!
-            product(uv, m, -1, e)
+            product(u.at(point), m, -1, e)
             if top:  # m! is not zero: a zero value stays zero
                 mul_val(_factorial(m), 1, -e)
         else:
             # symbolic lower index: fall back to factorial quotients
-            push_factorial(uv, e)
+            push_factorial(u.at(point), e)
             push_factorial(lv, -e)
-            push_factorial(uv - lv, -e)
+            push_factorial((u - l).at(point), -e)
 
     for b, c, e in f.risings:
-        bv = b.substitute(point)
-        cv = c.substitute(point)
-        if cv.is_constant():
-            rising_product(bv, _int_value(cv.const, "rising-factorial count"), e)
+        cv = c.at(point)
+        if type(cv) is not LinearForm:
+            rising_product(b.at(point),
+                           _int_value(cv, "rising-factorial count"), e)
         else:
-            push_factorial((bv + cv).add_const(-1), e)
-            push_factorial(bv.add_const(-1), -e)
+            push_factorial((b + c).add_const(-1).at(point), e)
+            push_factorial(b.add_const(-1).at(point), -e)
 
     for base, expo in f.powers:
-        ev = expo.substitute(point)
-        if not ev.is_constant():
+        ev = expo.at(point)
+        if type(ev) is LinearForm:
             raise EvalError(f"power exponent {ev} not fully assigned")
-        m = _int_value(ev.const, "power exponent")
+        m = _int_value(ev, "power exponent")
         mul_val(*_parts(base), m)
 
     # cancel symbolic factorial groups pairwise
@@ -534,20 +507,7 @@ def _special_factors(f: TermExpression, point: dict, zero_conventions: bool,
             else:
                 rising_product(sym.add_const(cp + 1), int(-m), -1)
 
-    return top, bottom, num, den
-
-
-def eval_summand(f: TermExpression, point: dict) -> RationalFunction:
-    """Like evaluate, but zero-convention factors yield an exact zero.
-
-    Used when summing over a window that may stick out of the natural support
-    (binomial(., negative) = 0 and 1/(negative)! = 0 kill the whole term).
-    """
-    remaining = tuple(s for s in f.symbols if s not in point)
-    try:
-        return evaluate(f, point, zero_conventions=True)
-    except _ZeroTerm:
-        return RationalFunction.constant(remaining, 0)
+    return top, bottom, affine
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +529,7 @@ def zero_rules(f: TermExpression, point=None):
     op '-' means L <= -1 and op '+' means L >= 0.  The rules: binomial(u, l)
     with integer l vanishes for l < 0 and, when u is an integer too, for
     0 <= u < l; rf(b, c) with integer b vanishes for b <= 0 <= b + c - 1; and
-    1/a! with integer a vanishes for a < 0.  These are the zeros evaluate's
+    1/a! with integer a vanishes for a < 0.  These are the zeros term_value's
     zero conventions and the integer product formulas produce.
     """
     point = point or {}

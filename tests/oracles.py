@@ -1,9 +1,8 @@
 """Reference implementations the tests compare the program against."""
 
 import re
-from dataclasses import replace
 from fractions import Fraction
-from math import factorial, gcd, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm, prod
 
 from hyperproof.factored import _primes_from
 from hyperproof.linalg import (
@@ -15,7 +14,9 @@ from hyperproof.polys import (
     clear_denominators, common_denominator,
 )
 from hyperproof.gridproof import _window
-from hyperproof.terms import EvalError, LinearForm, _ZeroTerm, evaluate
+from hyperproof.terms import (
+    EvalError, LinearForm, _ZeroTerm, _special_factors,
+)
 
 
 def poly_matrix(vars, rows) -> PolyMatrix:
@@ -527,39 +528,67 @@ def max_assignment_reference(degs):
     return dp.get(full)
 
 
-def full_point_reference(f, point, zero_conventions=False):
-    """terms.evaluate at a point that assigns every symbol, the way it was
-    found before its full-point return: the constant factor of the special
-    factors (evaluate on f with its rational part replaced by 1) times the
-    rational part taken through eval_partial and restrict, an EvalError
-    where its denominator vanishes, in RationalFunction arithmetic."""
-    factor = evaluate(replace(f, rational=RationalFunction.constant(
-        f.symbols, 1)), point, zero_conventions)
+def lane_reference(matrix, values, chain) -> int:
+    """linalg._GridEvaluator's lane width B, bounded the way it once was:
+    prod max|node|^e taken anew for every term of every entry, then grown
+    along the pivot chain."""
+    tops = [max(map(abs, values[v])) for v in matrix.vars]
+    bound = [[sum(abs(c) * prod(map(pow, tops, exp))
+                  for exp, c in entry.terms.items()) for entry in row]
+             for row in matrix.entries]
+    for i, j, targets, _ in chain.steps:
+        c = matrix.entries[i][j].as_constant()
+        for r in targets:
+            f = bound[r][j]
+            bound[r] = [abs(c) * a + f * b
+                        for a, b in zip(bound[r], bound[i])]
+    return max(map(max, bound)).bit_length() + 1
+
+
+def evaluate_reference(f, point, zero_conventions=False):
+    """The value of f at point, symbolic in the symbols point leaves, the
+    way terms.evaluate found it before the small cases were summed over
+    factored terms: the constant of the special factors
+    (terms._special_factors) times their symbolic affine factors multiplied
+    out into a MultiPoly numerator and denominator, times the rational part
+    through eval_partial and restrict, in RationalFunction arithmetic (a
+    gcd per operation), an EvalError where that denominator vanishes.  Also
+    at a point that assigns every symbol; with zero_conventions, a zero
+    convention raises _ZeroTerm."""
+    remaining = tuple(s for s in f.symbols if s not in point)
+    top, bottom, affine = _special_factors(f, point, zero_conventions)
+    num = den = MultiPoly.constant(remaining, 1)
+    for L, e in affine:
+        for _ in range(abs(e)):
+            if e > 0:
+                num = num * L.to_poly(remaining)
+            else:
+                den = den * L.to_poly(remaining)
     try:
-        rf = f.rational.eval_partial(point).restrict(())
+        rf = f.rational.eval_partial(point).restrict(remaining)
     except ZeroDivisionError as exc:
         raise EvalError(str(exc)) from exc
-    one = MultiPoly.constant((), 1)
-    return RationalFunction(one.scale(factor.as_constant()), one) * rf
+    return RationalFunction(num.scale(Fraction(top, bottom)), den) * rf
 
 
-def small_cases_reference(nid, term, rhs_terms, upto, point):
-    """gridproof._small_cases at a point that leaves no symbol but k, the
-    way it summed before: each window term (full_point_reference with zero
+def small_cases_reference(nid, term, rhs_terms, upto, point=None):
+    """gridproof._small_cases the way it summed before the factored sums:
+    for n = 0..upto, each window term (evaluate_reference with zero
     conventions, a zero term skipped) added and each right-side term
-    subtracted in RationalFunction arithmetic."""
+    subtracted in RationalFunction arithmetic, one difference per n."""
     for nv in range(upto + 1):
         at = {**(point or {}), nid.n: nv}
         lo, hi = _window(nid, term, nv, point)
-        diff = RationalFunction.constant((), 0)
+        free = tuple(s for s in term.symbols if s != nid.k and s not in at)
+        diff = RationalFunction.constant(free, 0)
         for kv in range(lo, hi + 1):
             try:
-                diff = diff + full_point_reference(term, {**at, nid.k: kv},
-                                                   True)
+                diff = diff + evaluate_reference(term, {**at, nid.k: kv},
+                                                 True)
             except _ZeroTerm:
                 pass
         for t in rhs_terms:
-            diff = diff - full_point_reference(t, {**at, nid.k: 0})
+            diff = diff - evaluate_reference(t, {**at, nid.k: 0})
         yield diff
 
 

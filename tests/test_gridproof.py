@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hyperproof import gridproof
+from hyperproof import factored, gridproof, linalg, polys
 from hyperproof.gridproof import (
     NormalizedIdentity, Inconclusive, initial_conditions_check,
     leading_coeff_check, normalize_and_delta, prove,
@@ -33,12 +33,13 @@ from hyperproof.linalg import (
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.telescope import Recurrence, assemble, gosper_degree_bound
 from hyperproof.terms import (
-    EvalError, LinearForm, TermError, TermExpression, _ZeroTerm, eval_summand,
-    evaluate, natural_support, parse_affine as lf, parse_sum, parse_term,
-    term_value,
+    EvalError, LinearForm, TermError, TermExpression, _ZeroTerm,
+    natural_support, parse_affine as lf, parse_rational, parse_sum,
+    parse_term, term_value, value_parts,
 )
 from oracles import (
-    det_symbolic, full_point_reference, poly_matrix, small_cases_reference,
+    det_symbolic, evaluate_reference, lane_reference, poly_matrix,
+    small_cases_reference,
 )
 
 
@@ -70,10 +71,9 @@ def test_normalize_binomial_2n():
         nv = rng.randint(0, 9)
         kv = rng.randint(0, nv)
         pt = {"n": nv, "k": kv}
-        lhs = eval_summand(nid.fhat, {"n": nv + 1, "k": kv}).as_constant() \
-            - eval_summand(nid.fhat, pt).as_constant()
-        rhs_v = eval_summand(nid.ftil, pt)
-        assert lhs == rhs_v.as_constant()
+        lhs = term_value(nid.fhat, {"n": nv + 1, "k": kv}, True) \
+            - term_value(nid.fhat, pt, True)
+        assert lhs == term_value(nid.ftil, pt, True)
         done += 1
 
 
@@ -945,8 +945,9 @@ def value_or_error(fn, *args):
 @pytest.mark.parametrize("path", IDENTITY_FILES, ids=lambda p: p.name)
 def test_full_point_values_match_the_rational_path(path):
     # every term at k = -2 .. 2n+3, with and without zero conventions:
-    # evaluate and term_value give the same number, or the same exception
-    # with the same message (term_value gives 0 for a zero-convention term)
+    # term_value and the RationalFunction path give the same number, or the
+    # same exception with the same message (term_value gives 0 for a
+    # zero-convention term)
     ident, terms, points = full_points(path)
     raised = 0
     for t in terms:
@@ -954,10 +955,8 @@ def test_full_point_values_match_the_rational_path(path):
             for kv in range(-2, 2 * point[ident.rec_var] + 4):
                 at = {**point, ident.sum_var: kv}
                 for zero_conventions in (False, True):
-                    expected = value_or_error(full_point_reference, t, at,
+                    expected = value_or_error(evaluate_reference, t, at,
                                               zero_conventions)
-                    assert value_or_error(evaluate, t, at,
-                                          zero_conventions) == expected, at
                     if expected == (_ZeroTerm, ""):
                         expected = 0
                     elif not isinstance(expected, tuple):
@@ -966,6 +965,17 @@ def test_full_point_values_match_the_rational_path(path):
                                           zero_conventions) == expected, at
                     raised += isinstance(expected, tuple)
     assert raised
+
+
+def upto_error(cases):
+    """The items of cases up to the first error, then that error's type
+    and message."""
+    out = []
+    try:
+        out.extend(cases)
+    except (gridproof.GridProofError, TermError, ZeroDivisionError) as exc:
+        out.append((type(exc), str(exc)))
+    return out
 
 
 @pytest.mark.parametrize("path", IDENTITY_FILES, ids=lambda p: p.name)
@@ -978,19 +988,205 @@ def test_small_cases_sum_fractions_as_the_rational_path_did(path):
     nid = NormalizedIdentity(F, F, ident.params, ident.sum_var, ident.rec_var,
                              lower, upper, True,
                              RationalFunction.constant(F.symbols, 1))
-
-    def upto_error(cases):
-        out = []
-        try:
-            out.extend(cases)
-        except (gridproof.GridProofError, TermError, ZeroDivisionError) as exc:
-            out.append((type(exc), str(exc)))
-        return out
-
     for point in points[::5]:
         point = {p: point[p] for p in ident.params} or None
-        assert upto_error(_small_cases(nid, F, rhs_terms, 4, point)) == \
-            upto_error(small_cases_reference(nid, F, rhs_terms, 4, point))
+        got = upto_error(_small_cases(nid, F, rhs_terms, 4, point))
+        # no symbol is left: each n is one constant, the exact difference
+        got = [v if isinstance(v, tuple) else (v[0].vars, v[0].const)
+               for v in got]
+        assert got == [d if isinstance(d, tuple) else ((), d.as_constant())
+                       for d in upto_error(small_cases_reference(
+                           nid, F, rhs_terms, 4, point))]
+
+
+def symbolic_cases(path):
+    """(nid, [(term, right-side terms)]) for an identity file: the summand
+    with its right side and, where the identity normalizes, fhat and the
+    delta term with none, each term once; nid is the normalized identity,
+    or one that reads the summand as a zero-right-side sum."""
+    ident = load_identity(path)
+    F, rhs_terms, lower, upper = ident.parsed()
+    try:
+        nid = normalize_and_delta(F, rhs_terms, ident.params, ident.sum_var,
+                                  ident.rec_var, lower, upper)
+    except gridproof.GridProofError:
+        nid = NormalizedIdentity(F, F, ident.params, ident.sum_var,
+                                 ident.rec_var, lower, upper, True,
+                                 RationalFunction.constant(F.symbols, 1))
+    cases = [(F, rhs_terms)]
+    for t in (nid.fhat, nid.delta_term):
+        if all(t != c for c, _ in cases):
+            cases.append((t, []))
+    return nid, cases
+
+
+def factored_value(t, at, zero_conventions=False):
+    free = tuple(s for s in t.symbols if s not in at)
+    return from_ratio_parts(free, *value_parts(t, at, zero_conventions))
+
+
+@pytest.mark.parametrize("path", IDENTITY_FILES, ids=lambda p: p.name)
+def test_factored_values_match_the_rational_path(path):
+    # each term symbolic in the parameters, at n = 0..4 and k from two
+    # before the window to two past it (the right side at k = 0), with and
+    # without zero conventions: value_parts gives the value of the
+    # RationalFunction path, or the same exception with the same message,
+    # and 0 where the zero conventions make the term zero
+    nid, cases = symbolic_cases(path)
+    for term, rhs_terms in cases:
+        for nv in range(5):
+            try:
+                lo, hi = gridproof._window(nid, term, nv)
+            except gridproof.GridProofError:
+                continue
+            for t, ks in [(term, range(lo - 2, hi + 3))] + [
+                    (r, [0]) for r in rhs_terms]:
+                for kv, zero_conventions in product(ks, (False, True)):
+                    at = {nid.n: nv, nid.k: kv}
+                    expected = value_or_error(evaluate_reference, t, at,
+                                              zero_conventions)
+                    got = value_or_error(factored_value, t, at,
+                                         zero_conventions)
+                    if expected == (_ZeroTerm, ""):
+                        assert got.is_zero(), at
+                    elif isinstance(expected, tuple):
+                        assert got == expected, at
+                    else:
+                        num, den = got.split()
+                        assert num.expand() * expected.den == \
+                            expected.num * den.expand(), at
+
+
+@pytest.mark.parametrize("path", IDENTITY_FILES, ids=lambda p: p.name)
+def test_factored_small_cases_match_the_rational_path(path):
+    # n = 0..4, symbolic in the parameters: a factored window sum minus the
+    # right side vanishes exactly where the RationalFunction sum does, up
+    # to the same exception with the same message
+    nid, cases = symbolic_cases(path)
+    for term, rhs_terms in cases:
+        assert upto_error(map(gridproof._vanishes, _small_cases(
+            nid, term, rhs_terms, 4))) == upto_error(
+            d.is_zero() for d in small_cases_reference(nid, term, rhs_terms,
+                                                       4))
+
+
+def test_a_zero_window_term_adds_nothing_to_a_factored_sum():
+    # past the support binomial(n, k) is 0 as a product while 1/rf(a+1, k)
+    # stays symbolic: that zero term, denominator and all, adds nothing
+    syms = ("k", "n", "a")
+    F = parse_term("binomial(n,k)/rf(a+1,k)", syms)
+    nid = NormalizedIdentity(F, F, ("a",), "k", "n", lf("0", syms),
+                             lf("n+1", syms), True,
+                             RationalFunction.constant(syms, 1))
+    assert [gridproof._vanishes(v) for v in _small_cases(nid, F, [], 3)] == \
+        [d.is_zero() for d in small_cases_reference(nid, F, [], 3)]
+
+
+_VARS = ("x", "z")
+_FORMS = ["x", "x+1", "2*x+2", "z", "x-z+1/2", "x+2*z", "-x-2"]
+_OPAQUE = ["x^2+z+1", "x*z-3", "z^2+2*x"]
+
+
+@st.composite
+def _factored_values(draw):
+    """1..5 Factored values over (x, z): a constant, zero now and then
+    (a zero term keeps its factors, denominators too), affine factors from
+    a small shared pool (2*x+2 and x+1 normalize alike) with exponents
+    -2..2, and opaque quadratic factors with exponents -1..1."""
+    values = []
+    for _ in range(draw(st.integers(1, 5))):
+        const = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 4)))
+        affine = [(lf(text, _VARS), draw(st.integers(-2, 2)))
+                  for text in draw(st.lists(st.sampled_from(_FORMS),
+                                            max_size=4))]
+        opaque = [(parse_rational(text, _VARS).num, draw(st.integers(-1, 1)))
+                  for text in draw(st.lists(st.sampled_from(_OPAQUE),
+                                            max_size=2))]
+        values.append(from_ratio_parts(_VARS, const, affine, opaque))
+    return values
+
+
+def _rational(v):
+    """A Factored value as a RationalFunction, by RationalFunction
+    arithmetic."""
+    r = RationalFunction.constant(v.vars, v.const)
+    for p, e, _, _ in v.factors():
+        q = RationalFunction.from_poly(p)
+        for _ in range(abs(e)):
+            r = r * q if e > 0 else r / q
+    return r
+
+
+@settings(deadline=None, max_examples=150)
+@given(_factored_values())
+@example([from_ratio_parts(_VARS, 0, [(lf("x+1", _VARS), -1)], []),
+          from_ratio_parts(_VARS, 1, [(lf("z", _VARS), -1)], [])])
+def test_vanishes_agrees_with_rational_function_sums(values):
+    # shared and cancelling affine factors and an opaque rational part:
+    # the factored sum vanishes exactly when the RationalFunction sum does,
+    # and it equals that sum, as one opaque quotient, but not the sum plus 1
+    total = RationalFunction.constant(_VARS, 0)
+    for v in values:
+        total = total + _rational(v)
+    assert gridproof._vanishes(values) == total.is_zero()
+
+    def opaque(r):
+        return from_ratio_parts(_VARS, 1, [], [(r.num, 1), (r.den, -1)])
+
+    assert gridproof._vanishes(values, [opaque(total)])
+    assert gridproof._vanishes(values + [opaque(-total)])
+    one = RationalFunction.constant(_VARS, 1)
+    assert not gridproof._vanishes(values, [opaque(total + one)])
+
+
+def test_small_cases_take_no_gcd_and_build_no_rational_function(
+        monkeypatch):
+    # the symbolic initial conditions of mrr (zero right side) and of
+    # chu-vandermonde (base and delta), and the symbolic finite check of a
+    # parametric identity, in factored sums only
+    mrr, chu = mrr_nid(), corpus_nid("chu-vandermonde")
+    ident = load_identity(CORPUS / "extra" / "pfaff-saalschutz-b-shifted.txt")
+    F, rhs_terms, _, _ = ident.parsed()
+    pfaff = normalize_and_delta(F, rhs_terms, ident.params, ident.sum_var,
+                                ident.rec_var, *ident.parsed()[2:])
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module in (polys, factored, gridproof, linalg):
+        if hasattr(module, "poly_gcd"):
+            monkeypatch.setattr(module, "poly_gcd",
+                                counted("poly_gcd", module.poly_gcd))
+    monkeypatch.setattr(RationalFunction, "__init__", counted(
+        "RationalFunction", RationalFunction.__init__))
+    assert initial_conditions_check(mrr, 2, 1) == [
+        ("sum", nv, True) for nv in range(4)]
+    assert all(ok for _, _, ok in initial_conditions_check(chu, 1, 2))
+    assert gridproof._identity_checks(pfaff, F, rhs_terms)[-1] == (
+        "identity", 1, False)
+    assert calls == []
+
+
+def test_lane_bound_unchanged_on_every_recorded_matrix(monkeypatch):
+    # every evaluator built while proving corpus/*.txt: the lane width
+    # from one weight per distinct exponent tuple is the per-term one
+    built = []
+    real = _GridEvaluator.__init__
+
+    def recording(self, matrix, values, chain=None):
+        real(self, matrix, values, chain)
+        built.append((self.lane, matrix, values, self.chain))
+
+    monkeypatch.setattr(_GridEvaluator, "__init__", recording)
+    for path in sorted(CORPUS.glob("*.txt")):
+        run_prove(load_identity(path), Fraction(1, 10), 13, 6, 1)
+    assert len(built) > 10
+    for lane, matrix, values, chain in built:
+        assert lane == lane_reference(matrix, values, chain)
 
 
 def test_prove_refutes_on_numeric_mismatch(monkeypatch):
@@ -1301,7 +1497,7 @@ def test_termination_guard_sound(factors, window):
             outside += range(edge + 1, edge + 7)
         for kv in outside:
             try:
-                value = eval_summand(F, {"k": kv, "n": nv})
+                value = term_value(F, {"k": kv, "n": nv}, True)
             except EvalError:
                 continue
-            assert value.is_zero(), (nv, kv)
+            assert value == 0, (nv, kv)

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.terms import (
-    EvalError, LinearForm, ParseError, TermExpression, _ZeroTerm, eval_summand,
-    evaluate, natural_support, parse_affine, parse_rational, parse_sum,
-    parse_term, render, shift_quotient,
+    EvalError, LinearForm, ParseError, TermExpression, _ZeroTerm,
+    natural_support, parse_affine, parse_rational, parse_sum, parse_term,
+    render, shift_quotient, term_value, value_parts,
 )
 from oracles import constant_products_reference
 
@@ -141,41 +141,57 @@ def test_roundtrip_render_parse_property(text):
     assert parse_term(render(t), SYMS) == t
 
 
+def test_at_is_the_number_where_every_symbol_is_assigned():
+    # a point that assigns every symbol of the form gives the number the
+    # substituted form holds, with ints normalized; any other point the
+    # substituted form itself
+    for text in ["x+2*n+2", "(x+1)/2", "x-z+1/2", "3", "-2*n-1"]:
+        L = parse_affine(text, ("n", "x", "z"))
+        for point in [{"n": 2, "x": 3, "z": 5}, {"n": 1, "x": Fraction(1, 3),
+                                                  "z": -1}, {"n": 4}, {}]:
+            want = L.substitute(point)
+            got = L.at(point)
+            if want.is_constant():
+                assert type(got) is not LinearForm and got == want.const
+                assert type(got) is type(want.const) and L.eval(point) == got
+            else:
+                assert got == want
+
+
 def test_eval_binomial():
     t = parse_term("binomial(n,k)", ("k", "n"))
-    assert evaluate(t, {"n": 5, "k": 2}).as_constant() == 10
+    assert term_value(t, {"n": 5, "k": 2}) == 10
     # the product formula hits zero
-    assert evaluate(t, {"n": 5, "k": 7}).as_constant() == 0
+    assert term_value(t, {"n": 5, "k": 7}) == 0
 
 
 def test_eval_rf_half():
     t = parse_term("rf(a,k)", ("k", "a"))
-    v = evaluate(t, {"a": Fraction(1, 2), "k": 3})
-    assert v.as_constant() == Fraction(15, 8)
+    assert term_value(t, {"a": Fraction(1, 2), "k": 3}) == Fraction(15, 8)
 
 
 def test_eval_negative_factorial_errors():
     t = parse_term("k!", ("k",))
     with pytest.raises(EvalError):
-        evaluate(t, {"k": -1})
+        term_value(t, {"k": -1})
 
 
 def test_eval_zero_conventions():
     t = parse_term("binomial(n,k)", ("k", "n"))
     with pytest.raises(EvalError):
-        evaluate(t, {"n": 5, "k": -1})
-    assert eval_summand(t, {"n": 5, "k": -1}).is_zero()
+        term_value(t, {"n": 5, "k": -1})
+    assert term_value(t, {"n": 5, "k": -1}, True) == 0
     t2 = parse_term("1/k!", ("k",))
-    assert eval_summand(t2, {"k": -2}).is_zero()
+    assert term_value(t2, {"k": -2}, True) == 0
     # a zero factor of a constant product makes a numerator zero, and in a
     # denominator it is an error that the zero conventions do not hide
-    assert eval_summand(t, {"n": 1, "k": 10000}).is_zero()
-    assert eval_summand(parse_term("rf(n,k)", ("k", "n")),
-                        {"n": -3, "k": 5}).is_zero()
+    assert term_value(t, {"n": 1, "k": 10000}, True) == 0
+    assert term_value(parse_term("rf(n,k)", ("k", "n")),
+                      {"n": -3, "k": 5}, True) == 0
     for text, n in [("1/binomial(n,k)", 3), ("1/rf(n,k)", -3), ("1/rf(n,k)", 0),
                     ("binomial(-n,k)/rf(n,k)", -3)]:
         with pytest.raises(EvalError, match="division by a zero factor"):
-            eval_summand(parse_term(text, ("k", "n")), {"n": n, "k": 5})
+            term_value(parse_term(text, ("k", "n")), {"n": n, "k": 5}, True)
 
 
 PRODUCT_TERMS = ["rf(a,k)", "1/rf(a,k)", "rf(a,k)^2", "rf(a,k)^(-2)",
@@ -201,25 +217,27 @@ def test_constant_products_match_the_per_factor_loop(text, zero_conventions):
         for q in (1, 2, 3):
             for count in range(-2, 13):
                 point = {"a": Fraction(p, q), "k": count}
-                got = outcome(evaluate, t, point, zero_conventions)
-                if not isinstance(got, tuple):
-                    got = got.as_constant()
-                assert got == outcome(constant_products_reference, t, point,
-                                      zero_conventions), (p, q, count)
+                expected = outcome(constant_products_reference, t, point,
+                                   zero_conventions)
+                if expected == (_ZeroTerm, ""):
+                    expected = 0  # term_value's zero by convention
+                assert outcome(term_value, t, point, zero_conventions) == \
+                    expected, (p, q, count)
 
 
 def test_eval_symbolic_in_params():
     # binomial(a+b,a)*a!*b!/(a+b)! == 1 identically
     t = parse_term("binomial(a+b,a+k)*a!*b!/(a+b+n)!", ("k", "n", "a", "b"))
-    v = evaluate(t, {"k": 0, "n": 0})
-    assert v.is_constant() and v.as_constant() == 1
+    const, affine, opaque = value_parts(t, {"k": 0, "n": 0})
+    assert (const, affine) == (1, [])
+    assert [(p.as_constant(), e) for p, e in opaque] == [(1, 1), (1, -1)]
 
 
 def test_eval_symbolic_rising_product():
     t = parse_term("binomial(a,k)", ("k", "a"))
-    v = evaluate(t, {"k": 2})  # a(a-1)/2
-    va = v.eval({"a": 7})
-    assert va == 21
+    const, affine, _ = value_parts(t, {"k": 2})  # a(a-1)/2
+    assert const == Fraction(1, 2)
+    assert [(str(L), e) for L, e in affine] == [("a", 1), ("a-1", 1)]
 
 
 def test_shift_quotient_binomial_in_k():
@@ -263,10 +281,10 @@ def test_shift_quotient_numeric_consistency():
                 if "n" in pt and "k" in pt:
                     pt["n"] = pt["k"] + rng.randint(0, 6)  # keep n >= k
                 try:
-                    v0 = evaluate(t, pt).as_constant()
+                    v0 = term_value(t, pt)
                     pt2 = dict(pt)
                     pt2[var] = pt[var] + 1
-                    v1 = evaluate(t, pt2).as_constant()
+                    v1 = term_value(t, pt2)
                     qv = q.eval(pt)
                 except (EvalError, ZeroDivisionError):
                     continue
@@ -325,7 +343,7 @@ def test_divide_terms():
     rhs = parse_term("binomial(a+n,a)", syms)
     fhat = f.divided_by(rhs)
     # value check: fhat(n,k) = C(n,k)C(a,k)/C(n+a,n)
-    val = evaluate(fhat, {"n": 3, "k": 2, "a": 4}).as_constant()
+    val = term_value(fhat, {"n": 3, "k": 2, "a": 4})
     assert val == Fraction(3 * 6, 35)
 
 
@@ -334,5 +352,5 @@ def test_substituted():
     t = parse_term("rf(x+n+1,k)/k!", syms)
     s = t.substituted({"x": 1})
     assert s.symbols == ("k", "n")
-    assert evaluate(s, {"n": 2, "k": 3}) == \
-        evaluate(t, {"n": 2, "k": 3, "x": 1})
+    assert term_value(s, {"n": 2, "k": 3}) == \
+        term_value(t, {"n": 2, "k": 3, "x": 1})
