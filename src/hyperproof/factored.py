@@ -7,6 +7,8 @@ Gosper normal form needs.  Expansion happens only at the end, and only of
 the products that are read: `Factored.expand` multiplies every factor into
 one accumulator keyed by packed exponents (`polys._product`).  Two affine
 factors are compared by their normalized forms, with no polynomial built.
+`sum_vanishes` is the one exact zero test of a sum of factored terms, for
+the small cases of gridproof and for telescope.verify_certificate.
 
 Each factor pair keeps its own candidate shifts j, and the normal form tests
 a pair only there, or at every shift when both factors have a nonconstant
@@ -131,14 +133,15 @@ class Factored:
         self.mul_const(scale, e)
         return self._mul_stored(self.opq, prim.key(), prim, e)
 
-    def mul(self, other: "Factored"):
-        """Multiply by other, over the same vars; its factors are stored
-        normalized, so they are taken as they are."""
-        self.mul_const(other.const)
-        for key, (f, e) in other.aff.items():
-            self._mul_stored(self.aff, key, f, e)
-        for key, (p, e) in other.opq.items():
-            self._mul_stored(self.opq, key, p, e)
+    def mul(self, other: "Factored", e: int = 1):
+        """Multiply by other^e, other over the same vars and nonzero when
+        e < 0; its factors are stored normalized, so they are taken as they
+        are."""
+        self.mul_const(other.const, e)
+        for key, (f, d) in other.aff.items():
+            self._mul_stored(self.aff, key, f, d * e)
+        for key, (p, d) in other.opq.items():
+            self._mul_stored(self.opq, key, p, d * e)
         return self
 
     def shift(self, var, delta: int) -> "Factored":
@@ -284,6 +287,26 @@ def factored_quotient(a: Factored, b: Factored) -> Factored:
         if cur[1] == 0:
             del out.opq[key]
     return out
+
+
+def sum_vanishes(plus, minus=()) -> bool:
+    """Whether the Factored values of plus, over the same variables with
+    exponents of either sign, sum to those of minus: each times L, the
+    factored_lcm of their denominators, is expanded once (Factored.expand),
+    and the two sides' sums of these polynomials are compared; no gcd.  L
+    is nonzero, so the sum is zero exactly when these polynomials sum to
+    zero.  A zero value is dropped first, with the denominator it may still
+    carry."""
+    values = [(sign, v) for sign, side in ((1, plus), (-1, minus))
+              for v in side if not v.is_zero()]
+    if not values:
+        return True
+    lcm = factored_lcm(v.split()[1] for _, v in values)
+    acc = {}
+    for sign, v in values:
+        for exp, c in v.copy().mul(lcm).expand().terms.items():
+            acc[exp] = acc.get(exp, 0) + sign * c
+    return not any(acc.values())
 
 
 # ---------------------------------------------------------------------------

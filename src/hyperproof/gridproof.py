@@ -25,8 +25,9 @@ finite check of an identity that cannot be normalized or fails the
 termination guard; at integer parameter points for n <= 4, just before the
 first grid scan, to refute a false identity before any grid work; and,
 after a route succeeds, symbolically for the initial conditions it needs.
-A symbolic sum is one of factored terms over the lcm of their
-denominators, tested for zero on the expanded numerator, with no gcd.
+A symbolic sum is one of factored terms, tested for zero by
+factored.sum_vanishes, which also verifies certificates: the terms over the
+lcm of their denominators, the expanded numerators summed, with no gcd.
 
 Grid points are visited in sorted box index order, the first of matrix.vars
 the most significant digit.  linalg._GridEvaluator holds each matrix row as
@@ -57,8 +58,8 @@ from fractions import Fraction
 from math import ceil
 
 from .factored import (
-    Factored, _primes_from, factored_lcm, from_ratio_parts,
-    integer_roots_univar,
+    Factored, _primes_from, from_ratio_parts, integer_roots_univar,
+    sum_vanishes,
 )
 from .linalg import (
     PolyMatrix, _GridEvaluator, _constant_pivots, _grid_digits,
@@ -511,9 +512,9 @@ def _small_cases(nid: NormalizedIdentity, term: TermExpression, rhs_terms,
     of the declared window's sum of term and the negated rhs_terms (terms
     free of k) as a list of Factored values (terms.value_parts), symbolic in
     the parameters or at their integer values point; where no symbol but k
-    is left, one constant, the Fraction sum of term_values.  _vanishes tests
-    a list for zero.  A caller stops at the first n it does not need, so no
-    window is summed in vain."""
+    is left, one constant, the Fraction sum of term_values.
+    factored.sum_vanishes tests a list for zero.  A caller stops at the
+    first n it does not need, so no window is summed in vain."""
     for nv in range(upto + 1):
         at = {**(point or {}), nid.n: nv}
         lo, hi = _window(nid, term, nv, point)
@@ -531,24 +532,6 @@ def _small_cases(nid: NormalizedIdentity, term: TermExpression, rhs_terms,
         yield values
 
 
-def _vanishes(plus, minus=()) -> bool:
-    """Whether the Factored values of plus, over the same variables with
-    exponents of either sign, sum to those of minus: each times L, the
-    factored_lcm of their denominators, is expanded once (Factored.expand),
-    and the two sides' sums of these polynomials are compared; no gcd.  A
-    zero value is dropped first, with the denominator it may still carry."""
-    values = [(sign, v) for sign, side in ((1, plus), (-1, minus))
-              for v in side if not v.is_zero()]
-    if not values:
-        return True
-    lcm = factored_lcm(v.split()[1] for _, v in values)
-    acc = {}
-    for sign, v in values:
-        for exp, c in v.copy().mul(lcm).expand().terms.items():
-            acc[exp] = acc.get(exp, 0) + sign * c
-    return not any(acc.values())
-
-
 def _identity_checks(nid: NormalizedIdentity, summand, rhs_terms,
                      point=None) -> list:
     """[("identity", n, passed), ...] for the identity as stated, n = 0 ..
@@ -556,7 +539,7 @@ def _identity_checks(nid: NormalizedIdentity, summand, rhs_terms,
     checks = []
     for nv, values in enumerate(_small_cases(nid, summand, rhs_terms,
                                              _SMALL_CASES_UPTO, point)):
-        checks.append(("identity", nv, _vanishes(values)))
+        checks.append(("identity", nv, sum_vanishes(values)))
         if not checks[-1][2]:
             break
     return checks
@@ -600,20 +583,20 @@ def initial_conditions_check(nid: NormalizedIdentity, J: int,
     Checks n = 0 .. max(J-1, n0+J when n0 is present).  For a normalized
     identity the n = 0 entry also requires the undifferenced sum to equal 1;
     a zero right side requires the raw sums to vanish.  Each check is one
-    _vanishes over the factored window terms of _small_cases, so no
-    polynomial gcd and no RationalFunction arithmetic runs.  Returns
+    factored.sum_vanishes over the factored window terms of _small_cases, so
+    no polynomial gcd and no RationalFunction arithmetic runs.  Returns
     [(label, n, passed), ...]; any False entry refutes the identity.
     """
     upto = J - 1
     if n0 is not None:
         upto = max(upto, n0 + J)
     if nid.rhs_is_zero:
-        return [("sum", nv, _vanishes(values)) for nv, values in
+        return [("sum", nv, sum_vanishes(values)) for nv, values in
                 enumerate(_small_cases(nid, nid.fhat, [], upto))]
     sums = list(_small_cases(nid, nid.fhat, [], upto + 1))
     free = tuple(s for s in nid.fhat.symbols if s not in (nid.k, nid.n))
-    return [("base", 0, _vanishes(sums[0], [Factored(free, 1)]))] + [
-        ("delta", nv, _vanishes(sums[nv + 1], sums[nv]))
+    return [("base", 0, sum_vanishes(sums[0], [Factored(free, 1)]))] + [
+        ("delta", nv, sum_vanishes(sums[nv + 1], sums[nv]))
         for nv in range(upto + 1)]
 
 

@@ -18,14 +18,13 @@ evaluator, `_GridEvaluator`, computes a polynomial matrix at integer
 points for the determinant grid, for the univariate nullspace shortcut
 (per node, the chain of constant pivots on integer lists and the
 `_cofactor_vector` of its small remainder, the pivot coordinates
-back-substituted), for `_univar_minors`, which interpolates one minor in
-one variable for the leading-coefficient check from its compiled
-pivot-chain kernel, and for certificate verification
-(telescope.verify_certificate).  The
-determinant grid and the verification share `_lower_set`, the points of a
-lower set of exponents cut out by weighted degree bounds, on `_grid_values`
-per variable: the one node rule, consecutive integers centered at 0, since
-lower-set interpolation needs only distinct nodes.
+back-substituted), and for `_univar_minors`, which interpolates one minor
+in one variable for the leading-coefficient check from its compiled
+pivot-chain kernel.  The determinant grid takes its points from
+`_lower_set`, the points of a lower set of exponents cut out by weighted
+degree bounds, on `_grid_values` per variable: the one node rule,
+consecutive integers centered at 0, since lower-set interpolation needs
+only distinct nodes.
 
 The evaluator packs each matrix row into one integer, sum_j a_ij 2^(B*j),
 one signed B-bit lane per column, and runs Horner's rule on whole rows.

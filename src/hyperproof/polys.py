@@ -76,17 +76,6 @@ def common_denominator(polys) -> int:
     return den
 
 
-def clear_denominators(vars, rfs):
-    """(den, nums): den the monic lcm of the denominators of the rational
-    functions rfs over vars, and nums the polynomials den * r."""
-    den = MultiPoly.constant(vars, 1)
-    for r in rfs:
-        if not r.is_zero():
-            den = poly_lcm(den, r.den)
-    return den, [r.num * den.divexact(r.den) if not r.is_zero()
-                 else MultiPoly.zero(vars) for r in rfs]
-
-
 def _cleared(p):
     """(den, [(exp, int)]): the common denominator of p and den * p's terms."""
     den = common_denominator((p,))
@@ -800,12 +789,6 @@ def _dense_prem(u, v):
     return r
 
 
-def poly_lcm(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    if p.is_zero() or q.is_zero():
-        return MultiPoly.zero(p.vars)
-    return (p * q).divexact(poly_gcd(p, q)).monic()
-
-
 def _cancel(a: MultiPoly, b: MultiPoly):
     """a and b with their gcd divided out."""
     g = poly_gcd(a, b)
@@ -912,21 +895,6 @@ class RationalFunction:
     def shift(self, var, delta):
         return RationalFunction(self.num.shift(var, delta), self.den.shift(var, delta),
                                 reduce=False)
-
-    def eval(self, point: dict):
-        d = self.den.eval(point)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at the point")
-        return _rational_quotient(self.num.eval(point), d)
-
-    def eval_partial(self, point: dict):
-        d = self.den.eval_partial(point)
-        if d.is_zero():
-            raise ZeroDivisionError("denominator vanishes under the substitution")
-        return RationalFunction(self.num.eval_partial(point), d)
-
-    def restrict(self, vars):
-        return RationalFunction(self.num.restrict(vars), self.den.restrict(vars), reduce=False)
 
     def embed(self, vars):
         return RationalFunction(self.num.embed(vars), self.den.embed(vars), reduce=False)

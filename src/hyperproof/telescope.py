@@ -3,20 +3,15 @@ with sum_j a_j(n) F(n+j,k) = G(n,k+1) - G(n,k), by assembling the linear
 system from the expanded telescoping equation and solving (or, downstream,
 testing) it.  Includes independent certificate verification.
 
-`verify_certificate` decides exactly whether the certificate identity,
-cleared by the lcm L of its factored denominators, is zero without expanding
-it: P' = (L/Q) sum_j a_j u_j - (L/(pd D(k+1))) pn N(k+1) + (L/D) N, for
-sigma_j = u_j/Q, rho = pn/pd and R = N/D.  A certificate keeps its unreduced
-denominator D as a product (Certificate.factored_den), so L is read off the
-factors; any other D is split by exact division over the factors of Q, the
-cofactor left one opaque factor.  Weighted degree bounds h_w over the
-variables other than k follow from the factors (a product adds them, a sum
-takes their max, a shift in k keeps them), so every k-coefficient of P' has
-support in a lower set of exponents; P' is zero iff it vanishes on the
-matching subgrid (N. Dyn and M. S. Floater, "Multivariate polynomial
-interpolation on lower sets", J. Approx. Theory 177, 2014).  The points come
-from linalg._lower_set and the values from linalg._GridEvaluator, as for the
-determinant grid of gridproof.
+`verify_certificate` decides exactly whether the certificate identity holds
+with the one zero test of factored sums, factored.sum_vanishes, which also
+decides the small cases of gridproof: for sigma_j = u_j/Q, rho = pn/pd and
+R = N/D, the terms (sum_j a_j u_j)/Q, -N(k+1) pn/(pd D(k+1)) and N/D, each
+times the lcm of their factored denominators, are expanded and summed.  A
+certificate keeps its unreduced denominator D as a product
+(Certificate.factored_den), so the lcm is read off the factors; any other D
+is split by exact division over the factors of Q, the cofactor left one
+opaque factor.
 
 `assemble` is the one builder of the telescoping system.  It builds M', the
 system M with each column divided by its k-free content c_j, which it reads
@@ -31,18 +26,14 @@ algorithm is solve_order at order 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 from .factored import (
     Factored, factored_common, factored_free_of, factored_lcm,
-    factored_quotient, from_ratio_parts, gosper_normal,
+    factored_quotient, from_ratio_parts, gosper_normal, sum_vanishes,
 )
-from .linalg import (
-    PolyMatrix, _GridEvaluator, _grid_values, _lower_set, _taylor_shift,
-    _weighted_degrees, clear_and_primitive, solve_nullspace,
-)
+from .linalg import PolyMatrix, clear_and_primitive, solve_nullspace
 from .polys import (
-    MultiPoly, RationalFunction, _as_fraction, clear_denominators,
+    MultiPoly, RationalFunction, _as_fraction, _poly_list_gcd,
     common_denominator,
 )
 from .terms import TermExpression, TermError
@@ -131,9 +122,11 @@ def gosper_degree_bound(deg_p: int, q: MultiPoly, r: MultiPoly, k: str):
     lcB = B.to_univar(k)[m]
     coefA = A.to_univar(k)[m - 1] if degA >= m - 1 and m >= 1 else None
     if coefA is not None and not coefA.is_zero():
-        ratio = RationalFunction(coefA.scale(-2), lcB)
-        if ratio.is_constant():
-            c = _as_fraction(ratio.as_constant())
+        try:
+            c = _as_fraction(coefA.scale(-2).divexact(lcB).as_constant())
+        except ValueError:  # -2 coefA / lcB is not a constant
+            pass
+        else:
             if c.denominator == 1 and c >= 0:
                 candidates.append(int(c))
     else:
@@ -273,10 +266,13 @@ def solve_order(sys: AssembledSystem):
     normed = clear_and_primitive(a_polys)
     if normed[top].leading_coeff() < 0:
         normed = [-p for p in normed]
-    scale = next(RationalFunction(orig, new)
+    # b / scale over the monic lcm den of its reduced denominators, which is
+    # scale over its gcd h with every b_i
+    scale = next(orig.divexact(new)
                  for orig, new in zip(a_polys, normed) if not orig.is_zero())
-    b_scaled = [RationalFunction.from_poly(p) / scale for p in b_polys]
-    den, b_nums = clear_denominators(sys.matrix_vars, b_scaled)
+    h = _poly_list_gcd([scale, *b_polys])
+    den = scale.divexact(h).monic()
+    b_nums = [(p * den).divexact(scale) for p in b_polys]
     return (Recurrence(top, tuple(normed)),
             certificate_from_solution(sys, b_nums, extra_den=den))
 
@@ -289,74 +285,39 @@ def verify_certificate(f: TermExpression, rec: Recurrence, cert: Certificate,
 
     With sigma_j = u_j/Q, rho = pn/pd and R = N/D, all over factored
     denominators (D from cert.factored_den, else R.den split by
-    _factor_over), the check is whether the cleared identity
-    P' = (L/Q) sum_j a_j u_j - (L/(pd D(k+1))) pn N(k+1) + (L/D) N
-    is zero, L = factored_lcm([Q, pd D(k+1), D]) and every quotient a
-    factored_quotient; no polynomial gcd is needed and P' is never expanded.
-    P' is a polynomial in k over the other variables y.  For each weight w
-    in {0,1}^r minus 0 over y, h_w(p), the max of w.e over the support of
-    p, obeys h_w(pq) <= h_w(p) + h_w(q) and h_w(p + q) <= max(h_w(p),
-    h_w(q)), and a shift in k leaves it unchanged; so the factors' h_w bound
-    h_w(P'), and every k-coefficient of P' has support in the lower set
-    S = {e : w.e <= h_w(P') for all w}.  L divides the product
-    pd D(k+1) D Q that a cross-multiplication would clear by, so the bound
-    is never above that product's.  A polynomial with support in a lower
-    set that vanishes on the matching subgrid of integer points is zero
-    (N. Dyn and M. S. Floater, "Multivariate polynomial interpolation on
-    lower sets", J. Approx. Theory 177, 2014), so P' is zero iff it is zero
-    at the |S| points of that subgrid.  There the factors' coefficient rows
-    in k evaluate to dense integer lists (linalg._GridEvaluator), N(k+1) is
-    a Taylor shift, and the three terms of P' are multiplied out and
-    summed exactly.
+    _factor_over), the check is whether the three factored terms
+    (sum_j a_j u_j)/Q, -N(k+1) pn/(pd D(k+1)) and N/D sum to zero, decided
+    by factored.sum_vanishes: each term times the factored lcm of the
+    denominators is expanded once and the three polynomials are summed, so
+    no polynomial gcd is needed.  The recurrence side is summed into one
+    polynomial first; N, the primitive part of R's numerator with its
+    content in the constant, is shifted on integer coefficients.
     """
     try:
-        return _cleared_identity_vanishes(
-            *_cleared_factors(f, rec, cert, k, n))
+        k, n = _default_vars(f, k, n)
+        vars = f.symbols
+        us, Q, (pn, pd) = _shift_ratios(f, rec.order, k, n)
+        R = cert.ratio if cert.ratio.vars == vars else cert.ratio.embed(vars)
+        D = cert.factored_den
+        if D is None or D.vars != vars:
+            D = _factor_over(R.den, Q)
+        lhs = MultiPoly.zero(vars)
+        for a, u in zip(rec.coefficients, us):
+            lhs = lhs + a.embed(vars) * u.expand()
+        N = Factored.one(vars).mul_poly(R.num, 1)
+        return sum_vanishes(
+            [Factored.one(vars).mul_poly(lhs, 1).mul(Q, -1),
+             N.copy().mul(D, -1)],
+            [N.shift(k, 1).mul(pn).mul(pd, -1).mul(D.shift(k, 1), -1)])
     except (TermError, ZeroDivisionError, ValueError):
         return False
-
-
-def _cleared_factors(f, rec, cert, k=None, n=None):
-    """(k, factors, head, quotients): the cleared identity P' of
-    verify_certificate as polynomials over f.symbols.  The first head
-    factors are [a_0, u_0, ..., a_J, u_J, pn, N]; quotients lists, for L/Q,
-    L/(pd D(k+1)) and L/D in turn, the indices of the factors that multiply
-    to it: first its constant and affine factors, expanded as one, then
-    each opaque factor as often as its exponent, every distinct one held
-    once.  An opaque factor, such as the cofactor of a denominator that
-    was not factored, expands to far fewer terms alone than in a product."""
-    k, n = _default_vars(f, k, n)
-    vars = f.symbols
-    us, Q, (pn, pd) = _shift_ratios(f, rec.order, k, n)
-    R = cert.ratio if cert.ratio.vars == vars else cert.ratio.embed(vars)
-    D = cert.factored_den
-    if D is None or D.vars != vars:
-        D = _factor_over(R.den, Q)
-    right = pd.mul(D.shift(k, 1))
-    L = factored_lcm([Q, right, D])
-    factors = [p for a, u in zip(rec.coefficients, us)
-               for p in (a.embed(vars), u.expand())]
-    factors += [pn.expand(), R.num]
-    head = len(factors)
-    opaque = {}
-    quotients = []
-    for d in (Q, right, D):
-        q = factored_quotient(L, d)
-        indices = [len(factors)]
-        factors.append(Factored(vars, q.const, q.aff).expand())
-        for key, (p, e) in q.opq.items():
-            if key not in opaque:
-                opaque[key] = len(factors)
-                factors.append(p)
-            indices += [opaque[key]] * e
-        quotients.append(indices)
-    return k, factors, head, quotients
 
 
 def _factor_over(p, F):
     """p as a Factored: every factor of F, as often as it divides p exactly,
     and the cofactor left as one opaque factor.  Over Q this finds what a
-    certificate's denominator shares with Q, which L then clears once."""
+    certificate's denominator shares with Q, which the lcm of
+    factored.sum_vanishes then clears once."""
     out = Factored.one(p.vars)
     for g, _, _, _ in F.factors():
         while not p.is_constant():
@@ -366,93 +327,3 @@ def _factor_over(p, F):
                 break
             out.mul_poly(g, 1)
     return out.mul_poly(p, 1)
-
-
-def _sum_bound(*hs):
-    """h_w of a product from those of its factors (None: zero)."""
-    return None if None in hs else tuple(map(sum, zip(*hs)))
-
-
-def _max_bound(*hs):
-    """h_w of a sum from those of its terms (None: zero)."""
-    hs = [h for h in hs if h is not None]
-    return tuple(map(max, zip(*hs))) if hs else None
-
-
-def _identity_bound(k, factors, head, quotients):
-    """h_w(P') of the cleared identity P' from the output of
-    _cleared_factors, for every weight w in {0,1}^r minus 0 over the r
-    variables other than k, in the order of the bitmask of w (bit i for the
-    i-th of them); None when P' is structurally zero."""
-    vars = factors[0].vars
-    axes = [i for i, v in enumerate(vars) if v != k]
-    hs = [None if p.is_zero() else tuple(_weighted_degrees(p, axes))
-          for p in factors]
-    *hp, hpn, hn = hs[:head]
-    hlq, hlr, hld = (_sum_bound(*(hs[i] for i in q)) for q in quotients)
-    lhs = _max_bound(*map(_sum_bound, hp[0::2], hp[1::2]))
-    return _max_bound(_sum_bound(hlq, lhs), _sum_bound(hlr, hpn, hn),
-                      _sum_bound(hld, hn))
-
-
-def _cleared_identity_vanishes(k, factors, head, quotients) -> bool:
-    """Whether P' = (L/Q) sum_j a_j u_j - (L/(pd D(k+1))) pn N(k+1) +
-    (L/D) N is zero, decided on the lower-set subgrid of its support bound
-    (see verify_certificate); the arguments as from _cleared_factors."""
-    bound = _identity_bound(k, factors, head, quotients)
-    if bound is None:
-        return True
-    bounds = dict(enumerate(bound, start=1))
-    ys = tuple(v for v in factors[0].vars if v != k)
-    # every factor is scaled by one constant den, so a product of m factors
-    # is den^m times its value: each of the three terms is scaled up to the
-    # largest power
-    den = common_denominator(factors)
-    sizes = [len(quotients[0]) + 2, len(quotients[1]) + 2,
-             len(quotients[2]) + 1]
-    lq_scale, lr_scale, ld_scale = (den ** (max(sizes) - m) for m in sizes)
-    rows = [[c.restrict(ys).scale(den) for c in p.to_univar(k)]
-            for p in factors]
-    lengths = [len(row) for row in rows]
-    zero = MultiPoly.zero(ys)
-    width = max(lengths)
-    matrix = PolyMatrix([row + [zero] * (width - len(row)) for row in rows])
-    values = {v: _grid_values(bounds[1 << i]) for i, v in enumerate(ys)}
-    lower = _lower_set(bounds)
-    for _, _, a in _GridEvaluator(matrix, values).matrices(lower):
-        at = [row[:m] for row, m in zip(a, lengths)]
-        *ts, pn, num = at[:head]
-        lq, lr, ld = (reduce(_dense_mul, (at[i] for i in q))
-                      for q in quotients)
-        lhs = []
-        for a_j, u_j in zip(ts[0::2], ts[1::2]):
-            lhs = _dense_add(lhs, _dense_mul(a_j, u_j))
-        terms = [(lq_scale, _dense_mul(lq, lhs)),
-                 (ld_scale, _dense_mul(ld, num)),
-                 (-lr_scale, _dense_mul(_dense_mul(lr, pn),
-                                        _taylor_shift(num)))]
-        total = []
-        for c, t in terms:
-            total = _dense_add(total, [c * x for x in t])
-        if any(total):
-            return False
-    return True
-
-
-def _dense_add(p, q):
-    """Sum of two ascending integer coefficient lists."""
-    if len(p) < len(q):
-        p, q = q, p
-    return [a + b for a, b in zip(p, q)] + p[len(q):]
-
-
-def _dense_mul(p, q):
-    """Product of two ascending integer coefficient lists."""
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q, i):
-                out[j] += a * b
-    return out

@@ -239,19 +239,6 @@ class TermExpression:
     def divided_by(self, other: "TermExpression") -> "TermExpression":
         return self.times(other.inverted())
 
-    def substituted(self, point: dict) -> "TermExpression":
-        """Specialize some symbols to rational constants."""
-        remaining = tuple(s for s in self.symbols if s not in point)
-        return TermExpression(
-            remaining,
-            tuple((a.substitute(point), e) for a, e in self.factorials),
-            tuple((u.substitute(point), l.substitute(point), e)
-                  for u, l, e in self.binomials),
-            tuple((b.substitute(point), c.substitute(point), e)
-                  for b, c, e in self.risings),
-            tuple((b, e.substitute(point)) for b, e in self.powers),
-            self.rational.eval_partial(point).restrict(remaining))
-
     # -- shift quotients ----------------------------------------------------
 
     def shift_ratio_parts(self, var, step=1):

@@ -11,12 +11,30 @@ from hyperproof.linalg import (
 )
 from hyperproof.polys import (
     MultiPoly, RationalFunction, _as_fraction, _poly_list_gcd,
-    clear_denominators, common_denominator,
+    common_denominator, poly_gcd,
 )
 from hyperproof.gridproof import _window
 from hyperproof.terms import (
     EvalError, LinearForm, _ZeroTerm, _special_factors,
 )
+
+
+def poly_lcm(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """Monic lcm of two polynomials, zero if either is."""
+    if p.is_zero() or q.is_zero():
+        return MultiPoly.zero(p.vars)
+    return (p * q).divexact(poly_gcd(p, q)).monic()
+
+
+def clear_denominators(vars, rfs):
+    """(den, nums): den the monic lcm of the denominators of the rational
+    functions rfs over vars, and nums the polynomials den * r."""
+    den = MultiPoly.constant(vars, 1)
+    for r in rfs:
+        if not r.is_zero():
+            den = poly_lcm(den, r.den)
+    return den, [r.num * den.divexact(r.den) if not r.is_zero()
+                 else MultiPoly.zero(vars) for r in rfs]
 
 
 def poly_matrix(vars, rows) -> PolyMatrix:
@@ -564,10 +582,11 @@ def evaluate_reference(f, point, zero_conventions=False):
                 num = num * L.to_poly(remaining)
             else:
                 den = den * L.to_poly(remaining)
-    try:
-        rf = f.rational.eval_partial(point).restrict(remaining)
-    except ZeroDivisionError as exc:
-        raise EvalError(str(exc)) from exc
+    num_r, den_r = (p.eval_partial(point).restrict(remaining)
+                    for p in (f.rational.num, f.rational.den))
+    if den_r.is_zero():
+        raise EvalError("denominator vanishes under the substitution")
+    rf = RationalFunction(num_r, den_r)
     return RationalFunction(num.scale(Fraction(top, bottom)), den) * rf
 
 

@@ -29,6 +29,12 @@ def ratio(num_text, den_text, syms=("k",)):
     return t.rational
 
 
+def value(r, point):
+    """The rational function r at a point that assigns all its variables;
+    ZeroDivisionError where its denominator vanishes."""
+    return Fraction(r.num.eval(point)) / r.den.eval(point)
+
+
 def gosper_form(rat, k="k"):
     """Expanded Gosper normal form (p, q, r) of a rational shift quotient."""
     num = Factored.one(rat.vars).mul_poly(rat.num, 1)
@@ -207,7 +213,7 @@ def test_gosper_k_factorial_unsummable():
     vals[k0] = R
     for i in range(1, 15):
         # R(k+1) = (1 + R(k)) / rho(k)
-        vals[k0 + i] = (1 + vals[k0 + i - 1]) / rho.eval({"k": k0 + i - 1})
+        vals[k0 + i] = (1 + vals[k0 + i - 1]) / value(rho, {"k": k0 + i - 1})
     # denominators of a rational function of bounded degree cannot keep
     # growing factorially; detect super-polynomial growth
     assert vals[14].denominator > 10 ** 8
@@ -256,7 +262,7 @@ def test_gosper_telescoping_windows():
         return term_value(f, {"k": kv})
 
     def G(kv):
-        return cert.ratio.eval({"k": kv}) * F(kv)
+        return value(cert.ratio, {"k": kv}) * F(kv)
 
     for _ in range(20):
         a = rng.randint(1, 10)
@@ -310,8 +316,8 @@ def test_gosper_finds_planted_antidifference(case):
     for kv in range(1, 11):
         point = {"k": kv, "a": Fraction(7, 3)} if len(vars) == 2 else {"k": kv}
         try:
-            diffs.add(R.eval(point) * term_value(f, point)
-                      - R0.eval(point) * term_value(base, point))
+            diffs.add(value(R, point) * term_value(f, point)
+                      - value(R0, point) * term_value(base, point))
         except (ZeroDivisionError, EvalError):
             continue
     assert len(diffs) == 1

@@ -1064,7 +1064,7 @@ def test_factored_small_cases_match_the_rational_path(path):
     # to the same exception with the same message
     nid, cases = symbolic_cases(path)
     for term, rhs_terms in cases:
-        assert upto_error(map(gridproof._vanishes, _small_cases(
+        assert upto_error(map(factored.sum_vanishes, _small_cases(
             nid, term, rhs_terms, 4))) == upto_error(
             d.is_zero() for d in small_cases_reference(nid, term, rhs_terms,
                                                        4))
@@ -1078,7 +1078,8 @@ def test_a_zero_window_term_adds_nothing_to_a_factored_sum():
     nid = NormalizedIdentity(F, F, ("a",), "k", "n", lf("0", syms),
                              lf("n+1", syms), True,
                              RationalFunction.constant(syms, 1))
-    assert [gridproof._vanishes(v) for v in _small_cases(nid, F, [], 3)] == \
+    assert [factored.sum_vanishes(v)
+            for v in _small_cases(nid, F, [], 3)] == \
         [d.is_zero() for d in small_cases_reference(nid, F, [], 3)]
 
 
@@ -1128,15 +1129,15 @@ def test_vanishes_agrees_with_rational_function_sums(values):
     total = RationalFunction.constant(_VARS, 0)
     for v in values:
         total = total + _rational(v)
-    assert gridproof._vanishes(values) == total.is_zero()
+    assert factored.sum_vanishes(values) == total.is_zero()
 
     def opaque(r):
         return from_ratio_parts(_VARS, 1, [], [(r.num, 1), (r.den, -1)])
 
-    assert gridproof._vanishes(values, [opaque(total)])
-    assert gridproof._vanishes(values + [opaque(-total)])
+    assert factored.sum_vanishes(values, [opaque(total)])
+    assert factored.sum_vanishes(values + [opaque(-total)])
     one = RationalFunction.constant(_VARS, 1)
-    assert not gridproof._vanishes(values, [opaque(total + one)])
+    assert not factored.sum_vanishes(values, [opaque(total + one)])
 
 
 def test_small_cases_take_no_gcd_and_build_no_rational_function(
@@ -1172,8 +1173,9 @@ def test_small_cases_take_no_gcd_and_build_no_rational_function(
 
 
 def test_lane_bound_unchanged_on_every_recorded_matrix(monkeypatch):
-    # every evaluator built while proving corpus/*.txt: the lane width
-    # from one weight per distinct exponent tuple is the per-term one
+    # every evaluator built while proving corpus/*.txt and the false
+    # identities of corpus/extra: the lane width from one weight per
+    # distinct exponent tuple is the per-term one
     built = []
     real = _GridEvaluator.__init__
 
@@ -1182,7 +1184,8 @@ def test_lane_bound_unchanged_on_every_recorded_matrix(monkeypatch):
         built.append((self.lane, matrix, values, self.chain))
 
     monkeypatch.setattr(_GridEvaluator, "__init__", recording)
-    for path in sorted(CORPUS.glob("*.txt")):
+    for path in sorted(CORPUS.glob("*.txt")) + sorted(
+            CORPUS.glob("extra/*.txt")):
         run_prove(load_identity(path), Fraction(1, 10), 13, 6, 1)
     assert len(built) > 10
     for lane, matrix, values, chain in built:

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 from functools import cache
-from math import prod
 from pathlib import Path
 
 import pytest
@@ -11,14 +10,11 @@ from hyperproof import gridproof, telescope
 from hyperproof.factored import Factored
 from hyperproof.cli import load_identity, run_prove
 from hyperproof.gridproof import normalize_and_delta
-from hyperproof.linalg import (
-    _grid_values, _lower_set, _weighted_degrees, solve_nullspace,
-)
+from hyperproof.linalg import _grid_values, solve_nullspace
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.telescope import (
-    Certificate, Recurrence, _cleared_factors, _default_vars, _identity_bound,
-    _max_bound, _shift_ratios, _sum_bound, assemble, solve_order,
-    verify_certificate,
+    Certificate, Recurrence, _default_vars, _shift_ratios, assemble,
+    solve_order, verify_certificate,
 )
 from hyperproof.terms import TermError, parse_term, term_value
 from oracles import rows_by_to_univar
@@ -26,8 +22,8 @@ from oracles import rows_by_to_univar
 
 def cross_multiplied(f, rec, cert, k=None, n=None):
     """lhs_num * rhs_den - rhs_num * lhs_den of the certificate identity,
-    both products expanded: the zero test verify_certificate replaced by an
-    evaluation on its lower-set grid, kept as the oracle."""
+    both products expanded: a zero test by cross-multiplication, the
+    oracle of verify_certificate's sum over the lcm of the denominators."""
     k, n = _default_vars(f, k, n)
     vars = f.symbols
     us, Q, (rho_num, rho_den) = _shift_ratios(f, rec.order, k, n)
@@ -44,43 +40,6 @@ def cross_multiplied(f, rec, cert, k=None, n=None):
     rhs_num = rn1 * pn * rd - rn * pd * rd1
     rhs_den = rd1 * pd * rd
     return lhs_num * rhs_den - rhs_num * lhs_den
-
-
-def cleared_identity(k, factors, head, quotients):
-    """The cleared identity P' = (L/Q) sum_j a_j u_j - (L/(pd D(k+1))) pn
-    N(k+1) + (L/D) N that verify_certificate tests, expanded from the
-    output of _cleared_factors."""
-    *ts, pn, num = factors[:head]
-    lq, lr, ld = (prod((factors[i] for i in q[1:]), start=factors[q[0]])
-                  for q in quotients)
-    lhs = MultiPoly.zero(num.vars)
-    for a, u in zip(ts[0::2], ts[1::2]):
-        lhs = lhs + a * u
-    return lq * lhs - lr * pn * num.shift(k, 1) + ld * num
-
-
-def cross_multiplied_bound(f, rec, cert, k="k", n="n"):
-    """h_w, as _identity_bound orders them, of the cross-multiplied
-    P = pd rd(k+1) (sum_j a_j u_j rd + rn Q) - rn(k+1) pn rd Q, which
-    verify_certificate tested before it cleared by the lcm of the
-    denominators."""
-    us, Q, (pn, pd) = _shift_ratios(f, rec.order, k, n)
-    R = cert.ratio
-    axes = [i for i, v in enumerate(f.symbols) if v != k]
-
-    def h(p):
-        return None if p.is_zero() else tuple(_weighted_degrees(p, axes))
-
-    hq, hpn, hpd, hrn, hrd = map(h, [Q.expand(), pn.expand(), pd.expand(),
-                                     R.num, R.den])
-    lhs = _max_bound(*(_sum_bound(h(a.embed(f.symbols)), h(u.expand()))
-                       for a, u in zip(rec.coefficients, us)))
-    x = _max_bound(_sum_bound(lhs, hrd), _sum_bound(hrn, hq))
-    return _max_bound(_sum_bound(hpd, hrd, x), _sum_bound(hrn, hpn, hrd, hq))
-
-
-def lower_set_size(bound):
-    return len(_lower_set(dict(enumerate(bound, start=1))))
 
 
 def oracle_verify(f, rec, cert, k=None, n=None):
@@ -350,39 +309,25 @@ def perturbed_certificates(draw):
 @given(perturbed_certificates())
 def test_verify_matches_the_cross_multiplied_oracle(case):
     f, rec, cert = case
-    P = cross_multiplied(f, rec, cert)
-    assert verify_certificate(f, rec, cert) == P.is_zero()
-    # P' = L P / (pd rd(k+1) rd Q) is zero with P, and every exponent of the
-    # expanded P', the k one aside, obeys the bound it was tested on
-    cleared = _cleared_factors(f, rec, cert)
-    P_lcm = cleared_identity(*cleared)
-    assert P_lcm.is_zero() == P.is_zero()
-    bound = _identity_bound(*cleared)
-    ys = [i for i, v in enumerate(f.symbols) if v != "k"]
-    for mask, h in enumerate(bound or (), start=1):
-        weight = [i for b, i in enumerate(ys) if mask >> b & 1]
-        assert all(sum(e[i] for i in weight) <= h for e in P_lcm.terms)
+    assert verify_certificate(f, rec, cert) == \
+        cross_multiplied(f, rec, cert).is_zero()
 
 
 @pytest.mark.parametrize("name", ["binomial", "dixon", "mrr-x3o7-z5o11"])
 def test_perturbation_at_the_degree_bound_is_rejected(name):
-    # R + 3 n^D, D the n-bound of the valid certificate's cleared identity
-    # P': the perturbed P' is 3 n^D (L/pd) (pd - pn), whose n-degree then
-    # sits exactly on its own computed bound, so a grid one node short in n
-    # could miss it
+    # R + 3 n^D, D the n-degree bound of the valid certificate's identity
+    # cleared by the lcm of its denominators: the perturbed identity is
+    # 3 n^D (L/pd) (pd - pn), whose n-degree sits exactly on that bound, so
+    # a zero test on a grid one node short in n could miss it
+    D = {"binomial": 2, "dixon": 4, "mrr-x3o7-z5o11": 30}[name]
     f, rec, cert = certified(name)
     assert verify_certificate(f, rec, cert)
-    slot = (1 << [v for v in f.symbols if v != "k"].index("n")) - 1
-    D = _identity_bound(*_cleared_factors(f, rec, cert))[slot]
     R = cert.ratio
     n = MultiPoly.variable(f.symbols, "n")
     bad = Certificate(RationalFunction(R.num + (n ** D).scale(3) * R.den,
                                        R.den, reduce=False))
     assert not verify_certificate(f, rec, bad)
     assert not oracle_verify(f, rec, bad)
-    cleared = _cleared_factors(f, rec, bad)
-    assert cleared_identity(*cleared).degree("n") == \
-        _identity_bound(*cleared)[slot]
 
 
 def test_factored_denominator_expands_to_the_certificate_denominator():
@@ -399,16 +344,6 @@ def test_factored_denominator_expands_to_the_certificate_denominator():
     assert cert == Certificate(cert.ratio)
 
 
-def test_specialization_lower_set_is_smaller_than_the_cross_multiplied_one():
-    # at x = 3/7, z = 5/11 the lcm-cleared identity has n-bound 30, the
-    # cross-multiplied one 60
-    f, rec, cert = certified("mrr-x3o7-z5o11")
-    new = _identity_bound(*_cleared_factors(f, rec, cert))
-    old = cross_multiplied_bound(f, rec, cert)
-    assert (new, old) == ((30,), (60,))
-    assert lower_set_size(new) < lower_set_size(old)
-
-
 def test_a_denominator_without_factors_is_split_by_exact_division():
     # every factor of the given products is peeled as often as it divides;
     # the cofactor stays one opaque factor
@@ -421,18 +356,17 @@ def test_a_denominator_without_factors_is_split_by_exact_division():
     assert split.expand() == p
     assert sorted(e for _, e in split.aff.values()) == [2]
     assert [q for q, _ in split.opq.values()] == [(n + one) * (n * n + one)]
-    # the reduced dixon certificate's denominator (k - n - 1)(a + b + n + 1)
-    # divides Q, so L clears it once; the unreduced mrr certificate stripped
-    # of its factors reaches the bound of the factored one
-    f, rec, cert = certified("dixon")
-    assert cert.factored_den is None
-    cleared = _cleared_factors(f, rec, cert)
-    assert [len(q) for q in cleared[3]] == [1, 1, 1]
-    assert (lower_set_size(_identity_bound(*cleared)),
-            lower_set_size(cross_multiplied_bound(f, rec, cert))) == (39, 57)
-    f, rec, cert = certified("mrr-x3o7-z5o11")
-    assert _identity_bound(*_cleared_factors(f, rec, Certificate(cert.ratio))) \
-        == _identity_bound(*_cleared_factors(f, rec, cert)) == (30,)
+    # the reduced dixon certificate's denominator k - n - 1 is a factor of
+    # Q, and the unreduced mrr certificate's, stripped of its factors, splits
+    # into factors of Q alone: the lcm of the identity's denominators clears
+    # no opaque cofactor
+    for name in ("dixon", "mrr-x3o7-z5o11"):
+        f, rec, cert = certified(name)
+        Q = _shift_ratios(f, rec.order, "k", "n")[1]
+        split = telescope._factor_over(cert.ratio.den, Q)
+        assert split.expand() == cert.ratio.den
+        assert not split.opq and set(split.aff) <= set(Q.aff), name
+    assert len(split.aff) == len(Q.aff)
 
 
 def _corpus_certificates(monkeypatch):
@@ -456,8 +390,7 @@ def test_with_and_without_factors_and_the_oracle_agree(monkeypatch):
     # on every certificate the corpus proofs verify and on the mrr
     # specializations, each as published and with its recurrence broken:
     # the factored denominator, the one found by exact division and the
-    # cross-multiplied oracle give one verdict, and no lower set is larger than that of the
-    # cross-multiplied identity
+    # cross-multiplied oracle give one verdict
     cases = _corpus_certificates(monkeypatch)
     assert {c[0] for c in cases} >= {"binomial-2n", "dixon-cubes",
                                      "mrr-specialized"}
@@ -471,9 +404,6 @@ def test_with_and_without_factors_and_the_oracle_agree(monkeypatch):
         for r, expected in ((rec, True), (broken, False)):
             for c in (cert, Certificate(cert.ratio)):
                 assert verify_certificate(f, r, c, k=k, n=n) == expected, name
-                cleared = _cleared_factors(f, r, c, k, n)
-                assert lower_set_size(_identity_bound(*cleared)) <= \
-                    lower_set_size(cross_multiplied_bound(f, r, c, k, n))
             assert oracle_verify(f, r, cert, k, n) == expected, name
         factored += cert.factored_den is not None
     assert factored >= len(MRR_SPECIALIZATIONS)
@@ -481,8 +411,8 @@ def test_with_and_without_factors_and_the_oracle_agree(monkeypatch):
 
 def test_perturbation_nonzero_at_one_node_only_is_rejected():
     # f = 1 and a_0 = 0 certify with R = 0.  R = k N(n) gives P = -N(n), of
-    # n-degree D, so the grid has D + 1 nodes in n; N vanishes at all of them
-    # but the last, and a grid one node short would accept it
+    # n-degree D; N vanishes at all but the last of the D + 1 nodes that a
+    # grid in n would need, so a grid one node short would accept it
     vars = ("k", "n")
     f = parse_term("1", vars)
     rec = Recurrence(0, (MultiPoly.zero(("n",)),))
