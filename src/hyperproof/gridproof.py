@@ -36,17 +36,19 @@ per level by Horner's rule on whole rows, reusing the levels of the digit
 prefix a point shares with the previous one.  _first_full_rank reads
 linalg._constant_pivots once per scan and compiles it with the last
 variable's level into one generated function (_GridEvaluator.kernel), in the
-calling process; with jobs > 1 the children it forks rank their chunks of
-the grid with that same function, inherited, and report their first hit
-through a pipe.  The chain's steps are division-free row operations
-on packed rows, and a lane is read out only where it is needed, exactly,
-since B bounds every value read.  The pivot rows, never changed, form a
-triangular block with nonzero constant diagonal above zeros, so the rank is
-the chain length plus the remainder's.  Where the remainder is square and at
-most linalg._DET_WIDTH wide (mrr's 4x4 at order 2), the function returns its
-determinant, expanded by minors, and a nonzero one is full rank; otherwise
-(mrr's 4x3 at order 1) it returns the remainder's rows and _rank_chunk
-ranks them with the integer rank kernel _int_rank.  Each decision is exact.
+calling process, which also compiles the level above, run once per prefix,
+at the scan's second prefix (_GridEvaluator.compile_prefix); with jobs > 1
+the children it forks rank their chunks of the grid with those functions,
+inherited, and report their first hit through a pipe.  The chain's steps
+are division-free row operations on packed rows, and a lane is read out
+only where it is needed, exactly, since B bounds every value read.  The
+pivot rows, never changed, form a triangular block with nonzero constant
+diagonal above zeros, so the rank is the chain length plus the
+remainder's.  Where the remainder is square and at most linalg._DET_WIDTH
+wide (mrr's 4x4 at order 2), the function returns its determinant,
+expanded by minors, and a nonzero one is full rank; otherwise (mrr's 4x3 at
+order 1) it returns the remainder's rows and _rank_chunk ranks them with the
+integer rank kernel _int_rank.  Each decision is exact.
 """
 
 from __future__ import annotations
@@ -235,12 +237,17 @@ def _first_full_rank(matrix: PolyMatrix, values: dict, indices, jobs: int = 1):
     the integer-cleared matrix has full column rank, or None.
 
     The evaluator and its compiled kernel (_GridEvaluator.kernel) are built
-    once, here.  With one job, or without os.fork, every point is ranked
-    here in order.  Otherwise the first _SERIAL_HEAD points are ranked here,
-    and the rest is split into min(jobs, os.cpu_count()) contiguous chunks of
-    equal length: this process ranks the first, and one forked child per
-    other chunk ranks it with the kernel it inherits (_forked_scan)."""
+    once, here, and its compiled prefix level (compile_prefix) at the
+    scan's second prefix.  With one job, or without os.fork, every point is
+    ranked here in order.  Otherwise the first _SERIAL_HEAD points are
+    ranked here, and the rest is split into min(jobs, os.cpu_count())
+    contiguous chunks of equal length: this process ranks the first, and one
+    forked child per other chunk ranks it with the kernel it inherits
+    (_forked_scan), and with the prefix level too when the serial head
+    reached a second prefix, as on mrr; otherwise each child builds its
+    own."""
     evaluator = _GridEvaluator(matrix, values, _constant_pivots(matrix))
+    evaluator.compile_prefix()
     kernel = evaluator.kernel()
 
     def rank(lo, hi):

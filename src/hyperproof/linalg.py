@@ -45,7 +45,9 @@ nonzero constant c, which keeps the rank.  Building it takes a few
 milliseconds for mrr's 9x9 order-2 system, repaid over a scan of thousands
 of points, or over the hundred nodes of `_univar_minors`, which divides
 the known pivot powers back out; the other callers evaluate few points per
-matrix and read the rows out (`_GridEvaluator.matrices`).
+matrix and read the rows out (`_GridEvaluator.matrices`).  The grid scan
+also compiles the level above the last variable's, which it runs again at
+every new prefix of leading coordinates (`_GridEvaluator.compile_prefix`).
 """
 
 from __future__ import annotations
@@ -347,7 +349,11 @@ class _GridEvaluator:
     reading the trailing 0 where a coefficient is absent, and Horner runs
     down them.  Consecutive sorted indices reuse the levels of their common
     digit prefix; inputs() yields the last level's input, which matrices()
-    substitutes and reads out and kernel() compiles.
+    substitutes and reads out and kernel() compiles.  The level above it,
+    levels[-2], runs again at every new prefix, so the grid scan has it
+    compiled too (compile_prefix); every other caller, and every other
+    level, runs the list comprehensions of _substitute, whose few calls
+    would not repay a compile.
     """
 
     def __init__(self, matrix: PolyMatrix, values: dict, chain=None):
@@ -382,6 +388,8 @@ class _GridEvaluator:
                     packed[key] = packed.get(key, 0) + (c << lane * j)
         keys = sorted(packed)
         self.coefs = [packed[k] for k in keys] + [0]
+        self.compiled = False  # compile_prefix()
+        self.prefix = None  # the compiled last prefix level, once built
         self.levels = []
         for _ in matrix.vars:
             where = {k: t for t, k in enumerate(keys)}
@@ -399,30 +407,58 @@ class _GridEvaluator:
         acc.append(0)
         return acc
 
+    def compile_prefix(self):
+        """Have inputs() run the last prefix level, levels[-2], the one it
+        runs again at every new leading prefix, as straight-line code
+        (_compiled_prefix), built at the second distinct prefix, so that a
+        scan that ends inside its first pays no compile.  With fewer than
+        two variables inputs() meets one prefix at most and compiles
+        nothing."""
+        self.compiled = True
+
+    def _compiled_prefix(self):
+        """f(s, v) returning what _substitute(-2, v, s) does: one Horner
+        chain per output, one line per step (_horner), the list closed by
+        the trailing 0 that a -1 gather reads."""
+        outs = list(zip(*self.levels[-2]))
+        lines = ["def prefix(s, v):"]
+        for o, slots in enumerate(outs):
+            lines += _horner(f"o{o}", slots)
+        lines.append(" return [" + "".join(f"o{o}, " for o in
+                                           range(len(outs))) + "0]")
+        return _compiled(lines, "prefix")
+
     def inputs(self, indices):
         """Yield (position, index, s, v) over the sorted index list: s the
         last level's input, v the last variable's value (s the packed rows
         and v 0 without variables).  Points that share every digit but the
-        last share s."""
+        last share s.  After compile_prefix(), the last prefix level runs
+        compiled from the second distinct prefix on; every other level runs
+        _substitute."""
         if not self.levels:
             for pos, index in enumerate(indices):
                 yield pos, index, self.coefs, 0
             return
         *sizes, size = self.sizes
         axis = self.values[-1]
+        last = len(sizes) - 1
         stack = [self.coefs]  # stack[L] = values after substituting L vars
         digits = prefix = None
         for pos, index in enumerate(indices):
             head, d = divmod(index, size)
             if head != prefix:
+                if self.compiled and self.prefix is None and prefix is not None:
+                    self.prefix = self._compiled_prefix()
                 prev, digits, prefix = digits, _grid_digits(head, sizes), head
                 common = 0 if prev is None else next(
                     L for L, (a, b) in enumerate(zip(digits, prev)) if a != b)
                 del stack[common + 1:]
                 for level in range(common, len(sizes)):
-                    stack.append(self._substitute(
-                        level, self.values[level][digits[level]],
-                        stack[level]))
+                    v = self.values[level][digits[level]]
+                    stack.append(
+                        self.prefix(stack[level], v)
+                        if level == last and self.prefix is not None
+                        else self._substitute(level, v, stack[level]))
             yield pos, index, stack[-1], axis[d]
 
     def _read_out(self, high):
@@ -461,11 +497,8 @@ class _GridEvaluator:
         lane, chain = self.lane, self.chain
         lines = ["def kernel(s, v):"]
         for i in range(self.rows):
-            slots = [g[i] for g in self.levels[-1]] if self.levels else [i]
-            slots = slots[next(t for t, k in enumerate(slots) if k >= 0):]
-            lines.append(f" r{i} = s[{slots[0]}]")
-            lines += [f" r{i} = r{i} * v + s[{k}]" if k >= 0 else f" r{i} *= v"
-                      for k in slots[1:]]
+            lines += _horner(f"r{i}", [g[i] for g in self.levels[-1]]
+                             if self.levels else [i])
         for (i, j, targets, _), c in zip(chain.steps, self.pivots):
             bias, mask, half = self._read_out(j)
             for r in targets:
@@ -484,9 +517,27 @@ class _GridEvaluator:
                                              range(len(chain.cols))) + "]"
                              for t in range(len(chain.rows)))
             lines.append(f" return [{rows}]")
-        scope = {}
-        exec(compile("\n".join(lines), "<grid kernel>", "exec"), scope)
-        return scope["kernel"]
+        return _compiled(lines, "kernel")
+
+
+def _compiled(lines, name):
+    """The function name that the source lines define, taken out of its
+    globals so that the two form no reference cycle: the function and its
+    code are freed with the evaluator, not by a later pass of the cyclic
+    collector."""
+    scope = {}
+    exec(compile("\n".join(lines), f"<grid {name}>", "exec"), scope)
+    return scope.pop(name)
+
+
+def _horner(name, slots) -> list:
+    """Source lines setting the local name to Horner's rule in v over the
+    gathered coefficients s[k], k in slots, highest exponent first: leading
+    absent slots (-1) are skipped and an inner one is a bare name *= v."""
+    slots = slots[next(t for t, k in enumerate(slots) if k >= 0):]
+    return [f" {name} = s[{slots[0]}]"] + [
+        f" {name} = {name} * v + s[{k}]" if k >= 0 else f" {name} *= v"
+        for k in slots[1:]]
 
 
 def _minor_expansion(n: int) -> list:

@@ -175,14 +175,22 @@ def assemble(f: TermExpression, J: int, k=None, n=None):
     if K is None:
         return None
     contents += [b_content] * (K + 1)
-    kpoly = MultiPoly.variable(vars, k)
-    rm = r_poly.shift(k, -1)
-    for i in range(K + 1):
-        ki = kpoly ** i
-        cols.append(q_poly * ki.shift(k, 1) - rm * ki)
+    # column b_i is P_i - M_i, P_i = q(k) (k+1)^i and M_i = r(k-1) k^i, so
+    # P_(i+1) = P_i + P_i k and M_(i+1) = M_i k: shifts of exponents in k
+    ki = vars.index(k)
+
+    def times_k(p):
+        return MultiPoly(vars, {e[:ki] + (e[ki] + 1,) + e[ki + 1:]: c
+                                for e, c in p.terms.items()})
+
+    P, M = q_poly, r_poly.shift(k, -1)
+    cols.append(P - M)
+    for _ in range(K):
+        P, M = P + times_k(P), times_k(M)
+        cols.append(P - M)
     matrix_vars = tuple(v for v in vars if v != k)
     ansatz = TelescoperAnsatz(J, K)
-    matrix = PolyMatrix(_split_rows(cols, vars.index(k), matrix_vars))
+    matrix = PolyMatrix(_split_rows(cols, ki, matrix_vars))
     return AssembledSystem(ansatz, matrix, k, n, vars, matrix_vars,
                            pbar_f, r_f, Q, contents)
 

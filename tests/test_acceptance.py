@@ -28,7 +28,7 @@ from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.telescope import (
     Certificate, Recurrence, assemble, solve_order, verify_certificate,
 )
-from hyperproof.terms import parse_term, shift_quotient, term_value
+from hyperproof.terms import parse_term, term_value
 from oracles import det_symbolic, identity_sides_reference
 
 ROOT = Path(__file__).resolve().parent.parent

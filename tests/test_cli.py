@@ -1,5 +1,4 @@
 import json
-import os
 import signal
 from pathlib import Path
 

@@ -195,11 +195,12 @@ def _evaluated_at(matrix, point):
 
 
 @st.composite
-def grid_matrices(draw, min_vars=0):
+def grid_matrices(draw, min_vars=0, min_nodes=1):
     """Small integer polynomial matrices (rows >= cols) over min_vars-3
-    variables, with zero, constant and sparse entries, plus grid values per
-    variable: sorted distinct integers, not only the consecutive ones of
-    _grid_values, as _univar_minors and _nullspace_univar use them."""
+    variables, with zero, constant and sparse entries, plus min_nodes-4 grid
+    values per variable: sorted distinct integers, not only the consecutive
+    ones of _grid_values, as _univar_minors and _nullspace_univar use
+    them."""
     vars = ("n", "x", "z")[:draw(st.integers(min_vars, 3))]
     cols = draw(st.integers(1, 3))
     rows = cols + draw(st.integers(0, 1))
@@ -217,7 +218,7 @@ def grid_matrices(draw, min_vars=0):
             vars, draw(st.lists(st.tuples(exps, coef), max_size=4)))
 
     matrix = PolyMatrix([[entry() for _ in range(cols)] for _ in range(rows)])
-    values = {v: sorted(draw(st.sets(st.integers(-3, 6), min_size=1,
+    values = {v: sorted(draw(st.sets(st.integers(-3, 6), min_size=min_nodes,
                                      max_size=4)))
               for v in vars}
     return matrix, values
@@ -615,14 +616,15 @@ def chain_cases(draw):
     return matrix, draw(st.lists(point, min_size=1, max_size=6))
 
 
-def _chain_decides(matrix, values, indices):
+def _chain_decides(matrix, values, indices, jobs=1):
     """The grid scan's full-rank decisions at the sorted grid indices: one
-    _first_full_rank call from each point after its last hit, checked
-    against _int_rank of the matrix MultiPoly.eval gives."""
+    _first_full_rank call with the given jobs from each point after its
+    last hit, checked against _int_rank of the matrix MultiPoly.eval
+    gives."""
     indices = list(indices)
     decided = []
     while len(decided) < len(indices):
-        hit = _first_full_rank(matrix, values, indices[len(decided):])
+        hit = _first_full_rank(matrix, values, indices[len(decided):], jobs)
         misses = len(indices) - len(decided) if hit is None else hit[0]
         decided += [False] * misses + [True] * (hit is not None)
     assert decided == [
@@ -720,6 +722,105 @@ def test_pivot_chain_on_mrr(J, pivots, remainder):
     flags = set(_chain_decides(matrix, values, sample))
     # order 1 has full-rank points (its witness is the 2nd); order 2 none
     assert flags == ({False, True} if J == 1 else {False})
+
+
+def _sampled(values, vars, rng):
+    """A sorted random sample of the box indices of the grid values."""
+    total = prod(len(values[v]) for v in vars)
+    return sorted(rng.sample(range(total), rng.randint(1, total)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(grid_matrices(min_vars=2, min_nodes=2), st.randoms(use_true_random=False))
+def test_compiled_prefix_level_matches_substitute(case, rng):
+    # at every prefix a scan visits, the compiled last prefix level returns
+    # what _substitute returns, and inputs() yields the same last-level
+    # inputs with it as without; it is built only at a second prefix
+    matrix, values = case
+    indices = _sampled(values, matrix.vars, rng)
+    plain, compiled = (_GridEvaluator(matrix, values) for _ in range(2))
+    compiled.compile_prefix()
+    prefix, level, real = (plain._compiled_prefix(), len(plain.levels) - 2,
+                           plain._substitute)
+    visited = []
+
+    def substitute(L, v, src):
+        out = real(L, v, src)
+        if L == level:
+            visited.append(v)
+            assert prefix(src, v) == out
+        return out
+
+    plain._substitute = substitute
+    assert [s for _, _, s, _ in compiled.inputs(indices)] == \
+        [s for _, _, s, _ in plain.inputs(indices)]
+    heads = {i // len(values[matrix.vars[-1]]) for i in indices}
+    assert len(visited) == len(heads)
+    assert (compiled.prefix is not None) == (len(heads) > 1)
+
+
+@settings(deadline=None, max_examples=100)
+@given(grid_matrices(min_vars=2, min_nodes=2), st.randoms(use_true_random=False))
+def test_scan_with_the_compiled_prefix_decides_full_rank(case, rng):
+    # every decision of _first_full_rank, which compiles the last prefix
+    # level, is _int_rank's on the matrix MultiPoly.eval gives, at one job
+    # and at two
+    matrix, values = case
+    indices = _sampled(values, matrix.vars, rng)
+    for jobs in (1, 2):
+        _chain_decides(matrix, values, indices, jobs)
+
+
+def test_forked_scan_with_the_compiled_prefix_past_the_serial_head(
+        monkeypatch):
+    # 8 nodes per axis of n, x, z, so 512 points: N is nonzero exactly at
+    # the digits >= (6, 0, 1), first at index 385, in the second chunk of
+    # two jobs after the serial head.  The caller builds the compiled prefix
+    # level in the serial head, before it forks, so the child that ranks
+    # the hit inherits it
+    monkeypatch.setattr(gridproof.os, "cpu_count", lambda: 2)
+    vars = ("n", "x", "z")
+    values = {v: _grid_values(7) for v in vars}
+    n, x, z = (MultiPoly.variable(vars, v) for v in vars)
+    one = MultiPoly.constant(vars, 1)
+    matrix = PolyMatrix([[_newton(vars, values, (6, 0, 1)), x * z ** 3 + one],
+                         [MultiPoly.zero(vars), n * n * x + one]])
+    built, at_fork = [], []
+    real_build, real_fork = _GridEvaluator._compiled_prefix, os.fork
+    monkeypatch.setattr(_GridEvaluator, "_compiled_prefix",
+                        lambda self: built.append(1) or real_build(self))
+    monkeypatch.setattr(gridproof.os, "fork",
+                        lambda: at_fork.append(len(built)) or real_fork())
+    assert _first_full_rank(matrix, values, range(512), 2) == (385, 385)
+    assert at_fork == [1] and len(built) == 1
+    _assert_no_child_left()
+    sample = sorted(random.Random(5).sample(range(512), 400))
+    for indices in (range(512), sample):
+        hit = _chain_decides(matrix, values, indices, 2).index(True)
+        assert hit > gridproof._SERIAL_HEAD
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("vars", [(), ("x",)])
+def test_no_prefix_level_is_compiled_without_two_variables(monkeypatch, vars):
+    # over one variable every point has the same empty prefix, and without
+    # variables there is no level at all: a scan of 601 points (of one)
+    # builds no compiled prefix level
+    built = []
+    real = _GridEvaluator._compiled_prefix
+    monkeypatch.setattr(_GridEvaluator, "_compiled_prefix",
+                        lambda self: built.append(1) or real(self))
+    entry = MultiPoly.variable(vars, "x") if vars else MultiPoly.constant(
+        vars, 2)
+    matrix = PolyMatrix([[entry, MultiPoly.constant(vars, 1)],
+                         [entry * entry, entry]])
+    values = {v: list(range(-300, 301)) for v in vars}
+    indices = range(601 if vars else 1)
+    evaluator = _GridEvaluator(matrix, values)
+    evaluator.compile_prefix()
+    assert len(list(evaluator.inputs(indices))) == len(indices)
+    assert _first_full_rank(matrix, values, indices) is None
+    assert built == [] and evaluator.prefix is None
 
 
 def test_positive_integer_roots():

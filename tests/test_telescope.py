@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -427,17 +426,22 @@ def test_perturbation_nonzero_at_one_node_only_is_rejected():
     assert not oracle_verify(f, rec, bad)
 
 
-@pytest.mark.parametrize("name", ["mrr", "mrr-x3o7-z5o11"])
-def test_assemble_rows_match_the_to_univar_split(name, monkeypatch):
-    # the one-pass row split gives the old per-row to_univar matrix, entry by
-    # entry, with the same term order and coefficient types
+def _assembled_term(name):
+    """(term, k, n): the differenced mrr of the corpus, or a certified
+    specialization."""
     if name == "mrr":
         ident = load_identity(Path(__file__).parent.parent / "corpus" / "mrr.txt")
         F, rhs, lower, upper = ident.parsed()
         nid = normalize_and_delta(F, rhs, ident.params, "k", "n", lower, upper)
-        f, k, n = nid.delta_term, nid.k, nid.n
-    else:
-        f, k, n = parse_term(*CERTIFIED[name][:2]), "k", "n"
+        return nid.delta_term, nid.k, nid.n
+    return parse_term(*CERTIFIED[name][:2]), "k", "n"
+
+
+@pytest.mark.parametrize("name", ["mrr", "mrr-x3o7-z5o11"])
+def test_assemble_rows_match_the_to_univar_split(name, monkeypatch):
+    # the one-pass row split gives the old per-row to_univar matrix, entry by
+    # entry, with the same term order and coefficient types
+    f, k, n = _assembled_term(name)
     seen = []
     real = telescope._split_rows
 
@@ -455,3 +459,31 @@ def test_assemble_rows_match_the_to_univar_split(name, monkeypatch):
             assert e.vars == r.vars
             assert [(x, c, type(c)) for x, c in e.terms.items()] == \
                 [(x, c, type(c)) for x, c in r.terms.items()]
+
+
+@pytest.mark.parametrize("name", ["mrr", "mrr-x3o7-z5o11"])
+@pytest.mark.parametrize("J", [1, 2])
+def test_gosper_operator_columns_by_shifting(name, J, monkeypatch):
+    # the b_i columns, stepped from column i by shifts of exponents in k,
+    # are q(k) (k+1)^i - r(k-1) k^i with powers and a shift in k, for every
+    # i up to the degree bound K
+    f, k, n = _assembled_term(name)
+    seen = {}
+    real_bound, real_split = telescope.gosper_degree_bound, telescope._split_rows
+
+    def bound(deg_p, q, r, var):
+        seen["q"], seen["r"] = q, r
+        return real_bound(deg_p, q, r, var)
+
+    def split(cols, ki, matrix_vars):
+        seen["cols"] = cols
+        return real_split(cols, ki, matrix_vars)
+
+    monkeypatch.setattr(telescope, "gosper_degree_bound", bound)
+    monkeypatch.setattr(telescope, "_split_rows", split)
+    K = assemble(f, J, k=k, n=n).ansatz.degree
+    kpoly = MultiPoly.variable(f.symbols, k)
+    rm = seen["r"].shift(k, -1)
+    assert seen["cols"][J + 1:] == [
+        seen["q"] * (kpoly ** i).shift(k, 1) - rm * kpoly ** i
+        for i in range(K + 1)]

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperproof.polys import MultiPoly, RationalFunction
+from hyperproof.polys import RationalFunction
 from hyperproof.terms import (
-    EvalError, LinearForm, ParseError, TermExpression, _ZeroTerm,
+    EvalError, LinearForm, ParseError, _ZeroTerm,
     natural_support, parse_affine, parse_rational, parse_sum, parse_term,
     render, shift_quotient, term_value, value_parts,
 )
