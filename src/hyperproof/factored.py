@@ -13,27 +13,33 @@ the small cases of gridproof and for telescope.verify_certificate.
 Each factor pair keeps its own candidate shifts j, and the normal form tests
 a pair only there, or at every shift when both factors have a nonconstant
 k-content (a k-free factor, which a resultant in k cannot see).  Two affine
-factors have one candidate in closed form; any other pair takes the integer
-roots of Res_k(fq(k, s), fr(k+j, s)), univariate in j, at the first integer
-point s of the other variables where both leading coefficients in k are
-nonzero (Abramov 1971; Man and Wright, ISSAC 1994).  There every generic
-shift is a root, and the resultant has degree D = deg_k fq * deg_k fr in j,
-never zero: it is interpolated from D + 1 integer Sylvester determinants
-(Collins, J. ACM 18, 1971).  Its roots, and a leading recurrence
-coefficient's, come from one complete integer-root finder,
-integer_roots_univar: p-adic lifting modulo one prime, with every candidate
-checked exactly.
+factors have one candidate in closed form.  For the other pairs, every
+factor is specialized once, at one integer point s of the other variables
+where every leading coefficient in k is nonzero, and a pair's candidates
+are the integer differences beta - alpha >= 0 of a root alpha of its q
+factor and a root beta of its r factor there: the nonnegative integer roots
+of Res_k(fq(k, s), fr(k+j, s)), among which is every generic shift (Abramov
+1971; Man and Wright, ISSAC 1994; Gerhard, Giesbrecht, Storjohann and Zima,
+ISSAC 2003).  When one factor is linear in k, its root is rational, and so
+are the roots it differs from by an integer: the candidates are differences
+of rational roots.  Otherwise they come from the integer roots of
+prod (x - f g (beta - alpha)), f and g the leading coefficients, built from
+the power sums of the scaled roots f alpha and g beta with integers only.
+Those roots, the rational roots, and a leading recurrence coefficient's
+roots come from one complete integer-root finder, integer_roots_univar:
+p-adic lifting modulo one prime on dense integer lists, with every
+candidate checked exactly.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from math import gcd as _igcd, lcm, prod
+from math import comb, gcd as _igcd, lcm, prod
 
-from .linalg import _int_det, _interpolate_int, _taylor_shift
 from .polys import (
-    MultiPoly, _cleared, _norm_coef, _parts, _poly_list_gcd, _product,
-    _ratio, poly_gcd,
+    MultiPoly, _cleared, _dense_gcd, _dense_quotient, _norm_coef, _parts,
+    _poly_list_gcd, _primitive_ints, _product, _ratio, _rational_quotient,
+    poly_gcd,
 )
 from .terms import LinearForm
 
@@ -339,32 +345,43 @@ def _value_mod(ints, x, m):
     return total
 
 
+def _value(ints, x):
+    total = 0
+    for c in reversed(ints):
+        total = total * x + c
+    return total
+
+
 def integer_roots_univar(coeffs) -> list:
     """Integer roots, ascending, of the univariate polynomial with the
     ascending Fraction/int coefficients coeffs, by p-adic lifting (Loos,
     SIAM J. Comput. 12, 1983; von zur Gathen and Gerhard, Modern Computer
-    Algebra, ch. 15).  The zero root and the content are split off and f is
-    the integer square-free part of the rest.  Its discriminant is nonzero,
-    so some prime p divides neither it nor f's leading coefficient: every
-    root of f mod p is then simple, and Newton's iteration lifts it to the
-    one p-adic root above it, modulo p^m > 2B, B = 1 + max|c_i|/|lead| the
-    Cauchy bound.  An integer root is the symmetric residue of one of these,
-    with |r| <= B and f(r) = 0 exactly.  The search is complete: it never
-    gives up.
+    Algebra, ch. 15), on dense integer lists.  The denominators, the zero
+    root and the content are cleared off, and f is the integer square-free
+    part of the rest: its quotient by the primitive PRS gcd with its
+    derivative (polys._dense_gcd, polys._dense_quotient).  Its discriminant
+    is nonzero, so some prime p divides neither it nor f's leading
+    coefficient: every root of f mod p is then simple, and Newton's
+    iteration lifts it to the one p-adic root above it, modulo p^m > 2B,
+    B = 1 + max|c_i|/|lead| the Cauchy bound.  An integer root is the
+    symmetric residue of one of these, with |r| <= B and f(r) = 0 exactly.
+    The search is complete: it never gives up.  ValueError for the zero
+    polynomial.
     """
-    x = ("x",)
-    f = MultiPoly.from_terms(x, [((d,), c) for d, c in enumerate(coeffs)])
-    if f.is_zero():
+    parts = [_parts(c) for c in coeffs]
+    den = lcm(*(d for _, d in parts))
+    f = [n * (den // d) for n, d in parts]
+    while f and not f[-1]:
+        f.pop()
+    if not f:
         raise ValueError("zero polynomial has every integer as a root")
-    low = min(f.terms)[0]
+    low = next(d for d, c in enumerate(f) if c)
     roots = [0] if low else []
-    f = MultiPoly(x, {(d - low,): c for (d,), c in f.terms.items()})
-    df = MultiPoly(x, {(d - 1,): _norm_coef(d * c)
-                       for (d,), c in f.terms.items() if d})
-    if df.is_zero():
+    f = f[low:]
+    if len(f) == 1:
         return roots
-    f = f.divexact(poly_gcd(f, df)).primitive()[1]
-    ints = [f.terms.get((d,), 0) for d in range(f.degree("x") + 1)]
+    ints = _primitive_ints(_dense_quotient(
+        f, _dense_gcd(f, [d * c for d, c in enumerate(f)][1:])))
     deriv = [d * c for d, c in enumerate(ints)][1:]
     bound = 1 + max(abs(c) for c in ints) // abs(ints[-1])
     p = 1
@@ -381,7 +398,7 @@ def integer_roots_univar(coeffs) -> list:
             r = (r - _value_mod(ints, r, q)
                  * pow(_value_mod(deriv, r, q), -1, q)) % q
         r = r if r <= q // 2 else r - q
-        if abs(r) <= bound and f.eval({"x": r}) == 0:
+        if abs(r) <= bound and _value(ints, r) == 0:
             roots.append(r)
     return sorted(roots)
 
@@ -390,87 +407,168 @@ def integer_roots_univar(coeffs) -> list:
 # dispersion and the Gosper normal form
 
 
-def _sylvester_resultant(f, g):
-    """Resultant of two univariate polynomials with integer coefficients
-    (ascending lists): the determinant of the Sylvester matrix."""
-    m = len(f) - 1
-    n = len(g) - 1
-    size = m + n
-    if size == 0:
-        return 1
-    rows = [[0] * i + f[::-1] + [0] * (size - i - m - 1) for i in range(n)]
-    rows += [[0] * i + g[::-1] + [0] * (size - i - n - 1) for i in range(m)]
-    return _int_det(rows)
-
-
-def _good_point(pq, pr, k):
-    """The first point of pq's variables other than k at which lc_k(pq) *
-    lc_k(pr) is nonzero, in a box of deg_v + 1 consecutive integers per
-    variable v, from 3, 5, 7, ...: a nonzero polynomial cannot vanish on
-    all of it."""
-    lead = pq.to_univar(k)[-1] * pr.to_univar(k)[-1]
-    others = [v for v in pq.vars if v != k]
-    box = [range(3 + 2 * i, 4 + 2 * i + lead.degree(v))
-           for i, v in enumerate(others)]
+def _shared_point(polys, k):
+    """The first integer point of the variables other than k at which the
+    leading coefficient in k of every one of polys (over one variable
+    tuple) is nonzero, in a box from 3, 5, 7, ... of 1 + the sum of their
+    degrees in v consecutive integers per variable v: their product is a
+    nonzero polynomial of at most that degree in v, which cannot vanish on
+    all of the box.  Each leading coefficient is evaluated on its own."""
+    vars = polys[0].vars
+    i = vars.index(k)
+    leads = []
+    for p in polys:
+        d = p.degree(k)
+        leads.append([(e, c) for e, c in p.terms.items() if e[i] == d])
+    others = [t for t in range(len(vars)) if t != i]
+    box = [range(3 + 2 * n, 4 + 2 * n + sum(max(e[t] for e, _ in lead)
+                                            for lead in leads))
+           for n, t in enumerate(others)]
     for values in product(*box):
-        point = dict(zip(others, values))
-        if lead.eval({k: 0, **point}):
-            return point
+        at = list(values)
+        at.insert(i, 1)
+        if all(sum(c * prod(map(pow, at, e)) for e, c in lead)
+               for lead in leads):
+            return {vars[t]: v for t, v in zip(others, values)}
 
 
-def _resultant_in_j(pq, pr, k, point):
-    """Ascending coefficients in j of Res_k(pq(k, s), pr(k+j, s)) at a point
-    s of the variables other than k where both leading coefficients in k are
-    nonzero: of degree D = deg_k pq * deg_k pr, so interpolated from the
-    Sylvester determinants at j = 0..D of cq pq(k, s) and cr pr(k+j, s), cq
-    and cr from _cleared, then divided by their factor cq^deg pr cr^deg pq."""
-    lists = []
-    for p in (pq, pr):
-        den, terms = _cleared(p)
-        at = [1 if v == k else point[v] for v in p.vars]
-        i = p.vars.index(k)
-        coeffs = [0] * (p.degree(k) + 1)
-        for exp, c in terms:
-            coeffs[exp[i]] += c * prod(map(pow, at, exp))
-        lists.append((den, coeffs))
-    (cq, fq), (cr, fr) = lists
-    values = []
-    for _ in range((len(fq) - 1) * (len(fr) - 1) + 1):
-        values.append(_sylvester_resultant(fq, fr))
-        fr = _taylor_shift(fr)
-    scale = cq ** (len(fr) - 1) * cr ** (len(fq) - 1)
-    return [_norm_coef(c / scale) for c in _interpolate_int(values)]
+class _AtPoint:
+    """One k-factor at the shared point s.  An affine factor a*k + c keeps
+    only its root -c(s)/a.  An opaque one is its primitive integer
+    coefficient list in k, with leading coefficient lc != 0; its rational
+    roots (r/lc for the integer roots r of the monic lc^(d-1) h(x/lc)) and
+    the power sums of its roots times lc are found once, when a pair first
+    asks."""
+
+    __slots__ = ("degree", "coeffs", "_roots", "_sums")
+
+    def __init__(self, poly, form, k, point):
+        self._sums = None
+        if form is not None:
+            self.degree, self.coeffs = 1, None
+            self._roots = [_rational_quotient(-form.at({**point, k: 0}),
+                                              form.var_coeff(k))]
+            return
+        _, terms = _cleared(poly)
+        i = poly.vars.index(k)
+        at = [1 if v == k else point[v] for v in poly.vars]
+        coeffs = [0] * (poly.degree(k) + 1)
+        for e, c in terms:
+            coeffs[e[i]] += c * prod(map(pow, at, e))
+        self.coeffs = _primitive_ints(coeffs)
+        self.degree = len(coeffs) - 1
+        self._roots = None
+
+    def _monic(self):
+        """lc^(d-1) h(x/lc), ascending: monic, with the roots of h times lc."""
+        h = self.coeffs
+        lc, d = h[-1], self.degree
+        return [c * lc ** (d - 1 - i) for i, c in enumerate(h[:-1])] + [1]
+
+    def roots(self):
+        if self._roots is None:
+            lc = self.coeffs[-1]
+            self._roots = [_ratio(r, lc)
+                           for r in integer_roots_univar(self._monic())]
+        return self._roots
+
+    def power_sums(self, count):
+        """p_0..p_count of the roots times lc, by Newton's identities on the
+        monic _monic(): integers."""
+        if self._sums is None or len(self._sums) <= count:
+            a = self._monic()[::-1]  # a[i], the coefficient of x^(d-i)
+            d = self.degree
+            sums = [d]
+            for t in range(1, count + 1):
+                s = t * a[t] if t <= d else 0
+                for i in range(1, min(t - 1, d) + 1):
+                    s += a[i] * sums[t - i]
+                sums.append(-s)
+            self._sums = sums
+        return self._sums[:count + 1]
+
+
+def _composed_difference(a: _AtPoint, b: _AtPoint) -> list:
+    """Ascending integer coefficients of prod (x - f g (beta - alpha)) over
+    the roots alpha of a and beta of b, f and g their leading coefficients:
+    monic, of degree D = deg a * deg b.  Its power sums are those of
+    f (g beta) - g (f alpha), by the binomial theorem on the power sums of
+    the scaled roots, and Newton's identities turn them into coefficients
+    with exact divisions.  Up to a nonzero constant it is
+    Res_k(a(k), b(k + j)) at j = x / (f g)."""
+    f, g = a.coeffs[-1], b.coeffs[-1]
+    count = a.degree * b.degree
+    pa = [c * (-g) ** u for u, c in enumerate(a.power_sums(count))]
+    pb = [c * f ** u for u, c in enumerate(b.power_sums(count))]
+    sums = [sum(comb(t, u) * pb[u] * pa[t - u] for u in range(t + 1))
+            for t in range(1, count + 1)]
+    e = [1]  # e[t], the coefficient of x^(D-t)
+    for t in range(1, count + 1):
+        e.append(-sum(e[t - i] * sums[i - 1] for i in range(1, t + 1)) // t)
+    return e[::-1]
+
+
+def _affine_shift(Lq, Lr, k):
+    """[j] if Lr(k + j) is a multiple of Lq(k) for an integer j >= 0, else
+    []: the parts free of k must be proportional, by alpha2/alpha1, and j
+    is the difference of the roots."""
+    alpha1 = Lq.var_coeff(k)
+    alpha2 = Lr.var_coeff(k)
+    if {s: c * alpha2 for s, c in Lq.coeffs.items() if s != k} != \
+            {s: c * alpha1 for s, c in Lr.coeffs.items() if s != k}:
+        return []
+    n, d = _parts(Lq.const * alpha2 - Lr.const * alpha1)
+    m, e = _parts(alpha1 * alpha2)
+    j = _ratio(n * e, d * m)
+    return [j] if type(j) is int and j >= 0 else []
+
+
+def _pair_candidates(a: _AtPoint, b: _AtPoint) -> list:
+    """The nonnegative integers j, ascending, with a(k) and b(k + j)
+    sharing a root at the point: the differences beta - alpha of their
+    rational roots when one of them is linear in k (then an integer shift
+    takes a rational root to a rational root), else the integer roots of
+    _composed_difference divisible by f g, over f g."""
+    if a.degree == 1 or b.degree == 1:
+        js = {_norm_coef(beta - alpha)
+              for alpha in a.roots() for beta in b.roots()}
+        return sorted(j for j in js if type(j) is int and j >= 0)
+    fg = a.coeffs[-1] * b.coeffs[-1]
+    roots = integer_roots_univar(_composed_difference(a, b))
+    return sorted(x // fg for x in roots if x % fg == 0 and x // fg >= 0)
+
+
+def _candidates(qside, rside, k) -> list:
+    """Candidate shifts j >= 0 of every pair of a factor of qside with one
+    of rside, as rows per qside factor: a superset of the j at which the
+    two share a factor that involves k.  Factors are (id, poly, form), all
+    involving k, with poly None for an affine one and form None for an
+    opaque one.  Two affine factors have one candidate in closed form.  For
+    any other pair, every factor is specialized once at one shared point s
+    (_shared_point, where every leading coefficient in k is nonzero), and
+    the pair's candidates are its shifts there (_pair_candidates): the
+    nonnegative integer roots of Res_k(fq(k, s), fr(k+j, s)), never the
+    zero polynomial, among which is every generic shift (Man and Wright, ISSAC 1994; Gerhard, Giesbrecht,
+    Storjohann and Zima, ISSAC 2003)."""
+    opaque = [p for _, p, L in qside + rside if L is None]
+    if not opaque:
+        return [[_affine_shift(Lq, Lr, k) for _, _, Lr in rside]
+                for _, _, Lq in qside]
+    point = _shared_point(opaque, k)
+    qs = [_AtPoint(p, L, k, point) for _, p, L in qside]
+    rs = [_AtPoint(p, L, k, point) for _, p, L in rside]
+    return [[_affine_shift(Lq, Lr, k) if Lq is not None and Lr is not None
+             else _pair_candidates(a, b) for (_, _, Lr), b in zip(rside, rs)]
+            for (_, _, Lq), a in zip(qside, qs)]
 
 
 def _shift_candidates(fq, fr, k):
-    """Nonnegative integers j that include every j with gcd(fq(k), fr(k+j))
-    nontrivial, for one factor from each side, both involving k.  fq, fr
-    are (poly, is_affine, form).  Two affine factors give one j in closed
-    form; any other pair the integer roots of _resultant_in_j at
-    _good_point.  There specializing commutes with the resultant, so every
-    generic shift is a root, and it is +-lc(fq)^deg(fr) lc(fr)^deg(fq)
-    prod(j + a_i - b_l), over the roots a_i of fq and b_l of fr, of degree
-    deg_k fq * deg_k fr in j: never zero, and found by interpolation.  The
-    poly of an affine factor may be None: it is built from the form only for
-    a pair with an opaque factor."""
-    pq, aq, Lq = fq
-    pr, ar, Lr = fr
-    if aq and ar:
-        # fr(k + j) is a multiple of fq(k) iff the parts free of k are
-        # proportional, by alpha2/alpha1, and j is the difference of roots
-        alpha1 = Lq.var_coeff(k)
-        alpha2 = Lr.var_coeff(k)
-        if {s: c * alpha2 for s, c in Lq.coeffs.items() if s != k} != \
-                {s: c * alpha1 for s, c in Lr.coeffs.items() if s != k}:
-            return []
-        n, d = _parts(Lq.const * alpha2 - Lr.const * alpha1)
-        m, e = _parts(alpha1 * alpha2)
-        j = _ratio(n * e, d * m)
-        return [j] if type(j) is int and j >= 0 else []
-    pq = pq or Lq.to_poly(pr.vars)
-    pr = pr or Lr.to_poly(pq.vars)
-    coeffs = _resultant_in_j(pq, pr, k, _good_point(pq, pr, k))
-    return [j for j in integer_roots_univar(coeffs) if j >= 0]
+    """The candidates of one pair (poly, is_affine, form), at the pair's own
+    shared point; the poly of an affine factor is not read."""
+    (pq, aq, Lq), (pr, ar, Lr) = fq, fr
+    return _candidates([(None, None if aq else pq, Lq if aq else None)],
+                       [(None, None if ar else pr, Lr if ar else None)],
+                       k)[0][0]
 
 
 def _k_factors(f: Factored, k):
@@ -488,12 +586,11 @@ def _k_factors(f: Factored, k):
 
 def dispersion_set(num: Factored, den: Factored, k) -> dict:
     """For each pair (num factor, den factor), both involving k, candidate
-    shifts j >= 0 (_shift_candidates), among them every j at which the two
-    share a factor that involves k."""
-    rfacts = _k_factors(den, k)
-    return {(fq, fr): _shift_candidates((pq, Lq is not None, Lq),
-                                        (pr, Lr is not None, Lr), k)
-            for fq, pq, Lq in _k_factors(num, k) for fr, pr, Lr in rfacts}
+    shifts j >= 0 (_candidates, at one point for all of them), among them
+    every j at which the two share a factor that involves k."""
+    qf, rf = _k_factors(num, k), _k_factors(den, k)
+    return {(fq, fr): js for (fq, _, _), row in zip(qf, _candidates(qf, rf, k))
+            for (fr, _, _), js in zip(rf, row)}
 
 
 def gosper_normal(ratio_num: Factored, ratio_den: Factored, k):

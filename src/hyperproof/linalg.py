@@ -8,15 +8,13 @@ of a determinant, or of every maximal minor, on the weights of
 One fraction-free (Bareiss) elimination kernel, `_int_rank`, carries every
 exact elimination in the package: the rank and determinant of pivot-chain
 remainders too wide for the compiled kernel's expansion, pivot rows,
-integer determinants (`_int_det`, also of the Sylvester matrices from
-which factored interpolates its resultants in j, with `_interpolate_int`
-after `_taylor_shift`), cofactor vectors, and the symbolic nullspace, its
-one use on `MultiPoly` matrices (`MultiPoly.__divmod__` divides exactly or
-raises).  One back-substitution, `_back_substitute`, solves the echelon
-rows it leaves for a kernel vector with checked exact divisions.  One
-evaluator, `_GridEvaluator`, computes a polynomial matrix at integer
-points for the determinant grid, for the univariate nullspace shortcut
-(per node, the chain of constant pivots on integer lists and the
+integer determinants (`_int_det`), cofactor vectors, and the symbolic
+nullspace, its one use on `MultiPoly` matrices (`MultiPoly.__divmod__`
+divides exactly or raises).  One back-substitution, `_back_substitute`,
+solves the echelon rows it leaves for a kernel vector with checked exact
+divisions.  One evaluator, `_GridEvaluator`, computes a polynomial matrix
+at integer points for the determinant grid, for the univariate nullspace
+shortcut (per node, the chain of constant pivots on integer lists and the
 `_cofactor_vector` of its small remainder, the pivot coordinates
 back-substituted), and for `_univar_minors`, which interpolates one minor
 in one variable for the leading-coefficient check from its compiled
@@ -60,7 +58,8 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .polys import (
-    MultiPoly, RationalFunction, _poly_list_gcd, common_denominator, poly_gcd,
+    MultiPoly, RationalFunction, _dense_quotient, _poly_list_gcd,
+    common_denominator, poly_gcd,
 )
 
 
@@ -627,15 +626,6 @@ def _interpolate_scaled(values) -> list:
     return acc
 
 
-def _taylor_shift(p):
-    """The ascending coefficients of p(k+1) from those of p(k)."""
-    p = list(p)
-    for i in range(len(p) - 1):
-        for j in range(len(p) - 2, i - 1, -1):
-            p[j] += p[j + 1]
-    return p
-
-
 def _pivot_rows(a) -> list:
     """Sorted indices of rows of the integer matrix a that form a basis of its
     row space (a is left unchanged)."""
@@ -797,23 +787,10 @@ def _dense_quotients(vec, g):
     b = [0] * (g.degree(g.vars[0]) + 1)
     for (d,), c in g.primitive()[1].terms.items():
         b[d] = c
-    n, lead = len(b) - 1, b[-1]
-    out = []
-    for a in vec:
-        if a and len(a) <= n:
-            return None
-        a, q = list(a), [0] * max(len(a) - n, 0)
-        for i in reversed(range(len(q))):
-            c, rem = divmod(a[i + n], lead)
-            if rem:
-                return None
-            q[i] = c
-            for t in range(n):
-                a[i + t] -= c * b[t]
-        if any(a[:n]):
-            return None
-        out.append(q)
-    return out
+    try:
+        return [_dense_quotient(a, b) for a in vec]
+    except ArithmeticError:
+        return None
 
 
 def _primitive_vector(vec, vars) -> list:

@@ -751,16 +751,44 @@ def _univariate_gcd(p: MultiPoly, q: MultiPoly, i: int) -> MultiPoly:
         coeffs = [0] * (max(e[i] for e, _ in cleared) + 1)
         for e, c in cleared:
             coeffs[e[i]] = c
-        return _primitive_ints(coeffs)
+        return coeffs
 
-    a, b = dense(p), dense(q)
+    a = _dense_gcd(dense(p), dense(q))
+    zero = (0,) * len(p.vars)
+    return MultiPoly(p.vars, {zero[:i] + (d,) + zero[i + 1:]: _ratio(c, a[-1])
+                              for d, c in enumerate(a) if c})
+
+
+def _dense_gcd(a, b):
+    """Primitive gcd, up to sign, of two nonzero dense integer coefficient
+    lists, lowest degree first, with no trailing zeros: a primitive PRS."""
+    a, b = _primitive_ints(a), _primitive_ints(b)
     if len(a) < len(b):
         a, b = b, a
     while b:
         a, b = b, _primitive_ints(_dense_prem(a, b))
-    zero = (0,) * len(p.vars)
-    return MultiPoly(p.vars, {zero[:i] + (d,) + zero[i + 1:]: _ratio(c, a[-1])
-                              for d, c in enumerate(a) if c})
+    return a
+
+
+def _dense_quotient(u, v):
+    """u / v for dense integer coefficient lists, lowest degree first, with
+    no trailing zeros, where v divides u in Z[x]; ArithmeticError if a
+    division step is inexact."""
+    n = len(v) - 1
+    r = list(u)
+    out = []
+    while len(r) > n:
+        t, rem = divmod(r.pop(), v[n])
+        if rem:
+            raise ArithmeticError("inexact dense quotient")
+        out.append(t)
+        if t:
+            base = len(r) - n
+            for j in range(n):
+                r[base + j] -= t * v[j]
+    if any(r):
+        raise ArithmeticError("inexact dense quotient")
+    return out[::-1]
 
 
 def _primitive_ints(coeffs):

@@ -8,19 +8,20 @@ from hypothesis import assume, given, settings, strategies as st
 from hyperproof import factored, polys, telescope
 from hyperproof.cli import IdentityFile, load_identity, run_prove
 from hyperproof.factored import (
-    Factored, _good_point, _k_factors, _normalize_affine, _resultant_in_j,
-    _shift_candidates, _sylvester_resultant, dispersion_set, gosper_normal,
-    integer_roots_univar,
+    Factored, _AtPoint, _composed_difference, _k_factors, _normalize_affine,
+    _pair_candidates, _shared_point, _shift_candidates, dispersion_set,
+    gosper_normal, integer_roots_univar,
 )
 from hyperproof.gridproof import normalize_and_delta
 from hyperproof.linalg import PolyMatrix, solve_nullspace
 from hyperproof.polys import MultiPoly, RationalFunction, poly_gcd
 from hyperproof.telescope import assemble, solve_order
-from hyperproof.terms import EvalError, parse_term, shift_quotient, term_value
+from hyperproof.terms import (
+    EvalError, LinearForm, parse_term, shift_quotient, term_value,
+)
 from oracles import (
-    det_symbolic, integer_roots_in_var_reference, integer_roots_reference,
-    poly_matrix, resultant_in_j_reference, resultant_reference,
-    shift_candidates_reference,
+    integer_roots_in_var_reference, integer_roots_reference,
+    resultant_in_j_reference, resultant_reference, shift_candidates_reference,
 )
 
 
@@ -121,6 +122,50 @@ def test_integer_roots_match_the_reference():
         assert got == expected
         compared += 1
     assert compared >= 30
+
+
+@st.composite
+def planted_root_lists(draw):
+    """Ascending coefficients of c * x^z * prod (x - r_i)^(m_i) * h, with c
+    an int or a Fraction, z >= 0 zero roots, repeated nonzero roots, h a
+    constant or a polynomial with no integer root, and high-degree zeros
+    appended; with the planted roots."""
+    roots = draw(st.lists(st.integers(-40, 40).filter(bool), max_size=3,
+                          unique=True))
+    mults = [draw(st.integers(1, 3)) for _ in roots]
+    zeros = draw(st.integers(0, 3))
+    h = draw(st.sampled_from([[1], [2, 0, 1], [3, -2], [-7, 0, 0, 2],
+                              [10 ** 13, 1, 1]]))
+    scale = draw(st.one_of(
+        st.integers(-9, 9).filter(bool),
+        st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                  st.integers(2, 9))))
+    factors = [[0, 1]] * zeros + [[-r, 1] for r, m in zip(roots, mults)
+                                  for _ in range(m)] + [h]
+    coeffs = [scale * c for c in _dense_product(*factors)]
+    return coeffs + [0] * draw(st.integers(0, 2)), set(roots) | (
+        {0} if zeros else set())
+
+
+@settings(deadline=None, max_examples=150)
+@given(planted_root_lists())
+def test_integer_roots_univar_matches_the_reference(case):
+    coeffs, planted = case
+    got = integer_roots_univar(coeffs)
+    assert got == sorted(planted)
+    try:
+        assert got == integer_roots_reference(coeffs)
+    except ArithmeticError:  # the reference gave up
+        pass
+
+
+def test_integer_roots_univar_constants_and_zero():
+    assert integer_roots_univar([5]) == []
+    assert integer_roots_univar([Fraction(-2, 3), 0, 0]) == []
+    assert integer_roots_univar([0, 0, 0, 7, 0]) == [0]
+    for zero in ([], [0], [0, Fraction(0), 0]):
+        with pytest.raises(ValueError):
+            integer_roots_univar(zero)
 
 
 def test_pqr_k_over_k_plus_2():
@@ -323,36 +368,6 @@ def test_gosper_finds_planted_antidifference(case):
     assert len(diffs) == 1
 
 
-@st.composite
-def coefficient_lists(draw):
-    """Two ascending integer coefficient lists; formal degrees m + n <= 5,
-    leading terms may vanish."""
-    m = draw(st.integers(0, 5))
-    n = draw(st.integers(0, 5 - m))
-    coef = st.one_of(st.integers(-3, 3), st.integers(-2 ** 40, 2 ** 40))
-    return (draw(st.lists(coef, min_size=m + 1, max_size=m + 1)),
-            draw(st.lists(coef, min_size=n + 1, max_size=n + 1)))
-
-
-@settings(deadline=None, max_examples=150)
-@given(coefficient_lists())
-def test_sylvester_resultant_matches_cofactor_expansion(fg):
-    f, g = fg
-    m, n = len(f) - 1, len(g) - 1
-    size = m + n
-    res = _sylvester_resultant(f, g)
-    if size == 0:
-        assert res == 1
-        return
-    # row i < n holds f's coefficients, highest first, from column i; row
-    # n + i holds g's from column i
-    rows = [[f[m - (j - i)] if 0 <= j - i <= m else 0 for j in range(size)]
-            for i in range(n)]
-    rows += [[g[n - (j - i)] if 0 <= j - i <= n else 0 for j in range(size)]
-             for i in range(m)]
-    assert res == det_symbolic(poly_matrix(("a",), rows)).as_constant()
-
-
 # -- the Gosper normal form against the all-pairs loop ------------------------
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -538,15 +553,72 @@ def test_point_candidates_contain_the_generic_ones(ident, monkeypatch):
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.txt")),
-                         ids=lambda p: p.stem)
-def test_resultant_matches_the_reference_on_the_corpus(path, monkeypatch):
-    # every pair with an opaque factor that the proof meets, at its good point
-    for _, _, k, pairs in proof_opaque_pairs(load_identity(path), monkeypatch):
-        for (pq, _, _), (pr, _, _) in pairs:
-            point = _good_point(pq, pr, k)
-            assert _resultant_in_j(pq, pr, k, point) == \
-                resultant_in_j_reference(pq, pr, k, point)
+def _generic_dispersion_set(num, den, k):
+    """dispersion_set with every pair's generic candidates."""
+    def side(f):
+        return [(fid, (p or L.to_poly(f.vars), L is not None, L))
+                for fid, p, L in _k_factors(f, k)]
+
+    return {(fq, fr): _reference_candidates(a, b, k)
+            for fq, a in side(num) for fr, b in side(den)}
+
+
+@pytest.mark.parametrize("ident", PROVED, ids=lambda i: i.name)
+def test_shared_point_gives_the_generic_normal_form(ident, monkeypatch):
+    # the candidates of one point shared by all factors of a call may add
+    # shifts to a pair, but the exact gcd test rejects every added one
+    for num, den, k, _ in proof_opaque_pairs(ident, monkeypatch):
+        form = [str(f) for f in gosper_normal(num, den, k)]
+        monkeypatch.setattr(factored, "dispersion_set", _generic_dispersion_set)
+        assert [str(f) for f in gosper_normal(num, den, k)] == form
+        monkeypatch.undo()
+
+
+def _at_point(f, k, point):
+    """The factor f = (poly, is_affine, form) specialized at point."""
+    poly, affine, form = f
+    return _AtPoint(None, form, k, point) if affine else \
+        _AtPoint(poly, None, k, point)
+
+
+def assert_candidates_are_the_resultant_roots(fq, fr, k, point):
+    """fq, fr as (poly, is_affine, form), not both affine, each with its
+    poly: at point, where both leading coefficients in k are nonzero, the
+    candidates are the nonnegative integer roots of the reference
+    resultant in j; for two factors of degree >= 2 in k, the composed
+    difference at x = f g j is that resultant up to a nonzero constant."""
+    res = resultant_in_j_reference(fq[0], fr[0], k, point)
+    a, b = _at_point(fq, k, point), _at_point(fr, k, point)
+    assert _pair_candidates(a, b) == \
+        [j for j in integer_roots_univar(res) if j >= 0]
+    if a.degree > 1 and b.degree > 1:
+        comp = _composed_difference(a, b)
+        fg = a.coeffs[-1] * b.coeffs[-1]
+        assert len(comp) == len(res) == a.degree * b.degree + 1
+        assert comp[-1] == 1
+        scaled = [c * fg ** t for t, c in enumerate(comp)]
+        assert all(x * res[-1] == y * scaled[-1] for x, y in zip(scaled, res))
+
+
+# dixon-cubes with (-2)^k: refuted only after order 3, whose Gosper normal
+# forms meet 81 pairs of two opaque factors of degree >= 2 in k
+MINUS_TWO = _identity("dixon-cubes-minus-two", "(-2)^k*binomial(2*n,k)^3",
+                      "(-1)^n*(3*n)!/(n!)^3", "0", "2*n")
+
+
+@pytest.mark.parametrize(
+    "ident", [load_identity(p) for p in sorted(CORPUS.glob("*.txt"))]
+    + [MINUS_TWO], ids=lambda i: i.name)
+def test_resultant_matches_the_reference_on_the_corpus(ident, monkeypatch):
+    # every pair with an opaque factor that the proof meets, at the one
+    # point its gosper_normal call shares among all of its factors
+    for num, den, k, pairs in proof_opaque_pairs(ident, monkeypatch):
+        if not pairs:
+            continue
+        point = _shared_point([p for f in (num, den)
+                               for _, p, L in _k_factors(f, k) if L is None], k)
+        for fq, fr in pairs:
+            assert_candidates_are_the_resultant_roots(fq, fr, k, point)
 
 
 def test_point_walk_passes_a_vanishing_leading_coefficient():
@@ -557,7 +629,7 @@ def test_point_walk_passes_a_vanishing_leading_coefficient():
     one = MultiPoly.constant(vars, 1)
     f = (n - one.scale(3)) * k * k + k + one
     g = f.shift("k", -2)
-    assert _good_point(f, g, "k") == {"n": 4}
+    assert _shared_point([f, g], "k") == {"n": 4}
     assert 2 in _shift_candidates((f, False, None), (g, False, None), "k")
     num = Factored.one(vars).mul_poly(f, 1)
     den = Factored.one(vars).mul_poly(g, 1)
@@ -565,37 +637,80 @@ def test_point_walk_passes_a_vanishing_leading_coefficient():
     assert q.is_constant() and r.is_constant()
     assert RationalFunction(pbar.shift("k", 1) * q, pbar * r) == \
         RationalFunction(f, g)
+    # one point for every factor: each axis holds 1 + the sum of the
+    # leading coefficients' degrees, here n = 3, 4, 5 against n - 3 and n - 4
+    h = (n - one.scale(4)) * k * k + one
+    assert _shared_point([f, h], "k") == {"n": 5}
+    assert _shared_point([f, g, h], "k") == {"n": 5}
+
+
+_VARS = ("k", "a", "b")
+_COEF = st.one_of(st.integers(-3, 3),
+                  st.builds(Fraction, st.integers(-3, 3), st.integers(1, 6)))
+
+
+@st.composite
+def k_factors(draw):
+    """A factor over (k, a, b) that involves k, as (poly, is_affine, form):
+    an affine form with int or Fraction coefficients, random terms, or a
+    product of planted pieces, repeated linear factors (rational roots at
+    every point) and irreducible quadratics (none)."""
+    k, a, b = (MultiPoly.variable(_VARS, v) for v in _VARS)
+    one = MultiPoly.constant(_VARS, 1)
+    kind = draw(st.sampled_from(["affine", "terms", "planted"]))
+    if kind == "affine":
+        L = LinearForm({"k": draw(_COEF.filter(bool)), "a": draw(_COEF),
+                        "b": draw(_COEF)}, draw(_COEF))
+        return L.to_poly(_VARS), True, L
+    if kind == "terms":
+        exps = st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2))
+        p = MultiPoly.from_terms(_VARS, draw(st.lists(st.tuples(exps, _COEF),
+                                                      min_size=1, max_size=5)))
+        assume(p.degree("k") > 0)
+        return p, False, None
+    quadratics = [k * k - one.scale(2), k * k + a * a + one,
+                  k * k + k + one, (k * k).scale(2) - a * a - one]
+    p = one
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            p = p * draw(st.sampled_from(quadratics))
+        else:
+            root = LinearForm({"a": draw(_COEF), "b": draw(_COEF)},
+                              draw(_COEF)).to_poly(_VARS)
+            p = p * (k.scale(draw(_COEF.filter(bool))) - root) ** \
+                draw(st.integers(1, 3))
+    assume(p.total_degree() > 1)
+    return p, False, None
 
 
 @st.composite
 def pairs_at_a_point(draw):
-    """Two polynomials of positive degree in k over (k, a, b), with integer
-    or rational coefficients, and an integer point of (a, b) at which both
-    leading coefficients in k are nonzero."""
-    vars = ("k", "a", "b")
-    exps = st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2))
-    coef = st.one_of(st.integers(-3, 3),
-                     st.builds(Fraction, st.integers(-3, 3), st.integers(1, 6)))
-    terms = st.lists(st.tuples(exps, coef), min_size=1, max_size=5)
-    fq, fr = (MultiPoly.from_terms(vars, draw(terms)) for _ in range(2))
-    assume(fq.degree("k") > 0 and fr.degree("k") > 0)
+    """Two factors of k_factors, not both affine, the second sometimes the
+    first shifted in k by -j0 (so that j0 is a candidate) times another
+    factor, and an integer point of (a, b) at which both leading
+    coefficients in k are nonzero."""
+    fq = draw(k_factors())
+    fr = draw(k_factors())
+    if not fq[1] and draw(st.booleans()):
+        shifted = fq[0].shift("k", -draw(st.integers(0, 4)))
+        fr = (shifted * fr[0], False, None) if draw(st.booleans()) \
+            else (shifted, False, None)
+    assume(not (fq[1] and fr[1]))
     point = {"a": draw(st.integers(-4, 4)), "b": draw(st.integers(-4, 4))}
-    lead = fq.to_univar("k")[-1] * fr.to_univar("k")[-1]
-    assume(lead.eval({**point, "k": 0}) != 0)
+    for p, _, _ in (fq, fr):
+        assume(p.to_univar("k")[-1].eval({**point, "k": 0}) != 0)
     return fq, fr, point
 
 
-@settings(deadline=None, max_examples=100)
+@settings(deadline=None, max_examples=200)
 @given(pairs_at_a_point())
 def test_resultant_at_a_good_point_has_full_degree_in_j(case):
+    # at a point where both leading coefficients in k are nonzero: the
+    # candidates of every kind of pair are the nonnegative integer roots of
+    # the reference resultant, and the composed difference of two factors
+    # of degree >= 2 in k has its full degree m n in j
     fq, fr, point = case
-    m, n = fq.degree("k"), fr.degree("k")
-    coeffs = _resultant_in_j(fq, fr, "k", point)
-    assert len(coeffs) - 1 == m * n
-    lq = fq.to_univar("k")[-1].eval({**point, "k": 0})
-    lr = fr.to_univar("k")[-1].eval({**point, "k": 0})
-    assert abs(coeffs[-1]) == abs(lq ** n * lr ** m)
-    assert coeffs == resultant_in_j_reference(fq, fr, "k", point)
+    assert_candidates_are_the_resultant_roots(fq, fr, "k", point)
 
 
 def _reference_gosper(f, k):
