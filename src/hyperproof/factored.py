@@ -164,13 +164,20 @@ class Factored:
         return out
 
     def split(self):
-        """Separate into (numerator, denominator), both with positive exponents."""
+        """Separate into (numerator, denominator), both with positive
+        exponents.  Every stored factor is already in normal form (an
+        affine one normalizes to itself with scale 1, an opaque one is
+        integer-primitive with a positive leading coefficient), so each
+        entry is copied under its key, with no normalization."""
         num = Factored(self.vars, self.const)
         den = Factored.one(self.vars)
-        for f, e in self.aff.values():
-            (num if e > 0 else den).mul_affine(f, abs(e))
-        for p, e in self.opq.values():
-            (num if e > 0 else den).mul_poly(p, abs(e))
+        for table, num_table, den_table in ((self.aff, num.aff, den.aff),
+                                            (self.opq, num.opq, den.opq)):
+            for key, (f, e) in table.items():
+                if e > 0:
+                    num_table[key] = [f, e]
+                else:
+                    den_table[key] = [f, -e]
         return num, den
 
     # -- inspection -----------------------------------------------------------
@@ -297,17 +304,25 @@ def factored_quotient(a: Factored, b: Factored) -> Factored:
 
 def sum_vanishes(plus, minus=()) -> bool:
     """Whether the Factored values of plus, over the same variables with
-    exponents of either sign, sum to those of minus: each times L, the
-    factored_lcm of their denominators, is expanded once (Factored.expand),
-    and the two sides' sums of these polynomials are compared; no gcd.  L
-    is nonzero, so the sum is zero exactly when these polynomials sum to
-    zero.  A zero value is dropped first, with the denominator it may still
-    carry."""
+    exponents of either sign, sum to those of minus: each times L, the lcm
+    of their denominators, is expanded once (Factored.expand), and the two
+    sides' sums of these polynomials are compared; no gcd.  L holds each
+    stored factor with the largest of its negative exponents, read off the
+    values' tables as factored_lcm of their Factored.split denominators
+    would.  L is nonzero, so the sum is zero exactly when these polynomials
+    sum to zero.  A zero value is dropped first, with the denominator it
+    may still carry."""
     values = [(sign, v) for sign, side in ((1, plus), (-1, minus))
               for v in side if not v.is_zero()]
     if not values:
         return True
-    lcm = factored_lcm(v.split()[1] for _, v in values)
+    lcm = Factored.one(values[0][1].vars)
+    for _, v in values:
+        for table, out in ((v.aff, lcm.aff), (v.opq, lcm.opq)):
+            for key, (f, e) in table.items():
+                if e < 0:
+                    cur = out.setdefault(key, [f, -e])
+                    cur[1] = max(cur[1], -e)
     acc = {}
     for sign, v in values:
         for exp, c in v.copy().mul(lcm).expand().terms.items():
@@ -560,15 +575,6 @@ def _candidates(qside, rside, k) -> list:
     return [[_affine_shift(Lq, Lr, k) if Lq is not None and Lr is not None
              else _pair_candidates(a, b) for (_, _, Lr), b in zip(rside, rs)]
             for (_, _, Lq), a in zip(qside, qs)]
-
-
-def _shift_candidates(fq, fr, k):
-    """The candidates of one pair (poly, is_affine, form), at the pair's own
-    shared point; the poly of an affine factor is not read."""
-    (pq, aq, Lq), (pr, ar, Lr) = fq, fr
-    return _candidates([(None, None if aq else pq, Lq if aq else None)],
-                       [(None, None if ar else pr, Lr if ar else None)],
-                       k)[0][0]
 
 
 def _k_factors(f: Factored, k):

@@ -730,7 +730,10 @@ def _telescoper_report(nid: NormalizedIdentity, sys, certainty, seed):
     fails.  Order J >= 1 is published as telescope and certifies g.  Order
     0 is Gosper/WZ: its recurrence is [1], so its certificate R, reduced,
     certifies g, which is fhat when the right side is zero; else
-    R * (n_ratio - 1) certifies fhat with the recurrence [-1, 1]."""
+    R * (n_ratio - 1) certifies fhat with the recurrence [-1, 1].  A
+    telescope of the system's own order is verified on the shift ratios
+    assemble built for it; a shorter one, and fhat at order 1, get their
+    own."""
     out = solve_order(sys)
     if out is None:
         return None
@@ -739,7 +742,9 @@ def _telescoper_report(nid: NormalizedIdentity, sys, certainty, seed):
         rec = Recurrence(1, (-rec.coefficients[0], rec.coefficients[0]))
         one = RationalFunction.constant(term.symbols, 1)
         term, cert = nid.fhat, Certificate(cert.ratio * (nid.n_ratio - one))
-    if not verify_certificate(term, rec, cert, k=nid.k, n=nid.n):
+    shared = not wz and rec.order == sys.ansatz.order
+    if not verify_certificate(term, rec, cert, k=nid.k, n=nid.n,
+                              ratios=sys.ratios if shared else None):
         if wz:
             return None
         raise RuntimeError("telescoper failed exact re-verification")

@@ -11,7 +11,11 @@ times the lcm of their factored denominators, are expanded and summed.  A
 certificate keeps its unreduced denominator D as a product
 (Certificate.factored_den), so the lcm is read off the factors; any other D
 is split by exact division over the factors of Q, the cofactor left one
-opaque factor.
+opaque factor.  A check of the system's own order reads the factored shift
+ratios u_j, Q and rho that `assemble` built (AssembledSystem.ratios), not
+new ones: they are a deterministic function of the term and the order, and
+the check builds everything else itself, the recurrence side, N, N(k+1),
+D(k+1) and the three expansions over the lcm.
 
 `assemble` is the one builder of the telescoping system.  It builds M', the
 system M with each column divided by its k-free content c_j, which it reads
@@ -74,7 +78,9 @@ class AssembledSystem:
     Column scaling by nonzero polynomials keeps the rank over Q(n, params),
     and for a square system det M = det M' * prod_j c_j.  pbar and r, the
     Gosper normal form's parts that only a certificate reads, stay factored;
-    certificate_from_solution expands them."""
+    certificate_from_solution expands them.  ratios is the
+    _shift_ratios (us, Q, (pn, pd)) of the term at this order, unchanged,
+    which verify_certificate can take instead of building them again."""
     ansatz: TelescoperAnsatz
     matrix: PolyMatrix          # M' over (rec var, params); k eliminated
     k: str
@@ -83,7 +89,7 @@ class AssembledSystem:
     matrix_vars: tuple
     pbar: Factored
     r: Factored
-    denominator: Factored       # Q(k), the cleared common denominator
+    ratios: tuple               # (us, Q, (pn, pd)); Q(k) the common denominator
     contents: list              # Factored k-free divisor of each column
 
     def lift(self, vec):
@@ -155,17 +161,20 @@ def assemble(f: TermExpression, J: int, k=None, n=None):
     takes a summand whose only symbol is k."""
     k, n = _default_vars(f, k, n)
     vars = f.symbols
-    us, Q, (rho_num, rho_den) = _shift_ratios(f, J, k, n)
+    ratios = _shift_ratios(f, J, k, n)
+    us, Q, (rho_num, rho_den) = ratios
     # H = f/Q has ratio rho_f * Q(k)/Q(k+1); Gosper-normalized it gives the
     # equation q(k) b(k+1) - r(k-1) b(k) = pbar(k) * sum_j a_j u_j(k)
     h_num = rho_num.copy().mul(Q)
     h_den = rho_den.copy().mul(Q.shift(k, 1))
     pbar_f, q_f, r_f = gosper_normal(h_num, h_den, k)
-    # column a_j is -u_j pbar; every b_i column is a combination of q(k) and
-    # r(k-1), and a shift in k leaves their shared k-free factors in place.
+    # column a_j is -u_j pbar, built on copies, so that ratios stays the
+    # _shift_ratios of (f, J) for verify_certificate; every b_i column is a
+    # combination of q(k) and r(k-1), and a shift in k leaves their shared
+    # k-free factors in place.
     # Dividing q and r by the same k-free factor changes neither their
     # k-degrees nor the ratio of their coefficients, so K stays the same.
-    a_facts = [u.mul(pbar_f) for u in us]
+    a_facts = [u.copy().mul(pbar_f) for u in us]
     contents = [factored_free_of(a, k) for a in a_facts]
     b_content = factored_free_of(factored_common(q_f, r_f), k)
     cols = [-factored_quotient(a, c).expand() for a, c in zip(a_facts, contents)]
@@ -192,7 +201,7 @@ def assemble(f: TermExpression, J: int, k=None, n=None):
     ansatz = TelescoperAnsatz(J, K)
     matrix = PolyMatrix(_split_rows(cols, ki, matrix_vars))
     return AssembledSystem(ansatz, matrix, k, n, vars, matrix_vars,
-                           pbar_f, r_f, Q, contents)
+                           pbar_f, r_f, ratios, contents)
 
 
 def _split_rows(cols, ki, matrix_vars):
@@ -231,7 +240,7 @@ def certificate_from_solution(sys: AssembledSystem, b_coeffs, extra_den=None):
     b_num = MultiPoly.zero(vars)
     for i, c in enumerate(b_coeffs):
         b_num = b_num + c.embed(vars) * (kpoly ** i)
-    qnum, qden = sys.denominator.split()
+    qnum, qden = sys.ratios[1].split()
     D = qnum.mul(sys.pbar)
     if extra_den is not None:
         D.mul_poly(extra_den.embed(vars), 1)
@@ -286,10 +295,13 @@ def solve_order(sys: AssembledSystem):
 
 
 def verify_certificate(f: TermExpression, rec: Recurrence, cert: Certificate,
-                       k=None, n=None) -> bool:
+                       k=None, n=None, ratios=None) -> bool:
     """Exact check of sum_j a_j(n) sigma_j(n,k) = R(n,k+1) rho(n,k) - R(n,k),
     sigma_j = f(n+j,k)/f(n,k) and rho = f(n,k+1)/f(n,k).  False on any
-    mismatch.
+    mismatch.  ratios, when given, is _shift_ratios(f, rec.order, k, n) as
+    assemble built it for the same term and order (AssembledSystem.ratios),
+    and is read, not built again; it is a deterministic function of the
+    term and the order, so the check loses no independence.
 
     With sigma_j = u_j/Q, rho = pn/pd and R = N/D, all over factored
     denominators (D from cert.factored_den, else R.den split by
@@ -304,7 +316,7 @@ def verify_certificate(f: TermExpression, rec: Recurrence, cert: Certificate,
     try:
         k, n = _default_vars(f, k, n)
         vars = f.symbols
-        us, Q, (pn, pd) = _shift_ratios(f, rec.order, k, n)
+        us, Q, (pn, pd) = ratios or _shift_ratios(f, rec.order, k, n)
         R = cert.ratio if cert.ratio.vars == vars else cert.ratio.embed(vars)
         D = cert.factored_den
         if D is None or D.vars != vars:

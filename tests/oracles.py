@@ -206,6 +206,28 @@ def factored_mul_reference(f, g):
     return out
 
 
+def factored_split_reference(f):
+    """(numerator, denominator) of f as Factored.split once computed them:
+    every factor through mul_affine or mul_poly on its side, which
+    normalize it again."""
+    num, den = type(f)(f.vars, f.const), type(f)(f.vars)
+    for L, e in f.aff.values():
+        (num if e > 0 else den).mul_affine(L, abs(e))
+    for p, e in f.opq.values():
+        (num if e > 0 else den).mul_poly(p, abs(e))
+    return num, den
+
+
+def factored_value_reference(f, point):
+    """The Fraction value of the Factored f at point, factor by factor."""
+    value = Fraction(f.const)
+    for L, e in f.aff.values():
+        value *= Fraction(L.at(point)) ** e
+    for p, e in f.opq.values():
+        value *= Fraction(p.eval(point)) ** e
+    return value
+
+
 def factored_shift_reference(f, var, delta):
     """f with var replaced by var + delta as Factored.shift once computed
     it: every shifted factor through mul_affine or mul_poly."""
@@ -363,12 +385,12 @@ def integer_roots_reference(coeffs) -> list:
 
 
 def shift_candidates_reference(fq, fr, k) -> list:
-    """The shift candidates of a factor pair with at least one opaque
-    factor, both factors involving k, the way factored._shift_candidates
-    once found them: the nonnegative integer roots in j of the generic
-    resultant over all of the pair's variables and j.  An affine factor's
-    root in k is substituted into the other factor; two opaque factors give
-    the multivariate Sylvester determinant.  fq, fr are (poly, is_affine,
+    """The generic shift candidates of a factor pair with at least one
+    opaque factor, both factors involving k, the set factored._candidates
+    must contain: the nonnegative integer roots in j of the resultant over
+    all of the pair's variables and j, with no variable specialized.  An
+    affine factor's root in k is substituted into the other factor; two
+    opaque factors give the multivariate Sylvester determinant.  fq, fr are (poly, is_affine,
     form); an affine factor's poly is not read, and may be None."""
     pq, aq, Lq = fq
     pr, ar, Lr = fr

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hyperproof import polys as polys_module
-from hyperproof.factored import Factored
+from hyperproof.factored import Factored, sum_vanishes
 from hyperproof.linalg import clear_and_primitive
 from hyperproof.polys import (
     MultiPoly, RationalFunction, _cleared, _heuristic_gcd, _norm_coef,
@@ -15,7 +15,8 @@ from hyperproof.polys import (
 from hyperproof.terms import LinearForm
 from oracles import (
     clear_and_primitive_reference, expand_reference, factored_mul_reference,
-    factored_shift_reference, poly_key_reference, poly_lcm, pow_reference,
+    factored_shift_reference, factored_split_reference,
+    factored_value_reference, poly_key_reference, poly_lcm, pow_reference,
     sort_key_reference,
 )
 
@@ -340,6 +341,87 @@ def test_mul_and_shift_take_the_stored_factors_as_normalized(case):
     assert stored(f.copy().mul(g)) == stored(factored_mul_reference(f, g))
     assert stored(f.shift(var, delta)) == \
         stored(factored_shift_reference(f, var, delta))
+
+
+def in_order(f):
+    """The constant and the factor tables of a Factored, in storage order."""
+    return (f.const, [(key, L, e) for key, (L, e) in f.aff.items()],
+            [(key, typed(p), e) for key, (p, e) in f.opq.items()])
+
+
+def quotients(n):
+    """f / g for Factored products f, g over n variables, g nonzero: mixed
+    exponents, an int, Fraction or zero constant."""
+    return st.tuples(factored_products(n), factored_products(n).filter(
+        lambda g: not g.is_zero())).map(lambda fg: fg[0].copy().mul(fg[1], -1))
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(st.integers(1, 4).flatmap(quotients))
+def test_split_copies_the_stored_normal_forms(f):
+    # split runs no normalization: each side holds the keys, forms and
+    # exponents, in the same order, that normalizing every factor again
+    # gives, and expands to the same polynomial
+    got, ref = f.split(), factored_split_reference(f)
+    for side, ref_side in zip(got, ref):
+        assert in_order(side) == in_order(ref_side)
+        assert typed(side.expand()) == typed(ref_side.expand())
+    # the sides are copies: growing one leaves f as it was
+    before = in_order(f)
+    for side in got:
+        for table in (side.aff, side.opq):
+            for entry in table.values():
+                entry[1] += 1
+    assert in_order(f) == before
+
+
+def _points(values, rng, count=3):
+    """count random integer points of the values' variables at which no
+    factor of any value vanishes."""
+    points = []
+    while len(points) < count:
+        point = {v: rng.randint(-10 ** 4, 10 ** 4) for v in values[0].vars}
+        if all(L.at(point) for v in values for L, _ in v.aff.values()) and \
+                all(p.eval(point) for v in values for p, _ in v.opq.values()):
+            points.append(point)
+    return points
+
+
+def _as_one_fraction(a, b):
+    """a + b as one Factored: the expanded numerator over the product of
+    the two denominators, as factored_split_reference gives them."""
+    (an, ad), (bn, bd) = factored_split_reference(a), \
+        factored_split_reference(b)
+    num = an.mul(bd).expand() + bn.mul(ad).expand()
+    return Factored(a.vars).mul_poly(num, 1).mul(ad, -1).mul(bd, -1)
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(quotients(n), min_size=1,
+                                                     max_size=3)))
+def test_sum_vanishes_matches_fraction_values(values):
+    # against the exact Fraction sum at random points: random sums, which
+    # do not vanish unless they cancel, and sums made to vanish by one
+    # value equal to the sum of two others, with and without a constant
+    # added
+    rng = random.Random(len(values))
+    points = _points(values, rng)
+
+    def vanishes_at_points(plus, minus=()):
+        return all(sum(factored_value_reference(v, pt) for v in plus)
+                   == sum(factored_value_reference(v, pt) for v in minus)
+                   for pt in points)
+
+    assert sum_vanishes(values) == vanishes_at_points(values)
+    if len(values) >= 2:
+        a, b, *rest = values
+        both = _as_one_fraction(a, b)
+        assert vanishes_at_points([a, b], [both])
+        assert sum_vanishes([a, b], [both])
+        assert sum_vanishes(values, [both] + rest)
+        one = Factored(a.vars, 1)
+        assert not sum_vanishes([a, b, one], [both])
+        assert not vanishes_at_points([a, b, one], [both])
 
 
 @settings(deadline=None, max_examples=300)

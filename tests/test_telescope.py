@@ -369,14 +369,16 @@ def test_a_denominator_without_factors_is_split_by_exact_division():
 
 
 def _corpus_certificates(monkeypatch):
-    """(name, f, rec, cert, k, n) for every certificate a proof of the
-    corpus verifies, at certainty 1/10, seed 0."""
+    """(name, f, rec, cert, k, n, ratios) for every certificate a proof of
+    the corpus verifies, at certainty 1/10, seed 0; ratios are the shift
+    ratios of the assembled system the proof passed, or None."""
     out = []
     real = gridproof.verify_certificate
 
-    def record(f, rec, cert, k=None, n=None):
-        out.append((path.stem, f, rec, cert, k, n))
-        return real(f, rec, cert, k=k, n=n)
+    def record(f, rec, cert, **kw):
+        out.append((path.stem, f, rec, cert, kw.get("k"), kw.get("n"),
+                    kw.get("ratios")))
+        return real(f, rec, cert, **kw)
 
     monkeypatch.setattr(gridproof, "verify_certificate", record)
     for path in sorted((Path(__file__).parent.parent / "corpus").glob("*.txt")):
@@ -388,21 +390,27 @@ def _corpus_certificates(monkeypatch):
 def test_with_and_without_factors_and_the_oracle_agree(monkeypatch):
     # on every certificate the corpus proofs verify and on the mrr
     # specializations, each as published and with its recurrence broken:
-    # the factored denominator, the one found by exact division and the
-    # cross-multiplied oracle give one verdict
+    # the factored denominator, the one found by exact division, the shift
+    # ratios of the assembled system, fresh ones and the cross-multiplied
+    # oracle give one verdict
     cases = _corpus_certificates(monkeypatch)
     assert {c[0] for c in cases} >= {"binomial-2n", "dixon-cubes",
                                      "mrr-specialized"}
-    cases += [(name, *certified(name), "k", "n")
-              for name in MRR_SPECIALIZATIONS]
+    assert any(c[6] is not None for c in cases)
+    for name in MRR_SPECIALIZATIONS:
+        f, rec, cert = certified(name)
+        cases.append((name, f, rec, cert, "k", "n",
+                      assemble(f, rec.order).ratios))
     factored = 0
-    for name, f, rec, cert, k, n in cases:
+    for name, f, rec, cert, k, n, ratios in cases:
         a = list(rec.coefficients)
         broken = Recurrence(rec.order, tuple(
             a[:-1] + [a[-1] + MultiPoly.constant(a[-1].vars, 1)]))
         for r, expected in ((rec, True), (broken, False)):
             for c in (cert, Certificate(cert.ratio)):
-                assert verify_certificate(f, r, c, k=k, n=n) == expected, name
+                for shared in ((None,) if ratios is None else (None, ratios)):
+                    assert verify_certificate(f, r, c, k=k, n=n,
+                                              ratios=shared) == expected, name
             assert oracle_verify(f, r, cert, k, n) == expected, name
         factored += cert.factored_den is not None
     assert factored >= len(MRR_SPECIALIZATIONS)
@@ -427,10 +435,11 @@ def test_perturbation_nonzero_at_one_node_only_is_rejected():
 
 
 def _assembled_term(name):
-    """(term, k, n): the differenced mrr of the corpus, or a certified
-    specialization."""
-    if name == "mrr":
-        ident = load_identity(Path(__file__).parent.parent / "corpus" / "mrr.txt")
+    """(term, k, n): the differenced term of a corpus identity, or a
+    certified specialization."""
+    if name not in CERTIFIED:
+        ident = load_identity(Path(__file__).parent.parent / "corpus"
+                              / f"{name}.txt")
         F, rhs, lower, upper = ident.parsed()
         nid = normalize_and_delta(F, rhs, ident.params, "k", "n", lower, upper)
         return nid.delta_term, nid.k, nid.n
@@ -487,3 +496,26 @@ def test_gosper_operator_columns_by_shifting(name, J, monkeypatch):
     assert seen["cols"][J + 1:] == [
         seen["q"] * (kpoly ** i).shift(k, 1) - rm * kpoly ** i
         for i in range(K + 1)]
+
+
+def test_assemble_leaves_its_shift_ratios_as_built():
+    # the a_j columns are built on copies of u_j, so the ratios a system
+    # keeps for verify_certificate are those of a fresh _shift_ratios, also
+    # at the order-0 systems, where pbar is not 1
+    def tables(v):
+        return v.const, v.aff, v.opq
+
+    nontrivial = 0
+    for name in ("central-binomial", "dixon-cubes", "mrr"):
+        f, k, n = _assembled_term(name)
+        for J in range(3):
+            sys = assemble(f, J, k=k, n=n)
+            if sys is None:
+                continue
+            us, Q, rho = sys.ratios
+            fresh_us, fresh_Q, fresh_rho = _shift_ratios(f, J, k, n)
+            assert [tables(u) for u in us] == [tables(u) for u in fresh_us]
+            assert tables(Q) == tables(fresh_Q)
+            assert [tables(v) for v in rho] == [tables(v) for v in fresh_rho]
+            nontrivial += bool(sys.pbar.aff or sys.pbar.opq)
+    assert nontrivial >= 2
