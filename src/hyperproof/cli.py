@@ -271,6 +271,8 @@ def cmd_verify(args) -> int:
                 raise IdentityFileError(
                     f"recurrence coefficient {part!r} is not a polynomial")
             coeffs.append(r.num)  # a constant denominator is 1
+        if not any(coeffs):  # the zero operator annihilates every sum
+            raise IdentityFileError("the recurrence has no nonzero coefficient")
         cert = Certificate(parse_rational(args.certificate, ident.symbols))
     except (IdentityFileError, TermError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,25 +30,16 @@ factored.sum_vanishes, which also verifies certificates: the terms over the
 lcm of their denominators, the expanded numerators summed, with no gcd.
 
 Grid points are visited in sorted box index order, the first of matrix.vars
-the most significant digit.  linalg._GridEvaluator holds each matrix row as
-one integer with a signed B-bit lane per column and substitutes one variable
-per level by Horner's rule on whole rows, reusing the levels of the digit
-prefix a point shares with the previous one.  _first_full_rank reads
-linalg._constant_pivots once per scan and compiles it with the last
-variable's level into one generated function (_GridEvaluator.kernel), in the
-calling process, which also compiles the level above, run once per prefix,
-at the scan's second prefix (_GridEvaluator.compile_prefix); with jobs > 1
-the children it forks rank their chunks of the grid with those functions,
-inherited, and report their first hit through a pipe.  The chain's steps
-are division-free row operations on packed rows, and a lane is read out
-only where it is needed, exactly, since B bounds every value read.  The
-pivot rows, never changed, form a triangular block with nonzero constant
-diagonal above zeros, so the rank is the chain length plus the
-remainder's.  Where the remainder is square and at most linalg._DET_WIDTH
-wide (mrr's 4x4 at order 2), the function returns its determinant,
-expanded by minors, and a nonzero one is full rank; otherwise (mrr's 4x3 at
-order 1) it returns the remainder's rows and _rank_chunk ranks them with the
-integer rank kernel _int_rank.  Each decision is exact.
+the most significant digit, on linalg._GridEvaluator, which reuses the
+substitutions of the digit prefix a point shares with the previous one.
+_first_full_rank compiles its kernel, the last variable's level and the
+chain of constant pivots (see linalg), once per scan in the calling
+process; with jobs > 1 the children it forks rank their chunks of the grid
+with that function, inherited, and report their first hit through a pipe.
+Where the kernel returns a determinant (mrr's 4x4 remainder at order 2), a
+nonzero one is full rank; otherwise (mrr's 4x3 at order 1) _rank_chunk
+ranks the remainder's rows with the integer rank kernel _int_rank.  Each
+decision is exact.
 """
 
 from __future__ import annotations
@@ -60,13 +51,12 @@ from fractions import Fraction
 from math import ceil
 
 from .factored import (
-    Factored, _primes_from, from_ratio_parts, integer_roots_univar,
-    sum_vanishes,
+    Factored, from_ratio_parts, integer_roots_univar, sum_vanishes,
 )
 from .linalg import (
     PolyMatrix, _GridEvaluator, _constant_pivots, _grid_digits,
     _grid_values, _int_rank, _integer_cleared, _lower_set, _max_assignment,
-    _pivot_rows, _univar_minors, _weighted_degrees,
+    _pivot_rows, _probe, _univar_minors, _weighted_degrees,
 )
 from .polys import MultiPoly, RationalFunction, _as_fraction, poly_gcd
 from .telescope import (
@@ -686,21 +676,15 @@ def _termination_guard(nid: NormalizedIdentity):
 def _gosper_columns_independent(sys) -> bool:
     """The b columns of M', the Gosper operator
     b -> q(k) b(k+1) - r(k-1) b(k) over the k-free factor q and r share, have
-    full column rank at one of three distinct integer points.  Full rank at
-    any point proves them independent, in M too, so every kernel vector has
-    some a_j != 0 and a vanishing determinant does give a telescoper.  Point
-    t gives variable i the (t * width + i)-th prime from 5.  False only
-    means no probe showed it.
+    full column rank at one of the points of the nullspace solver's first
+    probe round (linalg._probe).  Full rank at any point proves them
+    independent, in M too, so every kernel vector has some a_j != 0 and a
+    vanishing determinant does give a telescoper.  False only means no
+    probe showed it.
     """
-    m = sys.matrix
-    block = PolyMatrix([row[sys.ansatz.order + 1:] for row in m.entries])
-    width = len(m.vars)
-    primes = _primes_from(5, 3 * width)
-    values = {v: [primes[t * width + i] for t in range(3)]
-              for i, v in enumerate(m.vars)}
-    diagonal = sorted({t * (3 ** width - 1) // 2 for t in range(3)})
-    return any(_int_rank(a) == block.cols for _, _, a in
-               _GridEvaluator(block, values).matrices(diagonal))
+    block = _integer_cleared(PolyMatrix(
+        [row[sys.ansatz.order + 1:] for row in sys.matrix.entries]))
+    return len(_probe(block)[1]) == block.cols
 
 
 def _finite_report(checks, message, certainty, seed) -> ProofReport:

@@ -1,55 +1,46 @@
-"""Exact linear algebra over polynomials: fraction-free elimination,
-nullspaces over the rational-function field, determinants, the lower-set
-evaluation grid, and the max-weight assignment (`_max_assignment`, the
-Hungarian method, polynomial in the matrix size) that bounds the degrees
-of a determinant, or of every maximal minor, on the weights of
+"""Exact linear algebra over polynomials: the nullspace over the
+rational-function field, ranks and determinants at integer points, the
+lower-set evaluation grid, and the max-weight assignment
+(`_max_assignment`, the Hungarian method) that bounds the degrees of a
+determinant, or of every maximal minor, on the weights of
 `_weighted_degrees`.
 
-One fraction-free (Bareiss) elimination kernel, `_int_rank`, carries every
-exact elimination in the package: the rank and determinant of pivot-chain
-remainders too wide for the compiled kernel's expansion, pivot rows,
-integer determinants (`_int_det`), cofactor vectors, and the symbolic
-nullspace, its one use on `MultiPoly` matrices (`MultiPoly.__divmod__`
-divides exactly or raises).  One back-substitution, `_back_substitute`,
-solves the echelon rows it leaves for a kernel vector with checked exact
-divisions.  One evaluator, `_GridEvaluator`, computes a polynomial matrix
-at integer points for the determinant grid, for the univariate nullspace
-shortcut (per node, the chain of constant pivots on integer lists and the
-`_cofactor_vector` of its small remainder, the pivot coordinates
-back-substituted), and for `_univar_minors`, which interpolates one minor
-in one variable for the leading-coefficient check from its compiled
-pivot-chain kernel.  The determinant grid takes its points from
-`_lower_set`, the points of a lower set of exponents cut out by weighted
-degree bounds, on `_grid_values` per variable: the one node rule,
-consecutive integers centered at 0, since lower-set interpolation needs
-only distinct nodes.
+One fraction-free (Bareiss) kernel on integers, `_int_rank`, carries every
+exact elimination: rank probes, pivot rows, integer determinants
+(`_int_det`), cofactor vectors, and the pivot-chain remainders too wide for
+the compiled kernel's expansion.  The nullspace has one path, Brown's
+evaluation and interpolation (`solve_nullspace`): each basis vector is the
+cofactor vector of the pivot rows on the pivot columns and one free column,
+evaluated at integer nodes and interpolated in one variable, a matrix in
+several variables first mapped to one by Kronecker substitution, and every
+vector is checked exactly.  The determinant grid takes its points from
+`_lower_set`, a lower set of exponents cut out by weighted degree bounds,
+on `_grid_values` per variable: consecutive integers centered at 0, since
+lower-set interpolation needs only distinct nodes.
 
-The evaluator packs each matrix row into one integer, sum_j a_ij 2^(B*j),
-one signed B-bit lane per column, and runs Horner's rule on whole rows.
-Every operation on packed rows is Z-linear in the lanes, so a lane reads
-out exactly whenever it and every lower lane lie in [-2^(B-1), 2^(B-1));
-B is fixed at construction from a bound on every value ever read out.  For
-the grid only, `_GridEvaluator.kernel` compiles the last variable's Horner
-level and `_constant_pivots`' chain of constant pivots, as division-free
-row operations on packed rows, into one straight-line function per matrix.
-The pivot rows form a triangular block with nonzero constant diagonal above
-zeros, so the rank is the chain length plus the remainder's; the function
-ends in the remainder's determinant, expanded by minors without division,
-when the remainder is square and at most _DET_WIDTH wide (beyond that the
-expansion's n 2^(n-1) products lose to Bareiss's cubic count, measured),
-and otherwise returns its rows for `_int_rank`.  Its updates are
-unconditional: where f = 0, row_r = c*row_r only scales the row by the
-nonzero constant c, which keeps the rank.  Building it takes a few
+One evaluator, `_GridEvaluator`, computes a polynomial matrix at integer
+points for the grid, the nullspace's probes and nodes, and
+`_univar_minors`, the minors of the leading-coefficient check.  It packs
+each matrix row into one integer, one signed B-bit lane per column, and
+runs Horner's rule on whole rows.  `_GridEvaluator.kernel` compiles the
+last variable's level and `_constant_pivots`' chain of constant pivots, as
+division-free row operations on packed rows, into one straight-line
+function per matrix; it ends in the remainder's determinant, expanded by
+minors, when the remainder is square and at most _DET_WIDTH wide, and
+otherwise returns its rows for `_int_rank`.  The pivot rows form a
+triangular block with nonzero constant diagonal above zeros, so the rank
+is the chain length plus the remainder's.  Building it takes a few
 milliseconds for mrr's 9x9 order-2 system, repaid over a scan of thousands
-of points, or over the hundred nodes of `_univar_minors`, which divides
-the known pivot powers back out; the other callers evaluate few points per
-matrix and read the rows out (`_GridEvaluator.matrices`).  The grid scan
-also compiles the level above the last variable's, which it runs again at
-every new prefix of leading coordinates (`_GridEvaluator.compile_prefix`).
+of points, or over the hundred nodes of `_univar_minors`; the other callers
+evaluate few points per matrix and read the rows out
+(`_GridEvaluator.matrices`).  The grid scan also compiles the level above
+the last variable's, which it runs again at every new prefix of leading
+coordinates (`_GridEvaluator.compile_prefix`).
 """
 
 from __future__ import annotations
 
+import random
 from array import array
 from fractions import Fraction
 from itertools import combinations
@@ -58,7 +49,7 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .polys import (
-    MultiPoly, RationalFunction, _dense_quotient, _poly_list_gcd,
+    MultiPoly, _dense_quotient, _poly_list_gcd,
     common_denominator, poly_gcd,
 )
 
@@ -83,45 +74,187 @@ class PolyMatrix:
         self.entries = entries
 
 
-def solve_nullspace(m: PolyMatrix) -> list:
-    """Basis of the right nullspace over the rational-function field.
+# Rounds of seeded probe points solve_nullspace tries before it gives up,
+# and the points of one round
+_PROBE_ROUNDS = 4
+_PROBE_POINTS = 3
 
-    One fraction-free elimination of m, then per free column (one without a
-    pivot) one back-substitution from the last pivot at that column and
-    zeros at the other free columns.  The last pivot is the determinant of
-    the pivot block, so by Cramer's rule the pivot coordinates are
-    polynomials, each one exact division.  Basis vectors are normalized:
-    content removed, first nonzero coordinate made positive.  Empty list iff
+
+def solve_nullspace(m: PolyMatrix) -> list:
+    """Basis of the right nullspace over the rational-function field, as
+    lists of polynomials: per free column f (one that depends on the columns
+    before it) the primitive kernel vector that is zero past f and at the
+    other free columns, first nonzero coordinate positively led.  Empty iff
     m has full column rank.
 
-    Univariate matrices with at least 4 columns first try an
-    evaluation/interpolation shortcut (_nullspace_univar: per node, a
-    cofactor vector through the chain of constant pivots of the rows of
-    lowest degree; then exact interpolation on integers, the primitive
-    vector re-verified exactly against every row), kept because it is
-    faster there than the symbolic path.
-    """
-    if len(m.vars) == 1 and m.cols >= 4:
-        fast = _nullspace_univar(m)
-        if fast is not None:
-            return fast
-    a = [list(r) for r in m.entries]
-    echelon = a[:_int_rank(a)]
-    pivots = [next(j for j, x in enumerate(row) if x) for row in echelon]
-    value = echelon[-1][pivots[-1]] if echelon else MultiPoly.constant(m.vars, 1)
-    basis = []
-    for free in range(m.cols):
-        if free not in pivots:
+    By evaluation and interpolation (W. S. Brown, J. ACM 18, 1971): the
+    vector of f is the cofactor vector of the pivot rows on the pivot
+    columns and f (_probe, _cofactor_polys), checked exactly to vanish on
+    every row and to end at f.  A probe reads at most m's rank, and m's
+    pivot columns at that rank, so a check fails only where every point of
+    a round was a root of a minor; then the next round probes new points,
+    and after _PROBE_ROUNDS it raises ArithmeticError."""
+    cleared = _integer_cleared(m)
+    for round in range(_PROBE_ROUNDS):
+        rows, pivots = _probe(cleared, round)
+        basis = []
+        for free in range(m.cols):
+            if free in pivots:
+                continue
+            cols = sorted(pivots + [free])
             vec = [MultiPoly.zero(m.vars)] * m.cols
-            _back_substitute(echelon, pivots, vec, free, value)
-            basis.append([RationalFunction.from_poly(p)
-                          for p in clear_and_primitive(vec)])
-    return basis
+            vec[free] = MultiPoly.constant(m.vars, 1)  # stays so at rank 0
+            if rows:
+                sub = PolyMatrix([[cleared.entries[i][j] for j in cols]
+                                  for i in rows])
+                for j, p in zip(cols, _cofactor_polys(sub)):
+                    vec[j] = p
+            if not vec[free] or any(vec[free + 1:]) \
+                    or not _annihilates(cleared, vec):
+                break
+            basis.append(vec)
+        else:
+            return basis
+    raise ArithmeticError(f"no nullspace basis of a {m.rows}x{m.cols} matrix"
+                          f" after {_PROBE_ROUNDS} rounds of rank probes")
+
+
+def _probe(m: PolyMatrix, round: int = 0):
+    """(rows, cols) of the integer-cleared m at the first point of highest
+    rank of probe round `round` (_probe_values), up to the first of full
+    rank: cols the pivot columns, each not a combination of those before
+    it, and rows the first rows to raise the rank in ascending order of
+    degree, then index, which keeps the degree bounds of the cofactors low.
+    Both are sorted."""
+    by_degree = sorted(range(m.rows), key=lambda i: (
+        max(e.total_degree() for e in m.entries[i]), i))
+    stride = sum(_PROBE_POINTS ** i for i in range(len(m.vars)))
+    best = None
+    for _, _, a in _GridEvaluator(m, _probe_values(m.vars, round)).matrices(
+            [t * stride for t in range(_PROBE_POINTS)]):
+        tp = [list(col) for col in zip(*(a[i] for i in by_degree))]
+        rank = _int_rank(tp)
+        if best is None or rank > best[0]:
+            best = rank, a, tp
+        if rank == min(m.rows, m.cols):
+            break
+    rank, a, tp = best
+    rows = sorted(by_degree[next(j for j, x in enumerate(row) if x)]
+                  for row in tp[:rank])
+    echelon = [a[i] for i in rows]
+    _int_rank(echelon)
+    return rows, [next(j for j, x in enumerate(row) if x) for row in echelon]
+
+
+def _probe_values(vars, round: int) -> dict:
+    """{var: _PROBE_POINTS integers in 100..999}, drawn with
+    random.Random(round): point t of probe round `round` gives each variable
+    its t-th value."""
+    rng = random.Random(round)
+    return {v: [rng.randrange(100, 1000) for _ in range(_PROBE_POINTS)]
+            for v in vars}
+
+
+def _cofactor_polys(sub: PolyMatrix) -> list:
+    """The cofactor vector of the r x (r+1) integer-cleared sub, primitive
+    and positively led (_primitive_vector in one variable, else
+    clear_and_primitive); zeros when it is zero.  size_i is 1 + the degree
+    bound of the cofactors in x_i, an assignment of the columns to the rows.
+    In other than one variable, sub is mapped to one by Kronecker
+    substitution (_kronecker): determinants commute with it, and every
+    exponent of a cofactor lies in the box of the sizes, so each image
+    coefficient maps back to one term."""
+    vars = sub.vars
+    sizes = [(_max_assignment([[e.degree(v) for e in col]
+                               for col in zip(*sub.entries)]) or 0) + 1
+             for v in vars]
+    if len(vars) == 1:
+        vec = _cofactors(sub, sizes[0])
+        return [_from_dense(p, vars) for p in _primitive_vector(vec, vars)] \
+            if any(vec) else [MultiPoly.zero(vars)] * len(vec)
+    radices = [prod(sizes[i + 1:]) for i in range(len(sizes))]
+    image = PolyMatrix([[MultiPoly(("y",), {
+        (d,): c for d, c in enumerate(_kronecker(e, radices)) if c})
+        for e in row] for row in sub.entries])
+    vec = [MultiPoly(vars, {tuple(_grid_digits(d, sizes)): c
+                            for d, c in enumerate(p) if c})
+           for p in _cofactors(image, prod(sizes))]
+    return clear_and_primitive(vec) if any(vec) else vec
+
+
+def _cofactors(sub: PolyMatrix, count: int) -> list:
+    """The cofactor vector of the r x (r+1) integer univariate sub, of
+    degree below count, times a nonzero constant, as ascending coefficient
+    lists without trailing zeros.  Each node 0..count-1 runs the chain of
+    constant pivots (_constant_pivots) on sub's values and takes the
+    cofactor vector of the small remainder; the pivot rows, which no step
+    changes, give the pivot coordinates by back-substitution without
+    division, the vector scaled by each pivot in turn.  Each coordinate is
+    interpolated on integers (_interpolate_scaled)."""
+    nodes = list(range(count))
+    chain = _constant_pivots(sub)
+    steps = [(i, j, targets, live, sub.entries[i][j].as_constant())
+             for i, j, targets, live in chain.steps]
+    cofactors = []
+    for _, _, a in _GridEvaluator(sub, {sub.vars[0]: nodes}).matrices(nodes):
+        for i, j, targets, live, c in steps:
+            pivot = a[i]
+            for r in targets:
+                row = a[r]
+                f = row[j]
+                for k in live:
+                    row[k] = c * row[k] - f * pivot[k]
+        vec = [0] * sub.cols
+        rest = _cofactor_vector([[a[r][k] for k in chain.cols]
+                                 for r in chain.rows])
+        for k, x in zip(chain.cols, rest):
+            vec[k] = x
+        # pivot rows in reverse order, each zero in the pivot columns of the
+        # steps before it: after scaling by c, vec[j] = -s zeroes row i's
+        # sum (c*s - c*s) and leaves the later rows' sums zero
+        for i, j, _, _, c in reversed(steps):
+            s = sum(map(mul, a[i], vec))
+            vec = [c * x for x in vec]
+            vec[j] = -s
+        cofactors.append(vec)
+    vec = [_interpolate_scaled(values) for values in zip(*cofactors)]
+    for p in vec:
+        while p and not p[-1]:
+            p.pop()
+    return vec
+
+
+def _annihilates(m: PolyMatrix, vec) -> bool:
+    """Whether m times the polynomial vector vec is zero, exactly: each
+    row's sum on integer lists after Kronecker substitution, with sizes past
+    every exponent of the sum, so that no two of its terms meet."""
+    sizes = [max(e.degree(v) for row in m.entries for e in row)
+             + max(p.degree(v) for p in vec) + 1 for v in m.vars]
+    radices = [prod(sizes[i + 1:]) for i in range(len(sizes))]
+    vec = [_kronecker(p, radices) for p in vec]
+    for row in m.entries:
+        acc = [0] * prod(sizes)
+        for e, p in zip(row, vec):
+            for exp, c in e.terms.items():
+                for t, x in enumerate(p, sum(map(mul, exp, radices))):
+                    acc[t] += c * x
+        if any(acc):
+            return False
+    return True
+
+
+def _kronecker(p: MultiPoly, radices) -> list:
+    """The ascending coefficient list of p under the Kronecker substitution
+    x_i -> y^radices[i]."""
+    index = {exp: sum(map(mul, exp, radices)) for exp in p.terms}
+    out = [0] * (max(index.values(), default=-1) + 1)
+    for exp, c in p.terms.items():
+        out[index[exp]] += c
+    return out
 
 
 def _int_rank(a, order=None) -> int:
-    """Rank of an integer or MultiPoly matrix by fraction-free elimination
-    (in place).
+    """Rank of an integer matrix by fraction-free elimination (in place).
 
     Row swaps are applied to `order` too when it is given, so order[:rank]
     lists the pivot rows, and a[:rank] is an echelon form whose rows start at
@@ -129,11 +262,10 @@ def _int_rank(a, order=None) -> int:
     a minor of the row-permuted input and each Bareiss division is exact;
     it is checked.  For a square matrix, a[-1][-1] ends as the determinant
     times the sign of the permutation `order`, and as a zero when the
-    matrix is singular, since its last row is then zero.  An eliminated
-    entry is set to f - f, a zero of the entries' type.
+    matrix is singular, since its last row is then zero.
     """
     rows = len(a)
-    cols = len(a[0])
+    cols = len(a[0]) if a else 0
     r = 0
     prev = 1
     for c in range(cols):
@@ -156,7 +288,7 @@ def _int_rank(a, order=None) -> int:
                 if rem:
                     raise ArithmeticError("inexact fraction-free step")
                 a[i][j] = q
-            a[i][c] = f - f
+            a[i][c] = 0
         prev = pv
         r += 1
         if r == rows:
@@ -200,9 +332,8 @@ def _constant_pivots(matrix: PolyMatrix) -> PivotChain:
     return PivotChain(steps, free, live)
 
 
-def _int_det(a):
-    """Determinant of a square integer or MultiPoly matrix (eliminated in
-    place), of the entries' type."""
+def _int_det(a) -> int:
+    """Determinant of a square integer matrix (eliminated in place)."""
     order = list(range(len(a)))
     _int_rank(a, order)
     return a[-1][-1] if _permutation_sign(order) > 0 else -a[-1][-1]
@@ -215,7 +346,8 @@ def _cofactor_vector(a) -> list:
 
     One elimination; at rank r its pivot columns give the coordinate of the
     free column, +-det a[:, pivots], and back-substitution on the echelon
-    rows the others."""
+    rows, bottom-up, the others.  Each is one division, checked to be
+    exact: by Cramer's rule every coordinate is an integer."""
     r = len(a)
     order = list(range(r))
     vec = [0] * (r + 1)
@@ -223,26 +355,13 @@ def _cofactor_vector(a) -> list:
         return vec
     pivots = [next(j for j, x in enumerate(row) if x) for row in a]
     free = next(j for j in range(r + 1) if j not in pivots)
-    _back_substitute(a, pivots, vec, free, (-1) ** free
-                     * _permutation_sign(order) * a[-1][pivots[-1]])
-    return vec
-
-
-def _back_substitute(echelon, pivots, vec, free, value):
-    """Set vec[free] = value and solve the echelon rows (row i starting at
-    column pivots[i]) bottom-up for vec's pivot coordinates, in place; vec
-    holds zeros of the entries' type elsewhere.  Each coordinate is one
-    division, checked to be exact: with value a multiple of the last pivot,
-    the determinant of the pivot block, Cramer's rule makes every coordinate
-    an integer (a polynomial)."""
-    vec[free] = value
-    for row, p in zip(reversed(echelon), reversed(pivots)):
-        # vec[p] is still zero, the sum's start of the entries' type
-        s = sum((x * y for x, y in zip(row[p + 1:], vec[p + 1:])), vec[p])
-        q, rem = divmod(-s, row[p])
+    vec[free] = (-1) ** free * _permutation_sign(order) * a[-1][pivots[-1]]
+    for row, p in zip(reversed(a), reversed(pivots)):
+        q, rem = divmod(-sum(map(mul, row[p + 1:], vec[p + 1:])), row[p])
         if rem:
             raise ArithmeticError("inexact back-substitution")
         vec[p] = q
+    return vec
 
 
 def _permutation_sign(order) -> int:
@@ -294,7 +413,8 @@ def _lower_set(bounds: dict) -> array:
     for vars[i]) and holding every unit weight, in an int64 array (a quarter
     of the memory of a list).  Each digit's range follows from the slack its
     prefix leaves in every bound; every prefix so reached extends by zeros,
-    so no box point is visited in vain."""
+    so no box point is visited in vain.  The walk runs on an explicit
+    stack, its digits pushed highest first so that they pop in order."""
     out = array("q")
     if not bounds:
         out.append(0)
@@ -302,19 +422,18 @@ def _lower_set(bounds: dict) -> array:
     sizes = [bounds[1 << i] + 1 for i in range(max(bounds).bit_length())]
     last = len(sizes) - 1
     masks = list(bounds)
-
-    def walk(level, index, slack):
+    stack = [(0, 0, list(bounds.values()))]
+    while stack:
+        level, index, slack = stack.pop()
         bit = 1 << level
         top = min(s for m, s in zip(masks, slack) if m & bit)
         index *= sizes[level]
         if level == last:
             out.extend(range(index, index + top + 1))
-            return
-        for d in range(top + 1):
-            walk(level + 1, index + d,
-                 [s - d if m & bit else s for m, s in zip(masks, slack)])
-
-    walk(0, 0, list(bounds.values()))
+            continue
+        for d in range(top, -1, -1):
+            stack.append((level + 1, index + d, [
+                s - d if m & bit else s for m, s in zip(masks, slack)]))
     return out
 
 
@@ -680,96 +799,6 @@ def _univar_minors(m: PolyMatrix, var, points, cols) -> list:
             raise ArithmeticError("inexact pivot-chain minor")
         dets[pos // len(nodes)].append(det)
     return [_interpolate_int(d) for d in dets]
-
-
-def _nullspace_univar(m: PolyMatrix):
-    """Evaluation/interpolation nullspace of a univariate matrix (W. S.
-    Brown, J. ACM 18, 1971): [] at corank 0 (full column rank at some probe
-    point), one primitive vector at corank 1, and None at a higher corank or
-    when the interpolated vector fails the exact check, for the symbolic
-    path.
-
-    At corank 1 the vector is the cofactor vector of cols - 1 rows of full
-    rank at a probe point: the first such rows in ascending order of degree
-    (then index), which keeps its degree bound, the max-weight assignment of
-    the columns to those rows, low.  Each node 0..bound runs the rows' chain
-    of constant pivots (_constant_pivots) on their integer values and takes
-    the cofactor vector of the small remainder.  The pivot rows, which no
-    step changes, then give the pivot coordinates by back-substitution
-    without division, the vector scaled by each pivot in turn.  The result
-    is the cofactor vector times a nonzero constant, the same at every node:
-    the pivots and the signs of the row and column orders.  Each coordinate
-    is interpolated on integers (_interpolate_scaled), the vector made
-    primitive (_primitive_vector) and checked exactly against every row.
-    """
-    var = m.vars[0]
-    cleared = _integer_cleared(m)
-    by_degree = sorted(range(m.rows), key=lambda i: (
-        max(e.degree(var) for e in cleared.entries[i]), i))
-    # probe the rank at a few points clear of small-integer coincidences;
-    # the pivot columns of the transpose, its columns in by_degree order,
-    # are the first rows that raise the rank
-    best = []
-    probes = _GridEvaluator(cleared, {var: [101, 137, 211]})
-    for _, _, a in probes.matrices(range(3)):
-        t = [list(col) for col in zip(*(a[i] for i in by_degree))]
-        rank = _int_rank(t)
-        if rank == m.cols:
-            return []
-        if rank > len(best):
-            best = [by_degree[next(j for j, x in enumerate(row) if x)]
-                    for row in t[:rank]]
-    if len(best) < m.cols - 1:
-        return None  # corank >= 2: fall back to the symbolic path
-    sub = PolyMatrix([cleared.entries[i] for i in sorted(best)])
-    # the largest degree bound of the minors, each dropping one column: an
-    # assignment of the columns to the rows
-    bound = _max_assignment([[e.degree(var) for e in col]
-                             for col in zip(*sub.entries)])
-    nodes = list(range((bound or 0) + 1))
-    chain = _constant_pivots(sub)
-    steps = [(i, j, targets, live, sub.entries[i][j].as_constant())
-             for i, j, targets, live in chain.steps]
-    cofactors = []
-    for _, _, a in _GridEvaluator(sub, {var: nodes}).matrices(nodes):
-        for i, j, targets, live, c in steps:
-            pivot = a[i]
-            for r in targets:
-                row = a[r]
-                f = row[j]
-                for k in live:
-                    row[k] = c * row[k] - f * pivot[k]
-        vec = [0] * m.cols
-        rest = _cofactor_vector([[a[r][k] for k in chain.cols]
-                                 for r in chain.rows])
-        for k, x in zip(chain.cols, rest):
-            vec[k] = x
-        # pivot rows in reverse order, each zero in the pivot columns of the
-        # steps before it: after scaling by c, vec[j] = -s zeroes row i's
-        # sum (c*s - c*s) and leaves the later rows' sums zero
-        for i, j, _, _, c in reversed(steps):
-            s = sum(map(mul, a[i], vec))
-            vec = [c * x for x in vec]
-            vec[j] = -s
-        cofactors.append(vec)
-    vec = [_interpolate_scaled(values) for values in zip(*cofactors)]
-    for p in vec:
-        while p and not p[-1]:
-            p.pop()
-    if not any(vec):
-        return None
-    vec = _primitive_vector(vec, m.vars)
-    # exact re-verification against every row of the integer-cleared matrix
-    for row in cleared.entries:
-        acc = [0] * (max(e.degree(var) for e in row)
-                     + max(map(len, vec)))
-        for e, p in zip(row, vec):
-            for (d,), c in e.terms.items():
-                for t, x in enumerate(p, d):
-                    acc[t] += c * x
-        if any(acc):
-            return None
-    return [[RationalFunction.from_poly(_from_dense(p, m.vars)) for p in vec]]
 
 
 def _from_dense(coeffs, vars) -> MultiPoly:

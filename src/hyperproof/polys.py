@@ -468,19 +468,6 @@ class MultiPoly:
             raise ValueError("inexact polynomial division")
         return MultiPoly(self.vars, out)
 
-    def __divmod__(self, other):
-        """(self / other, zero) for other a polynomial, an int or a Fraction
-        that divides self exactly; ArithmeticError otherwise.  With it the
-        fraction-free kernel (linalg._int_rank) divides polynomials as it
-        divides ints."""
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(self.vars, other)
-        self._check(other)
-        try:
-            return self.divexact(other), MultiPoly.zero(self.vars)
-        except ValueError as e:
-            raise ArithmeticError(str(e)) from None
-
     def to_univar(self, var):
         """Dense coefficient list in `var`; entries keep the full tuple."""
         i = self.vars.index(var)

@@ -97,7 +97,7 @@ class AssembledSystem:
         polynomial kernel vector vec of M' gives: entry j times L / c_j, L the
         lcm of the contents."""
         L = factored_lcm(self.contents)
-        return [v.num * factored_quotient(L, c).expand().restrict(
+        return [v * factored_quotient(L, c).expand().restrict(
                     self.matrix_vars) for v, c in zip(vec, self.contents)]
 
 

@@ -803,22 +803,32 @@ def _const_value(node):
     return None
 
 
+# The signs an operator gives its operands: a product's factors' exponent
+# signs, and a sum's addends' signs
+_PRODUCT_SIGNS = {"*": (1, 1), "/": (1, -1)}
+_SUM_SIGNS = {"+": (1, 1), "-": (1, -1), "neg": (-1,)}
+
+
+def _flatten(node, signs) -> list:
+    """The (operand, sign) pairs, left to right, of the AST node split at
+    every operator in signs, each sign the product of those on its path;
+    on an explicit stack, since a recursive closure leaves a reference
+    cycle at every call."""
+    out, stack = [], [(node, 1)]
+    while stack:
+        nd, sgn = stack.pop()
+        flips = signs.get(nd[0])
+        if flips is None:
+            out.append((nd, sgn))
+        else:
+            stack.extend(reversed([(child, sgn * f)
+                                   for child, f in zip(nd[1:], flips)]))
+    return out
+
+
 def _compile_product(node, symbols) -> TermExpression:
     """Flatten a product AST into a TermExpression."""
-    factors = []  # (node, exponent sign)
-
-    def walk(nd, sgn):
-        tag = nd[0]
-        if tag == "*":
-            walk(nd[1], sgn)
-            walk(nd[2], sgn)
-        elif tag == "/":
-            walk(nd[1], sgn)
-            walk(nd[2], -sgn)
-        else:
-            factors.append((nd, sgn))
-
-    walk(node, 1)
+    factors = _flatten(node, _PRODUCT_SIGNS)  # (node, exponent sign)
     facts, binos, riss, pows = [], [], [], []
     rat = RationalFunction.constant(symbols, 1)
 
@@ -915,23 +925,8 @@ def parse_sum(text, symbols=None) -> list:
         # a polynomial/rational expression is one factor, not a sum of terms
         return [_normalize_powers(_compile_product(ast, symbols))]
 
-    addends = []
-
-    def split(nd, sgn):
-        if nd[0] == "+":
-            split(nd[1], sgn)
-            split(nd[2], sgn)
-        elif nd[0] == "-":
-            split(nd[1], sgn)
-            split(nd[2], -sgn)
-        elif nd[0] == "neg":
-            split(nd[1], -sgn)
-        else:
-            addends.append((nd, sgn))
-
-    split(ast, 1)
     out = []
-    for nd, sgn in addends:
+    for nd, sgn in _flatten(ast, _SUM_SIGNS):
         t = _compile_product(nd, symbols)
         if sgn < 0:
             t = t.with_rational(RationalFunction.constant(symbols, -1))

@@ -6,7 +6,7 @@ from math import factorial, gcd, isqrt, lcm, prod
 
 from hyperproof.factored import _primes_from
 from hyperproof.linalg import (
-    PolyMatrix, _GridEvaluator, _cofactor_vector, _int_det, _integer_cleared,
+    PolyMatrix, _GridEvaluator, _cofactor_vector, _integer_cleared,
     _interpolate_int, _max_assignment, _pivot_rows, clear_and_primitive,
 )
 from hyperproof.polys import (
@@ -65,9 +65,10 @@ def det_symbolic(m: PolyMatrix) -> MultiPoly:
 
 
 def nullspace_rational(m: PolyMatrix) -> list:
-    """Right nullspace basis the way solve_nullspace once computed it, in
-    RationalFunction arithmetic: Gaussian elimination with the same pivot
-    rule (first nonzero entry at or below the current row), then, per free
+    """Right nullspace basis, as lists of polynomials, the way
+    solve_nullspace once computed it, in RationalFunction arithmetic:
+    Gaussian elimination with the same pivot rule (first nonzero entry at
+    or below the current row), then, per free
     column, back-substitution from that coordinate set to 1 and the other
     free ones to 0; each vector has its denominators cleared and is made
     primitive with its first nonzero coordinate positive."""
@@ -99,8 +100,7 @@ def nullspace_rational(m: PolyMatrix) -> list:
                     s = s + rows[pr][j] * vec[j]
             vec[pc] = -(s / rows[pr][pc])
         _, polys = clear_denominators(m.vars, vec)
-        basis.append([RationalFunction.from_poly(p)
-                      for p in clear_and_primitive_reference(polys)])
+        basis.append(clear_and_primitive_reference(polys))
     return basis
 
 
@@ -140,7 +140,7 @@ def nullspace_univar_reference(m: PolyMatrix):
             s = s + e * p
         if not s.is_zero():
             return None
-    return [[RationalFunction.from_poly(p) for p in vec]]
+    return [vec]
 
 
 def clear_and_primitive_reference(polys):
@@ -454,7 +454,27 @@ def sylvester_reference(f_coeffs, g_coeffs, vars) -> MultiPoly:
             for i in range(n)]
     rows += [[zero] * i + g_coeffs[::-1] + [zero] * (size - i - n - 1)
              for i in range(m)]
-    return _int_det(rows)
+    return det_bareiss_reference(rows)
+
+
+def det_bareiss_reference(a) -> MultiPoly:
+    """Determinant of a square MultiPoly matrix (eliminated in place) by
+    fraction-free (Bareiss) elimination, each division exact (divexact),
+    the way linalg's elimination kernel once ran on polynomials."""
+    n, sign, prev = len(a), 1, None
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            return a[0][0] - a[0][0]
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            sign = -sign
+        for i in range(c + 1, n):
+            for j in range(c + 1, n):
+                num = a[i][j] * a[c][c] - a[i][c] * a[c][j]
+                a[i][j] = num if prev is None else num.divexact(prev)
+        prev = a[c][c]
+    return a[-1][-1] if sign > 0 else -a[-1][-1]
 
 
 def resultant_reference(q: MultiPoly, r: MultiPoly, k, j) -> MultiPoly:
@@ -659,11 +679,12 @@ def _factorial_reference(a):
     return Fraction(factorial(int(a)))
 
 
-def identity_sides_reference(ident, nv):
+def identity_sides_reference(ident, nv, params=None):
     """(the sum of the summand over its window, the right side) of an
-    identity file without parameters at rec_var = nv, in Fraction
-    arithmetic straight from the file's text, or None where a term is
-    undefined there (a zero denominator, a factorial of a negative number).
+    identity file at rec_var = nv and the parameter values params (a dict;
+    none for an identity without parameters), in Fraction arithmetic
+    straight from the file's text, or None where a term is undefined there
+    (a zero denominator, a factorial of a negative number).
 
     The text is rewritten into a Python expression: postfix ! into a call,
     ^ into **, every integer literal into a Fraction; binomial(a, b) is
@@ -678,7 +699,7 @@ def identity_sides_reference(ident, nv):
 
     def value(text, **point):
         return eval(python(text), {"__builtins__": {}, **names},
-                    {ident.rec_var: Fraction(nv), **point})
+                    {ident.rec_var: Fraction(nv), **(params or {}), **point})
 
     try:
         lo, hi = value(ident.lower), value(ident.upper)

@@ -193,6 +193,16 @@ def test_cmd_verify_valid_and_invalid():
                  "--certificate=-k/(n+2-k)"]) == EXIT_REFUTED
 
 
+@pytest.mark.parametrize("recurrence", ["0", "0,0", "0*n,0"])
+def test_cmd_verify_rejects_a_zero_recurrence(capsys, recurrence):
+    # the zero recurrence with the zero certificate satisfies the
+    # certificate identity for every summand
+    assert main(["verify", str(CORPUS / "binomial-2n.txt"),
+                 f"--recurrence={recurrence}", "--certificate=0"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no nonzero coefficient" in err
+
+
 def test_prove_deterministic_bytes(tmp_path):
     outs = []
     for i in (1, 2):

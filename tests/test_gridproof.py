@@ -28,7 +28,7 @@ from hyperproof.factored import (
 from hyperproof.linalg import (
     PolyMatrix, _DET_WIDTH, _GridEvaluator, _constant_pivots, _grid_digits,
     _grid_values, _int_det, _int_rank, _integer_cleared, _lower_set,
-    solve_nullspace,
+    _probe_values, solve_nullspace,
 )
 from hyperproof.polys import MultiPoly, RationalFunction
 from hyperproof.telescope import Recurrence, assemble, gosper_degree_bound
@@ -199,7 +199,7 @@ def grid_matrices(draw, min_vars=0, min_nodes=1):
     """Small integer polynomial matrices (rows >= cols) over min_vars-3
     variables, with zero, constant and sparse entries, plus min_nodes-4 grid
     values per variable: sorted distinct integers, not only the consecutive
-    ones of _grid_values, as _univar_minors and _nullspace_univar use
+    ones of _grid_values, as _univar_minors and the nullspace nodes use
     them."""
     vars = ("n", "x", "z")[:draw(st.integers(min_vars, 3))]
     cols = draw(st.integers(1, 3))
@@ -1389,12 +1389,14 @@ def test_gosper_columns_independent():
 
 
 def test_gosper_columns_independent_probes_three_distinct_points():
-    # six variables: the three probes give v0 the values 5, 23 and 47, so a
-    # b entry (v0 - 5)(v0 - 23) is nonzero at the third probe only
+    # six variables: a b entry that vanishes at the first two probe points
+    # of the nullspace solver and not at the third
     vars = tuple(f"v{i}" for i in range(6))
     v0 = MultiPoly.variable(vars, "v0")
     one = MultiPoly.constant(vars, 1)
-    entry = (v0 - one.scale(5)) * (v0 - one.scale(23))
+    first, second, third = _probe_values(vars, 0)["v0"]
+    assert third not in (first, second)
+    entry = (v0 - one.scale(first)) * (v0 - one.scale(second))
     assert _gosper_columns_independent(_system(vars, [[one, entry]], 0))
 
 

@@ -2,21 +2,21 @@ import random
 import signal
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import lcm
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from hyperproof import gridproof, linalg
+from hyperproof import gridproof, linalg, telescope
 from hyperproof.cli import load_identity, run_prove
 from hyperproof.gridproof import _support_bounds
-from hyperproof.polys import MultiPoly, RationalFunction
+from hyperproof.polys import MultiPoly
 from hyperproof.linalg import (
     PolyMatrix, _DET_WIDTH, _GridEvaluator, _cofactor_vector,
     _constant_pivots, _from_dense, _int_det, _int_rank, _integer_cleared,
-    _interpolate_int, _max_assignment, _nullspace_univar, _primitive_vector,
+    _interpolate_int, _max_assignment, _primitive_vector, _probe_values,
     _univar_minors, clear_and_primitive, solve_nullspace,
 )
 from hyperproof.terms import parse_rational
@@ -81,7 +81,7 @@ def test_nullspace_proportional_rows():
     basis = solve_nullspace(m)
     assert len(basis) == 1
     v = basis[0]
-    assert [e.num.as_constant() for e in v] == [1, -1]
+    assert [e.as_constant() for e in v] == [1, -1]
 
 
 def test_nullspace_symbolic():
@@ -92,8 +92,7 @@ def test_nullspace_symbolic():
     assert len(basis) == 1
     v = basis[0]
     # normalized to (1, -n)
-    assert v[0] == RationalFunction.constant(vars, 1)
-    assert v[1] == RationalFunction.from_poly(-n)
+    assert v == [MultiPoly.constant(vars, 1), -n]
 
 
 def test_nullspace_full_rank():
@@ -111,19 +110,20 @@ def test_nullspace_product_is_zero():
         m = PolyMatrix(entries)
         for v in solve_nullspace(m):
             for row in m.entries:
-                s = RationalFunction.constant(vars, 0)
-                for e, x in zip(row, v):
-                    s = s + RationalFunction.from_poly(e) * x
-                assert s.is_zero()
+                assert sum((e * x for e, x in zip(row, v)),
+                           MultiPoly.zero(vars)).is_zero()
 
 
 @st.composite
 def nullspace_cases(draw):
-    """Matrices over 1-2 variables, up to 4 x 5, entries of at most 3 terms
+    """Matrices over 1-3 variables, up to 4 x 5, entries of at most 3 terms
     of total degree at most 2 with small integer or Fraction coefficients;
-    at times one row is a polynomial multiple of another, so that a free
-    column can lie between pivot columns."""
-    vars = ("x", "y")[:draw(st.integers(1, 2))]
+    at times one row is a polynomial multiple of another, and up to two
+    columns polynomial combinations of the columns before them, so that
+    coranks 0-2 occur with as many rows as columns, and a free column can
+    lie between pivot columns.  One to three rows under five columns give
+    rows < cols - 1."""
+    vars = ("x", "y", "z")[:draw(st.integers(1, 3))]
     exps = st.sampled_from([e for e in product(range(3), repeat=len(vars))
                             if sum(e) <= 2])
     coefs = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)])
@@ -131,6 +131,12 @@ def nullspace_cases(draw):
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
     entries = [[MultiPoly.from_terms(vars, draw(terms)) for _ in range(cols)]
                for _ in range(rows)]
+    for j in draw(st.lists(st.integers(1, cols - 1), max_size=2)
+                  if cols > 1 else st.just([])):
+        lam = [MultiPoly.from_terms(vars, draw(terms)) for _ in range(j)]
+        for row in entries:
+            row[j] = sum((c * e for c, e in zip(lam, row)),
+                         MultiPoly.zero(vars))
     if rows > 1 and draw(st.booleans()):
         i, j = draw(st.lists(st.integers(0, rows - 1), min_size=2,
                              max_size=2, unique=True))
@@ -139,11 +145,74 @@ def nullspace_cases(draw):
     return PolyMatrix(entries)
 
 
-@settings(deadline=None, max_examples=150)
+def typed_basis(basis):
+    """A nullspace basis coordinate by coordinate, each polynomial as its
+    sorted terms with their coefficient types."""
+    return [[sorted((e, type(c), c) for e, c in p.terms.items()) for p in vec]
+            for vec in basis]
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
 @given(nullspace_cases())
 def test_nullspace_matches_rational_elimination(m):
-    with mock.patch.object(linalg, "_nullspace_univar", lambda m: None):
-        assert solve_nullspace(m) == nullspace_rational(m)
+    assert typed_basis(solve_nullspace(m)) == \
+        typed_basis(nullspace_rational(m))
+
+
+def vanishing_at_probes(vars, var, round=0):
+    """The product of var - v over the values v of var in a probe round."""
+    out = MultiPoly.constant(vars, 1)
+    for value in _probe_values(vars, round)[var]:
+        out = out * (MultiPoly.variable(vars, var)
+                     - MultiPoly.constant(vars, value))
+    return out
+
+
+def test_nullspace_univar_rejects_a_vector_that_fails_a_row():
+    # the last row vanishes at every point of the first round, so that round
+    # reads corank 1 though the matrix has full rank: the cofactor vector of
+    # the other rows fails the last row, and the second round finds no kernel
+    vars = ("x",)
+    x = MultiPoly.variable(vars, "x")
+    vanish = vanishing_at_probes(vars, "x")
+    m = poly_matrix(vars, [[1, x, 0, 2], [0, 1, x, 3], [x, 0, 1, x],
+                           [vanish, vanish * x, vanish, 0]])
+    assert det_symbolic(m)
+    rounds = []
+    real = linalg._probe
+
+    def probe(m, round=0):
+        rounds.append(round)
+        return real(m, round)
+
+    with mock.patch.object(linalg, "_probe", probe):
+        assert solve_nullspace(m) == []
+    assert rounds == [0, 1]
+
+
+def test_nullspace_probes_again_where_the_first_points_miss_a_pivot():
+    # column 0 vanishes at every point of the first round, which reads the
+    # right rank but pivot column 1; the vector of free column 0 then ends
+    # past it, and the second round finds the pivot column 0
+    vars = ("x", "y")
+    one = MultiPoly.constant(vars, 1)
+    m = PolyMatrix([[vanishing_at_probes(vars, "y"), one, one]])
+    assert linalg._probe(m) == ([0], [1])
+    assert solve_nullspace(m) == nullspace_rational(m)
+
+
+def test_nullspace_raises_when_every_probe_reads_too_low(monkeypatch):
+    # a probe that reads rank 0 at every round: each unit vector fails a row
+    rounds = []
+
+    def probe(m, round=0):
+        rounds.append(round)
+        return [], []
+
+    monkeypatch.setattr(linalg, "_probe", probe)
+    with pytest.raises(ArithmeticError, match="rounds of rank probes"):
+        solve_nullspace(poly_matrix((), [[1, 2], [2, 4]]))
+    assert rounds == list(range(linalg._PROBE_ROUNDS))
 
 
 def test_nullspace_three_variables_without_rational_arithmetic():
@@ -162,7 +231,7 @@ def test_nullspace_three_variables_without_rational_arithmetic():
                     for row in text.split(";")])
     basis = solve_nullspace(m)
     assert len(basis) == 1
-    v = [c.num for c in basis[0]]
+    v = basis[0]
     for row in m.entries:
         assert sum((e * p for e, p in zip(row, v)), MultiPoly.zero(vars)).is_zero()
 
@@ -400,26 +469,10 @@ def test_det_at_point_fractions_match_symbolic(rows, x):
 
 
 @st.composite
-def poly_matrices(draw):
-    vars = ("x", "y")[:draw(st.integers(1, 2))]
-    size = draw(st.integers(1, 4))
-    exps = st.tuples(*[st.integers(0, 2)] * len(vars))
-    terms = st.lists(st.tuples(exps, st.integers(-3, 3)), max_size=2)
-    return PolyMatrix([[MultiPoly.from_terms(vars, draw(terms))
-                        for _ in range(size)] for _ in range(size)])
-
-
-@settings(deadline=None, max_examples=150)
-@given(poly_matrices())
-def test_poly_kernel_det_matches_cofactor_expansion(m):
-    assert _int_det([list(row) for row in m.entries]) == det_symbolic(m)
-
-
-@st.composite
 def univariate_systems(draw):
-    """Univariate matrices with 4-5 columns, as solve_nullspace's shortcut
-    takes them: corank 0 (random rows), or corank 1 (one column a polynomial
-    combination of the others, at a random position).  Entries may be
+    """Univariate matrices with 4-5 columns: corank 0 (random rows), or
+    corank 1 (one column a polynomial combination of the others, at a
+    random position).  Entries may be
     nonzero constants other than +-1, so that a chain of constant pivots
     with nontrivial pivots exists; row degrees may fall from the first row
     to the last, so that the rows of lowest degree are not the first ones;
@@ -466,40 +519,14 @@ def univariate_systems(draw):
                        for row, d in zip(rows, [draw(dens) for _ in rows])])
 
 
-def typed_basis(basis):
-    """A nullspace basis coordinate by coordinate: each numerator and
-    denominator as its sorted terms with their coefficient types."""
-    return basis if basis is None else [
-        [[sorted((e, type(c), c) for e, c in p.terms.items())
-          for p in (f.num, f.den)] for f in vec] for vec in basis]
-
-
 @settings(deadline=None, max_examples=150)
 @given(univariate_systems())
 def test_nullspace_univar_matches_elimination(m):
-    with mock.patch.object(linalg, "_nullspace_univar", lambda m: None):
-        expected = solve_nullspace(m)
-    fast = _nullspace_univar(m)
-    if len(expected) <= 1:
-        assert fast == expected
-    else:
-        assert fast is None
-    assert typed_basis(fast) == typed_basis(nullspace_univar_reference(m))
-
-
-def test_nullspace_univar_rejects_a_vector_that_fails_a_row():
-    # the last row vanishes at the three probe points, so the probes read
-    # corank 1 though the matrix has full rank: the cofactor vector of the
-    # other rows fails the last row, and the symbolic path finds no kernel
-    vars = ("x",)
-    x = MultiPoly.variable(vars, "x")
-    vanish = prod((x - MultiPoly.constant(vars, c) for c in (101, 137, 211)),
-                  start=MultiPoly.constant(vars, 1))
-    m = poly_matrix(vars, [[1, x, 0, 2], [0, 1, x, 3], [x, 0, 1, x],
-                           [vanish, vanish * x, vanish, 0]])
-    assert det_symbolic(m)
-    assert _nullspace_univar(m) is None
-    assert solve_nullspace(m) == []
+    basis = typed_basis(solve_nullspace(m))
+    assert basis == typed_basis(nullspace_rational(m))
+    old = nullspace_univar_reference(m)
+    if old is not None:
+        assert basis == typed_basis(old)
 
 
 @st.composite
@@ -553,31 +580,35 @@ SPECIALIZATIONS = [
 ]
 
 
-def test_nullspace_univar_matches_the_reference_on_the_proofs(tmp_path):
-    # every univariate system the shortcut meets while proving the corpus
-    # and the specializations, coordinate for coordinate against the old
-    # path: pivot rows in file order, a full elimination per node
+def test_nullspace_matches_the_references_on_the_proofs(tmp_path):
+    # every system the telescope route solves while proving the corpus and
+    # the specializations, coordinate for coordinate against the old paths:
+    # the univariate one (pivot rows in file order, a full elimination per
+    # node) where it gave a vector, else elimination over the
+    # rational-function field
     systems = []
 
     def record(m):
         systems.append(m)
-        return real(m)
+        return solve_nullspace(m)
 
-    real = linalg._nullspace_univar
     paths = sorted((Path(__file__).resolve().parent.parent / "corpus")
                    .glob("*.txt"))
     for i, text in enumerate(SPECIALIZATIONS):
         paths.append(tmp_path / f"s{i}.txt")
         paths[-1].write_text(text)
-    with mock.patch.object(linalg, "_nullspace_univar", record):
+    with mock.patch.object(telescope, "solve_nullspace", record):
         for path in paths:
             run_prove(load_identity(path), Fraction(1, 10), 0, 4, 1)
     assert {(m.rows, m.cols) for m in systems} >= {(7, 6), (3, 4), (9, 9)}
+    assert {len(m.vars) for m in systems} >= {1, 2, 3}
     chained = 0
     for m in systems:
-        fast = _nullspace_univar(m)
-        assert typed_basis(fast) == typed_basis(nullspace_univar_reference(m))
-        if fast:
+        basis = typed_basis(solve_nullspace(m))
+        old = nullspace_univar_reference(m) if len(m.vars) == 1 else None
+        assert basis == typed_basis(nullspace_rational(m) if old is None
+                                    else old)
+        if basis and len(m.vars) == 1:
             chained += bool(_constant_pivots(_integer_cleared(m)).steps)
     assert chained
 

@@ -453,7 +453,6 @@ def test_divexact_matches_reference(pq):
     prod = p * q
     assert typed(prod.divexact(q)) == typed(ref_divexact(prod, q))
     assert prod.divexact(q) == p
-    assert divmod(prod, q) == (p, MultiPoly.zero(p.vars))
     try:
         expected = typed(ref_divexact(p, q))
     except ValueError:
@@ -471,18 +470,6 @@ def test_divexact_inexact_raises(pq, c):
         return
     with pytest.raises(ValueError):
         (p * q + MultiPoly.constant(p.vars, c)).divexact(q)
-    with pytest.raises(ArithmeticError):
-        divmod(p * q + MultiPoly.constant(p.vars, c), q)
-
-
-@settings(deadline=None, max_examples=200)
-@given(polys(), coefs.filter(bool))
-def test_divmod_by_an_int_or_fraction(p, c):
-    q, r = divmod(p, c)
-    assert typed(q) == typed(ref_divexact(p, MultiPoly.constant(p.vars, c)))
-    assert q.scale(c) == p and r == MultiPoly.zero(p.vars)
-    with pytest.raises(ArithmeticError):
-        divmod(p, 0)
 
 
 @settings(deadline=None, max_examples=200)

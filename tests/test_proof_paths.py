@@ -46,7 +46,7 @@ def test_chu_determinant_path_matches_symbolic():
             for row in m.entries:
                 s = None
                 for e, x in zip(row, vec):
-                    term = x.num * e
+                    term = x * e
                     s = term if s is None else s + term
                 assert s.is_zero()
     # the symbolic route agrees on solvability of the differenced summand

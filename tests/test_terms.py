@@ -1,9 +1,11 @@
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperproof.linalg import _lower_set
 from hyperproof.polys import RationalFunction
 from hyperproof.terms import (
     EvalError, LinearForm, ParseError, _ZeroTerm,
@@ -77,6 +79,20 @@ def test_parse_rational_factor_and_integer_power():
 def test_parse_sum_splits_addends():
     terms = parse_sum("2^n+1", ("n",))
     assert len(terms) == 2
+
+
+def test_parsing_and_lower_sets_leave_no_reference_cycles():
+    # with the collector off, every object these calls drop is freed by its
+    # reference count; a recursive closure would leave a cycle behind
+    gc.collect()
+    gc.disable()
+    try:
+        parse_sum("binomial(n,k)*(2*k+1)/(n-k)! - rf(a,k)^2*2^k + 3", SYMS)
+        parse_term("(-1)^k*binomial(2*n,k)^3/(k+1)!", SYMS)
+        _lower_set({1: 3, 2: 2, 4: 4, 3: 4, 7: 6})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_roundtrip_render_parse():
