@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hyperproof import polys as polys_module
-from hyperproof.factored import Factored, sum_vanishes
+from hyperproof.factored import (
+    Factored, factored_common, factored_free_of, factored_lcm,
+    factored_quotient, sum_vanishes,
+)
 from hyperproof.linalg import clear_and_primitive
 from hyperproof.polys import (
     MultiPoly, RationalFunction, _cleared, _heuristic_gcd, _norm_coef,
@@ -423,6 +426,111 @@ def test_sum_vanishes_matches_fraction_values(values):
         assert not sum_vanishes([a, b, one], [both])
         assert not vanishes_at_points([a, b, one], [both])
 
+
+
+def numerators(n):
+    """Factored products over n variables with positive exponents: the
+    numerators of factored_products."""
+    return factored_products(n).map(lambda f: f.split()[0])
+
+
+def stored_fid(f):
+    """The id of the one stored factor of f."""
+    (kind, table), = [(kind, t) for kind, t in (("aff", f.aff), ("opq", f.opq))
+                      if t]
+    (key,) = table
+    return kind, key
+
+
+def values_agree(lhs, rhs, factors):
+    """Whether the products of the Factored lists lhs and rhs have the same
+    exact value at three random points where no factor of factors
+    vanishes."""
+    for point in _points(factors, random.Random(len(factors))):
+        if prod(factored_value_reference(v, point) for v in lhs) != \
+                prod(factored_value_reference(v, point) for v in rhs):
+            return False
+    return True
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    numerators(n), numerators(n).filter(lambda b: not b.is_zero()))))
+def test_quotient_times_the_divisor_is_the_dividend(case):
+    c, b = case
+    a = c.copy().mul(b)
+    q = factored_quotient(a, b)
+    assert stored(q.copy().mul(b)) == stored(a)
+    assert values_agree([q, b], [a], [a, b, c])
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    numerators(n).filter(lambda f: not f.is_zero()), min_size=1,
+    max_size=4)))
+def test_every_item_divides_the_lcm_exactly(items):
+    # the lcm has constant 1, and each cofactor lcm / item has positive
+    # exponents only: its split leaves no denominator
+    lcm_ = factored_lcm(items)
+    assert lcm_.const == 1
+    for item in items:
+        q = factored_quotient(lcm_, item)
+        assert q.split()[1].expand() == MultiPoly.constant(item.vars, 1)
+        assert values_agree([q, item], [lcm_], items)
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    numerators(n), numerators(n), numerators(n))))
+def test_the_common_part_divides_both_sides(case):
+    # a and b share at least the factors of s, which divides their common
+    # part
+    s, a0, b0 = case
+    a, b = a0.copy().mul(s), b0.copy().mul(s)
+    common = factored_common(a, b)
+    assert common.const == 1
+    for side in (a, b):
+        q = factored_quotient(side, common)
+        assert values_agree([q, common], [side], [a, b])
+    if not s.is_zero():
+        q = factored_quotient(common, s)
+        assert values_agree([q, s], [common], [a, b])
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    quotients(n), st.sampled_from("xyzw"[:n]))))
+def test_free_of_has_no_var_and_divides(case):
+    a, var = case
+    free = factored_free_of(a, var)
+    assert free.const == 1
+    for side in free.split():
+        assert side.expand().degree(var) == 0
+    q = factored_quotient(a, free)
+    assert values_agree([q, free], [a], [a])
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    numerators(n), polys(n, max_terms=3, max_exp=2).filter(
+        lambda p: not p.is_constant()),
+    polys(n, max_terms=3, max_exp=2).filter(bool), st.integers(1, 3))))
+def test_divide_factor_keeps_the_value_with_the_divisor_multiplied_back(case):
+    # a nonconstant divisor p of a stored factor p * s, and every stored
+    # factor with a positive exponent by itself
+    f, p, s, e = case
+    fid = stored_fid(Factored(f.vars).mul_poly(p * s, 1))
+    f.mul_poly(p * s, e)
+    g = f.copy()
+    g.divide_factor(*fid, p)
+    assert values_agree([g.mul_poly(p, 1)], [f], [f])
+    for kind, table in (("aff", f.aff), ("opq", f.opq)):
+        for key, (factor, exp) in table.items():
+            if exp > 0:
+                d = factor.to_poly(f.vars) if kind == "aff" else factor
+                g = f.copy()
+                g.divide_factor(kind, key, d)
+                assert values_agree([g.mul_poly(d, 1)], [f], [f])
 
 @settings(deadline=None, max_examples=300)
 @given(polys(max_terms=4), st.integers(-1, 4))
