@@ -50,20 +50,24 @@ class IdentityFile:
 
     def parsed(self):
         """(summand term, rhs term list, lower form, upper form), parsed on
-        the first call and kept: load_identity's validation is that call."""
+        the first call and kept: load_identity's validation is that call.
+        An error names the field and its text."""
         if self._parsed is None:
-            self._parsed = (parse_term(self.summand, self.symbols),
-                            parse_sum(self.rhs, self.symbols),
+            self._parsed = (self._field("summand", parse_term, self.summand),
+                            self._field("rhs", parse_sum, self.rhs),
                             self._limit(self.lower), self._limit(self.upper))
         return self._parsed
+
+    def _field(self, name, parse, text):
+        try:
+            return parse(text, self.symbols)
+        except TermError as exc:
+            raise ParseError(f"{name} {text!r}: {exc}") from None
 
     def _limit(self, text):
         if text.strip().lower() == "all":
             return None
-        try:
-            form = parse_affine(text, self.symbols)
-        except ParseError as exc:
-            raise ParseError(f"limit {text!r}: {exc}") from None
+        form = self._field("limit", parse_affine, text)
         if form.var_coeff(self.sum_var):
             raise ParseError(f"limit {text!r} depends on {self.sum_var}")
         return form

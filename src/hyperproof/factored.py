@@ -3,12 +3,13 @@
 Shift quotients of hypergeometric terms are products of affine forms (plus
 numerators/denominators of rational factors).  Keeping the factorization
 makes shift-gcd structure (dispersions) cheap to read off, which is what the
-Gosper normal form needs.  Expansion happens only at the end, and only of
-the products that are read: `Factored.expand` multiplies every factor into
-one accumulator keyed by packed exponents (`polys._product`).  Two affine
-factors are compared by their normalized forms, with no polynomial built.
-`sum_vanishes` is the one exact zero test of a sum of factored terms, for
-the small cases of gridproof and for telescope.verify_certificate.
+Gosper normal form needs.  Both kinds share one table, keyed by a factor id
+that names the kind (Factored).  Expansion happens only at the end, and only
+of the products that are read: `Factored.expand` multiplies every factor
+into one accumulator keyed by packed exponents (`polys._product`).  Two
+affine factors are compared by their normalized forms, with no polynomial
+built.  `sum_vanishes` is the one exact zero test of a sum of factored
+terms, for the small cases of gridproof and for telescope.verify_certificate.
 
 Each factor pair keeps its own candidate shifts j, and the normal form tests
 a pair only there, or at every shift when both factors have a nonconstant
@@ -64,15 +65,20 @@ def _normalize_affine(L: LinearForm, order):
 
 
 class Factored:
-    """const * prod(affine_i ^ e_i) * prod(opaque_j ^ e_j)."""
+    """const * prod(factor ^ e) over one table, facs, of entries
+    fid -> [factor, e].  The id says what the factor is: ("aff", key) an
+    affine LinearForm in _normalize_affine's normal form, key its
+    sort_key(), and ("opq", key) an integer-primitive MultiPoly of total
+    degree >= 2, key its key().  Beyond insertion and shift, the kind is
+    read only by the test for a variable (_involves), by _as_poly, which
+    builds a factor as a polynomial, and by the Gosper code's pair tests."""
 
-    __slots__ = ("vars", "const", "aff", "opq")
+    __slots__ = ("vars", "const", "facs")
 
-    def __init__(self, vars, const=1, aff=None, opq=None):
+    def __init__(self, vars, const=1, facs=None):
         self.vars = tuple(vars)
         self.const = _norm_coef(const)
-        self.aff = aff or {}   # key -> [LinearForm, exp]
-        self.opq = opq or {}   # key -> [MultiPoly, exp]
+        self.facs = facs or {}   # fid -> [factor, exp]
 
     @classmethod
     def one(cls, vars):
@@ -80,8 +86,7 @@ class Factored:
 
     def copy(self):
         return Factored(self.vars, self.const,
-                        {k: [f, e] for k, (f, e) in self.aff.items()},
-                        {k: [p, e] for k, (p, e) in self.opq.items()})
+                        {fid: [f, e] for fid, (f, e) in self.facs.items()})
 
     def is_zero(self):
         return self.const == 0
@@ -110,17 +115,15 @@ class Factored:
             return self.mul_const(L.const, e)
         scale, normal = _normalize_affine(L, self.vars)
         self.mul_const(scale, e)
-        return self._mul_stored(self.aff, normal.sort_key(), normal, e)
+        return self._mul_stored(("aff", normal.sort_key()), normal, e)
 
-    def _mul_stored(self, table, key, factor, e):
-        """Multiply by factor^e, factor already in the normal form of table
-        (aff or opq) under key."""
-        if key in table:
-            table[key][1] += e
-            if table[key][1] == 0:
-                del table[key]
-        else:
-            table[key] = [factor, e]
+    def _mul_stored(self, fid, factor, e):
+        """Multiply by factor^e, factor already in the normal form of its
+        id fid."""
+        entry = self.facs.setdefault(fid, [factor, 0])
+        entry[1] += e
+        if entry[1] == 0:
+            del self.facs[fid]
         return self
 
     def mul_poly(self, p: MultiPoly, e: int):
@@ -137,17 +140,15 @@ class Factored:
             return self.mul_affine(LinearForm.from_poly(p), e)
         scale, prim = p.primitive()
         self.mul_const(scale, e)
-        return self._mul_stored(self.opq, prim.key(), prim, e)
+        return self._mul_stored(("opq", prim.key()), prim, e)
 
     def mul(self, other: "Factored", e: int = 1):
         """Multiply by other^e, other over the same vars and nonzero when
         e < 0; its factors are stored normalized, so they are taken as they
         are."""
         self.mul_const(other.const, e)
-        for key, (f, d) in other.aff.items():
-            self._mul_stored(self.aff, key, f, d * e)
-        for key, (p, d) in other.opq.items():
-            self._mul_stored(self.opq, key, p, d * e)
+        for fid, (f, d) in other.facs.items():
+            self._mul_stored(fid, f, d * e)
         return self
 
     def shift(self, var, delta: int) -> "Factored":
@@ -156,11 +157,12 @@ class Factored:
         its coefficients' gcd and its sign, and so its normal form; an
         opaque factor is normalized again."""
         out = Factored(self.vars, self.const)
-        for f, e in self.aff.values():
+        for (kind, _), (f, e) in self.facs.items():
             g = f.shift(var, delta)
-            out._mul_stored(out.aff, g.sort_key(), g, e)
-        for p, e in self.opq.values():
-            out.mul_poly(p.shift(var, delta), e)
+            if kind == "aff":
+                out._mul_stored(("aff", g.sort_key()), g, e)
+            else:
+                out.mul_poly(g, e)
         return out
 
     def split(self):
@@ -168,64 +170,49 @@ class Factored:
         exponents.  Every stored factor is already in normal form (an
         affine one normalizes to itself with scale 1, an opaque one is
         integer-primitive with a positive leading coefficient), so each
-        entry is copied under its key, with no normalization."""
-        num = Factored(self.vars, self.const)
-        den = Factored.one(self.vars)
-        for table, num_table, den_table in ((self.aff, num.aff, den.aff),
-                                            (self.opq, num.opq, den.opq)):
-            for key, (f, e) in table.items():
-                if e > 0:
-                    num_table[key] = [f, e]
-                else:
-                    den_table[key] = [f, -e]
+        entry is copied under its id, with no normalization."""
+        num, den = Factored(self.vars, self.const), Factored(self.vars)
+        for fid, (f, e) in self.facs.items():
+            (num if e > 0 else den).facs[fid] = [f, abs(e)]
         return num, den
 
     # -- inspection -----------------------------------------------------------
 
     def factors(self):
-        """All factors as (poly, exponent, is_affine, form-or-None)."""
-        out = []
-        for f, e in self.aff.values():
-            out.append((f.to_poly(self.vars), e, True, f))
-        for p, e in self.opq.values():
-            out.append((p, e, False, None))
-        return out
+        """Every factor as a polynomial."""
+        return [_as_poly(fid, f, self.vars)
+                for fid, (f, _) in self.facs.items()]
 
     def expand(self) -> MultiPoly:
         """The product as one polynomial, by polys._product: each factor is
         multiplied in once per unit of its exponent, with packed keys that
         are unpacked once, at the end."""
-        factors = [(f.to_poly(self.vars), e) for f, e in self.aff.values()]
-        factors += self.opq.values()
-        if any(e < 0 for _, e in factors):
+        exps = [e for _, e in self.facs.values()]
+        if any(e < 0 for e in exps):
             raise ValueError("cannot expand negative exponents")
-        return _product(self.vars, factors, self.const)
+        return _product(self.vars, zip(self.factors(), exps), self.const)
 
-    def divide_factor(self, kind, key, d_poly: MultiPoly):
-        """Divide one copy of the stored factor (kind, key) by d_poly, which
-        is known to divide it; the cofactor stays in the product."""
-        if kind == "aff":
-            form, e = self.aff[key]
-            quo = form.to_poly(self.vars).divexact(d_poly)  # a constant
-            self.aff[key][1] -= 1
-            if self.aff[key][1] == 0:
-                del self.aff[key]
-            self.mul_const(quo.as_constant())
-        else:
-            p, e = self.opq[key]
-            quo = p.divexact(d_poly)
-            self.opq[key][1] -= 1
-            if self.opq[key][1] == 0:
-                del self.opq[key]
-            self.mul_poly(quo, 1)
+    def divide_factor(self, fid, d_poly: MultiPoly):
+        """Divide one copy of the stored factor fid by d_poly, which is
+        known to divide it; the cofactor stays in the product."""
+        quo = _as_poly(fid, self.facs[fid][0], self.vars).divexact(d_poly)
+        self._mul_stored(fid, None, -1)
+        self.mul_poly(quo, 1)
 
     def __str__(self):
-        parts = [str(self.const)]
-        for f, e in self.aff.values():
-            parts.append(f"({f})^{e}")
-        for p, e in self.opq.values():
-            parts.append(f"({p})^{e}")
-        return " * ".join(parts)
+        return " * ".join([str(self.const)] + [
+            f"({f})^{e}" for f, e in self.facs.values()])
+
+
+def _as_poly(fid, factor, vars) -> MultiPoly:
+    """A stored factor, of id fid, as a polynomial over vars."""
+    return factor.to_poly(vars) if fid[0] == "aff" else factor
+
+
+def _involves(fid, factor, var) -> bool:
+    """Whether a stored factor, of id fid, involves var."""
+    return (factor.var_coeff(var) if fid[0] == "aff"
+            else factor.degree(var)) != 0
 
 
 def from_ratio_parts(vars, const, affine, opaque) -> Factored:
@@ -242,16 +229,9 @@ def factored_lcm(items) -> Factored:
     items = list(items)
     out = Factored.one(items[0].vars)
     for it in items:
-        for key, (f, e) in it.aff.items():
-            if key not in out.aff:
-                out.aff[key] = [f, e]
-            else:
-                out.aff[key][1] = max(out.aff[key][1], e)
-        for key, (p, e) in it.opq.items():
-            if key not in out.opq:
-                out.opq[key] = [p, e]
-            else:
-                out.opq[key][1] = max(out.opq[key][1], e)
+        for fid, (f, e) in it.facs.items():
+            entry = out.facs.setdefault(fid, [f, e])
+            entry[1] = max(entry[1], e)
     return out
 
 
@@ -259,46 +239,25 @@ def factored_common(a: Factored, b: Factored) -> Factored:
     """The factors a and b share, each with the smaller of its two positive
     exponents (constants dropped).  Factors are matched by their normalized
     form only, so this is a common divisor, not necessarily the gcd."""
-    out = Factored.one(a.vars)
-    for key, (f, e) in a.aff.items():
-        if key in b.aff:
-            out.aff[key] = [f, min(e, b.aff[key][1])]
-    for key, (p, e) in a.opq.items():
-        if key in b.opq:
-            out.opq[key] = [p, min(e, b.opq[key][1])]
-    return out
+    return Factored(a.vars, 1, {fid: [f, min(e, b.facs[fid][1])]
+                                for fid, (f, e) in a.facs.items()
+                                if fid in b.facs})
 
 
 def factored_free_of(a: Factored, var) -> Factored:
     """The factors of a that do not involve var (constant dropped)."""
-    out = Factored.one(a.vars)
-    for key, (f, e) in a.aff.items():
-        if f.var_coeff(var) == 0:
-            out.aff[key] = [f, e]
-    for key, (p, e) in a.opq.items():
-        if p.degree(var) == 0:
-            out.opq[key] = [p, e]
-    return out
+    return Factored(a.vars, 1, {fid: [f, e] for fid, (f, e) in a.facs.items()
+                                if not _involves(fid, f, var)})
 
 
 def factored_quotient(a: Factored, b: Factored) -> Factored:
     """a / b where every factor of b occurs in a with at least its exponent."""
-    out = a.copy()
-    out.mul_const(b.const, -1)
-    for key, (f, e) in b.aff.items():
-        cur = out.aff.get(key)
-        if cur is None or cur[1] < e:
+    out = a.copy().mul_const(b.const, -1)
+    for fid, (f, e) in b.facs.items():
+        entry = out.facs.get(fid)
+        if entry is None or entry[1] < e:
             raise ValueError("inexact factored quotient")
-        cur[1] -= e
-        if cur[1] == 0:
-            del out.aff[key]
-    for key, (p, e) in b.opq.items():
-        cur = out.opq.get(key)
-        if cur is None or cur[1] < e:
-            raise ValueError("inexact factored quotient")
-        cur[1] -= e
-        if cur[1] == 0:
-            del out.opq[key]
+        out._mul_stored(fid, f, -e)
     return out
 
 
@@ -318,11 +277,10 @@ def sum_vanishes(plus, minus=()) -> bool:
         return True
     lcm = Factored.one(values[0][1].vars)
     for _, v in values:
-        for table, out in ((v.aff, lcm.aff), (v.opq, lcm.opq)):
-            for key, (f, e) in table.items():
-                if e < 0:
-                    cur = out.setdefault(key, [f, -e])
-                    cur[1] = max(cur[1], -e)
+        for fid, (f, e) in v.facs.items():
+            if e < 0:
+                entry = lcm.facs.setdefault(fid, [f, -e])
+                entry[1] = max(entry[1], -e)
     acc = {}
     for sign, v in values:
         for exp, c in v.copy().mul(lcm).expand().terms.items():
@@ -457,17 +415,17 @@ class _AtPoint:
 
     __slots__ = ("degree", "coeffs", "_roots", "_sums")
 
-    def __init__(self, poly, form, k, point):
+    def __init__(self, fid, factor, k, point):
         self._sums = None
-        if form is not None:
+        if fid[0] == "aff":
             self.degree, self.coeffs = 1, None
-            self._roots = [_rational_quotient(-form.at({**point, k: 0}),
-                                              form.var_coeff(k))]
+            self._roots = [_rational_quotient(-factor.at({**point, k: 0}),
+                                              factor.var_coeff(k))]
             return
-        _, terms = _cleared(poly)
-        i = poly.vars.index(k)
-        at = [1 if v == k else point[v] for v in poly.vars]
-        coeffs = [0] * (poly.degree(k) + 1)
+        _, terms = _cleared(factor)
+        i = factor.vars.index(k)
+        at = [1 if v == k else point[v] for v in factor.vars]
+        coeffs = [0] * (factor.degree(k) + 1)
         for e, c in terms:
             coeffs[e[i]] += c * prod(map(pow, at, e))
         self.coeffs = _primitive_ints(coeffs)
@@ -556,38 +514,32 @@ def _pair_candidates(a: _AtPoint, b: _AtPoint) -> list:
 def _candidates(qside, rside, k) -> list:
     """Candidate shifts j >= 0 of every pair of a factor of qside with one
     of rside, as rows per qside factor: a superset of the j at which the
-    two share a factor that involves k.  Factors are (id, poly, form), all
-    involving k, with poly None for an affine one and form None for an
-    opaque one.  Two affine factors have one candidate in closed form.  For
+    two share a factor that involves k.  Factors are (fid, factor), all
+    involving k.  Two affine factors have one candidate in closed form.  For
     any other pair, every factor is specialized once at one shared point s
     (_shared_point, where every leading coefficient in k is nonzero), and
     the pair's candidates are its shifts there (_pair_candidates): the
     nonnegative integer roots of Res_k(fq(k, s), fr(k+j, s)), never the
     zero polynomial, among which is every generic shift (Man and Wright, ISSAC 1994; Gerhard, Giesbrecht,
     Storjohann and Zima, ISSAC 2003)."""
-    opaque = [p for _, p, L in qside + rside if L is None]
+    opaque = [p for fid, p in qside + rside if fid[0] == "opq"]
     if not opaque:
-        return [[_affine_shift(Lq, Lr, k) for _, _, Lr in rside]
-                for _, _, Lq in qside]
+        return [[_affine_shift(Lq, Lr, k) for _, Lr in rside]
+                for _, Lq in qside]
     point = _shared_point(opaque, k)
-    qs = [_AtPoint(p, L, k, point) for _, p, L in qside]
-    rs = [_AtPoint(p, L, k, point) for _, p, L in rside]
-    return [[_affine_shift(Lq, Lr, k) if Lq is not None and Lr is not None
-             else _pair_candidates(a, b) for (_, _, Lr), b in zip(rside, rs)]
-            for (_, _, Lq), a in zip(qside, qs)]
+    qs = [_AtPoint(fid, p, k, point) for fid, p in qside]
+    rs = [_AtPoint(fid, p, k, point) for fid, p in rside]
+    return [[_affine_shift(gq, gr, k) if fq[0] == fr[0] == "aff"
+             else _pair_candidates(a, b) for (fr, gr), b in zip(rside, rs)]
+            for (fq, gq), a in zip(qside, qs)]
 
 
 def _k_factors(f: Factored, k):
-    """The factors of f that involve k, as ((kind, key), poly, form), affine
-    ones first, each group in storage order.  An affine factor comes as its
-    normalized form with poly None, an opaque one as its poly with form
-    None: affine pairs are compared on their forms, and a caller builds
-    L.to_poly(f.vars) only where a polynomial is needed."""
-    out = [(("aff", key), None, L) for key, (L, e) in f.aff.items()
-           if e > 0 and L.var_coeff(k) != 0]
-    out += [(("opq", key), p, None) for key, (p, e) in f.opq.items()
-            if e > 0 and p.degree(k) > 0]
-    return out
+    """The factors of f that involve k, as (fid, factor), affine ones first,
+    each kind in storage order, so that the normal form tries its pairs in
+    one fixed order."""
+    return sorted(((fid, g) for fid, (g, e) in f.facs.items()
+                   if e > 0 and _involves(fid, g, k)), key=lambda t: t[0][0])
 
 
 def dispersion_set(num: Factored, den: Factored, k) -> dict:
@@ -595,8 +547,8 @@ def dispersion_set(num: Factored, den: Factored, k) -> dict:
     shifts j >= 0 (_candidates, at one point for all of them), among them
     every j at which the two share a factor that involves k."""
     qf, rf = _k_factors(num, k), _k_factors(den, k)
-    return {(fq, fr): js for (fq, _, _), row in zip(qf, _candidates(qf, rf, k))
-            for (fr, _, _), js in zip(rf, row)}
+    return {(fq, fr): js for (fq, _), row in zip(qf, _candidates(qf, rf, k))
+            for (fr, _), js in zip(rf, row)}
 
 
 def gosper_normal(ratio_num: Factored, ratio_den: Factored, k):
@@ -621,21 +573,21 @@ def gosper_normal(ratio_num: Factored, ratio_den: Factored, k):
     pbar = Factored.one(vars)
     cands = dispersion_set(q, r, k)
     content = {fid: fid[0] == "opq" and not _poly_list_gcd(p.to_univar(k)).is_constant()
-               for f in (q, r) for fid, p, _ in _k_factors(f, k)}
+               for f in (q, r) for fid, p in _k_factors(f, k)}
     for j in sorted(set().union(*cands.values())):
         while True:
             rfacts = _k_factors(r, k)
-            pairs = ((fq, pq, Lq, fr, pr, Lr)
-                     for fq, pq, Lq in _k_factors(q, k) for fr, pr, Lr in rfacts
+            pairs = ((fq, gq, fr, gr)
+                     for fq, gq in _k_factors(q, k) for fr, gr in rfacts
                      if j in cands[fq, fr] or content[fq] and content[fr])
-            for fq, pq, Lq, fr, pr, Lr in pairs:
-                if Lq is not None and Lr is not None:
-                    if Lr.shift(k, j) == Lq:  # both stay normalized
-                        g = Lq.to_poly(vars)
+            for fq, gq, fr, gr in pairs:
+                if fq[0] == fr[0] == "aff":
+                    if gr.shift(k, j) == gq:  # both stay normalized
+                        g = gq.to_poly(vars)
                         break
                 else:
-                    g = poly_gcd(pq or Lq.to_poly(vars),
-                                 (pr or Lr.to_poly(vars)).shift(k, j))
+                    g = poly_gcd(_as_poly(fq, gq, vars),
+                                 _as_poly(fr, gr, vars).shift(k, j))
                     if not g.is_constant():
                         break
             else:
@@ -647,17 +599,13 @@ def gosper_normal(ratio_num: Factored, ratio_den: Factored, k):
     return pbar, q, r
 
 
-def _fids(f: Factored):
-    return {("aff", key) for key in f.aff} | {("opq", key) for key in f.opq}
-
-
 def _peel(f: Factored, fid, d_poly, side, cands, content):
     """Divide one copy of factor fid of f by d_poly.  A new factor left by
     the quotient inherits fid's content flag and its candidates on side 0
     (q) or 1 (r) of each pair."""
-    before = _fids(f)
-    f.divide_factor(fid[0], fid[1], d_poly)
-    for new in _fids(f) - before:
+    before = set(f.facs)
+    f.divide_factor(fid, d_poly)
+    for new in f.facs.keys() - before:
         content[new] = content[fid]
         for pair, js in list(cands.items()):
             if pair[side] == fid:

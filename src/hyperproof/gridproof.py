@@ -58,7 +58,9 @@ from .linalg import (
     _grid_values, _int_rank, _integer_cleared, _lower_set, _max_assignment,
     _pivot_rows, _probe, _univar_minors, _weighted_degrees,
 )
-from .polys import MultiPoly, RationalFunction, _as_fraction, poly_gcd
+from .polys import (
+    MultiPoly, RationalFunction, _as_fraction, _poly_list_gcd, poly_gcd,
+)
 from .telescope import (
     Certificate, Recurrence, assemble, solve_order, verify_certificate,
 )
@@ -406,16 +408,15 @@ _LEAD_RANGE = 99     # their values, and that of the rank probe's n, lie in +-th
 
 
 def _free_part(p: MultiPoly, n) -> MultiPoly:
-    """The largest factor of p in n alone: the gcd of its coefficients as a
-    polynomial in the other variables, over (n,)."""
+    """The largest factor of p in n alone, up to a constant: the gcd
+    (polys._poly_list_gcd) of its coefficients as a polynomial in the other
+    variables, over (n,)."""
     i = p.vars.index(n)
     coeffs = {}
     for exp, c in p.terms.items():
         coeffs.setdefault(exp[:i] + exp[i + 1:], []).append(((exp[i],), c))
-    g = MultiPoly.zero((n,))
-    for items in coeffs.values():
-        g = poly_gcd(g, MultiPoly.from_terms((n,), items))
-    return g
+    return _poly_list_gcd([MultiPoly.from_terms((n,), items)
+                           for items in coeffs.values()])
 
 
 def leading_coeff_check(sys, certainty, seed: int, jobs: int = 1):
@@ -474,7 +475,7 @@ def leading_coeff_check(sys, certainty, seed: int, jobs: int = 1):
         raise Inconclusive(f"order {J}: the a_{J} cofactor vanished at every "
                            "parameter point tried")
     # the contents share most of their factors: each is rooted once
-    factors = {f.key(): f for c in sys.contents for f, _, _, _ in c.factors()}
+    factors = {f.key(): f for c in sys.contents for f in c.factors()}
     free = [_free_part(f, n) for f in factors.values()]
     roots = [_nonnegative_root_bound(p, n) for p in [g] + free]
     return max((r for r in roots if r is not None), default=None), used

@@ -588,8 +588,6 @@ def _poly_list_gcd(polys):
         g = p if g is None else poly_gcd(g, p)
         if g.is_constant():
             break
-    if g is None:
-        return None
     return g
 
 

@@ -339,7 +339,7 @@ def _factor_over(p, F):
     certificate's denominator shares with Q, which the lcm of
     factored.sum_vanishes then clears once."""
     out = Factored.one(p.vars)
-    for g, _, _, _ in F.factors():
+    for g in F.factors():
         while not p.is_constant():
             try:
                 p = p.divexact(g)

@@ -884,7 +884,8 @@ def _compile_product(node, symbols) -> TermExpression:
         elif _is_pure_rational(nd):
             add_rational(nd, sgn)
         else:
-            raise ParseError(f"cannot interpret factor {nd!r}")
+            raise ParseError("a sum inside a product must be a rational "
+                             "function of the symbols")
     return TermExpression(symbols, tuple(facts), tuple(binos), tuple(riss),
                           tuple(pows), rat)
 

@@ -180,18 +180,25 @@ def pow_reference(p: MultiPoly, n: int) -> MultiPoly:
     return result
 
 
+def _entries(f):
+    """(is_affine, factor, exponent) of every stored factor of the Factored
+    f, in storage order."""
+    return [(fid[0] == "aff", g, e) for fid, (g, e) in f.facs.items()]
+
+
+def _mul_factor(out, affine, g, e):
+    """out times g^e through mul_affine or mul_poly, which normalize g."""
+    return out.mul_affine(g, e) if affine else out.mul_poly(g, e)
+
+
 def expand_reference(f) -> MultiPoly:
     """A factored.Factored product multiplied out one factor at a time, each
     a pow_reference, the way Factored.expand once did."""
     out = MultiPoly.constant(f.vars, f.const)
-    for L, e in f.aff.values():
+    for affine, g, e in _entries(f):
         if e < 0:
             raise ValueError("cannot expand negative exponents")
-        out = out * pow_reference(L.to_poly(f.vars), e)
-    for p, e in f.opq.values():
-        if e < 0:
-            raise ValueError("cannot expand negative exponents")
-        out = out * pow_reference(p, e)
+        out = out * pow_reference(g.to_poly(f.vars) if affine else g, e)
     return out
 
 
@@ -199,10 +206,8 @@ def factored_mul_reference(f, g):
     """f * g as Factored.mul once computed it: every factor of g through
     mul_affine or mul_poly, which normalize it again."""
     out = f.copy().mul_const(g.const)
-    for L, e in g.aff.values():
-        out.mul_affine(L, e)
-    for p, e in g.opq.values():
-        out.mul_poly(p, e)
+    for affine, h, e in _entries(g):
+        _mul_factor(out, affine, h, e)
     return out
 
 
@@ -211,20 +216,16 @@ def factored_split_reference(f):
     every factor through mul_affine or mul_poly on its side, which
     normalize it again."""
     num, den = type(f)(f.vars, f.const), type(f)(f.vars)
-    for L, e in f.aff.values():
-        (num if e > 0 else den).mul_affine(L, abs(e))
-    for p, e in f.opq.values():
-        (num if e > 0 else den).mul_poly(p, abs(e))
+    for affine, g, e in _entries(f):
+        _mul_factor(num if e > 0 else den, affine, g, abs(e))
     return num, den
 
 
 def factored_value_reference(f, point):
     """The Fraction value of the Factored f at point, factor by factor."""
     value = Fraction(f.const)
-    for L, e in f.aff.values():
-        value *= Fraction(L.at(point)) ** e
-    for p, e in f.opq.values():
-        value *= Fraction(p.eval(point)) ** e
+    for affine, g, e in _entries(f):
+        value *= Fraction(g.at(point) if affine else g.eval(point)) ** e
     return value
 
 
@@ -232,10 +233,8 @@ def factored_shift_reference(f, var, delta):
     """f with var replaced by var + delta as Factored.shift once computed
     it: every shifted factor through mul_affine or mul_poly."""
     out = type(f)(f.vars, f.const)
-    for L, e in f.aff.values():
-        out.mul_affine(L.shift(var, delta), e)
-    for p, e in f.opq.values():
-        out.mul_poly(p.shift(var, delta), e)
+    for affine, g, e in _entries(f):
+        _mul_factor(out, affine, g.shift(var, delta), e)
     return out
 
 

@@ -282,6 +282,14 @@ CERT = "--certificate=-k/(n+1-k)"
                  "division by zero", id="zero-power-summand"),
     pytest.param({"upper": "(n-n)^(-1)"}, None, "division by zero",
                  id="zero-power-limit"),
+    # a sum of powers inside a product: the field, its text and the rule
+    pytest.param({"summand": "binomial(n,k)*(2^k-1)"}, None,
+                 "summand 'binomial(n,k)*(2^k-1)': a sum inside a product "
+                 "must be a rational function of the symbols",
+                 id="sum-factor-summand"),
+    pytest.param({"rhs": "(2^(n+1)-1)/(n+1)"}, None,
+                 "rhs '(2^(n+1)-1)/(n+1)': a sum inside a product",
+                 id="sum-factor-rhs"),
     pytest.param({}, ["--recurrence=-2,1", "--certificate=0^(-1)"],
                  "division by zero", id="zero-power-certificate"),
     pytest.param({}, ["--recurrence=-2,1", "--certificate="],
@@ -309,6 +317,7 @@ def test_malformed_input_gives_a_one_line_error(tmp_path, capsys, fields,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert reason in err
+    assert "('" not in err  # no parser tuple
     if flags is None:
         assert path in err
 

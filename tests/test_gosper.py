@@ -373,6 +373,23 @@ def test_gosper_finds_planted_antidifference(case):
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
+def k_factors_reference(f, k):
+    """(fid, (poly, is_affine, form)) of every factor of f with a positive
+    exponent that involves k: affine ones first, each kind in storage order,
+    an affine factor's poly built from its form and an opaque one's form
+    None."""
+    out = []
+    for kind in ("aff", "opq"):
+        for fid, (g, e) in f.facs.items():
+            if fid[0] != kind or e <= 0:
+                continue
+            affine = kind == "aff"
+            p = g.to_poly(f.vars) if affine else g
+            if p.degree(k) > 0:
+                out.append((fid, (p, affine, g if affine else None)))
+    return out
+
+
 def all_pairs_gosper_normal(num, den, k):
     """Reference normal form: at each dispersion j, peel the first factor
     pair (q side outer, r side inner, each in storage order) whose gcd at
@@ -381,33 +398,25 @@ def all_pairs_gosper_normal(num, den, k):
     pbar = Factored.one(q.vars)
     for j in sorted(set().union(*dispersion_set(num, den, k).values())):
         while True:
-            qf = [("aff", key, L.to_poly(q.vars), L) for key, (L, e) in q.aff.items()
-                  if e > 0 and L.var_coeff(k) != 0]
-            qf += [("opq", key, p, None) for key, (p, e) in q.opq.items()
-                   if e > 0 and p.degree(k) > 0]
-            rf = [("aff", key, L.to_poly(r.vars), L) for key, (L, e) in r.aff.items()
-                  if e > 0 and L.var_coeff(k) != 0]
-            rf += [("opq", key, p, None) for key, (p, e) in r.opq.items()
-                   if e > 0 and p.degree(k) > 0]
             hit = None
-            for kq, keyq, pq, Lq in qf:
-                for kr, keyr, pr, Lr in rf:
-                    if kq == "aff" and kr == "aff":
+            for fq, (pq, _, Lq) in k_factors_reference(q, k):
+                for fr, (pr, _, Lr) in k_factors_reference(r, k):
+                    if Lq is not None and Lr is not None:
                         if _normalize_affine(Lr.shift(k, j), q.vars)[1] == Lq:
-                            hit = pq, kq, keyq, kr, keyr
+                            hit = pq, fq, fr
                     else:
                         g = factored.poly_gcd(pq, pr.shift(k, j))
                         if not g.is_constant():
-                            hit = g, kq, keyq, kr, keyr
+                            hit = g, fq, fr
                     if hit:
                         break
                 if hit:
                     break
             if hit is None:
                 break
-            g, kq, keyq, kr, keyr = hit
-            q.divide_factor(kq, keyq, g)
-            r.divide_factor(kr, keyr, g.shift(k, -j))
+            g, fq, fr = hit
+            q.divide_factor(fq, g)
+            r.divide_factor(fr, g.shift(k, -j))
             for t in range(1, j + 1):
                 pbar.mul_poly(g.shift(k, -t), 1)
     return pbar, q, r
@@ -512,9 +521,14 @@ def _pair_candidates_alone(fq, fr, k):
     """The candidates _candidates gives the one pair fq, fr, each as
     (poly, is_affine, form), at the pair's own shared point; an affine
     factor's poly is not read."""
-    qside, rside = ([(None, None if affine else poly, form if affine else None)]
-                    for poly, affine, form in (fq, fr))
-    return _candidates(qside, rside, k)[0][0]
+    return _candidates([_stored(fq)], [_stored(fr)], k)[0][0]
+
+
+def _stored(f):
+    """The factor f = (poly, is_affine, form) as a _k_factors entry
+    (fid, factor), the key of its id left out."""
+    poly, affine, form = f
+    return (("aff", None), form) if affine else (("opq", None), poly)
 
 
 def _reference_candidates(fq, fr, k):
@@ -539,8 +553,10 @@ def proof_opaque_pairs(ident, monkeypatch):
     monkeypatch.undo()
 
     def side(f, k):
-        return [(p or L.to_poly(f.vars), L is not None, L)
-                for _, p, L in _k_factors(f, k)]
+        # _k_factors lists the factors in the reference's order
+        assert [fid for fid, _ in _k_factors(f, k)] == \
+            [fid for fid, _ in k_factors_reference(f, k)]
+        return [factor for _, factor in k_factors_reference(f, k)]
 
     return [(num, den, k, [(fq, fr) for fq in side(num, k)
                            for fr in side(den, k) if not (fq[1] and fr[1])])
@@ -560,12 +576,9 @@ def test_point_candidates_contain_the_generic_ones(ident, monkeypatch):
 
 def _generic_dispersion_set(num, den, k):
     """dispersion_set with every pair's generic candidates."""
-    def side(f):
-        return [(fid, (p or L.to_poly(f.vars), L is not None, L))
-                for fid, p, L in _k_factors(f, k)]
-
     return {(fq, fr): _reference_candidates(a, b, k)
-            for fq, a in side(num) for fr, b in side(den)}
+            for fq, a in k_factors_reference(num, k)
+            for fr, b in k_factors_reference(den, k)}
 
 
 @pytest.mark.parametrize("ident", PROVED, ids=lambda i: i.name)
@@ -581,9 +594,7 @@ def test_shared_point_gives_the_generic_normal_form(ident, monkeypatch):
 
 def _at_point(f, k, point):
     """The factor f = (poly, is_affine, form) specialized at point."""
-    poly, affine, form = f
-    return _AtPoint(None, form, k, point) if affine else \
-        _AtPoint(poly, None, k, point)
+    return _AtPoint(*_stored(f), k, point)
 
 
 def assert_candidates_are_the_resultant_roots(fq, fr, k, point):
@@ -620,8 +631,8 @@ def test_resultant_matches_the_reference_on_the_corpus(ident, monkeypatch):
     for num, den, k, pairs in proof_opaque_pairs(ident, monkeypatch):
         if not pairs:
             continue
-        point = _shared_point([p for f in (num, den)
-                               for _, p, L in _k_factors(f, k) if L is None], k)
+        point = _shared_point([p for f in (num, den) for _, (p, affine, _)
+                               in k_factors_reference(f, k) if not affine], k)
         for fq, fr in pairs:
             assert_candidates_are_the_resultant_roots(fq, fr, k, point)
 

@@ -922,7 +922,7 @@ def test_leading_coeff_check_reads_parameter_free_contents():
     sys = _system(vars, rows, 1, contents)
     assert leading_coeff_check(sys, Fraction(1), 0)[0] == 5
     contents[2] = Factored.one(vars).mul_poly((n - one.scale(6)) * (n + x), 1)
-    assert contents[2].factors()[0][0].total_degree() == 2
+    assert contents[2].factors()[0].total_degree() == 2
     sys = _system(vars, rows, 1, contents)
     assert leading_coeff_check(sys, Fraction(1), 0)[0] == 6
 
@@ -1212,7 +1212,7 @@ def _rational(v):
     """A Factored value as a RationalFunction, by RationalFunction
     arithmetic."""
     r = RationalFunction.constant(v.vars, v.const)
-    for p, e, _, _ in v.factors():
+    for p, (_, e) in zip(v.factors(), v.facs.values()):
         q = RationalFunction.from_poly(p)
         for _ in range(abs(e)):
             r = r * q if e > 0 else r / q

@@ -328,9 +328,8 @@ def test_expand_matches_the_factor_by_factor_product(f):
 
 
 def stored(f):
-    """The constant and the factor tables of a Factored, keys included."""
-    return (f.const, {key: (L, e) for key, (L, e) in f.aff.items()},
-            {key: (p, e) for key, (p, e) in f.opq.items()})
+    """The constant and the factor table of a Factored, ids included."""
+    return f.const, {fid: (g, e) for fid, (g, e) in f.facs.items()}
 
 
 @settings(deadline=None, max_examples=300)
@@ -347,9 +346,9 @@ def test_mul_and_shift_take_the_stored_factors_as_normalized(case):
 
 
 def in_order(f):
-    """The constant and the factor tables of a Factored, in storage order."""
-    return (f.const, [(key, L, e) for key, (L, e) in f.aff.items()],
-            [(key, typed(p), e) for key, (p, e) in f.opq.items()])
+    """The constant and the factor table of a Factored, in storage order."""
+    return f.const, [(fid, g if fid[0] == "aff" else typed(g), e)
+                     for fid, (g, e) in f.facs.items()]
 
 
 def quotients(n):
@@ -372,9 +371,8 @@ def test_split_copies_the_stored_normal_forms(f):
     # the sides are copies: growing one leaves f as it was
     before = in_order(f)
     for side in got:
-        for table in (side.aff, side.opq):
-            for entry in table.values():
-                entry[1] += 1
+        for entry in side.facs.values():
+            entry[1] += 1
     assert in_order(f) == before
 
 
@@ -384,8 +382,7 @@ def _points(values, rng, count=3):
     points = []
     while len(points) < count:
         point = {v: rng.randint(-10 ** 4, 10 ** 4) for v in values[0].vars}
-        if all(L.at(point) for v in values for L, _ in v.aff.values()) and \
-                all(p.eval(point) for v in values for p, _ in v.opq.values()):
+        if all(p.eval(point) for v in values for p in v.factors()):
             points.append(point)
     return points
 
@@ -432,14 +429,6 @@ def numerators(n):
     """Factored products over n variables with positive exponents: the
     numerators of factored_products."""
     return factored_products(n).map(lambda f: f.split()[0])
-
-
-def stored_fid(f):
-    """The id of the one stored factor of f."""
-    (kind, table), = [(kind, t) for kind, t in (("aff", f.aff), ("opq", f.opq))
-                      if t]
-    (key,) = table
-    return kind, key
 
 
 def values_agree(lhs, rhs, factors):
@@ -519,18 +508,17 @@ def test_divide_factor_keeps_the_value_with_the_divisor_multiplied_back(case):
     # a nonconstant divisor p of a stored factor p * s, and every stored
     # factor with a positive exponent by itself
     f, p, s, e = case
-    fid = stored_fid(Factored(f.vars).mul_poly(p * s, 1))
+    (fid,) = Factored(f.vars).mul_poly(p * s, 1).facs
     f.mul_poly(p * s, e)
     g = f.copy()
-    g.divide_factor(*fid, p)
+    g.divide_factor(fid, p)
     assert values_agree([g.mul_poly(p, 1)], [f], [f])
-    for kind, table in (("aff", f.aff), ("opq", f.opq)):
-        for key, (factor, exp) in table.items():
-            if exp > 0:
-                d = factor.to_poly(f.vars) if kind == "aff" else factor
-                g = f.copy()
-                g.divide_factor(kind, key, d)
-                assert values_agree([g.mul_poly(d, 1)], [f], [f])
+    for (fid, (_, exp)), d in zip(f.facs.items(), f.factors()):
+        if exp > 0:
+            g = f.copy()
+            g.divide_factor(fid, d)
+            assert values_agree([g.mul_poly(d, 1)], [f], [f])
+
 
 @settings(deadline=None, max_examples=300)
 @given(polys(max_terms=4), st.integers(-1, 4))

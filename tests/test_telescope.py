@@ -353,8 +353,9 @@ def test_a_denominator_without_factors_is_split_by_exact_division():
     p = ((k + one) ** 2 * (n + one) * (n * n + one)).scale(Fraction(3, 2))
     split = telescope._factor_over(p, over)
     assert split.expand() == p
-    assert sorted(e for _, e in split.aff.values()) == [2]
-    assert [q for q, _ in split.opq.values()] == [(n + one) * (n * n + one)]
+    assert [(fid[0], e) for fid, (_, e) in split.facs.items()] == \
+        [("aff", 2), ("opq", 1)]
+    assert split.factors()[1] == (n + one) * (n * n + one)
     # the reduced dixon certificate's denominator k - n - 1 is a factor of
     # Q, and the unreduced mrr certificate's, stripped of its factors, splits
     # into factors of Q alone: the lcm of the identity's denominators clears
@@ -364,8 +365,9 @@ def test_a_denominator_without_factors_is_split_by_exact_division():
         Q = _shift_ratios(f, rec.order, "k", "n")[1]
         split = telescope._factor_over(cert.ratio.den, Q)
         assert split.expand() == cert.ratio.den
-        assert not split.opq and set(split.aff) <= set(Q.aff), name
-    assert len(split.aff) == len(Q.aff)
+        assert all(fid[0] == "aff" for fid in split.facs), name
+        assert set(split.facs) <= set(Q.facs), name
+    assert len(split.facs) == sum(fid[0] == "aff" for fid in Q.facs)
 
 
 def _corpus_certificates(monkeypatch):
@@ -503,7 +505,7 @@ def test_assemble_leaves_its_shift_ratios_as_built():
     # keeps for verify_certificate are those of a fresh _shift_ratios, also
     # at the order-0 systems, where pbar is not 1
     def tables(v):
-        return v.const, v.aff, v.opq
+        return v.const, v.facs
 
     nontrivial = 0
     for name in ("central-binomial", "dixon-cubes", "mrr"):
@@ -517,5 +519,5 @@ def test_assemble_leaves_its_shift_ratios_as_built():
             assert [tables(u) for u in us] == [tables(u) for u in fresh_us]
             assert tables(Q) == tables(fresh_Q)
             assert [tables(v) for v in rho] == [tables(v) for v in fresh_rho]
-            nontrivial += bool(sys.pbar.aff or sys.pbar.opq)
+            nontrivial += bool(sys.pbar.facs)
     assert nontrivial >= 2
