@@ -15,7 +15,8 @@ from .gridproof import (
     leading_coeff_check, normalize_and_delta, prove,
 )
 from .linalg import PolyMatrix, solve_nullspace
-from .polys import MultiPoly, RationalFunction, poly_gcd
+from .factored import Factored
+from .polys import MultiPoly, poly_gcd
 from .telescope import (
     Certificate, Recurrence, assemble, solve_order, verify_certificate,
 )
@@ -25,8 +26,8 @@ from .terms import (
 )
 
 __all__ = [
-    "Certificate", "LinearForm", "MultiPoly", "NormalizedIdentity",
-    "PolyMatrix", "ProofReport", "RationalFunction", "Recurrence",
+    "Certificate", "Factored", "LinearForm", "MultiPoly",
+    "NormalizedIdentity", "PolyMatrix", "ProofReport", "Recurrence",
     "TermExpression", "assemble", "initial_conditions_check",
     "leading_coeff_check", "natural_support", "normalize_and_delta",
     "parse_affine", "parse_rational", "parse_sum", "parse_term", "poly_gcd",

@@ -270,14 +270,16 @@ def cmd_verify(args) -> int:
         coeff_vars = tuple(s for s in ident.symbols if s != ident.sum_var)
         coeffs = []
         for part in args.recurrence.split(","):
-            r = parse_rational(part, coeff_vars)
-            if not r.den.is_constant():
+            num, den = parse_rational(part, coeff_vars).split()
+            try:
+                coeffs.append(num.expand().divexact(den.expand()))
+            except ValueError:
                 raise IdentityFileError(
                     f"recurrence coefficient {part!r} is not a polynomial")
-            coeffs.append(r.num)  # a constant denominator is 1
         if not any(coeffs):  # the zero operator annihilates every sum
             raise IdentityFileError("the recurrence has no nonzero coefficient")
-        cert = Certificate(parse_rational(args.certificate, ident.symbols))
+        num, den = parse_rational(args.certificate, ident.symbols).split()
+        cert = Certificate(num.expand(), den)
     except (IdentityFileError, TermError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

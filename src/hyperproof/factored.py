@@ -1,15 +1,19 @@
-"""Products of affine and opaque polynomial factors, kept unexpanded.
+"""Products of affine and opaque polynomial factors, kept unexpanded: the
+program's one rational-function type.
 
 Shift quotients of hypergeometric terms are products of affine forms (plus
 numerators/denominators of rational factors).  Keeping the factorization
 makes shift-gcd structure (dispersions) cheap to read off, which is what the
 Gosper normal form needs.  Both kinds share one table, keyed by a factor id
-that names the kind (Factored).  Expansion happens only at the end, and only
+that names the kind (Factored).  A product or quotient cancels factors by
+their ids, never by a gcd.  Expansion happens only at the end, and only
 of the products that are read: `Factored.expand` multiplies every factor
 into one accumulator keyed by packed exponents (`polys._product`).  Two
 affine factors are compared by their normalized forms, with no polynomial
-built.  `sum_vanishes` is the one exact zero test of a sum of factored
-terms, for the small cases of gridproof and for telescope.verify_certificate.
+built.  `factored_sum` adds values over the lcm of their denominators, with
+no gcd: the parser's sums, rho_n - 1 of the WZ normalization, and
+`sum_vanishes`, the one exact zero test of a sum of factored terms, for the
+small cases of gridproof and for telescope.verify_certificate.
 
 Each factor pair keeps its own candidate shifts j, and the normal form tests
 a pair only there, or at every shift when both factors have a nonconstant
@@ -38,11 +42,10 @@ from itertools import product
 from math import comb, gcd as _igcd, lcm, prod
 
 from .polys import (
-    MultiPoly, _cleared, _dense_gcd, _dense_quotient, _norm_coef, _parts,
-    _poly_list_gcd, _primitive_ints, _product, _ratio, _rational_quotient,
-    poly_gcd,
+    LinearForm, MultiPoly, _cleared, _dense_gcd, _dense_quotient, _norm_coef,
+    _parts, _poly_list_gcd, _primitive_ints, _product, _ratio,
+    _rational_quotient, poly_gcd,
 )
-from .terms import LinearForm
 
 
 def _normalize_affine(L: LinearForm, order):
@@ -71,7 +74,8 @@ class Factored:
     sort_key(), and ("opq", key) an integer-primitive MultiPoly of total
     degree >= 2, key its key().  Beyond insertion and shift, the kind is
     read only by the test for a variable (_involves), by _as_poly, which
-    builds a factor as a polynomial, and by the Gosper code's pair tests."""
+    builds a factor as a polynomial, by the Gosper code's pair tests, and by
+    factored_split_over, which splits opaque factors only."""
 
     __slots__ = ("vars", "const", "facs")
 
@@ -90,6 +94,23 @@ class Factored:
 
     def is_zero(self):
         return self.const == 0
+
+    def is_constant(self):
+        return self.const == 0 or not self.facs
+
+    def _value_key(self):
+        # the constant and each factor id's exponent; 0 for every zero
+        return 0 if self.const == 0 else (self.const, self.vars, frozenset(
+            (fid, e) for fid, (_, e) in self.facs.items()))
+
+    def __eq__(self, other):
+        """Equal values with equal factor tables; every zero is equal."""
+        if not isinstance(other, Factored):
+            return NotImplemented
+        return self._value_key() == other._value_key()
+
+    def __hash__(self):  # a TermExpression hashes the factor it never mutates
+        return hash(self._value_key())
 
     # -- building ----------------------------------------------------------
 
@@ -127,6 +148,8 @@ class Factored:
         return self
 
     def mul_poly(self, p: MultiPoly, e: int):
+        """Multiply by p^e.  A monomial is stored as its constant and one
+        affine factor per variable, so that no value has two tables."""
         if e == 0:
             return self
         if p.is_zero():
@@ -134,8 +157,13 @@ class Factored:
                 self.const = 0
                 return self
             raise ZeroDivisionError("division by zero factor")
-        if p.is_constant():
-            return self.mul_const(p.as_constant(), e)
+        if len(p.terms) == 1:
+            (exp, c), = p.terms.items()
+            self.mul_const(c, e)
+            for v, d in zip(self.vars, exp):
+                if d:
+                    self.mul_affine(LinearForm.symbol(v), d * e)
+            return self
         if p.total_degree() == 1:
             return self.mul_affine(LinearForm.from_poly(p), e)
         scale, prim = p.primitive()
@@ -200,7 +228,9 @@ class Factored:
         self.mul_poly(quo, 1)
 
     def __str__(self):
-        return " * ".join([str(self.const)] + [
+        """The constant, then each factor with its exponent, in a form that
+        terms.parse_rational reads back to an equal Factored."""
+        return " * ".join([f"({self.const})"] + [
             f"({f})^{e}" for f, e in self.facs.values()])
 
 
@@ -261,21 +291,40 @@ def factored_quotient(a: Factored, b: Factored) -> Factored:
     return out
 
 
-def sum_vanishes(plus, minus=()) -> bool:
-    """Whether the Factored values of plus, over the same variables with
-    exponents of either sign, sum to those of minus: each times L, the lcm
-    of their denominators, is expanded once (Factored.expand), and the two
-    sides' sums of these polynomials are compared; no gcd.  L holds each
-    stored factor with the largest of its negative exponents, read off the
-    values' tables as factored_lcm of their Factored.split denominators
-    would.  L is nonzero, so the sum is zero exactly when these polynomials
-    sum to zero.  A zero value is dropped first, with the denominator it
-    may still carry."""
+def factored_split_over(a: Factored, b: Factored) -> Factored:
+    """a with each opaque factor that b does not hold split over b: every
+    factor of b, as often as it divides it exactly, and the cofactor left
+    as one opaque factor.  Over a certificate's shift ratio Q this finds
+    what the certificate's denominator shares with Q, which the lcm of
+    sum_vanishes then clears once."""
+    out = Factored(a.vars, a.const)
+    over = b.factors()
+    for fid, (p, e) in a.facs.items():
+        if fid[0] == "aff" or fid in b.facs:
+            out._mul_stored(fid, p, e)
+            continue
+        for g in over:
+            while not p.is_constant():
+                try:
+                    p = p.divexact(g)
+                except ValueError:
+                    break
+                out.mul_poly(g, e)
+        out.mul_poly(p, e)
+    return out
+
+
+def factored_sum(plus, minus=()) -> Factored:
+    """The Factored values of plus minus those of minus, at least one value
+    over the same variables, summed as P / L with no gcd: L, the lcm of
+    their denominators, holds each stored factor with the largest of its
+    negative exponents, and P, one factor, is the sum of each value times
+    L, expanded once (Factored.expand).  A zero value is dropped first,
+    with the denominator it may still carry."""
+    vars = next(iter((*plus, *minus))).vars
     values = [(sign, v) for sign, side in ((1, plus), (-1, minus))
               for v in side if not v.is_zero()]
-    if not values:
-        return True
-    lcm = Factored.one(values[0][1].vars)
+    lcm = Factored.one(vars)
     for _, v in values:
         for fid, (f, e) in v.facs.items():
             if e < 0:
@@ -285,7 +334,16 @@ def sum_vanishes(plus, minus=()) -> bool:
     for sign, v in values:
         for exp, c in v.copy().mul(lcm).expand().terms.items():
             acc[exp] = acc.get(exp, 0) + sign * c
-    return not any(acc.values())
+    total = MultiPoly(vars, {e: _norm_coef(c) for e, c in acc.items() if c})
+    if total.is_zero():
+        return Factored(vars, 0)
+    return Factored.one(vars).mul_poly(total, 1).mul(lcm, -1)
+
+
+def sum_vanishes(plus, minus=()) -> bool:
+    """Whether the Factored values of plus sum to those of minus: whether
+    P of their factored_sum is zero, L being nonzero."""
+    return not (plus or minus) or factored_sum(plus, minus).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -51,18 +51,18 @@ from fractions import Fraction
 from math import ceil
 
 from .factored import (
-    Factored, from_ratio_parts, integer_roots_univar, sum_vanishes,
+    Factored, factored_sum, from_ratio_parts, integer_roots_univar,
+    sum_vanishes,
 )
 from .linalg import (
     PolyMatrix, _GridEvaluator, _constant_pivots, _grid_digits,
     _grid_values, _int_rank, _integer_cleared, _lower_set, _max_assignment,
     _pivot_rows, _probe, _univar_minors, _weighted_degrees,
 )
-from .polys import (
-    MultiPoly, RationalFunction, _as_fraction, _poly_list_gcd, poly_gcd,
-)
+from .polys import MultiPoly, _as_fraction, _poly_list_gcd, poly_gcd
 from .telescope import (
-    Certificate, Recurrence, assemble, solve_order, verify_certificate,
+    Certificate, Recurrence, assemble, printed_certificate, solve_order,
+    verify_certificate,
 )
 from .terms import (
     LinearForm, TermError, TermExpression, natural_support, shift_quotient,
@@ -85,7 +85,8 @@ class NormalizedIdentity:
     rhs_is_zero false: the claim is sum_k fhat(n,k) = 1 and ftil is the
     differenced summand fhat(n+1,k) - fhat(n,k) written as fhat * (ratio - 1).
     rhs_is_zero true: the claim is sum_k fhat(n,k) = 0 and fhat is the raw
-    summand, used directly.
+    summand, used directly.  n_ratio is fhat's shift quotient in n, a
+    product (1 for a zero right side).
     """
     fhat: TermExpression
     ftil: TermExpression
@@ -95,7 +96,7 @@ class NormalizedIdentity:
     lower: LinearForm
     upper: LinearForm
     rhs_is_zero: bool
-    n_ratio: RationalFunction
+    n_ratio: Factored
 
     @property
     def delta_term(self):
@@ -137,20 +138,22 @@ def normalize_and_delta(F: TermExpression, rhs_terms, params, k, n,
     rhs_terms is a list of TermExpressions; zero terms are dropped first, so
     [] and [0] both mean a zero right side.  A right side that depends on k
     is an error: dividing by it would prove another statement.  A right
-    side of several nonzero terms cannot be normalized.
+    side of several nonzero terms cannot be normalized.  The quotients are
+    products, and rho_n - 1 is one factored_sum: no gcd runs.
     """
     rhs_terms = [t for t in rhs_terms if not t.is_zero()]
+    one = Factored.one(F.symbols)
     for t in rhs_terms:
         try:
             ratio = shift_quotient(t, k)
         except TermError:
             ratio = None
-        if ratio != RationalFunction.constant(t.symbols, 1):
+        if ratio != one:
             raise GridProofError(
                 f"right side depends on the summation variable {k}")
     if not rhs_terms:
         return NormalizedIdentity(F, F, tuple(params), k, n, lower, upper,
-                                  True, RationalFunction.constant(F.symbols, 1))
+                                  True, one)
     if len(rhs_terms) > 1:
         raise NotNormalizable("right side is a sum of several terms")
     rhs = rhs_terms[0]
@@ -160,9 +163,7 @@ def normalize_and_delta(F: TermExpression, rhs_terms, params, k, n,
         raise NotNormalizable(f"right side is not hypergeometric in {n}: {exc}")
     fhat = F.divided_by(rhs)
     rho_n = shift_quotient(fhat, n)
-    one = RationalFunction.constant(F.symbols, 1)
-    w = rho_n - one
-    ftil = fhat.with_rational(w)
+    ftil = fhat.with_rational(factored_sum([rho_n], [one]))
     return NormalizedIdentity(fhat, ftil, tuple(params), k, n, lower, upper,
                               False, rho_n)
 
@@ -582,8 +583,8 @@ def initial_conditions_check(nid: NormalizedIdentity, J: int,
     identity the n = 0 entry also requires the undifferenced sum to equal 1;
     a zero right side requires the raw sums to vanish.  Each check is one
     factored.sum_vanishes over the factored window terms of _small_cases, so
-    no polynomial gcd and no RationalFunction arithmetic runs.  Returns
-    [(label, n, passed), ...]; any False entry refutes the identity.
+    no polynomial gcd runs.  Returns [(label, n, passed), ...]; any False
+    entry refutes the identity.
     """
     upto = J - 1
     if n0 is not None:
@@ -713,20 +714,23 @@ def _telescoper_report(nid: NormalizedIdentity, sys, certainty, seed):
     """The rigorous report from the solution of sys, the order-J system of
     the delta term g, or None when it has none or an order-0 certificate
     fails.  Order J >= 1 is published as telescope and certifies g.  Order
-    0 is Gosper/WZ: its recurrence is [1], so its certificate R, reduced,
-    certifies g, which is fhat when the right side is zero; else
-    R * (n_ratio - 1) certifies fhat with the recurrence [-1, 1].  A
-    telescope of the system's own order is verified on the shift ratios
-    assemble built for it; a shorter one, and fhat at order 1, get their
-    own."""
+    0 is Gosper/WZ: its recurrence is [1], so its certificate R certifies
+    g, which is fhat when the right side is zero; else R * (n_ratio - 1)
+    certifies fhat with the recurrence [-1, 1].  The certificate is
+    verified and published as printed_certificate gives it.  A telescope
+    of the system's own order is verified on the shift ratios assemble
+    built for it; a shorter one, and fhat at order 1, get their own."""
     out = solve_order(sys)
     if out is None:
         return None
     (rec, cert), term, wz = out, nid.delta_term, sys.ansatz.order == 0
     if wz and not nid.rhs_is_zero:
         rec = Recurrence(1, (-rec.coefficients[0], rec.coefficients[0]))
-        one = RationalFunction.constant(term.symbols, 1)
-        term, cert = nid.fhat, Certificate(cert.ratio * (nid.n_ratio - one))
+        w_num, w_den = factored_sum(
+            [nid.n_ratio], [Factored.one(term.symbols)]).split()
+        term, cert = nid.fhat, Certificate(
+            cert.num * w_num.expand(), cert.den.copy().mul(w_den))
+    cert = printed_certificate(cert, sys.ansatz.order)
     shared = not wz and rec.order == sys.ansatz.order
     if not verify_certificate(term, rec, cert, k=nid.k, n=nid.n,
                               ratios=sys.ratios if shared else None):
@@ -739,7 +743,7 @@ def _telescoper_report(nid: NormalizedIdentity, sys, certainty, seed):
         method="gosper-wz" if wz else "telescope", order=rec.order,
         degree=None if wz else sys.ansatz.degree, leading_root_bound=n0,
         recurrence=[str(c) for c in rec.coefficients],
-        certificate=str(cert.ratio))
+        certificate=str(cert))
     return _finish(report, nid, 1 if wz else rec.order, n0)
 
 
@@ -786,7 +790,7 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
     except NotNormalizable:
         nid = NormalizedIdentity(summand, summand, tuple(params), k, n,
                                  lower, upper, True,
-                                 RationalFunction.constant(summand.symbols, 1))
+                                 Factored.one(summand.symbols))
         reason = ("right side is not a single hypergeometric term; exact "
                   f"agreement verified for {n}=0..{_SMALL_CASES_UPTO} only")
     if reason is not None:

@@ -1,4 +1,5 @@
-"""Sparse multivariate polynomials and rational functions over exact rationals.
+"""Sparse multivariate polynomials and affine forms over exact rationals;
+rational functions are products of them, factored.Factored.
 
 Coefficients are arbitrary-precision rationals.  A stored coefficient is
 never zero, and it is a plain int unless it is a non-integral rational, which
@@ -802,120 +803,151 @@ def _dense_prem(u, v):
     return r
 
 
-def _cancel(a: MultiPoly, b: MultiPoly):
-    """a and b with their gcd divided out."""
-    g = poly_gcd(a, b)
-    if g.is_constant():
-        return a, b
-    return a.divexact(g), b.divexact(g)
+# ---------------------------------------------------------------------------
+# affine forms, and the errors of reading and evaluating terms
 
 
-class RationalFunction:
-    """Quotient of polynomials, kept reduced with a monic denominator.
+class TermError(ValueError):
+    pass
 
-    * and / cancel only the cross gcds, and shift cancels nothing, so all
-    three need reduced operands.  The one unreduced instance, the large
-    certificate of telescope.certificate_from_solution, enters none of them.
-    """
 
-    __slots__ = ("num", "den")
+class ParseError(TermError):
+    def __init__(self, message, pos=None):
+        self.pos = pos
+        super().__init__(message if pos is None else f"{message} (at position {pos})")
 
-    def __init__(self, num: MultiPoly, den: MultiPoly, reduce: bool = True):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.vars != den.vars:
-            raise ValueError("numerator/denominator variable mismatch")
-        if num.is_zero():
-            den = MultiPoly.constant(num.vars, 1)
-        elif reduce:
-            g = poly_gcd(num, den)
-            if not g.is_constant():
-                num = num.divexact(g)
-                den = den.divexact(g)
-        if not den.is_constant() or den.as_constant() != 1:
-            lc = den.leading_coeff()
-            if lc != 1:
-                num = num._over(lc)
-                den = den._over(lc)
-        self.num = num
-        self.den = den
 
-    # -- construction ---------------------------------------------------------
+class EvalError(TermError):
+    pass
+
+
+class LinearForm:
+    """Affine combination of symbols with rational coefficients."""
+
+    __slots__ = ("coeffs", "const")
+
+    def __init__(self, coeffs=None, const=0):
+        cs = {}
+        for s, c in (coeffs or {}).items():
+            c = _norm_coef(_as_fraction(c)) if not isinstance(c, int) else c
+            if c != 0:
+                cs[s] = c
+        self.coeffs = cs
+        self.const = _norm_coef(_as_fraction(const)) if not isinstance(const, int) else const
 
     @classmethod
-    def from_poly(cls, p: MultiPoly):
-        return cls(p, MultiPoly.constant(p.vars, 1), reduce=False)
+    def symbol(cls, name):
+        return cls({name: 1}, 0)
 
     @classmethod
-    def constant(cls, vars, c):
-        return cls.from_poly(MultiPoly.constant(vars, c))
+    def number(cls, c):
+        return cls({}, c)
 
     @classmethod
-    def variable(cls, vars, name):
-        return cls.from_poly(MultiPoly.variable(vars, name))
-
-    @property
-    def vars(self):
-        return self.num.vars
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def is_constant(self):
-        return self.num.is_constant() and self.den.is_constant()
-
-    def as_constant(self):
-        return _as_fraction(self.num.as_constant()) / _as_fraction(self.den.as_constant())
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num.key(), self.den.key()))
-
-    # -- arithmetic -------------------------------------------------------------
+    def from_poly(cls, p: MultiPoly) -> "LinearForm":
+        """The affine form of a polynomial of total degree at most 1."""
+        if p.total_degree() > 1:
+            raise ParseError(f"not affine: {p}")
+        coeffs = {}
+        const = 0
+        for exp, c in p.terms.items():
+            if any(exp):
+                coeffs[p.vars[exp.index(1)]] = c
+            else:
+                const = c
+        return cls(coeffs, const)
 
     def __add__(self, other):
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den)
+        cs = dict(self.coeffs)
+        for s, c in other.coeffs.items():
+            cs[s] = cs.get(s, 0) + c
+        return LinearForm(cs, self.const + other.const)
 
     def __sub__(self, other):
-        return RationalFunction(
-            self.num * other.den - other.num * self.den, self.den * other.den)
+        return self + other.scale(-1)
 
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den, reduce=False)
+    def scale(self, c):
+        if c == 0:
+            return LinearForm({}, 0)
+        return LinearForm({s: v * c for s, v in self.coeffs.items()}, self.const * c)
 
-    def __mul__(self, other):
-        n1, d2 = _cancel(self.num, other.den)
-        n2, d1 = _cancel(other.num, self.den)
-        return RationalFunction(n1 * n2, d1 * d2, reduce=False)
+    def add_const(self, c):
+        return LinearForm(self.coeffs, self.const + c)
 
-    def __truediv__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        n1, n2 = _cancel(self.num, other.num)
-        d2, d1 = _cancel(other.den, self.den)
-        return RationalFunction(n1 * d2, d1 * n2, reduce=False)
+    def var_coeff(self, s):
+        return self.coeffs.get(s, 0)
 
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return RationalFunction(self.den, self.num)
+    def is_constant(self):
+        return not self.coeffs
 
     def shift(self, var, delta):
-        return RationalFunction(self.num.shift(var, delta), self.den.shift(var, delta),
-                                reduce=False)
+        """Substitute var -> var + delta."""
+        c = self.coeffs.get(var, 0)
+        if c == 0 or delta == 0:
+            return self
+        return LinearForm(self.coeffs, self.const + c * delta)
 
-    def embed(self, vars):
-        return RationalFunction(self.num.embed(vars), self.den.embed(vars), reduce=False)
+    def substitute(self, point: dict):
+        cs = {}
+        const = self.const
+        for s, c in self.coeffs.items():
+            if s in point:
+                const += c * point[s]
+            else:
+                cs[s] = c
+        return LinearForm(cs, const)
+
+    def at(self, point: dict):
+        """The number self is at point where point assigns every symbol,
+        found with no form built; else the substituted form."""
+        if not self.coeffs.keys() <= point.keys():
+            return self.substitute(point)
+        const = self.const
+        for s, c in self.coeffs.items():
+            const += c * point[s]
+        return _norm_coef(const)
+
+    def eval(self, point: dict):
+        v = self.at(point)
+        if type(v) is LinearForm:
+            raise EvalError(f"unassigned symbols in {self}")
+        return v
+
+    def to_poly(self, vars) -> MultiPoly:
+        items = [(tuple(1 if v == s else 0 for v in vars), c)
+                 for s, c in self.coeffs.items()]
+        if self.const != 0:
+            items.append(((0,) * len(vars), self.const))
+        return MultiPoly.from_terms(vars, items)
+
+    def sort_key(self):
+        # coefficients are stored normalized, and an int and the equal
+        # Fraction compare and hash alike
+        return tuple(sorted(self.coeffs.items())), self.const
+
+    def __eq__(self, other):
+        if not isinstance(other, LinearForm):
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.const == other.const
+
+    def __hash__(self):
+        return hash(self.sort_key())
 
     def __str__(self):
-        if self.den.is_constant() and self.den.as_constant() == 1:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
+        parts = []
+        for s in sorted(self.coeffs):
+            c = self.coeffs[s]
+            if c == 1:
+                parts.append(f"+{s}" if parts else s)
+            elif c == -1:
+                parts.append(f"-{s}")
+            else:
+                cs = str(c) if c > 0 or not parts else str(c)
+                parts.append(f"+{cs}*{s}" if parts and c > 0 else f"{cs}*{s}")
+        if self.const != 0 or not parts:
+            c = self.const
+            parts.append(f"+{c}" if parts and c > 0 else str(c))
+        return "".join(parts)
 
     def __repr__(self):
-        return f"RationalFunction({self})"
+        return f"LinearForm({self})"

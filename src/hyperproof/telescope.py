@@ -8,14 +8,17 @@ with the one zero test of factored sums, factored.sum_vanishes, which also
 decides the small cases of gridproof: for sigma_j = u_j/Q, rho = pn/pd and
 R = N/D, the terms (sum_j a_j u_j)/Q, -N(k+1) pn/(pd D(k+1)) and N/D, each
 times the lcm of their factored denominators, are expanded and summed.  A
-certificate keeps its unreduced denominator D as a product
-(Certificate.factored_den), so the lcm is read off the factors; any other D
-is split by exact division over the factors of Q, the cofactor left one
-opaque factor.  A check of the system's own order reads the factored shift
-ratios u_j, Q and rho that `assemble` built (AssembledSystem.ratios), not
-new ones: they are a deterministic function of the term and the order, and
-the check builds everything else itself, the recurrence side, N, N(k+1),
-D(k+1) and the three expansions over the lcm.
+certificate is a numerator polynomial N over a denominator D kept as a
+product (Certificate), so the lcm is read off the factors; an opaque factor
+of D that Q does not hold, such as a printed denominator that `hyperproof
+verify` parses, is split by exact division over the factors of Q, the
+cofactor left one opaque factor.  The one gcd on a certificate is the one
+that prints it reduced (printed_certificate).  A check of the system's own
+order reads the factored shift ratios u_j, Q and rho that `assemble` built
+(AssembledSystem.ratios), not new ones: they are a deterministic function
+of the term and the order, and the check builds everything else itself,
+the recurrence side, N, N(k+1), D(k+1) and the three expansions over the
+lcm.
 
 `assemble` is the one builder of the telescoping system.  It builds M', the
 system M with each column divided by its k-free content c_j, which it reads
@@ -29,16 +32,16 @@ algorithm is solve_order at order 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .factored import (
     Factored, factored_common, factored_free_of, factored_lcm,
-    factored_quotient, from_ratio_parts, gosper_normal, sum_vanishes,
+    factored_quotient, factored_split_over, from_ratio_parts, gosper_normal,
+    sum_vanishes,
 )
 from .linalg import PolyMatrix, clear_and_primitive, solve_nullspace
 from .polys import (
-    MultiPoly, RationalFunction, _as_fraction, _poly_list_gcd,
-    common_denominator,
+    MultiPoly, _as_fraction, _poly_list_gcd, common_denominator, poly_gcd,
 )
 from .terms import TermExpression, TermError
 
@@ -55,14 +58,41 @@ class Recurrence:
 
 @dataclass(frozen=True)
 class Certificate:
-    """R with G = R*F for the antidifference G of F.  factored_den, when R
-    is left unreduced, is its denominator as a product, with
-    factored_den.expand() == ratio.den; verify_certificate clears by it."""
-    ratio: RationalFunction
-    factored_den: Factored | None = field(default=None, compare=False)
+    """R = num/den with G = R*F for the antidifference G of F: num a
+    polynomial and den a product over the same variables, not necessarily
+    coprime; verify_certificate clears by den's factors.  It prints as
+    num/den with den expanded and both divided by den's leading
+    coefficient."""
+    num: MultiPoly
+    den: Factored
 
     def __str__(self):
-        return str(self.ratio)
+        den = self.den.expand()
+        lc = den.leading_coeff()
+        num, den = self.num._over(lc), den._over(lc)
+        return str(num) if den.is_constant() else f"({num})/({den})"
+
+
+def printed_certificate(cert: Certificate, order: int) -> Certificate:
+    """cert as it is published: reduced at order 0, where it is the
+    Gosper/WZ certificate, and when its total degree is at most 24, else as
+    it is: cancelling needs a multivariate gcd that can dwarf the whole
+    proof, and verification never requires it.  The gcd of num and den
+    expanded is divided out of their integer-primitive parts, and den is
+    left one factor."""
+    num, den = cert.num, cert.den
+    # the total degree of den is that of its factors, with no expansion
+    degree = sum(p.total_degree() * e
+                 for p, (_, e) in zip(den.factors(), den.facs.values()))
+    if order and num.total_degree() + degree > 24:
+        return cert
+    (sn, pn), (sd, pd) = num.primitive(), den.expand().primitive()
+    g = poly_gcd(pn, pd)
+    if g.is_constant():
+        return cert
+    g = g.primitive()[1]
+    return Certificate(pn.divexact(g).scale(sn), Factored(
+        den.vars, sd).mul_poly(pd.divexact(g), 1))
 
 
 @dataclass(frozen=True)
@@ -228,12 +258,9 @@ def _split_rows(cols, ki, matrix_vars):
 def certificate_from_solution(sys: AssembledSystem, b_coeffs, extra_den=None):
     """R = b(k) * r(k-1) / (pbar(k) * Q(k)), the certificate G = R*f.
 
-    Reduced at order 0, where it is published as the Gosper/WZ certificate,
-    and when it is small.  Otherwise left unreduced: cancelling the fraction
-    needs a multivariate gcd that can dwarf the whole proof, and verification
-    never requires it.  An unreduced certificate keeps its denominator, the
-    numerator of Q times pbar(k) times extra_den, as a product
-    (Certificate.factored_den), which verify_certificate clears by.
+    Its denominator, the numerator of Q times pbar(k) times extra_den, is a
+    product, and the fraction is left unreduced (printed_certificate
+    reduces what is published).
     """
     vars = sys.vars
     kpoly = MultiPoly.variable(vars, sys.k)
@@ -244,15 +271,7 @@ def certificate_from_solution(sys: AssembledSystem, b_coeffs, extra_den=None):
     D = qnum.mul(sys.pbar)
     if extra_den is not None:
         D.mul_poly(extra_den.embed(vars), 1)
-    den = D.expand()
-    num = b_num * qden.mul(sys.r.shift(sys.k, -1)).expand()
-    reduced = (sys.ansatz.order == 0
-               or num.total_degree() + den.total_degree() <= 24)
-    ratio = RationalFunction(num, den, reduce=reduced)
-    if reduced or num.is_zero():
-        return Certificate(ratio)
-    # the unreduced ratio divides num and den by the leading coefficient
-    return Certificate(ratio, D.mul_const(den.leading_coeff(), -1))
+    return Certificate(b_num * qden.mul(sys.r.shift(sys.k, -1)).expand(), D)
 
 
 def solve_order(sys: AssembledSystem):
@@ -301,30 +320,24 @@ def verify_certificate(f: TermExpression, rec: Recurrence, cert: Certificate,
     mismatch.  ratios, when given, is _shift_ratios(f, rec.order, k, n) as
     assemble built it for the same term and order (AssembledSystem.ratios),
     and is read, not built again; it is a deterministic function of the
-    term and the order, so the check loses no independence.
-
-    With sigma_j = u_j/Q, rho = pn/pd and R = N/D, all over factored
-    denominators (D from cert.factored_den, else R.den split by
-    _factor_over), the check is whether the three factored terms
-    (sum_j a_j u_j)/Q, -N(k+1) pn/(pd D(k+1)) and N/D sum to zero, decided
-    by factored.sum_vanishes: each term times the factored lcm of the
-    denominators is expanded once and the three polynomials are summed, so
-    no polynomial gcd is needed.  The recurrence side is summed into one
-    polynomial first; N, the primitive part of R's numerator with its
-    content in the constant, is shifted on integer coefficients.
+    term and the order, so the check loses no independence.  A certificate
+    over other variables than f's is read over f's.  The three factored
+    terms of the module docstring are summed by factored.sum_vanishes, D
+    split over Q by factored.factored_split_over.
     """
     try:
         k, n = _default_vars(f, k, n)
         vars = f.symbols
         us, Q, (pn, pd) = ratios or _shift_ratios(f, rec.order, k, n)
-        R = cert.ratio if cert.ratio.vars == vars else cert.ratio.embed(vars)
-        D = cert.factored_den
-        if D is None or D.vars != vars:
-            D = _factor_over(R.den, Q)
+        num, den = cert.num, cert.den
+        if num.vars != vars or den.vars != vars:  # read over f's symbols
+            num, den = num.embed(vars), Factored.one(vars).mul_poly(
+                den.expand().embed(vars), 1)
+        D = factored_split_over(den, Q)
         lhs = MultiPoly.zero(vars)
         for a, u in zip(rec.coefficients, us):
             lhs = lhs + a.embed(vars) * u.expand()
-        N = Factored.one(vars).mul_poly(R.num, 1)
+        N = Factored.one(vars).mul_poly(num, 1)
         return sum_vanishes(
             [Factored.one(vars).mul_poly(lhs, 1).mul(Q, -1),
              N.copy().mul(D, -1)],
@@ -332,18 +345,3 @@ def verify_certificate(f: TermExpression, rec: Recurrence, cert: Certificate,
     except (TermError, ZeroDivisionError, ValueError):
         return False
 
-
-def _factor_over(p, F):
-    """p as a Factored: every factor of F, as often as it divides p exactly,
-    and the cofactor left as one opaque factor.  Over Q this finds what a
-    certificate's denominator shares with Q, which the lcm of
-    factored.sum_vanishes then clears once."""
-    out = Factored.one(p.vars)
-    for g in F.factors():
-        while not p.is_constant():
-            try:
-                p = p.divexact(g)
-            except ValueError:
-                break
-            out.mul_poly(g, 1)
-    return out.mul_poly(p, 1)

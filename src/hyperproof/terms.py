@@ -5,6 +5,16 @@ rules with the natural support they give.
 A term is a product of factorials, binomials, rising factorials, constant-base
 powers, and one rational-function factor, each argument affine in the declared
 symbols.  rf(a,k) denotes a(a+1)...(a+k-1).
+
+The rational factor and every shift quotient are factored.Factored products:
+the parser multiplies factors by their ids and adds sums over the lcm of
+their denominators (factored.factored_sum), so no polynomial gcd runs while
+a term is read, shifted or normalized.  The rational factor is evaluated
+as its two sides expanded, reduced by a gcd only at a point where the
+denominator vanishes, so a removable pole has the value of the reduced
+quotient, as a term's value must.  Arguments and limits are evaluated
+straight into a LinearForm; one that is affine only after a quotient
+cancels, such as (n^2-1)/(n-1), is rejected as not affine.
 """
 
 from __future__ import annotations
@@ -14,165 +24,16 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .factored import Factored, factored_sum, from_ratio_parts
 from .polys import (
-    MultiPoly, RationalFunction, _as_fraction, _norm_coef, _parts,
-    _product as _poly_product, _ratio,
+    EvalError, LinearForm, ParseError, TermError, _as_fraction, _parts, _ratio,
+    poly_gcd,
 )
-
-
-class TermError(ValueError):
-    pass
-
-
-class ParseError(TermError):
-    def __init__(self, message, pos=None):
-        self.pos = pos
-        super().__init__(message if pos is None else f"{message} (at position {pos})")
-
-
-class EvalError(TermError):
-    pass
 
 
 class _ZeroTerm(Exception):
     """Internal: a zero-convention factor (binomial with negative lower index,
     reciprocal factorial of a negative integer) makes the whole term zero."""
-
-
-# ---------------------------------------------------------------------------
-# linear forms
-
-
-class LinearForm:
-    """Affine combination of symbols with rational coefficients."""
-
-    __slots__ = ("coeffs", "const")
-
-    def __init__(self, coeffs=None, const=0):
-        cs = {}
-        for s, c in (coeffs or {}).items():
-            c = _norm_coef(_as_fraction(c)) if not isinstance(c, int) else c
-            if c != 0:
-                cs[s] = c
-        self.coeffs = cs
-        self.const = _norm_coef(_as_fraction(const)) if not isinstance(const, int) else const
-
-    @classmethod
-    def symbol(cls, name):
-        return cls({name: 1}, 0)
-
-    @classmethod
-    def number(cls, c):
-        return cls({}, c)
-
-    @classmethod
-    def from_poly(cls, p: MultiPoly) -> "LinearForm":
-        """The affine form of a polynomial of total degree at most 1."""
-        if p.total_degree() > 1:
-            raise ParseError(f"not affine: {p}")
-        coeffs = {}
-        const = 0
-        for exp, c in p.terms.items():
-            if any(exp):
-                coeffs[p.vars[exp.index(1)]] = c
-            else:
-                const = c
-        return cls(coeffs, const)
-
-    def __add__(self, other):
-        cs = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            cs[s] = cs.get(s, 0) + c
-        return LinearForm(cs, self.const + other.const)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        if c == 0:
-            return LinearForm({}, 0)
-        return LinearForm({s: v * c for s, v in self.coeffs.items()}, self.const * c)
-
-    def add_const(self, c):
-        return LinearForm(self.coeffs, self.const + c)
-
-    def var_coeff(self, s):
-        return self.coeffs.get(s, 0)
-
-    def is_constant(self):
-        return not self.coeffs
-
-    def shift(self, var, delta):
-        """Substitute var -> var + delta."""
-        c = self.coeffs.get(var, 0)
-        if c == 0 or delta == 0:
-            return self
-        return LinearForm(self.coeffs, self.const + c * delta)
-
-    def substitute(self, point: dict):
-        cs = {}
-        const = self.const
-        for s, c in self.coeffs.items():
-            if s in point:
-                const += c * point[s]
-            else:
-                cs[s] = c
-        return LinearForm(cs, const)
-
-    def at(self, point: dict):
-        """The number self is at point where point assigns every symbol,
-        found with no form built; else the substituted form."""
-        if not self.coeffs.keys() <= point.keys():
-            return self.substitute(point)
-        const = self.const
-        for s, c in self.coeffs.items():
-            const += c * point[s]
-        return _norm_coef(const)
-
-    def eval(self, point: dict):
-        v = self.at(point)
-        if type(v) is LinearForm:
-            raise EvalError(f"unassigned symbols in {self}")
-        return v
-
-    def to_poly(self, vars) -> MultiPoly:
-        items = [(tuple(1 if v == s else 0 for v in vars), c)
-                 for s, c in self.coeffs.items()]
-        if self.const != 0:
-            items.append(((0,) * len(vars), self.const))
-        return MultiPoly.from_terms(vars, items)
-
-    def sort_key(self):
-        # coefficients are stored normalized, and an int and the equal
-        # Fraction compare and hash alike
-        return tuple(sorted(self.coeffs.items())), self.const
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearForm):
-            return NotImplemented
-        return self.coeffs == other.coeffs and self.const == other.const
-
-    def __hash__(self):
-        return hash(self.sort_key())
-
-    def __str__(self):
-        parts = []
-        for s in sorted(self.coeffs):
-            c = self.coeffs[s]
-            if c == 1:
-                parts.append(f"+{s}" if parts else s)
-            elif c == -1:
-                parts.append(f"-{s}")
-            else:
-                cs = str(c) if c > 0 or not parts else str(c)
-                parts.append(f"+{cs}*{s}" if parts and c > 0 else f"{cs}*{s}")
-        if self.const != 0 or not parts:
-            c = self.const
-            parts.append(f"+{c}" if parts and c > 0 else str(c))
-        return "".join(parts)
-
-    def __repr__(self):
-        return f"LinearForm({self})"
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +56,7 @@ class TermExpression:
     binomials: tuple = ()         # (upper, lower, exp)
     risings: tuple = ()           # (base, count, exp)
     powers: tuple = ()            # (base: Fraction, exponent: LinearForm)
-    rational: RationalFunction = None
+    rational: Factored = None     # the rational factor, a product
 
     def __post_init__(self):
         object.__setattr__(self, "factorials", _sorted_factors(
@@ -207,14 +68,13 @@ class TermExpression:
         object.__setattr__(self, "powers", _sorted_factors(
             self.powers, lambda f: (_as_fraction(f[0]), f[1].sort_key())))
         if self.rational is None:
-            object.__setattr__(self, "rational", RationalFunction.constant(self.symbols, 1))
+            object.__setattr__(self, "rational", Factored.one(self.symbols))
 
     def is_zero(self):
         return self.rational.is_zero()
 
-    def with_rational(self, rf: RationalFunction) -> "TermExpression":
-        return TermExpression(self.symbols, self.factorials, self.binomials,
-                              self.risings, self.powers, self.rational * rf)
+    def with_rational(self, rf: Factored) -> "TermExpression":
+        return self.times(TermExpression(self.symbols, rational=rf))
 
     def times(self, other: "TermExpression") -> "TermExpression":
         if self.symbols != other.symbols:
@@ -225,7 +85,7 @@ class TermExpression:
             self.binomials + other.binomials,
             self.risings + other.risings,
             self.powers + other.powers,
-            self.rational * other.rational)
+            self.rational.copy().mul(other.rational))
 
     def inverted(self) -> "TermExpression":
         return TermExpression(
@@ -234,7 +94,7 @@ class TermExpression:
             tuple((u, l, -e) for u, l, e in self.binomials),
             tuple((b, c, -e) for b, c, e in self.risings),
             tuple((b, e.scale(-1)) for b, e in self.powers),
-            self.rational.inverse())
+            Factored.one(self.symbols).mul(self.rational, -1))
 
     def divided_by(self, other: "TermExpression") -> "TermExpression":
         return self.times(other.inverted())
@@ -290,31 +150,25 @@ class TermExpression:
                 raise TermError(f"shift in {var} changes power exponent by non-integer")
             const *= _as_fraction(base) ** int(m)
         if not self.rational.is_constant():
-            num, den = self.rational.num, self.rational.den
-            if num.degree(var) > 0 or den.degree(var) > 0:
-                ns = num.shift(var, step)
-                ds = den.shift(var, step)
-                if not num.is_constant():
-                    opaque.append((ns, 1))
-                    opaque.append((num, -1))
-                if not den.is_constant():
-                    opaque.append((den, 1))
-                    opaque.append((ds, -1))
+            # each side of the rational factor as one expanded polynomial,
+            # and its shift, the positive exponent first
+            for side, e in zip(self.rational.split(), (1, -1)):
+                side = side.expand()
+                if side.degree(var) > 0:
+                    up = side.shift(var, step)
+                    opaque += [(up, 1), (side, -1)] if e > 0 else \
+                        [(side, 1), (up, -1)]
         return const, affine, opaque
 
     def __str__(self):
         return render(self)
 
 
-def shift_quotient(f: TermExpression, var) -> RationalFunction:
-    """f(var+1)/f(var) as a reduced rational function of all symbols."""
+def shift_quotient(f: TermExpression, var) -> Factored:
+    """f(var+1)/f(var) as a product over all symbols."""
     if var not in f.symbols:
         raise TermError(f"{var} is not a symbol of the term")
-    const, affine, opaque = f.shift_ratio_parts(var)
-    parts = [(L.to_poly(f.symbols), e) for L, e in affine] + opaque
-    return RationalFunction(
-        _poly_product(f.symbols, [(p, e) for p, e in parts if e > 0], const),
-        _poly_product(f.symbols, [(p, -e) for p, e in parts if e < 0]))
+    return from_ratio_parts(f.symbols, *f.shift_ratio_parts(var))
 
 
 # ---------------------------------------------------------------------------
@@ -354,29 +208,44 @@ def term_value(f: TermExpression, point: dict, zero_conventions: bool = False):
         top, bottom, _ = _special_factors(f, point, zero_conventions)
     except _ZeroTerm:
         return 0
-    d = f.rational.den.eval(point)
-    if not d:
-        raise EvalError("denominator vanishes under the substitution")
-    (p, q), (r, t) = _parts(f.rational.num.eval(point)), _parts(d)
+    if not f.rational.facs:  # a constant rational factor
+        p, q = _parts(f.rational.const)
+        return _ratio(top * p, bottom * q)
+    num, den = _rational_at(f.rational, lambda p: p.eval(point))
+    (p, q), (r, t) = _parts(num), _parts(den)
     return _ratio(top * p * t, bottom * q * r)
 
 
 def value_parts(f: TermExpression, point: dict, zero_conventions: bool = False):
     """f at a point that may leave symbols free, as shift_ratio_parts gives
     a quotient: (const, affine, opaque) over the symbols left, the rational
-    part as its unreduced numerator and denominator, with term_value's rules
+    part as its two sides expanded (_rational_at), with term_value's rules
     and errors; (0, [], []) where the zero conventions make f zero."""
     remaining = tuple(s for s in f.symbols if s not in point)
     try:
         top, bottom, affine = _special_factors(f, point, zero_conventions)
     except _ZeroTerm:
         return 0, [], []
-    den = f.rational.den.eval_partial(point)
-    if den.is_zero():
-        raise EvalError("denominator vanishes under the substitution")
-    num = f.rational.num.eval_partial(point)
+    num, den = _rational_at(f.rational, lambda p: p.eval_partial(point))
     return _ratio(top, bottom), affine, [(num.restrict(remaining), 1),
                                          (den.restrict(remaining), -1)]
+
+
+def _rational_at(rational: Factored, at):
+    """(numerator, denominator) of a rational part, each side expanded and
+    evaluated by at.  Where the denominator vanishes, both sides are
+    divided by their gcd and evaluated again, so that a removable pole,
+    such as k = 1 of (k^2-k)/(k-1), gets the value of the reduced
+    quotient; EvalError if the reduced denominator vanishes too."""
+    num, den = (side.expand() for side in rational.split())
+    d = at(den)
+    if not d:
+        g = poly_gcd(num, den)
+        num, den = num.divexact(g), den.divexact(g)
+        d = at(den)
+        if not d:
+            raise EvalError("denominator vanishes under the substitution")
+    return at(num), d
 
 
 def _special_factors(f: TermExpression, point: dict, zero_conventions: bool):
@@ -733,49 +602,90 @@ def _collect_symbols(node, acc):
         _collect_symbols(node[3], acc)
 
 
-def _ast_to_rational(node, symbols) -> RationalFunction:
+def _ast_to_rational(node, symbols) -> Factored:
+    """A rational AST as a product: factors multiply by their ids, and a
+    sum is one factored_sum of its addends, with no gcd."""
     tag = node[0]
     if tag == "num":
-        return RationalFunction.constant(symbols, node[1])
+        return Factored(symbols, node[1])
     if tag == "sym":
-        if node[1] not in symbols:
-            raise ParseError(f"undeclared symbol {node[1]!r}")
-        return RationalFunction.variable(symbols, node[1])
-    if tag == "+":
-        return _ast_to_rational(node[1], symbols) + _ast_to_rational(node[2], symbols)
-    if tag == "-":
-        return _ast_to_rational(node[1], symbols) - _ast_to_rational(node[2], symbols)
+        return Factored.one(symbols).mul_affine(_symbol(node[1], symbols), 1)
+    if tag in ("+", "-"):
+        addends = [(_ast_to_rational(nd, symbols), sgn)
+                   for nd, sgn in _flatten(node, _SUM_SIGNS)]
+        return factored_sum([v for v, sgn in addends if sgn > 0],
+                            [v for v, sgn in addends if sgn < 0])
     if tag == "neg":
-        return -_ast_to_rational(node[1], symbols)
+        return _ast_to_rational(node[1], symbols).mul_const(-1)
     if tag == "*":
-        return _ast_to_rational(node[1], symbols) * _ast_to_rational(node[2], symbols)
+        return _ast_to_rational(node[1], symbols).mul(
+            _ast_to_rational(node[2], symbols))
     if tag == "/":
         d = _ast_to_rational(node[2], symbols)
         if d.is_zero():
             raise ParseError("division by zero")
-        return _ast_to_rational(node[1], symbols) / d
+        return _ast_to_rational(node[1], symbols).mul(d, -1)
     if tag == "pow":
-        e = _ast_to_rational(node[2], symbols)
-        if not e.is_constant():
-            raise ParseError("non-constant exponent in polynomial context")
-        ev = _as_fraction(e.as_constant())
-        if ev.denominator != 1:
-            raise ParseError("fractional exponent in polynomial context")
+        n = _integer_exponent(_ast_to_rational(node[2], symbols))
         base = _ast_to_rational(node[1], symbols)
-        n = ev.numerator
-        if n >= 0:
-            return RationalFunction(base.num ** n, base.den ** n)
-        if base.is_zero():
+        if n < 0 and base.is_zero():
             raise ParseError("division by zero")
-        return RationalFunction(base.den ** (-n), base.num ** (-n))
+        return Factored.one(symbols).mul(base, n)
     raise ParseError(f"factorial/binomial/rf not allowed inside a rational factor")
 
 
 def _ast_to_linear(node, symbols) -> LinearForm:
-    r = _ast_to_rational(node, symbols)
-    if not r.den.is_constant():
-        raise ParseError(f"not affine: {r}")
-    return LinearForm.from_poly(r.num)  # a constant denominator is 1
+    """An affine AST evaluated straight into a LinearForm: a product needs a
+    constant operand, a quotient a constant divisor, and a power a constant
+    base or the exponent 0 or 1.  Anything else is not affine, also where a
+    quotient would cancel to an affine form."""
+    tag = node[0]
+    if tag == "num":
+        return LinearForm.number(node[1])
+    if tag == "sym":
+        return _symbol(node[1], symbols)
+    if tag == "neg":
+        return _ast_to_linear(node[1], symbols).scale(-1)
+    if tag not in ("+", "-", "*", "/", "pow"):
+        raise ParseError("factorial/binomial/rf not allowed inside a "
+                         "rational factor")
+    a, b = (_ast_to_linear(nd, symbols) for nd in node[1:])
+    if tag in ("+", "-"):
+        return a + b if tag == "+" else a - b
+    if tag == "pow":
+        n = _integer_exponent(b)
+        if a.is_constant():
+            if n < 0 and a.const == 0:
+                raise ParseError("division by zero")
+            return LinearForm.number(_as_fraction(a.const) ** n)
+        if n in (0, 1):
+            return a if n else LinearForm.number(1)
+    elif b.is_constant():
+        if tag == "*":
+            return a.scale(b.const)
+        if b.const == 0:
+            raise ParseError("division by zero")
+        return a.scale(1 / _as_fraction(b.const))
+    elif tag == "*" and a.is_constant():
+        return b.scale(a.const)
+    raise ParseError("not affine")
+
+
+def _symbol(name, symbols) -> LinearForm:
+    if name not in symbols:
+        raise ParseError(f"undeclared symbol {name!r}")
+    return LinearForm.symbol(name)
+
+
+def _integer_exponent(e) -> int:
+    """The value of an exponent, a Factored or a LinearForm that must be
+    an integer constant."""
+    if not e.is_constant():
+        raise ParseError("non-constant exponent in polynomial context")
+    ev = _as_fraction(e.const)
+    if ev.denominator != 1:
+        raise ParseError("fractional exponent in polynomial context")
+    return ev.numerator
 
 
 def _is_pure_rational(node):
@@ -830,19 +740,11 @@ def _compile_product(node, symbols) -> TermExpression:
     """Flatten a product AST into a TermExpression."""
     factors = _flatten(node, _PRODUCT_SIGNS)  # (node, exponent sign)
     facts, binos, riss, pows = [], [], [], []
-    rat = RationalFunction.constant(symbols, 1)
-
-    def add_rational(nd, sgn):
-        nonlocal rat
-        r = _ast_to_rational(nd, symbols)
-        if r.is_zero() and sgn < 0:
-            raise ParseError("division by zero factor")
-        rat = rat * (r if sgn > 0 else r.inverse())
-
+    rat = Factored.one(symbols)
     for nd, sgn in factors:
         tag = nd[0]
         while tag == "neg":
-            rat = rat * RationalFunction.constant(symbols, -1)
+            rat.mul_const(-1)
             nd = nd[1]
             tag = nd[0]
         if tag == "fact":
@@ -869,20 +771,23 @@ def _compile_product(node, symbols) -> TermExpression:
                     binos.extend(rep.binomials)
                     riss.extend(rep.risings)
                     pows.extend(rep.powers)
-                    rat = rat * rep.rational
+                    rat.mul(rep.rational)
             else:
                 # constant base, affine exponent
                 bv = _ast_to_rational(base, symbols)
                 if not bv.is_constant():
                     raise ParseError(
                         "power base must be a rational constant (or -1)")
-                bc = _as_fraction(bv.as_constant())
+                bc = _as_fraction(bv.const)
                 if bc == 0:
                     raise ParseError("power base must be nonzero")
                 expo_l = _ast_to_linear(expo, symbols)
                 pows.append((bc, expo_l if sgn > 0 else expo_l.scale(-1)))
         elif _is_pure_rational(nd):
-            add_rational(nd, sgn)
+            r = _ast_to_rational(nd, symbols)
+            if r.is_zero() and sgn < 0:
+                raise ParseError("division by zero factor")
+            rat.mul(r, sgn)
         else:
             raise ParseError("a sum inside a product must be a rational "
                              "function of the symbols")
@@ -901,11 +806,9 @@ def _normalize_powers(term: TermExpression) -> TermExpression:
             extra *= _as_fraction(b) ** _int_value(e.const, "constant power exponent")
         else:
             pows.append((b, e))
-    rational = term.rational
-    if extra != 1:
-        rational = rational * RationalFunction.constant(term.symbols, extra)
     return TermExpression(term.symbols, term.factorials, term.binomials,
-                          term.risings, tuple(pows), rational)
+                          term.risings, tuple(pows),
+                          term.rational.copy().mul_const(extra))
 
 
 def parse_sum(text, symbols=None) -> list:
@@ -914,11 +817,7 @@ def parse_sum(text, symbols=None) -> list:
     if symbols is None:
         acc = []
         _collect_symbols(ast, acc)
-        seen = []
-        for s in acc:
-            if s not in seen:
-                seen.append(s)
-        symbols = tuple(seen)
+        symbols = tuple(dict.fromkeys(acc))  # first occurrences, in order
     else:
         symbols = tuple(symbols)
 
@@ -930,7 +829,7 @@ def parse_sum(text, symbols=None) -> list:
     for nd, sgn in _flatten(ast, _SUM_SIGNS):
         t = _compile_product(nd, symbols)
         if sgn < 0:
-            t = t.with_rational(RationalFunction.constant(symbols, -1))
+            t = t.with_rational(Factored(symbols, -1))
         out.append(_normalize_powers(t))
     return out
 
@@ -943,14 +842,16 @@ def parse_term(text, symbols=None) -> TermExpression:
     return terms[0]
 
 
-def parse_rational(text, symbols) -> RationalFunction:
-    """Parse a rational function of the declared symbols.  Factorials,
-    binomials, rf and powers with a non-constant exponent are rejected."""
+def parse_rational(text, symbols) -> Factored:
+    """Parse a rational function of the declared symbols into a product,
+    with no gcd.  Factorials, binomials, rf and powers with a non-constant
+    exponent are rejected."""
     return _ast_to_rational(_Parser(text).parse_full(), tuple(symbols))
 
 
 def parse_affine(text, symbols) -> LinearForm:
-    """Parse an affine form in the declared symbols."""
+    """Parse an affine form in the declared symbols; ParseError where it is
+    not affine before any cancellation."""
     return _ast_to_linear(_Parser(text).parse_full(), tuple(symbols))
 
 
@@ -976,10 +877,8 @@ def render(f: TermExpression) -> str:
         base = str(b) if (isinstance(b, int) or b.denominator == 1) and b > 0 \
             else f"({b})"
         num_parts.append(f"{base}^({e})")
-    if not (f.rational.is_constant() and f.rational.as_constant() == 1) or not num_parts:
-        num_parts.append(f"(({f.rational.num}))" if f.rational.den.is_constant()
-                         and f.rational.den.as_constant() == 1
-                         else f"(({f.rational.num})/({f.rational.den}))")
+    if f.rational != Factored.one(f.symbols) or not num_parts:
+        num_parts.append(f"({f.rational})")  # factor by factor
     s = "*".join(num_parts) if num_parts else "1"
     for d in den_parts:
         s += f"/{d}"

@@ -10,13 +10,69 @@ from hyperproof.linalg import (
     _interpolate_int, _max_assignment, _pivot_rows, clear_and_primitive,
 )
 from hyperproof.polys import (
-    MultiPoly, RationalFunction, _as_fraction, _poly_list_gcd,
-    common_denominator, poly_gcd,
+    MultiPoly, _as_fraction, _poly_list_gcd, common_denominator, poly_gcd,
 )
 from hyperproof.gridproof import _window
 from hyperproof.terms import (
     EvalError, LinearForm, _ZeroTerm, _special_factors,
 )
+
+
+class Quotient:
+    """A quotient of polynomials kept reduced, with a monic denominator, by
+    one poly_gcd after every operation: the reference arithmetic of the
+    nullspace and value oracles, built on MultiPoly alone and so
+    independent of factored.Factored, the program's rational type."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: MultiPoly, den: MultiPoly = None):
+        if den is None:
+            den = MultiPoly.constant(num.vars, 1)
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        if num.is_zero():
+            den = MultiPoly.constant(num.vars, 1)
+        else:
+            g = poly_gcd(num, den)
+            num, den = num.divexact(g), den.divexact(g)
+        lc = den.leading_coeff()
+        self.num, self.den = num.scale(Fraction(1) / lc), den.monic()
+
+    @classmethod
+    def constant(cls, vars, c):
+        return cls(MultiPoly.constant(vars, c))
+
+    @property
+    def vars(self):
+        return self.num.vars
+
+    def is_zero(self):
+        return self.num.is_zero()
+
+    def as_constant(self):
+        return Fraction(self.num.as_constant()) / self.den.as_constant()
+
+    def __eq__(self, other):
+        if not isinstance(other, Quotient):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __add__(self, other):
+        return Quotient(self.num * other.den + other.num * self.den,
+                        self.den * other.den)
+
+    def __neg__(self):
+        return Quotient(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return Quotient(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other):
+        return Quotient(self.num * other.den, self.den * other.num)
 
 
 def poly_lcm(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -27,8 +83,8 @@ def poly_lcm(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 
 
 def clear_denominators(vars, rfs):
-    """(den, nums): den the monic lcm of the denominators of the rational
-    functions rfs over vars, and nums the polynomials den * r."""
+    """(den, nums): den the monic lcm of the denominators of the Quotients
+    rfs over vars, and nums the polynomials den * r."""
     den = MultiPoly.constant(vars, 1)
     for r in rfs:
         if not r.is_zero():
@@ -66,13 +122,13 @@ def det_symbolic(m: PolyMatrix) -> MultiPoly:
 
 def nullspace_rational(m: PolyMatrix) -> list:
     """Right nullspace basis, as lists of polynomials, the way
-    solve_nullspace once computed it, in RationalFunction arithmetic:
+    solve_nullspace once computed it, in Quotient arithmetic:
     Gaussian elimination with the same pivot rule (first nonzero entry at
     or below the current row), then, per free
     column, back-substitution from that coordinate set to 1 and the other
     free ones to 0; each vector has its denominators cleared and is made
     primitive with its first nonzero coordinate positive."""
-    rows = [[RationalFunction.from_poly(e) for e in row] for row in m.entries]
+    rows = [[Quotient(e) for e in row] for row in m.entries]
     pivots = []  # (row, column)
     for c in range(m.cols):
         r = len(pivots)
@@ -86,13 +142,13 @@ def nullspace_rational(m: PolyMatrix) -> list:
                 f = rows[i][c] / rows[r][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append((r, c))
-    zero = RationalFunction.constant(m.vars, 0)
+    zero = Quotient.constant(m.vars, 0)
     basis = []
     for free in range(m.cols):
         if any(c == free for _, c in pivots):
             continue
         vec = [zero] * m.cols
-        vec[free] = RationalFunction.constant(m.vars, 1)
+        vec[free] = Quotient.constant(m.vars, 1)
         for pr, pc in reversed(pivots):
             s = zero
             for j in range(pc + 1, m.cols):
@@ -551,7 +607,7 @@ def constant_products_reference(f, point, zero_conventions=False) -> Fraction:
             raise EvalError(f"negative rising-factorial count {count}")
         for t in range(count):
             mul_val(x + t, e)
-    return value * f.rational.as_constant()
+    return value * f.rational.const  # a term without a rational factor
 
 
 def max_assignment_reference(degs):
@@ -610,8 +666,9 @@ def evaluate_reference(f, point, zero_conventions=False):
     factored terms: the constant of the special factors
     (terms._special_factors) times their symbolic affine factors multiplied
     out into a MultiPoly numerator and denominator, times the rational part
-    through eval_partial and restrict, in RationalFunction arithmetic (a
-    gcd per operation), an EvalError where that denominator vanishes.  Also
+    reduced first, a Quotient product of its stored factors, then through
+    eval_partial and restrict, in Quotient arithmetic (a gcd per
+    operation), an EvalError where that reduced denominator vanishes.  Also
     at a point that assigns every symbol; with zero_conventions, a zero
     convention raises _ZeroTerm."""
     remaining = tuple(s for s in f.symbols if s not in point)
@@ -623,24 +680,29 @@ def evaluate_reference(f, point, zero_conventions=False):
                 num = num * L.to_poly(remaining)
             else:
                 den = den * L.to_poly(remaining)
+    reduced = Quotient.constant(f.symbols, f.rational.const)
+    for affine, g, e in _entries(f.rational):
+        g = Quotient(g.to_poly(f.symbols) if affine else g)
+        for _ in range(abs(e)):
+            reduced = reduced * g if e > 0 else reduced / g
     num_r, den_r = (p.eval_partial(point).restrict(remaining)
-                    for p in (f.rational.num, f.rational.den))
+                    for p in (reduced.num, reduced.den))
     if den_r.is_zero():
         raise EvalError("denominator vanishes under the substitution")
-    rf = RationalFunction(num_r, den_r)
-    return RationalFunction(num.scale(Fraction(top, bottom)), den) * rf
+    rf = Quotient(num_r, den_r)
+    return Quotient(num.scale(Fraction(top, bottom)), den) * rf
 
 
 def small_cases_reference(nid, term, rhs_terms, upto, point=None):
     """gridproof._small_cases the way it summed before the factored sums:
     for n = 0..upto, each window term (evaluate_reference with zero
     conventions, a zero term skipped) added and each right-side term
-    subtracted in RationalFunction arithmetic, one difference per n."""
+    subtracted in Quotient arithmetic, one difference per n."""
     for nv in range(upto + 1):
         at = {**(point or {}), nid.n: nv}
         lo, hi = _window(nid, term, nv, point)
         free = tuple(s for s in term.symbols if s != nid.k and s not in at)
-        diff = RationalFunction.constant(free, 0)
+        diff = Quotient.constant(free, 0)
         for kv in range(lo, hi + 1):
             try:
                 diff = diff + evaluate_reference(term, {**at, nid.k: kv},

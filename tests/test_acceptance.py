@@ -20,11 +20,12 @@ from hyperproof.cli import (
     EXIT_INCONCLUSIVE, EXIT_OK, EXIT_REFUTED, IdentityFileError, load_identity,
     main, run_prove,
 )
+from hyperproof.factored import Factored, factored_sum
 from hyperproof.gridproof import (
     _rank_deficiency_test, _support_bounds, normalize_and_delta,
 )
 from hyperproof.linalg import PolyMatrix
-from hyperproof.polys import MultiPoly, RationalFunction
+from hyperproof.polys import MultiPoly
 from hyperproof.telescope import (
     Certificate, Recurrence, assemble, solve_order, verify_certificate,
 )
@@ -129,9 +130,10 @@ def _certified_triples():
     _, cert_g = solve_order(assemble(nid.ftil, 0, k="k"))
     mv = ("n", "a")
     rec_wz = Recurrence(1, (MultiPoly.constant(mv, -1), MultiPoly.constant(mv, 1)))
-    one = RationalFunction.constant(F.symbols, 1)
-    R = cert_g.ratio * (nid.n_ratio - one)
-    triples.append((nid.fhat, rec_wz, Certificate(R)))
+    w_num, w_den = factored_sum([nid.n_ratio],
+                                [Factored.one(F.symbols)]).split()
+    R = Certificate(cert_g.num * w_num.expand(), cert_g.den.copy().mul(w_den))
+    triples.append((nid.fhat, rec_wz, R))
     return triples
 
 
@@ -143,24 +145,24 @@ def test_certificate_suite_mutations_fail():
     rejected = 0
     while rejected < 100:
         f, rec, cert = triples[rng.randrange(len(triples))]
-        vars = cert.ratio.vars
         kind = rng.randrange(3)
         if kind == 0:
             # shift the certificate in k by a small nonzero amount
             delta = rng.choice([-2, -1, 1, 2])
-            bad = cert.ratio.shift("k", delta)
+            bad = Certificate(cert.num.shift("k", delta),
+                              cert.den.shift("k", delta))
         elif kind == 1:
             # scale by a rational != 1
             c = Fraction(rng.randint(2, 9), rng.randint(1, 5))
-            bad = cert.ratio * RationalFunction.constant(vars, c)
+            bad = Certificate(cert.num.scale(c), cert.den)
         else:
             # add a small nonzero rational constant
             c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
                          rng.randint(1, 4))
-            bad = cert.ratio + RationalFunction.constant(vars, c)
-        if bad == cert.ratio:
+            bad = Certificate(cert.num + cert.den.expand().scale(c), cert.den)
+        if bad.num * cert.den.expand() == cert.num * bad.den.expand():
             continue
-        assert not verify_certificate(f, rec, Certificate(bad))
+        assert not verify_certificate(f, rec, bad)
         rejected += 1
     _passline("certificate suite: 100 mutated certificates all rejected")
 

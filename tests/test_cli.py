@@ -282,6 +282,16 @@ CERT = "--certificate=-k/(n+1-k)"
                  "division by zero", id="zero-power-summand"),
     pytest.param({"upper": "(n-n)^(-1)"}, None, "division by zero",
                  id="zero-power-limit"),
+    # arguments and limits affine only after a quotient cancels
+    pytest.param({"summand": "binomial((n^2-1)/(n-1),k)"}, None,
+                 "summand 'binomial((n^2-1)/(n-1),k)': not affine",
+                 id="cancelling-argument"),
+    pytest.param({"upper": "(2*n^2+2*n)/(n+1)"}, None,
+                 "limit '(2*n^2+2*n)/(n+1)': not affine",
+                 id="cancelling-limit"),
+    pytest.param({}, ["--recurrence=1/(n+1),1", CERT],
+                 "recurrence coefficient '1/(n+1)' is not a polynomial",
+                 id="rational-coefficient"),
     # a sum of powers inside a product: the field, its text and the rule
     pytest.param({"summand": "binomial(n,k)*(2^k-1)"}, None,
                  "summand 'binomial(n,k)*(2^k-1)': a sum inside a product "

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hyperproof import factored, gridproof, linalg, polys
+from hyperproof import factored, gridproof, linalg, polys, telescope
 from hyperproof.gridproof import (
     NormalizedIdentity, Inconclusive, initial_conditions_check,
     leading_coeff_check, normalize_and_delta, prove,
@@ -30,7 +30,7 @@ from hyperproof.linalg import (
     _grid_values, _int_det, _int_rank, _integer_cleared, _lower_set,
     _probe_values, solve_nullspace,
 )
-from hyperproof.polys import MultiPoly, RationalFunction
+from hyperproof.polys import MultiPoly
 from hyperproof.telescope import Recurrence, assemble, gosper_degree_bound
 from hyperproof.terms import (
     EvalError, LinearForm, TermError, TermExpression, _ZeroTerm,
@@ -38,7 +38,7 @@ from hyperproof.terms import (
     parse_term, term_value, value_parts,
 )
 from oracles import (
-    det_symbolic, evaluate_reference, lane_reference, poly_matrix,
+    Quotient, det_symbolic, evaluate_reference, lane_reference, poly_matrix,
     small_cases_reference,
 )
 
@@ -61,7 +61,7 @@ def test_normalize_binomial_2n():
     nid = normalize_and_delta(F, rhs, (), "k", "n",
                               lf("0", syms), lf("n", syms))
     # multiplier rho_n - 1 = (2k-n-1)/(2(n+1-k))
-    w = nid.ftil.rational / nid.fhat.rational
+    w = nid.ftil.rational.copy().mul(nid.fhat.rational, -1)
     expect = parse_term("(2*k-n-1)/(2*(n+1-k))", syms).rational
     assert w == expect
     # numeric cross-check: fhat(n+1,k) - fhat(n,k) = fhat * multiplier
@@ -1046,7 +1046,7 @@ def value_or_error(fn, *args):
 @pytest.mark.parametrize("path", IDENTITY_FILES, ids=lambda p: p.name)
 def test_full_point_values_match_the_rational_path(path):
     # every term at k = -2 .. 2n+3, with and without zero conventions:
-    # term_value and the RationalFunction path give the same number, or the
+    # term_value and the Quotient path give the same number, or the
     # same exception with the same message (term_value gives 0 for a
     # zero-convention term)
     ident, terms, points = full_points(path)
@@ -1088,7 +1088,7 @@ def test_small_cases_sum_fractions_as_the_rational_path_did(path):
     F, rhs_terms, lower, upper = ident.parsed()
     nid = NormalizedIdentity(F, F, ident.params, ident.sum_var, ident.rec_var,
                              lower, upper, True,
-                             RationalFunction.constant(F.symbols, 1))
+                             Factored.one(F.symbols))
     for point in points[::5]:
         point = {p: point[p] for p in ident.params} or None
         got = upto_error(_small_cases(nid, F, rhs_terms, 4, point))
@@ -1113,7 +1113,7 @@ def symbolic_cases(path):
     except gridproof.GridProofError:
         nid = NormalizedIdentity(F, F, ident.params, ident.sum_var,
                                  ident.rec_var, lower, upper, True,
-                                 RationalFunction.constant(F.symbols, 1))
+                                 Factored.one(F.symbols))
     cases = [(F, rhs_terms)]
     for t in (nid.fhat, nid.delta_term):
         if all(t != c for c, _ in cases):
@@ -1131,7 +1131,7 @@ def test_factored_values_match_the_rational_path(path):
     # each term symbolic in the parameters, at n = 0..4 and k from two
     # before the window to two past it (the right side at k = 0), with and
     # without zero conventions: value_parts gives the value of the
-    # RationalFunction path, or the same exception with the same message,
+    # Quotient path, or the same exception with the same message,
     # and 0 where the zero conventions make the term zero
     nid, cases = symbolic_cases(path)
     for term, rhs_terms in cases:
@@ -1161,7 +1161,7 @@ def test_factored_values_match_the_rational_path(path):
 @pytest.mark.parametrize("path", IDENTITY_FILES, ids=lambda p: p.name)
 def test_factored_small_cases_match_the_rational_path(path):
     # n = 0..4, symbolic in the parameters: a factored window sum minus the
-    # right side vanishes exactly where the RationalFunction sum does, up
+    # right side vanishes exactly where the Quotient sum does, up
     # to the same exception with the same message
     nid, cases = symbolic_cases(path)
     for term, rhs_terms in cases:
@@ -1178,7 +1178,7 @@ def test_a_zero_window_term_adds_nothing_to_a_factored_sum():
     F = parse_term("binomial(n,k)/rf(a+1,k)", syms)
     nid = NormalizedIdentity(F, F, ("a",), "k", "n", lf("0", syms),
                              lf("n+1", syms), True,
-                             RationalFunction.constant(syms, 1))
+                             Factored.one(syms))
     assert [factored.sum_vanishes(v)
             for v in _small_cases(nid, F, [], 3)] == \
         [d.is_zero() for d in small_cases_reference(nid, F, [], 3)]
@@ -1201,7 +1201,8 @@ def _factored_values(draw):
         affine = [(lf(text, _VARS), draw(st.integers(-2, 2)))
                   for text in draw(st.lists(st.sampled_from(_FORMS),
                                             max_size=4))]
-        opaque = [(parse_rational(text, _VARS).num, draw(st.integers(-1, 1)))
+        opaque = [(parse_rational(text, _VARS).expand(),
+                   draw(st.integers(-1, 1)))
                   for text in draw(st.lists(st.sampled_from(_OPAQUE),
                                             max_size=2))]
         values.append(from_ratio_parts(_VARS, const, affine, opaque))
@@ -1209,11 +1210,10 @@ def _factored_values(draw):
 
 
 def _rational(v):
-    """A Factored value as a RationalFunction, by RationalFunction
-    arithmetic."""
-    r = RationalFunction.constant(v.vars, v.const)
+    """A Factored value as the oracles' Quotient, by Quotient arithmetic."""
+    r = Quotient.constant(v.vars, v.const)
     for p, (_, e) in zip(v.factors(), v.facs.values()):
-        q = RationalFunction.from_poly(p)
+        q = Quotient(p)
         for _ in range(abs(e)):
             r = r * q if e > 0 else r / q
     return r
@@ -1225,9 +1225,9 @@ def _rational(v):
           from_ratio_parts(_VARS, 1, [(lf("z", _VARS), -1)], [])])
 def test_vanishes_agrees_with_rational_function_sums(values):
     # shared and cancelling affine factors and an opaque rational part:
-    # the factored sum vanishes exactly when the RationalFunction sum does,
+    # the factored sum vanishes exactly when the Quotient sum does,
     # and it equals that sum, as one opaque quotient, but not the sum plus 1
-    total = RationalFunction.constant(_VARS, 0)
+    total = Quotient.constant(_VARS, 0)
     for v in values:
         total = total + _rational(v)
     assert factored.sum_vanishes(values) == total.is_zero()
@@ -1237,8 +1237,40 @@ def test_vanishes_agrees_with_rational_function_sums(values):
 
     assert factored.sum_vanishes(values, [opaque(total)])
     assert factored.sum_vanishes(values + [opaque(-total)])
-    one = RationalFunction.constant(_VARS, 1)
+    one = Quotient.constant(_VARS, 1)
     assert not factored.sum_vanishes(values, [opaque(total + one)])
+
+
+def count_gcds(monkeypatch, calls):
+    """Append to calls each poly_gcd call, under every name it has."""
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append("poly_gcd")
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module in (polys, factored, gridproof, linalg, telescope):
+        if hasattr(module, "poly_gcd"):
+            monkeypatch.setattr(module, "poly_gcd", counted(module.poly_gcd))
+
+
+def test_no_gcd_runs_from_parsing_to_normalizing(monkeypatch):
+    # every identity of corpus/ and corpus/extra/ is read and normalized,
+    # rho_n - 1 and a sum inside an argument such as 2*n+1 among them,
+    # with no polynomial gcd
+    calls, loaded = [], 0
+    count_gcds(monkeypatch, calls)
+    for path in sorted(CORPUS.glob("*.txt")) + sorted(
+            CORPUS.glob("extra/*.txt")):
+        ident = load_identity(path)
+        F, rhs_terms, lower, upper = ident.parsed()
+        try:
+            normalize_and_delta(F, rhs_terms, ident.params, ident.sum_var,
+                                ident.rec_var, lower, upper)
+        except gridproof.GridProofError:
+            pass  # a right side that cannot be normalized
+        loaded += 1
+    assert loaded >= 20 and calls == []
 
 
 def test_small_cases_take_no_gcd_and_build_no_rational_function(
@@ -1252,19 +1284,7 @@ def test_small_cases_take_no_gcd_and_build_no_rational_function(
     pfaff = normalize_and_delta(F, rhs_terms, ident.params, ident.sum_var,
                                 ident.rec_var, *ident.parsed()[2:])
     calls = []
-
-    def counted(name, real):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-        return wrapper
-
-    for module in (polys, factored, gridproof, linalg):
-        if hasattr(module, "poly_gcd"):
-            monkeypatch.setattr(module, "poly_gcd",
-                                counted("poly_gcd", module.poly_gcd))
-    monkeypatch.setattr(RationalFunction, "__init__", counted(
-        "RationalFunction", RationalFunction.__init__))
+    count_gcds(monkeypatch, calls)
     assert initial_conditions_check(mrr, 2, 1) == [
         ("sum", nv, True) for nv in range(4)]
     assert all(ok for _, _, ok in initial_conditions_check(chu, 1, 2))
@@ -1516,6 +1536,22 @@ def test_prove_binomial_2n():
     assert rep.verdict == "rigorous"
 
 
+def test_prove_through_a_removable_pole():
+    # a rational factor that cancels only by a gcd, k^2-1 over k-1 (a pole
+    # at k = 1, inside the window) and n^2+n over the right side's n and
+    # n+1 (a pole of fhat at n = 0), is proved as its reduced form
+    syms = ("k", "n")
+    for summand, rhs, cert in (
+            ("binomial(n,k)*(k^2-1)/(k-1)", "(n+2)*2^(n-1)",
+             "(1/2*k^2*n + 3/2*k^2 + 1/2*k)/(k^2*n - k*n^2 + 3*k^2 - 3*k*n"
+             " - n^2 - 4*n - 3)"),
+            ("binomial(n,k)*(n^2+n)", "n*(n+1)*2^n", "(1/2*k)/(k - n - 1)")):
+        rep = prove(parse_term(summand, syms), parse_sum(rhs, syms), "k", "n",
+                    lf("0", syms), lf("n", syms), ())
+        assert (rep.verdict, rep.method, rep.certificate) == (
+            "rigorous", "gosper-wz", cert), summand
+
+
 def test_prove_refuted_plus_one():
     syms = ("k", "n")
     F = parse_term("binomial(n,k)", syms)
@@ -1546,7 +1582,7 @@ def test_prove_determinism():
 def _guard_nid(F, lower, upper):
     # the guard reads only the summand, k and the window
     return NormalizedIdentity(F, F, (), "k", "n", lower, upper, True,
-                              RationalFunction.constant(F.symbols, 1))
+                              Factored.one(F.symbols))
 
 
 def test_termination_guard_needs_integer_lower_index():

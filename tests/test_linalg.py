@@ -216,7 +216,7 @@ def test_nullspace_raises_when_every_probe_reads_too_low(monkeypatch):
 
 
 def test_nullspace_three_variables_without_rational_arithmetic():
-    # back-substitution in RationalFunction arithmetic ran for minutes here
+    # back-substitution in reduced-quotient arithmetic ran for minutes here
     text = (
         "x*y^2*z^2 | -5*x^2*z - 3/2*x^2 + 2*y | 3/2*z"
         " | 1/3*x^2*y^2*z - 5/3*y^2 - 3*y*z | -2*y*z^2 - 4*z^2;"
@@ -227,7 +227,7 @@ def test_nullspace_three_variables_without_rational_arithmetic():
         " x^2 + 4*x*z | 0 | -2*x*y^2*z - 5*x*y*z^2"
         " | -5/3*y^2*z - x*y - 4/3*x*z | -2/3*x*y*z^2 + 5/2*z")
     vars = ("x", "y", "z")
-    m = PolyMatrix([[parse_rational(e, vars).num for e in row.split("|")]
+    m = PolyMatrix([[parse_rational(e, vars).expand() for e in row.split("|")]
                     for row in text.split(";")])
     basis = solve_nullspace(m)
     assert len(basis) == 1

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hyperproof import polys as polys_module
 from hyperproof.factored import (
@@ -12,13 +12,13 @@ from hyperproof.factored import (
 )
 from hyperproof.linalg import clear_and_primitive
 from hyperproof.polys import (
-    MultiPoly, RationalFunction, _cleared, _heuristic_gcd, _norm_coef,
-    common_denominator, poly_gcd,
+    MultiPoly, _cleared, _heuristic_gcd, _norm_coef, common_denominator,
+    poly_gcd,
 )
 from hyperproof.terms import LinearForm
 from oracles import (
-    clear_and_primitive_reference, expand_reference, factored_mul_reference,
-    factored_shift_reference, factored_split_reference,
+    Quotient, clear_and_primitive_reference, expand_reference,
+    factored_mul_reference, factored_shift_reference, factored_split_reference,
     factored_value_reference, poly_key_reference, poly_lcm, pow_reference,
     sort_key_reference,
 )
@@ -142,10 +142,13 @@ def test_lcm():
     assert l == ((x + one) * x).monic()
 
 
+# the oracles' reduced quotient, the reference arithmetic of the tests
+
+
 def test_rational_function_reduction():
     x = MultiPoly.variable(V, "x")
     y = MultiPoly.variable(V, "y")
-    r = RationalFunction((x * x - y * y), (x - y))
+    r = Quotient((x * x - y * y), (x - y))
     assert r.num == x + y
     assert r.den.is_constant() and r.den.as_constant() == 1
 
@@ -153,7 +156,7 @@ def test_rational_function_reduction():
 def test_rational_function_monic_denominator():
     x = MultiPoly.variable(("x",), "x")
     two = MultiPoly.constant(("x",), 2)
-    r = RationalFunction(x, x.scale(2) + two)
+    r = Quotient(x, x.scale(2) + two)
     assert r.den.leading_coeff() == 1
     assert (r.num, r.den) == (x.scale(Fraction(1, 2)),
                               x + MultiPoly.constant(("x",), 1))
@@ -162,22 +165,35 @@ def test_rational_function_monic_denominator():
 def test_rational_function_arithmetic():
     k = MultiPoly.variable(("k",), "k")
     one = MultiPoly.constant(("k",), 1)
-    a = RationalFunction(one, k)           # 1/k
-    b = RationalFunction(one, k + one)     # 1/(k+1)
-    s = a - b                              # 1/(k(k+1))
-    assert s == RationalFunction(one, k * (k + one))
+    a = Quotient(one, k)           # 1/k
+    b = Quotient(one, k + one)     # 1/(k+1)
+    s = a - b                      # 1/(k(k+1))
+    assert s == Quotient(one, k * (k + one))
     assert (a * b) == s
-    assert (s / b) == RationalFunction(one, k)
+    assert (s / b) == Quotient(one, k)
 
 
 def test_rational_function_shift_eval():
+    # Factored, the program's rational type: a shift moves each factor
     k = MultiPoly.variable(("k",), "k")
     one = MultiPoly.constant(("k",), 1)
-    r = RationalFunction(k, k + one)
+    r = factored_of(k, k + one)
     r2 = r.shift("k", 1)
-    assert r2 == RationalFunction(k + one, k + one.scale(2))
-    assert Fraction(r2.num.eval({"k": 0}), r2.den.eval({"k": 0})) == \
-        Fraction(1, 2)
+    assert r2 == factored_of(k + one, k + one.scale(2))
+    num, den = (side.expand() for side in r2.split())
+    assert Fraction(num.eval({"k": 0}), den.eval({"k": 0})) == Fraction(1, 2)
+
+
+def factored_of(num: MultiPoly, den: MultiPoly) -> Factored:
+    """num/den as a Factored of the two polynomials, with no gcd."""
+    return Factored.one(num.vars).mul_poly(num, 1).mul_poly(den, -1)
+
+
+def same_value(f: Factored, r: Quotient):
+    """Whether a Factored and a Quotient are one rational function: equal
+    by cross-multiplication."""
+    num, den = (side.expand() for side in f.split())
+    return num * r.den == r.num * den
 
 
 # -- property tests of the integer kernels against the schoolbook versions ---
@@ -505,9 +521,11 @@ def test_free_of_has_no_var_and_divides(case):
         lambda p: not p.is_constant()),
     polys(n, max_terms=3, max_exp=2).filter(bool), st.integers(1, 3))))
 def test_divide_factor_keeps_the_value_with_the_divisor_multiplied_back(case):
-    # a nonconstant divisor p of a stored factor p * s, and every stored
-    # factor with a positive exponent by itself
+    # a nonconstant divisor p of a stored factor p * s, not a monomial,
+    # which is stored as affine factors, and every stored factor with a
+    # positive exponent by itself
     f, p, s, e = case
+    assume(len((p * s).terms) > 1)
     (fid,) = Factored(f.vars).mul_poly(p * s, 1).facs
     f.mul_poly(p * s, e)
     g = f.copy()
@@ -613,7 +631,7 @@ def test_kernels_store_ints_unless_a_denominator_survives(pq, c):
     assert normalized(p.divexact(MultiPoly.constant(p.vars, c)))
     if not q.is_zero():
         assert normalized((p * q).divexact(q))
-        rf = RationalFunction(p, q)
+        rf = Quotient(p, q)
         assert normalized(rf.num) and normalized(rf.den)
     if not p.is_zero():
         scale, prim = p.primitive()
@@ -647,18 +665,18 @@ def rational_functions(draw, vars):
     num = draw(polys(len(vars), max_terms=3, max_exp=2))
     den = draw(polys(len(vars), max_terms=3, max_exp=2).filter(
         lambda d: not d.is_zero()))
-    return RationalFunction(num, den)
+    return num, den
 
 
 @settings(deadline=None, max_examples=150)
 @given(st.integers(1, 2).flatmap(
     lambda n: st.tuples(*[rational_functions(tuple("xyzw"[:n]))] * 3)))
 def test_rational_function_ring_laws(fgh):
-    # the reduced, monic-denominator form is canonical, so the field laws hold
-    # as structural equalities
-    f, g, h = fgh
-    zero = RationalFunction.constant(f.vars, 0)
-    one = RationalFunction.constant(f.vars, 1)
+    # the oracles' reduced, monic-denominator form is canonical, so the
+    # field laws hold as structural equalities
+    f, g, h = (Quotient(*nd) for nd in fgh)
+    zero = Quotient.constant(f.vars, 0)
+    one = Quotient.constant(f.vars, 1)
     assert f + g == g + f and f * g == g * f
     assert (f + g) + h == f + (g + h)
     assert (f * g) * h == f * (g * h)
@@ -667,39 +685,38 @@ def test_rational_function_ring_laws(fgh):
     assert f - f == zero and f + (-g) == f - g
     if not g.is_zero():
         assert (f / g) * g == f
-        assert g * g.inverse() == one
+        assert g * (one / g) == one
 
 
 @st.composite
 def cross_sharing_pairs(draw):
-    """Two reduced rational functions f = a*s/(b*t) and g = c*t/(d*s), so
-    that f's numerator shares s with g's denominator and g's numerator
+    """Two quotients f = a*s/(b*t) and g = c*t/(d*s), as (num, den) pairs,
+    so that f's numerator shares s with g's denominator and g's numerator
     shares t with f's denominator."""
     n = draw(st.integers(1, 2))
     small = polys(n, max_terms=2, max_exp=2)
     nonzero = small.filter(lambda p: not p.is_zero())
     a, c = draw(small), draw(small)
     b, d, s, t = (draw(nonzero) for _ in range(4))
-    return RationalFunction(a * s, b * t), RationalFunction(c * t, d * s)
-
-
-def same(f, g):
-    assert f == g and str(f) == str(g)
-    assert dict(typed(f.num)) == dict(typed(g.num))
-    assert dict(typed(f.den)) == dict(typed(g.den))
+    return (a * s, b * t), (c * t, d * s)
 
 
 @settings(deadline=None, max_examples=150)
 @given(st.one_of(cross_sharing_pairs(), st.integers(1, 2).flatmap(
     lambda n: st.tuples(*[rational_functions(tuple("xyzw"[:n]))] * 2))))
 def test_products_match_full_reduction(fg):
-    # * and / cancel only the cross gcds of reduced operands; the result is
-    # the one the gcd of the whole products gives
-    f, g = fg
-    same(f * g, RationalFunction(f.num * g.num, f.den * g.den))
-    same(g * f, RationalFunction(f.num * g.num, f.den * g.den))
+    # a Factored product or quotient, which cancels factors by their ids
+    # only, is the oracles' fully reduced one, and the operands stay as
+    # they were
+    (fn, fd), (gn, gd) = fg
+    f, g = factored_of(fn, fd), factored_of(gn, gd)
+    before = (f.copy(), g.copy())
+    product = Quotient(fn * gn, fd * gd)
+    assert same_value(f.copy().mul(g), product)
+    assert same_value(g.copy().mul(f), product)
     if not g.is_zero():
-        same(f / g, RationalFunction(f.num * g.den, f.den * g.num))
+        assert same_value(f.copy().mul(g, -1), Quotient(fn * gd, fd * gn))
+    assert (f, g) == before
 
 
 @settings(deadline=None, max_examples=100)
@@ -707,10 +724,10 @@ def test_products_match_full_reduction(fg):
     rational_functions(tuple("xyz"[:n])), st.sampled_from("xyz"[:n]),
     st.integers(-3, 3))))
 def test_shift_matches_full_reduction(case):
-    # a shift keeps num and den coprime and the leading term of den
-    f, var, delta = case
-    same(f.shift(var, delta),
-         RationalFunction(f.num.shift(var, delta), f.den.shift(var, delta)))
+    # a Factored shift, factor by factor, is the shift of its value
+    (num, den), var, delta = case
+    assert same_value(factored_of(num, den).shift(var, delta),
+                      Quotient(num.shift(var, delta), den.shift(var, delta)))
 
 
 def heuristic_gcd(p, q):

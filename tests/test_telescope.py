@@ -6,14 +6,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hyperproof import gridproof, telescope
-from hyperproof.factored import Factored
+from hyperproof.factored import Factored, factored_split_over
 from hyperproof.cli import load_identity, run_prove
 from hyperproof.gridproof import normalize_and_delta
 from hyperproof.linalg import _grid_values, solve_nullspace
-from hyperproof.polys import MultiPoly, RationalFunction
+from hyperproof.polys import MultiPoly
 from hyperproof.telescope import (
     Certificate, Recurrence, _default_vars, _shift_ratios, assemble,
-    solve_order, verify_certificate,
+    printed_certificate, solve_order, verify_certificate,
 )
 from hyperproof.terms import TermError, parse_term, term_value
 from oracles import rows_by_to_univar
@@ -32,8 +32,7 @@ def cross_multiplied(f, rec, cert, k=None, n=None):
     lhs_den = Q.expand()
     pn = rho_num.expand()
     pd = rho_den.expand()
-    R = cert.ratio if cert.ratio.vars == vars else cert.ratio.embed(vars)
-    rn, rd = R.num, R.den
+    rn, rd = cert.num, cert.den.expand()
     rn1 = rn.shift(k, 1)
     rd1 = rd.shift(k, 1)
     rhs_num = rn1 * pn * rd - rn * pd * rd1
@@ -49,9 +48,19 @@ def oracle_verify(f, rec, cert, k=None, n=None):
 
 
 def poly_of(text, syms):
-    r = parse_term(text, syms).rational
-    assert r.den.is_constant()
-    return r.num
+    num, den = parse_term(text, syms).rational.split()
+    assert not den.facs
+    return num.expand()
+
+
+def certificate(num, den):
+    """The certificate num/den, its denominator one factor."""
+    return Certificate(num, Factored.one(num.vars).mul_poly(den, 1))
+
+
+def has_ratio(cert, num, den):
+    """Whether the certificate is num/den, by cross-multiplication."""
+    return cert.num * den == num * cert.den.expand()
 
 
 def brute_sum(f, n_val, lo, hi, extra=None):
@@ -74,28 +83,28 @@ def test_assemble_binomial_j1_shape():
 
 
 def _lifted_ratio(f):
-    # a1/a0 of the first kernel vector of the J=1 system, lifted to M
+    # (a1, a0) of the first kernel vector of the J=1 system, lifted to M
     sys = assemble(f, 1)
     basis = solve_nullspace(sys.matrix)
     assert basis
     vec = sys.lift(basis[0])
-    return RationalFunction(vec[1], vec[0])
+    return vec[1], vec[0]
 
 
 def test_assemble_nullspace_ratio_binomial():
     # nullspace of the J=1 system gives a1/a0 = -1/2
     f = parse_term("binomial(n,k)", ("k", "n"))
-    ratio = _lifted_ratio(f)
-    assert ratio == RationalFunction.constant(("n",), Fraction(-1, 2))
+    a1, a0 = _lifted_ratio(f)
+    assert a1 == a0.scale(Fraction(-1, 2))
 
 
 def test_assemble_nullspace_ratio_central_binomial():
     f = parse_term("binomial(n,k)^2", ("k", "n"))
-    ratio = _lifted_ratio(f)
+    a1, a0 = _lifted_ratio(f)
     # a1/a0 = -(n+1)/(4n+2)
     n = MultiPoly.variable(("n",), "n")
     one = MultiPoly.constant(("n",), 1)
-    assert ratio == RationalFunction(-(n + one), n.scale(4) + one.scale(2))
+    assert a1 * (n.scale(4) + one.scale(2)) == -(n + one) * a0
 
 
 def test_creative_telescope_binomial():
@@ -109,7 +118,7 @@ def test_creative_telescope_binomial():
     k = MultiPoly.variable(vars, "k")
     n = MultiPoly.variable(vars, "n")
     one = MultiPoly.constant(vars, 1)
-    assert cert.ratio == RationalFunction(-k, n + one - k)
+    assert has_ratio(cert, -k, n + one - k)
     assert verify_certificate(f, rec, cert)
 
 
@@ -196,20 +205,20 @@ def test_verify_certificate_rejects_perturbation():
     k = MultiPoly.variable(vars, "k")
     n = MultiPoly.variable(vars, "n")
     one = MultiPoly.constant(vars, 1)
-    bad = RationalFunction(-k, n + one.scale(2) - k)  # -k/(n+2-k)
-    assert not verify_certificate(f, rec, Certificate(bad))
+    bad = certificate(-k, n + one.scale(2) - k)  # -k/(n+2-k)
+    assert not verify_certificate(f, rec, bad)
 
 
 def test_verify_certificate_rejects_zero():
     f = parse_term("binomial(n,k)", ("k", "n"))
     rec, _ = solve_order(assemble(f, 1))
-    zero = Certificate(RationalFunction.constant(("k", "n"), 0))
+    zero = Certificate(MultiPoly.zero(("k", "n")), Factored.one(("k", "n")))
     assert not verify_certificate(f, rec, zero)
 
 
 def test_scaling_invariance():
     f = parse_term("binomial(n,k)", ("k", "n"))
-    g = f.with_rational(RationalFunction.constant(("k", "n"), Fraction(7, 3)))
+    g = f.with_rational(Factored(("k", "n"), Fraction(7, 3)))
     rec_f, _ = solve_order(assemble(f, 1))
     rec_g, _ = solve_order(assemble(g, 1))
     assert rec_f.coefficients == rec_g.coefficients
@@ -234,17 +243,19 @@ def test_order_zero_needs_no_rec_var():
     rec, cert = solve_order(assemble(parse_term("k", ("k",)), 0, k="k"))
     assert rec.order == 0
     f = parse_term("k*2^k", ("k",))
-    R = RationalFunction(poly_of("k-2", ("k",)), poly_of("k", ("k",)))
+    num, den = poly_of("k-2", ("k",)), poly_of("k", ("k",))
     one = Recurrence(0, (MultiPoly.constant((), 1),))
-    assert verify_certificate(f, one, Certificate(R), k="k")
-    assert not verify_certificate(f, one, Certificate(R.shift("k", 1)), k="k")
+    assert verify_certificate(f, one, certificate(num, den), k="k")
+    assert not verify_certificate(
+        f, one, certificate(num.shift("k", 1), den.shift("k", 1)), k="k")
 
 
 # Certificates of the kinds the corpus and the benchmark's symbolic workload
 # verify: parameter-free and parametric, orders 1 and 2.  The mrr entries
 # are specializations at x = a/7, z = b/11; their certificates are left
-# unreduced (229/122 terms at x = 3/7, z = 5/11), so they carry a factored
-# denominator.  Each entry is (summand, symbols, order of its telescoper).
+# unreduced (229/122 terms at x = 3/7, z = 5/11), so their denominators stay
+# products of many factors.  Each entry is (summand, symbols, order of its
+# telescoper).
 CERTIFIED = {
     "binomial": ("binomial(n,k)", ("k", "n"), 1),
     "vandermonde": ("binomial(n,k)*binomial(a,k)", ("k", "n", "a"), 1),
@@ -270,7 +281,7 @@ def certified(name):
     text, symbols, J = CERTIFIED[name]
     f = parse_term(text, symbols)
     rec, cert = solve_order(assemble(f, J))
-    return f, rec, cert
+    return f, rec, printed_certificate(cert, J)
 
 
 @st.composite
@@ -278,7 +289,7 @@ def perturbed_certificates(draw):
     """A certified (f, rec, cert) with at most one term added to R's
     numerator or denominator or to one recurrence coefficient.  A
     certificate keeps its factored denominator unless the denominator
-    changed."""
+    changed, which makes it one factor."""
     f, rec, cert = certified(draw(st.sampled_from(sorted(CERTIFIED))))
     c = Fraction(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 2)))
     where = draw(st.sampled_from(["none", "num", "den", "rec"]))
@@ -291,7 +302,7 @@ def perturbed_certificates(draw):
         coeffs = list(rec.coefficients)
         coeffs[j] = coeffs[j] + MultiPoly.from_terms(vars, [(exp, c)])
         return f, Recurrence(rec.order, tuple(coeffs)), cert
-    num, den = cert.ratio.num, cert.ratio.den
+    num, den = cert.num, cert.den.expand()
     target = num if where == "num" else den
     # a term R already has, or any small monomial
     exp = draw(st.sampled_from(sorted(target.terms))
@@ -299,9 +310,8 @@ def perturbed_certificates(draw):
     target = target + MultiPoly.from_terms(f.symbols, [(exp, c)])
     assume(not target.is_zero())
     if where == "num":
-        return f, rec, Certificate(RationalFunction(target, den, reduce=False),
-                                   cert.factored_den)
-    return f, rec, Certificate(RationalFunction(num, target, reduce=False))
+        return f, rec, Certificate(target, cert.den)
+    return f, rec, certificate(num, target)
 
 
 @settings(deadline=None, max_examples=60)
@@ -321,26 +331,26 @@ def test_perturbation_at_the_degree_bound_is_rejected(name):
     D = {"binomial": 2, "dixon": 4, "mrr-x3o7-z5o11": 30}[name]
     f, rec, cert = certified(name)
     assert verify_certificate(f, rec, cert)
-    R = cert.ratio
     n = MultiPoly.variable(f.symbols, "n")
-    bad = Certificate(RationalFunction(R.num + (n ** D).scale(3) * R.den,
-                                       R.den, reduce=False))
+    bad = Certificate(cert.num + (n ** D).scale(3) * cert.den.expand(),
+                      cert.den)
     assert not verify_certificate(f, rec, bad)
     assert not oracle_verify(f, rec, bad)
 
 
 def test_factored_denominator_expands_to_the_certificate_denominator():
-    # the unreduced mrr certificates keep their denominator as a product;
-    # the reduced ones keep none
+    # a certificate prints its denominator expanded and made monic, the
+    # numerator divided by the same leading coefficient; the unreduced mrr
+    # certificates keep their denominator as a product of many factors, and
+    # the reduced ones as one factor
     for name in CERTIFIED:
         _, _, cert = certified(name)
-        if name in MRR_SPECIALIZATIONS:
-            assert cert.factored_den.expand() == cert.ratio.den
-        else:
-            assert cert.factored_den is None
-    # it takes no part in equality
-    _, _, cert = certified("mrr-x3o7-z5o11")
-    assert cert == Certificate(cert.ratio)
+        den = cert.den.expand()
+        lc = den.leading_coeff()
+        num, den = cert.num.scale(Fraction(1) / lc), den.monic()
+        assert str(cert) == (str(num) if den.is_constant()
+                             else f"({num})/({den})"), name
+        assert (len(cert.den.facs) > 1) == (name in MRR_SPECIALIZATIONS), name
 
 
 def test_a_denominator_without_factors_is_split_by_exact_division():
@@ -351,20 +361,22 @@ def test_a_denominator_without_factors_is_split_by_exact_division():
     one = MultiPoly.constant(vars, 1)
     over = Factored.one(vars).mul_poly(k + one, 1).mul_poly(n.scale(2), 1)
     p = ((k + one) ** 2 * (n + one) * (n * n + one)).scale(Fraction(3, 2))
-    split = telescope._factor_over(p, over)
+    split = factored_split_over(Factored.one(vars).mul_poly(p, 1), over)
     assert split.expand() == p
     assert [(fid[0], e) for fid, (_, e) in split.facs.items()] == \
         [("aff", 2), ("opq", 1)]
     assert split.factors()[1] == (n + one) * (n * n + one)
     # the reduced dixon certificate's denominator k - n - 1 is a factor of
-    # Q, and the unreduced mrr certificate's, stripped of its factors, splits
-    # into factors of Q alone: the lcm of the identity's denominators clears
-    # no opaque cofactor
+    # Q, and the unreduced mrr certificate's, expanded into one factor as a
+    # printed certificate is read, splits into factors of Q alone: the lcm
+    # of the identity's denominators clears no opaque cofactor
     for name in ("dixon", "mrr-x3o7-z5o11"):
         f, rec, cert = certified(name)
         Q = _shift_ratios(f, rec.order, "k", "n")[1]
-        split = telescope._factor_over(cert.ratio.den, Q)
-        assert split.expand() == cert.ratio.den
+        den = cert.den.expand()
+        one_factor = Factored.one(f.symbols).mul_poly(den, 1)
+        split = factored_split_over(one_factor, Q)
+        assert split.expand() == den
         assert all(fid[0] == "aff" for fid in split.facs), name
         assert set(split.facs) <= set(Q.facs), name
     assert len(split.facs) == sum(fid[0] == "aff" for fid in Q.facs)
@@ -408,13 +420,14 @@ def test_with_and_without_factors_and_the_oracle_agree(monkeypatch):
         a = list(rec.coefficients)
         broken = Recurrence(rec.order, tuple(
             a[:-1] + [a[-1] + MultiPoly.constant(a[-1].vars, 1)]))
+        one_factor = certificate(cert.num, cert.den.expand())
         for r, expected in ((rec, True), (broken, False)):
-            for c in (cert, Certificate(cert.ratio)):
+            for c in (cert, one_factor):
                 for shared in ((None,) if ratios is None else (None, ratios)):
                     assert verify_certificate(f, r, c, k=k, n=n,
                                               ratios=shared) == expected, name
             assert oracle_verify(f, r, cert, k, n) == expected, name
-        factored += cert.factored_den is not None
+        factored += len(cert.den.facs) > 1
     assert factored >= len(MRR_SPECIALIZATIONS)
 
 
@@ -425,15 +438,30 @@ def test_perturbation_nonzero_at_one_node_only_is_rejected():
     vars = ("k", "n")
     f = parse_term("1", vars)
     rec = Recurrence(0, (MultiPoly.zero(("n",)),))
-    assert verify_certificate(f, rec, Certificate(RationalFunction.constant(vars, 0)))
+    assert verify_certificate(f, rec, Certificate(MultiPoly.zero(vars),
+                                                  Factored.one(vars)))
     k, n = (MultiPoly.variable(vars, v) for v in vars)
     D = 6
     N = MultiPoly.constant(vars, 1)
     for t in _grid_values(D)[:-1]:
         N = N * (n - MultiPoly.constant(vars, t))
-    bad = Certificate(RationalFunction(k * N, MultiPoly.constant(vars, 1)))
+    bad = Certificate(k * N, Factored.one(vars))
     assert not verify_certificate(f, rec, bad)
     assert not oracle_verify(f, rec, bad)
+
+
+def test_a_certificate_over_other_variables_is_embedded():
+    # a certificate over the term's variables in another order, or over
+    # fewer of them, is read over the term's own variables
+    f = parse_term("binomial(n,k)", ("k", "n", "a"))
+    rec = Recurrence(1, tuple(MultiPoly.constant(("n",), c) for c in (-2, 1)))
+    for vars in (("n", "k"), ("k", "n"), ("a", "n", "k"), f.symbols):
+        k, n = (MultiPoly.variable(vars, v) for v in ("k", "n"))
+        one = MultiPoly.constant(vars, 1)
+        den = Factored.one(vars).mul_poly(n + one - k, 1)
+        assert verify_certificate(f, rec, Certificate(-k, den)), vars
+        assert not verify_certificate(f, rec, Certificate(k, den)), vars
+        assert not verify_certificate(f, rec, Certificate(-k * n, den)), vars
 
 
 def _assembled_term(name):

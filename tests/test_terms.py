@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperproof.factored import Factored
 from hyperproof.linalg import _lower_set
-from hyperproof.polys import RationalFunction
+from hyperproof.polys import MultiPoly
 from hyperproof.terms import (
     EvalError, LinearForm, ParseError, _ZeroTerm,
     natural_support, parse_affine, parse_rational, parse_sum, parse_term,
@@ -27,11 +28,17 @@ def ratfn(num_text, den_text, symbols):
     return t.rational
 
 
+def value(r, point):
+    """A Factored value at a point, by its two sides expanded."""
+    num, den = (side.expand() for side in r.split())
+    return Fraction(num.eval(point)) / den.eval(point)
+
+
 def test_parse_binomial_product():
     t = parse_term("binomial(n,k)*binomial(a,k)", SYMS)
     assert len(t.binomials) == 2
     assert not t.factorials and not t.risings and not t.powers
-    assert t.rational.is_constant() and t.rational.as_constant() == 1
+    assert t.rational == Factored.one(SYMS)
 
 
 def test_parse_power_rf_factorial():
@@ -68,6 +75,44 @@ def test_parse_affine_and_rational():
     for text in ("2^n", "n!", "binomial(n,k)", "rf(a,k)", "m", "0^(-1)"):
         with pytest.raises(ParseError):
             parse_rational(text, SYMS)
+
+
+def test_an_argument_affine_only_after_a_cancellation_is_rejected():
+    # arguments and limits are read straight into affine forms, so a
+    # quotient that would cancel to one is not affine
+    for text in ("binomial((n^2-1)/(n-1),k)", "rf(k,(2*n^2+2*n)/(n+1))",
+                 "(n*k/k)!"):
+        with pytest.raises(ParseError, match="not affine"):
+            parse_term(text, SYMS)
+    with pytest.raises(ParseError, match="not affine"):
+        parse_affine("(2*n^2+2*n)/(n+1)", SYMS)
+    # as a rational factor the same quotient is read without a gcd, and a
+    # term holding it has the reduced quotient's values, at n = 1 too
+    r = parse_rational("(n^2-1)/(n-1)", SYMS)
+    assert r != parse_rational("n+1", SYMS)
+    assert all(value(r, {"k": 0, "n": v, "a": 0}) == v + 1
+               for v in (0, 2, 3, -5))
+    t = parse_term("(n^2-1)/(n-1)", SYMS)
+    assert all(term_value(t, {"k": 0, "n": v, "a": 0}) == v + 1
+               for v in (0, 1, 2, 3, -5))
+
+
+def test_a_removable_pole_has_the_reduced_value():
+    # k^2 - k is one opaque factor and k - 1 an affine one, so their ids
+    # never cancel; at k = 1 the expanded denominator vanishes, and the
+    # value is that of the reduced k * binomial(n,k)
+    t = parse_term("binomial(n,k)*(k^2-k)/(k-1)", SYMS)
+    assert term_value(t, {"k": 1, "n": 5, "a": 0}) == 5
+    const, affine, opaque = value_parts(t, {"k": 1})
+    assert const == 1 and affine == [(LinearForm.symbol("n"), 1)]
+    assert [(p.eval({"n": 2, "a": 0}), e) for p, e in opaque] == [(1, 1),
+                                                                  (1, -1)]
+    # a pole that does not cancel is still an error
+    pole = parse_term("binomial(n,k)*(k^2-k)/(k-1)^2", SYMS)
+    with pytest.raises(EvalError, match="denominator vanishes"):
+        term_value(pole, {"k": 1, "n": 5, "a": 0})
+    with pytest.raises(EvalError, match="denominator vanishes"):
+        value_parts(pole, {"k": 1})
 
 
 def test_parse_rational_factor_and_integer_power():
@@ -155,6 +200,66 @@ def test_roundtrip_render_parse_property(text):
     # affine arguments and rational function factors
     t = parse_term(text, SYMS)
     assert parse_term(render(t), SYMS) == t
+
+
+_INT = st.integers(-3, 3)
+
+
+@st.composite
+def _rational_term_text(draw):
+    """A binomial or rising factorial, or 1, times affine and quadratic
+    factors with integer coefficients over SYMS, each multiplied or
+    divided."""
+    def affine():
+        coeffs = [draw(_INT) for _ in SYMS]
+        if not any(coeffs):
+            coeffs[0] = 1
+        return "+".join(f"({c})*{s}" for c, s in zip(coeffs, SYMS)) + \
+            f"+({draw(_INT)})"
+
+    text = draw(st.sampled_from(["1", "binomial(n,k)", "rf(a,k)",
+                                 "binomial(n+a,k)/rf(a+1,k)"]))
+    for _ in range(draw(st.integers(1, 4))):
+        factor = f"({affine()})" if draw(st.booleans()) else \
+            f"(({affine()})*({affine()})+({draw(_INT)}))"
+        text += draw(st.sampled_from("*/")) + factor
+    return text
+
+
+@settings(deadline=None, max_examples=150)
+@given(_rational_term_text(), st.randoms(use_true_random=False))
+def test_shift_quotient_times_the_term_is_the_shifted_term(text, rng):
+    # f(v+1) = shift_quotient(f, v)(v) * f(v) at integer points where both
+    # values are defined; and the factor-by-factor rendering reads back to
+    # an equal term with an equal hash
+    t = parse_term(text, SYMS)
+    back = parse_term(render(t), SYMS)
+    assert back == t and hash(back) == hash(t)
+    for var in ("k", "n"):
+        q = shift_quotient(t, var)
+        for _ in range(10):
+            pt = {s: rng.randint(-2, 6) for s in SYMS}
+            try:
+                v0 = term_value(t, pt)
+                v1 = term_value(t, {**pt, var: pt[var] + 1})
+                qv = value(q, pt)
+            except (EvalError, ZeroDivisionError):
+                continue
+            assert v1 == qv * v0, (var, pt)
+
+
+def test_products_leave_their_operands_unchanged():
+    # times, inverted, divided_by and with_rational build a new rational
+    # factor: changing the result changes neither operand
+    f_text, g_text = "binomial(n,k)*(n+1)/(k+2)", "(k^2+a)/(n-k)*rf(a,k)"
+    f, g = parse_term(f_text, SYMS), parse_term(g_text, SYMS)
+    k = MultiPoly.variable(SYMS, "k")
+    for out in (f.times(g), g.times(f), f.inverted(), f.divided_by(g),
+                f.with_rational(g.rational)):
+        out.rational.mul_const(5).mul_poly(k * k + k.scale(3) + k ** 0, 2)
+        out.rational.mul_affine(LinearForm.symbol("a"), -1)
+        out.rational.mul(g.rational, 2)
+        assert f == parse_term(f_text, SYMS) and g == parse_term(g_text, SYMS)
 
 
 def test_at_is_the_number_where_every_symbol_is_assigned():
@@ -266,8 +371,7 @@ def test_shift_quotient_binomial_in_k():
 def test_shift_quotient_rf_in_k():
     t = parse_term("rf(a,k)", ("k", "a"))
     q = shift_quotient(t, "k")
-    assert q == RationalFunction.from_poly(
-        parse_term("(a+k)", ("k", "a")).rational.num)
+    assert q == parse_rational("a+k", ("k", "a"))
 
 
 def test_shift_quotient_binomial_in_n():
@@ -301,7 +405,7 @@ def test_shift_quotient_numeric_consistency():
                     pt2 = dict(pt)
                     pt2[var] = pt[var] + 1
                     v1 = term_value(t, pt2)
-                    qv = Fraction(q.num.eval(pt)) / q.den.eval(pt)
+                    qv = value(q, pt)
                 except (EvalError, ZeroDivisionError):
                     continue
                 assert v1 == v0 * qv
@@ -316,7 +420,7 @@ def test_shift_quotient_rational_multiplier():
     t2 = t.with_rational(w)
     q1 = shift_quotient(t, "k")
     q2 = shift_quotient(t2, "k")
-    assert q2 == q1 * (w.shift("k", 1) / w)
+    assert q2 == q1.copy().mul(w.shift("k", 1)).mul(w, -1)
 
 
 def test_integrality_precondition():
@@ -349,7 +453,7 @@ def test_natural_support_rising_terminating():
 
 def test_natural_support_empty():
     t = parse_term("binomial(n,k)", ("k", "n")).with_rational(
-        RationalFunction.constant(("k", "n"), 0))
+        Factored(("k", "n"), 0))
     assert natural_support(t, {"n": 3}) == (0, -1)
 
 
