@@ -61,8 +61,8 @@ from .linalg import (
 )
 from .polys import MultiPoly, _as_fraction, _poly_list_gcd, poly_gcd
 from .telescope import (
-    Certificate, Recurrence, assemble, printed_certificate, solve_order,
-    verify_certificate,
+    Certificate, Recurrence, ShiftQuotients, _shift_ratios, assemble,
+    printed_certificate, solve_order, verify_certificate,
 )
 from .terms import (
     LinearForm, TermError, TermExpression, natural_support, shift_quotient,
@@ -710,16 +710,16 @@ def _finish(report, nid, J, n0):
     return report
 
 
-def _telescoper_report(nid: NormalizedIdentity, sys, certainty, seed):
+def _telescoper_report(nid: NormalizedIdentity, sys, shifts, certainty,
+                       seed):
     """The rigorous report from the solution of sys, the order-J system of
     the delta term g, or None when it has none or an order-0 certificate
     fails.  Order J >= 1 is published as telescope and certifies g.  Order
     0 is Gosper/WZ: its recurrence is [1], so its certificate R certifies
     g, which is fhat when the right side is zero; else R * (n_ratio - 1)
     certifies fhat with the recurrence [-1, 1].  The certificate is
-    verified and published as printed_certificate gives it.  A telescope
-    of the system's own order is verified on the shift ratios assemble
-    built for it; a shorter one, and fhat at order 1, get their own."""
+    verified on the shift ratios of g's table shifts, or of fhat's, whose
+    shift in n is n_ratio, and published as printed_certificate gives it."""
     out = solve_order(sys)
     if out is None:
         return None
@@ -730,10 +730,10 @@ def _telescoper_report(nid: NormalizedIdentity, sys, certainty, seed):
             [nid.n_ratio], [Factored.one(term.symbols)]).split()
         term, cert = nid.fhat, Certificate(
             cert.num * w_num.expand(), cert.den.copy().mul(w_den))
+        shifts = ShiftQuotients(term, {(nid.n, 1): nid.n_ratio.split()})
     cert = printed_certificate(cert, sys.ansatz.order)
-    shared = not wz and rec.order == sys.ansatz.order
-    if not verify_certificate(term, rec, cert, k=nid.k, n=nid.n,
-                              ratios=sys.ratios if shared else None):
+    if not verify_certificate(term, rec, cert, k=nid.k, n=nid.n, ratios=(
+            _shift_ratios(term, rec.order, nid.k, nid.n, shifts))):
         if wz:
             return None
         raise RuntimeError("telescoper failed exact re-verification")
@@ -806,9 +806,10 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
         return _finish(report, nid, 0, None)
 
     last_witness, points_checked = None, False
+    shifts = ShiftQuotients(nid.delta_term)  # this proof's, and no other's
     for J in range(0 if fast_path else 1, max_order + 1):
         try:
-            sys = assemble(nid.delta_term, J, k=k, n=n)
+            sys = assemble(nid.delta_term, J, k=k, n=n, shifts=shifts)
         except TermError:
             if J > 0 or not nid.params:
                 raise
@@ -816,7 +817,7 @@ def _prove_inner(summand, rhs_terms, k, n, lower, upper, params,
         if sys is None:
             continue
         if J == 0 or not nid.params:
-            report = _telescoper_report(nid, sys, certainty, seed)
+            report = _telescoper_report(nid, sys, shifts, certainty, seed)
             if report:
                 return report
             continue

@@ -11,12 +11,14 @@ exact elimination: rank probes, pivot rows, integer determinants
 the compiled kernel's expansion.  The nullspace has one path, Brown's
 evaluation and interpolation (`solve_nullspace`): each basis vector is the
 cofactor vector of the pivot rows on the pivot columns and one free column,
-evaluated at integer nodes and interpolated in one variable, a matrix in
-several variables first mapped to one by Kronecker substitution, and every
-vector is checked exactly.  The determinant grid takes its points from
-`_lower_set`, a lower set of exponents cut out by weighted degree bounds,
-on `_grid_values` per variable: consecutive integers centered at 0, since
-lower-set interpolation needs only distinct nodes.
+evaluated at integer nodes and interpolated in one variable (with no
+evaluation for a single pivot row), a matrix in several variables first
+mapped to one by Kronecker substitution, and every vector is checked
+exactly, by one big-integer evaluation per entry (`_annihilates`).  The
+determinant grid takes its points from `_lower_set`, a lower set of
+exponents cut out by weighted degree bounds, on `_grid_values` per
+variable: consecutive integers centered at 0, since lower-set interpolation
+needs only distinct nodes.
 
 One evaluator, `_GridEvaluator`, computes a polynomial matrix at integer
 points for the grid, the nullspace's probes and nodes, and
@@ -25,17 +27,13 @@ each matrix row into one integer, one signed B-bit lane per column, and
 runs Horner's rule on whole rows.  `_GridEvaluator.kernel` compiles the
 last variable's level and `_constant_pivots`' chain of constant pivots, as
 division-free row operations on packed rows, into one straight-line
-function per matrix; it ends in the remainder's determinant, expanded by
-minors, when the remainder is square and at most _DET_WIDTH wide, and
-otherwise returns its rows for `_int_rank`.  The pivot rows form a
-triangular block with nonzero constant diagonal above zeros, so the rank
-is the chain length plus the remainder's.  Building it takes a few
-milliseconds for mrr's 9x9 order-2 system, repaid over a scan of thousands
-of points, or over the hundred nodes of `_univar_minors`; the other callers
-evaluate few points per matrix and read the rows out
-(`_GridEvaluator.matrices`).  The grid scan also compiles the level above
-the last variable's, which it runs again at every new prefix of leading
-coordinates (`_GridEvaluator.compile_prefix`).
+function per matrix, which ends in the remainder's determinant or rows.
+Building it takes a few milliseconds for mrr's 9x9 order-2 system, repaid
+over a scan of thousands of points, or over the hundred nodes of
+`_univar_minors`; the other callers evaluate few points per matrix and
+read the rows out (`_GridEvaluator.matrices`).  The grid scan also
+compiles the level above the last variable's, which it runs again at
+every new prefix of leading coordinates (`_GridEvaluator.compile_prefix`).
 """
 
 from __future__ import annotations
@@ -160,11 +158,14 @@ def _cofactor_polys(sub: PolyMatrix) -> list:
     and positively led (_primitive_vector in one variable, else
     clear_and_primitive); zeros when it is zero.  size_i is 1 + the degree
     bound of the cofactors in x_i, an assignment of the columns to the rows.
-    In other than one variable, sub is mapped to one by Kronecker
-    substitution (_kronecker): determinants commute with it, and every
-    exponent of a cofactor lies in the box of the sizes, so each image
-    coefficient maps back to one term."""
+    In other than one variable, sub is mapped to one by the Kronecker
+    substitution x_i -> y^radices[i]: determinants commute with it, and
+    every exponent of a cofactor lies in the box of the sizes, so each image
+    coefficient maps back to one term.  A 1 x 2 sub [a, b] has the cofactor
+    vector [b, -a], with no evaluation."""
     vars = sub.vars
+    if sub.rows == 1:
+        return clear_and_primitive([sub.entries[0][1], -sub.entries[0][0]])
     sizes = [(_max_assignment([[e.degree(v) for e in col]
                                for col in zip(*sub.entries)]) or 0) + 1
              for v in vars]
@@ -173,8 +174,8 @@ def _cofactor_polys(sub: PolyMatrix) -> list:
         return [_from_dense(p, vars) for p in _primitive_vector(vec, vars)] \
             if any(vec) else [MultiPoly.zero(vars)] * len(vec)
     radices = [prod(sizes[i + 1:]) for i in range(len(sizes))]
-    image = PolyMatrix([[MultiPoly(("y",), {
-        (d,): c for d, c in enumerate(_kronecker(e, radices)) if c})
+    image = PolyMatrix([[MultiPoly.from_terms(("y",), [
+        ((sum(map(mul, exp, radices)),), c) for exp, c in e.terms.items()])
         for e in row] for row in sub.entries])
     vec = [MultiPoly(vars, {tuple(_grid_digits(d, sizes)): c
                             for d, c in enumerate(p) if c})
@@ -225,32 +226,24 @@ def _cofactors(sub: PolyMatrix, count: int) -> list:
 
 
 def _annihilates(m: PolyMatrix, vec) -> bool:
-    """Whether m times the polynomial vector vec is zero, exactly: each
-    row's sum on integer lists after Kronecker substitution, with sizes past
-    every exponent of the sum, so that no two of its terms meet."""
+    """Whether the integer m times the integer polynomial vector vec is
+    zero, exactly: each row's sum under a Kronecker substitution (sizes
+    past its every exponent) at y = 2^B, B one bit past the largest
+    sum_j |e_j|_1 |v_j|_1 of a row, where a nonzero sum is nonzero."""
     sizes = [max(e.degree(v) for row in m.entries for e in row)
              + max(p.degree(v) for p in vec) + 1 for v in m.vars]
     radices = [prod(sizes[i + 1:]) for i in range(len(sizes))]
-    vec = [_kronecker(p, radices) for p in vec]
-    for row in m.entries:
-        acc = [0] * prod(sizes)
-        for e, p in zip(row, vec):
-            for exp, c in e.terms.items():
-                for t, x in enumerate(p, sum(map(mul, exp, radices))):
-                    acc[t] += c * x
-        if any(acc):
-            return False
-    return True
+    norms = [sum(map(abs, p.terms.values())) for p in vec]
+    B = max(sum(sum(map(abs, e.terms.values())) * x
+                for e, x in zip(row, norms))
+            for row in m.entries).bit_length() + 1
 
-
-def _kronecker(p: MultiPoly, radices) -> list:
-    """The ascending coefficient list of p under the Kronecker substitution
-    x_i -> y^radices[i]."""
-    index = {exp: sum(map(mul, exp, radices)) for exp in p.terms}
-    out = [0] * (max(index.values(), default=-1) + 1)
-    for exp, c in p.terms.items():
-        out[index[exp]] += c
-    return out
+    def at(p):  # x_i -> 2^(B radices[i])
+        return sum(c << B * sum(map(mul, exp, radices))
+                   for exp, c in p.terms.items())
+    vec = [at(p) for p in vec]
+    return not any(sum(at(e) * x for e, x in zip(row, vec))
+                   for row in m.entries)
 
 
 def _int_rank(a, order=None) -> int:

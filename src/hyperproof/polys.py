@@ -85,14 +85,30 @@ def _cleared(p):
                  for e, c in p.terms.items()]
 
 
-def _unpack(key, radices):
-    """Exponent tuple of a packed key; digit i has radix radices[i], the
-    first digit is the least significant."""
-    exp = []
+def _unpacked(acc: dict, radices, den: int = 1) -> dict:
+    """{exponent tuple: c / den} of acc, keyed by packed exponents (digit i
+    of radix radices[i], the first least significant): one comprehension
+    per arity up to four, else digit lists zipped."""
+    if den != 1:
+        acc = {k: _ratio(c, den) for k, c in acc.items()}
+    if len(radices) == 1:
+        return {(k,): c for k, c in acc.items()}
+    if len(radices) == 2:
+        a = radices[0]
+        return {(k % a, k // a): c for k, c in acc.items()}
+    if len(radices) == 3:
+        a, b, _ = radices
+        return {(k % a, k // a % b, k // (a * b)): c for k, c in acc.items()}
+    if len(radices) == 4:
+        a, b, c3, _ = radices
+        ab, abc = a * b, a * b * c3
+        return {(k % a, k // a % b, k // ab % c3, k // abc): c
+                for k, c in acc.items()}
+    digits, w = [], 1
     for r in radices:
-        key, d = divmod(key, r)
-        exp.append(d)
-    return tuple(exp)
+        digits.append([k // w % r for k in acc])
+        w *= r
+    return dict(zip(zip(*digits) if digits else [()], acc.values()))
 
 
 def _rational_quotient(r, c):
@@ -172,11 +188,8 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, vars, c):
-        vars = tuple(vars)
-        c = _norm_coef(c)
-        if c == 0:
-            return cls(vars, {})
-        return cls(vars, {(0,) * len(vars): c})
+        vars, c = tuple(vars), _norm_coef(c)
+        return cls(vars, {(0,) * len(vars): c} if c else {})
 
     @classmethod
     def variable(cls, vars, name):
@@ -187,15 +200,11 @@ class MultiPoly:
 
     @classmethod
     def from_terms(cls, vars, items):
-        vars = tuple(vars)
         terms = {}
         for exp, c in items:
-            c = _norm_coef(terms.get(exp, 0) + c)
-            if c == 0:
-                terms.pop(exp, None)
-            else:
-                terms[exp] = c
-        return cls(vars, terms)
+            terms[exp] = terms.get(exp, 0) + c
+        return cls(tuple(vars), {e: _norm_coef(c) for e, c in terms.items()
+                                 if c})
 
     # -- predicates --------------------------------------------------------
 
@@ -203,9 +212,8 @@ class MultiPoly:
         return not self.terms
 
     def is_constant(self):
-        if not self.terms:
-            return True
-        return len(self.terms) == 1 and not any(next(iter(self.terms)))
+        return not self.terms or len(self.terms) == 1 and \
+            not any(next(iter(self.terms)))
 
     def as_constant(self):
         if not self.terms:
@@ -279,11 +287,7 @@ class MultiPoly:
                     acc[k] = s
                 else:
                     del acc[k]
-        den = den_a * den_b
-        if den == 1:
-            return MultiPoly(self.vars, {_unpack(k, radices): c for k, c in acc.items()})
-        return MultiPoly(self.vars, {_unpack(k, radices): _ratio(c, den)
-                                     for k, c in acc.items()})
+        return MultiPoly(self.vars, _unpacked(acc, radices, den_a * den_b))
 
     def scale(self, c):
         c = _norm_coef(c)
@@ -343,52 +347,38 @@ class MultiPoly:
         out = {}
         vals = {self.vars.index(v): point[v] for v in point if v in self.vars}
         for exp, c in self.terms.items():
-            t = c
             nexp = list(exp)
             for i, val in vals.items():
                 if exp[i]:
-                    t *= val ** exp[i]
+                    c *= val ** exp[i]
                 nexp[i] = 0
             nexp = tuple(nexp)
-            s = out.get(nexp, 0) + t
-            if s == 0:
-                out.pop(nexp, None)
-            else:
-                out[nexp] = s
-        return MultiPoly(self.vars, {e: _norm_coef(c) for e, c in out.items() if c != 0})
+            out[nexp] = out.get(nexp, 0) + c
+        return MultiPoly(self.vars, {e: _norm_coef(c) for e, c in out.items()
+                                     if c})
 
     def shift(self, var, delta):
         """Substitute var -> var + delta for a rational constant delta."""
         if delta == 0:
             return self
         i = self.vars.index(var)
-        out = MultiPoly.zero(self.vars)
-        # group by exponent in `var`, expand (var+delta)^e binomially
-        acc = {}
+        acc = {}  # each (var + delta)^e expanded binomially
         for exp, c in self.terms.items():
             e = exp[i]
-            base = exp[:i] + (0,) + exp[i + 1:]
             for t in range(e + 1):
-                coef = c * comb(e, t) * (delta ** (e - t))
-                nexp = base[:i] + (t,) + base[i + 1:]
-                s = acc.get(nexp, 0) + coef
-                if s == 0:
-                    acc.pop(nexp, None)
-                else:
-                    acc[nexp] = s
-        out.terms.update({e: _norm_coef(c) for e, c in acc.items() if c != 0})
-        return out
+                x = exp[:i] + (t,) + exp[i + 1:]
+                acc[x] = acc.get(x, 0) + c * comb(e, t) * delta ** (e - t)
+        return MultiPoly(self.vars, {e: _norm_coef(c) for e, c in acc.items()
+                                     if c})
 
     def restrict(self, vars):
         """Project onto a smaller variable tuple (dropped vars must not occur)."""
         vars = tuple(vars)
-        idx = []
         for j, v in enumerate(self.vars):
-            if v in vars:
-                idx.append((vars.index(v), j))
-            else:
-                if any(e[j] for e in self.terms):
-                    raise ValueError(f"variable {v} occurs, cannot drop")
+            if v not in vars and any(e[j] for e in self.terms):
+                raise ValueError(f"variable {v} occurs, cannot drop")
+        idx = [(vars.index(v), j)
+               for j, v in enumerate(self.vars) if v in vars]
         terms = {}
         for exp, c in self.terms.items():
             nexp = [0] * len(vars)
@@ -474,12 +464,8 @@ class MultiPoly:
         i = self.vars.index(var)
         d = self.degree(var)
         coeffs = [MultiPoly.zero(self.vars) for _ in range(d + 1)]
-        for exp, c in self.terms.items():
-            nexp = exp[:i] + (0,) + exp[i + 1:]
-            coeffs[exp[i]].terms[nexp] = _norm_coef(coeffs[exp[i]].terms.get(nexp, 0) + c)
-        for p in coeffs:
-            for e in [e for e, c in p.terms.items() if c == 0]:
-                del p.terms[e]
+        for exp, c in self.terms.items():  # distinct exponents, no sums
+            coeffs[exp[i]].terms[exp[:i] + (0,) + exp[i + 1:]] = c
         return coeffs
 
     @staticmethod
@@ -488,12 +474,9 @@ class MultiPoly:
             raise ValueError("empty coefficient list")
         vars = coeffs[0].vars
         i = vars.index(var)
-        terms = {}
-        for d, p in enumerate(coeffs):
-            for exp, c in p.terms.items():
-                nexp = exp[:i] + (exp[i] + d,) + exp[i + 1:]
-                terms[nexp] = c
-        return MultiPoly(vars, terms)
+        return MultiPoly(vars, {exp[:i] + (exp[i] + d,) + exp[i + 1:]: c
+                                for d, p in enumerate(coeffs)
+                                for exp, c in p.terms.items()})
 
     # -- rendering -----------------------------------------------------------
 
@@ -557,10 +540,7 @@ def _product(vars, factors, const=1) -> MultiPoly:
                     else:
                         del out[k]
             acc = out
-    if den == 1:
-        return MultiPoly(vars, {_unpack(k, radices): c for k, c in acc.items()})
-    return MultiPoly(vars, {_unpack(k, radices): _ratio(c, den)
-                            for k, c in acc.items()})
+    return MultiPoly(vars, _unpacked(acc, radices, den))
 
 
 def _univar_prem(u, v, var):
@@ -824,7 +804,7 @@ class EvalError(TermError):
 class LinearForm:
     """Affine combination of symbols with rational coefficients."""
 
-    __slots__ = ("coeffs", "const")
+    __slots__ = ("coeffs", "const", "_over")
 
     def __init__(self, coeffs=None, const=0):
         cs = {}
@@ -834,6 +814,7 @@ class LinearForm:
                 cs[s] = c
         self.coeffs = cs
         self.const = _norm_coef(_as_fraction(const)) if not isinstance(const, int) else const
+        self._over = None  # (den, [(symbol, int)], int constant)
 
     @classmethod
     def symbol(cls, name):
@@ -899,13 +880,23 @@ class LinearForm:
 
     def at(self, point: dict):
         """The number self is at point where point assigns every symbol,
-        found with no form built; else the substituted form."""
-        if not self.coeffs.keys() <= point.keys():
+        an integer sum over one common denominator and one division; else
+        the substituted form."""
+        if self._over is None:
+            parts = [(s, *_parts(c)) for s, c in self.coeffs.items()]
+            cn, cd = _parts(self.const)
+            den = lcm(cd, *(d for _, _, d in parts))
+            self._over = den, [(s, n * (den // d)) for s, n, d in parts], \
+                cn * (den // cd)
+        den, terms, total = self._over
+        try:
+            for s, c in terms:
+                total += c * point[s]
+        except KeyError:
             return self.substitute(point)
-        const = self.const
-        for s, c in self.coeffs.items():
-            const += c * point[s]
-        return _norm_coef(const)
+        if type(total) is not int:
+            return _norm_coef(total / den)
+        return total if den == 1 else _ratio(total, den)
 
     def eval(self, point: dict):
         v = self.at(point)

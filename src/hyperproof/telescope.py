@@ -1,7 +1,8 @@
 """Creative telescoping: find polynomials a_0..a_J and a certificate G = R*F
 with sum_j a_j(n) F(n+j,k) = G(n,k+1) - G(n,k), by assembling the linear
 system from the expanded telescoping equation and solving (or, downstream,
-testing) it.  Includes independent certificate verification.
+testing) it, and verify certificates independently.  Every shift quotient
+is built once per proof, into a ShiftQuotients table.
 
 `verify_certificate` decides exactly whether the certificate identity holds
 with the one zero test of factored sums, factored.sum_vanishes, which also
@@ -11,23 +12,18 @@ times the lcm of their factored denominators, are expanded and summed.  A
 certificate is a numerator polynomial N over a denominator D kept as a
 product (Certificate), so the lcm is read off the factors; an opaque factor
 of D that Q does not hold, such as a printed denominator that `hyperproof
-verify` parses, is split by exact division over the factors of Q, the
-cofactor left one opaque factor.  The one gcd on a certificate is the one
-that prints it reduced (printed_certificate).  A check of the system's own
-order reads the factored shift ratios u_j, Q and rho that `assemble` built
-(AssembledSystem.ratios), not new ones: they are a deterministic function
-of the term and the order, and the check builds everything else itself,
-the recurrence side, N, N(k+1), D(k+1) and the three expansions over the
-lcm.
+verify` parses, is split by exact division over the factors of Q.  The one
+gcd on a certificate is the one that prints it reduced
+(printed_certificate).  The shift ratios a check reads are a deterministic
+function of the term and the order; it builds everything else itself.
 
-`assemble` is the one builder of the telescoping system.  It builds M', the
-system M with each column divided by its k-free content c_j, which it reads
-off the factored system; `AssembledSystem.lift` maps a kernel vector of M'
-back to one of M.  `solve_order` turns the kernel of one system into an
-unverified (recurrence, certificate); gridproof.prove walks the orders with
-it and verifies what it publishes.  The order-0 system
-q(k) b(k+1) - r(k-1) b(k) = a_0 pbar(k) is Gosper's equation, so Gosper's
-algorithm is solve_order at order 0.
+`assemble` builds M', the system M with each column divided by its k-free
+content c_j, read off the factored system; `AssembledSystem.lift` maps a
+kernel vector of M' back to one of M.  `solve_order` turns the kernel of
+one system into an unverified (recurrence, certificate); gridproof.prove
+walks the orders with it and verifies what it publishes.  The order-0
+system q(k) b(k+1) - r(k-1) b(k) = a_0 pbar(k) is Gosper's equation, so
+Gosper's algorithm is solve_order at order 0.
 """
 
 from __future__ import annotations
@@ -107,10 +103,9 @@ class AssembledSystem:
     the expanded equation, divided by its k-free content c_j = contents[j].
     Column scaling by nonzero polynomials keeps the rank over Q(n, params),
     and for a square system det M = det M' * prod_j c_j.  pbar and r, the
-    Gosper normal form's parts that only a certificate reads, stay factored;
-    certificate_from_solution expands them.  ratios is the
-    _shift_ratios (us, Q, (pn, pd)) of the term at this order, unchanged,
-    which verify_certificate can take instead of building them again."""
+    Gosper normal form's parts that only a certificate reads, stay factored,
+    as does Q, the common denominator of the shift ratios sigma_j;
+    certificate_from_solution expands them."""
     ansatz: TelescoperAnsatz
     matrix: PolyMatrix          # M' over (rec var, params); k eliminated
     k: str
@@ -119,16 +114,17 @@ class AssembledSystem:
     matrix_vars: tuple
     pbar: Factored
     r: Factored
-    ratios: tuple               # (us, Q, (pn, pd)); Q(k) the common denominator
+    Q: Factored
     contents: list              # Factored k-free divisor of each column
 
     def lift(self, vec):
         """The kernel vector of M, as polynomials over matrix_vars, that the
         polynomial kernel vector vec of M' gives: entry j times L / c_j, L the
-        lcm of the contents."""
+        lcm of the contents, expanded once per distinct content."""
         L = factored_lcm(self.contents)
-        return [v * factored_quotient(L, c).expand().restrict(
-                    self.matrix_vars) for v, c in zip(vec, self.contents)]
+        over = {c: factored_quotient(L, c).expand().restrict(self.matrix_vars)
+                for c in dict.fromkeys(self.contents)}
+        return [v * over[c] for v, c in zip(vec, self.contents)]
 
 
 def _default_vars(f: TermExpression, k, n):
@@ -170,41 +166,53 @@ def gosper_degree_bound(deg_p: int, q: MultiPoly, r: MultiPoly, k: str):
     return max((c for c in candidates if c >= 0), default=None)
 
 
-def _shift_ratios(f: TermExpression, J: int, k, n):
+class ShiftQuotients:
+    """f(var+step)/f(var) for one term f, each built once and kept split;
+    a read returns copies, since Factored is mutable.  known seeds some.
+    gridproof.prove makes one table per term it proves."""
+
+    def __init__(self, f: TermExpression, known=None):
+        self.f, self.split = f, dict(known or {})
+
+    def __call__(self, var, step=1):
+        parts = self.split.get((var, step))
+        if parts is None:
+            parts = self.split[var, step] = from_ratio_parts(
+                self.f.symbols, *self.f.shift_ratio_parts(var, step)).split()
+        return parts[0].copy(), parts[1].copy()
+
+
+def _shift_ratios(f: TermExpression, J: int, k, n, shifts=None):
     """([u_0..u_J], Q, (rho_num, rho_den)): sigma_j = f(n+j,k)/f(n,k) =
     u_j/Q over their common denominator Q(k), and rho = f(n,k+1)/f(n,k)
-    split, all factored.  sigma_0 = 1 is taken without a shift in n, so
+    split, all factored, read from the table shifts of f (a new one when
+    None).  sigma_0 = 1 is taken without a shift in n, so
     order 0 also takes a summand in k alone."""
-    vars = f.symbols
-    sigmas = [(Factored.one(vars), Factored.one(vars))]
-    for j in range(1, J + 1):
-        sigmas.append(
-            from_ratio_parts(vars, *f.shift_ratio_parts(n, step=j)).split())
+    shifts = shifts or ShiftQuotients(f)
+    sigmas = [(Factored.one(f.symbols), Factored.one(f.symbols))] + [
+        shifts(n, j) for j in range(1, J + 1)]
     Q = factored_lcm([den for _, den in sigmas])
-    us = [num.copy().mul(factored_quotient(Q, den)) for num, den in sigmas]
-    return us, Q, from_ratio_parts(vars, *f.shift_ratio_parts(k)).split()
+    us = [num.mul(factored_quotient(Q, den)) for num, den in sigmas]
+    return us, Q, shifts(k)
 
 
-def assemble(f: TermExpression, J: int, k=None, n=None):
-    """Build the content-free telescoping system M' for order J; None if the
-    degree bound rules the order out.  Order 0 does no shift in n, so it also
-    takes a summand whose only symbol is k."""
+def assemble(f: TermExpression, J: int, k=None, n=None, shifts=None):
+    """Build the content-free telescoping system M' for order J, from the
+    table shifts of f; None if the degree bound rules the order out.
+    Order 0 does no shift in n, so it also takes a summand whose only
+    symbol is k."""
     k, n = _default_vars(f, k, n)
     vars = f.symbols
-    ratios = _shift_ratios(f, J, k, n)
-    us, Q, (rho_num, rho_den) = ratios
+    us, Q, (rho_num, rho_den) = _shift_ratios(f, J, k, n, shifts)
     # H = f/Q has ratio rho_f * Q(k)/Q(k+1); Gosper-normalized it gives the
     # equation q(k) b(k+1) - r(k-1) b(k) = pbar(k) * sum_j a_j u_j(k)
-    h_num = rho_num.copy().mul(Q)
-    h_den = rho_den.copy().mul(Q.shift(k, 1))
-    pbar_f, q_f, r_f = gosper_normal(h_num, h_den, k)
-    # column a_j is -u_j pbar, built on copies, so that ratios stays the
-    # _shift_ratios of (f, J) for verify_certificate; every b_i column is a
-    # combination of q(k) and r(k-1), and a shift in k leaves their shared
-    # k-free factors in place.
-    # Dividing q and r by the same k-free factor changes neither their
-    # k-degrees nor the ratio of their coefficients, so K stays the same.
-    a_facts = [u.copy().mul(pbar_f) for u in us]
+    pbar_f, q_f, r_f = gosper_normal(rho_num.mul(Q),
+                                     rho_den.mul(Q.shift(k, 1)), k)
+    # column a_j is -u_j pbar; each b_i column combines q(k) and r(k-1),
+    # whose shared k-free factors a shift in k leaves in place, and dividing
+    # both by one changes neither their k-degrees nor the ratio of their
+    # coefficients, so K stays the same.
+    a_facts = [u.mul(pbar_f) for u in us]
     contents = [factored_free_of(a, k) for a in a_facts]
     b_content = factored_free_of(factored_common(q_f, r_f), k)
     cols = [-factored_quotient(a, c).expand() for a, c in zip(a_facts, contents)]
@@ -231,7 +239,7 @@ def assemble(f: TermExpression, J: int, k=None, n=None):
     ansatz = TelescoperAnsatz(J, K)
     matrix = PolyMatrix(_split_rows(cols, ki, matrix_vars))
     return AssembledSystem(ansatz, matrix, k, n, vars, matrix_vars,
-                           pbar_f, r_f, ratios, contents)
+                           pbar_f, r_f, Q, contents)
 
 
 def _split_rows(cols, ki, matrix_vars):
@@ -255,23 +263,19 @@ def _split_rows(cols, ki, matrix_vars):
     return rows
 
 
-def certificate_from_solution(sys: AssembledSystem, b_coeffs, extra_den=None):
+def certificate_from_solution(sys: AssembledSystem, b_coeffs, extra_den):
     """R = b(k) * r(k-1) / (pbar(k) * Q(k)), the certificate G = R*f.
 
     Its denominator, the numerator of Q times pbar(k) times extra_den, is a
     product, and the fraction is left unreduced (printed_certificate
-    reduces what is published).
+    reduces what is published).  b_coeffs are over the variables but k.
     """
-    vars = sys.vars
-    kpoly = MultiPoly.variable(vars, sys.k)
-    b_num = MultiPoly.zero(vars)
-    for i, c in enumerate(b_coeffs):
-        b_num = b_num + c.embed(vars) * (kpoly ** i)
-    qnum, qden = sys.ratios[1].split()
-    D = qnum.mul(sys.pbar)
-    if extra_den is not None:
-        D.mul_poly(extra_den.embed(vars), 1)
-    return Certificate(b_num * qden.mul(sys.r.shift(sys.k, -1)).expand(), D)
+    vars, ki = sys.vars, sys.vars.index(sys.k)
+    b_num = MultiPoly(vars, {e[:ki] + (i,) + e[ki:]: c
+                             for i, p in enumerate(b_coeffs)
+                             for e, c in p.terms.items()})
+    D = sys.Q.copy().mul(sys.pbar).mul_poly(extra_den.embed(vars), 1)
+    return Certificate(b_num * sys.r.shift(sys.k, -1).expand(), D)
 
 
 def solve_order(sys: AssembledSystem):
@@ -294,37 +298,33 @@ def solve_order(sys: AssembledSystem):
     if best is None:
         return None
     _, polys, top = best
-    a_polys = polys[:top + 1]
-    b_polys = polys[J + 1:]
+    a_polys, b_polys = polys[:top + 1], polys[J + 1:]
     # joint normalization: divide the whole solution by the scale that
     # makes the a-part content-free, so (a, b) stay a matched pair;
     # sign fixed by the leading recurrence coefficient
     normed = clear_and_primitive(a_polys)
     if normed[top].leading_coeff() < 0:
         normed = [-p for p in normed]
-    # b / scale over the monic lcm den of its reduced denominators, which is
-    # scale over its gcd h with every b_i
+    # b / scale over den, the monic lcm of its reduced denominators: with h
+    # the gcd of scale and every b_i, den = (scale/h)/lc, so b_i den/scale
+    # is b_i/(h lc)
     scale = next(orig.divexact(new)
                  for orig, new in zip(a_polys, normed) if not orig.is_zero())
     h = _poly_list_gcd([scale, *b_polys])
-    den = scale.divexact(h).monic()
-    b_nums = [(p * den).divexact(scale) for p in b_polys]
+    den = scale.divexact(h)
+    h, den = h.scale(den.leading_coeff()), den.monic()
+    b_nums = [p.divexact(h) for p in b_polys]
     return (Recurrence(top, tuple(normed)),
-            certificate_from_solution(sys, b_nums, extra_den=den))
+            certificate_from_solution(sys, b_nums, den))
 
 
 def verify_certificate(f: TermExpression, rec: Recurrence, cert: Certificate,
                        k=None, n=None, ratios=None) -> bool:
     """Exact check of sum_j a_j(n) sigma_j(n,k) = R(n,k+1) rho(n,k) - R(n,k),
-    sigma_j = f(n+j,k)/f(n,k) and rho = f(n,k+1)/f(n,k).  False on any
-    mismatch.  ratios, when given, is _shift_ratios(f, rec.order, k, n) as
-    assemble built it for the same term and order (AssembledSystem.ratios),
-    and is read, not built again; it is a deterministic function of the
-    term and the order, so the check loses no independence.  A certificate
-    over other variables than f's is read over f's.  The three factored
-    terms of the module docstring are summed by factored.sum_vanishes, D
-    split over Q by factored.factored_split_over.
-    """
+    sigma_j = f(n+j,k)/f(n,k) and rho = f(n,k+1)/f(n,k), as the module
+    docstring sums it.  False on any mismatch.  ratios, when given, is
+    _shift_ratios(f, rec.order, k, n), read from the proof's table.  A
+    certificate over other variables than f's is read over f's."""
     try:
         k, n = _default_vars(f, k, n)
         vars = f.symbols

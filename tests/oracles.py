@@ -4,15 +4,19 @@ import re
 from fractions import Fraction
 from math import factorial, gcd, isqrt, lcm, prod
 
-from hyperproof.factored import _primes_from
+from hyperproof.factored import (
+    _primes_from, factored_lcm, factored_quotient,
+)
 from hyperproof.linalg import (
     PolyMatrix, _GridEvaluator, _cofactor_vector, _integer_cleared,
-    _interpolate_int, _max_assignment, _pivot_rows, clear_and_primitive,
+    _interpolate_int, _max_assignment, _pivot_rows,
+    clear_and_primitive, solve_nullspace,
 )
 from hyperproof.polys import (
     MultiPoly, _as_fraction, _poly_list_gcd, common_denominator, poly_gcd,
 )
 from hyperproof.gridproof import _window
+from hyperproof.telescope import Certificate, Recurrence
 from hyperproof.terms import (
     EvalError, LinearForm, _ZeroTerm, _special_factors,
 )
@@ -311,6 +315,82 @@ def rows_by_to_univar(cols, k, matrix_vars) -> list:
             den = common_denominator(row)
             rows.append([p.scale(den) for p in row] if den != 1 else row)
     return rows
+
+
+def unpack_reference(key, radices):
+    """Exponent tuple of a packed key, one digit at a time; digit i has
+    radix radices[i], the first digit is the least significant."""
+    exp = []
+    for r in radices:
+        key, d = divmod(key, r)
+        exp.append(d)
+    return tuple(exp)
+
+
+def annihilates_reference(m: PolyMatrix, vec) -> bool:
+    """Whether m times the polynomial vector vec is zero: each row's sum as
+    a dense convolution of integer lists after Kronecker substitution, with
+    sizes past every exponent of the sum, so that no two of its terms
+    meet."""
+    sizes = [max(e.degree(v) for row in m.entries for e in row)
+             + max(p.degree(v) for p in vec) + 1 for v in m.vars]
+    radices = [prod(sizes[i + 1:]) for i in range(len(sizes))]
+    def kronecker(p):  # the ascending coefficients of p(y^radices)
+        index = [sum(x * r for x, r in zip(exp, radices)) for exp in p.terms]
+        out = [0] * (max(index, default=-1) + 1)
+        for t, c in zip(index, p.terms.values()):
+            out[t] += c
+        return out
+
+    vec = [kronecker(p) for p in vec]
+    for row in m.entries:
+        acc = [0] * prod(sizes)
+        for e, p in zip(row, vec):
+            for exp, c in e.terms.items():
+                start = sum(x * r for x, r in zip(exp, radices))
+                for t, x in enumerate(p, start):
+                    acc[t] += c * x
+        if any(acc):
+            return False
+    return True
+
+
+def solve_order_reference(sys):
+    """telescope.solve_order on an assembled system, with the tail it had
+    before one-pass lifting: every column's L / c_j expanded on its own,
+    b_i = b_i' den / scale as a product divided back, and b(k) summed from
+    powers of k."""
+    J, vars = sys.ansatz.order, sys.vars
+    L = factored_lcm(sys.contents)
+    best = None
+    for vec in solve_nullspace(sys.matrix):
+        polys = [v * factored_quotient(L, c).expand().restrict(
+            sys.matrix_vars) for v, c in zip(vec, sys.contents)]
+        top = max((i for i in range(J + 1) if not polys[i].is_zero()),
+                  default=None)
+        if top is None:
+            continue
+        key = (top, polys[top].total_degree())
+        if best is None or key < best[0]:
+            best = (key, polys, top)
+    if best is None:
+        return None
+    _, polys, top = best
+    a_polys, b_polys = polys[:top + 1], polys[J + 1:]
+    normed = clear_and_primitive(a_polys)
+    if normed[top].leading_coeff() < 0:
+        normed = [-p for p in normed]
+    scale = next(orig.divexact(new)
+                 for orig, new in zip(a_polys, normed) if not orig.is_zero())
+    den = scale.divexact(_poly_list_gcd([scale, *b_polys])).monic()
+    kpoly = MultiPoly.variable(vars, sys.k)
+    b_num = MultiPoly.zero(vars)
+    for i, p in enumerate(b_polys):
+        b_num = b_num + (p * den).divexact(scale).embed(vars) * kpoly ** i
+    qnum, qden = sys.Q.split()
+    D = qnum.mul(sys.pbar).mul_poly(den.embed(vars), 1)
+    return Recurrence(top, tuple(normed)), Certificate(
+        b_num * qden.mul(sys.r.shift(sys.k, -1)).expand(), D)
 
 
 def _divisors(n: int):

@@ -21,7 +21,9 @@ from hyperproof.gridproof import (
     _first_full_rank, _leading_root_bound, _rank_deficiency_test,
     _small_cases, _support_bounds, _termination_guard,
 )
-from hyperproof.cli import load_identity, report_record, run_prove
+from hyperproof.cli import (
+    load_identity, record_line, report_record, run_prove,
+)
 from hyperproof.factored import (
     Factored, factored_lcm, factored_quotient, from_ratio_parts, gosper_normal,
 )
@@ -1643,3 +1645,31 @@ def test_termination_guard_sound(factors, window):
             except EvalError:
                 continue
             assert value == 0, (nv, kv)
+
+
+@pytest.mark.parametrize("name", ["mrr-specialized", "dixon"])
+def test_the_shift_quotient_table_dies_with_its_proof(name, monkeypatch):
+    # the same loaded identity proved twice in one process: equal records,
+    # and the second proof builds every shift quotient again, as many as
+    # the first, none of them twice within one proof.  mrr-specialized has
+    # a zero right side, so fhat is the loaded summand; dixon's Gosper/WZ
+    # check reads fhat's shift in n from the normalization
+    built = []
+    real = TermExpression.shift_ratio_parts
+
+    def counted(self, var, step=1):
+        built.append((id(self), var, step))
+        return real(self, var, step)
+
+    monkeypatch.setattr(TermExpression, "shift_ratio_parts", counted)
+    ident = load_identity(Path(__file__).parent.parent / "corpus"
+                          / f"{name}.txt")
+    records, counts = [], []
+    for _ in range(2):
+        built.clear()
+        records.append(record_line(report_record(
+            ident, run_prove(ident, Fraction(1), 13, 6, 1))))
+        assert len(set(built)) == len(built)
+        counts.append(len(built))
+    assert records[0] == records[1]
+    assert counts[0] == counts[1] > 0

@@ -14,15 +14,15 @@ from hyperproof.cli import load_identity, run_prove
 from hyperproof.gridproof import _support_bounds
 from hyperproof.polys import MultiPoly
 from hyperproof.linalg import (
-    PolyMatrix, _DET_WIDTH, _GridEvaluator, _cofactor_vector,
+    PolyMatrix, _DET_WIDTH, _GridEvaluator, _annihilates, _cofactor_vector,
     _constant_pivots, _from_dense, _int_det, _int_rank, _integer_cleared,
     _interpolate_int, _max_assignment, _primitive_vector, _probe_values,
     _univar_minors, clear_and_primitive, solve_nullspace,
 )
 from hyperproof.terms import parse_rational
 from oracles import (
-    det_symbolic, max_assignment_reference, nullspace_rational,
-    nullspace_univar_reference, poly_matrix,
+    annihilates_reference, det_symbolic, max_assignment_reference,
+    nullspace_rational, nullspace_univar_reference, poly_matrix,
 )
 
 
@@ -157,6 +157,65 @@ def typed_basis(basis):
 def test_nullspace_matches_rational_elimination(m):
     assert typed_basis(solve_nullspace(m)) == \
         typed_basis(nullspace_rational(m))
+
+
+@st.composite
+def kernel_checks(draw):
+    """(m, vec, must_vanish): an integer m over 1-3 variables with a column
+    that is a polynomial combination of the others, and a vector: a kernel
+    vector of m (must_vanish), that vector with one coefficient moved by
+    +-1 where its column of m is nonzero, or a vector drawn at random.
+    Coefficients are signed, up to 2^40."""
+    vars = ("x", "y", "z")[:draw(st.integers(1, 3))]
+    exps = st.sampled_from([e for e in product(range(3), repeat=len(vars))
+                            if sum(e) <= 2])
+    coefs = st.integers(-2 ** 40, 2 ** 40).filter(bool)
+    terms = st.lists(st.tuples(exps, coefs), min_size=1, max_size=3)
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    entries = [[MultiPoly.from_terms(vars, draw(terms)) for _ in range(cols)]
+               for _ in range(rows)]
+    lam = [MultiPoly.from_terms(vars, draw(terms)) for _ in range(cols - 1)]
+    for row in entries:
+        row[-1] = sum((c * e for c, e in zip(lam, row)), MultiPoly.zero(vars))
+    m = PolyMatrix(entries)
+    kind = draw(st.sampled_from(["kernel", "near", "random"]))
+    if kind == "random":
+        return m, [MultiPoly.from_terms(vars, draw(terms))
+                   for _ in range(cols)], None
+    vec = draw(st.sampled_from(solve_nullspace(m)))
+    if kind == "kernel":
+        return m, vec, True
+    j = draw(st.sampled_from([j for j in range(cols)
+                              if any(row[j] for row in entries)]))
+    e = draw(exps)
+    vec[j] = vec[j] + MultiPoly.from_terms(vars, [(e, draw(
+        st.sampled_from([1, -1])))])
+    return m, vec, False
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(kernel_checks())
+def test_annihilates_matches_the_dense_convolution(case):
+    # one big-integer evaluation per entry decides what the dense
+    # convolution of the Kronecker images decides: kernel vectors pass,
+    # and a kernel vector with one coefficient moved by one fails
+    m, vec, must_vanish = case
+    assert _annihilates(m, vec) == annihilates_reference(m, vec)
+    if must_vanish is not None:
+        assert _annihilates(m, vec) == must_vanish
+
+
+def test_annihilates_at_the_edge_of_its_bound():
+    # x - 2^b is nonzero but vanishes at x = 2^b: the row [x, -2^b] times
+    # [1, 1] is rejected only if the evaluation point is past 2^b, and
+    # [2^b, x] is in the kernel
+    vars = ("x",)
+    x = MultiPoly.variable(vars, "x")
+    one = MultiPoly.constant(vars, 1)
+    for b in range(70):
+        m = PolyMatrix([[x, MultiPoly.constant(vars, -2 ** b)]])
+        assert not _annihilates(m, [one, one])
+        assert _annihilates(m, [MultiPoly.constant(vars, 2 ** b), x])
 
 
 def vanishing_at_probes(vars, var, round=0):

@@ -12,15 +12,15 @@ from hyperproof.factored import (
 )
 from hyperproof.linalg import clear_and_primitive
 from hyperproof.polys import (
-    MultiPoly, _cleared, _heuristic_gcd, _norm_coef, common_denominator,
-    poly_gcd,
+    MultiPoly, _cleared, _heuristic_gcd, _norm_coef, _unpacked,
+    common_denominator, poly_gcd,
 )
 from hyperproof.terms import LinearForm
 from oracles import (
     Quotient, clear_and_primitive_reference, expand_reference,
     factored_mul_reference, factored_shift_reference, factored_split_reference,
     factored_value_reference, poly_key_reference, poly_lcm, pow_reference,
-    sort_key_reference,
+    sort_key_reference, unpack_reference,
 )
 
 
@@ -658,6 +658,49 @@ def test_unboxed_keys_match_the_boxed_ones(ps, forms):
         assert hash(L.sort_key()) == hash(sort_key_reference(L))
     assert sorted(forms, key=LinearForm.sort_key) == \
         sorted(forms, key=sort_key_reference)
+
+
+@st.composite
+def packed_accumulators(draw):
+    """(acc, radices, den): 0-6 radices of 1-40, and an accumulator of up
+    to 30 distinct keys below their product with nonzero integer values,
+    some past 2^64, over a common denominator den."""
+    radices = draw(st.lists(st.integers(1, 40), max_size=6))
+    keys = st.integers(0, prod(radices) - 1)
+    values = st.integers(-2 ** 70, 2 ** 70).filter(bool)
+    acc = draw(st.dictionaries(keys, values, max_size=30))
+    return acc, radices, draw(st.sampled_from([1, 1, 2, 6, 35]))
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(packed_accumulators())
+def test_unpacking_in_one_pass_matches_the_key_by_key_digits(case):
+    # one comprehension per arity from one to four variables, digit lists
+    # zipped beyond: the tuples, values and order of unpacking one key at a
+    # time, each value over den as _product and __mul__ store it
+    acc, radices, den = case
+    got = _unpacked(acc, radices, den)
+    want = {unpack_reference(k, radices): _norm_coef(Fraction(c, den))
+            for k, c in acc.items()}
+    assert list(got.items()) == list(want.items())
+    assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(linear_forms, st.dictionaries(st.sampled_from("kna"), st.one_of(
+    st.integers(-10 ** 6, 10 ** 6), coefs), max_size=3))
+def test_linear_form_at_matches_the_fraction_sum(L, point):
+    # the form over one integer common denominator gives the value of the
+    # Fraction sum, with its type, at integer and rational points, and the
+    # substituted form where point leaves a symbol of L free; a second
+    # evaluation reads the same
+    if L.coeffs.keys() <= point.keys():
+        want = _norm_coef(Fraction(L.const) + sum(
+            Fraction(c) * point[s] for s, c in L.coeffs.items()))
+        assert (L.at(point), type(L.at(point))) == (want, type(want))
+    else:
+        assert L.at(point) == L.substitute(point)
+    assert L.at(point) == L.at(point)
 
 
 @st.composite

@@ -12,11 +12,11 @@ from hyperproof.gridproof import normalize_and_delta
 from hyperproof.linalg import _grid_values, solve_nullspace
 from hyperproof.polys import MultiPoly
 from hyperproof.telescope import (
-    Certificate, Recurrence, _default_vars, _shift_ratios, assemble,
-    printed_certificate, solve_order, verify_certificate,
+    Certificate, Recurrence, ShiftQuotients, _default_vars, _shift_ratios,
+    assemble, printed_certificate, solve_order, verify_certificate,
 )
 from hyperproof.terms import TermError, parse_term, term_value
-from oracles import rows_by_to_univar
+from oracles import rows_by_to_univar, solve_order_reference
 
 
 def cross_multiplied(f, rec, cert, k=None, n=None):
@@ -385,7 +385,7 @@ def test_a_denominator_without_factors_is_split_by_exact_division():
 def _corpus_certificates(monkeypatch):
     """(name, f, rec, cert, k, n, ratios) for every certificate a proof of
     the corpus verifies, at certainty 1/10, seed 0; ratios are the shift
-    ratios of the assembled system the proof passed, or None."""
+    ratios the proof passed, or None."""
     out = []
     real = gridproof.verify_certificate
 
@@ -405,7 +405,7 @@ def test_with_and_without_factors_and_the_oracle_agree(monkeypatch):
     # on every certificate the corpus proofs verify and on the mrr
     # specializations, each as published and with its recurrence broken:
     # the factored denominator, the one found by exact division, the shift
-    # ratios of the assembled system, fresh ones and the cross-multiplied
+    # ratios of the proof's table, fresh ones and the cross-multiplied
     # oracle give one verdict
     cases = _corpus_certificates(monkeypatch)
     assert {c[0] for c in cases} >= {"binomial-2n", "dixon-cubes",
@@ -414,7 +414,7 @@ def test_with_and_without_factors_and_the_oracle_agree(monkeypatch):
     for name in MRR_SPECIALIZATIONS:
         f, rec, cert = certified(name)
         cases.append((name, f, rec, cert, "k", "n",
-                      assemble(f, rec.order).ratios))
+                      _shift_ratios(f, rec.order, "k", "n")))
     factored = 0
     for name, f, rec, cert, k, n, ratios in cases:
         a = list(rec.coefficients)
@@ -529,23 +529,54 @@ def test_gosper_operator_columns_by_shifting(name, J, monkeypatch):
 
 
 def test_assemble_leaves_its_shift_ratios_as_built():
-    # the a_j columns are built on copies of u_j, so the ratios a system
-    # keeps for verify_certificate are those of a fresh _shift_ratios, also
-    # at the order-0 systems, where pbar is not 1
-    def tables(v):
-        return v.const, v.facs
+    # assemble multiplies through the copies a table hands out, so the
+    # ratios that verify_certificate reads from the proof's table after it
+    # are those of a fresh table, also at the order-0 systems, where pbar
+    # is not 1
+    def tables(ratios):
+        us, Q, rho = ratios
+        return [(v.const, v.facs) for v in (*us, Q, *rho)]
 
     nontrivial = 0
     for name in ("central-binomial", "dixon-cubes", "mrr"):
         f, k, n = _assembled_term(name)
+        shifts = ShiftQuotients(f)
         for J in range(3):
-            sys = assemble(f, J, k=k, n=n)
+            sys = assemble(f, J, k=k, n=n, shifts=shifts)
             if sys is None:
                 continue
-            us, Q, rho = sys.ratios
-            fresh_us, fresh_Q, fresh_rho = _shift_ratios(f, J, k, n)
-            assert [tables(u) for u in us] == [tables(u) for u in fresh_us]
-            assert tables(Q) == tables(fresh_Q)
-            assert [tables(v) for v in rho] == [tables(v) for v in fresh_rho]
+            fresh = tables(_shift_ratios(f, J, k, n))
+            assert tables(_shift_ratios(f, J, k, n, shifts)) == fresh
+            assert (sys.Q.const, sys.Q.facs) == fresh[J + 1]
             nontrivial += bool(sys.pbar.facs)
     assert nontrivial >= 2
+
+
+def test_solve_order_matches_the_reference_tail_on_the_corpora(monkeypatch):
+    # every system the proofs of corpus/ and corpus/extra/ solve gives the
+    # recurrence and certificate of the tail that expanded each L / c_j on
+    # its own, built b(k) from powers of k and divided b_i den by scale
+    systems = []
+    real = gridproof.solve_order
+
+    def record(sys):
+        systems.append(sys)
+        return real(sys)
+
+    monkeypatch.setattr(gridproof, "solve_order", record)
+    root = Path(__file__).parent.parent / "corpus"
+    for path in sorted([*root.glob("*.txt"), *root.glob("extra/*.txt")]):
+        run_prove(load_identity(path), Fraction(1, 10), 0, 6, 1)
+    assert {sys.ansatz.order for sys in systems} == {0, 1}
+    # and the orders up to the telescoper's of the certified terms, mrr's
+    # specializations at order 2 among them
+    for text, symbols, J in CERTIFIED.values():
+        f = parse_term(text, symbols)
+        systems += filter(None, (assemble(f, j) for j in range(J + 1)))
+    solved = 0
+    for sys in systems:
+        got = solve_order(sys)
+        assert got == solve_order_reference(sys)
+        solved += got is not None
+    assert solved >= 15
+
