@@ -5,14 +5,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .gridproof import ProofReport, prove
+from .polys import Record
 from .telescope import Certificate, Recurrence, verify_certificate
 from .terms import (
     ParseError, TermError, parse_affine, parse_rational, parse_sum, parse_term,
@@ -29,20 +30,13 @@ class IdentityFileError(ValueError):
     pass
 
 
-@dataclass
-class IdentityFile:
-    name: str
-    summand: str
-    rhs: str
-    sum_var: str
-    rec_var: str
-    lower: str
-    upper: str
-    params: tuple
-    notes: str = ""
-    path: str = ""
-    _parsed: tuple = field(default=None, init=False, repr=False,
-                           compare=False)
+class IdentityFile(Record):
+    _fields = ("name", "summand", "rhs", "sum_var", "rec_var", "lower",
+               "upper", "params", "notes", "path")
+    _parsed = None  # not in _fields: out of equality and repr
+
+    def _defaults(self):
+        return {"notes": "", "path": ""}
 
     @property
     def symbols(self):
@@ -199,7 +193,22 @@ def _summary_lines(ident, report):
     return lines
 
 
+def _check_output(path):
+    """Refuse a --json path that cannot be written before any proof runs.
+    Opening to append changes no file; a file it creates is removed."""
+    if path is None:
+        return
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise IdentityFileError(f"{path}: {exc.strerror or exc}")
+    if not existed:
+        os.remove(path)
+
+
 def cmd_prove(args) -> int:
+    _check_output(args.json)
     try:
         ident = load_identity(args.file)
     except IdentityFileError as exc:
@@ -221,7 +230,13 @@ def cmd_prove(args) -> int:
 
 def cmd_corpus(args) -> int:
     directory = Path(args.dir)
+    if not directory.is_dir():
+        raise IdentityFileError(f"{args.dir}: " + (
+            "not a directory" if directory.exists() else "no such directory"))
     files = sorted(directory.glob("*.txt"))
+    if not files:
+        raise IdentityFileError(f"{args.dir}: no *.txt identity file")
+    _check_output(args.json)
     records = []
     rows = []
     worst = EXIT_OK
@@ -251,7 +266,7 @@ def cmd_corpus(args) -> int:
             f"{report.timings.get('total_s', 0):.2f}s"))
         worst = max(worst, _VERDICT_EXIT[report.verdict])
     header = ("identity", "verdict", "J", "K", "grid", "time")
-    widths = [max(len(str(r[i])) for r in rows + [header]) if rows else len(header[i])
+    widths = [max(len(str(r[i])) for r in rows + [header])
               for i in range(len(header))]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     for row in rows:

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
 
@@ -59,7 +58,7 @@ from .linalg import (
     _grid_values, _int_rank, _integer_cleared, _lower_set, _max_assignment,
     _pivot_rows, _probe, _univar_minors, _weighted_degrees,
 )
-from .polys import MultiPoly, _as_fraction, _poly_list_gcd, poly_gcd
+from .polys import MultiPoly, Record, _as_fraction, _poly_list_gcd, poly_gcd
 from .telescope import (
     Certificate, Recurrence, ShiftQuotients, _shift_ratios, assemble,
     printed_certificate, solve_order, verify_certificate,
@@ -78,8 +77,7 @@ class NotNormalizable(GridProofError):
     """RHS is not a single hypergeometric term (or not hypergeometric in n)."""
 
 
-@dataclass
-class NormalizedIdentity:
+class NormalizedIdentity(Record):
     """Target statement after the WZ normalization.
 
     rhs_is_zero false: the claim is sum_k fhat(n,k) = 1 and ftil is the
@@ -88,47 +86,32 @@ class NormalizedIdentity:
     summand, used directly.  n_ratio is fhat's shift quotient in n, a
     product (1 for a zero right side).
     """
-    fhat: TermExpression
-    ftil: TermExpression
-    params: tuple
-    k: str
-    n: str
-    lower: LinearForm
-    upper: LinearForm
-    rhs_is_zero: bool
-    n_ratio: Factored
+    _fields = ("fhat", "ftil", "params", "k", "n", "lower", "upper",
+               "rhs_is_zero", "n_ratio")
 
     @property
     def delta_term(self):
         return self.fhat if self.rhs_is_zero else self.ftil
 
 
-@dataclass
-class VanishingResult:
-    passed: bool
-    grid_total: int
-    grid_tested: int
-    witness: dict | None
+class VanishingResult(Record):
+    _fields = ("passed", "grid_total", "grid_tested", "witness")
 
 
-@dataclass
-class ProofReport:
-    verdict: str                      # rigorous | semi-rigorous | refuted | inconclusive
-    certainty: Fraction
-    seed: int
-    method: str = ""
-    order: int | None = None          # J of the proved recurrence
-    degree: int | None = None         # K, ansatz polynomial degree
-    grid_total: int = 0
-    grid_tested: int = 0
-    nonzero_point: dict | None = None
-    leading_root_bound: int | None = None
-    initial_checks: list = field(default_factory=list)
-    specialization: list | None = None  # parameter points of the a_J gcd
-    recurrence: list | None = None
-    certificate: str | None = None
-    message: str = ""
-    timings: dict = field(default_factory=dict)
+class ProofReport(Record):
+    """verdict is rigorous, semi-rigorous, refuted or inconclusive; order is
+    J of the proved recurrence and degree K, the ansatz polynomial degree;
+    specialization holds the parameter points of the a_J gcd."""
+    _fields = ("verdict", "certainty", "seed", "method", "order", "degree",
+               "grid_total", "grid_tested", "nonzero_point",
+               "leading_root_bound", "initial_checks", "specialization",
+               "recurrence", "certificate", "message", "timings")
+
+    def _defaults(self):
+        return dict(method="", order=None, degree=None, grid_total=0,
+                    grid_tested=0, nonzero_point=None, leading_root_bound=None,
+                    initial_checks=[], specialization=None, recurrence=None,
+                    certificate=None, message="", timings={})
 
 
 def normalize_and_delta(F: TermExpression, rhs_terms, params, k, n,

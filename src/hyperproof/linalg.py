@@ -40,11 +40,11 @@ from __future__ import annotations
 
 import random
 from array import array
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, lcm, prod
 from operator import add, mul
-from typing import NamedTuple
 
 from .polys import (
     MultiPoly, _dense_quotient, _poly_list_gcd,
@@ -289,10 +289,9 @@ def _int_rank(a, order=None) -> int:
     return r
 
 
-class PivotChain(NamedTuple):
-    steps: list  # (row, column, target rows, live columns) per pivot, in order
-    rows: list   # rows of the remainder
-    cols: list   # columns of the remainder
+# steps: (row, column, target rows, live columns) per pivot, in order;
+# rows and cols: the rows and columns of the remainder
+PivotChain = namedtuple("PivotChain", ("steps", "rows", "cols"))
 
 
 def _constant_pivots(matrix: PolyMatrix) -> PivotChain:

@@ -942,3 +942,51 @@ class LinearForm:
 
     def __repr__(self):
         return f"LinearForm({self})"
+
+
+class Record:
+    """Fields named in order by the class's _fields: equal only to a record
+    of the same class with equal fields, shown as Class(field=value, ...),
+    and unhashable, since they can change.  Not dataclasses, which would
+    slow every run's start-up (README, "Start-up")."""
+
+    _fields = ()
+    __hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        given = dict(zip(names, args), **kwargs)
+        values = {**self._defaults(), **given}
+        if len(given) != len(args) + len(kwargs) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes {', '.join(names)}")
+        vars(self).update(values)
+
+    def _defaults(self):
+        """The fields that may be left out, with fresh values."""
+        return {}
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class FrozenRecord(Record):
+    """A Record whose fields are set only in __init__, through vars(self),
+    and that hashes by them."""
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__

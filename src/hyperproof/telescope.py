@@ -28,8 +28,6 @@ Gosper's algorithm is solve_order at order 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .factored import (
     Factored, factored_common, factored_free_of, factored_lcm,
     factored_quotient, factored_split_over, from_ratio_parts, gosper_normal,
@@ -37,30 +35,27 @@ from .factored import (
 )
 from .linalg import PolyMatrix, clear_and_primitive, solve_nullspace
 from .polys import (
-    MultiPoly, _as_fraction, _poly_list_gcd, common_denominator, poly_gcd,
+    FrozenRecord, MultiPoly, Record, _as_fraction, _poly_list_gcd,
+    common_denominator, poly_gcd,
 )
 from .terms import TermExpression, TermError
 
 
-@dataclass(frozen=True)
-class Recurrence:
+class Recurrence(FrozenRecord):
     """sum_j coefficients[j](n, params) * A(n+j) = 0, order = len-1."""
-    order: int
-    coefficients: tuple  # MultiPoly over (rec var, params)
+    _fields = ("order", "coefficients")  # coefficients over (rec var, params)
 
     def __str__(self):
         return ", ".join(str(c) for c in self.coefficients)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(FrozenRecord):
     """R = num/den with G = R*F for the antidifference G of F: num a
     polynomial and den a product over the same variables, not necessarily
     coprime; verify_certificate clears by den's factors.  It prints as
     num/den with den expanded and both divided by den's leading
     coefficient."""
-    num: MultiPoly
-    den: Factored
+    _fields = ("num", "den")
 
     def __str__(self):
         den = self.den.expand()
@@ -91,31 +86,21 @@ def printed_certificate(cert: Certificate, order: int) -> Certificate:
         den.vars, sd).mul_poly(pd.divexact(g), 1))
 
 
-@dataclass(frozen=True)
-class TelescoperAnsatz:
-    order: int          # J
-    degree: int         # K, degree of the unknown polynomial b(k)
+class TelescoperAnsatz(FrozenRecord):
+    _fields = ("order", "degree")  # J, and K the degree of b(k)
 
 
-@dataclass
-class AssembledSystem:
+class AssembledSystem(Record):
     """The telescoping system M' of one order: column j of the system M of
     the expanded equation, divided by its k-free content c_j = contents[j].
     Column scaling by nonzero polynomials keeps the rank over Q(n, params),
     and for a square system det M = det M' * prod_j c_j.  pbar and r, the
     Gosper normal form's parts that only a certificate reads, stay factored,
     as does Q, the common denominator of the shift ratios sigma_j;
-    certificate_from_solution expands them."""
-    ansatz: TelescoperAnsatz
-    matrix: PolyMatrix          # M' over (rec var, params); k eliminated
-    k: str
-    n: str
-    vars: tuple                 # full variable tuple of the term
-    matrix_vars: tuple
-    pbar: Factored
-    r: Factored
-    Q: Factored
-    contents: list              # Factored k-free divisor of each column
+    certificate_from_solution expands them.  matrix is M' over matrix_vars,
+    the rec var and params; vars is the term's full variable tuple."""
+    _fields = ("ansatz", "matrix", "k", "n", "vars", "matrix_vars", "pbar",
+               "r", "Q", "contents")
 
     def lift(self, vec):
         """The kernel vector of M, as polynomials over matrix_vars, that the

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .factored import Factored, factored_sum, from_ratio_parts
 from .polys import (
-    EvalError, LinearForm, ParseError, TermError, _as_fraction, _parts, _ratio,
-    poly_gcd,
+    EvalError, FrozenRecord, LinearForm, ParseError, TermError, _as_fraction,
+    _parts, _ratio, poly_gcd,
 )
 
 
@@ -44,31 +43,32 @@ def _sorted_factors(lst, keyfn):
     return tuple(sorted(lst, key=keyfn))
 
 
-@dataclass(frozen=True)
-class TermExpression:
+class TermExpression(FrozenRecord):
     """Product of special factors times a rational function.
 
     Factor lists hold (arguments..., exponent) with exponent +1 or -1;
     repeated factors appear as repeated entries.
     """
-    symbols: tuple
-    factorials: tuple = ()        # (arg: LinearForm, exp)
-    binomials: tuple = ()         # (upper, lower, exp)
-    risings: tuple = ()           # (base, count, exp)
-    powers: tuple = ()            # (base: Fraction, exponent: LinearForm)
-    rational: Factored = None     # the rational factor, a product
+    _fields = ("symbols", "factorials", "binomials", "risings", "powers",
+               "rational")
 
-    def __post_init__(self):
-        object.__setattr__(self, "factorials", _sorted_factors(
-            self.factorials, lambda f: (f[0].sort_key(), f[1])))
-        object.__setattr__(self, "binomials", _sorted_factors(
-            self.binomials, lambda f: (f[0].sort_key(), f[1].sort_key(), f[2])))
-        object.__setattr__(self, "risings", _sorted_factors(
-            self.risings, lambda f: (f[0].sort_key(), f[1].sort_key(), f[2])))
-        object.__setattr__(self, "powers", _sorted_factors(
-            self.powers, lambda f: (_as_fraction(f[0]), f[1].sort_key())))
-        if self.rational is None:
-            object.__setattr__(self, "rational", Factored.one(self.symbols))
+    def __init__(self, symbols: tuple,
+                 factorials: tuple = (),    # (arg: LinearForm, exp)
+                 binomials: tuple = (),     # (upper, lower, exp)
+                 risings: tuple = (),       # (base, count, exp)
+                 powers: tuple = (),        # (base: Fraction, exponent: LinearForm)
+                 rational: Factored = None):  # the rational factor, a product
+        vars(self).update(
+            symbols=symbols,
+            factorials=_sorted_factors(
+                factorials, lambda f: (f[0].sort_key(), f[1])),
+            binomials=_sorted_factors(
+                binomials, lambda f: (f[0].sort_key(), f[1].sort_key(), f[2])),
+            risings=_sorted_factors(
+                risings, lambda f: (f[0].sort_key(), f[1].sort_key(), f[2])),
+            powers=_sorted_factors(
+                powers, lambda f: (_as_fraction(f[0]), f[1].sort_key())),
+            rational=Factored.one(symbols) if rational is None else rational)
 
     def is_zero(self):
         return self.rational.is_zero()

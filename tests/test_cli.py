@@ -97,10 +97,59 @@ def test_usage_error_exit_code():
     assert main(["nonsense"]) == EXIT_USAGE
 
 
-def test_cmd_corpus_empty_dir(tmp_path, capsys):
-    assert main(["corpus", str(tmp_path)]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "identity" in out
+@pytest.mark.parametrize("kind, reason", [
+    ("missing", "no such directory"),
+    ("file", "not a directory"),
+    ("empty", "no *.txt identity file"),
+], ids=["missing", "file", "empty"])
+def test_cmd_corpus_rejects_a_bad_path(tmp_path, capsys, kind, reason):
+    # a mistyped path is an error, not an empty table that exits 0
+    path = tmp_path / "corpus"
+    if kind == "file":
+        path.write_text((CORPUS / "binomial-2n.txt").read_text())
+    elif kind == "empty":
+        path.mkdir()
+        (path / "notes.md").write_text("no identity here\n")
+    assert main(["corpus", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: {reason}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["prove", "corpus"])
+def test_unwritable_json_path_fails_before_any_proof(
+        tmp_path, monkeypatch, capsys, command):
+    def never(*args):
+        raise AssertionError("a proof ran")
+
+    monkeypatch.setattr(cli, "run_prove", never)
+    source = CORPUS / "binomial-2n.txt"
+    if command == "corpus":
+        (tmp_path / source.name).write_text(source.read_text())
+        source = tmp_path
+    for out in (tmp_path / "no-such-dir" / "x.jsonl", tmp_path):
+        assert main([command, str(source), "--json", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {out}: ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+    assert not (tmp_path / "no-such-dir").exists()
+
+
+def test_json_path_probe_changes_no_file(tmp_path, monkeypatch):
+    # the writability probe leaves an existing file as it was when the
+    # proof then fails, and creates none that did not exist
+    def failing(ident, *args):
+        raise RuntimeError("telescoper failed exact re-verification")
+
+    monkeypatch.setattr(cli, "run_prove", failing)
+    old = tmp_path / "old.jsonl"
+    old.write_text("kept\n")
+    for out in (old, tmp_path / "new.jsonl"):
+        assert main(["prove", str(CORPUS / "binomial-2n.txt"),
+                     "--json", str(out)]) == EXIT_USAGE
+    assert old.read_text() == "kept\n"
+    assert not (tmp_path / "new.jsonl").exists()
 
 
 def test_cmd_corpus_small(tmp_path, capsys):

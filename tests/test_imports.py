@@ -1,9 +1,12 @@
 """Every import in the package and its tests is used: a name bound by an
 import statement must be read somewhere in its file, or be listed in the
 module's __all__, or carry `# noqa: F401` on its line.  Standard library
-only (ast), so it runs wherever the tests do."""
+only (ast), so it runs wherever the tests do.  And importing the command
+line loads no module that no proof run needs."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +58,18 @@ def test_the_scan_finds_unused_imports_and_honours_noqa():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_importing_the_command_line_stays_light():
+    # dataclasses, which imports inspect, and typing cost every command-line
+    # run start-up time that no proof needs (README, "Start-up"); a fresh
+    # interpreter without site packages imports hyperproof.cli from src
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import hyperproof.cli\n"
+            "print(*(m for m in ('dataclasses', 'inspect', 'typing')\n"
+            "        if m in sys.modules))\n")
+    run = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []
