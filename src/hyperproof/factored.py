@@ -32,18 +32,19 @@ prod (x - f g (beta - alpha)), f and g the leading coefficients, built from
 the power sums of the scaled roots f alpha and g beta with integers only.
 Those roots, the rational roots, and a leading recurrence coefficient's
 roots come from one complete integer-root finder, integer_roots_univar:
-p-adic lifting modulo one prime on dense integer lists, with every
+p-adic lifting modulo one prime on dense integer lists, from the
+square-free part that a GCDHEU gcd with the derivative gives, with every
 candidate checked exactly.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from math import comb, gcd as _igcd, lcm, prod
+from math import comb, gcd as _igcd, isqrt, lcm, prod
 
 from .polys import (
-    LinearForm, MultiPoly, _cleared, _dense_gcd, _dense_quotient, _norm_coef,
-    _parts, _poly_list_gcd, _primitive_ints, _product, _ratio,
+    LinearForm, MultiPoly, _cleared, _dense_quotient, _heuristic_gcd,
+    _norm_coef, _parts, _poly_list_gcd, _primitive_ints, _product, _ratio,
     _rational_quotient, poly_gcd,
 )
 
@@ -350,23 +351,12 @@ def sum_vanishes(plus, minus=()) -> bool:
 # integer roots
 
 
-def _primes_from(start, count):
-    out = []
-    cand = start | 1
-    while len(out) < count:
-        p = cand
-        is_p = p > 1
-        d = 3
-        if p % 2 == 0:
-            is_p = p == 2
-        while is_p and d * d <= p:
-            if p % d == 0:
-                is_p = False
-            d += 2
-        if is_p:
-            out.append(p)
-        cand += 2
-    return out
+def _next_prime(n):
+    """The least odd prime >= n."""
+    p = max(n, 3) | 1
+    while any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
+        p += 2
+    return p
 
 
 def _value_mod(ints, x, m):
@@ -389,8 +379,8 @@ def integer_roots_univar(coeffs) -> list:
     SIAM J. Comput. 12, 1983; von zur Gathen and Gerhard, Modern Computer
     Algebra, ch. 15), on dense integer lists.  The denominators, the zero
     root and the content are cleared off, and f is the integer square-free
-    part of the rest: its quotient by the primitive PRS gcd with its
-    derivative (polys._dense_gcd, polys._dense_quotient).  Its discriminant
+    part of the rest: its quotient by its gcd with its derivative, from
+    GCDHEU (polys._heuristic_gcd, polys._dense_quotient).  Its discriminant
     is nonzero, so some prime p divides neither it nor f's leading
     coefficient: every root of f mod p is then simple, and Newton's
     iteration lifts it to the one p-adic root above it, modulo p^m > 2B,
@@ -411,13 +401,17 @@ def integer_roots_univar(coeffs) -> list:
     f = f[low:]
     if len(f) == 1:
         return roots
-    ints = _primitive_ints(_dense_quotient(
-        f, _dense_gcd(f, [d * c for d, c in enumerate(f)][1:])))
+    g = _heuristic_gcd({(d,): c for d, c in enumerate(f) if c},
+                       {(d - 1,): d * c for d, c in enumerate(f) if d and c})
+    dense = [0] * (max(g)[0] + 1)
+    for (d,), c in g.items():
+        dense[d] = c
+    ints = _primitive_ints(_dense_quotient(f, dense))
     deriv = [d * c for d, c in enumerate(ints)][1:]
     bound = 1 + max(abs(c) for c in ints) // abs(ints[-1])
     p = 1
     while True:
-        p = _primes_from(p + 1, 1)[0]
+        p = _next_prime(p + 1)
         if ints[-1] % p:
             residues = [r for r in range(p) if _value_mod(ints, r, p) == 0]
             if all(_value_mod(deriv, r, p) for r in residues):

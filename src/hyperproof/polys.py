@@ -26,13 +26,13 @@ field, so one subtraction tests monomial divisibility; its remainder is
 updated in place.  Packed keys never leave a kernel: stored terms stay keyed
 by exponent tuples.
 
-Gcds run GCDHEU first (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989):
-each variable in turn is set to a large integer xi, down to one big-integer
-gcd, and the polynomial is read back from the xi-adic digits of the result.
-It is accepted only if it divides both operands exactly, and then it is the
-gcd, so the answer never depends on the heuristic.  When the heuristic gives
-up, a primitive remainder sequence runs; when one variable occurs, on dense
-integer coefficient lists.
+The one gcd is GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7,
+1989): each variable in turn is set to a large integer xi, down to one
+big-integer gcd, and the polynomial is read back from the xi-adic digits of
+the result.  It is accepted only if it divides both operands exactly, and
+then it is the gcd, so the answer never depends on the heuristic.  A
+rejected candidate only makes xi grow: the search has no give-up and no
+other algorithm behind it.
 """
 
 from __future__ import annotations
@@ -468,16 +468,6 @@ class MultiPoly:
             coeffs[exp[i]].terms[exp[:i] + (0,) + exp[i + 1:]] = c
         return coeffs
 
-    @staticmethod
-    def from_univar(var, coeffs):
-        if not coeffs:
-            raise ValueError("empty coefficient list")
-        vars = coeffs[0].vars
-        i = vars.index(var)
-        return MultiPoly(vars, {exp[:i] + (exp[i] + d,) + exp[i + 1:]: c
-                                for d, p in enumerate(coeffs)
-                                for exp, c in p.terms.items()})
-
     # -- rendering -----------------------------------------------------------
 
     def __str__(self):
@@ -543,24 +533,6 @@ def _product(vars, factors, const=1) -> MultiPoly:
     return MultiPoly(vars, _unpacked(acc, radices, den))
 
 
-def _univar_prem(u, v, var):
-    """Pseudo-remainder of dense coefficient lists u, v (as from to_univar)."""
-    m, n = len(u) - 1, len(v) - 1
-    lead = v[n]
-    r = list(u)
-    for i in range(m - n, -1, -1):
-        # scale r by lead then cancel coefficient of degree n+i
-        top = r[n + i]
-        if top.is_zero():
-            continue
-        r = [c * lead for c in r]
-        for j in range(n + 1):
-            r[i + j] = r[i + j] - top * v[j]
-    while r and r[-1].is_zero():
-        r.pop()
-    return r
-
-
 def _poly_list_gcd(polys):
     g = None
     for p in polys:
@@ -573,15 +545,9 @@ def _poly_list_gcd(polys):
 
 
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Greatest common divisor, normalized to leading coefficient 1.
-
-    GCDHEU first (`_heuristic_gcd`): its answer has passed an exact division
-    of both operands, which makes it the gcd.  When the heuristic gives up,
-    a primitive-PRS scheme.  When only one variable occurs, the sequence runs
-    on dense integer coefficient lists (`_univariate_gcd`).  Otherwise recurse
-    on the first variable present, split off contents, and run a primitive
-    pseudo-remainder sequence on the primitive parts.
-    """
+    """Greatest common divisor, normalized to leading coefficient 1: GCDHEU
+    on the integer-cleared operands (`_heuristic_gcd`), whose answer has
+    passed an exact division of both."""
     if p.vars != q.vars:
         raise ValueError("operands must share one variable list")
     if p.is_zero():
@@ -591,55 +557,41 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if p.is_constant() or q.is_constant():
         return MultiPoly.constant(p.vars, 1)
     g = _heuristic_gcd(dict(_cleared(p)[1]), dict(_cleared(q)[1]))
-    if g is not None:
-        return MultiPoly(p.vars, g).monic()
-    occurring = {i for e in (*p.terms, *q.terms) for i, x in enumerate(e) if x}
-    if len(occurring) == 1:
-        return _univariate_gcd(p, q, occurring.pop())
-    var = next(v for v in p.vars if p.degree(v) > 0 or q.degree(v) > 0)
-    pu, qu = p.to_univar(var), q.to_univar(var)
-    if len(pu) == 1 or len(qu) == 1:
-        # one operand free of var: gcd divides its coefficient content
-        short, other = (pu, qu) if len(pu) == 1 else (qu, pu)
-        c = _poly_list_gcd(short + other)
-        return c.monic()
-    cont_p = _poly_list_gcd(pu)
-    cont_q = _poly_list_gcd(qu)
-    cont = poly_gcd(cont_p, cont_q)
-    pp = [c.divexact(cont_p) for c in pu]
-    qp = [c.divexact(cont_q) for c in qu]
-    a, b = (pp, qp) if len(pp) >= len(qp) else (qp, pp)
-    while b:
-        r = _univar_prem(a, b, var)
-        if r:
-            rc = _poly_list_gcd(r)
-            r = [c.divexact(rc) for c in r]
-        a, b = b, r
-    cont_a = _poly_list_gcd(a)
-    a = [c.divexact(cont_a) for c in a]
-    g = MultiPoly.from_univar(var, a) * cont
-    return g.monic()
+    return MultiPoly(p.vars, g).monic()
 
 
-# GCDHEU gives up, and the PRS runs, after this many evaluation points per
-# level or once an evaluation would make integers of more than this many
-# bits (the bits of xi times the degree in the evaluated variable).
-_HEU_TRIES = 6
-_HEU_BITS = 1 << 15
-
-
-def _heuristic_gcd(f: dict, g: dict):
+def _heuristic_gcd(f: dict, g: dict) -> dict:
     """gcd(f, g) up to sign, for integer term dicts f, g keyed by exponent
-    tuples and not both zero, or None when GCDHEU gives up (B. Char,
-    K. Geddes, G. Gonnet, J. Symbolic Comput. 7, 1989).
+    tuples and not both zero: GCDHEU (B. Char, K. Geddes, G. Gonnet,
+    J. Symbolic Comput. 7, 1989).
 
     With the integer contents split off, the last variable that occurs is
     set to xi >= 2 min(|f|, |g|) + 2 and the gcd h of the two evaluations is
     taken recursively, down to math.gcd.  The primitive part G of the
     polynomial whose coefficients are the symmetric xi-adic digits of h is
     the gcd of the primitive parts if it divides both (their theorem), and it
-    is accepted only then.  Each level returns the whole gcd, content
-    included, because the level above rebuilds its digits from it."""
+    is accepted only then; otherwise xi grows by the factor 73794/27011 and
+    the level runs again.  Each level returns the whole gcd, content
+    included, because the level above rebuilds its digits from it.
+
+    The search ends, by induction on the number of variables that occur.
+    Let D be the gcd of the primitive parts, which are D a and D b.  The
+    cofactors a and b are coprime, so s a + t b = R for some polynomials
+    s, t and a nonzero R free of the variable (their resultant in it, or
+    the one of them that is free of it).  Every common factor of a(xi) and
+    b(xi) divides R.  An irreducible factor of R of positive degree divides
+    both for only finitely many xi, or it would divide a and b.  So for all
+    but finitely many xi, h = C D(xi) up to sign, with C an integer that
+    divides the content of R: |C| is bounded by a constant fixed by the
+    inputs.  xi grows geometrically, so it passes those finitely many values
+    and 2 |C| |D|; from there the digits of h are the coefficients of C D,
+    G is D, and the division test passes.
+
+    Cost: setting a variable to xi makes integers of about its degree times
+    the bits of xi, so the one big-integer gcd at the bottom has about the
+    product of the degrees times the bits of xi.  Nothing caps it: a large
+    input is slow, never wrong.
+    """
     if not f or not g:
         return f or g
     cf, cg = _igcd(*f.values()), _igcd(*g.values())
@@ -655,12 +607,10 @@ def _heuristic_gcd(f: dict, g: dict):
     if cg > 1:
         g = {e: c // cg for e, c in g.items()}
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
-    degree = max(fdeg[i], gdeg[i])
-    for _ in range(_HEU_TRIES):
-        if xi.bit_length() * degree > _HEU_BITS:
-            return None
+    degree = min(fdeg[i], gdeg[i])
+    while True:
         h = _heuristic_gcd(_evaluate(f, i, xi), _evaluate(g, i, xi))
-        G = h and _xi_adic(h, i, xi, min(fdeg[i], gdeg[i]))
+        G = _xi_adic(h, i, xi, degree)
         if G:
             c = _igcd(*G.values())
             if c > 1:
@@ -670,7 +620,6 @@ def _heuristic_gcd(f: dict, g: dict):
                     and _divide(g, G, _integer_quotient) is not None):
                 return {e: v * gamma for e, v in G.items()} if gamma > 1 else G
         xi = xi * 73794 // 27011
-    return None
 
 
 def _evaluate(f: dict, i: int, xi: int) -> dict:
@@ -709,33 +658,6 @@ def _xi_adic(h: dict, i: int, xi: int, degree: int):
     return None
 
 
-def _univariate_gcd(p: MultiPoly, q: MultiPoly, i: int) -> MultiPoly:
-    """Monic gcd of two nonconstant polynomials in the variable at index i
-    only: a primitive PRS on dense integer coefficient lists."""
-    def dense(m):
-        _, cleared = _cleared(m)
-        coeffs = [0] * (max(e[i] for e, _ in cleared) + 1)
-        for e, c in cleared:
-            coeffs[e[i]] = c
-        return coeffs
-
-    a = _dense_gcd(dense(p), dense(q))
-    zero = (0,) * len(p.vars)
-    return MultiPoly(p.vars, {zero[:i] + (d,) + zero[i + 1:]: _ratio(c, a[-1])
-                              for d, c in enumerate(a) if c})
-
-
-def _dense_gcd(a, b):
-    """Primitive gcd, up to sign, of two nonzero dense integer coefficient
-    lists, lowest degree first, with no trailing zeros: a primitive PRS."""
-    a, b = _primitive_ints(a), _primitive_ints(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _primitive_ints(_dense_prem(a, b))
-    return a
-
-
 def _dense_quotient(u, v):
     """u / v for dense integer coefficient lists, lowest degree first, with
     no trailing zeros, where v divides u in Z[x]; ArithmeticError if a
@@ -760,27 +682,6 @@ def _dense_quotient(u, v):
 def _primitive_ints(coeffs):
     g = _igcd(*coeffs)
     return [c // g for c in coeffs] if g > 1 else coeffs
-
-
-def _dense_prem(u, v):
-    """Remainder of u by v, up to a nonzero integer factor; dense integer
-    coefficient lists, lowest degree first, no trailing zeros."""
-    n = len(v) - 1
-    lead = v[n]
-    r = list(u)
-    while len(r) > n:
-        top = r.pop()
-        if top:
-            g = _igcd(top, lead)
-            s, t = lead // g, top // g
-            if s != 1:
-                r = [c * s for c in r]
-            base = len(r) - n
-            for j in range(n):
-                r[base + j] -= t * v[j]
-    while r and not r[-1]:
-        r.pop()
-    return r
 
 
 # ---------------------------------------------------------------------------

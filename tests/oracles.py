@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import factorial, gcd, isqrt, lcm, prod
 
 from hyperproof.factored import (
-    _primes_from, factored_lcm, factored_quotient,
+    _next_prime, factored_lcm, factored_quotient,
 )
 from hyperproof.linalg import (
     PolyMatrix, _GridEvaluator, _cofactor_vector, _integer_cleared,
@@ -13,7 +13,8 @@ from hyperproof.linalg import (
     clear_and_primitive, solve_nullspace,
 )
 from hyperproof.polys import (
-    MultiPoly, _as_fraction, _poly_list_gcd, common_denominator, poly_gcd,
+    MultiPoly, _as_fraction, _cleared, _poly_list_gcd, common_denominator,
+    poly_gcd,
 )
 from hyperproof.gridproof import _window
 from hyperproof.telescope import Certificate, Recurrence
@@ -84,6 +85,110 @@ def poly_lcm(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if p.is_zero() or q.is_zero():
         return MultiPoly.zero(p.vars)
     return (p * q).divexact(poly_gcd(p, q)).monic()
+
+
+def _primitive_reference(coeffs):
+    g = gcd(*coeffs)
+    return [c // g for c in coeffs] if g > 1 else coeffs
+
+
+def _dense_prem_reference(u, v):
+    """Remainder of u by v, up to a nonzero integer factor; dense integer
+    coefficient lists, lowest degree first, no trailing zeros."""
+    n = len(v) - 1
+    lead = v[n]
+    r = list(u)
+    while len(r) > n:
+        top = r.pop()
+        if top:
+            g = gcd(top, lead)
+            s, t = lead // g, top // g
+            if s != 1:
+                r = [c * s for c in r]
+            base = len(r) - n
+            for j in range(n):
+                r[base + j] -= t * v[j]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _prem_reference(u, v):
+    """Pseudo-remainder of dense lists u, v of MultiPoly coefficients, as
+    from to_univar."""
+    m, n = len(u) - 1, len(v) - 1
+    lead = v[n]
+    r = list(u)
+    for i in range(m - n, -1, -1):
+        top = r[n + i]
+        if top.is_zero():
+            continue
+        r = [c * lead for c in r]
+        for j in range(n + 1):
+            r[i + j] = r[i + j] - top * v[j]
+    while r and r[-1].is_zero():
+        r.pop()
+    return r
+
+
+def _list_gcd_reference(polys):
+    g = None
+    for p in polys:
+        if not p.is_zero():
+            g = p if g is None else prs_gcd_reference(g, p)
+    return g
+
+
+def prs_gcd_reference(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """Monic gcd by primitive pseudo-remainder sequences, with no GCDHEU
+    (Knuth, TAOCP 2, 4.6.1).  When one variable occurs, the sequence runs
+    on dense integer coefficient lists.  Otherwise the contents in the first
+    variable that occurs are split off, their gcd is taken the same way,
+    and the sequence runs on the primitive parts.  Slow on large inputs:
+    the reference for the gcd, not a fallback."""
+    if p.is_zero():
+        return q.monic()
+    if q.is_zero():
+        return p.monic()
+    if p.is_constant() or q.is_constant():
+        return MultiPoly.constant(p.vars, 1)
+    occurring = {i for e in (*p.terms, *q.terms) for i, x in enumerate(e) if x}
+    if len(occurring) == 1:
+        i = occurring.pop()
+        a, b = ([0] * (max(e[i] for e in m.terms) + 1) for m in (p, q))
+        for dense, m in ((a, p), (b, q)):
+            for e, c in _cleared(m)[1]:
+                dense[e[i]] = c
+        a, b = _primitive_reference(a), _primitive_reference(b)
+        if len(a) < len(b):
+            a, b = b, a
+        while b:
+            a, b = b, _primitive_reference(_dense_prem_reference(a, b))
+        zero = (0,) * len(p.vars)
+        return MultiPoly.from_terms(p.vars, [
+            (zero[:i] + (d,) + zero[i + 1:], Fraction(c, a[-1]))
+            for d, c in enumerate(a)])
+    var = next(v for v in p.vars if p.degree(v) > 0 or q.degree(v) > 0)
+    pu, qu = p.to_univar(var), q.to_univar(var)
+    if len(pu) == 1 or len(qu) == 1:
+        # one operand free of var: the gcd divides its coefficient content
+        return _list_gcd_reference(pu + qu).monic()
+    cont_p, cont_q = _list_gcd_reference(pu), _list_gcd_reference(qu)
+    pp = [c.divexact(cont_p) for c in pu]
+    qp = [c.divexact(cont_q) for c in qu]
+    a, b = (pp, qp) if len(pp) >= len(qp) else (qp, pp)
+    while b:
+        r = _prem_reference(a, b)
+        if r:
+            rc = _list_gcd_reference(r)
+            r = [c.divexact(rc) for c in r]
+        a, b = b, r
+    cont_a = _list_gcd_reference(a)
+    i = p.vars.index(var)
+    g = MultiPoly(p.vars, {e[:i] + (e[i] + d,) + e[i + 1:]: c
+                           for d, coeff in enumerate(a)
+                           for e, c in coeff.divexact(cont_a).terms.items()})
+    return (g * prs_gcd_reference(cont_p, cont_q)).monic()
 
 
 def clear_denominators(vars, rfs):
@@ -439,7 +544,7 @@ def _integer_roots_modular(ints, val):
     modulus = 1
     start = 10007
     while modulus <= need:
-        p = _primes_from(start, 1)[0]
+        p = _next_prime(start)
         start = p + 2
         rs = _roots_mod_p(ints, p)
         if rs is None:

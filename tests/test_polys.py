@@ -5,7 +5,6 @@ from math import lcm, prod
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from hyperproof import polys as polys_module
 from hyperproof.factored import (
     Factored, factored_common, factored_free_of, factored_lcm,
     factored_quotient, sum_vanishes,
@@ -20,7 +19,7 @@ from oracles import (
     Quotient, clear_and_primitive_reference, expand_reference,
     factored_mul_reference, factored_shift_reference, factored_split_reference,
     factored_value_reference, poly_key_reference, poly_lcm, pow_reference,
-    sort_key_reference, unpack_reference,
+    prs_gcd_reference, sort_key_reference, unpack_reference,
 )
 
 
@@ -774,19 +773,12 @@ def test_shift_matches_full_reduction(case):
 
 
 def heuristic_gcd(p, q):
-    """GCDHEU on its own, made monic; None when it gives up."""
-    g = _heuristic_gcd(dict(_cleared(p)[1]), dict(_cleared(q)[1]))
-    return None if g is None else MultiPoly(p.vars, g).monic()
+    """GCDHEU on its own, made monic."""
+    return MultiPoly(p.vars, _heuristic_gcd(dict(_cleared(p)[1]),
+                                            dict(_cleared(q)[1]))).monic()
 
 
-def prs_gcd(p, q, monkeypatch):
-    """poly_gcd with the heuristic off: the primitive remainder sequences."""
-    with monkeypatch.context() as m:
-        m.setattr(polys_module, "_HEU_BITS", 0)
-        return poly_gcd(p, q)
-
-
-def test_heuristic_gcd_matches_the_prs(monkeypatch):
+def test_heuristic_gcd_matches_the_prs():
     rng = random.Random(19)
 
     def rand(vars, terms, deg, bits):
@@ -824,7 +816,7 @@ def test_heuristic_gcd_matches_the_prs(monkeypatch):
         if p.is_zero() and q.is_zero():
             continue
         ran[kind] += 1
-        expected = prs_gcd(p, q, monkeypatch)
+        expected = prs_gcd_reference(p, q)
         assert poly_gcd(p, q) == expected, (p, q)
         if not p.is_zero() and not q.is_zero():
             assert heuristic_gcd(p, q) == expected, (p, q)
@@ -842,31 +834,39 @@ def test_heuristic_gcd_keeps_the_content_of_inner_levels():
     assert poly_gcd(p, q) == expected
 
 
-def test_heuristic_gives_way_to_the_prs(monkeypatch):
-    x = MultiPoly.variable(V, "x")
-    y = MultiPoly.variable(V, "y")
-    common = x * y + y.scale(3) + x
-    p, q = common * (x + y) * (x - y), common * (x * x - y.scale(2))
-    assert poly_gcd(p, q) == common.monic()
-    # over the bit budget: the heuristic gives up at once
-    monkeypatch.setattr(polys_module, "_HEU_BITS", 8)
-    assert heuristic_gcd(p, q) is None
-    assert poly_gcd(p, q) == common.monic()
-    monkeypatch.undo()
-    # every division check fails: the heuristic gives up after its tries
-    evaluations = [0]
-    real_evaluate = polys_module._evaluate
-
-    def counted(f, i, xi):
-        evaluations[0] += 1
-        return real_evaluate(f, i, xi)
-
-    monkeypatch.setattr(polys_module, "_evaluate", counted)
-    monkeypatch.setattr(polys_module, "_integer_quotient", lambda r, c: None)
-    u = MultiPoly.variable(("x",), "x")
+def test_heuristic_gcd_passes_unlucky_points():
+    # at each of the first six evaluation points xi, xi divides M, so the
+    # evaluated gcd xi (xi + 1) reads back as x (x + 1), which does not
+    # divide g: the search must go on to a seventh point
+    x = MultiPoly.variable(("x",), "x")
     one = MultiPoly.constant(("x",), 1)
-    f, g = (u + one) * (u - one.scale(2)), (u + one) * (u + one.scale(5))
-    assert heuristic_gcd(f, g) is None
-    assert evaluations[0] == 2 * polys_module._HEU_TRIES
-    assert poly_gcd(f, g) == u + one
-    assert poly_gcd(p, q) == common.monic()
+    points = [4]
+    while len(points) < 6:
+        points.append(points[-1] * 73794 // 27011)
+    assert points == [4, 10, 27, 73, 199, 543]
+    M = lcm(*points)
+    f, g = x * (x + one), (x + one) * (x + one.scale(M))
+    assert heuristic_gcd(f, g) == x + one
+    assert poly_gcd(f, g) == x + one
+
+
+def test_heuristic_gcd_past_the_old_bit_budget():
+    # degrees 20 and 30 with coefficients of about 2000 bits: the first
+    # evaluation makes integers of about 60000 bits, and the search must
+    # still end with the gcd
+    rng = random.Random(44)
+    x = ("x",)
+
+    def rand(deg):
+        return MultiPoly.from_terms(x, [((d,), rng.getrandbits(1000) - 2 ** 999)
+                                        for d in range(deg + 1)])
+
+    a, b, c = rand(10), rand(20), rand(10)
+    p, q = a * c, b * c
+    # the bits of the first xi, 2 min(|p|, |q|) + 2, times the larger degree
+    xi = 2 * min(max(map(abs, r.terms.values())) for r in (p, q)) + 2
+    assert xi.bit_length() * 30 > 1 << 15
+    expected = prs_gcd_reference(p, q)
+    expected.divexact(c.monic())
+    assert heuristic_gcd(p, q) == expected
+    assert poly_gcd(p, q) == expected
