@@ -71,8 +71,9 @@ _REQUIRED = ("name", "summand", "rhs", "sum_var", "rec_var", "lower", "upper")
 
 
 def load_identity(path) -> IdentityFile:
-    """Parse a key: value identity file; raises IdentityFileError with the
-    file and line on any problem."""
+    """Parse a key: value identity file, each of the nine keys at most
+    once; raises IdentityFileError with the file and line on any problem,
+    an unknown or repeated key among them."""
     fields = {}
     path = Path(path)
     try:
@@ -87,6 +88,10 @@ def load_identity(path) -> IdentityFile:
             raise IdentityFileError(f"{path}:{lineno}: expected 'key: value'")
         key, _, value = line.partition(":")
         key = key.strip().lower()
+        if key not in (*_REQUIRED, "params", "notes"):
+            raise IdentityFileError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in fields:
+            raise IdentityFileError(f"{path}:{lineno}: repeated key {key!r}")
         fields[key] = value.strip()
     for key in _REQUIRED:
         if key not in fields:

@@ -246,15 +246,6 @@ def _involves(fid, factor, var) -> bool:
             else factor.degree(var)) != 0
 
 
-def from_ratio_parts(vars, const, affine, opaque) -> Factored:
-    out = Factored(vars, const)
-    for L, e in affine:
-        out.mul_affine(L, e)
-    for p, e in opaque:
-        out.mul_poly(p.embed(vars) if p.vars != tuple(vars) else p, e)
-    return out
-
-
 def factored_lcm(items) -> Factored:
     """lcm of factored products with positive exponents (constants dropped)."""
     items = list(items)

@@ -50,8 +50,7 @@ from fractions import Fraction
 from math import ceil
 
 from .factored import (
-    Factored, factored_sum, from_ratio_parts, integer_roots_univar,
-    sum_vanishes,
+    Factored, factored_sum, integer_roots_univar, sum_vanishes,
 )
 from .linalg import (
     PolyMatrix, _GridEvaluator, _constant_pivots, _grid_digits,
@@ -64,8 +63,8 @@ from .telescope import (
     printed_certificate, solve_order, verify_certificate,
 )
 from .terms import (
-    LinearForm, TermError, TermExpression, natural_support, shift_quotient,
-    term_value, value_parts, zero_rules,
+    LinearForm, TermError, TermExpression, factored_value, natural_support,
+    shift_quotient, term_value, zero_rules,
 )
 
 
@@ -420,10 +419,11 @@ def leading_coeff_check(sys, certainty, seed: int, jobs: int = 1):
     c_j.  Determinants commute with specialization, so the factors of w_J
     free of the parameters divide w_J(n; s_i) at every parameter point s_i;
     the gcd over the nonzero w_J(n; s_i), each interpolated from integer
-    minors, keeps them and drops roots that only special parameter values
-    have.  n0 is the largest nonnegative integer root of that gcd or of the
-    parameter-free part of a factor of any c_j.  Raises Inconclusive when no
-    such B exists or the rank-deficiency test fails.
+    minors as one integer multiple of it, the same for every s_i (the gcd
+    is monic), keeps them and drops roots that only special parameter
+    values have.  n0 is the largest nonnegative integer root of that gcd or
+    of the parameter-free part of a factor of any c_j.  Raises Inconclusive
+    when no such B exists or the rank-deficiency test fails.
     """
     J = sys.ansatz.order
     n = sys.n
@@ -492,20 +492,21 @@ def _small_cases(nid: NormalizedIdentity, term: TermExpression, rhs_terms,
                  upto: int, point=None):
     """The exact small-case stage: yield, for n = 0..upto in turn, the terms
     of the declared window's sum of term and the negated rhs_terms (terms
-    free of k) as a list of Factored values (terms.value_parts), symbolic in
-    the parameters or at their integer values point; where no symbol but k
-    is left, one constant, the Fraction sum of term_values.
-    factored.sum_vanishes tests a list for zero.  A caller stops at the
-    first n it does not need, so no window is summed in vain."""
+    free of k) as a list of Factored values, each terms.factored_value of
+    a term over the symbols left, symbolic in the parameters or at their
+    integer values point; where no symbol but k is left, one constant, the
+    Fraction sum of term_values.  factored.sum_vanishes tests a list for
+    zero.  A caller stops at the first n it does not need, so no window is
+    summed in vain."""
     for nv in range(upto + 1):
         at = {**(point or {}), nid.n: nv}
         lo, hi = _window(nid, term, nv, point)
         free = tuple(s for s in term.symbols if s != nid.k and s not in at)
         if free:
-            values = [from_ratio_parts(free, *value_parts(
-                term, {**at, nid.k: kv}, True)) for kv in range(lo, hi + 1)]
-            values += [from_ratio_parts(free, *value_parts(
-                t, {**at, nid.k: 0})).mul_const(-1) for t in rhs_terms]
+            values = [factored_value(term, {**at, nid.k: kv}, True)
+                      for kv in range(lo, hi + 1)]
+            values += [factored_value(t, {**at, nid.k: 0}).mul_const(-1)
+                       for t in rhs_terms]
         else:
             total = sum(term_value(term, {**at, nid.k: kv}, True)
                         for kv in range(lo, hi + 1))

@@ -43,7 +43,7 @@ from array import array
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd, lcm, prod
+from math import gcd, lcm, prod
 from operator import add, mul
 
 from .polys import (
@@ -703,13 +703,6 @@ def clear_and_primitive(polys):
     return [p.scale(1 / scale) for p in polys]
 
 
-def _interpolate_int(values) -> list:
-    """Coefficients of the polynomial with given values at nodes 0..len-1,
-    as Fractions: those of _interpolate_scaled over (len-1)!."""
-    s = factorial(max(len(values) - 1, 0))
-    return [Fraction(c, s) for c in _interpolate_scaled(values)]
-
-
 def _interpolate_scaled(values) -> list:
     """Integer coefficients of s*f, s = (n-1)!, for the polynomial f with
     the n given integer values at nodes 0..n-1.
@@ -747,11 +740,13 @@ def _pivot_rows(a) -> list:
 
 def _univar_minors(m: PolyMatrix, var, points, cols) -> list:
     """Per point (fixing every variable of m but var at an integer), the
-    coefficient list (ascending in var) of det m[:, cols].
+    integer coefficient list (ascending in var) of s * det m[:, cols], s a
+    positive integer, the same at every point.
 
     m is integer-cleared with len(cols) rows.  The minor has degree at most
     the max-weight assignment on its entries' degrees in var, so it is
-    evaluated at that many nodes 0, 1, ... and interpolated exactly.  The
+    evaluated at that many nodes 0, 1, ... and interpolated exactly on
+    integers (_interpolate_scaled, s the factorial of the bound).  The
     evaluator substitutes var last, so the nodes of one point share the
     substitution of the others, and point t takes the t-th value of each.
 
@@ -790,7 +785,7 @@ def _univar_minors(m: PolyMatrix, var, points, cols) -> list:
         if rem:
             raise ArithmeticError("inexact pivot-chain minor")
         dets[pos // len(nodes)].append(det)
-    return [_interpolate_int(d) for d in dets]
+    return [_interpolate_scaled(d) for d in dets]
 
 
 def _from_dense(coeffs, vars) -> MultiPoly:

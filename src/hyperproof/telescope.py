@@ -30,15 +30,14 @@ from __future__ import annotations
 
 from .factored import (
     Factored, factored_common, factored_free_of, factored_lcm,
-    factored_quotient, factored_split_over, from_ratio_parts, gosper_normal,
-    sum_vanishes,
+    factored_quotient, factored_split_over, gosper_normal, sum_vanishes,
 )
 from .linalg import PolyMatrix, clear_and_primitive, solve_nullspace
 from .polys import (
     FrozenRecord, MultiPoly, Record, _as_fraction, _poly_list_gcd,
     common_denominator, poly_gcd,
 )
-from .terms import TermExpression, TermError
+from .terms import TermExpression, TermError, shift_quotient
 
 
 class Recurrence(FrozenRecord):
@@ -162,8 +161,8 @@ class ShiftQuotients:
     def __call__(self, var, step=1):
         parts = self.split.get((var, step))
         if parts is None:
-            parts = self.split[var, step] = from_ratio_parts(
-                self.f.symbols, *self.f.shift_ratio_parts(var, step)).split()
+            parts = self.split[var, step] = shift_quotient(
+                self.f, var, step).split()
         return parts[0].copy(), parts[1].copy()
 
 

@@ -6,7 +6,9 @@ A term is a product of factorials, binomials, rising factorials, constant-base
 powers, and one rational-function factor, each argument affine in the declared
 symbols.  rf(a,k) denotes a(a+1)...(a+k-1).
 
-The rational factor and every shift quotient are factored.Factored products:
+The rational factor, every shift quotient (shift_quotient) and a term's
+value at a point that leaves symbols free (factored_value) are
+factored.Factored products, each factor multiplied in where it is read:
 the parser multiplies factors by their ids and adds sums over the lcm of
 their denominators (factored.factored_sum), so no polynomial gcd runs while
 a term is read, shifted or normalized.  The rational factor is evaluated
@@ -23,7 +25,7 @@ import math
 import re
 from fractions import Fraction
 
-from .factored import Factored, factored_sum, from_ratio_parts
+from .factored import Factored, factored_sum
 from .polys import (
     EvalError, FrozenRecord, LinearForm, ParseError, TermError, _as_fraction,
     _parts, _ratio, poly_gcd,
@@ -99,76 +101,63 @@ class TermExpression(FrozenRecord):
     def divided_by(self, other: "TermExpression") -> "TermExpression":
         return self.times(other.inverted())
 
-    # -- shift quotients ----------------------------------------------------
-
-    def shift_ratio_parts(self, var, step=1):
-        """Factored form of f(var+step)/f(var).
-
-        Returns (const: Fraction, affine: list[(LinearForm, exp)],
-        opaque: list[(MultiPoly, exp)]); the product of all parts with their
-        exponents equals the shift quotient.  Raises on non-integer shifts of
-        factorial-type count arguments.
-        """
-        const = Fraction(1)
-        affine = []
-        opaque = []
-
-        def gamma_quotient(L: LinearForm, m):
-            # Gamma(L+m)/Gamma(L) as affine factors
-            if m != int(m):
-                raise TermError(
-                    f"shift in {var} changes factorial-type argument {L} "
-                    f"by non-integer {m}")
-            m = int(m)
-            if m >= 0:
-                return [(L.add_const(t), 1) for t in range(m)]
-            return [(L.add_const(-t), -1) for t in range(1, -m + 1)]
-
-        for a, e in self.factorials:
-            m = a.var_coeff(var) * step
-            for f, s in gamma_quotient(a.add_const(1), m):
-                affine.append((f, s * e))
-        for u, l, e in self.binomials:
-            mu = u.var_coeff(var) * step
-            ml = l.var_coeff(var) * step
-            for f, s in gamma_quotient(u.add_const(1), mu):
-                affine.append((f, s * e))
-            for f, s in gamma_quotient(l.add_const(1), ml):
-                affine.append((f, -s * e))
-            for f, s in gamma_quotient((u - l).add_const(1), mu - ml):
-                affine.append((f, -s * e))
-        for b, c, e in self.risings:
-            s_ = b.var_coeff(var) * step
-            t_ = c.var_coeff(var) * step
-            for f, sg in gamma_quotient(b + c, s_ + t_):
-                affine.append((f, sg * e))
-            for f, sg in gamma_quotient(b, s_):
-                affine.append((f, -sg * e))
-        for base, expo in self.powers:
-            m = expo.var_coeff(var) * step
-            if m != int(m):
-                raise TermError(f"shift in {var} changes power exponent by non-integer")
-            const *= _as_fraction(base) ** int(m)
-        if not self.rational.is_constant():
-            # each side of the rational factor as one expanded polynomial,
-            # and its shift, the positive exponent first
-            for side, e in zip(self.rational.split(), (1, -1)):
-                side = side.expand()
-                if side.degree(var) > 0:
-                    up = side.shift(var, step)
-                    opaque += [(up, 1), (side, -1)] if e > 0 else \
-                        [(side, 1), (up, -1)]
-        return const, affine, opaque
-
     def __str__(self):
         return render(self)
 
 
-def shift_quotient(f: TermExpression, var) -> Factored:
-    """f(var+1)/f(var) as a product over all symbols."""
+def shift_quotient(f: TermExpression, var, step=1) -> Factored:
+    """f(var+step)/f(var) as one Factored product over all symbols.  The
+    affine factors of each factorial, binomial (upper, lower, difference)
+    and rising factorial (base plus count, base) are multiplied in turn,
+    the powers into the constant, then each side of the rational factor
+    that involves var, expanded, with its shift, the positive exponent
+    first: factored._k_factors keeps this order for the normal form.
+    Raises on non-integer shifts of factorial-type count arguments or of
+    power exponents."""
     if var not in f.symbols:
         raise TermError(f"{var} is not a symbol of the term")
-    return from_ratio_parts(f.symbols, *f.shift_ratio_parts(var))
+    out = Factored.one(f.symbols)
+
+    def gamma_quotient(L: LinearForm, m, e):
+        # times (Gamma(L+m)/Gamma(L))^e, as affine factors
+        if m != int(m):
+            raise TermError(
+                f"shift in {var} changes factorial-type argument {L} "
+                f"by non-integer {m}")
+        m = int(m)
+        if m >= 0:
+            for t in range(m):
+                out.mul_affine(L.add_const(t), e)
+        else:
+            for t in range(1, -m + 1):
+                out.mul_affine(L.add_const(-t), -e)
+
+    for a, e in f.factorials:
+        gamma_quotient(a.add_const(1), a.var_coeff(var) * step, e)
+    for u, l, e in f.binomials:
+        mu = u.var_coeff(var) * step
+        ml = l.var_coeff(var) * step
+        gamma_quotient(u.add_const(1), mu, e)
+        gamma_quotient(l.add_const(1), ml, -e)
+        gamma_quotient((u - l).add_const(1), mu - ml, -e)
+    for b, c, e in f.risings:
+        s = b.var_coeff(var) * step
+        gamma_quotient(b + c, s + c.var_coeff(var) * step, e)
+        gamma_quotient(b, s, -e)
+    for base, expo in f.powers:
+        m = expo.var_coeff(var) * step
+        if m != int(m):
+            raise TermError(
+                f"shift in {var} changes power exponent by non-integer")
+        out.mul_const(base, int(m))
+    if not f.rational.is_constant():
+        for side, e in zip(f.rational.split(), (1, -1)):
+            side = side.expand()
+            if side.degree(var) > 0:
+                up = side.shift(var, step)
+                first, second = (up, side) if e > 0 else (side, up)
+                out.mul_poly(first, 1).mul_poly(second, -1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -216,19 +205,24 @@ def term_value(f: TermExpression, point: dict, zero_conventions: bool = False):
     return _ratio(top * p * t, bottom * q * r)
 
 
-def value_parts(f: TermExpression, point: dict, zero_conventions: bool = False):
-    """f at a point that may leave symbols free, as shift_ratio_parts gives
-    a quotient: (const, affine, opaque) over the symbols left, the rational
-    part as its two sides expanded (_rational_at), with term_value's rules
-    and errors; (0, [], []) where the zero conventions make f zero."""
+def factored_value(f: TermExpression, point: dict,
+                   zero_conventions: bool = False) -> Factored:
+    """f at a point that may leave symbols free, as a Factored product over
+    the symbols left: the constant, the affine factors left symbolic, then
+    the two sides of the rational part, each expanded (_rational_at), with
+    term_value's rules and errors; zero where the zero conventions make f
+    zero."""
     remaining = tuple(s for s in f.symbols if s not in point)
     try:
         top, bottom, affine = _special_factors(f, point, zero_conventions)
     except _ZeroTerm:
-        return 0, [], []
+        return Factored(remaining, 0)
+    out = Factored(remaining, _ratio(top, bottom))
+    for L, e in affine:
+        out.mul_affine(L, e)
     num, den = _rational_at(f.rational, lambda p: p.eval_partial(point))
-    return _ratio(top, bottom), affine, [(num.restrict(remaining), 1),
-                                         (den.restrict(remaining), -1)]
+    return out.mul_poly(num.restrict(remaining), 1).mul_poly(
+        den.restrict(remaining), -1)
 
 
 def _rational_at(rational: Factored, at):

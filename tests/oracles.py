@@ -9,7 +9,7 @@ from hyperproof.factored import (
 )
 from hyperproof.linalg import (
     PolyMatrix, _GridEvaluator, _cofactor_vector, _integer_cleared,
-    _interpolate_int, _max_assignment, _pivot_rows,
+    _max_assignment, _pivot_rows,
     clear_and_primitive, solve_nullspace,
 )
 from hyperproof.polys import (
@@ -269,6 +269,26 @@ def nullspace_rational(m: PolyMatrix) -> list:
     return basis
 
 
+def interpolate_reference(values) -> list:
+    """Coefficients, as Fractions, of the polynomial with the given values
+    at nodes 0..len-1: Newton divided differences over Fraction."""
+    n = len(values)
+    dd = [Fraction(v) for v in values]
+    for level in range(1, n):
+        for i in range(n - 1, level - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / level
+    acc = [Fraction(0)] * n
+    for m in range(n - 1, -1, -1):
+        shifted = [Fraction(0)] * n
+        for i in range(n - 1):
+            if acc[i]:
+                shifted[i + 1] += acc[i]
+                shifted[i] -= acc[i] * m
+        shifted[0] += dd[m]
+        acc = shifted
+    return acc
+
+
 def nullspace_univar_reference(m: PolyMatrix):
     """linalg._nullspace_univar the way it once was: pivot rows in file
     order, a full fraction-free elimination per node (_cofactor_vector),
@@ -292,10 +312,8 @@ def nullspace_univar_reference(m: PolyMatrix):
     nodes = list(range((bound or 0) + 1))
     cofactors = [_cofactor_vector(a) for _, _, a in
                  _GridEvaluator(sub, {var: nodes}).matrices(nodes)]
-    vec = [MultiPoly.from_terms(m.vars, [((d,), c) for d, c in
-                                         enumerate(_interpolate_int(values))
-                                         if c])
-           for values in zip(*cofactors)]
+    vec = [MultiPoly.from_terms(m.vars, [((d,), c) for d, c in enumerate(
+        interpolate_reference(values)) if c]) for values in zip(*cofactors)]
     if all(p.is_zero() for p in vec):
         return None
     vec = clear_and_primitive(vec)

@@ -61,6 +61,29 @@ def test_load_identity_parse_error_mentions_file(tmp_path):
     assert "bad.txt" in str(err.value)
 
 
+_BINOMIAL_SUM = ("name: x\nsummand: binomial(n,k)\nrhs: 2^n\nsum_var: k\n"
+                 "rec_var: n\nlower: 0\nupper: n\n")
+
+
+@pytest.mark.parametrize("extra, lineno, message", [
+    ("rhs: 3^n\n", 4, "repeated key 'rhs'"),
+    ("parms: a\n", 3, "unknown key 'parms'"),
+])
+def test_load_identity_rejects_a_repeated_or_unknown_key(
+        tmp_path, capsys, extra, lineno, message):
+    # a false rhs 3^n before the true 2^n: read silently, the last value
+    # would win and the false line go unseen; a misspelt key would be
+    # dropped.  Either is an error at its line, and prove exits with usage
+    lines = _BINOMIAL_SUM.splitlines(keepends=True)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("".join(lines[:2]) + extra + "".join(lines[2:]))
+    with pytest.raises(IdentityFileError,
+                       match=f"bad.txt:{lineno}: {message}"):
+        load_identity(bad)
+    assert main(["prove", str(bad)]) == EXIT_USAGE
+    assert f"bad.txt:{lineno}: {message}" in capsys.readouterr().err
+
+
 def test_corpus_terms_roundtrip():
     # parse(render(f)) == f for every bundled summand and right side
     for path in sorted(CORPUS.glob("*.txt")) + sorted((CORPUS / "extra").glob("*.txt")):

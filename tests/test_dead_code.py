@@ -1,9 +1,10 @@
-"""No dead private code: every module-level private function, class or
-constant (a name bound by assignment) of the package is read somewhere in
-the package outside its own definition, as a name or as an attribute.  A
-reference from the tests alone does not count, and neither does a call of
-a function to itself.  Standard library
-only (ast), so it runs wherever the tests do."""
+"""No dead code: every module-level private function, class or constant (a
+name bound by assignment) of the package, and every public function or
+class that the package's __all__ does not export, is read somewhere in the
+package outside its own definition, as a name or as an attribute.  An
+import is not a read.  A reference from the tests alone does not count,
+and neither does a call of a function to itself.  Standard library only
+(ast), so it runs wherever the tests do."""
 
 import ast
 from collections import Counter
@@ -11,6 +12,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(ROOT.glob("src/hyperproof/*.py"))
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _names(node) -> Counter:
@@ -23,7 +25,7 @@ def _names(node) -> Counter:
 def _defined(node) -> list:
     """The names a module-level statement binds: a function's or class's,
     or those an assignment stores to."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+    if isinstance(node, _DEFINITIONS):
         return [node.name]
     if isinstance(node, (ast.Assign, ast.AnnAssign)):
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -32,16 +34,28 @@ def _defined(node) -> list:
     return []
 
 
-def unreferenced_private(sources: dict) -> list:
+def _exported(tree) -> set:
+    """The names a module's __all__ lists."""
+    return {name for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)
+            for name in ast.literal_eval(node.value)}
+
+
+def unreferenced(sources: dict) -> list:
     """(file, name) of every module-level private function, class or
-    constant of the sources (file -> text) that none of them reads outside
-    its own definition."""
+    constant of the sources (file -> text), and every public function or
+    class that no __all__ of theirs exports, that none of them reads
+    outside its own definition."""
     trees = {path: ast.parse(text) for path, text in sources.items()}
     read = sum((_names(tree) for tree in trees.values()), Counter())
+    exported = set().union(*map(_exported, trees.values()))
     return [(path, name) for path, tree in trees.items()
             for node in tree.body for name in _defined(node)
-            if name.startswith("_") and not name.startswith("__")
-            and read[name] == _names(node)[name]]
+            if read[name] == _names(node)[name] and (
+                name.startswith("_") and not name.startswith("__")
+                or not name.startswith("_") and name not in exported
+                and isinstance(node, _DEFINITIONS))]
 
 
 def test_the_scan_finds_dead_private_code():
@@ -59,20 +73,31 @@ def test_the_scan_finds_dead_private_code():
                  "def public():\n"
                  "    def _nested():\n"
                  "        pass\n"
-                 "    return _used(1)\n"),
-        "b.py": ("import a\n"
+                 "    return _used(1)\n"
+                 "def left_behind():\n"
+                 "    return left_behind()\n"
+                 "class Unread:\n"
+                 "    pass\n"
+                 "UNREAD_PUBLIC = 1\n"
+                 "def read_in_b():\n"
+                 "    pass\n"),
+        "b.py": ("from a import Unread, read_in_b\n"
+                 "import a\n"
+                 "read_in_b()\n"
                  "class _Read:\n"
                  "    pass\n"
                  "_TABLE = {}\n"
                  "_TABLE[1] = 2\n"
                  "print(a._Read, _Read.__name__, a._LIMIT)\n"),
     }
-    assert unreferenced_private(sources) == [("a.py", "_recursive"),
-                                             ("a.py", "_Dead"),
-                                             ("a.py", "_UNREAD"),
-                                             ("a.py", "_BITS")]
+    assert unreferenced(sources) == [("a.py", "_recursive"),
+                                     ("a.py", "_Dead"),
+                                     ("a.py", "_UNREAD"),
+                                     ("a.py", "_BITS"),
+                                     ("a.py", "left_behind"),
+                                     ("a.py", "Unread")]
 
 
 def test_no_dead_private_code():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in FILES}
-    assert unreferenced_private(sources) == []
+    assert unreferenced(sources) == []

@@ -25,7 +25,7 @@ from hyperproof.cli import (
     load_identity, record_line, report_record, run_prove,
 )
 from hyperproof.factored import (
-    Factored, factored_lcm, factored_quotient, from_ratio_parts, gosper_normal,
+    Factored, factored_lcm, factored_quotient, gosper_normal,
 )
 from hyperproof.linalg import (
     PolyMatrix, _DET_WIDTH, _GridEvaluator, _constant_pivots, _grid_digits,
@@ -36,8 +36,8 @@ from hyperproof.polys import MultiPoly
 from hyperproof.telescope import Recurrence, assemble, gosper_degree_bound
 from hyperproof.terms import (
     EvalError, LinearForm, TermError, TermExpression, _ZeroTerm,
-    natural_support, parse_affine as lf, parse_rational, parse_sum,
-    parse_term, term_value, value_parts,
+    factored_value, natural_support, parse_affine as lf, parse_rational,
+    parse_sum, parse_term, shift_quotient, term_value,
 )
 from oracles import (
     Quotient, det_symbolic, evaluate_reference, lane_reference, poly_matrix,
@@ -1123,16 +1123,11 @@ def symbolic_cases(path):
     return nid, cases
 
 
-def factored_value(t, at, zero_conventions=False):
-    free = tuple(s for s in t.symbols if s not in at)
-    return from_ratio_parts(free, *value_parts(t, at, zero_conventions))
-
-
 @pytest.mark.parametrize("path", IDENTITY_FILES, ids=lambda p: p.name)
 def test_factored_values_match_the_rational_path(path):
     # each term symbolic in the parameters, at n = 0..4 and k from two
     # before the window to two past it (the right side at k = 0), with and
-    # without zero conventions: value_parts gives the value of the
+    # without zero conventions: factored_value gives the value of the
     # Quotient path, or the same exception with the same message,
     # and 0 where the zero conventions make the term zero
     nid, cases = symbolic_cases(path)
@@ -1199,15 +1194,14 @@ def _factored_values(draw):
     -2..2, and opaque quadratic factors with exponents -1..1."""
     values = []
     for _ in range(draw(st.integers(1, 5))):
-        const = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 4)))
-        affine = [(lf(text, _VARS), draw(st.integers(-2, 2)))
-                  for text in draw(st.lists(st.sampled_from(_FORMS),
-                                            max_size=4))]
-        opaque = [(parse_rational(text, _VARS).expand(),
-                   draw(st.integers(-1, 1)))
-                  for text in draw(st.lists(st.sampled_from(_OPAQUE),
-                                            max_size=2))]
-        values.append(from_ratio_parts(_VARS, const, affine, opaque))
+        v = Factored(_VARS, Fraction(draw(st.integers(-9, 9)),
+                                     draw(st.integers(1, 4))))
+        for text in draw(st.lists(st.sampled_from(_FORMS), max_size=4)):
+            v.mul_affine(lf(text, _VARS), draw(st.integers(-2, 2)))
+        for text in draw(st.lists(st.sampled_from(_OPAQUE), max_size=2)):
+            v.mul_poly(parse_rational(text, _VARS).expand(),
+                       draw(st.integers(-1, 1)))
+        values.append(v)
     return values
 
 
@@ -1223,8 +1217,8 @@ def _rational(v):
 
 @settings(deadline=None, max_examples=150)
 @given(_factored_values())
-@example([from_ratio_parts(_VARS, 0, [(lf("x+1", _VARS), -1)], []),
-          from_ratio_parts(_VARS, 1, [(lf("z", _VARS), -1)], [])])
+@example([Factored(_VARS, 0).mul_affine(lf("x+1", _VARS), -1),
+          Factored(_VARS).mul_affine(lf("z", _VARS), -1)])
 def test_vanishes_agrees_with_rational_function_sums(values):
     # shared and cancelling affine factors and an opaque rational part:
     # the factored sum vanishes exactly when the Quotient sum does,
@@ -1235,7 +1229,7 @@ def test_vanishes_agrees_with_rational_function_sums(values):
     assert factored.sum_vanishes(values) == total.is_zero()
 
     def opaque(r):
-        return from_ratio_parts(_VARS, 1, [], [(r.num, 1), (r.den, -1)])
+        return Factored(_VARS).mul_poly(r.num, 1).mul_poly(r.den, -1)
 
     assert factored.sum_vanishes(values, [opaque(total)])
     assert factored.sum_vanishes(values + [opaque(-total)])
@@ -1441,10 +1435,9 @@ def _full_system(f, J, k="k", n="n"):
     vars = f.symbols
     sigmas = [(Factored.one(vars), Factored.one(vars))]
     for j in range(1, J + 1):
-        parts = f.shift_ratio_parts(n, step=j)
-        sigmas.append(from_ratio_parts(vars, *parts).split())
+        sigmas.append(shift_quotient(f, n, j).split())
     Q = factored_lcm([den for _, den in sigmas])
-    rho_num, rho_den = from_ratio_parts(vars, *f.shift_ratio_parts(k)).split()
+    rho_num, rho_den = shift_quotient(f, k).split()
     pbar, q, r = (p.expand() for p in gosper_normal(
         rho_num.copy().mul(Q), rho_den.copy().mul(Q.shift(k, 1)), k))
     u = [num.copy().mul(factored_quotient(Q, den)).expand() * pbar
@@ -1655,13 +1648,13 @@ def test_the_shift_quotient_table_dies_with_its_proof(name, monkeypatch):
     # a zero right side, so fhat is the loaded summand; dixon's Gosper/WZ
     # check reads fhat's shift in n from the normalization
     built = []
-    real = TermExpression.shift_ratio_parts
 
-    def counted(self, var, step=1):
-        built.append((id(self), var, step))
-        return real(self, var, step)
+    def counted(f, var, step=1):
+        built.append((id(f), var, step))
+        return shift_quotient(f, var, step)
 
-    monkeypatch.setattr(TermExpression, "shift_ratio_parts", counted)
+    for module in (gridproof, telescope):
+        monkeypatch.setattr(module, "shift_quotient", counted)
     ident = load_identity(Path(__file__).parent.parent / "corpus"
                           / f"{name}.txt")
     records, counts = [], []

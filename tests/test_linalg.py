@@ -2,7 +2,7 @@ import random
 import signal
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import factorial, lcm
 from pathlib import Path
 from unittest import mock
 
@@ -16,13 +16,14 @@ from hyperproof.polys import MultiPoly
 from hyperproof.linalg import (
     PolyMatrix, _DET_WIDTH, _GridEvaluator, _annihilates, _cofactor_vector,
     _constant_pivots, _from_dense, _int_det, _int_rank, _integer_cleared,
-    _interpolate_int, _max_assignment, _primitive_vector, _probe_values,
+    _interpolate_scaled, _max_assignment, _primitive_vector, _probe_values,
     _univar_minors, clear_and_primitive, solve_nullspace,
 )
 from hyperproof.terms import parse_rational
 from oracles import (
-    annihilates_reference, det_symbolic, max_assignment_reference,
-    nullspace_rational, nullspace_univar_reference, poly_matrix,
+    annihilates_reference, det_symbolic, interpolate_reference,
+    max_assignment_reference, nullspace_rational, nullspace_univar_reference,
+    poly_matrix,
 )
 
 
@@ -384,33 +385,17 @@ def test_grid_soundness_kernel_small():
 # -- property test of the integer Newton interpolation -------------------------
 
 
-def ref_interpolate(values):
-    """Newton divided differences over Fraction (reference only)."""
-    n = len(values)
-    dd = [Fraction(v) for v in values]
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / level
-    acc = [Fraction(0)] * n
-    for m in range(n - 1, -1, -1):
-        shifted = [Fraction(0)] * n
-        for i in range(n - 1):
-            if acc[i]:
-                shifted[i + 1] += acc[i]
-                shifted[i] -= acc[i] * m
-        shifted[0] += dd[m]
-        acc = shifted
-    return acc
-
-
 @settings(deadline=None, max_examples=300)
 @given(st.lists(st.integers(-10**12, 10**12), max_size=12))
 def test_interpolate_int_matches_fraction_newton(values):
-    coeffs = _interpolate_int(values)
-    assert coeffs == ref_interpolate(values)
-    assert all(type(c) is Fraction for c in coeffs)
+    # integer coefficients of s f, s = (len-1)!, for the f of the Fraction
+    # Newton form
+    coeffs = _interpolate_scaled(values)
+    s = factorial(max(len(values) - 1, 0))
+    assert all(type(c) is int for c in coeffs)
+    assert [Fraction(c, s) for c in coeffs] == interpolate_reference(values)
     for t, v in enumerate(values):
-        assert sum(c * t ** d for d, c in enumerate(coeffs)) == v
+        assert sum(c * t ** d for d, c in enumerate(coeffs)) == s * v
 
 
 # -- property tests of the fraction-free elimination kernel ---------------
@@ -736,16 +721,18 @@ def test_max_assignment_dense_21_by_20_within_5_s():
 # -- leading-coefficient minors on the pivot chain ---------------------------
 
 def assert_minors_match_int_det(m, var, points, cols):
-    """_univar_minors against _int_det of the MultiPoly.eval matrix, sign
-    included, at every interpolation node and two beyond each end."""
+    """_univar_minors against _int_det of the MultiPoly.eval matrix times
+    bound!, sign included, at every interpolation node and two beyond each
+    end."""
     bound = max_assignment_reference([[row[j].degree(var) for j in cols]
                                       for row in m.entries]) or 0
     for point, coeffs in zip(points, _univar_minors(m, var, points, cols)):
+        assert all(type(c) is int for c in coeffs)
         for x in range(-2, bound + 3):
             a = [[row[j].eval({**point, var: x}) for j in cols]
                  for row in m.entries]
             assert sum(c * x ** d for d, c in enumerate(coeffs)) == \
-                _int_det(a), (point, x)
+                factorial(bound) * _int_det(a), (point, x)
 
 
 def univar_pivot_case(rng, size, constants, zeros=()):

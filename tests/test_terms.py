@@ -9,9 +9,9 @@ from hyperproof.factored import Factored
 from hyperproof.linalg import _lower_set
 from hyperproof.polys import MultiPoly
 from hyperproof.terms import (
-    EvalError, LinearForm, ParseError, _ZeroTerm,
+    EvalError, LinearForm, ParseError, _ZeroTerm, factored_value,
     natural_support, parse_affine, parse_rational, parse_sum, parse_term,
-    render, shift_quotient, term_value, value_parts,
+    render, shift_quotient, term_value,
 )
 from oracles import constant_products_reference
 
@@ -103,16 +103,14 @@ def test_a_removable_pole_has_the_reduced_value():
     # value is that of the reduced k * binomial(n,k)
     t = parse_term("binomial(n,k)*(k^2-k)/(k-1)", SYMS)
     assert term_value(t, {"k": 1, "n": 5, "a": 0}) == 5
-    const, affine, opaque = value_parts(t, {"k": 1})
-    assert const == 1 and affine == [(LinearForm.symbol("n"), 1)]
-    assert [(p.eval({"n": 2, "a": 0}), e) for p, e in opaque] == [(1, 1),
-                                                                  (1, -1)]
+    assert factored_value(t, {"k": 1}) == Factored(("n", "a")).mul_affine(
+        LinearForm.symbol("n"), 1)
     # a pole that does not cancel is still an error
     pole = parse_term("binomial(n,k)*(k^2-k)/(k-1)^2", SYMS)
     with pytest.raises(EvalError, match="denominator vanishes"):
         term_value(pole, {"k": 1, "n": 5, "a": 0})
     with pytest.raises(EvalError, match="denominator vanishes"):
-        value_parts(pole, {"k": 1})
+        factored_value(pole, {"k": 1})
 
 
 def test_parse_rational_factor_and_integer_power():
@@ -227,25 +225,44 @@ def _rational_term_text(draw):
 
 
 @settings(deadline=None, max_examples=150)
-@given(_rational_term_text(), st.randoms(use_true_random=False))
-def test_shift_quotient_times_the_term_is_the_shifted_term(text, rng):
-    # f(v+1) = shift_quotient(f, v)(v) * f(v) at integer points where both
-    # values are defined; and the factor-by-factor rendering reads back to
-    # an equal term with an equal hash
+@given(_rational_term_text(), st.integers(-2, 3),
+       st.randoms(use_true_random=False))
+def test_shift_quotient_times_the_term_is_the_shifted_term(text, step, rng):
+    # f(v+step) = shift_quotient(f, v, step)(v) * f(v) at integer points
+    # where both values are defined; and the factor-by-factor rendering
+    # reads back to an equal term with an equal hash
     t = parse_term(text, SYMS)
     back = parse_term(render(t), SYMS)
     assert back == t and hash(back) == hash(t)
     for var in ("k", "n"):
-        q = shift_quotient(t, var)
+        q = shift_quotient(t, var, step)
         for _ in range(10):
             pt = {s: rng.randint(-2, 6) for s in SYMS}
             try:
                 v0 = term_value(t, pt)
-                v1 = term_value(t, {**pt, var: pt[var] + 1})
+                v1 = term_value(t, {**pt, var: pt[var] + step})
                 qv = value(q, pt)
             except (EvalError, ZeroDivisionError):
                 continue
             assert v1 == qv * v0, (var, pt)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_rational_term_text(), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_factored_value_at_a_full_point_is_term_value(text, zero_conventions,
+                                                      rng):
+    # with no symbol left, factored_value is the constant term_value
+    # gives, or the same exception with the same message
+    t = parse_term(text, SYMS)
+    for _ in range(10):
+        pt = {s: rng.randint(-2, 6) for s in SYMS}
+        expected = outcome(term_value, t, pt, zero_conventions)
+        got = outcome(factored_value, t, pt, zero_conventions)
+        if isinstance(expected, tuple):
+            assert got == expected, pt
+        else:
+            assert got == Factored((), expected), pt
 
 
 def test_products_leave_their_operands_unchanged():
@@ -349,16 +366,15 @@ def test_constant_products_match_the_per_factor_loop(text, zero_conventions):
 def test_eval_symbolic_in_params():
     # binomial(a+b,a)*a!*b!/(a+b)! == 1 identically
     t = parse_term("binomial(a+b,a+k)*a!*b!/(a+b+n)!", ("k", "n", "a", "b"))
-    const, affine, opaque = value_parts(t, {"k": 0, "n": 0})
-    assert (const, affine) == (1, [])
-    assert [(p.as_constant(), e) for p, e in opaque] == [(1, 1), (1, -1)]
+    assert factored_value(t, {"k": 0, "n": 0}) == Factored.one(("a", "b"))
 
 
 def test_eval_symbolic_rising_product():
     t = parse_term("binomial(a,k)", ("k", "a"))
-    const, affine, _ = value_parts(t, {"k": 2})  # a(a-1)/2
-    assert const == Fraction(1, 2)
-    assert [(str(L), e) for L, e in affine] == [("a", 1), ("a-1", 1)]
+    v = factored_value(t, {"k": 2})  # a(a-1)/2
+    assert v.const == Fraction(1, 2)
+    assert [(str(L), e) for L, e in v.facs.values()] == [("a", 1),
+                                                         ("a-1", 1)]
 
 
 def test_shift_quotient_binomial_in_k():
